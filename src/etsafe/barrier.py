@@ -15,6 +15,7 @@ of it (hysteresis), or of the expected-inter-event-time trend in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -119,16 +120,18 @@ def orbital_range_barrier(
     hw = half_width * g.R
     c = center * g.R
 
+    # sqrt(pos.dot(pos)) is bitwise np.linalg.norm(pos): norm computes exactly that
     def h(x: np.ndarray) -> float:
-        r = float(np.linalg.norm(x[:3]))
+        pos = x[:3]
+        r = math.sqrt(pos.dot(pos))
         return hw * hw - (r - c) ** 2
 
     def grad_h(x: np.ndarray) -> np.ndarray:
         pos = x[:3]
-        r = float(np.linalg.norm(pos))
-        out = np.zeros(6)
-        out[:3] = (-2.0 * (r - c) / r) * pos
-        return out
+        r = math.sqrt(pos.dot(pos))
+        k = -2.0 * (r - c) / r
+        x0, x1, x2 = pos.tolist()
+        return np.array((k * x0, k * x1, k * x2, 0.0, 0.0, 0.0))
 
     alpha = linear_class_k(gamma)
     check_class_k(alpha, hw * hw)
@@ -204,7 +207,9 @@ def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: np.ndarray) -> float
     """
     grad = np.asarray(b.grad_h(x), dtype=float)
     lfh = float(grad @ np.asarray(flow(x)))
-    return lfh - float(np.linalg.norm(grad)) * b.d_bar + b.alpha(b.h(x))
+    # sqrt(grad.dot(grad)) is bitwise np.linalg.norm(grad): norm computes exactly
+    # that for a contiguous 1-D float array, which both barriers' grad_h return
+    return lfh - math.sqrt(grad.dot(grad)) * b.d_bar + b.alpha(b.h(x))
 
 
 def filter_off_margin(b: BarrierSpec, nominal_flow: Flow, x: np.ndarray, gap: float) -> float:

@@ -18,15 +18,17 @@ import logging
 import math
 import os
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
+from .atomic_io import atomic_write
 from .config import ConfigError, ScenarioConfig, parse_config
 from .engine import (
     AssumptionCheckError,
     RunAbortedError,
     RunResult,
+    Trajectory,
     run_greedy_impulsive,
     run_intermittent_filter,
     run_maneuver,
@@ -65,43 +67,36 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _atomic_write(path: str, content: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+_CHUNK_ROWS = 4096
 
 
 def write_trajectory_csv(path: str, result: RunResult, kind: str) -> None:
     """Satellite columns: t,rx,ry,rz,vx,vy,vz,r,h,xi_active_monitor,filter_state.
     Planar columns: t,x1,x2,h,xi_active_monitor,filter_state."""
-    traj = result.trajectory
-    lines = []
+    atomic_write(path, _trajectory_chunks(result.trajectory, kind))
+
+
+def _trajectory_chunks(traj: Trajectory, kind: str) -> Iterator[str]:
+    """The CSV text, a chunk of rows at a time, each value as ``repr`` of a
+    Python float (the flag as an int), so memory stays flat in the row count."""
     if kind == "satellite":
-        lines.append("t,rx,ry,rz,vx,vy,vz,r,h,xi_active_monitor,filter_state")
-        radii = np.linalg.norm(traj.states[:, :3], axis=1)
-        for i in range(len(traj.times)):
-            s = traj.states[i]
-            lines.append(
-                ",".join(
-                    [_fmt(traj.times[i])]
-                    + [_fmt(v) for v in s]
-                    + [_fmt(radii[i]), _fmt(traj.h[i]), _fmt(traj.xi_active[i])]
-                    + [str(int(traj.filter_on[i]))]
-                )
-            )
+        yield "t,rx,ry,rz,vx,vy,vz,r,h,xi_active_monitor,filter_state\n"
+        states = traj.states
+        tail = (np.linalg.norm(states[:, :3], axis=1), traj.h, traj.xi_active, traj.filter_on)
     else:
-        lines.append("t,x1,x2,h,xi_active_monitor,filter_state")
-        for i in range(len(traj.times)):
-            s = traj.states[i]
-            lines.append(
-                ",".join(
-                    [_fmt(traj.times[i]), _fmt(s[0]), _fmt(s[1])]
-                    + [_fmt(traj.h[i]), _fmt(traj.xi_active[i])]
-                    + [str(int(traj.filter_on[i]))]
-                )
+        yield "t,x1,x2,h,xi_active_monitor,filter_state\n"
+        states = traj.states[:, :2]
+        tail = (traj.h, traj.xi_active, traj.filter_on)
+    for lo in range(0, len(traj.times), _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        yield "".join(
+            f"{t!r},{','.join(map(repr, s))},{','.join(map(repr, rest))}\n"
+            for t, s, *rest in zip(
+                traj.times[rows].tolist(),
+                states[rows].tolist(),
+                *(c[rows].tolist() for c in tail),
             )
-    _atomic_write(path, "\n".join(lines) + "\n")
+        )
 
 
 def write_events_csv(path: str, result: RunResult) -> None:
@@ -123,7 +118,7 @@ def write_events_csv(path: str, result: RunResult) -> None:
                 ]
             )
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def _jsonable(value):
@@ -169,7 +164,7 @@ def summary_document(result: RunResult, cfg: ScenarioConfig) -> dict:
 
 
 def write_summary_json(path: str, result: RunResult, cfg: ScenarioConfig) -> None:
-    _atomic_write(path, json.dumps(summary_document(result, cfg), indent=2) + "\n")
+    atomic_write(path, [json.dumps(summary_document(result, cfg), indent=2) + "\n"])
 
 
 def _write_run_outputs(out_dir: str, result: RunResult, cfg: ScenarioConfig) -> None:
@@ -358,7 +353,7 @@ def cmd_compare(
         "seed": cfg.seed,
         "horizon": _jsonable(cfg.horizon),
     }
-    _atomic_write(os.path.join(out_dir, "comparison.json"), json.dumps(doc, indent=2) + "\n")
+    atomic_write(os.path.join(out_dir, "comparison.json"), [json.dumps(doc, indent=2) + "\n"])
 
     both_safe = (
         g.min_h >= -cfg.value_tolerance and m.min_h >= -cfg.value_tolerance

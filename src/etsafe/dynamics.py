@@ -8,6 +8,7 @@ corresponding dynamical unit.  Satellite states are flat 6-vectors
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,14 +42,13 @@ def two_body_field(
     safe set keeps the radius well above it.
     """
     floor = 0.1 * g.R if singularity_floor is None else singularity_floor
-    pos = s[:3]
-    r = float(np.sqrt(pos[0] * pos[0] + pos[1] * pos[1] + pos[2] * pos[2]))
+    # Python floats run the same IEEE operations as numpy scalars, faster.
+    x0, x1, x2, v0, v1, v2 = s.tolist()
+    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     if r < floor:
         raise SingularityError(f"radius {r!r} below singularity floor {floor!r}")
-    out = np.empty(6)
-    out[:3] = s[3:]
-    out[3:] = (-g.mu / (r * r * r)) * pos
-    return out
+    k = -g.mu / (r * r * r)
+    return np.array((v0, v1, v2, k * x0, k * x1, k * x2))
 
 
 def apply_impulse(s: np.ndarray, dv: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ the dwell removes the tolerance-level residue of it).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -45,6 +46,8 @@ from .numerics import propagate_until
 from .orbital import station_keeping_impulse, verify_jump_conditions
 from .safety_filter import build_constraint, project
 from .scenarios import PlanarScenario, SatelliteScenario
+
+log = logging.getLogger(__name__)
 
 
 class RunAbortedError(RuntimeError):
@@ -185,6 +188,20 @@ class _TrajectoryBuilder:
         return Trajectory(times=times, states=states, h=h, xi_active=xi, filter_on=fon)
 
 
+def _propagate(*args, **kwargs):
+    """:func:`propagate_until`, warning when its located crossing is degraded."""
+    result = propagate_until(*args, **kwargs)
+    crossing = result[3]
+    if crossing is not None and crossing.degraded:
+        log.warning(
+            "degraded crossing of monitor %d at t=%r: bisection budget ran out "
+            "before either tolerance was met",
+            crossing.monitor_index,
+            crossing.time,
+        )
+    return result
+
+
 # --- Greedy impulsive scheme ---
 
 
@@ -292,7 +309,7 @@ def _run_impulsive(
                 gate_time = None
             continue
 
-        times, states, vals, crossing = propagate_until(
+        times, states, vals, crossing = _propagate(
             field, x, t, end - t, [safety],
             scenario.integrator, scenario.events,
             dwell_steps=1 if just_jumped else 0,
@@ -337,7 +354,7 @@ def _second_of_pair_segment(
     if t < gate_time - 1e-12:
         # phase A: payoff monitor not yet armed, safety only
         seg_end = min(gate_time, end)
-        times, states, vals, crossing = propagate_until(
+        times, states, vals, crossing = _propagate(
             field, x, t, seg_end - t, [safety],
             scenario.integrator, scenario.events,
             dwell_steps=1 if just_jumped else 0,
@@ -356,7 +373,7 @@ def _second_of_pair_segment(
         just_jumped = False
 
     # phase B: safety and payoff both monitored
-    times, states, vals, crossing = propagate_until(
+    times, states, vals, crossing = _propagate(
         field, x, t, end - t, [safety, payoff],
         scenario.integrator, scenario.events,
         dwell_steps=1 if just_jumped else 0,
@@ -465,13 +482,13 @@ def run_intermittent_filter(
 
     while t < horizon - 1e-12:
         if filter_on:
-            times, states, vals, crossing = propagate_until(
+            times, states, vals, crossing = _propagate(
                 filtered_field, x, t, horizon - t, [off_monitor],
                 scenario.integrator, scenario.events,
             )
             builder.add_segment(times, states, vals, off_monitor, 1)
         else:
-            times, states, vals, crossing = propagate_until(
+            times, states, vals, crossing = _propagate(
                 nominal_field, x, t, horizon - t, [on_margin],
                 scenario.integrator, scenario.events,
             )
@@ -487,7 +504,7 @@ def run_intermittent_filter(
     on_count = sum(1 for e in events if e.kind == "filter_on")
     off_count = sum(1 for e in events if e.kind == "filter_off")
     truncated = filter_on  # horizon ended inside an on period
-    off_durations = _off_durations(events, horizon)
+    off_durations = _off_durations(events)
     on_durations = _on_durations(events)
     bound = miet_bound(
         b, nominal_flow, planar_region_sampler(scenario), scenario.hysteresis_gap
@@ -549,7 +566,7 @@ def _on_durations(events: Sequence[EventRecord]) -> np.ndarray:
     return np.array(durations)
 
 
-def _off_durations(events: Sequence[EventRecord], horizon: float) -> np.ndarray:
+def _off_durations(events: Sequence[EventRecord]) -> np.ndarray:
     """Durations between each filter_off and the following filter_on."""
     durations = []
     t_off: Optional[float] = None

@@ -18,11 +18,11 @@ streams.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic_io import atomic_write
 from .barrier import barrier_condition_margin
 from .dynamics import _hash_uniforms, _hash_unit_vectors, apply_impulse, two_body_field
 from .numerics import hermite_interpolant, linear_interpolant, locate_zero_crossing
@@ -441,7 +441,7 @@ def save_samples(samples: InterEventSampleSet, path: str) -> None:
         samples.radius, samples.h, samples.inter_event_time, samples.censored
     ):
         lines.append(f"{float(r)!r},{float(h)!r},{float(t)!r},{int(c)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def load_samples(path: str) -> InterEventSampleSet:
@@ -490,7 +490,7 @@ def save_model(model: InterEventTimeModel, path: str) -> None:
         "residual": model.residual,
         "statistic": model.statistic,
     }
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write(path, [json.dumps(doc, indent=2) + "\n"])
 
 
 def load_model(path: str) -> InterEventTimeModel:
@@ -505,10 +505,3 @@ def load_model(path: str) -> InterEventTimeModel:
         residual=float(doc["residual"]),
         statistic=doc.get("statistic", "median"),
     )
-
-
-def _atomic_write(path: str, content: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)

@@ -12,6 +12,7 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -116,7 +117,8 @@ def rk4_step(field: Field, x: np.ndarray, t: float, dt: float) -> np.ndarray:
 
 
 def _require_finite(k: np.ndarray, t: float, x: np.ndarray) -> None:
-    if not np.all(np.isfinite(k)):
+    # same verdict as np.all(np.isfinite(k)) for a 1-D k, at a fraction of the cost
+    if not all(map(math.isfinite, k.tolist())):
         raise IntegrationFailureError(t, x)
 
 
@@ -230,10 +232,13 @@ def propagate_until(
     dt = integrator.step_size
     n_monitors = len(monitors)
 
+    # Per-step bookkeeping stays in Python lists (monitor values as floats);
+    # the returned arrays are built once at the end.
+    unmonitored = [math.nan] * n_monitors
     x = np.array(x0, dtype=float)
     times = [t0]
-    states = [x.copy()]
-    values = [np.full(n_monitors, np.nan)]
+    states = [x]
+    values = [unmonitored]
 
     n_full = int(np.floor(horizon / dt + 1e-12))
     remainder = horizon - n_full * dt
@@ -241,10 +246,10 @@ def propagate_until(
         remainder = 0.0
     total_steps = n_full + (1 if remainder > 0.0 else 0)
 
-    prev_vals: Optional[np.ndarray] = None
+    prev_vals: Optional[list[float]] = None
     if dwell_steps <= 0:
-        prev_vals = np.array([m(x) for m in monitors]) if n_monitors else np.empty(0)
-        values[0] = prev_vals.copy() if n_monitors else values[0]
+        prev_vals = [m(x) for m in monitors]
+        values[0] = prev_vals
         hit = _immediate_crossing(prev_vals)
         if hit is not None:
             crossing = MonitorCrossing(hit, t0, x.copy(), float(prev_vals[hit]))
@@ -255,17 +260,17 @@ def propagate_until(
                 crossing,
             )
 
+    first_armed_step = max(dwell_steps, 1) - 1
     for step in range(total_steps):
         step_dt = dt if step < n_full else remainder
         t_start = t0 + step * dt
         t_end = t_start + step_dt
         x_new = rk4_step(field, x, t_start, step_dt)
-        armed = (step + 1) >= max(dwell_steps, 1)
 
-        new_vals = np.full(n_monitors, np.nan)
+        new_vals = unmonitored
         crossing: Optional[MonitorCrossing] = None
-        if armed and n_monitors:
-            new_vals = np.array([m(x_new) for m in monitors])
+        if n_monitors and step >= first_armed_step:
+            new_vals = [m(x_new) for m in monitors]
             if prev_vals is None:
                 # Monitoring starts at this sample; a value already <= 0 is an
                 # immediate event here rather than a located crossing.
@@ -273,29 +278,32 @@ def propagate_until(
                 if hit is not None:
                     crossing = MonitorCrossing(hit, t_end, x_new.copy(), float(new_vals[hit]))
             else:
-                crossing = _refine_step_crossings(
-                    field, monitors, prev_vals, new_vals,
-                    t_start, x, t_end, x_new, integrator, events,
-                )
+                crossed = [
+                    i for i, (p, v) in enumerate(zip(prev_vals, new_vals)) if p > 0.0 and v <= 0.0
+                ]
+                if crossed:
+                    crossing = _refine_step_crossings(
+                        field, monitors, crossed, t_start, x, t_end, x_new, integrator, events
+                    )
             prev_vals = new_vals
 
         if crossing is not None:
             times.append(crossing.time)
-            states.append(crossing.state.copy())
-            cross_vals = np.array([m(crossing.state) for m in monitors])
-            values.append(cross_vals)
+            states.append(crossing.state)
+            values.append([m(crossing.state) for m in monitors])
             return np.array(times), np.array(states), np.array(values), crossing
 
+        # rk4_step returns a fresh array that nothing mutates: no copy needed
         times.append(t_end)
-        states.append(x_new.copy())
+        states.append(x_new)
         values.append(new_vals)
         x = x_new
 
     return np.array(times), np.array(states), np.array(values), None
 
 
-def _immediate_crossing(vals: np.ndarray) -> Optional[int]:
-    if vals.size == 0:
+def _immediate_crossing(vals: list[float]) -> Optional[int]:
+    if not vals:
         return None
     idx = int(np.argmin(vals))
     return idx if vals[idx] <= 0.0 else None
@@ -304,22 +312,16 @@ def _immediate_crossing(vals: np.ndarray) -> Optional[int]:
 def _refine_step_crossings(
     field: Field,
     monitors: Sequence[Monitor],
-    prev_vals: np.ndarray,
-    new_vals: np.ndarray,
+    crossed: list[int],
     t_start: float,
     x_start: np.ndarray,
     t_end: float,
     x_end: np.ndarray,
     integrator: IntegratorConfig,
     events: EventLocatorConfig,
-) -> Optional[MonitorCrossing]:
-    """Refine every monitor that changed sign in this step; earliest wins."""
-    crossed = [
-        i for i in range(len(monitors)) if prev_vals[i] > 0.0 and new_vals[i] <= 0.0
-    ]
-    if not crossed:
-        return None
-
+) -> MonitorCrossing:
+    """Refine each monitor in ``crossed`` (those whose sign went from > 0 to
+    <= 0 in this step) on the interpolated step; the earliest crossing wins."""
     if integrator.interpolation == "cubic-hermite":
         f0 = field(t_start, x_start)
         f1 = field(t_end, x_end)

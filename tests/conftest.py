@@ -1,6 +1,67 @@
-"""Shared test helpers."""
+"""Shared test helpers and the session-wide runs of the shipped configs.
+
+The full-horizon runs are the slowest part of the suite, so each is made
+once per session and shared by the acceptance criteria and the engine tests.
+"""
+
+import os
+import time
 
 import numpy as np
+import pytest
+
+from etsafe.config import parse_config
+from etsafe.engine import run_greedy_impulsive, run_intermittent_filter, run_maneuver
+from etsafe.inter_event import collect_inter_event_samples, load_model
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def _load(name):
+    return parse_config(os.path.join(CONFIGS, name))
+
+
+@pytest.fixture(scope="session")
+def greedy_run():
+    cfg = _load("greedy_satellite.ini")
+    scenario = cfg.build_satellite()
+    start = time.perf_counter()
+    result = run_greedy_impulsive(scenario, cfg.initial_state, cfg.horizon, seed=cfg.seed)
+    return cfg, scenario, result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def maneuver_run():
+    cfg = _load("maneuver_satellite.ini")
+    scenario = cfg.build_satellite()
+    model = load_model(cfg.tau_model_path)
+    start = time.perf_counter()
+    result = run_maneuver(scenario, model, cfg.initial_state, cfg.horizon, seed=cfg.seed)
+    return cfg, scenario, result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def planar_run():
+    cfg = _load("planar_intermittent.ini")
+    scenario = cfg.build_planar()
+    start = time.perf_counter()
+    result = run_intermittent_filter(scenario, cfg.initial_state, cfg.horizon, seed=cfg.seed)
+    return cfg, scenario, result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def campaign():
+    cfg = _load("greedy_satellite.ini")
+    scenario = cfg.build_satellite()
+    start = time.perf_counter()
+    samples = collect_inter_event_samples(
+        scenario,
+        cfg.tau_radius_grid,
+        cfg.tau_n_per_radius,
+        seed=3,
+        max_wait=cfg.tau_max_wait,
+    )
+    return samples, time.perf_counter() - start
 
 
 def grid_projection_oracle(u_nom, con, n=201):

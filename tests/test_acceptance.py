@@ -1,12 +1,12 @@
 """Acceptance suite: every shipped criterion, one pass/fail line each.
 
 Runs the three shipped default configurations end to end (plus a fresh
-sampling campaign) and checks each criterion at its stated tolerance.
+sampling campaign; the session fixtures live in ``conftest.py``) and checks
+each criterion at its stated tolerance.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -22,13 +22,7 @@ from etsafe.cli import (
 )
 from etsafe.config import parse_config
 from etsafe.dynamics import GravityModel, apply_impulse, two_body_field
-from etsafe.engine import (
-    miet_bound,
-    run_greedy_impulsive,
-    run_intermittent_filter,
-    run_maneuver,
-)
-from etsafe.inter_event import collect_inter_event_samples, load_model
+from etsafe.engine import miet_bound
 from etsafe.numerics import IntegratorConfig, propagate_until, rk4_step
 from etsafe.orbital import (
     elements_from_state,
@@ -48,49 +42,6 @@ CAMPAIGN_BUDGET_S = 600.0
 
 def _load(name):
     return parse_config(os.path.join(CONFIGS, name))
-
-
-@pytest.fixture(scope="session")
-def greedy_run():
-    cfg = _load("greedy_satellite.ini")
-    scenario = cfg.build_satellite()
-    start = time.perf_counter()
-    result = run_greedy_impulsive(scenario, cfg.initial_state, cfg.horizon, seed=cfg.seed)
-    return cfg, scenario, result, time.perf_counter() - start
-
-
-@pytest.fixture(scope="session")
-def maneuver_run():
-    cfg = _load("maneuver_satellite.ini")
-    scenario = cfg.build_satellite()
-    model = load_model(cfg.tau_model_path)
-    start = time.perf_counter()
-    result = run_maneuver(scenario, model, cfg.initial_state, cfg.horizon, seed=cfg.seed)
-    return cfg, scenario, result, time.perf_counter() - start
-
-
-@pytest.fixture(scope="session")
-def planar_run():
-    cfg = _load("planar_intermittent.ini")
-    scenario = cfg.build_planar()
-    start = time.perf_counter()
-    result = run_intermittent_filter(scenario, cfg.initial_state, cfg.horizon, seed=cfg.seed)
-    return cfg, scenario, result, time.perf_counter() - start
-
-
-@pytest.fixture(scope="session")
-def campaign():
-    cfg = _load("greedy_satellite.ini")
-    scenario = cfg.build_satellite()
-    start = time.perf_counter()
-    samples = collect_inter_event_samples(
-        scenario,
-        cfg.tau_radius_grid,
-        cfg.tau_n_per_radius,
-        seed=3,
-        max_wait=cfg.tau_max_wait,
-    )
-    return samples, time.perf_counter() - start
 
 
 def test_criterion_1_safety_invariant(greedy_run, maneuver_run, planar_run):

@@ -123,6 +123,62 @@ class TestBarrierConditionMargin:
             )
 
 
+class TestBitwiseAgainstNormFormulas:
+    """h, grad_h and the margin equal, bit for bit, the np.linalg.norm
+    formulas they replaced, so every output stays byte-identical."""
+
+    GAMMA, D_BAR = 0.1, 1e-3
+
+    @staticmethod
+    def norm_orbital(x, hw=0.4, c=2.0):
+        """(h, grad_h) of the orbital barrier through np.linalg.norm."""
+        pos = x[:3]
+        r = float(np.linalg.norm(pos))
+        grad = np.zeros(6)
+        grad[:3] = (-2.0 * (r - c) / r) * pos
+        return hw * hw - (r - c) ** 2, grad
+
+    @staticmethod
+    def norm_margin(b, flow, x, h, grad):
+        lfh = float(grad @ np.asarray(flow(x)))
+        return lfh - float(np.linalg.norm(grad)) * b.d_bar + b.alpha(h)
+
+    def orbital_states(self):
+        rng = np.random.default_rng(5)
+        n = 2000
+        dirs = rng.normal(size=(n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        # both band edges and the band center exactly, the rest spread over the band
+        radii = np.concatenate([[1.6, 2.4, 2.0] * 20, rng.uniform(1.6, 2.4, n - 60)])
+        states = np.hstack([radii[:, None] * dirs, rng.normal(scale=0.4, size=(n, 3))])
+        edges = np.array([[1.6, 0.0, 0.0], [0.0, -2.4, 0.0], [0.0, 0.0, 2.0], [-0.0, 2.4, -0.0]])
+        states[: len(edges), :3] = edges
+        return states
+
+    def test_orbital_h_grad_and_margin(self):
+        b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
+        for x in self.orbital_states():
+            h_ref, grad_ref = self.norm_orbital(x)
+            assert b.h(x).hex() == h_ref.hex()
+            assert b.grad_h(x).tobytes() == grad_ref.tobytes()
+            margin = barrier_condition_margin(b, orbital_flow, x)
+            assert margin.hex() == self.norm_margin(b, orbital_flow, x, h_ref, grad_ref).hex()
+
+    def test_disk_margin(self):
+        rho = 1.0
+        b = planar_disk_barrier(rho, gamma=2.0, d_bar=0.01)
+        goal = np.array([1.05, 0.0])
+        flow = lambda x: -(x - goal)
+        rng = np.random.default_rng(6)
+        n = 2000
+        ang = rng.uniform(0.0, 2.0 * np.pi, n)
+        radii = np.concatenate([[0.0, rho, rho], rho * np.sqrt(rng.uniform(size=n - 3))])
+        states = np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1)
+        for x in states:
+            margin = barrier_condition_margin(b, flow, x)
+            assert margin.hex() == self.norm_margin(b, flow, x, b.h(x), b.grad_h(x)).hex()
+
+
 class TestFilterMargins:
     RHO = 1.0
 

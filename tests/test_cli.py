@@ -3,8 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from etsafe.atomic_io import atomic_write
 from etsafe.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -15,7 +17,9 @@ from etsafe.cli import (
     cmd_simulate,
     cmd_validate_config,
     main,
+    write_trajectory_csv,
 )
+from etsafe.engine import RunResult, Trajectory
 
 SAT_SMALL = """
 [scenario]
@@ -167,6 +171,93 @@ class TestSimulate:
                 assert read_bytes(os.path.join(out1, fname)) == read_bytes(
                     os.path.join(out2, fname)
                 ), f"{name}/{fname} differs between reruns"
+
+
+def joined_trajectory_csv(traj, kind):
+    """The trajectory CSV as one "\\n".join of per-row repr(float(...)) lines."""
+    fmt = lambda x: repr(float(x))
+    if kind == "satellite":
+        lines = ["t,rx,ry,rz,vx,vy,vz,r,h,xi_active_monitor,filter_state"]
+        radii = np.linalg.norm(traj.states[:, :3], axis=1)
+        for i in range(len(traj.times)):
+            lines.append(
+                ",".join(
+                    [fmt(traj.times[i])]
+                    + [fmt(v) for v in traj.states[i]]
+                    + [fmt(radii[i]), fmt(traj.h[i]), fmt(traj.xi_active[i])]
+                    + [str(int(traj.filter_on[i]))]
+                )
+            )
+    else:
+        lines = ["t,x1,x2,h,xi_active_monitor,filter_state"]
+        for i in range(len(traj.times)):
+            s = traj.states[i]
+            lines.append(
+                ",".join(
+                    [fmt(traj.times[i]), fmt(s[0]), fmt(s[1])]
+                    + [fmt(traj.h[i]), fmt(traj.xi_active[i])]
+                    + [str(int(traj.filter_on[i]))]
+                )
+            )
+    return "\n".join(lines) + "\n"
+
+
+def odd_trajectory(n, dim):
+    """n rows with -0.0, nan, inf, tiny and huge values and both filter flags."""
+    rng = np.random.default_rng(n + dim)
+    states = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-150, 150, size=(n, dim))
+    states[::7, 0] = -0.0
+    states[::11, 1] = 0.0
+    xi = rng.normal(size=n)
+    xi[::5] = np.nan
+    xi[3::13] = -np.inf
+    flags = (rng.uniform(size=n) < 0.5).astype(np.int8)
+    return Trajectory(
+        times=np.cumsum(rng.uniform(0.0, 0.05, n)),
+        states=states,
+        h=-(states[:, 0] ** 2),
+        xi_active=xi,
+        filter_on=flags,
+    )
+
+
+class TestWriters:
+    # more rows than one streamed chunk, so chunk boundaries are exercised
+    @pytest.mark.parametrize("kind,dim", [("satellite", 6), ("planar", 2)])
+    @pytest.mark.parametrize("n", [0, 1, 9000])
+    def test_trajectory_csv_matches_joined_formatting(self, tmp_path, kind, dim, n):
+        traj = odd_trajectory(n, dim)
+        path = str(tmp_path / "trajectory.csv")
+        write_trajectory_csv(path, RunResult(events=[], trajectory=traj, summary=None), kind)
+        assert read_bytes(path) == joined_trajectory_csv(traj, kind).encode("utf-8")
+        if n > 1:
+            text = read_bytes(path).decode()
+            assert "-0.0," in text and "nan," in text and ",1\n" in text and ",0\n" in text
+        assert os.listdir(tmp_path) == ["trajectory.csv"]  # no .tmp left behind
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = str(tmp_path / "out.csv")
+
+        def chunks():
+            yield "first chunk\n"
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            atomic_write(path, chunks())
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = str(tmp_path / "out.csv")
+        atomic_write(path, ["old\n"])
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError):
+            atomic_write(path, chunks())
+        assert read_bytes(path) == b"old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestSampleAndFit:

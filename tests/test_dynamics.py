@@ -42,6 +42,29 @@ class TestTwoBodyField:
         with pytest.raises(SingularityError):
             two_body_field(GRAVITY, s)
 
+    def test_bitwise_equal_to_numpy_scalar_formula(self):
+        # The float body must run exactly the IEEE operations of the numpy
+        # formula it replaced, so trajectories stay byte-identical.
+        def numpy_formula(g, s):
+            pos = s[:3]
+            r = float(np.sqrt(pos[0] * pos[0] + pos[1] * pos[1] + pos[2] * pos[2]))
+            out = np.empty(6)
+            out[:3] = s[3:]
+            out[3:] = (-g.mu / (r * r * r)) * pos
+            return out
+
+        rng = np.random.default_rng(11)
+        n = 2000
+        dirs = rng.normal(size=(n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = np.concatenate([rng.uniform(1.6, 2.4, n - 4), [1.6, 2.4, 0.2, 7.5]])
+        states = np.hstack([radii[:, None] * dirs, rng.normal(scale=0.5, size=(n, 3))])
+        states[:10, 2] = -0.0
+        states[10:20, 3:] = 0.0
+        for g in (GRAVITY, GravityModel(mu=0.37, R=1.3)):
+            for s in states:
+                assert two_body_field(g, s).tobytes() == numpy_formula(g, s).tobytes()
+
     def test_circular_period_returns_to_start(self):
         # Kepler's third law: T = 2 pi sqrt(r^3 / mu) = 2 pi sqrt(8) at r = 2.
         period = 2.0 * np.pi * np.sqrt(8.0)

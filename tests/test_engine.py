@@ -1,5 +1,8 @@
 """Hybrid run loop tests: greedy, maneuver, intermittent, bounds, audits."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,20 @@ CIRCULAR_MID = np.array([2.0, 0.0, 0.0, 0.0, np.sqrt(0.5), 0.0])
 X0 = np.array([2.2, 0.0, 0.0, 0.0, np.sqrt(1.0 / 2.2), 0.0])
 
 
+# Runs that several tests inspect are made once per module.
+@pytest.fixture(scope="module")
+def greedy_3000():
+    scn = satellite_scenario(seed=1)
+    return scn, run_greedy_impulsive(scn, X0, 3000.0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def maneuver_3000():
+    scn = satellite_scenario(seed=1)
+    model = fitted_like_tau_model()
+    return scn, model, run_maneuver(scn, model, X0, 3000.0)
+
+
 class TestGreedy:
     def test_no_disturbance_no_jumps(self):
         scn = satellite_scenario(kind="none")
@@ -94,9 +111,8 @@ class TestGreedy:
         assert res.summary.jump_count == 0
         assert res.summary.min_h == pytest.approx(0.16, abs=1e-6)
 
-    def test_disturbed_run_is_safe_with_jumps(self):
-        scn = satellite_scenario(seed=1)
-        res = run_greedy_impulsive(scn, X0, 3000.0, seed=1)
+    def test_disturbed_run_is_safe_with_jumps(self, greedy_3000):
+        scn, res = greedy_3000
         s = res.summary
         assert s.jump_count > 0
         assert s.min_h >= -1e-9
@@ -106,16 +122,14 @@ class TestGreedy:
             s.value_tolerance + 5.0 * s.time_tolerance  # margin slope is O(1)
         )
 
-    def test_observed_dwell_beats_analytic_bound(self):
-        scn = satellite_scenario(seed=1)
-        res = run_greedy_impulsive(scn, X0, 3000.0, seed=1)
+    def test_observed_dwell_beats_analytic_bound(self, greedy_3000):
+        _, res = greedy_3000
         s = res.summary
         if s.min_inter_event_time is not None:
             assert s.min_inter_event_time >= s.miet_lower_bound
 
-    def test_jump_records_are_consistent(self):
-        scn = satellite_scenario(seed=1)
-        res = run_greedy_impulsive(scn, X0, 3000.0)
+    def test_jump_records_are_consistent(self, greedy_3000):
+        scn, res = greedy_3000
         times = [e.time for e in res.events]
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         for e in res.events:
@@ -178,19 +192,16 @@ class TestManeuver:
         assert roles == ["first", "second"] * (len(roles) // 2) + ["first"] * (len(roles) % 2)
         assert all(e.trigger_id in ("safety", "initial") for e in maneuver.events)
 
-    def test_pair_roles_alternate(self):
-        scn = satellite_scenario(seed=1)
-        res = run_maneuver(scn, fitted_like_tau_model(), X0, 3000.0)
+    def test_pair_roles_alternate(self, maneuver_3000):
+        _, _, res = maneuver_3000
         roles = [e.pair_role for e in res.events]
         for i, role in enumerate(roles):
             assert role == ("first" if i % 2 == 0 else "second")
 
-    def test_timing_events_respect_gate(self):
+    def test_timing_events_respect_gate(self, maneuver_3000):
         # Every payoff-triggered second impulse fires no earlier than the
         # first impulse time plus the expected dwell at the first impulse.
-        scn = satellite_scenario(seed=1)
-        model = fitted_like_tau_model()
-        res = run_maneuver(scn, model, X0, 3000.0)
+        _, model, res = maneuver_3000
         events = res.events
         timing_seen = 0
         for i, e in enumerate(events):
@@ -202,17 +213,48 @@ class TestManeuver:
                 assert e.time >= gate - 1e-9
         assert res.summary.jump_count == len(events)
 
-    def test_maneuver_is_safe(self):
-        scn = satellite_scenario(seed=1)
-        res = run_maneuver(scn, fitted_like_tau_model(), X0, 3000.0)
+    def test_maneuver_is_safe(self, maneuver_3000):
+        scn, _, res = maneuver_3000
         assert res.summary.min_h >= -1e-9
         assert res.summary.min_post_jump_margin >= scn.controller.post_jump_margin
 
-    def test_reduces_jump_count_on_paired_run(self):
+    def test_reduces_jump_count_on_paired_run(self, greedy_run):
+        # The shipped greedy config is this scenario at horizon 6000, so the
+        # session's run of it is the greedy half of the pair.
+        cfg, shipped, greedy, _ = greedy_run
         scn = satellite_scenario(seed=1)
-        greedy = run_greedy_impulsive(scn, X0, 6000.0)
+        assert np.array_equal(cfg.initial_state, X0) and cfg.horizon == 6000.0
+        assert (shipped.disturbance, shipped.controller, shipped.integrator, shipped.events) == (
+            scn.disturbance, scn.controller, scn.integrator, scn.events
+        )
+        assert (shipped.barrier.gamma, shipped.barrier.d_bar) == (scn.barrier.gamma, scn.barrier.d_bar)
         maneuver = run_maneuver(scn, fitted_like_tau_model(), X0, 6000.0)
         assert maneuver.summary.jump_count < greedy.summary.jump_count
+
+
+class TestDegradedCrossings:
+    # a slightly hot orbit whose margin crosses zero twice within 60 time units
+    HOT = np.array([2.3, 0.0, 0.0, 0.0, 1.02 * np.sqrt(1.0 / 2.3), 0.0])
+
+    def run_hot_orbit(self, caplog, events):
+        scn = dataclasses.replace(satellite_scenario(kind="none"), events=events)
+        with caplog.at_level(logging.WARNING, logger="etsafe.engine"):
+            res = run_greedy_impulsive(scn, self.HOT, 60.0)
+        logged = [r for r in caplog.records if r.name == "etsafe.engine"]
+        assert all(r.levelno == logging.WARNING for r in logged)
+        return res, logged
+
+    def test_each_degraded_crossing_logs_one_warning(self, caplog):
+        res, logged = self.run_hot_orbit(caplog, EventLocatorConfig(max_bisections=1))
+        located = [e.time for e in res.events if e.trigger_id == "safety"]
+        assert len(located) == 2
+        assert [r.args for r in logged] == [(0, t) for t in located]
+        assert all("degraded crossing of monitor 0" in r.getMessage() for r in logged)
+
+    def test_full_budget_logs_nothing(self, caplog):
+        res, logged = self.run_hot_orbit(caplog, EventLocatorConfig())
+        assert len(res.events) == 2
+        assert logged == []
 
 
 class TestIntermittent:

@@ -42,6 +42,24 @@ class TestRk4Step:
         assert err.value.t == 2.5
         assert err.value.x[0] == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_third_stage_stops_before_fourth(self, bad):
+        calls = []
+
+        def field(t, x):
+            calls.append(t)
+            k = -x
+            if len(calls) == 3:
+                k[4] = bad
+            return k
+
+        x0 = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -0.25])
+        with pytest.raises(IntegrationFailureError) as err:
+            rk4_step(field, x0, 2.5, 0.1)
+        assert len(calls) == 3  # the fourth stage never ran
+        assert err.value.t == 2.5
+        assert np.array_equal(err.value.x, x0)
+
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             rk4_step(DECAY, np.array([1.0]), 0.0, 0.0)
