@@ -136,7 +136,7 @@ def orbital_range_barrier(
     alpha = linear_class_k(gamma)
     check_class_k(alpha, hw * hw)
     spec = BarrierSpec(h=h, grad_h=grad_h, alpha=alpha, d_bar=d_bar, gamma=gamma)
-    _self_check(spec, _orbital_check_states(g, c, hw))
+    check_gradient(spec, _orbital_check_states(g, c, hw))
     return spec
 
 
@@ -154,7 +154,7 @@ def planar_disk_barrier(rho: float, gamma: float, d_bar: float) -> BarrierSpec:
     alpha = linear_class_k(gamma)
     check_class_k(alpha, rho * rho)
     spec = BarrierSpec(h=h, grad_h=grad_h, alpha=alpha, d_bar=d_bar, gamma=gamma)
-    _self_check(spec, _disk_check_states(rho))
+    check_gradient(spec, _disk_check_states(rho))
     return spec
 
 
@@ -178,10 +178,6 @@ def _disk_check_states(rho: float) -> np.ndarray:
     return np.array(
         [[r * np.cos(a), r * np.sin(a)] for r in radii for a in angles]
     )
-
-
-def _self_check(spec: BarrierSpec, states: np.ndarray) -> None:
-    check_gradient(spec, states)
 
 
 # --- Margin (trigger condition) evaluations ---

@@ -5,7 +5,10 @@ Exit codes: 0 success (and safety verdict passed), 2 configuration error,
 3 run or fit failure.
 
 Output files are written atomically (temp file + rename); a failed command
-leaves no partial files.  Identical config and seed reproduce outputs
+leaves no partial files.  compare runs its two arms in two processes at the
+same time (greedy in a worker, maneuver in the calling process), each writing
+into a staging directory under --out; the outputs are moved into place only
+when both arms succeed.  Identical config and seed reproduce outputs
 byte-for-byte.  ETSAFE_LOG_LEVEL (error | info | debug) controls stderr
 logging.
 """
@@ -17,7 +20,10 @@ import json
 import logging
 import math
 import os
+import shutil
 import sys
+import tempfile
+import threading
 from typing import Iterator, Optional
 
 import numpy as np
@@ -28,6 +34,7 @@ from .engine import (
     AssumptionCheckError,
     RunAbortedError,
     RunResult,
+    RunSummary,
     Trajectory,
     run_greedy_impulsive,
     run_intermittent_filter,
@@ -190,6 +197,91 @@ def _load_config(path: str, seed: Optional[int], horizon: Optional[float]) -> Sc
     return cfg
 
 
+def _run_arm(
+    config_path: str,
+    scheme: str,
+    seed: Optional[int],
+    horizon: Optional[float],
+    tau_model_path: Optional[str],
+    stage_dir: str,
+) -> RunSummary:
+    """One arm of ``compare``: parse, build, run one scheme, write its three
+    files into ``stage_dir``.  Takes only picklable arguments, so it can run in
+    a worker process under any start method."""
+    cfg = _load_config(config_path, seed, horizon)
+    if tau_model_path is not None:
+        cfg.tau_model_path = tau_model_path
+    result = _execute(cfg, scheme)
+    _write_run_outputs(stage_dir, result, cfg)
+    return result.summary
+
+
+def _arm_worker(conn, *arm_args) -> None:
+    """Worker process body: run one arm and send back ``(True, summary)`` or
+    ``(False, exception)`` over ``conn``.
+
+    The worker exits as soon as the process that started it is gone: a parent
+    killed by a signal runs no cleanup, and its arm's outputs would be moot.
+    The parent's sentinel is used rather than ``os.getppid()``, because under
+    the forkserver start method the OS parent is the fork server."""
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    def watch() -> None:
+        wait([parent_process().sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+    try:
+        reply = (True, _run_arm(*arm_args))
+    except BaseException as err:
+        reply = (False, err)
+    conn.send(reply)
+
+
+def _run_arms(
+    config_path: str,
+    tau_model_path: str,
+    seed: Optional[int],
+    horizon: Optional[float],
+    stages: dict[str, str],
+) -> tuple[RunSummary, RunSummary]:
+    """Run the greedy arm in a worker process while the maneuver arm runs
+    here; the worker has exited, or been killed, before this returns."""
+    # multiprocessing costs ≈15 ms of start-up (python -X importtime) that
+    # the other subcommands need not pay, so only compare imports it
+    import multiprocessing
+
+    recv, send = multiprocessing.Pipe(duplex=False)
+    worker = multiprocessing.Process(
+        target=_arm_worker,
+        args=(send, config_path, "greedy", seed, horizon, None, stages["greedy"]),
+        daemon=True,
+    )
+    worker.start()
+    send.close()
+    try:
+        maneuver = _run_arm(
+            config_path, "maneuver", seed, horizon, tau_model_path, stages["maneuver"]
+        )
+        try:
+            ok, greedy = recv.recv()
+        except EOFError:
+            worker.join()
+            raise ChildProcessError(
+                f"greedy worker exited with code {worker.exitcode} before its arm ended"
+            ) from None
+        if not ok:
+            raise greedy
+        return greedy, maneuver
+    except BaseException:
+        worker.kill()
+        raise
+    finally:
+        worker.join()
+        recv.close()
+
+
 def _execute(cfg: ScenarioConfig, scheme: str) -> RunResult:
     if cfg.kind == "satellite":
         scenario = cfg.build_satellite()
@@ -323,20 +415,29 @@ def cmd_compare(
     except ConfigError as err:
         log.error("%s", err)
         return EXIT_CONFIG
+    fresh = not os.path.exists(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    stages = {
+        arm: tempfile.mkdtemp(prefix=f".{arm}-", dir=out_dir) for arm in ("greedy", "maneuver")
+    }
     try:
-        model = load_model(tau_model_path)
-        scenario = cfg.build_satellite()
-        greedy = run_greedy_impulsive(scenario, cfg.initial_state, cfg.horizon, seed=cfg.seed)
-        maneuver = run_maneuver(scenario, model, cfg.initial_state, cfg.horizon, seed=cfg.seed)
-    except (RunAbortedError, FileNotFoundError, ValueError) as err:
+        g, m = _run_arms(config_path, tau_model_path, seed, horizon, stages)
+        for arm, stage in stages.items():
+            os.makedirs(os.path.join(out_dir, arm), exist_ok=True)
+            for name in sorted(os.listdir(stage)):
+                os.replace(os.path.join(stage, name), os.path.join(out_dir, arm, name))
+    except (RunAbortedError, OSError, ValueError) as err:
         log.error("comparison failed: %s", err)
         return EXIT_RUN
+    except KeyboardInterrupt:
+        log.error("comparison interrupted")
+        return EXIT_RUN
+    finally:
+        for stage in stages.values():
+            shutil.rmtree(stage, ignore_errors=True)
+        if fresh and not os.listdir(out_dir):
+            os.rmdir(out_dir)
 
-    os.makedirs(out_dir, exist_ok=True)
-    _write_run_outputs(os.path.join(out_dir, "greedy"), greedy, cfg)
-    _write_run_outputs(os.path.join(out_dir, "maneuver"), maneuver, cfg)
-
-    g, m = greedy.summary, maneuver.summary
     reduction = None
     if g.jump_count > 0:
         reduction = 1.0 - m.jump_count / g.jump_count

@@ -34,12 +34,17 @@ class GravityModel:
 
 
 def two_body_field(
-    g: GravityModel, s: np.ndarray, singularity_floor: Optional[float] = None
+    g: GravityModel,
+    s: np.ndarray,
+    singularity_floor: Optional[float] = None,
+    accel: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Two-body derivative ``d/dt [r, v] = [v, -mu r / |r|^3]``.
+    """Two-body derivative ``d/dt [r, v] = [v, -mu r / |r|^3 + accel]``.
 
-    The floor (default 0.1 R) only guards pathological configurations; the
-    safe set keeps the radius well above it.
+    ``accel`` is an extra acceleration (the disturbance), added to each
+    gravity component with one IEEE addition.  The floor (default 0.1 R) only
+    guards pathological configurations; the safe set keeps the radius well
+    above it.
     """
     floor = 0.1 * g.R if singularity_floor is None else singularity_floor
     # Python floats run the same IEEE operations as numpy scalars, faster.
@@ -48,7 +53,10 @@ def two_body_field(
     if r < floor:
         raise SingularityError(f"radius {r!r} below singularity floor {floor!r}")
     k = -g.mu / (r * r * r)
-    return np.array((v0, v1, v2, k * x0, k * x1, k * x2))
+    if accel is None:
+        return np.array((v0, v1, v2, k * x0, k * x1, k * x2))
+    a0, a1, a2 = accel.tolist()
+    return np.array((v0, v1, v2, k * x0 + a0, k * x1 + a1, k * x2 + a2))
 
 
 def apply_impulse(s: np.ndarray, dv: np.ndarray) -> np.ndarray:

@@ -55,8 +55,14 @@ class RunAbortedError(RuntimeError):
 
     def __init__(self, message: str, t: float, x: np.ndarray):
         super().__init__(f"{message} (t={t!r})")
+        self.reason = message
         self.t = t
         self.x = np.array(x, dtype=float)
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, not the formatted message,
+        # so an abort in a worker process reaches the caller intact
+        return type(self), (self.reason, self.t, self.x)
 
 
 class AssumptionCheckError(ValueError):

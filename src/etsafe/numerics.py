@@ -29,8 +29,13 @@ class IntegrationFailureError(RuntimeError):
 
     def __init__(self, t: float, x: np.ndarray, message: str = "non-finite derivative"):
         super().__init__(f"{message} at t={t!r}, x={np.asarray(x).tolist()!r}")
+        self.reason = message
         self.t = t
         self.x = np.array(x, dtype=float)
+
+    def __reduce__(self):
+        # picklable across processes: rebuild from the constructor's arguments
+        return type(self), (self.t, self.x, self.reason)
 
 
 class BracketError(ValueError):

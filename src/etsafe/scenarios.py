@@ -56,9 +56,7 @@ class SatelliteScenario:
         d = self.disturbance.realize(horizon, stream)
 
         def fld(t: float, x: np.ndarray) -> np.ndarray:
-            out = two_body_field(g, x)
-            out[3:] += d(t, x)
-            return out
+            return two_body_field(g, x, accel=d(t, x))
 
         return fld
 

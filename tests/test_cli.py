@@ -1,11 +1,17 @@
 """CLI subcommand tests: exit codes, output schemas, determinism."""
 
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import etsafe.cli
 from etsafe.atomic_io import atomic_write
 from etsafe.cli import (
     EXIT_CONFIG,
@@ -19,7 +25,7 @@ from etsafe.cli import (
     main,
     write_trajectory_csv,
 )
-from etsafe.engine import RunResult, Trajectory
+from etsafe.engine import RunAbortedError, RunResult, Trajectory
 
 SAT_SMALL = """
 [scenario]
@@ -88,6 +94,16 @@ def planar_config(tmp_path):
     path = tmp_path / "planar.ini"
     path.write_text(PLANAR_SMALL)
     return str(path)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+SHIPPED_MODEL = os.path.join(CONFIGS, "tau_model.json")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(etsafe.__file__)))
+# the greedy arm's failures are injected by patching the parent before the
+# worker is forked, so those tests need the fork start method
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="worker inherits the patch only under fork"
+)
 
 
 def read_bytes(path):
@@ -353,6 +369,217 @@ class TestCompare:
         assert cmd_compare(sat_config, str(model), out, horizon=150.0) == EXIT_OK
         doc = json.load(open(os.path.join(out, "comparison.json")))
         assert doc["greedy_jump_count"] == doc["maneuver_jump_count"]
+
+
+def assert_nothing_left(out, before):
+    """A failed compare adds nothing under ``out`` and leaves no process."""
+    assert sorted(os.listdir(out)) == before
+    assert multiprocessing.active_children() == []
+
+
+def sleeping_greedy_arm(*args, **kwargs):
+    time.sleep(120.0)
+
+
+def aborting_greedy_arm(scenario, x0, horizon, seed=None):
+    raise RunAbortedError("injected greedy abort", 4.5, x0)
+
+
+def killed_greedy_arm(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestCompareFailures:
+    """A failed compare returns EXIT_RUN promptly and leaves no partial output:
+    no greedy/, maneuver/, comparison.json, staging directory or temp file."""
+
+    @pytest.fixture
+    def out(self, tmp_path):
+        path = tmp_path / "cmp"
+        path.mkdir()
+        (path / "previous.txt").write_text("kept\n")
+        return str(path)
+
+    @needs_fork
+    def test_missing_tau_model_stops_the_running_worker(self, sat_config, out, tmp_path, monkeypatch):
+        # the maneuver arm fails at once; the greedy worker, still asleep,
+        # must be stopped rather than waited for
+        monkeypatch.setattr(etsafe.cli, "run_greedy_impulsive", sleeping_greedy_arm)
+        start = time.perf_counter()
+        assert cmd_compare(sat_config, str(tmp_path / "missing.json"), out) == EXIT_RUN
+        assert time.perf_counter() - start < 60.0
+        assert_nothing_left(out, ["previous.txt"])
+
+    def test_missing_tau_model_creates_no_out_dir(self, sat_config, tmp_path):
+        out = str(tmp_path / "fresh")
+        assert cmd_compare(sat_config, str(tmp_path / "missing.json"), out) == EXIT_RUN
+        assert not os.path.exists(out)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_greedy_arm_abort(self, sat_config, out, monkeypatch, caplog):
+        monkeypatch.setattr(etsafe.cli, "run_greedy_impulsive", aborting_greedy_arm)
+        assert cmd_compare(sat_config, SHIPPED_MODEL, out, horizon=30.0) == EXIT_RUN
+        assert_nothing_left(out, ["previous.txt"])
+        # the worker's error crossed the process boundary intact
+        assert "injected greedy abort (t=4.5)" in caplog.text
+
+    @needs_fork
+    def test_worker_killed_mid_run(self, sat_config, out, monkeypatch, caplog):
+        monkeypatch.setattr(etsafe.cli, "run_greedy_impulsive", killed_greedy_arm)
+        assert cmd_compare(sat_config, SHIPPED_MODEL, out, horizon=30.0) == EXIT_RUN
+        assert_nothing_left(out, ["previous.txt"])
+        assert "greedy worker exited with code -9" in caplog.text
+
+
+def start_method_argv(method):
+    """Interpreter arguments that run the etsafe CLI, under ``method`` unless
+    it is None (the platform default)."""
+    if method is None:
+        return ["-m", "etsafe.cli"]
+    script = (
+        "import multiprocessing, sys\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "from etsafe.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return ["-c", script]
+
+
+needs_forkserver = pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="platform has no forkserver start method",
+)
+
+
+def descendants(pid):
+    """Every process below ``pid`` (under forkserver the worker is a child of
+    the fork server, not of compare)."""
+    found, todo = [], [pid]
+    while todo:
+        parent = todo.pop()
+        try:
+            with open(f"/proc/{parent}/task/{parent}/children") as fh:
+                children = [int(child) for child in fh.read().split()]
+        except FileNotFoundError:
+            children = []
+        found += children
+        todo += children
+    return found
+
+
+def process_gone(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="finds the worker through /proc",
+)
+@pytest.mark.parametrize("method", [None, pytest.param("forkserver", marks=needs_forkserver)])
+def test_worker_exits_when_compare_is_killed(sat_config, tmp_path, method):
+    # SIGKILL runs no cleanup in the parent; the worker must not go on with
+    # its arm.  At this horizon the arm runs for well over a minute, so only
+    # a worker that notices its parent's death is gone within the deadline.
+    proc = subprocess.Popen(
+        [sys.executable, *start_method_argv(method), "compare", "--config", sat_config,
+         "--tau-model", SHIPPED_MODEL, "--out", str(tmp_path / "cmp"), "--horizon", "60000"],
+        env=dict(os.environ, PYTHONPATH=SRC, ETSAFE_LOG_LEVEL="error"),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = set()
+    try:
+        # wait until the set of processes below compare has settled for 1 s
+        deadline = time.monotonic() + 60.0
+        last, since = set(), time.monotonic()
+        while proc.poll() is None and time.monotonic() < deadline:
+            now = set(descendants(proc.pid))
+            workers |= now
+            if now != last or not now:
+                last, since = now, time.monotonic()
+            elif time.monotonic() - since > 1.0:
+                break
+            time.sleep(0.05)
+        assert proc.poll() is None, "compare ended before it was killed"
+        assert workers, "compare started no worker"
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 20.0
+        while not all(map(process_gone, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert all(map(process_gone, workers))
+    finally:
+        proc.kill()
+        for pid in workers:
+            if not process_gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+class TestCompareMatchesSimulate:
+    """compare's arms write exactly what simulate writes for each scheme."""
+
+    SEED, HORIZON = 4, 150.0
+
+    @pytest.fixture(scope="class")
+    def simulated(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("simulate")
+        outs = {}
+        for arm in ("greedy", "maneuver"):
+            outs[arm] = str(base / arm)
+            config = os.path.join(CONFIGS, f"{arm}_satellite.ini")
+            assert cmd_simulate(config, outs[arm], self.SEED, self.HORIZON) == EXIT_OK
+        return outs
+
+    def assert_arms_match(self, out, simulated):
+        assert sorted(os.listdir(out)) == ["comparison.json", "greedy", "maneuver"]
+        for arm, sim_out in simulated.items():
+            names = sorted(os.listdir(os.path.join(out, arm)))
+            assert names == ["events.csv", "summary.json", "trajectory.csv"]
+            for name in names:
+                assert read_bytes(os.path.join(out, arm, name)) == read_bytes(
+                    os.path.join(sim_out, name)
+                ), f"{arm}/{name} differs from simulate"
+
+    def test_in_process(self, simulated, tmp_path):
+        out = str(tmp_path / "cmp")
+        config = os.path.join(CONFIGS, "maneuver_satellite.ini")
+        assert cmd_compare(config, SHIPPED_MODEL, out, self.SEED, self.HORIZON) == EXIT_OK
+        self.assert_arms_match(out, simulated)
+
+    def run_cli(self, method, out):
+        config = os.path.join(CONFIGS, "greedy_satellite.ini")
+        proc = subprocess.run(
+            [sys.executable, *start_method_argv(method), "compare", "--config", config,
+             "--tau-model", SHIPPED_MODEL, "--out", out,
+             "--seed", str(self.SEED), "--horizon", repr(self.HORIZON)],
+            env=dict(os.environ, PYTHONPATH=SRC, ETSAFE_LOG_LEVEL="error"),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_cli_entry_point(self, simulated, tmp_path):
+        out = str(tmp_path / "cmp")
+        self.run_cli(None, out)
+        self.assert_arms_match(out, simulated)
+
+    def test_spawn_start_method(self, simulated, tmp_path):
+        # the worker gets only picklable arguments, so a worker that starts
+        # from a fresh interpreter writes the same files
+        out = str(tmp_path / "cmp")
+        self.run_cli("spawn", out)
+        self.assert_arms_match(out, simulated)
+
+    @needs_forkserver
+    def test_forkserver_start_method(self, simulated, tmp_path):
+        # under forkserver the worker's OS parent is the fork server, not
+        # compare; the worker must still run its arm to the end
+        out = str(tmp_path / "cmp")
+        self.run_cli("forkserver", out)
+        self.assert_arms_match(out, simulated)
 
 
 class TestMainEntry:

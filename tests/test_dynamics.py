@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from etsafe.barrier import orbital_range_barrier
 from etsafe.dynamics import (
     DisturbanceModel,
     GravityModel,
@@ -14,8 +15,23 @@ from etsafe.dynamics import (
     two_body_field,
 )
 from etsafe.numerics import IntegratorConfig, propagate_until
+from etsafe.orbital import StationKeepingConfig
+from etsafe.scenarios import SatelliteScenario
 
 GRAVITY = GravityModel()
+
+
+def field_test_states(n=2000):
+    """Seeded states across the band, both band edges, and far in and out,
+    with some -0.0 positions and zero velocities."""
+    rng = np.random.default_rng(11)
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.concatenate([rng.uniform(1.6, 2.4, n - 4), [1.6, 2.4, 0.2, 7.5]])
+    states = np.hstack([radii[:, None] * dirs, rng.normal(scale=0.5, size=(n, 3))])
+    states[:10, 2] = -0.0
+    states[10:20, 3:] = 0.0
+    return states
 
 
 def specific_energy(g, s):
@@ -53,17 +69,31 @@ class TestTwoBodyField:
             out[3:] = (-g.mu / (r * r * r)) * pos
             return out
 
-        rng = np.random.default_rng(11)
-        n = 2000
-        dirs = rng.normal(size=(n, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = np.concatenate([rng.uniform(1.6, 2.4, n - 4), [1.6, 2.4, 0.2, 7.5]])
-        states = np.hstack([radii[:, None] * dirs, rng.normal(scale=0.5, size=(n, 3))])
-        states[:10, 2] = -0.0
-        states[10:20, 3:] = 0.0
         for g in (GRAVITY, GravityModel(mu=0.37, R=1.3)):
-            for s in states:
+            for s in field_test_states():
                 assert two_body_field(g, s).tobytes() == numpy_formula(g, s).tobytes()
+
+    @pytest.mark.parametrize("kind", ["seeded-piecewise-constant", "zonal-j2-like", "none"])
+    def test_disturbed_field_bitwise_equal_to_in_place_add(self, kind):
+        # The disturbance is added inside the field's one array construction;
+        # that must be the same IEEE addition as the in-place add it replaced.
+        dist = DisturbanceModel(kind=kind, d_bar=1e-3, seed=5, hold_time=1.0)
+        scenario = SatelliteScenario(
+            gravity=GRAVITY,
+            barrier=orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3),
+            controller=StationKeepingConfig(),
+            disturbance=dist,
+        )
+        states = field_test_states()
+        rng = np.random.default_rng(12)
+        times = np.concatenate([rng.uniform(0.0, 100.0, len(states) - 4), [0.0, 1.0, 100.0, 250.0]])
+        for stream in (0, 3):
+            field = scenario.disturbed_field(100.0, stream)
+            sampler = dist.realize(100.0, stream)
+            for t, s in zip(times.tolist(), states):
+                old = two_body_field(GRAVITY, s)
+                old[3:] += sampler(t, s)
+                assert field(t, s).tobytes() == old.tobytes()
 
     def test_circular_period_returns_to_start(self):
         # Kepler's third law: T = 2 pi sqrt(r^3 / mu) = 2 pi sqrt(8) at r = 2.

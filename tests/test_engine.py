@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import pickle
 
 import numpy as np
 import pytest
@@ -407,3 +408,14 @@ class TestAuditSafety:
         )
         _, _, safe = audit_safety(bad, scn.barrier, 1e-9)
         assert not safe
+
+
+class TestRunAbortedError:
+    def test_survives_a_pickle_round_trip(self):
+        # a worker process's abort must reach the parent as the same error
+        err = RunAbortedError("margin went non-finite", 12.5, np.array([2.2, -0.0, 0.0, 0.0, 0.67, 1e-300]))
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is RunAbortedError
+        assert str(back) == str(err) == "margin went non-finite (t=12.5)"
+        assert back.t == err.t
+        assert back.x.tobytes() == err.x.tobytes()

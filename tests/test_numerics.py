@@ -1,5 +1,7 @@
 """Integration, interpolation, and event-location tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,16 @@ class TestConfigValidation:
             EventLocatorConfig(value_tolerance=-1.0)
         with pytest.raises(ValueError):
             EventLocatorConfig(max_bisections=0)
+
+
+class TestIntegrationFailureError:
+    @pytest.mark.parametrize("message", [None, "field blew up"])
+    def test_survives_a_pickle_round_trip(self, message):
+        x = np.array([1.0, np.nan, -np.inf, -0.0])
+        err = IntegrationFailureError(0.75, x) if message is None else IntegrationFailureError(0.75, x, message)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is IntegrationFailureError
+        assert str(back) == str(err)
+        assert str(err).startswith(message or "non-finite derivative")
+        assert back.t == err.t
+        assert back.x.tobytes() == err.x.tobytes()

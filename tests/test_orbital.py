@@ -1,5 +1,7 @@
 """Keplerian conversions and station-keeping controller tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -285,3 +287,16 @@ class TestStationKeepingConfig:
             StationKeepingConfig(post_jump_margin=0.0)
         with pytest.raises(ValueError):
             StationKeepingConfig(retarget_gain=1.0)
+
+
+class TestControllerInfeasibleError:
+    @pytest.mark.parametrize("state", [None, np.array([2.2, 0.0, -0.0, 0.0, 0.65, 0.0])])
+    def test_survives_a_pickle_round_trip(self, state):
+        err = ControllerInfeasibleError("no elliptic retarget", state)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ControllerInfeasibleError
+        assert str(back) == str(err) == "no elliptic retarget"
+        if state is None:
+            assert back.state is None
+        else:
+            assert back.state.tobytes() == err.state.tobytes()
