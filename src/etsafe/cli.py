@@ -49,6 +49,7 @@ from .inter_event import (
     save_model,
     save_samples,
 )
+from .numerics import IntegrationFailureError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -362,7 +363,7 @@ def cmd_sample_tau(
         samples = collect_inter_event_samples(
             scenario, radius_grid, n_per_radius, seed=cfg.seed, max_wait=wait
         )
-    except (ValueError, RunAbortedError) as err:
+    except (ValueError, RunAbortedError, IntegrationFailureError) as err:
         log.error("sampling failed: %s", err)
         return EXIT_RUN
     save_samples(samples, out_path)

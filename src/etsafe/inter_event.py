@@ -13,11 +13,20 @@ Sample collection is embarrassingly parallel and fully deterministic: sample
 (j, i) of the campaign is keyed by (seed, radius index j, sample index i),
 and the whole batch is propagated vectorized with per-sample disturbance
 streams.
+
+The batch is component-major: the live lanes form one C-contiguous
+``(6, n_live)`` array, so each state component is a contiguous row, and the
+array is compacted when lanes fire.  Every per-lane result is bit-identical
+to the row-major ``(n, 6)`` formulation it replaced (``np.linalg.norm`` and
+``np.einsum`` over rows): each operation keeps its IEEE operands and their
+association (see :func:`margin_batch`), and the disturbance of a lane
+depends only on (seed, stream, interval), not on which lanes are live.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +34,12 @@ import numpy as np
 from .atomic_io import atomic_write
 from .barrier import barrier_condition_margin
 from .dynamics import _hash_uniforms, _hash_unit_vectors, apply_impulse, two_body_field
-from .numerics import hermite_interpolant, linear_interpolant, locate_zero_crossing
+from .numerics import (
+    IntegrationFailureError,
+    hermite_interpolant,
+    linear_interpolant,
+    locate_zero_crossing,
+)
 from .orbital import ControllerInfeasibleError, station_keeping_impulse
 from .scenarios import SatelliteScenario
 
@@ -245,28 +259,97 @@ def _initial_states(mu: float, radii: np.ndarray, seed: int, streams: np.ndarray
     return states
 
 
-def _two_body_batch(states: np.ndarray, mu: float) -> np.ndarray:
-    pos = states[:, :3]
-    r = np.linalg.norm(pos, axis=1, keepdims=True)
-    out = np.empty_like(states)
-    out[:, :3] = states[:, 3:]
-    out[:, 3:] = (-mu / (r * r * r)) * pos
-    return out
+def _norm3(p: np.ndarray) -> np.ndarray:
+    """Column norms of a ``(3, n)`` array, ``sqrt((x0*x0 + x1*x1) + x2*x2)``.
+
+    Bit-identical to ``np.linalg.norm(p.T, axis=1)``: the same ``add.reduce``
+    of the squares, without the wrapper's overhead.
+    """
+    return np.sqrt(np.add.reduce(p * p, axis=0))
 
 
 def margin_batch(states: np.ndarray, R: float, gamma: float, d_bar: float) -> np.ndarray:
     """Vectorized barrier-condition margin for the orbital range barrier.
 
-    Must agree with :func:`etsafe.barrier.barrier_condition_margin` evaluated
-    per state (covered by tests); hardcodes the linear class-K rate.
+    ``states`` is ``(n, 6)``; the campaign passes the ``.T`` view of its
+    component-major ``(6, n)`` array, so every component read here is one
+    contiguous row.  Must agree with
+    :func:`etsafe.barrier.barrier_condition_margin` evaluated per state
+    (covered by tests); hardcodes the band and the linear class-K rate.
+
+    On either layout the result is bit-identical to the row-major formula
+    ``r = np.linalg.norm(pos, axis=1)``,
+    ``rdot = np.einsum("ij,ij->i", pos, vel) / r`` on a C-contiguous
+    ``(n, 6)`` array: the norm as in :func:`_norm3`, and the dot product with
+    the association numpy 2.4.6's einsum uses there for three terms,
+    ``(x0*v0 + x2*v2) + x1*v1`` (pinned bitwise by tests; einsum itself
+    associates differently on strided views).
     """
-    pos = states[:, :3]
-    vel = states[:, 3:]
-    r = np.linalg.norm(pos, axis=1)
-    rdot = np.einsum("ij,ij->i", pos, vel) / r
+    c = states.T
+    pos = c[:3]
+    r = _norm3(pos)
+    pv = pos * c[3:]
+    rdot = ((pv[0] + pv[2]) + pv[1]) / r
     delta = r - 2.0 * R
     h = (0.4 * R) ** 2 - delta * delta
-    return -2.0 * delta * rdot - 2.0 * np.abs(delta) * d_bar + gamma * h
+    # |-2 delta| is exactly 2 |delta|: scaling by a power of two is exact
+    neg2_delta = -2.0 * delta
+    return neg2_delta * rdot - np.abs(neg2_delta) * d_bar + gamma * h
+
+
+def _lane_field(x: np.ndarray, mu: float, accel) -> np.ndarray:
+    """Two-body derivative of component-major lanes ``x`` (6, n) plus ``accel``.
+
+    Same IEEE operations per lane as the row-major
+    ``(-mu / (r * r * r)) * pos`` followed by ``+= accel``.
+    """
+    pos = x[:3]
+    r = _norm3(pos)
+    a = (-mu / (r * r * r)) * pos
+    a += accel
+    return np.concatenate((x[3:], a))
+
+
+# Hold intervals hashed per call of the piecewise-constant disturbance table.
+_HELD_BLOCK = 16
+
+
+class _LaneDisturbance:
+    """Disturbance acceleration of the live lanes, as ``(3, n_live)`` or 0.0.
+
+    For the piecewise-constant kind, the held vectors of the live lanes are
+    hashed ``_HELD_BLOCK`` intervals per call and kept as a
+    ``(block, 3, n_live)`` table; each hashed row depends only on
+    (seed, stream, interval), so the values do not depend on the block or on
+    which lanes are live.  The zonal kind is evaluated on the stage state.
+    """
+
+    def __init__(self, model, streams: np.ndarray) -> None:
+        self.model = model
+        self.streams = streams
+        self.held = np.empty((0, 3, len(streams)))
+        self.start = 0
+
+    def __call__(self, t: float, x: np.ndarray):
+        dist = self.model
+        if dist.kind == "none":
+            return 0.0
+        if dist.kind == "zonal-j2-like":
+            return dist.sample_batch(t, np.ascontiguousarray(x.T), self.streams).T
+        k = math.floor(t / dist.hold_time)
+        if not self.start <= k < self.start + len(self.held):
+            intervals = np.arange(k, k + _HELD_BLOCK, dtype=np.uint64)
+            vecs = dist.d_bar * _hash_unit_vectors(
+                dist.seed, self.streams[:, None], intervals[None, :], dist.dim
+            )
+            self.held = np.ascontiguousarray(vecs.transpose(1, 2, 0))
+            self.start = k
+        return self.held[k - self.start]
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the lanes where ``mask`` is False."""
+        self.streams = self.streams[mask]
+        self.held = self.held.compress(mask, axis=2)
 
 
 def _propagate_batch_until_trigger(
@@ -275,7 +358,12 @@ def _propagate_batch_until_trigger(
     streams: np.ndarray,
     max_wait: float,
 ) -> np.ndarray:
-    """First margin zero-crossing time per sample; NaN where max_wait passed."""
+    """First margin zero-crossing time per sample; NaN where max_wait passed.
+
+    The live lanes are held component-major, one C-contiguous ``(6, n_live)``
+    array, and compacted when lanes fire.  Raises IntegrationFailureError
+    when a lane's margin goes non-finite.
+    """
     g = scenario.gravity
     b = scenario.barrier
     dist = scenario.disturbance
@@ -283,61 +371,67 @@ def _propagate_batch_until_trigger(
     gamma = b.gamma
     if not np.isfinite(gamma):
         raise ValueError("batch campaign requires the linear class-K orbital barrier")
+    mu, R, d_bar = g.mu, g.R, b.d_bar
 
     n = len(states0)
     out = np.full(n, np.nan)
-    states = np.array(states0, dtype=float)
-    indices = np.arange(n)
-    margins = margin_batch(states, g.R, gamma, b.d_bar)
+    x = np.ascontiguousarray(np.asarray(states0, dtype=float).T)
+    lanes = np.arange(n)
+    streams = np.asarray(streams, dtype=np.uint64)
+    margins = margin_batch(x.T, R, gamma, d_bar)
+    _require_finite_margins(margins, 0.0, x, streams, lanes)
     n_steps = int(np.ceil(max_wait / dt))
 
-    interval_cache: dict[int, np.ndarray] = {}
-
-    def disturbance_at(t: float) -> np.ndarray:
-        if dist.kind == "none":
-            return np.zeros((len(indices), 3))
-        if dist.kind == "zonal-j2-like":
-            return dist.sample_batch(t, states, streams[indices])
-        k = int(np.floor(t / dist.hold_time))
-        if k not in interval_cache:
-            if len(interval_cache) > 4:
-                interval_cache.clear()
-            # full-width table keyed by the actual stream ids, then subset
-            interval_cache[k] = dist.d_bar * _hash_unit_vectors(
-                dist.seed, streams, np.full(n, k, dtype=np.uint64), dist.dim
-            )
-        return interval_cache[k][indices]
-
-    def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        out_ = _two_body_batch(x, g.mu)
-        out_[:, 3:] += disturbance_at(t)
-        return out_
+    accel_at = _LaneDisturbance(dist, streams)
 
     for k in range(n_steps):
-        if len(indices) == 0:
+        if len(lanes) == 0:
             break
         t0 = k * dt
-        k1 = rhs(t0, states)
-        k2 = rhs(t0 + 0.5 * dt, states + 0.5 * dt * k1)
-        k3 = rhs(t0 + 0.5 * dt, states + 0.5 * dt * k2)
-        k4 = rhs(t0 + dt, states + dt * k3)
-        new_states = states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        new_margins = margin_batch(new_states, g.R, gamma, b.d_bar)
+        k1 = _lane_field(x, mu, accel_at(t0, x))
+        x2 = x + 0.5 * dt * k1
+        k2 = _lane_field(x2, mu, accel_at(t0 + 0.5 * dt, x2))
+        x3 = x + 0.5 * dt * k2
+        k3 = _lane_field(x3, mu, accel_at(t0 + 0.5 * dt, x3))
+        x4 = x + dt * k3
+        k4 = _lane_field(x4, mu, accel_at(t0 + dt, x4))
+        new_x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        new_margins = margin_batch(new_x.T, R, gamma, d_bar)
+        _require_finite_margins(new_margins, t0, x, streams, lanes)
 
         fired = (margins > 0.0) & (new_margins <= 0.0)
-        if np.any(fired):
-            for j in np.where(fired)[0]:
-                out[indices[j]] = _refine_sample_crossing(
-                    scenario, states[j], new_states[j], t0, dt, int(streams[indices[j]])
+        if np.count_nonzero(fired):
+            for j in np.flatnonzero(fired):
+                out[lanes[j]] = _refine_sample_crossing(
+                    scenario, x[:, j].copy(), new_x[:, j].copy(), t0, dt, int(streams[lanes[j]])
                 )
             keep = ~fired
-            indices = indices[keep]
-            states = new_states[keep]
+            lanes = lanes[keep]
+            x = new_x.compress(keep, axis=1)
             margins = new_margins[keep]
+            accel_at.keep(keep)
         else:
-            states = new_states
+            x = new_x
             margins = new_margins
     return out
+
+
+def _require_finite_margins(
+    margins: np.ndarray, t: float, x: np.ndarray, streams: np.ndarray, lanes: np.ndarray
+) -> None:
+    """Raise IntegrationFailureError for the first live lane whose margin is
+    non-finite, with the time and state at the start of its step; such a
+    lane would otherwise never fire and be censored at max_wait."""
+    # one cheap test per step: the dot product is non-finite when any margin
+    # is, and (only for margins beyond ~1e154) when it overflows
+    if math.isfinite(margins.dot(margins)):
+        return
+    bad = np.flatnonzero(~np.isfinite(margins))
+    if len(bad):
+        j = int(bad[0])
+        raise IntegrationFailureError(
+            t, x[:, j], f"non-finite barrier margin in campaign stream {int(streams[lanes[j]])}"
+        )
 
 
 def _refine_sample_crossing(

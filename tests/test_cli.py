@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import etsafe.cli
+import etsafe.inter_event
 from etsafe.atomic_io import atomic_write
 from etsafe.cli import (
     EXIT_CONFIG,
@@ -331,6 +332,24 @@ class TestSampleAndFit:
 
     def test_sample_tau_rejects_planar(self, planar_config, tmp_path):
         assert cmd_sample_tau(planar_config, str(tmp_path / "s.csv")) == EXIT_CONFIG
+
+    def test_non_finite_lane_exit_3(self, sat_config, tmp_path, monkeypatch, caplog):
+        # poison the first live lane's margin on the fifth batch iteration
+        real = etsafe.inter_event.margin_batch
+        calls = []
+
+        def poisoned(states, *args):
+            margins = real(states, *args)
+            calls.append(len(margins))
+            if len(calls) == 5:
+                margins[0] = np.nan
+            return margins
+
+        monkeypatch.setattr(etsafe.inter_event, "margin_batch", poisoned)
+        out = tmp_path / "s.csv"
+        assert cmd_sample_tau(sat_config, str(out)) == EXIT_RUN
+        assert not out.exists()
+        assert "non-finite barrier margin" in caplog.text
 
 
 class TestCompare:

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from etsafe.barrier import barrier_condition_margin, orbital_range_barrier
-from etsafe.dynamics import DisturbanceModel, GravityModel
+from etsafe.dynamics import DisturbanceModel, GravityModel, apply_impulse
 from etsafe.inter_event import (
     FitError,
     InterEventSampleSet,
     InterEventTimeModel,
+    _initial_states,
+    _norm3,
+    _propagate_batch_until_trigger,
+    _refine_sample_crossing,
     collect_inter_event_samples,
     fit_inter_event_model,
     load_model,
@@ -17,20 +21,23 @@ from etsafe.inter_event import (
     save_model,
     save_samples,
 )
-from etsafe.numerics import EventLocatorConfig, IntegratorConfig
-from etsafe.orbital import StationKeepingConfig
+from etsafe.numerics import (
+    EventLocatorConfig,
+    IntegrationFailureError,
+    IntegratorConfig,
+    rk4_step,
+)
+from etsafe.orbital import StationKeepingConfig, station_keeping_impulse
 from etsafe.scenarios import SatelliteScenario
 
 
-def make_scenario(seed=1, gamma=0.1, d_bar=1e-3):
+def make_scenario(seed=1, gamma=0.1, d_bar=1e-3, kind="seeded-piecewise-constant"):
     g = GravityModel()
     return SatelliteScenario(
         gravity=g,
         barrier=orbital_range_barrier(g, gamma=gamma, d_bar=d_bar),
         controller=StationKeepingConfig(),
-        disturbance=DisturbanceModel(
-            kind="seeded-piecewise-constant", d_bar=d_bar, seed=seed, hold_time=1.0
-        ),
+        disturbance=DisturbanceModel(kind=kind, d_bar=d_bar, seed=seed, hold_time=1.0),
         integrator=IntegratorConfig(step_size=0.05),
         events=EventLocatorConfig(),
     )
@@ -233,6 +240,135 @@ class TestCampaign:
         for i in range(100):
             scalar = barrier_condition_margin(b, flow, states[i])
             assert batch[i] == pytest.approx(scalar, rel=1e-12, abs=1e-14)
+
+
+def band_states(n, seed):
+    """(n, 6) C-contiguous states inside the band with random velocities."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = rng.uniform(1.61, 2.39, n)
+    return np.hstack([radii[:, None] * dirs, rng.normal(0.0, 0.5, (n, 3))])
+
+
+def row_major_margin(states, R, gamma, d_bar):
+    """The campaign's margin formula before the component-major kernel,
+    evaluated as it was: on C-contiguous (n, 6) rows."""
+    rows = np.ascontiguousarray(states)
+    pos, vel = rows[:, :3], rows[:, 3:]
+    r = np.linalg.norm(pos, axis=1)
+    rdot = np.einsum("ij,ij->i", pos, vel) / r
+    delta = r - 2.0 * R
+    h = (0.4 * R) ** 2 - delta * delta
+    return -2.0 * delta * rdot - 2.0 * np.abs(delta) * d_bar + gamma * h
+
+
+def scalar_lane_tau(scn, x, stream, max_wait):
+    """One lane stepped by the scalar rk4_step on the scenario's disturbed
+    field, fired and refined with the campaign's semantics."""
+    fld = scn.disturbed_field(max_wait, stream)
+    dt = scn.integrator.step_size
+    b = scn.barrier
+
+    def margin(y):
+        return margin_batch(y[None, :], scn.gravity.R, b.gamma, b.d_bar)[0]
+
+    m = margin(x)
+    for k in range(int(np.ceil(max_wait / dt))):
+        t0 = k * dt
+        x1 = rk4_step(fld, x, t0, dt)
+        m1 = margin(x1)
+        if m > 0.0 and m1 <= 0.0:
+            return _refine_sample_crossing(scn, x, x1, t0, dt, stream)
+        x, m = x1, m1
+    return None
+
+
+# repr of every tau of a small campaign (grid 1.65, 2.0, 2.3; 4 per radius;
+# seed 3; max_wait 400), recorded with the row-major batch loop that the
+# component-major kernel replaced.  The 2.0 lanes are censored at max_wait.
+PINNED_TAUS = {
+    "seeded-piecewise-constant": [
+        "5.506772136688232", "5.317196941375734", "5.513541269302368", "5.745864677429199",
+        "400.0", "400.0", "400.0", "400.0",
+        "10.034429740905761", "10.403713798522947", "9.059029006958008", "9.645128250122074",
+    ],
+    "none": [
+        "5.503020143508912", "5.503020143508912", "5.503020143508912", "5.503020143508912",
+        "400.0", "400.0", "400.0", "400.0",
+        "9.63900375366211", "9.63900375366211", "9.63900375366211", "9.63900375366211",
+    ],
+}
+
+
+class TestComponentMajorKernel:
+    WIDTHS = (1, 2, 7, 55, 605)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_margin_batch_bitwise_equals_row_major_formula(self, n):
+        states = band_states(n, seed=n)
+        expected = row_major_margin(states, 1.0, 0.1, 1e-3).tobytes()
+        component_major = np.ascontiguousarray(states.T)
+        assert margin_batch(states, 1.0, 0.1, 1e-3).tobytes() == expected
+        assert margin_batch(component_major.T, 1.0, 0.1, 1e-3).tobytes() == expected
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_stage_norm_bitwise_equals_linalg_norm(self, n):
+        states = band_states(n, seed=n)
+        expected = np.linalg.norm(states[:, :3], axis=1).tobytes()
+        assert _norm3(np.ascontiguousarray(states.T)[:3]).tobytes() == expected
+        assert _norm3(states.T[:3]).tobytes() == expected
+
+    def test_pins_see_the_association(self):
+        # a left-to-right dot product differs from einsum's in the last bit on
+        # some of these rows, so the pins above would catch a wrong order
+        states = band_states(605, seed=605)
+        pos, vel = states[:, :3], states[:, 3:]
+        left_to_right = (pos[:, 0] * vel[:, 0] + pos[:, 1] * vel[:, 1]) + pos[:, 2] * vel[:, 2]
+        assert np.any(left_to_right != np.einsum("ij,ij->i", pos, vel))
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_TAUS))
+    def test_small_campaign_taus_pinned(self, kind):
+        scn = make_scenario(seed=3, kind=kind)
+        s = collect_inter_event_samples(scn, np.array([1.65, 2.0, 2.3]), 4, seed=3, max_wait=400.0)
+        assert [repr(float(t)) for t in s.inter_event_time] == PINNED_TAUS[kind]
+
+    def test_zonal_lane_matches_scalar_rk4(self):
+        # the zonal field is evaluated on each RK4 stage state, as in the
+        # scalar disturbed_field, not on the state at the step start
+        scn = make_scenario(seed=3, kind="zonal-j2-like")
+        grid, n, max_wait = np.array([2.3, 1.7]), 3, 400.0
+        s = collect_inter_event_samples(scn, grid, n, seed=3, max_wait=max_wait)
+        assert not s.censored.any()
+        streams = np.arange(1, len(grid) * n + 1, dtype=np.uint64)
+        starts = _initial_states(scn.gravity.mu, np.repeat(grid, n), 3, streams)
+        for i, stream in enumerate(streams):
+            dv = station_keeping_impulse(scn.controller, scn.barrier, scn.gravity, starts[i])
+            x0 = apply_impulse(starts[i], dv)
+            assert s.inter_event_time[i] == scalar_lane_tau(scn, x0, int(stream), max_wait)
+
+    @pytest.mark.parametrize(
+        "poison, fails_at_start",
+        [
+            ((2.0, 0.0, 0.0, 0.0, np.nan, 0.0), True),  # non-finite from the start
+            ((3.0, 0.0, 0.0, 1e153, 0.0, 0.0), False),  # unarmed runaway: overflows
+        ],
+    )
+    def test_non_finite_lane_raises(self, poison, fails_at_start):
+        scn = make_scenario()
+        streams = np.array([7, 8], dtype=np.uint64)
+        healthy = _initial_states(1.0, np.array([2.2]), 3, streams[:1])[0]
+        states = np.array([healthy, poison])
+        with np.errstate(all="ignore"), pytest.raises(IntegrationFailureError) as info:
+            _propagate_batch_until_trigger(scn, states, streams, 50.0)
+        err = info.value
+        assert "stream 8" in str(err)
+        if fails_at_start:
+            assert err.t == 0.0
+            assert np.array_equal(err.x, states[1], equal_nan=True)
+        else:
+            assert err.t > 0.0 and np.all(np.isfinite(err.x))
+            assert err.x[3] == 1e153  # the lane's state at the start of the failing step
 
 
 class TestSerialization:
