@@ -26,7 +26,7 @@ from etsafe.barrier import barrier_condition_margin
 def endpoint_error(dt):
     x, t = np.array([1.0]), 0.0
     for _ in range(round(1.0 / dt)):
-        x = rk4_step(lambda t_, y: -y, x, t, dt)
+        x = rk4_step(lambda t_, y: -np.asarray(y), x, t, dt)
         t += dt
     return abs(x[0] - np.exp(-1.0))
 

@@ -8,19 +8,22 @@ Output files are written atomically (temp file + rename); a failed command
 leaves no partial files.  compare runs its two arms in two processes at the
 same time (greedy in a worker, maneuver in the calling process), each writing
 into a staging directory under --out; the outputs are moved into place only
-when both arms succeed.  Identical config and seed reproduce outputs
-byte-for-byte.  ETSAFE_LOG_LEVEL (error | info | debug) controls stderr
-logging.
+when both arms succeed; a compare interrupted by SIGINT or SIGTERM exits 3
+and removes its staging directories.  Identical config and seed reproduce
+outputs byte-for-byte.  ETSAFE_LOG_LEVEL (error | info | debug) controls
+stderr logging.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
 import threading
@@ -418,10 +421,12 @@ def cmd_compare(
         return EXIT_CONFIG
     fresh = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    stages = {
-        arm: tempfile.mkdtemp(prefix=f".{arm}-", dir=out_dir) for arm in ("greedy", "maneuver")
-    }
+    stages: dict[str, str] = {}
     try:
+        # made inside the try, so an interrupt right after one is made
+        # still removes it
+        for arm in ("greedy", "maneuver"):
+            stages[arm] = tempfile.mkdtemp(prefix=f".{arm}-", dir=out_dir)
         g, m = _run_arms(config_path, tau_model_path, seed, horizon, stages)
         for arm, stage in stages.items():
             os.makedirs(os.path.join(out_dir, arm), exist_ok=True)
@@ -513,9 +518,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _sigterm_interrupts() -> Iterator[None]:
+    """Inside the block, SIGTERM raises KeyboardInterrupt, so the cleanup of a
+    running command (compare's staging directories, a writer's temp file)
+    runs as it does on Ctrl-C.  Only the main thread can set a handler;
+    elsewhere this does nothing.  The previous handler is restored after."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
+    with _sigterm_interrupts():
+        return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         return cmd_simulate(args.config, args.out, args.seed, args.horizon)
     if args.command == "sample-tau":

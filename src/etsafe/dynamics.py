@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,28 +35,29 @@ class GravityModel:
 
 def two_body_field(
     g: GravityModel,
-    s: np.ndarray,
+    s: Sequence[float],
     singularity_floor: Optional[float] = None,
-    accel: Optional[np.ndarray] = None,
-) -> np.ndarray:
+    accel: Optional[Sequence[float]] = None,
+) -> tuple[float, ...]:
     """Two-body derivative ``d/dt [r, v] = [v, -mu r / |r|^3 + accel]``.
 
-    ``accel`` is an extra acceleration (the disturbance), added to each
-    gravity component with one IEEE addition.  The floor (default 0.1 R) only
-    guards pathological configurations; the safe set keeps the radius well
-    above it.
+    ``s`` is any sequence of six floats (a list, a tuple or an ndarray); the
+    derivative is a tuple of floats.  ``accel`` is an extra acceleration (the
+    disturbance), added to each gravity component with one IEEE addition.
+    The floor (default 0.1 R) only guards pathological configurations; the
+    safe set keeps the radius well above it.
     """
     floor = 0.1 * g.R if singularity_floor is None else singularity_floor
     # Python floats run the same IEEE operations as numpy scalars, faster.
-    x0, x1, x2, v0, v1, v2 = s.tolist()
+    x0, x1, x2, v0, v1, v2 = s.tolist() if isinstance(s, np.ndarray) else s
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     if r < floor:
         raise SingularityError(f"radius {r!r} below singularity floor {floor!r}")
     k = -g.mu / (r * r * r)
     if accel is None:
-        return np.array((v0, v1, v2, k * x0, k * x1, k * x2))
-    a0, a1, a2 = accel.tolist()
-    return np.array((v0, v1, v2, k * x0 + a0, k * x1 + a1, k * x2 + a2))
+        return (v0, v1, v2, k * x0, k * x1, k * x2)
+    a0, a1, a2 = accel
+    return (v0, v1, v2, k * x0 + a0, k * x1 + a1, k * x2 + a2)
 
 
 def apply_impulse(s: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -192,8 +193,8 @@ class DisturbanceModel:
             out[i] = self._clamp(self._zonal(states[i]))
         return out
 
-    def _zonal(self, s: np.ndarray) -> np.ndarray:
-        pos = s[:3]
+    def _zonal(self, s: Sequence[float]) -> np.ndarray:
+        pos = np.asarray(s[:3], dtype=float)
         r2 = float(pos @ pos)
         r = np.sqrt(r2)
         if r < 1e-12:
@@ -218,30 +219,33 @@ class DisturbanceModel:
             return d * (self.d_bar / norm)
         return d
 
-    def realize(self, horizon: float, stream: int = 0) -> Callable[[float, np.ndarray], np.ndarray]:
+    def realize(
+        self, horizon: float, stream: int = 0
+    ) -> Callable[[float, Sequence[float]], Sequence[float]]:
         """Fast per-run sampler ``d(t, s)`` valid for ``0 <= t <= horizon``.
 
-        For the piecewise-constant kind the whole hold-interval table is
-        precomputed in one vectorized pass.
+        The sampler accepts any float sequence ``s`` and returns a sequence of
+        Python floats.  For the piecewise-constant kind the whole
+        hold-interval table is precomputed in one vectorized pass and kept as
+        rows of Python floats.
         """
         if self.kind == "none":
-            zero = np.zeros(self.dim)
-            zero.flags.writeable = False
+            zero = (0.0,) * self.dim
             return lambda t, s: zero
         if self.kind == "zonal-j2-like":
-            return lambda t, s: self._clamp(self._zonal(s))
+            return lambda t, s: self._clamp(self._zonal(s)).tolist()
 
         n_intervals = int(np.floor(horizon / self.hold_time)) + 2
         streams = np.full(n_intervals, stream, dtype=np.uint64)
         intervals = np.arange(n_intervals, dtype=np.uint64)
         table = self.d_bar * _hash_unit_vectors(self.seed, streams, intervals, self.dim)
-        table.flags.writeable = False
+        rows = [tuple(row) for row in table.tolist()]
         hold = self.hold_time
         last = n_intervals - 1
 
-        def sampler(t: float, s: np.ndarray) -> np.ndarray:
+        def sampler(t: float, s: Sequence[float]) -> tuple[float, ...]:
             k = int(t / hold)
-            return table[k if k < last else last]
+            return rows[k if k < last else last]
 
         return sampler
 

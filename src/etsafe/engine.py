@@ -42,7 +42,7 @@ from .barrier import (
 )
 from .dynamics import apply_impulse
 from .inter_event import InterEventTimeModel
-from .numerics import propagate_until
+from .numerics import Field, propagate_until
 from .orbital import station_keeping_impulse, verify_jump_conditions
 from .safety_filter import build_constraint, project
 from .scenarios import PlanarScenario, SatelliteScenario
@@ -453,24 +453,14 @@ def run_intermittent_filter(
     trigger has no guarantee of ever firing.
     """
     b = scenario.barrier
-    sys = scenario.system
-    k_nom = scenario.k_nom()
     nominal_flow = scenario.nominal_flow()
     n_checked = check_nominal_safety_assumption(scenario)
-    dist = scenario.disturbance.realize(horizon, stream=0)
+    nominal_field, filtered_field = _planar_fields(scenario, horizon)
 
     on_margin = lambda x: barrier_condition_margin(b, nominal_flow, x)
     # the off trigger fires when the margin has RISEN back to the gap, so the
     # monitored (positive-inside) quantity is gap - margin
     off_monitor = lambda x: scenario.hysteresis_gap - on_margin(x)
-
-    def nominal_field(t: float, x: np.ndarray) -> np.ndarray:
-        return sys.closed_loop(x, k_nom(x)) + dist(t, x)
-
-    def filtered_field(t: float, x: np.ndarray) -> np.ndarray:
-        con = build_constraint(b, sys, x, mode="promoting", promote_rate=scenario.promote_rate)
-        u = project(k_nom(x), con)
-        return sys.closed_loop(x, u) + dist(t, x)
 
     x = np.array(x0, dtype=float)
     t = 0.0
@@ -542,6 +532,31 @@ def run_intermittent_filter(
         max_on_duration=float(np.max(on_durations)) if len(on_durations) else None,
     )
     return RunResult(events=events, trajectory=traj, summary=summary)
+
+
+def _planar_fields(scenario: PlanarScenario, horizon: float) -> tuple[Field, Field]:
+    """The intermittent run's two flow fields, nominal loop and promoting
+    filter, each with the realized disturbance of stream 0.
+
+    The planar loop works on arrays, so each field converts the stepper's
+    float list on entry and returns its derivative as a list of floats.
+    """
+    b = scenario.barrier
+    sys = scenario.system
+    k_nom = scenario.k_nom()
+    dist = scenario.disturbance.realize(horizon, stream=0)
+
+    def nominal_field(t: float, x: Sequence[float]) -> list[float]:
+        x = np.asarray(x)
+        return (sys.closed_loop(x, k_nom(x)) + dist(t, x)).tolist()
+
+    def filtered_field(t: float, x: Sequence[float]) -> list[float]:
+        x = np.asarray(x)
+        con = build_constraint(b, sys, x, mode="promoting", promote_rate=scenario.promote_rate)
+        u = project(k_nom(x), con)
+        return (sys.closed_loop(x, u) + dist(t, x)).tolist()
+
+    return nominal_field, filtered_field
 
 
 def _filter_event(

@@ -451,10 +451,8 @@ def _refine_sample_crossing(
     if scenario.integrator.interpolation == "cubic-hermite":
         d0 = scenario.disturbance.sample(t0, x0, stream)
         d1 = scenario.disturbance.sample(t0 + dt, x1, stream)
-        f0 = two_body_field(g, x0)
-        f0[3:] += d0
-        f1 = two_body_field(g, x1)
-        f1[3:] += d1
+        f0 = np.asarray(two_body_field(g, x0, accel=d0))
+        f1 = np.asarray(two_body_field(g, x1, accel=d1))
         interp = hermite_interpolant(t0, x0, f0, t0 + dt, x1, f1)
     else:
         interp = linear_interpolant(t0, x0, t0 + dt, x1)

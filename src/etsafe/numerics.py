@@ -8,6 +8,13 @@ left-most sign change (the earliest event wins).
 
 All functions are pure and deterministic: identical inputs produce
 bit-identical outputs.
+
+The :data:`Field` contract: ``field(t, x)`` takes the state as a sequence of
+Python floats (:func:`rk4_step` passes each stage state as a list; callers
+outside the stepper may pass an ndarray) and returns its derivative as a
+sequence of floats, such as a tuple.  :func:`rk4_step` still returns one
+ndarray per step; code that needs array arithmetic on a derivative converts
+it with ``np.asarray`` at that boundary.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-Field = Callable[[float, np.ndarray], np.ndarray]
+Field = Callable[[float, Sequence[float]], Sequence[float]]
 Monitor = Callable[[np.ndarray], float]
 
 _VALID_INTERPOLATIONS = ("linear", "cubic-hermite")
@@ -105,25 +112,37 @@ class MonitorCrossing:
 def rk4_step(field: Field, x: np.ndarray, t: float, dt: float) -> np.ndarray:
     """Single classical 4th-order Runge-Kutta step of ``dx/dt = field(t, x)``.
 
-    Raises IntegrationFailureError if any stage derivative is non-finite.
+    The stages run on Python floats with the association of the numpy
+    expression ``x + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so the result is
+    bit-identical to it; no array is built until the returned state.
+
+    Raises IntegrationFailureError, with the step-start ``t`` and ``x``, if any
+    stage derivative is non-finite; later stages are then not evaluated.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    k1 = field(t, x)
-    _require_finite(k1, t, x)
+    x0 = x.tolist()
     half = 0.5 * dt
-    k2 = field(t + half, x + half * k1)
+    k1 = field(t, x0)
+    _require_finite(k1, t, x)
+    k2 = field(t + half, [a + half * k for a, k in zip(x0, k1)])
     _require_finite(k2, t, x)
-    k3 = field(t + half, x + half * k2)
+    k3 = field(t + half, [a + half * k for a, k in zip(x0, k2)])
     _require_finite(k3, t, x)
-    k4 = field(t + dt, x + dt * k3)
+    k4 = field(t + dt, [a + dt * k for a, k in zip(x0, k3)])
     _require_finite(k4, t, x)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    sixth = dt / 6.0
+    return np.array(
+        [
+            a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+            for a, p, q, r, s in zip(x0, k1, k2, k3, k4)
+        ]
+    )
 
 
-def _require_finite(k: np.ndarray, t: float, x: np.ndarray) -> None:
+def _require_finite(k: Sequence[float], t: float, x: np.ndarray) -> None:
     # same verdict as np.all(np.isfinite(k)) for a 1-D k, at a fraction of the cost
-    if not all(map(math.isfinite, k.tolist())):
+    if not all(map(math.isfinite, k)):
         raise IntegrationFailureError(t, x)
 
 
@@ -328,8 +347,9 @@ def _refine_step_crossings(
     """Refine each monitor in ``crossed`` (those whose sign went from > 0 to
     <= 0 in this step) on the interpolated step; the earliest crossing wins."""
     if integrator.interpolation == "cubic-hermite":
-        f0 = field(t_start, x_start)
-        f1 = field(t_end, x_end)
+        # the interpolant does array arithmetic on the end derivatives
+        f0 = np.asarray(field(t_start, x_start))
+        f1 = np.asarray(field(t_end, x_end))
         interp = hermite_interpolant(t_start, x_start, f0, t_end, x_end, f1)
     else:
         interp = linear_interpolant(t_start, x_start, t_end, x_end)

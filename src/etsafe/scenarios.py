@@ -8,6 +8,7 @@ engine realizes per-run disturbance streams itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -51,11 +52,14 @@ class SatelliteScenario:
         return lambda x: two_body_field(g, x)
 
     def disturbed_field(self, horizon: float, stream: int = 0) -> Field:
-        """Integration field including the realized disturbance stream."""
+        """Integration field including the realized disturbance stream.
+
+        Takes any float sequence and returns the derivative as a tuple.
+        """
         g = self.gravity
         d = self.disturbance.realize(horizon, stream)
 
-        def fld(t: float, x: np.ndarray) -> np.ndarray:
+        def fld(t: float, x: Sequence[float]) -> tuple[float, ...]:
             return two_body_field(g, x, accel=d(t, x))
 
         return fld

@@ -1,5 +1,6 @@
 """CLI subcommand tests: exit codes, output schemas, determinism."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -538,6 +539,34 @@ def test_worker_exits_when_compare_is_killed(sat_config, tmp_path, method):
                 os.kill(pid, signal.SIGKILL)
 
 
+def test_sigterm_removes_staging_directories(sat_config, tmp_path):
+    # main() turns SIGTERM into KeyboardInterrupt, so compare's cleanup runs
+    out = tmp_path / "cmp"
+    out.mkdir()
+    (out / "previous.txt").write_text("kept\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "etsafe.cli", "compare", "--config", sat_config,
+         "--tau-model", SHIPPED_MODEL, "--out", str(out), "--horizon", "60000"],
+        env=dict(os.environ, PYTHONPATH=SRC, ETSAFE_LOG_LEVEL="error"),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        staged = False
+        while not staged and proc.poll() is None and time.monotonic() < deadline:
+            names = os.listdir(out)
+            staged = all(any(n.startswith(f".{arm}-") for n in names) for arm in ("greedy", "maneuver"))
+            time.sleep(0.02)
+        assert staged, "compare made no staging directories"
+        assert proc.poll() is None, "compare ended before it was signalled"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == EXIT_RUN
+    finally:
+        proc.kill()
+        proc.wait()
+    assert sorted(os.listdir(out)) == ["previous.txt"]
+
+
 class TestCompareMatchesSimulate:
     """compare's arms write exactly what simulate writes for each scheme."""
 
@@ -599,6 +628,53 @@ class TestCompareMatchesSimulate:
         out = str(tmp_path / "cmp")
         self.run_cli("forkserver", out)
         self.assert_arms_match(out, simulated)
+
+
+# SHA-256 of every output of two short shipped runs, recorded before the RK4
+# stages moved to Python floats, so drift anywhere in the scalar stack fails
+# here and not only in the benchmark.  Horizon 1250 takes in the first safety
+# jump (t = 904.3) and the maneuver arm's first timing jump (t = 1203.4), so
+# the located crossings are pinned too; the planar run has 41 filter events.
+OUTPUT_DIGESTS = {
+    "compare": {
+        "comparison.json": "815f7b1c4fda512a2e500c93aeea1c4428ee03e82969eaeded9f9db3ba81bb27",
+        "greedy/events.csv": "5018b80f4a46370ef66a6c24f28a91860c1b15a24f2803e78d2c7b08f7f51259",
+        "greedy/summary.json": "8415855d00414a59f63cc2ad7ea65f1ff9b68d8894017d95a263ad3fcb04c4f1",
+        "greedy/trajectory.csv": "94da0203abf3180762ab3d1fbc2ebafa029ae756fab69b6c384e93482627693c",
+        "maneuver/events.csv": "49019249330275dd7b70a63b05acc2ccb288ac63a0b4db9d90735303939d633c",
+        "maneuver/summary.json": "fcfd43652063fbbc4482c109a770ed7ca9b575ec15a92bcc6254fd4db6b10036",
+        "maneuver/trajectory.csv": "6764fc0c13af0fd7cbb85159b5edf7a3cacf1a86cd05542a9f5d7274ea9cbd2a",
+    },
+    "planar": {
+        "events.csv": "fae5bb4d3e9adcdd57512a25f53134de1e9f0d5a35b63402d27f9b6ff446f442",
+        "summary.json": "b673895029260c6ad4f0f49fda3d5748bba88bc85f90d62c48ca9b89c6a24d4d",
+        "trajectory.csv": "b712b310a1e890980e67ea491b731dc29b4883040e24fbc47e22d15f47e2bf2b",
+    },
+}
+
+
+def output_digests(out):
+    """SHA-256 of every file under ``out``, keyed by its relative path."""
+    return {
+        os.path.relpath(os.path.join(root, name), out):
+            hashlib.sha256(read_bytes(os.path.join(root, name))).hexdigest()
+        for root, _, names in os.walk(out)
+        for name in names
+    }
+
+
+class TestOutputDigests:
+    def test_compare(self, tmp_path):
+        out = str(tmp_path / "cmp")
+        config = os.path.join(CONFIGS, "greedy_satellite.ini")
+        assert cmd_compare(config, SHIPPED_MODEL, out, horizon=1250.0) == EXIT_OK
+        assert output_digests(out) == OUTPUT_DIGESTS["compare"]
+
+    def test_planar_simulate(self, tmp_path):
+        out = str(tmp_path / "planar")
+        config = os.path.join(CONFIGS, "planar_intermittent.ini")
+        assert cmd_simulate(config, out, horizon=20.0) == EXIT_OK
+        assert output_digests(out) == OUTPUT_DIGESTS["planar"]
 
 
 class TestMainEntry:

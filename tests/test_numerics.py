@@ -1,10 +1,14 @@
 """Integration, interpolation, and event-location tests."""
 
+import dataclasses
+import os
 import pickle
 
 import numpy as np
 import pytest
 
+from etsafe.config import parse_config
+from etsafe.engine import _planar_fields
 from etsafe.numerics import (
     BracketError,
     EventLocatorConfig,
@@ -15,7 +19,7 @@ from etsafe.numerics import (
     rk4_step,
 )
 
-DECAY = lambda t, x: -x
+DECAY = lambda t, x: -np.asarray(x)
 CONSTANT_ONE = lambda t, x: np.ones_like(x)
 ZERO = lambda t, x: np.zeros_like(x)
 
@@ -50,7 +54,7 @@ class TestRk4Step:
 
         def field(t, x):
             calls.append(t)
-            k = -x
+            k = -np.asarray(x)
             if len(calls) == 3:
                 k[4] = bad
             return k
@@ -83,6 +87,77 @@ class TestRk4Step:
         a = rk4_step(DECAY, np.array([1.0]), 0.0, 0.1)
         b = rk4_step(DECAY, np.array([1.0]), 0.0, 0.1)
         assert a[0] == b[0]
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def numpy_rk4_step(field, x, t, dt):
+    """The numpy-vector RK4 step that the float stages replaced: the oracle
+    they must match bit for bit."""
+    k1 = np.asarray(field(t, x))
+    half = 0.5 * dt
+    k2 = np.asarray(field(t + half, x + half * k1))
+    k3 = np.asarray(field(t + half, x + half * k2))
+    k4 = np.asarray(field(t + dt, x + dt * k3))
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def shipped_field(config, kind=None):
+    """(field, start state, step size) of a shipped config's run: the
+    satellite's disturbed field from the shipped start, with its disturbance
+    kind replaced by ``kind`` if given, or the planar filtered field from a
+    state near the disk boundary, where the filter switches on (the shipped
+    start, the disk center, is where the promoting constraint is infeasible)."""
+    cfg = parse_config(os.path.join(CONFIGS, config))
+    if cfg.kind == "planar-demo":
+        _, filtered = _planar_fields(cfg.build_planar(), cfg.horizon)
+        return filtered, np.array([0.99, 0.1]), cfg.step_size
+    x0 = np.array(cfg.initial_state, dtype=float)
+    scn = cfg.build_satellite()
+    if kind is not None:
+        scn = dataclasses.replace(scn, disturbance=dataclasses.replace(scn.disturbance, kind=kind))
+    return scn.disturbed_field(cfg.horizon, 0), x0, cfg.step_size
+
+
+class TestFloatStagesMatchNumpyOracle:
+    STEPS = 2500
+
+    @pytest.mark.parametrize(
+        "config, kind",
+        [
+            ("greedy_satellite.ini", None),
+            ("greedy_satellite.ini", "zonal-j2-like"),
+            ("planar_intermittent.ini", None),
+        ],
+    )
+    def test_consecutive_steps_bitwise_equal(self, config, kind):
+        field, x, dt = shipped_field(config, kind)
+        oracle = x.copy()
+        for k in range(self.STEPS):
+            x = rk4_step(field, x, k * dt, dt)
+            oracle = numpy_rk4_step(field, oracle, k * dt, dt)
+            assert x.tobytes() == oracle.tobytes(), f"step {k}"
+        assert type(x) is np.ndarray and x.dtype == np.float64
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_stage_raises_with_step_start_state(self, stage, bad):
+        field, x0, dt = shipped_field("greedy_satellite.ini")
+        calls = []
+
+        def poisoned(t, x):
+            calls.append(t)
+            k = list(field(t, x))
+            if len(calls) == stage:
+                k[stage % 6] = bad
+            return k
+
+        with pytest.raises(IntegrationFailureError) as err:
+            rk4_step(poisoned, x0, 7.25, dt)
+        assert len(calls) == stage  # no later stage ran
+        assert err.value.t == 7.25
+        assert err.value.x.tobytes() == x0.tobytes()
 
 
 class TestLocateZeroCrossing:
