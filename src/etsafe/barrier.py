@@ -11,17 +11,23 @@ which is nonnegative exactly when the robust barrier condition holds.  Every
 trigger in this package is a zero crossing of this margin, of a shifted copy
 of it (hysteresis), or of the expected-inter-event-time trend in
 :func:`maneuver_timing_margin`.
+
+Both shipped barriers are radial, ``h = half_width^2 - (r - center)^2`` in
+the position norm r (the disk: center 0, half-width rho), and their specs
+carry that geometry.  Only the orbital spec carries fused margin terms: its
+gradient has no velocity block, so along any flow with ``dr/dt = v`` (every
+satellite flow) both margins need one radius and no flow call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .dynamics import GravityModel
+from .dynamics import GravityModel, SingularityError
 
 if TYPE_CHECKING:
     from .inter_event import InterEventTimeModel
@@ -50,6 +56,9 @@ class BarrierSpec:
 
     d_bar must equal the disturbance model's bound; the margin functions below
     use exactly this declared value in their robust terms.
+
+    ``center``/``half_width`` are a radial barrier's geometry; the optional
+    fused ``margin_terms(x) = (h, dh/dt, |grad h|)`` assume ``dr/dt = v``.
     """
 
     h: Callable[[np.ndarray], float]
@@ -57,6 +66,9 @@ class BarrierSpec:
     alpha: Callable[[float], float]
     d_bar: float
     gamma: float = float("nan")  # gain of a linear alpha, recorded for reporting
+    center: float = float("nan")
+    half_width: float = float("nan")
+    margin_terms: Optional[Callable[[np.ndarray], tuple[float, float, float]]] = None
 
     def __post_init__(self) -> None:
         if self.d_bar < 0.0:
@@ -119,6 +131,7 @@ def orbital_range_barrier(
     """
     hw = half_width * g.R
     c = center * g.R
+    floor = 0.1 * g.R  # two_body_field's default singularity floor
 
     # sqrt(pos.dot(pos)) is bitwise np.linalg.norm(pos): norm computes exactly that
     def h(x: np.ndarray) -> float:
@@ -133,9 +146,23 @@ def orbital_range_barrier(
         x0, x1, x2 = pos.tolist()
         return np.array((k * x0, k * x1, k * x2, 0.0, 0.0, 0.0))
 
+    # Bitwise the generic terms along two_body_field (whose floor it keeps):
+    # grad_h's products and ndarray.dot, as a Python-float sum differs in the
+    # last bit.
+    def margin_terms(x: np.ndarray) -> tuple[float, float, float]:
+        pos = x[:3]
+        r = math.sqrt(pos.dot(pos))
+        if r < floor:
+            raise SingularityError(f"radius {r!r} below singularity floor {floor!r}")
+        gp = (-2.0 * (r - c) / r) * pos
+        return hw * hw - (r - c) ** 2, float(gp.dot(x[3:])), math.sqrt(gp.dot(gp))
+
     alpha = linear_class_k(gamma)
     check_class_k(alpha, hw * hw)
-    spec = BarrierSpec(h=h, grad_h=grad_h, alpha=alpha, d_bar=d_bar, gamma=gamma)
+    spec = BarrierSpec(
+        h=h, grad_h=grad_h, alpha=alpha, d_bar=d_bar, gamma=gamma,
+        center=c, half_width=hw, margin_terms=margin_terms,
+    )
     check_gradient(spec, _orbital_check_states(g, c, hw))
     return spec
 
@@ -153,7 +180,9 @@ def planar_disk_barrier(rho: float, gamma: float, d_bar: float) -> BarrierSpec:
 
     alpha = linear_class_k(gamma)
     check_class_k(alpha, rho * rho)
-    spec = BarrierSpec(h=h, grad_h=grad_h, alpha=alpha, d_bar=d_bar, gamma=gamma)
+    spec = BarrierSpec(
+        h=h, grad_h=grad_h, alpha=alpha, d_bar=d_bar, gamma=gamma, center=0.0, half_width=rho
+    )
     check_gradient(spec, _disk_check_states(rho))
     return spec
 
@@ -199,13 +228,18 @@ def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: np.ndarray) -> float
     Positive means the barrier condition holds with room to spare; the
     on-demand triggers fire when this reaches zero.  ``flow`` is the
     disturbance-free closed-loop field (disturbance is covered by the
-    ``|grad h| * d_bar`` term).
+    ``|grad h| * d_bar`` term), unused by a spec with ``margin_terms``.
     """
-    grad = np.asarray(b.grad_h(x), dtype=float)
-    lfh = float(grad @ np.asarray(flow(x)))
-    # sqrt(grad.dot(grad)) is bitwise np.linalg.norm(grad): norm computes exactly
-    # that for a contiguous 1-D float array, which both barriers' grad_h return
-    return lfh - math.sqrt(grad.dot(grad)) * b.d_bar + b.alpha(b.h(x))
+    if b.margin_terms is not None:
+        h, lfh, grad_norm = b.margin_terms(x)
+    else:
+        grad = np.asarray(b.grad_h(x), dtype=float)
+        lfh = float(grad @ np.asarray(flow(x)))
+        # sqrt(grad.dot(grad)) is bitwise np.linalg.norm(grad): norm computes
+        # exactly that for a contiguous 1-D float array, which grad_h returns
+        grad_norm = math.sqrt(grad.dot(grad))
+        h = b.h(x)
+    return lfh - grad_norm * b.d_bar + b.alpha(h)
 
 
 def filter_off_margin(b: BarrierSpec, nominal_flow: Flow, x: np.ndarray, gap: float) -> float:
@@ -234,7 +268,11 @@ def maneuver_timing_margin(
     i.e. when waiting longer no longer pays.  Outside the fitted range the
     model derivative is clamped, which never fabricates a firing.
     """
-    grad = np.asarray(b.grad_h(x), dtype=float)
-    lfh = float(grad @ np.asarray(flow(x)))
-    rate = model.evaluate(b.h(x)).derivative * lfh
+    if b.margin_terms is not None:
+        h, lfh, _ = b.margin_terms(x)
+    else:
+        grad = np.asarray(b.grad_h(x), dtype=float)
+        lfh = float(grad @ np.asarray(flow(x)))
+        h = b.h(x)
+    rate = model.evaluate(h).derivative * lfh
     return 0.5 * (1.0 + rate)

@@ -288,6 +288,7 @@ def _run_impulsive(
                 pair_role=role,
             )
         )
+        _log_event(events[-1])
         builder.add_point(t_e, x_post, check.xi_value, 0)
         return x_post
 
@@ -562,16 +563,26 @@ def _planar_fields(scenario: PlanarScenario, horizon: float) -> tuple[Field, Fie
 def _filter_event(
     t: float, x: np.ndarray, kind: str, trigger_id: str, b: BarrierSpec, xi: float
 ) -> EventRecord:
-    return EventRecord(
-        time=t,
-        kind=kind,
-        trigger_id=trigger_id,
-        state_before=np.array(x, dtype=float),
-        state_after=np.array(x, dtype=float),
-        h_before=barrier_value(b, x),
-        h_after=barrier_value(b, x),
-        xi_after=xi,
+    return _log_event(
+        EventRecord(
+            time=t,
+            kind=kind,
+            trigger_id=trigger_id,
+            state_before=np.array(x, dtype=float),
+            state_after=np.array(x, dtype=float),
+            h_before=barrier_value(b, x),
+            h_after=barrier_value(b, x),
+            xi_after=xi,
+        )
     )
+
+
+def _log_event(e: EventRecord) -> EventRecord:
+    """Log ``e`` as one DEBUG line (shown with ETSAFE_LOG_LEVEL=debug); return it."""
+    log.debug(
+        "event t=%r kind=%s trigger_id=%s h_before=%r", e.time, e.kind, e.trigger_id, e.h_before
+    )
+    return e
 
 
 def _on_durations(events: Sequence[EventRecord]) -> np.ndarray:
@@ -613,17 +624,7 @@ def check_nominal_safety_assumption(
     b = scenario.barrier
     nominal_flow = scenario.nominal_flow()
     gap = scenario.hysteresis_gap
-    # recover the radius of the recovery shell by bisection along a ray
-    # (exact for the radially symmetric disk barrier)
-    probe = np.array([1.0, 0.0])
-    lo, hi = 0.0, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if b.h(mid * probe) >= scenario.recovery_level:
-            lo = mid
-        else:
-            hi = mid
-    s_max = lo
+    s_max = _recovery_radius(b, scenario.recovery_level)
 
     points = []
     for s in np.linspace(0.0, s_max, n_grid):
@@ -649,6 +650,11 @@ def check_nominal_safety_assumption(
                 "increase the class-K gain or lower the recovery level"
             )
     return checked
+
+
+def _recovery_radius(b: BarrierSpec, level: float) -> float:
+    """Outer radius where the radial barrier falls to ``level`` (else its center)."""
+    return b.center + math.sqrt(max(b.half_width ** 2 - level, 0.0))
 
 
 # --- Bounds and audits ---
@@ -717,12 +723,13 @@ def miet_bound(
 
 def satellite_region_sampler(scenario: SatelliteScenario, seed: int = 0):
     """States covering the safe band with sub-escape speeds."""
-    R = scenario.gravity.R
+    b = scenario.barrier
+    inner, outer = b.center - b.half_width, b.center + b.half_width
     mu = scenario.gravity.mu
 
     def sampler(n: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        radii = rng.uniform(1.6 * R, 2.4 * R, n)
+        radii = rng.uniform(inner, outer, n)
         dirs = rng.normal(size=(n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         vdirs = rng.normal(size=(n, 3))
@@ -735,16 +742,8 @@ def satellite_region_sampler(scenario: SatelliteScenario, seed: int = 0):
 
 def planar_region_sampler(scenario: PlanarScenario, seed: int = 0):
     """States covering the planar safe disk."""
-    probe = np.array([1.0, 0.0])
     b = scenario.barrier
-    lo, hi = 0.0, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if b.h(mid * probe) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    rho = lo
+    rho = b.center + b.half_width  # the disk's outer edge
 
     def sampler(n: int) -> np.ndarray:
         rng = np.random.default_rng(seed)

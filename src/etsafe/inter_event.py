@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_io import atomic_write
-from .barrier import barrier_condition_margin
+from .barrier import BarrierSpec, barrier_condition_margin
 from .dynamics import _hash_uniforms, _hash_unit_vectors, apply_impulse, two_body_field
 from .numerics import (
     IntegrationFailureError,
@@ -184,9 +184,10 @@ def collect_inter_event_samples(
     ``max_wait`` are censored, as are (rare) controller-infeasible starts.
     """
     g = scenario.gravity
+    b = scenario.barrier
     radius_grid = np.asarray(radius_grid, dtype=float)
-    inner = 2.0 * g.R - 0.4 * g.R
-    outer = 2.0 * g.R + 0.4 * g.R
+    inner = b.center - b.half_width
+    outer = b.center + b.half_width
     if np.any(radius_grid <= inner) or np.any(radius_grid >= outer):
         raise ValueError(f"radii must lie strictly inside ({inner}, {outer})")
     if n_per_radius < 1:
@@ -268,14 +269,14 @@ def _norm3(p: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(p * p, axis=0))
 
 
-def margin_batch(states: np.ndarray, R: float, gamma: float, d_bar: float) -> np.ndarray:
-    """Vectorized barrier-condition margin for the orbital range barrier.
+def margin_batch(states: np.ndarray, b: BarrierSpec, r: np.ndarray) -> np.ndarray:
+    """Vectorized barrier-condition margin for the orbital range barrier ``b``.
 
-    ``states`` is ``(n, 6)``; the campaign passes the ``.T`` view of its
-    component-major ``(6, n)`` array, so every component read here is one
-    contiguous row.  Must agree with
+    ``states`` is ``(n, 6)`` and ``r`` its :func:`_norm3` radii; the campaign
+    passes the ``.T`` view of its component-major ``(6, n)`` array, so every
+    component read here is one contiguous row.  Must agree with
     :func:`etsafe.barrier.barrier_condition_margin` evaluated per state
-    (covered by tests); hardcodes the band and the linear class-K rate.
+    (covered by tests); reads the band and the linear class-K gain from ``b``.
 
     On either layout the result is bit-identical to the row-major formula
     ``r = np.linalg.norm(pos, axis=1)``,
@@ -286,25 +287,24 @@ def margin_batch(states: np.ndarray, R: float, gamma: float, d_bar: float) -> np
     associates differently on strided views).
     """
     c = states.T
-    pos = c[:3]
-    r = _norm3(pos)
-    pv = pos * c[3:]
+    pv = c[:3] * c[3:]
     rdot = ((pv[0] + pv[2]) + pv[1]) / r
-    delta = r - 2.0 * R
-    h = (0.4 * R) ** 2 - delta * delta
+    delta = r - b.center
+    h = b.half_width ** 2 - delta * delta
     # |-2 delta| is exactly 2 |delta|: scaling by a power of two is exact
     neg2_delta = -2.0 * delta
-    return neg2_delta * rdot - np.abs(neg2_delta) * d_bar + gamma * h
+    return neg2_delta * rdot - np.abs(neg2_delta) * b.d_bar + b.gamma * h
 
 
-def _lane_field(x: np.ndarray, mu: float, accel) -> np.ndarray:
+def _lane_field(x: np.ndarray, mu: float, accel, r: np.ndarray | None = None) -> np.ndarray:
     """Two-body derivative of component-major lanes ``x`` (6, n) plus ``accel``.
 
-    Same IEEE operations per lane as the row-major
-    ``(-mu / (r * r * r)) * pos`` followed by ``+= accel``.
+    ``r`` is the lanes' radii, if the caller has them.  Same IEEE operations
+    per lane as the row-major ``(-mu / (r * r * r)) * pos`` then ``+= accel``.
     """
     pos = x[:3]
-    r = _norm3(pos)
+    if r is None:
+        r = _norm3(pos)
     a = (-mu / (r * r * r)) * pos
     a += accel
     return np.concatenate((x[3:], a))
@@ -364,31 +364,30 @@ def _propagate_batch_until_trigger(
     array, and compacted when lanes fire.  Raises IntegrationFailureError
     when a lane's margin goes non-finite.
     """
-    g = scenario.gravity
     b = scenario.barrier
-    dist = scenario.disturbance
     dt = scenario.integrator.step_size
-    gamma = b.gamma
-    if not np.isfinite(gamma):
+    if b.margin_terms is None or not np.isfinite(b.gamma):
         raise ValueError("batch campaign requires the linear class-K orbital barrier")
-    mu, R, d_bar = g.mu, g.R, b.d_bar
+    mu = scenario.gravity.mu
 
     n = len(states0)
     out = np.full(n, np.nan)
     x = np.ascontiguousarray(np.asarray(states0, dtype=float).T)
     lanes = np.arange(n)
     streams = np.asarray(streams, dtype=np.uint64)
-    margins = margin_batch(x.T, R, gamma, d_bar)
+    # each step's radii serve its margin and the next step's first stage
+    r = _norm3(x[:3])
+    margins = margin_batch(x.T, b, r)
     _require_finite_margins(margins, 0.0, x, streams, lanes)
     n_steps = int(np.ceil(max_wait / dt))
 
-    accel_at = _LaneDisturbance(dist, streams)
+    accel_at = _LaneDisturbance(scenario.disturbance, streams)
 
     for k in range(n_steps):
         if len(lanes) == 0:
             break
         t0 = k * dt
-        k1 = _lane_field(x, mu, accel_at(t0, x))
+        k1 = _lane_field(x, mu, accel_at(t0, x), r)
         x2 = x + 0.5 * dt * k1
         k2 = _lane_field(x2, mu, accel_at(t0 + 0.5 * dt, x2))
         x3 = x + 0.5 * dt * k2
@@ -396,7 +395,8 @@ def _propagate_batch_until_trigger(
         x4 = x + dt * k3
         k4 = _lane_field(x4, mu, accel_at(t0 + dt, x4))
         new_x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        new_margins = margin_batch(new_x.T, R, gamma, d_bar)
+        new_r = _norm3(new_x[:3])
+        new_margins = margin_batch(new_x.T, b, new_r)
         _require_finite_margins(new_margins, t0, x, streams, lanes)
 
         fired = (margins > 0.0) & (new_margins <= 0.0)
@@ -408,10 +408,12 @@ def _propagate_batch_until_trigger(
             keep = ~fired
             lanes = lanes[keep]
             x = new_x.compress(keep, axis=1)
+            r = new_r[keep]
             margins = new_margins[keep]
             accel_at.keep(keep)
         else:
             x = new_x
+            r = new_r
             margins = new_margins
     return out
 

@@ -1,12 +1,12 @@
 """Keplerian machinery and the impulsive station-keeping controller.
 
-The controller keeps the orbital radius inside an annular band around
-``2R`` by firing velocity impulses.  Each impulse re-shapes the osculating
-orbit in place (position is unchanged, the orbital plane is preserved) so
-that:
+The controller keeps the orbital radius inside the barrier's annular band
+around its center radius c (``2R`` for the shipped barrier) by firing
+velocity impulses.  Each impulse re-shapes the osculating orbit in place
+(position is unchanged, the orbital plane is preserved) so that:
 
 * one apsis of the new ellipse sits at the blended target radius
-  ``r_target(r) = 2R + retarget_gain * (r - 2R)``, halfway back toward the
+  ``r_target(r) = c + retarget_gain * (r - c)``, halfway back toward the
   band center by default, and
 * the craft sits at a prescribed true anomaly whose magnitude grows linearly
   from 0 at the band center to pi/2 at either boundary, on the branch that
@@ -209,10 +209,10 @@ def vis_viva_speed(g: GravityModel, r: float, a: float) -> float:
     return float(np.sqrt(g.mu * val))
 
 
-def _placed_anomaly(r: float, R: float, center: float = 2.0, half_width: float = 0.4) -> float:
+def _placed_anomaly(r: float, center: float, half_width: float) -> float:
     """Post-jump true anomaly from the placement rule (see module docstring)."""
-    frac = min(abs(r - center * R) / (half_width * R), 1.0)
-    if r >= center * R:
+    frac = min(abs(r - center) / half_width, 1.0)
+    if r >= center:
         return -np.pi + frac * (np.pi / 2.0)
     return frac * (np.pi / 2.0)
 
@@ -279,9 +279,10 @@ def station_keeping_impulse(
     t_hat = np.cross(n_hat, r_hat)
 
     flow = lambda x: two_body_field(g, x)
-    nu = _placed_anomaly(r, g.R)
+    c = b.center
+    nu = _placed_anomaly(r, c, b.half_width)
     for gain in (cfg.retarget_gain, 0.0):
-        r_target = 2.0 * g.R + gain * (r - 2.0 * g.R)
+        r_target = c + gain * (r - c)
         e, p = _transfer_ellipse(r, nu, r_target)
         h_new = np.sqrt(g.mu * p)
         v_radial = (g.mu / h_new) * e * np.sin(nu)

@@ -1,5 +1,8 @@
 """Barrier function and trigger margin tests."""
 
+import math
+import os
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from etsafe.barrier import (
     orbital_range_barrier,
     planar_disk_barrier,
 )
-from etsafe.dynamics import GravityModel, two_body_field
+from etsafe.dynamics import GravityModel, SingularityError, two_body_field
+from etsafe.engine import satellite_region_sampler
+from etsafe.inter_event import load_model
 
 GRAVITY = GravityModel()
 
@@ -289,3 +294,114 @@ class TestValidationHelpers:
         )
         with pytest.raises(GradientMismatchError):
             check_gradient(bad, np.array([[0.5, 0.2]]))
+
+
+SHIPPED_MODEL = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "tau_model.json"
+)
+
+
+def generic_lfh(b, g, x):
+    """dh/dt as the 6-element dot of grad_h with the full two-body flow."""
+    grad = np.asarray(b.grad_h(x), dtype=float)
+    return float(grad @ np.asarray(two_body_field(g, x))), grad
+
+
+def generic_margin(b, g, x):
+    """barrier_condition_margin's formula for a spec without margin terms."""
+    lfh, grad = generic_lfh(b, g, x)
+    return lfh - math.sqrt(grad.dot(grad)) * b.d_bar + b.alpha(b.h(x))
+
+
+def generic_timing_margin(model, b, g, x):
+    """maneuver_timing_margin's formula for a spec without margin terms."""
+    lfh, _ = generic_lfh(b, g, x)
+    return 0.5 * (1.0 + model.evaluate(b.h(x)).derivative * lfh)
+
+
+class TestFusedMargin:
+    """Both margins of the orbital spec, through its fused terms, equal bit
+    for bit the generic formulas along the two-body flow, on every state
+    family the runs and the dwell bound evaluate."""
+
+    GAMMA, D_BAR = 0.1, 1e-3
+    MODEL = load_model(SHIPPED_MODEL)
+
+    def assert_fused_equal(self, b, g, states):
+        flow = lambda x: two_body_field(g, x)
+        fused = [barrier_condition_margin(b, flow, x).hex() for x in states]
+        assert fused == [generic_margin(b, g, x).hex() for x in states]
+        timing = [maneuver_timing_margin(self.MODEL, b, flow, x).hex() for x in states]
+        assert timing == [generic_timing_margin(self.MODEL, b, g, x).hex() for x in states]
+        for x in states[:50]:
+            h, lfh, grad_norm = b.margin_terms(x)
+            lfh_ref, grad = generic_lfh(b, g, x)
+            assert (h.hex(), lfh.hex()) == (b.h(x).hex(), lfh_ref.hex())
+            assert grad_norm.hex() == np.linalg.norm(grad).hex()
+
+    def test_only_the_orbital_spec_is_fused(self):
+        assert orbital_range_barrier(GRAVITY, self.GAMMA, self.D_BAR).margin_terms is not None
+        assert planar_disk_barrier(1.0, gamma=2.0, d_bar=0.01).margin_terms is None
+
+    def test_band_edges_and_center(self):
+        b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
+        states = []
+        for r in (1.6, 2.4, 2.0):
+            for axis in range(3):
+                for vel in ((0.0, 0.0, 0.0), (0.05, 0.6, 0.0), (-0.3, 0.1, 0.7)):
+                    x = np.zeros(6)
+                    x[axis] = r
+                    x[3:] = vel
+                    states.append(x)
+                    states.append(-x)
+        self.assert_fused_equal(b, GRAVITY, states)
+
+    def test_seeded_shell_states(self):
+        b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
+        self.assert_fused_equal(b, GRAVITY, random_shell_states(np.random.default_rng(8), 2000))
+
+    def test_shipped_greedy_run_states(self, greedy_run):
+        _, scenario, result, _ = greedy_run
+        states = result.trajectory.states[:20000]
+        assert len(states) == 20000
+        self.assert_fused_equal(scenario.barrier, scenario.gravity, states)
+
+    def test_miet_bound_perturbed_states(self, greedy_run):
+        # the states miet_bound differences: 2,000 samples, each component +-1e-6
+        _, scenario, _, _ = greedy_run
+        states = []
+        for x in satellite_region_sampler(scenario)(2000):
+            for i in range(6):
+                for sign in (1.0, -1.0):
+                    xe = np.array(x)
+                    xe[i] += sign * 1e-6
+                    states.append(xe)
+        self.assert_fused_equal(scenario.barrier, scenario.gravity, states)
+
+    @pytest.mark.parametrize("r", [0.0, 0.05, 0.0999])
+    def test_below_singularity_floor_raises(self, r):
+        b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
+        x = np.array([0.0, r, 0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(SingularityError):
+            barrier_condition_margin(b, orbital_flow, x)
+        with pytest.raises(SingularityError):
+            maneuver_timing_margin(self.MODEL, b, orbital_flow, x)
+
+
+class TestRadialGeometry:
+    def test_band_at_unit_radius_equals_literals(self):
+        b = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+        R = GRAVITY.R
+        assert b.center.hex() == (2.0 * R).hex()
+        assert b.half_width.hex() == (0.4 * R).hex()
+        assert (b.center - b.half_width).hex() == (1.6 * R).hex()
+        assert (b.center + b.half_width).hex() == (2.4 * R).hex()
+        assert (b.half_width ** 2).hex() == ((0.4 * R) ** 2).hex()
+
+    def test_band_scales_with_radius(self):
+        b = orbital_range_barrier(GravityModel(mu=1.0, R=3.0), gamma=0.1, d_bar=1e-3)
+        assert (b.center, b.half_width) == (6.0, 0.4 * 3.0)
+
+    def test_disk_is_centered_band(self):
+        b = planar_disk_barrier(1.5, gamma=2.0, d_bar=0.01)
+        assert (b.center, b.half_width) == (0.0, 1.5)

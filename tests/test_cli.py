@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -675,6 +676,27 @@ class TestOutputDigests:
         config = os.path.join(CONFIGS, "planar_intermittent.ini")
         assert cmd_simulate(config, out, horizon=20.0) == EXIT_OK
         assert output_digests(out) == OUTPUT_DIGESTS["planar"]
+
+
+class TestDebugEventLog:
+    def test_one_debug_line_per_event(self, tmp_path, caplog):
+        out = str(tmp_path / "greedy")
+        config = os.path.join(CONFIGS, "greedy_satellite.ini")
+        with caplog.at_level(logging.DEBUG, logger="etsafe.engine"):
+            assert cmd_simulate(config, out, horizon=1250.0) == EXIT_OK
+        engine = [r for r in caplog.records if r.name == "etsafe.engine"]
+        event_lines = [r for r in engine if r.getMessage().startswith("event ")]
+        rows = read_bytes(os.path.join(out, "events.csv")).decode().splitlines()[1:]
+        assert len(rows) >= 1
+        assert len(event_lines) == len(rows)
+        assert all(r.levelno == logging.DEBUG for r in event_lines)
+        assert not any(r.levelno == logging.INFO for r in engine)
+        pinned = {
+            name[len("greedy/"):]: digest
+            for name, digest in OUTPUT_DIGESTS["compare"].items()
+            if name.startswith("greedy/")
+        }
+        assert output_digests(out) == pinned
 
 
 class TestMainEntry:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import logging
+import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -13,14 +15,19 @@ from etsafe.barrier import (
     planar_disk_barrier,
 )
 from etsafe.dynamics import DisturbanceModel, GravityModel
+import etsafe.barrier
+import etsafe.numerics
+from etsafe.config import parse_config
 from etsafe.engine import (
     AssumptionCheckError,
     RunAbortedError,
     Trajectory,
+    _recovery_radius,
     audit_safety,
     check_nominal_safety_assumption,
     miet_bound,
     miet_bound_formula,
+    planar_region_sampler,
     run_greedy_impulsive,
     run_intermittent_filter,
     run_maneuver,
@@ -419,3 +426,105 @@ class TestRunAbortedError:
         assert str(back) == str(err) == "margin went non-finite (t=12.5)"
         assert back.t == err.t
         assert back.x.tobytes() == err.x.tobytes()
+
+
+def bisected_radius(b, level):
+    """The 200-step bisection along +x that located a disk level's radius
+    before the spec carried its geometry."""
+    probe = np.array([1.0, 0.0])
+    lo, hi = 0.0, 10.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if b.h(mid * probe) >= level:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+SHIPPED_PLANAR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "configs",
+    "planar_intermittent.ini",
+)
+
+
+class TestSpecGeometry:
+    """Radii read from the barrier spec equal the literals and bisections
+    they replaced, bit for bit."""
+
+    def test_satellite_sampler_bounds_equal_literals(self):
+        scn = satellite_scenario()
+        R, mu = scn.gravity.R, scn.gravity.mu
+        rng = np.random.default_rng(0)
+        n = 500
+        radii = rng.uniform(1.6 * R, 2.4 * R, n)
+        dirs = rng.normal(size=(n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        vdirs = rng.normal(size=(n, 3))
+        vdirs /= np.linalg.norm(vdirs, axis=1, keepdims=True)
+        speeds = rng.uniform(0.0, 0.99, n) * np.sqrt(2.0 * mu / radii)
+        expected = np.hstack([radii[:, None] * dirs, speeds[:, None] * vdirs])
+        assert satellite_region_sampler(scn)(n).tobytes() == expected.tobytes()
+
+    def test_shipped_recovery_radius_equals_bisection(self):
+        scn = parse_config(SHIPPED_PLANAR).build_planar()
+        closed = _recovery_radius(scn.barrier, scn.recovery_level)
+        assert closed.hex() == bisected_radius(scn.barrier, scn.recovery_level).hex()
+        assert closed == 0.8944271909999159
+
+    def test_shipped_disk_radius_equals_bisection(self):
+        scn = parse_config(SHIPPED_PLANAR).build_planar()
+        b = scn.barrier
+        assert (b.center + b.half_width).hex() == bisected_radius(b, 0.0).hex()
+        assert bisected_radius(b, 0.0) == 1.0
+        rng = np.random.default_rng(0)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 300)
+        s = 1.0 * np.sqrt(rng.uniform(size=300))
+        expected = np.stack([s * np.cos(ang), s * np.sin(ang)], axis=1)
+        assert planar_region_sampler(scn)(300).tobytes() == expected.tobytes()
+
+    def test_recovery_level_above_barrier_maximum(self):
+        # no state reaches the level: the shell collapses to the center and
+        # the assumption check has nothing to sample
+        scn = dataclasses.replace(planar_scenario(), recovery_level=1.5)
+        assert _recovery_radius(scn.barrier, scn.recovery_level) == 0.0
+        assert check_nominal_safety_assumption(scn) == 0
+
+
+def test_every_step_routes_through_barrier_condition_margin(monkeypatch):
+    # the benchmark's per-layer trace counts the margin at this one public
+    # function, so each RK4 step's monitor call must reach it; calls are
+    # counted inside propagation only, where miet_bound's 24,000 do not land
+    counts = {"margin": 0, "step": 0}
+    propagating = []
+
+    def rebind(original, wrapper):
+        for name, mod in list(sys.modules.items()):
+            if name == "etsafe" or name.startswith("etsafe."):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+
+    def counted(original, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += bool(propagating)
+            return original(*args, **kwargs)
+
+        rebind(original, wrapper)
+
+    def propagate(*args, **kwargs):
+        propagating.append(True)
+        try:
+            return original_propagate(*args, **kwargs)
+        finally:
+            propagating.pop()
+
+    original_propagate = etsafe.numerics.propagate_until
+    rebind(original_propagate, propagate)
+    counted(etsafe.barrier.barrier_condition_margin, "margin")
+    counted(etsafe.numerics.rk4_step, "step")
+    cfg = parse_config(os.path.join(os.path.dirname(SHIPPED_PLANAR), "greedy_satellite.ini"))
+    run_greedy_impulsive(cfg.build_satellite(), cfg.initial_state, 150.0)
+    assert counts["step"] >= 3000
+    assert counts["margin"] >= counts["step"]

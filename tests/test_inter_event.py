@@ -10,6 +10,7 @@ from etsafe.inter_event import (
     InterEventSampleSet,
     InterEventTimeModel,
     _initial_states,
+    _lane_field,
     _norm3,
     _propagate_batch_until_trigger,
     _refine_sample_crossing,
@@ -236,7 +237,7 @@ class TestCampaign:
         dirs = rng.normal(size=(100, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         states = np.hstack([radii[:, None] * dirs, rng.normal(0, 0.3, (100, 3))])
-        batch = margin_batch(states, scn.gravity.R, b.gamma, b.d_bar)
+        batch = margin_batch(states, b, _norm3(states.T[:3]))
         for i in range(100):
             scalar = barrier_condition_margin(b, flow, states[i])
             assert batch[i] == pytest.approx(scalar, rel=1e-12, abs=1e-14)
@@ -271,7 +272,7 @@ def scalar_lane_tau(scn, x, stream, max_wait):
     b = scn.barrier
 
     def margin(y):
-        return margin_batch(y[None, :], scn.gravity.R, b.gamma, b.d_bar)[0]
+        return margin_batch(y[None, :], b, _norm3(y[:3, None]))[0]
 
     m = margin(x)
     for k in range(int(np.ceil(max_wait / dt))):
@@ -301,6 +302,10 @@ PINNED_TAUS = {
 }
 
 
+# R = 1, gamma = 0.1, d_bar = 1e-3: the arguments row_major_margin is given
+BAND = orbital_range_barrier(GravityModel(), gamma=0.1, d_bar=1e-3)
+
+
 class TestComponentMajorKernel:
     WIDTHS = (1, 2, 7, 55, 605)
 
@@ -309,8 +314,18 @@ class TestComponentMajorKernel:
         states = band_states(n, seed=n)
         expected = row_major_margin(states, 1.0, 0.1, 1e-3).tobytes()
         component_major = np.ascontiguousarray(states.T)
-        assert margin_batch(states, 1.0, 0.1, 1e-3).tobytes() == expected
-        assert margin_batch(component_major.T, 1.0, 0.1, 1e-3).tobytes() == expected
+        r = _norm3(component_major[:3])
+        assert margin_batch(states, BAND, r).tobytes() == expected
+        assert margin_batch(component_major.T, BAND, r).tobytes() == expected
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_lane_field_with_handed_radii_changes_no_bit(self, n):
+        # the campaign takes each step's radii once, for the margin and the
+        # next step's first stage
+        x = np.ascontiguousarray(band_states(n, seed=n).T)
+        r = _norm3(x[:3])
+        accel = np.full((3, n), 1e-3)
+        assert _lane_field(x, 1.0, accel, r).tobytes() == _lane_field(x, 1.0, accel).tobytes()
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_stage_norm_bitwise_equals_linalg_norm(self, n):

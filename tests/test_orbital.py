@@ -15,6 +15,7 @@ from etsafe.orbital import (
     RectilinearError,
     StationKeepingConfig,
     UnreachableRadiusError,
+    _placed_anomaly,
     elements_from_state,
     state_from_elements,
     station_keeping_impulse,
@@ -260,6 +261,22 @@ class TestStationKeepingImpulse:
                 continue
             dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
             assert np.linalg.norm(dv) < 2.0 * v_c
+
+
+class TestPlacedAnomaly:
+    def test_band_from_spec_equals_literal_rule(self):
+        # the rule with the 2R / 0.4R literals it used before reading the spec
+        R = GRAVITY.R
+
+        def literal(r):
+            frac = min(abs(r - 2.0 * R) / (0.4 * R), 1.0)
+            if r >= 2.0 * R:
+                return -np.pi + frac * (np.pi / 2.0)
+            return frac * (np.pi / 2.0)
+
+        radii = np.concatenate([[1.6, 2.0, 2.4, 1.5, 2.5], np.linspace(1.6, 2.4, 101)])
+        for r in radii:
+            assert _placed_anomaly(r, BARRIER.center, BARRIER.half_width) == literal(r)
 
 
 class TestVerifyJumpConditions:
