@@ -1,6 +1,5 @@
 """Barrier function and trigger margin tests."""
 
-import math
 import os
 
 import numpy as np
@@ -307,12 +306,6 @@ def generic_lfh(b, g, x):
     return float(grad @ np.asarray(two_body_field(g, x))), grad
 
 
-def generic_margin(b, g, x):
-    """barrier_condition_margin's formula for a spec without margin terms."""
-    lfh, grad = generic_lfh(b, g, x)
-    return lfh - math.sqrt(grad.dot(grad)) * b.d_bar + b.alpha(b.h(x))
-
-
 def generic_timing_margin(model, b, g, x):
     """maneuver_timing_margin's formula for a spec without margin terms."""
     lfh, _ = generic_lfh(b, g, x)
@@ -330,7 +323,8 @@ class TestFusedMargin:
     def assert_fused_equal(self, b, g, states):
         flow = lambda x: two_body_field(g, x)
         fused = [barrier_condition_margin(b, flow, x).hex() for x in states]
-        assert fused == [generic_margin(b, g, x).hex() for x in states]
+        norm_margin = TestBitwiseAgainstNormFormulas.norm_margin
+        assert fused == [norm_margin(b, flow, x, b.h(x), b.grad_h(x)).hex() for x in states]
         timing = [maneuver_timing_margin(self.MODEL, b, flow, x).hex() for x in states]
         assert timing == [generic_timing_margin(self.MODEL, b, g, x).hex() for x in states]
         for x in states[:50]:
