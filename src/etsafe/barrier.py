@@ -74,6 +74,12 @@ class BarrierSpec:
         if self.d_bar < 0.0:
             raise ValueError("d_bar must be >= 0")
 
+    def radial_geometry(self) -> tuple[float, float]:
+        """``(center, half_width)``; ValueError for a spec built without them."""
+        if not (math.isfinite(self.center) and math.isfinite(self.half_width)):
+            raise ValueError("barrier spec carries no radial geometry")
+        return self.center, self.half_width
+
 
 def check_class_k(alpha: Callable[[float], float], h_max: float, n: int = 64) -> None:
     """Sampled check that alpha(0) = 0 and alpha is strictly increasing."""
@@ -93,8 +99,10 @@ def check_gradient(
 ) -> float:
     """Compare grad_h against central finite differences of h.
 
-    Returns the worst relative error over the given states; raises
-    GradientMismatchError when it exceeds rel_tol.
+    A spec with ``margin_terms`` is held to the same differences: its h, its
+    gradient norm, and its dh/dt along v = e_i (the gradient's i-th position
+    component, with no velocity block).  Returns the worst relative error
+    over the given states; raises GradientMismatchError when it exceeds rel_tol.
     """
     worst = 0.0
     for x in np.atleast_2d(states):
@@ -108,6 +116,16 @@ def check_gradient(
             fd[i] = (b.h(xp) - b.h(xm)) / (2.0 * eps)
         scale = max(float(np.linalg.norm(g)), 1.0)
         err = float(np.linalg.norm(fd - g)) / scale
+        if b.margin_terms is not None:
+            fused = np.zeros_like(fd)
+            fused[:3] = [b.margin_terms(np.concatenate((x[:3], e)))[1] for e in np.eye(3)]
+            h, _, grad_norm = b.margin_terms(x)
+            err = max(
+                err,
+                float(np.linalg.norm(fd - fused)) / scale,
+                abs(grad_norm - float(np.linalg.norm(fd))) / scale,
+                abs(h - b.h(x)) / max(abs(h), 1.0),
+            )
         worst = max(worst, err)
     if worst > rel_tol:
         raise GradientMismatchError(
@@ -266,13 +284,9 @@ def maneuver_timing_margin(
     ``model'(h(x)) * dh/dt``; this margin is ``(1 + rate) / 2`` and crosses
     zero exactly when the expectation decays faster than real time advances,
     i.e. when waiting longer no longer pays.  Outside the fitted range the
-    model derivative is clamped, which never fabricates a firing.
+    model derivative is clamped, which never fabricates a firing.  ``b`` is
+    the orbital spec: dh/dt comes from its ``margin_terms`` (``flow`` unused).
     """
-    if b.margin_terms is not None:
-        h, lfh, _ = b.margin_terms(x)
-    else:
-        grad = np.asarray(b.grad_h(x), dtype=float)
-        lfh = float(grad @ np.asarray(flow(x)))
-        h = b.h(x)
+    h, lfh, _ = b.margin_terms(x)
     rate = model.evaluate(h).derivative * lfh
     return 0.5 * (1.0 + rate)

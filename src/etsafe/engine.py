@@ -274,7 +274,8 @@ def _run_impulsive(
                 t_e,
                 x_e,
             )
-        events.append(
+        _record(
+            events,
             EventRecord(
                 time=t_e,
                 kind="jump",
@@ -286,9 +287,8 @@ def _run_impulsive(
                 xi_after=check.xi_value,
                 impulse_magnitude=float(np.linalg.norm(dv)),
                 pair_role=role,
-            )
+            ),
         )
-        _log_event(events[-1])
         builder.add_point(t_e, x_post, check.xi_value, 0)
         return x_post
 
@@ -472,10 +472,10 @@ def run_intermittent_filter(
     builder = _TrajectoryBuilder(b)
     filter_on = on_margin(x) <= 0.0
     if filter_on:
-        events.append(_filter_event(t, x, "filter_on", "initial", b, on_margin(x)))
+        _record(events, _filter_event(t, x, "filter_on", "initial", b, on_margin(x)))
 
     def record_toggle(t_e: float, x_e: np.ndarray, kind: str) -> None:
-        events.append(_filter_event(t_e, x_e, kind, "safety", b, on_margin(x_e)))
+        _record(events, _filter_event(t_e, x_e, kind, "safety", b, on_margin(x_e)))
 
     while t < horizon - 1e-12:
         if filter_on:
@@ -563,26 +563,24 @@ def _planar_fields(scenario: PlanarScenario, horizon: float) -> tuple[Field, Fie
 def _filter_event(
     t: float, x: np.ndarray, kind: str, trigger_id: str, b: BarrierSpec, xi: float
 ) -> EventRecord:
-    return _log_event(
-        EventRecord(
-            time=t,
-            kind=kind,
-            trigger_id=trigger_id,
-            state_before=np.array(x, dtype=float),
-            state_after=np.array(x, dtype=float),
-            h_before=barrier_value(b, x),
-            h_after=barrier_value(b, x),
-            xi_after=xi,
-        )
+    return EventRecord(
+        time=t,
+        kind=kind,
+        trigger_id=trigger_id,
+        state_before=np.array(x, dtype=float),
+        state_after=np.array(x, dtype=float),
+        h_before=barrier_value(b, x),
+        h_after=barrier_value(b, x),
+        xi_after=xi,
     )
 
 
-def _log_event(e: EventRecord) -> EventRecord:
-    """Log ``e`` as one DEBUG line (shown with ETSAFE_LOG_LEVEL=debug); return it."""
+def _record(events: list[EventRecord], e: EventRecord) -> None:
+    """Append ``e``, logged as one DEBUG line (shown with ETSAFE_LOG_LEVEL=debug)."""
     log.debug(
         "event t=%r kind=%s trigger_id=%s h_before=%r", e.time, e.kind, e.trigger_id, e.h_before
     )
-    return e
+    events.append(e)
 
 
 def _on_durations(events: Sequence[EventRecord]) -> np.ndarray:
@@ -654,7 +652,8 @@ def check_nominal_safety_assumption(
 
 def _recovery_radius(b: BarrierSpec, level: float) -> float:
     """Outer radius where the radial barrier falls to ``level`` (else its center)."""
-    return b.center + math.sqrt(max(b.half_width ** 2 - level, 0.0))
+    center, half_width = b.radial_geometry()
+    return center + math.sqrt(max(half_width ** 2 - level, 0.0))
 
 
 # --- Bounds and audits ---
@@ -723,8 +722,8 @@ def miet_bound(
 
 def satellite_region_sampler(scenario: SatelliteScenario, seed: int = 0):
     """States covering the safe band with sub-escape speeds."""
-    b = scenario.barrier
-    inner, outer = b.center - b.half_width, b.center + b.half_width
+    center, half_width = scenario.barrier.radial_geometry()
+    inner, outer = center - half_width, center + half_width
     mu = scenario.gravity.mu
 
     def sampler(n: int) -> np.ndarray:
@@ -742,8 +741,8 @@ def satellite_region_sampler(scenario: SatelliteScenario, seed: int = 0):
 
 def planar_region_sampler(scenario: PlanarScenario, seed: int = 0):
     """States covering the planar safe disk."""
-    b = scenario.barrier
-    rho = b.center + b.half_width  # the disk's outer edge
+    center, half_width = scenario.barrier.radial_geometry()
+    rho = center + half_width  # the disk's outer edge
 
     def sampler(n: int) -> np.ndarray:
         rng = np.random.default_rng(seed)

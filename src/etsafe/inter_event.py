@@ -184,10 +184,10 @@ def collect_inter_event_samples(
     ``max_wait`` are censored, as are (rare) controller-infeasible starts.
     """
     g = scenario.gravity
-    b = scenario.barrier
+    center, half_width = scenario.barrier.radial_geometry()
     radius_grid = np.asarray(radius_grid, dtype=float)
-    inner = b.center - b.half_width
-    outer = b.center + b.half_width
+    inner = center - half_width
+    outer = center + half_width
     if np.any(radius_grid <= inner) or np.any(radius_grid >= outer):
         raise ValueError(f"radii must lie strictly inside ({inner}, {outer})")
     if n_per_radius < 1:

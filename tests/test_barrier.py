@@ -1,5 +1,6 @@
 """Barrier function and trigger margin tests."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -399,3 +400,42 @@ class TestRadialGeometry:
     def test_disk_is_centered_band(self):
         b = planar_disk_barrier(1.5, gamma=2.0, d_bar=0.01)
         assert (b.center, b.half_width) == (0.0, 1.5)
+        assert b.radial_geometry() == (0.0, 1.5)
+
+    def test_spec_without_geometry_is_rejected(self):
+        b = BarrierSpec(
+            h=lambda x: 1.0 - float(x @ x),
+            grad_h=lambda x: -2.0 * np.asarray(x),
+            alpha=linear_class_k(1.0),
+            d_bar=0.0,
+        )
+        with pytest.raises(ValueError, match="radial geometry"):
+            b.radial_geometry()
+        with pytest.raises(ValueError, match="radial geometry"):
+            dataclasses.replace(b, center=0.0).radial_geometry()
+
+
+class TestGradientCheckCoversFusedTerms:
+    """check_gradient holds an orbital spec's margin_terms to the same finite
+    differences as grad_h, so a wrong fused term fails at construction."""
+
+    B = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+    STATES = random_shell_states(np.random.default_rng(3), 20)
+
+    def test_shipped_terms_pass(self):
+        assert check_gradient(self.B, self.STATES) < 1e-5
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h, lfh, n: (h, 1.01 * lfh, n),  # dh/dt: gradient off by 1%
+            lambda h, lfh, n: (h, lfh, 1.01 * n),  # |grad h| off by 1%
+            lambda h, lfh, n: (h + 1e-3, lfh, n),  # h shifted
+        ],
+        ids=["lfh", "grad_norm", "h"],
+    )
+    def test_wrong_fused_term_is_caught(self, mutate):
+        terms = self.B.margin_terms
+        bad = dataclasses.replace(self.B, margin_terms=lambda x: mutate(*terms(x)))
+        with pytest.raises(GradientMismatchError):
+            check_gradient(bad, self.STATES)

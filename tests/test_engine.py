@@ -484,6 +484,20 @@ class TestSpecGeometry:
         expected = np.stack([s * np.cos(ang), s * np.sin(ang)], axis=1)
         assert planar_region_sampler(scn)(300).tobytes() == expected.tobytes()
 
+    def test_spec_without_geometry_is_rejected(self):
+        # a NaN radius would make every grid point pass the assumption check
+        planar, sat = planar_scenario(), satellite_scenario()
+        bare = lambda b: dataclasses.replace(b, center=float("nan"), half_width=float("nan"))
+        planar = dataclasses.replace(planar, barrier=bare(planar.barrier))
+        sat = dataclasses.replace(sat, barrier=bare(sat.barrier))
+        for call in (
+            lambda: check_nominal_safety_assumption(planar),
+            lambda: planar_region_sampler(planar),
+            lambda: satellite_region_sampler(sat),
+        ):
+            with pytest.raises(ValueError, match="radial geometry"):
+                call()
+
     def test_recovery_level_above_barrier_maximum(self):
         # no state reaches the level: the shell collapses to the center and
         # the assumption check has nothing to sample
