@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -75,14 +75,17 @@ class ScenarioConfig:
 
     def build_satellite(self) -> SatelliteScenario:
         g = GravityModel(mu=self.mu, R=self.R)
+        barrier = orbital_range_barrier(g, gamma=self.gamma, d_bar=self.d_bar)
+        center, half_width = barrier.radial_geometry()
         return SatelliteScenario(
             gravity=g,
-            barrier=orbital_range_barrier(g, gamma=self.gamma, d_bar=self.d_bar),
+            barrier=barrier,
             controller=StationKeepingConfig(
                 post_jump_margin=self.post_jump_margin,
                 retarget_gain=self.retarget_gain,
             ),
-            disturbance=self._disturbance(dim=3),
+            # the zonal field peaks at the band's inner radius
+            disturbance=replace(self._disturbance(dim=3), shell_inner=center - half_width),
             integrator=IntegratorConfig(
                 step_size=self.step_size, interpolation=self.interpolation
             ),

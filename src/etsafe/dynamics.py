@@ -133,8 +133,9 @@ class DisturbanceModel:
 
     * ``none``: identically zero.
     * ``zonal-j2-like``: smooth, state-dependent oblateness-style field,
-      scaled so its supremum over the shell ``shell_inner <= r <= shell_outer``
-      equals d_bar.  3-D only.
+      scaled so its supremum over ``r >= shell_inner`` equals d_bar; a
+      scenario sets ``shell_inner`` to its barrier band's inner radius.
+      3-D only.
     * ``seeded-piecewise-constant``: a vector of magnitude d_bar with a fresh
       hash-derived direction every ``hold_time``, per (seed, stream).
 
@@ -148,7 +149,6 @@ class DisturbanceModel:
     hold_time: float = 1.0
     dim: int = 3
     shell_inner: float = 1.6
-    shell_outer: float = 2.4
 
     def __post_init__(self) -> None:
         if self.kind not in _DISTURBANCE_KINDS:
@@ -201,7 +201,7 @@ class DisturbanceModel:
             return np.zeros(3)
         # Oblateness-style direction field; its direction-factor norm peaks at
         # 2 over the poles, and 1/r^4 peaks at the inner shell radius, so the
-        # scale below makes sup |d| over the shell equal d_bar.
+        # scale below makes sup |d| over r >= shell_inner equal d_bar.
         scale = self.d_bar * self.shell_inner**4 / 2.0
         z2_r2 = pos[2] * pos[2] / r2
         vec = np.array(

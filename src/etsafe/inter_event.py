@@ -11,16 +11,22 @@ statistics.  The fitted model and its derivative feed
 
 Sample collection is embarrassingly parallel and fully deterministic: sample
 (j, i) of the campaign is keyed by (seed, radius index j, sample index i),
-and the whole batch is propagated vectorized with per-sample disturbance
-streams.
+and every sample is propagated under its own disturbance stream.
 
-The batch is component-major: the live lanes form one C-contiguous
-``(6, n_live)`` array, so each state component is a contiguous row, and the
-array is compacted when lanes fire.  Every per-lane result is bit-identical
-to the row-major ``(n, 6)`` formulation it replaced (``np.linalg.norm`` and
-``np.einsum`` over rows): each operation keeps its IEEE operands and their
-association (see :func:`margin_batch`), and the disturbance of a lane
-depends only on (seed, stream, interval), not on which lanes are live.
+Propagation runs in two kernels.  While the batch is wide, all live lanes
+step together as one component-major, C-contiguous ``(6, n_live)`` numpy
+array (each state component a contiguous row), compacted when lanes fire.
+A numpy step costs about the same at any width, so once at most
+``_TAIL_WIDTH`` lanes are live, each remaining lane is finished on its own
+on Python floats (:func:`_finish_lane`).
+
+Both kernels give every lane the same bits.  Each operation keeps its IEEE
+operands and their association: the RK4 stages of :func:`_lane_field`, the
+radius of :func:`_norm3`, the margin of :func:`margin_batch`, and the
+row-major ``(n, 6)`` formulation the batch replaced (``np.linalg.norm`` and
+``np.einsum`` over rows).  The disturbance of a lane depends only on
+(seed, stream, interval) or on its stage state, never on which lanes are
+live or on which kernel steps it.
 """
 
 from __future__ import annotations
@@ -310,8 +316,30 @@ def _lane_field(x: np.ndarray, mu: float, accel, r: np.ndarray | None = None) ->
     return np.concatenate((x[3:], a))
 
 
-# Hold intervals hashed per call of the piecewise-constant disturbance table.
+# Hold intervals hashed per call of the piecewise-constant disturbance table,
+# for all live lanes in the batch and for one lane in the tail.  A call costs
+# ≈0.2 ms almost whatever its length (one lane: 184 µs for 16 intervals,
+# 256 µs for 256), so the tail's single lane takes a long block, ≈40 KB of
+# floats, and the batch a short one, as its table grows with the width.
 _HELD_BLOCK = 16
+_LANE_BLOCK = 256
+
+# Live width at or below which the batch hands its lanes to _finish_lane.  On
+# a 2-vCPU host a numpy batch step costs ≈100 µs at any width up to 32 and a
+# float lane step ≈4.8 µs.  Over the 605-lane campaign at seed 3, widths 8,
+# 16, 20, 24 and 32 took 11.0, 11.4, 10.4, 11.2 and 11.8 s (medians of 3
+# alternating runs; the runs of one width spread by up to 2 s).
+_TAIL_WIDTH = 20
+
+
+def _held_block(dist, streams: np.ndarray, k: int, count: int) -> np.ndarray:
+    """Held disturbance vectors of ``streams`` on intervals ``k .. k+count-1``,
+    as ``(n_streams, count, dim)``; each row depends only on
+    (seed, stream, interval)."""
+    intervals = np.arange(k, k + count, dtype=np.uint64)
+    return dist.d_bar * _hash_unit_vectors(
+        dist.seed, streams[:, None], intervals[None, :], dist.dim
+    )
 
 
 class _LaneDisturbance:
@@ -319,9 +347,8 @@ class _LaneDisturbance:
 
     For the piecewise-constant kind, the held vectors of the live lanes are
     hashed ``_HELD_BLOCK`` intervals per call and kept as a
-    ``(block, 3, n_live)`` table; each hashed row depends only on
-    (seed, stream, interval), so the values do not depend on the block or on
-    which lanes are live.  The zonal kind is evaluated on the stage state.
+    ``(block, 3, n_live)`` table.  The zonal kind is evaluated on the stage
+    state.
     """
 
     def __init__(self, model, streams: np.ndarray) -> None:
@@ -338,11 +365,9 @@ class _LaneDisturbance:
             return dist.sample_batch(t, np.ascontiguousarray(x.T), self.streams).T
         k = math.floor(t / dist.hold_time)
         if not self.start <= k < self.start + len(self.held):
-            intervals = np.arange(k, k + _HELD_BLOCK, dtype=np.uint64)
-            vecs = dist.d_bar * _hash_unit_vectors(
-                dist.seed, self.streams[:, None], intervals[None, :], dist.dim
+            self.held = np.ascontiguousarray(
+                _held_block(dist, self.streams, k, _HELD_BLOCK).transpose(1, 2, 0)
             )
-            self.held = np.ascontiguousarray(vecs.transpose(1, 2, 0))
             self.start = k
         return self.held[k - self.start]
 
@@ -350,6 +375,39 @@ class _LaneDisturbance:
         """Drop the lanes where ``mask`` is False."""
         self.streams = self.streams[mask]
         self.held = self.held.compress(mask, axis=2)
+
+
+def _lane_accel(dist, stream: int):
+    """``(accel, by_state)``: the disturbance ``accel(t, pos) -> (a0, a1, a2)``
+    of one lane, as floats bit-identical to its column of
+    :class:`_LaneDisturbance`, and whether it depends on the position.
+
+    The piecewise-constant kind keeps one hashed block of the lane's held
+    vectors, starting at the interval that needed it; the zonal kind is
+    evaluated on the stage position as :meth:`DisturbanceModel.sample_batch`
+    evaluates it; the ``none`` kind adds 0.0, as the batch adds it.
+    """
+    if dist.kind == "none":
+        zero = (0.0, 0.0, 0.0)
+        return (lambda t, pos: zero), False
+    if dist.kind == "zonal-j2-like":
+        return (lambda t, pos: dist._clamp(dist._zonal(pos)).tolist()), True
+    hold = dist.hold_time
+    floor = math.floor
+    key = np.array([stream], dtype=np.uint64)
+    block: list = []
+    start = 0
+
+    def held(t: float, pos) -> list:
+        nonlocal block, start
+        i = floor(t / hold) - start
+        if 0 <= i < len(block):
+            return block[i]
+        start += i
+        block = _held_block(dist, key, start, _LANE_BLOCK)[0].tolist()
+        return block[0]
+
+    return held, False
 
 
 def _propagate_batch_until_trigger(
@@ -360,9 +418,13 @@ def _propagate_batch_until_trigger(
 ) -> np.ndarray:
     """First margin zero-crossing time per sample; NaN where max_wait passed.
 
-    The live lanes are held component-major, one C-contiguous ``(6, n_live)``
-    array, and compacted when lanes fire.  Raises IntegrationFailureError
-    when a lane's margin goes non-finite.
+    While more than ``_TAIL_WIDTH`` lanes are live, they step together,
+    component-major, as one C-contiguous ``(6, n_live)`` array that is
+    compacted when lanes fire.  Once the live width is at most
+    ``_TAIL_WIDTH``, each remaining lane is finished alone by
+    :func:`_finish_lane` on Python floats, which repeats the batch's
+    operations bit for bit, so the times do not depend on the switch.
+    Raises IntegrationFailureError when a lane's margin goes non-finite.
     """
     b = scenario.barrier
     dt = scenario.integrator.step_size
@@ -383,10 +445,10 @@ def _propagate_batch_until_trigger(
 
     accel_at = _LaneDisturbance(scenario.disturbance, streams)
 
-    for k in range(n_steps):
-        if len(lanes) == 0:
-            break
+    k = 0
+    while k < n_steps and len(lanes) > _TAIL_WIDTH:
         t0 = k * dt
+        k += 1
         k1 = _lane_field(x, mu, accel_at(t0, x), r)
         x2 = x + 0.5 * dt * k1
         k2 = _lane_field(x2, mu, accel_at(t0 + 0.5 * dt, x2))
@@ -403,7 +465,8 @@ def _propagate_batch_until_trigger(
         if np.count_nonzero(fired):
             for j in np.flatnonzero(fired):
                 out[lanes[j]] = _refine_sample_crossing(
-                    scenario, x[:, j].copy(), new_x[:, j].copy(), t0, dt, int(streams[lanes[j]])
+                    scenario, x[:, j].copy(), new_x[:, j].copy(), t0, dt,
+                    int(streams[lanes[j]]), k1[:, j].copy(),
                 )
             keep = ~fired
             lanes = lanes[keep]
@@ -415,7 +478,111 @@ def _propagate_batch_until_trigger(
             x = new_x
             r = new_r
             margins = new_margins
+
+    for j, lane in enumerate(lanes.tolist()):
+        out[lane] = _finish_lane(
+            scenario, x[:, j].tolist(), float(r[j]), float(margins[j]),
+            int(streams[lane]), k, n_steps,
+        )
     return out
+
+
+def _finish_lane(
+    scenario: SatelliteScenario,
+    x: list[float],
+    r: float,
+    m: float,
+    stream: int,
+    first_step: int,
+    n_steps: int,
+) -> float:
+    """Crossing time of one lane stepped alone on Python floats; NaN if it is
+    still quiet after step ``n_steps``.
+
+    The lane enters at step ``first_step`` with state ``x``, radius ``r`` and
+    margin ``m``.  Each step runs the batch step's IEEE operations in its
+    association: the :func:`_lane_field` stages, the RK4 combination
+    ``((k1 + 2 k2) + 2 k3) + k4``, the :func:`_norm3` radius
+    ``(x0² + x1²) + x2²`` and the margin of :func:`_lane_margin`.  A
+    non-finite margin, or a division by a zero radius (which gives one in the
+    batch), raises IntegrationFailureError with the step-start time and state.
+    """
+    b = scenario.barrier
+    mu = scenario.gravity.mu
+    dt = scenario.integrator.step_size
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    accel, by_state = _lane_accel(scenario.disturbance, stream)
+    sqrt = math.sqrt
+    x0, x1, x2, v0, v1, v2 = x
+    for k in range(first_step, n_steps):
+        t0 = k * dt
+        try:
+            # stage 1 at (t0, x); the field's velocity block is the state's
+            q = -mu / (r * r * r)
+            d0, d1, d2 = accel(t0, (x0, x1, x2))
+            a0, a1, a2 = q * x0 + d0, q * x1 + d1, q * x2 + d2
+            # stage 2 at x + half k1
+            p0, p1, p2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
+            u0, u1, u2 = v0 + half * a0, v1 + half * a1, v2 + half * a2
+            s = sqrt((p0 * p0 + p1 * p1) + p2 * p2)
+            q = -mu / (s * s * s)
+            d0, d1, d2 = accel(t0 + half, (p0, p1, p2))
+            b0, b1, b2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
+            # stage 3 at x + half k2
+            p0, p1, p2 = x0 + half * u0, x1 + half * u1, x2 + half * u2
+            w0, w1, w2 = v0 + half * b0, v1 + half * b1, v2 + half * b2
+            s = sqrt((p0 * p0 + p1 * p1) + p2 * p2)
+            q = -mu / (s * s * s)
+            if by_state:  # else stage 2's vector, at the same time
+                d0, d1, d2 = accel(t0 + half, (p0, p1, p2))
+            c0, c1, c2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
+            # stage 4 at x + dt k3
+            p0, p1, p2 = x0 + dt * w0, x1 + dt * w1, x2 + dt * w2
+            z0, z1, z2 = v0 + dt * c0, v1 + dt * c1, v2 + dt * c2
+            s = sqrt((p0 * p0 + p1 * p1) + p2 * p2)
+            q = -mu / (s * s * s)
+            d0, d1, d2 = accel(t0 + dt, (p0, p1, p2))
+            e0, e1, e2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
+            # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
+            n0 = x0 + sixth * (((v0 + 2.0 * u0) + 2.0 * w0) + z0)
+            n1 = x1 + sixth * (((v1 + 2.0 * u1) + 2.0 * w1) + z1)
+            n2 = x2 + sixth * (((v2 + 2.0 * u2) + 2.0 * w2) + z2)
+            nv0 = v0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + e0)
+            nv1 = v1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + e1)
+            nv2 = v2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + e2)
+            nr = sqrt((n0 * n0 + n1 * n1) + n2 * n2)
+            nm = _lane_margin(b, n0, n1, n2, nv0, nv1, nv2, nr)
+        except ZeroDivisionError:
+            nm = math.nan
+        if not math.isfinite(nm):
+            raise IntegrationFailureError(
+                t0, [x0, x1, x2, v0, v1, v2],
+                f"non-finite barrier margin in campaign stream {stream}",
+            )
+        if m > 0.0 and nm <= 0.0:
+            return _refine_sample_crossing(
+                scenario,
+                np.array([x0, x1, x2, v0, v1, v2]),
+                np.array([n0, n1, n2, nv0, nv1, nv2]),
+                t0, dt, stream,
+                np.array([v0, v1, v2, a0, a1, a2]),
+            )
+        x0, x1, x2, v0, v1, v2 = n0, n1, n2, nv0, nv1, nv2
+        r, m = nr, nm
+    return math.nan
+
+
+def _lane_margin(
+    b: BarrierSpec, x0: float, x1: float, x2: float, v0: float, v1: float, v2: float, r: float
+) -> float:
+    """:func:`margin_batch` of one lane with radius ``r``, on Python floats,
+    bit for bit."""
+    rdot = ((x0 * v0 + x2 * v2) + x1 * v1) / r
+    delta = r - b.center
+    neg2_delta = -2.0 * delta
+    h = b.half_width ** 2 - delta * delta
+    return neg2_delta * rdot - abs(neg2_delta) * b.d_bar + b.gamma * h
 
 
 def _require_finite_margins(
@@ -443,17 +610,20 @@ def _refine_sample_crossing(
     t0: float,
     dt: float,
     stream: int,
+    f0: np.ndarray,
 ) -> float:
-    """Scalar in-step refinement matching the engine's event semantics."""
+    """Scalar in-step refinement matching the engine's event semantics.
+
+    ``f0`` is the derivative at the step start, the caller's first RK4 stage
+    (bitwise ``two_body_field`` with the lane's disturbance at ``(t0, x0)``).
+    """
     g = scenario.gravity
     b = scenario.barrier
     flow = scenario.nominal_flow()
     monitor = lambda x: barrier_condition_margin(b, flow, x)
 
     if scenario.integrator.interpolation == "cubic-hermite":
-        d0 = scenario.disturbance.sample(t0, x0, stream)
         d1 = scenario.disturbance.sample(t0 + dt, x1, stream)
-        f0 = np.asarray(two_body_field(g, x0, accel=d0))
         f1 = np.asarray(two_body_field(g, x1, accel=d1))
         interp = hermite_interpolant(t0, x0, f0, t0 + dt, x1, f1)
     else:

@@ -335,19 +335,21 @@ class TestSampleAndFit:
     def test_sample_tau_rejects_planar(self, planar_config, tmp_path):
         assert cmd_sample_tau(planar_config, str(tmp_path / "s.csv")) == EXIT_CONFIG
 
-    def test_non_finite_lane_exit_3(self, sat_config, tmp_path, monkeypatch, caplog):
-        # poison the first live lane's margin on the fifth batch iteration
-        real = etsafe.inter_event.margin_batch
-        calls = []
+    @pytest.mark.parametrize("tail_width", [0, None], ids=["batch", "tail"])
+    def test_non_finite_lane_exit_3(self, sat_config, tmp_path, monkeypatch, caplog, tail_width):
+        # poison every held disturbance vector from hold interval 3 on, which
+        # the 9 lanes reach mid-run: on the numpy batch alone (tail width 0),
+        # and on the float tail, which takes them all at the default width
+        if tail_width is not None:
+            monkeypatch.setattr(etsafe.inter_event, "_TAIL_WIDTH", tail_width)
+        real = etsafe.inter_event._held_block
 
-        def poisoned(states, *args):
-            margins = real(states, *args)
-            calls.append(len(margins))
-            if len(calls) == 5:
-                margins[0] = np.nan
-            return margins
+        def poisoned(dist, streams, k, count):
+            held = real(dist, streams, k, count)
+            held[:, max(3 - k, 0):] = np.nan
+            return held
 
-        monkeypatch.setattr(etsafe.inter_event, "margin_batch", poisoned)
+        monkeypatch.setattr(etsafe.inter_event, "_held_block", poisoned)
         out = tmp_path / "s.csv"
         assert cmd_sample_tau(sat_config, str(out)) == EXIT_RUN
         assert not out.exists()

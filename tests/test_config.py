@@ -130,3 +130,28 @@ class TestParseConfig:
                 cfg.build_satellite()
             else:
                 cfg.build_planar()
+
+    def test_zonal_bound_follows_the_band(self, tmp_path):
+        # R = 3: the band is 6 +- 1.2, so the zonal field must reach d_bar at
+        # the inner radius 4.8 (the pole) and stay below it across the band
+        text = (
+            GREEDY.replace("kind = seeded-piecewise-constant", "kind = zonal-j2-like")
+            .replace("position = 2.2, 0.0, 0.0", "position = 6.6, 0.0, 0.0")
+            .replace("velocity = 0.0, 0.6742, 0.0", "velocity = 0.0, 0.3892, 0.0")
+            + "\n[gravity]\nmu = 1.0\nR = 3.0\n"
+        )
+        scn = parse_config(write(tmp_path, text)).build_satellite()
+        center, half_width = scn.barrier.radial_geometry()
+        assert (center, half_width) == (6.0, 1.2000000000000002)
+        dist = scn.disturbance
+        assert dist.shell_inner == center - half_width
+        pole = np.array([0.0, 0.0, center - half_width, 0.0, 0.0, 0.0])
+        assert np.linalg.norm(dist.sample(0.0, pole)) == pytest.approx(dist.d_bar, rel=1e-12)
+        rng = np.random.default_rng(4)
+        dirs = rng.normal(size=(2000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = rng.uniform(center - half_width, center + half_width, 2000)
+        sup = max(
+            float(np.linalg.norm(dist._zonal(r * u))) for r, u in zip(radii, dirs)
+        )
+        assert dist.d_bar * 0.5 < sup <= dist.d_bar * (1.0 + 1e-12)

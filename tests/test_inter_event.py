@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+import etsafe.inter_event as inter_event
 from etsafe.barrier import barrier_condition_margin, orbital_range_barrier
 from etsafe.dynamics import DisturbanceModel, GravityModel, apply_impulse
 from etsafe.inter_event import (
     FitError,
     InterEventSampleSet,
     InterEventTimeModel,
+    _TAIL_WIDTH,
+    _finish_lane,
     _initial_states,
     _lane_field,
+    _lane_margin,
     _norm3,
     _propagate_batch_until_trigger,
     _refine_sample_crossing,
@@ -280,7 +284,8 @@ def scalar_lane_tau(scn, x, stream, max_wait):
         x1 = rk4_step(fld, x, t0, dt)
         m1 = margin(x1)
         if m > 0.0 and m1 <= 0.0:
-            return _refine_sample_crossing(scn, x, x1, t0, dt, stream)
+            f0 = np.asarray(fld(t0, x.tolist()))
+            return _refine_sample_crossing(scn, x, x1, t0, dt, stream, f0)
         x, m = x1, m1
     return None
 
@@ -305,6 +310,18 @@ PINNED_TAUS = {
 # R = 1, gamma = 0.1, d_bar = 1e-3: the arguments row_major_margin is given
 BAND = orbital_range_barrier(GravityModel(), gamma=0.1, d_bar=1e-3)
 
+DISTURBANCE_KINDS = ("none", "seeded-piecewise-constant", "zonal-j2-like")
+
+
+@pytest.fixture(params=["batch", "tail"])
+def kernel(request, monkeypatch):
+    """Run a campaign test on both kernels: the numpy batch alone (tail width
+    0), and at the module's tail width, where a campaign of at most that many
+    lanes runs entirely in _finish_lane."""
+    if request.param == "batch":
+        monkeypatch.setattr(inter_event, "_TAIL_WIDTH", 0)
+    return request.param
+
 
 class TestComponentMajorKernel:
     WIDTHS = (1, 2, 7, 55, 605)
@@ -317,6 +334,14 @@ class TestComponentMajorKernel:
         r = _norm3(component_major[:3])
         assert margin_batch(states, BAND, r).tobytes() == expected
         assert margin_batch(component_major.T, BAND, r).tobytes() == expected
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_lane_margin_bitwise_equals_margin_batch(self, n):
+        # the tail's float margin, lane by lane
+        states = band_states(n, seed=n)
+        r = _norm3(np.ascontiguousarray(states.T)[:3])
+        lanes = [_lane_margin(BAND, *x, rj) for x, rj in zip(states.tolist(), r.tolist())]
+        assert np.array(lanes).tobytes() == margin_batch(states, BAND, r).tobytes()
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_lane_field_with_handed_radii_changes_no_bit(self, n):
@@ -343,12 +368,12 @@ class TestComponentMajorKernel:
         assert np.any(left_to_right != np.einsum("ij,ij->i", pos, vel))
 
     @pytest.mark.parametrize("kind", sorted(PINNED_TAUS))
-    def test_small_campaign_taus_pinned(self, kind):
+    def test_small_campaign_taus_pinned(self, kind, kernel):
         scn = make_scenario(seed=3, kind=kind)
         s = collect_inter_event_samples(scn, np.array([1.65, 2.0, 2.3]), 4, seed=3, max_wait=400.0)
         assert [repr(float(t)) for t in s.inter_event_time] == PINNED_TAUS[kind]
 
-    def test_zonal_lane_matches_scalar_rk4(self):
+    def test_zonal_lane_matches_scalar_rk4(self, kernel):
         # the zonal field is evaluated on each RK4 stage state, as in the
         # scalar disturbed_field, not on the state at the step start
         scn = make_scenario(seed=3, kind="zonal-j2-like")
@@ -369,7 +394,7 @@ class TestComponentMajorKernel:
             ((3.0, 0.0, 0.0, 1e153, 0.0, 0.0), False),  # unarmed runaway: overflows
         ],
     )
-    def test_non_finite_lane_raises(self, poison, fails_at_start):
+    def test_non_finite_lane_raises(self, poison, fails_at_start, kernel):
         scn = make_scenario()
         streams = np.array([7, 8], dtype=np.uint64)
         healthy = _initial_states(1.0, np.array([2.2]), 3, streams[:1])[0]
@@ -384,6 +409,55 @@ class TestComponentMajorKernel:
         else:
             assert err.t > 0.0 and np.all(np.isfinite(err.x))
             assert err.x[3] == 1e153  # the lane's state at the start of the failing step
+
+
+class TestTailHandOff:
+    @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)
+    def test_mid_run_hand_off_changes_no_bit(self, kind, monkeypatch):
+        # 24 lanes start in the batch; the 1.65 lanes fire first, and the
+        # rest are finished in the tail, some firing and the 2.0 ones censored
+        scn = make_scenario(seed=3, kind=kind)
+        grid, n, max_wait = np.array([1.65, 2.0, 2.3]), 8, 30.0
+        assert len(grid) * n > _TAIL_WIDTH
+        finish, refine = inter_event._finish_lane, inter_event._refine_sample_crossing
+        entries, crossings = [], {}
+
+        def spy_finish(*args):
+            entries.append(args[5])  # the step at which the lane entered
+            return finish(*args)
+
+        def spy_refine(scenario, x0, x1, t0, dt, stream, f0):
+            # the step's start, end and first stage, to the bit: a crossing
+            # time alone rarely shows a last-bit difference in the state
+            crossings[stream] = (t0, x0.tobytes(), x1.tobytes(), f0.tobytes())
+            return refine(scenario, x0, x1, t0, dt, stream, f0)
+
+        monkeypatch.setattr(inter_event, "_refine_sample_crossing", spy_refine)
+        monkeypatch.setattr(inter_event, "_finish_lane", spy_finish)
+        handed = collect_inter_event_samples(scn, grid, n, seed=3, max_wait=max_wait)
+        handed_crossings, crossings = crossings, {}
+        monkeypatch.setattr(inter_event, "_finish_lane", finish)
+        monkeypatch.setattr(inter_event, "_TAIL_WIDTH", 0)
+        batch = collect_inter_event_samples(scn, grid, n, seed=3, max_wait=max_wait)
+
+        assert len(entries) <= _TAIL_WIDTH and min(entries) > 0
+        hand_off = min(entries) * scn.integrator.step_size
+        taus = handed.inter_event_time
+        assert np.any((taus > hand_off) & ~handed.censored)
+        assert handed.censored.any()
+        assert [t.hex() for t in taus] == [t.hex() for t in batch.inter_event_time]
+        assert handed_crossings == crossings
+
+    def test_zero_radius_raises_integration_failure(self):
+        # the batch divides by the zero radius into a non-finite margin; on
+        # Python floats the ZeroDivisionError must not escape
+        scn = make_scenario()
+        x = [0.0, 0.0, 0.0, 0.1, 0.0, 0.0]
+        with pytest.raises(IntegrationFailureError) as info:
+            _finish_lane(scn, x, 0.0, 1.0, 8, 4, 10)
+        assert "stream 8" in str(info.value)
+        assert info.value.t == 4 * scn.integrator.step_size
+        assert info.value.x.tolist() == x
 
 
 class TestSerialization:
