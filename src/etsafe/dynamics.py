@@ -14,9 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-
-class SingularityError(RuntimeError):
-    """Radius fell below the singularity floor (crash into the central body)."""
+from .numerics import SingularityError
 
 
 @dataclass(frozen=True)
@@ -32,32 +30,105 @@ class GravityModel:
         if not self.R > 0.0:
             raise ValueError("R must be > 0")
 
+    @property
+    def singularity_floor(self) -> float:
+        """Default radius below which the two-body field raises, 0.1 R."""
+        return 0.1 * self.R
+
 
 def two_body_field(
-    g: GravityModel,
-    s: Sequence[float],
-    singularity_floor: Optional[float] = None,
-    accel: Optional[Sequence[float]] = None,
+    g: GravityModel, s: Sequence[float], accel: Optional[Sequence[float]] = None
 ) -> tuple[float, ...]:
     """Two-body derivative ``d/dt [r, v] = [v, -mu r / |r|^3 + accel]``.
 
     ``s`` is any sequence of six floats (a list, a tuple or an ndarray); the
     derivative is a tuple of floats.  ``accel`` is an extra acceleration (the
     disturbance), added to each gravity component with one IEEE addition.
-    The floor (default 0.1 R) only guards pathological configurations; the
-    safe set keeps the radius well above it.
+    The singularity floor only guards pathological configurations; the safe
+    set keeps the radius well above it.
     """
-    floor = 0.1 * g.R if singularity_floor is None else singularity_floor
+    floor = g.singularity_floor
     # Python floats run the same IEEE operations as numpy scalars, faster.
     x0, x1, x2, v0, v1, v2 = s.tolist() if isinstance(s, np.ndarray) else s
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     if r < floor:
-        raise SingularityError(f"radius {r!r} below singularity floor {floor!r}")
+        raise _below_floor(r, floor)
     k = -g.mu / (r * r * r)
     if accel is None:
         return (v0, v1, v2, k * x0, k * x1, k * x2)
     a0, a1, a2 = accel
     return (v0, v1, v2, k * x0 + a0, k * x1 + a1, k * x2 + a2)
+
+
+def _below_floor(r: float, floor: float) -> SingularityError:
+    return SingularityError(f"radius {r!r} below singularity floor {floor!r}")
+
+
+def _two_body_rk4(mu: float, floor: float, accel, by_state: bool):
+    """``step(t, dt, x) -> (new state, stage-1 derivative)``: one RK4 step of
+    the two-body flow plus ``accel(t, stage_state)`` on Python floats, bit for
+    bit the generic step of :func:`etsafe.numerics.rk4_step` on
+    ``two_body_field(g, s, accel=accel(t, s))``.
+
+    A disturbance that does not depend on the state (``by_state`` false) is
+    taken once for stages 2 and 3, which share a time.  A stage radius below
+    ``floor`` raises SingularityError; a floor of 0.0 never does, and a zero
+    radius then raises ZeroDivisionError.  Stage derivatives are not checked:
+    a non-finite one leaves the new state non-finite, for the caller to check,
+    and ``accel`` may meet a non-finite stage state.
+    """
+
+    def step(t: float, dt: float, x: Sequence[float]):
+        x0, x1, x2, v0, v1, v2 = x
+        half = 0.5 * dt
+        th = t + half
+        sqrt = math.sqrt
+        # stage 1 at (t, x); each stage's velocity block is its state's velocity
+        d0, d1, d2 = accel(t, x)
+        r = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        if r < floor:
+            raise _below_floor(r, floor)
+        q = -mu / (r * r * r)
+        a0, a1, a2 = q * x0 + d0, q * x1 + d1, q * x2 + d2
+        # stage 2 at x + half k1
+        p0, p1, p2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
+        u0, u1, u2 = v0 + half * a0, v1 + half * a1, v2 + half * a2
+        d0, d1, d2 = accel(th, (p0, p1, p2, u0, u1, u2))
+        r = sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+        if r < floor:
+            raise _below_floor(r, floor)
+        q = -mu / (r * r * r)
+        b0, b1, b2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
+        # stage 3 at x + half k2
+        p0, p1, p2 = x0 + half * u0, x1 + half * u1, x2 + half * u2
+        w0, w1, w2 = v0 + half * b0, v1 + half * b1, v2 + half * b2
+        if by_state:
+            d0, d1, d2 = accel(th, (p0, p1, p2, w0, w1, w2))
+        r = sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+        if r < floor:
+            raise _below_floor(r, floor)
+        q = -mu / (r * r * r)
+        c0, c1, c2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
+        # stage 4 at x + dt k3
+        p0, p1, p2 = x0 + dt * w0, x1 + dt * w1, x2 + dt * w2
+        z0, z1, z2 = v0 + dt * c0, v1 + dt * c1, v2 + dt * c2
+        d0, d1, d2 = accel(t + dt, (p0, p1, p2, z0, z1, z2))
+        r = sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+        if r < floor:
+            raise _below_floor(r, floor)
+        q = -mu / (r * r * r)
+        e0, e1, e2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
+        # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
+        sixth = dt / 6.0
+        n0 = x0 + sixth * (((v0 + 2.0 * u0) + 2.0 * w0) + z0)
+        n1 = x1 + sixth * (((v1 + 2.0 * u1) + 2.0 * w1) + z1)
+        n2 = x2 + sixth * (((v2 + 2.0 * u2) + 2.0 * w2) + z2)
+        m0 = v0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + e0)
+        m1 = v1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + e1)
+        m2 = v2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + e2)
+        return (n0, n1, n2, m0, m1, m2), (v0, v1, v2, a0, a1, a2)
+
+    return step
 
 
 def apply_impulse(s: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -149,6 +220,12 @@ class DisturbanceModel:
     hold_time: float = 1.0
     dim: int = 3
     shell_inner: float = 1.6
+
+    @property
+    def by_state(self) -> bool:
+        """Whether a sample depends on the state (the zonal kind) or on the
+        time alone."""
+        return self.kind == "zonal-j2-like"
 
     def __post_init__(self) -> None:
         if self.kind not in _DISTURBANCE_KINDS:

@@ -190,7 +190,7 @@ class _TrajectoryBuilder:
         states = np.vstack(self.states) if self.states else np.empty((0, 0))
         xi = np.concatenate(self.xi) if self.xi else np.empty(0)
         fon = np.concatenate(self.filter_on) if self.filter_on else np.empty(0, dtype=np.int8)
-        h = np.array([self._b.h(s) for s in states])
+        h = self._b.h_rows(states)
         return Trajectory(times=times, states=states, h=h, xi_active=xi, filter_on=fon)
 
 

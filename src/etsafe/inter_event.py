@@ -18,7 +18,8 @@ step together as one component-major, C-contiguous ``(6, n_live)`` numpy
 array (each state component a contiguous row), compacted when lanes fire.
 A numpy step costs about the same at any width, so once at most
 ``_TAIL_WIDTH`` lanes are live, each remaining lane is finished on its own
-on Python floats (:func:`_finish_lane`).
+on Python floats (:func:`_finish_lane`), by the two-body step that the
+scalar engine's satellite field takes too.
 
 Both kernels give every lane the same bits.  Each operation keeps its IEEE
 operands and their association: the RK4 stages of :func:`_lane_field`, the
@@ -39,7 +40,13 @@ import numpy as np
 
 from .atomic_io import atomic_write
 from .barrier import BarrierSpec, barrier_condition_margin
-from .dynamics import _hash_uniforms, _hash_unit_vectors, apply_impulse, two_body_field
+from .dynamics import (
+    _hash_uniforms,
+    _hash_unit_vectors,
+    _two_body_rk4,
+    apply_impulse,
+    two_body_field,
+)
 from .numerics import (
     IntegrationFailureError,
     hermite_interpolant,
@@ -378,9 +385,8 @@ class _LaneDisturbance:
 
 
 def _lane_accel(dist, stream: int):
-    """``(accel, by_state)``: the disturbance ``accel(t, pos) -> (a0, a1, a2)``
-    of one lane, as floats bit-identical to its column of
-    :class:`_LaneDisturbance`, and whether it depends on the position.
+    """The disturbance ``accel(t, s) -> (a0, a1, a2)`` of one lane, as floats
+    bit-identical to its column of :class:`_LaneDisturbance`.
 
     The piecewise-constant kind keeps one hashed block of the lane's held
     vectors, starting at the interval that needed it; the zonal kind is
@@ -389,25 +395,25 @@ def _lane_accel(dist, stream: int):
     """
     if dist.kind == "none":
         zero = (0.0, 0.0, 0.0)
-        return (lambda t, pos: zero), False
+        return lambda t, s: zero
     if dist.kind == "zonal-j2-like":
-        return (lambda t, pos: dist._clamp(dist._zonal(pos)).tolist()), True
+        return lambda t, s: dist._clamp(dist._zonal(s)).tolist()
     hold = dist.hold_time
     floor = math.floor
     key = np.array([stream], dtype=np.uint64)
     block: list = []
-    start = 0
+    start = end = 0  # the intervals block holds, start .. end-1
 
-    def held(t: float, pos) -> list:
-        nonlocal block, start
-        i = floor(t / hold) - start
-        if 0 <= i < len(block):
-            return block[i]
-        start += i
-        block = _held_block(dist, key, start, _LANE_BLOCK)[0].tolist()
+    def held(t: float, s) -> list:
+        nonlocal block, start, end
+        k = floor(t / hold)
+        if start <= k < end:
+            return block[k - start]
+        start, end = k, k + _LANE_BLOCK
+        block = _held_block(dist, key, k, _LANE_BLOCK)[0].tolist()
         return block[0]
 
-    return held, False
+    return held
 
 
 def _propagate_batch_until_trigger(
@@ -481,8 +487,7 @@ def _propagate_batch_until_trigger(
 
     for j, lane in enumerate(lanes.tolist()):
         out[lane] = _finish_lane(
-            scenario, x[:, j].tolist(), float(r[j]), float(margins[j]),
-            int(streams[lane]), k, n_steps,
+            scenario, x[:, j].tolist(), float(margins[j]), int(streams[lane]), k, n_steps
         )
     return out
 
@@ -490,7 +495,6 @@ def _propagate_batch_until_trigger(
 def _finish_lane(
     scenario: SatelliteScenario,
     x: list[float],
-    r: float,
     m: float,
     stream: int,
     first_step: int,
@@ -499,90 +503,53 @@ def _finish_lane(
     """Crossing time of one lane stepped alone on Python floats; NaN if it is
     still quiet after step ``n_steps``.
 
-    The lane enters at step ``first_step`` with state ``x``, radius ``r`` and
-    margin ``m``.  Each step runs the batch step's IEEE operations in its
-    association: the :func:`_lane_field` stages, the RK4 combination
-    ``((k1 + 2 k2) + 2 k3) + k4``, the :func:`_norm3` radius
-    ``(x0² + x1²) + x2²`` and the margin of :func:`_lane_margin`.  A
-    non-finite margin, or a division by a zero radius (which gives one in the
-    batch), raises IntegrationFailureError with the step-start time and state.
+    The lane enters at step ``first_step`` with state ``x`` and margin ``m``.
+    Each step is :func:`etsafe.dynamics._two_body_rk4` with no singularity
+    floor, as the batch has none, then the margin of :func:`_lane_margin`:
+    the batch step's IEEE operations in its association.  A non-finite
+    margin, or a division by a zero radius (which gives one in the batch),
+    raises IntegrationFailureError with the step-start time and state and
+    the lane's stream.
     """
-    b = scenario.barrier
-    mu = scenario.gravity.mu
+    margin = _lane_margin(scenario.barrier)
     dt = scenario.integrator.step_size
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    accel, by_state = _lane_accel(scenario.disturbance, stream)
-    sqrt = math.sqrt
-    x0, x1, x2, v0, v1, v2 = x
+    dist = scenario.disturbance
+    step = _two_body_rk4(scenario.gravity.mu, 0.0, _lane_accel(dist, stream), dist.by_state)
     for k in range(first_step, n_steps):
         t0 = k * dt
         try:
-            # stage 1 at (t0, x); the field's velocity block is the state's
-            q = -mu / (r * r * r)
-            d0, d1, d2 = accel(t0, (x0, x1, x2))
-            a0, a1, a2 = q * x0 + d0, q * x1 + d1, q * x2 + d2
-            # stage 2 at x + half k1
-            p0, p1, p2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
-            u0, u1, u2 = v0 + half * a0, v1 + half * a1, v2 + half * a2
-            s = sqrt((p0 * p0 + p1 * p1) + p2 * p2)
-            q = -mu / (s * s * s)
-            d0, d1, d2 = accel(t0 + half, (p0, p1, p2))
-            b0, b1, b2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
-            # stage 3 at x + half k2
-            p0, p1, p2 = x0 + half * u0, x1 + half * u1, x2 + half * u2
-            w0, w1, w2 = v0 + half * b0, v1 + half * b1, v2 + half * b2
-            s = sqrt((p0 * p0 + p1 * p1) + p2 * p2)
-            q = -mu / (s * s * s)
-            if by_state:  # else stage 2's vector, at the same time
-                d0, d1, d2 = accel(t0 + half, (p0, p1, p2))
-            c0, c1, c2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
-            # stage 4 at x + dt k3
-            p0, p1, p2 = x0 + dt * w0, x1 + dt * w1, x2 + dt * w2
-            z0, z1, z2 = v0 + dt * c0, v1 + dt * c1, v2 + dt * c2
-            s = sqrt((p0 * p0 + p1 * p1) + p2 * p2)
-            q = -mu / (s * s * s)
-            d0, d1, d2 = accel(t0 + dt, (p0, p1, p2))
-            e0, e1, e2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
-            # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
-            n0 = x0 + sixth * (((v0 + 2.0 * u0) + 2.0 * w0) + z0)
-            n1 = x1 + sixth * (((v1 + 2.0 * u1) + 2.0 * w1) + z1)
-            n2 = x2 + sixth * (((v2 + 2.0 * u2) + 2.0 * w2) + z2)
-            nv0 = v0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + e0)
-            nv1 = v1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + e1)
-            nv2 = v2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + e2)
-            nr = sqrt((n0 * n0 + n1 * n1) + n2 * n2)
-            nm = _lane_margin(b, n0, n1, n2, nv0, nv1, nv2, nr)
+            new, k1 = step(t0, dt, x)
+            nm = margin(new)
         except ZeroDivisionError:
             nm = math.nan
         if not math.isfinite(nm):
             raise IntegrationFailureError(
-                t0, [x0, x1, x2, v0, v1, v2],
-                f"non-finite barrier margin in campaign stream {stream}",
+                t0, x, f"non-finite barrier margin in campaign stream {stream}"
             )
         if m > 0.0 and nm <= 0.0:
             return _refine_sample_crossing(
-                scenario,
-                np.array([x0, x1, x2, v0, v1, v2]),
-                np.array([n0, n1, n2, nv0, nv1, nv2]),
-                t0, dt, stream,
-                np.array([v0, v1, v2, a0, a1, a2]),
+                scenario, np.array(x), np.array(new), t0, dt, stream, np.array(k1)
             )
-        x0, x1, x2, v0, v1, v2 = n0, n1, n2, nv0, nv1, nv2
-        r, m = nr, nm
+        x, m = new, nm
     return math.nan
 
 
-def _lane_margin(
-    b: BarrierSpec, x0: float, x1: float, x2: float, v0: float, v1: float, v2: float, r: float
-) -> float:
-    """:func:`margin_batch` of one lane with radius ``r``, on Python floats,
-    bit for bit."""
-    rdot = ((x0 * v0 + x2 * v2) + x1 * v1) / r
-    delta = r - b.center
-    neg2_delta = -2.0 * delta
-    h = b.half_width ** 2 - delta * delta
-    return neg2_delta * rdot - abs(neg2_delta) * b.d_bar + b.gamma * h
+def _lane_margin(b: BarrierSpec):
+    """``margin(x)``: :func:`margin_batch` of one lane's six floats with its
+    :func:`_norm3` radius, on Python floats, bit for bit; reads the band and
+    the gain from ``b`` once."""
+    c, hw2, d_bar, gamma = b.center, b.half_width ** 2, b.d_bar, b.gamma
+    sqrt = math.sqrt
+
+    def margin(x) -> float:
+        x0, x1, x2, v0, v1, v2 = x
+        r = sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+        rdot = ((x0 * v0 + x2 * v2) + x1 * v1) / r
+        delta = r - c
+        neg2_delta = -2.0 * delta
+        return neg2_delta * rdot - abs(neg2_delta) * d_bar + gamma * (hw2 - delta * delta)
+
+    return margin
 
 
 def _require_finite_margins(

@@ -15,6 +15,13 @@ outside the stepper may pass an ndarray) and returns its derivative as a
 sequence of floats, such as a tuple.  :func:`rk4_step` still returns one
 ndarray per step; code that needs array arithmetic on a derivative converts
 it with ``np.asarray`` at that boundary.
+
+A field may bring its own step, ``field.rk4(t, dt, x) -> (new state,
+stage-1 derivative)`` with ``x`` a list of floats, bit for bit the generic
+step on the field (the satellite's disturbed field does).  :func:`rk4_step`
+then takes the step with it, and replays through the generic stages a step
+that raised SingularityError or came out non-finite, so a field's errors
+are the generic step's.
 """
 
 from __future__ import annotations
@@ -43,6 +50,11 @@ class IntegrationFailureError(RuntimeError):
     def __reduce__(self):
         # picklable across processes: rebuild from the constructor's arguments
         return type(self), (self.t, self.x, self.reason)
+
+
+class SingularityError(RuntimeError):
+    """A field's state reached its singularity: for the two-body field, the
+    radius fell below the singularity floor (a crash into the central body)."""
 
 
 class BracketError(ValueError):
@@ -114,14 +126,26 @@ def rk4_step(field: Field, x: np.ndarray, t: float, dt: float) -> np.ndarray:
 
     The stages run on Python floats with the association of the numpy
     expression ``x + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so the result is
-    bit-identical to it; no array is built until the returned state.
+    bit-identical to it; no array is built until the returned state.  A field
+    with its own ``rk4`` step is stepped by it (see the module docstring).
 
     Raises IntegrationFailureError, with the step-start ``t`` and ``x``, if any
-    stage derivative is non-finite; later stages are then not evaluated.
+    stage derivative is non-finite.  The generic stages then evaluate no later
+    stage; a field's own step has evaluated all four before the replay.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     x0 = x.tolist()
+    own = getattr(field, "rk4", None)
+    if own is not None:
+        try:
+            x1 = own(t, dt, x0)[0]
+            if math.isfinite(sum(x1)):
+                return np.array(x1)
+        except SingularityError:
+            pass
+        # a non-finite stage derivative leaves a non-finite sum; then, or
+        # below the floor, the generic stages replay the step and raise
     half = 0.5 * dt
     k1 = field(t, x0)
     _require_finite(k1, t, x)

@@ -17,6 +17,7 @@ from .dynamics import (
     ControlAffineSystem,
     DisturbanceModel,
     GravityModel,
+    _two_body_rk4,
     goal_tracking_controller,
     single_integrator,
     two_body_field,
@@ -54,7 +55,8 @@ class SatelliteScenario:
     def disturbed_field(self, horizon: float, stream: int = 0) -> Field:
         """Integration field including the realized disturbance stream.
 
-        Takes any float sequence and returns the derivative as a tuple.
+        Takes any float sequence and returns the derivative as a tuple, and
+        carries its own RK4 step, ``fld.rk4`` (see :mod:`etsafe.numerics`).
         """
         g = self.gravity
         d = self.disturbance.realize(horizon, stream)
@@ -62,6 +64,7 @@ class SatelliteScenario:
         def fld(t: float, x: Sequence[float]) -> tuple[float, ...]:
             return two_body_field(g, x, accel=d(t, x))
 
+        fld.rk4 = _two_body_rk4(g.mu, g.singularity_floor, d, self.disturbance.by_state)
         return fld
 
 

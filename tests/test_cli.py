@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -678,6 +679,32 @@ class TestOutputDigests:
         config = os.path.join(CONFIGS, "planar_intermittent.ini")
         assert cmd_simulate(config, out, horizon=20.0) == EXIT_OK
         assert output_digests(out) == OUTPUT_DIGESTS["planar"]
+
+
+def fma(a, b, c):
+    """``a * b + c`` rounded once, computed exactly."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+class TestDigestPlatform:
+    def test_three_element_dot_is_an_fma_chain(self):
+        # every barrier margin takes 3-element ndarray.dot products, so the
+        # bytes of every output rest on how the BLAS library rounds them
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-3, 4, size=(3000, 1))
+        b = rng.normal(size=(3000, 3))
+        chains = [fma(p[2], q[2], fma(p[1], q[1], p[0] * q[0])) for p, q in zip(a.tolist(), b.tolist())]
+        dots = [p.dot(q) for p, q in zip(a, b)]
+        mismatched = sum(d != c for d, c in zip(dots, chains))
+        assert mismatched == 0, (
+            f"ndarray.dot of 3 floats differs from fma(a2, b2, fma(a1, b1, a0*b0)) "
+            f"on {mismatched} of 3000 vectors: this BLAS rounds differently from the "
+            "one the output digests were pinned on, so TestOutputDigests and "
+            "perfbench/reference.json do not apply on this host"
+        )
+        # a plain left-to-right sum rounds differently on many of them
+        plain = [(p[0] * q[0] + p[1] * q[1]) + p[2] * q[2] for p, q in zip(a.tolist(), b.tolist())]
+        assert sum(d != s for d, s in zip(dots, plain)) > 100
 
 
 class TestDebugEventLog:

@@ -542,3 +542,18 @@ def test_every_step_routes_through_barrier_condition_margin(monkeypatch):
     run_greedy_impulsive(cfg.build_satellite(), cfg.initial_state, 150.0)
     assert counts["step"] >= 3000
     assert counts["margin"] >= counts["step"]
+
+
+class TestTrajectoryH:
+    @pytest.mark.parametrize("run", ["greedy_run", "maneuver_run", "planar_run"])
+    def test_h_column_bitwise_equals_h_per_row(self, run, request):
+        _, scenario, result, _ = request.getfixturevalue(run)
+        states = result.trajectory.states
+        per_row = np.array([scenario.barrier.h(s) for s in states])
+        assert result.trajectory.h.tobytes() == per_row.tobytes()
+        if run == "greedy_run":
+            # numpy's square of (r - c) differs from Python's ** on some rows,
+            # so the pin above sees which one the column uses
+            c, hw = scenario.barrier.radial_geometry()
+            r = np.sqrt([s[:3].dot(s[:3]) for s in states])
+            assert np.any(hw * hw - np.square(r - c) != per_row)

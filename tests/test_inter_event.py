@@ -337,10 +337,10 @@ class TestComponentMajorKernel:
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_lane_margin_bitwise_equals_margin_batch(self, n):
-        # the tail's float margin, lane by lane
+        # the tail's float margin, radius included, lane by lane
         states = band_states(n, seed=n)
         r = _norm3(np.ascontiguousarray(states.T)[:3])
-        lanes = [_lane_margin(BAND, *x, rj) for x, rj in zip(states.tolist(), r.tolist())]
+        lanes = list(map(_lane_margin(BAND), states.tolist()))
         assert np.array(lanes).tobytes() == margin_batch(states, BAND, r).tobytes()
 
     @pytest.mark.parametrize("n", WIDTHS)
@@ -423,7 +423,7 @@ class TestTailHandOff:
         entries, crossings = [], {}
 
         def spy_finish(*args):
-            entries.append(args[5])  # the step at which the lane entered
+            entries.append(args[4])  # the step at which the lane entered
             return finish(*args)
 
         def spy_refine(scenario, x0, x1, t0, dt, stream, f0):
@@ -454,7 +454,7 @@ class TestTailHandOff:
         scn = make_scenario()
         x = [0.0, 0.0, 0.0, 0.1, 0.0, 0.0]
         with pytest.raises(IntegrationFailureError) as info:
-            _finish_lane(scn, x, 0.0, 1.0, 8, 4, 10)
+            _finish_lane(scn, x, 1.0, 8, 4, 10)
         assert "stream 8" in str(info.value)
         assert info.value.t == 4 * scn.integrator.step_size
         assert info.value.x.tolist() == x

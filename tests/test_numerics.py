@@ -1,5 +1,6 @@
 """Integration, interpolation, and event-location tests."""
 
+import contextlib
 import dataclasses
 import os
 import pickle
@@ -7,13 +8,16 @@ import pickle
 import numpy as np
 import pytest
 
+import etsafe.scenarios as scenarios
 from etsafe.config import parse_config
+from etsafe.dynamics import DisturbanceModel
 from etsafe.engine import _planar_fields
 from etsafe.numerics import (
     BracketError,
     EventLocatorConfig,
     IntegrationFailureError,
     IntegratorConfig,
+    SingularityError,
     locate_zero_crossing,
     propagate_until,
     rk4_step,
@@ -128,11 +132,15 @@ class TestFloatStagesMatchNumpyOracle:
         [
             ("greedy_satellite.ini", None),
             ("greedy_satellite.ini", "zonal-j2-like"),
+            ("greedy_satellite.ini", "none"),
             ("planar_intermittent.ini", None),
         ],
     )
     def test_consecutive_steps_bitwise_equal(self, config, kind):
+        # the satellite field steps with its own fused step, the oracle with
+        # four field calls
         field, x, dt = shipped_field(config, kind)
+        assert hasattr(field, "rk4") == (config == "greedy_satellite.ini")
         oracle = x.copy()
         for k in range(self.STEPS):
             x = rk4_step(field, x, k * dt, dt)
@@ -158,6 +166,118 @@ class TestFloatStagesMatchNumpyOracle:
         assert len(calls) == stage  # no later stage ran
         assert err.value.t == 7.25
         assert err.value.x.tobytes() == x0.tobytes()
+
+
+def generic(field):
+    """The same field without its own step: rk4_step takes the four stages."""
+    return lambda t, x: field(t, x)
+
+
+def poisoned_field(monkeypatch, kind, stage, bad, x0, t, dt):
+    """The shipped satellite field whose disturbance returns ``bad`` in one
+    component at one stage point of the step from ``(t, x0)``: that stage's
+    time, and also its state when the kind depends on the state.  Both step
+    paths reach the point with the same bits, so it poisons the same stage
+    in both; a state-free kind has one point for stages 2 and 3."""
+    points = []
+    real = DisturbanceModel.realize
+
+    def recording(self, horizon, stream=0):
+        d = real(self, horizon, stream)
+        return lambda t, s: points.append((t, tuple(s))) or d(t, s)
+
+    monkeypatch.setattr(DisturbanceModel, "realize", recording)
+    field, _, _ = shipped_field("greedy_satellite.ini", kind)
+    with contextlib.suppress(SingularityError):
+        rk4_step(generic(field), x0, t, dt)
+    by_state = kind == "zonal-j2-like"
+    key = lambda t, s: (t, tuple(s)) if by_state else t
+    target = key(*points[stage - 1])
+
+    def poisoning(self, horizon, stream=0):
+        d = real(self, horizon, stream)
+
+        def sampler(t, s):
+            a = list(d(t, s))
+            if key(t, s) == target:
+                a[stage % 3] = bad
+            return a
+
+        return sampler
+
+    monkeypatch.setattr(DisturbanceModel, "realize", poisoning)
+    return shipped_field("greedy_satellite.ini", kind)[0]
+
+
+class TestFusedTwoBodyStep:
+    """The satellite field's own step raises what the generic stages raise."""
+
+    @pytest.mark.parametrize("kind", ["zonal-j2-like", "seeded-piecewise-constant"])
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_disturbance_raises_as_generic(self, kind, stage, bad, monkeypatch):
+        _, x0, dt = shipped_field("greedy_satellite.ini")
+        field = poisoned_field(monkeypatch, kind, stage, bad, x0, 7.25, dt)
+        errors = []
+        for f in (field, generic(field)):
+            # the fused step evaluates all four stages before the replay, so
+            # the zonal field may meet a non-finite stage state
+            with np.errstate(all="ignore"), pytest.raises(IntegrationFailureError) as err:
+                rk4_step(f, x0, 7.25, dt)
+            errors.append((str(err.value), err.value.t, err.value.x.tobytes()))
+        assert errors[0] == errors[1]
+        assert errors[0][1:] == (7.25, x0.tobytes())
+
+    # falling straight in at 1.2 per unit from these radii, the stage named
+    # is the first whose radius is below the floor (0.1 R)
+    @pytest.mark.parametrize("r0, stage", [(0.099, 1), (0.11, 2), (0.13, 3), (0.16, 4)])
+    def test_dip_below_floor_raises_singularity(self, r0, stage):
+        field, _, dt = shipped_field("greedy_satellite.ini")
+        x0 = np.array([r0, 0.0, 0.0, -1.2, 0.0, 0.0])
+        calls, messages = [], []
+        counted = lambda t, x: calls.append(t) or field(t, x)
+        for f in (field, counted):
+            with pytest.raises(SingularityError) as err:
+                rk4_step(f, x0, 0.0, dt)
+            messages.append(str(err.value))
+        assert len(calls) == stage
+        assert messages[0] == messages[1]  # the message holds the stage radius
+        # the field's own step stops at that stage itself, not only the replay
+        with pytest.raises(SingularityError, match=messages[1].replace(".", r"\.")):
+            field.rk4(0.0, dt, x0.tolist())
+
+    def test_nonfinite_stage_before_the_floor_wins(self, monkeypatch):
+        # stage 2's radius is below the floor, so the clean step raises
+        # SingularityError; with stage 1's disturbance NaN the generic stages
+        # stop at stage 1 first, and so must the field's own step
+        field, _, dt = shipped_field("greedy_satellite.ini")
+        x0 = np.array([0.11, 0.0, 0.0, -1.2, 0.0, 0.0])
+        with pytest.raises(SingularityError):
+            rk4_step(field, x0, 0.0, dt)
+        field = poisoned_field(
+            monkeypatch, "seeded-piecewise-constant", 1, np.nan, x0, 0.0, dt
+        )
+        for f in (field, generic(field)):
+            with pytest.raises(IntegrationFailureError) as err:
+                rk4_step(f, x0, 0.0, dt)
+            assert err.value.t == 0.0 and err.value.x.tobytes() == x0.tobytes()
+
+    def test_steps_take_no_field_call_but_refinement(self, monkeypatch):
+        field, x0, dt = shipped_field("greedy_satellite.ini")
+        calls = []
+        real = scenarios.two_body_field
+        monkeypatch.setattr(
+            scenarios, "two_body_field", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        cfg = IntegratorConfig(step_size=dt)
+        times, _, _, crossing = propagate_until(field, x0, 0.0, 200 * dt, [lambda x: 1.0], cfg)
+        assert crossing is None and len(times) == 201
+        assert calls == []
+        # the crossing's cubic-Hermite refinement takes the field at both ends
+        # of its step, and nothing else does
+        _, _, _, crossing = propagate_until(field, x0, 0.0, 200 * dt, [lambda x: x[0] - 2.1], cfg)
+        assert crossing is not None
+        assert len(calls) == 2
 
 
 class TestLocateZeroCrossing:
