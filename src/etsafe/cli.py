@@ -9,9 +9,11 @@ leaves no partial files.  compare runs its two arms in two processes at the
 same time (greedy in a worker, maneuver in the calling process), each writing
 into a staging directory under --out; the outputs are moved into place only
 when both arms succeed; a compare interrupted by SIGINT or SIGTERM exits 3
-and removes its staging directories.  Identical config and seed reproduce
-outputs byte-for-byte.  ETSAFE_LOG_LEVEL (error | info | debug) controls
-stderr logging.
+and removes its staging directories.  sample-tau steps its lanes in one
+process per usable CPU; a failing lane, a dead worker or an interrupt makes
+it exit 3 and write nothing.  Identical config and seed reproduce outputs
+byte-for-byte.  ETSAFE_LOG_LEVEL (error | info | debug) controls stderr
+logging.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .inter_event import (
     save_samples,
 )
 from .numerics import IntegrationFailureError
+from .workers import started_workers
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -220,29 +223,6 @@ def _run_arm(
     return result.summary
 
 
-def _arm_worker(conn, *arm_args) -> None:
-    """Worker process body: run one arm and send back ``(True, summary)`` or
-    ``(False, exception)`` over ``conn``.
-
-    The worker exits as soon as the process that started it is gone: a parent
-    killed by a signal runs no cleanup, and its arm's outputs would be moot.
-    The parent's sentinel is used rather than ``os.getppid()``, because under
-    the forkserver start method the OS parent is the fork server."""
-    from multiprocessing import parent_process
-    from multiprocessing.connection import wait
-
-    def watch() -> None:
-        wait([parent_process().sentinel])
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-    try:
-        reply = (True, _run_arm(*arm_args))
-    except BaseException as err:
-        reply = (False, err)
-    conn.send(reply)
-
-
 def _run_arms(
     config_path: str,
     tau_model_path: str,
@@ -252,38 +232,16 @@ def _run_arms(
 ) -> tuple[RunSummary, RunSummary]:
     """Run the greedy arm in a worker process while the maneuver arm runs
     here; the worker has exited, or been killed, before this returns."""
-    # multiprocessing costs ≈15 ms of start-up (python -X importtime) that
-    # the other subcommands need not pay, so only compare imports it
-    import multiprocessing
-
-    recv, send = multiprocessing.Pipe(duplex=False)
-    worker = multiprocessing.Process(
-        target=_arm_worker,
-        args=(send, config_path, "greedy", seed, horizon, None, stages["greedy"]),
-        daemon=True,
+    greedy_call = (
+        "greedy worker",
+        _run_arm,
+        (config_path, "greedy", seed, horizon, None, stages["greedy"]),
     )
-    worker.start()
-    send.close()
-    try:
+    with started_workers([greedy_call], "its arm") as (worker,):
         maneuver = _run_arm(
             config_path, "maneuver", seed, horizon, tau_model_path, stages["maneuver"]
         )
-        try:
-            ok, greedy = recv.recv()
-        except EOFError:
-            worker.join()
-            raise ChildProcessError(
-                f"greedy worker exited with code {worker.exitcode} before its arm ended"
-            ) from None
-        if not ok:
-            raise greedy
-        return greedy, maneuver
-    except BaseException:
-        worker.kill()
-        raise
-    finally:
-        worker.join()
-        recv.close()
+        return worker.result(), maneuver
 
 
 def _execute(cfg: ScenarioConfig, scheme: str) -> RunResult:
@@ -366,8 +324,11 @@ def cmd_sample_tau(
         samples = collect_inter_event_samples(
             scenario, radius_grid, n_per_radius, seed=cfg.seed, max_wait=wait
         )
-    except (ValueError, RunAbortedError, IntegrationFailureError) as err:
+    except (ValueError, RunAbortedError, IntegrationFailureError, ChildProcessError) as err:
         log.error("sampling failed: %s", err)
+        return EXIT_RUN
+    except KeyboardInterrupt:
+        log.error("sampling interrupted")
         return EXIT_RUN
     save_samples(samples, out_path)
     frac = samples.censored_count / max(len(samples.radius), 1)

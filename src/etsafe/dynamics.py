@@ -273,6 +273,9 @@ class DisturbanceModel:
     def _zonal(self, s: Sequence[float]) -> np.ndarray:
         pos = np.asarray(s[:3], dtype=float)
         r2 = float(pos @ pos)
+        if not math.isfinite(r2):
+            # a non-finite stage state; the arithmetic below would warn
+            return np.full(3, math.nan)
         r = np.sqrt(r2)
         if r < 1e-12:
             return np.zeros(3)

@@ -357,6 +357,67 @@ class TestSampleAndFit:
         assert "non-finite barrier margin" in caplog.text
 
 
+class TestSampleTauShards:
+    """sample-tau's lanes run in shards across worker processes; a failure in
+    any of them exits 3, writes no file and leaves no process."""
+
+    @pytest.fixture(autouse=True)
+    def two_shards(self, monkeypatch):
+        monkeypatch.setattr(etsafe.inter_event, "_shard_count", lambda n_lanes: 2)
+
+    def test_two_shards_write_what_one_writes(self, sat_config, tmp_path, monkeypatch):
+        # near-boundary radii fire within the wait
+        sharded = tmp_path / "two.csv"
+        assert cmd_sample_tau(sat_config, str(sharded), grid="1.65,2.3,2.35", n=4) == EXIT_OK
+        monkeypatch.setattr(etsafe.inter_event, "_shard_count", lambda n_lanes: 1)
+        single = tmp_path / "one.csv"
+        assert cmd_sample_tau(sat_config, str(single), grid="1.65,2.3,2.35", n=4) == EXIT_OK
+        assert read_bytes(sharded) == read_bytes(single)
+
+    def test_non_finite_lane_in_a_worker_exit_3(self, sat_config, tmp_path, monkeypatch, caplog):
+        # stream 2 is lane 1, in the worker's shard, and only there is it
+        # poisoned, so the error must cross the process boundary
+        here, real = os.getpid(), etsafe.inter_event._held_block
+
+        def poisoned(dist, streams, k, count):
+            held = real(dist, streams, k, count)
+            if os.getpid() != here:
+                held[np.ravel(streams) == 2, max(3 - k, 0):] = np.nan
+            return held
+
+        monkeypatch.setattr(etsafe.inter_event, "_held_block", poisoned)
+        out = tmp_path / "s.csv"
+        assert cmd_sample_tau(sat_config, str(out)) == EXIT_RUN
+        assert not out.exists()
+        assert "non-finite barrier margin in campaign stream 2 " in caplog.text
+        assert multiprocessing.active_children() == []
+
+    def test_worker_killed_mid_run_exit_3(self, sat_config, tmp_path, monkeypatch, caplog):
+        here, refine = os.getpid(), etsafe.inter_event._refine_sample_crossing
+
+        def killed_in_a_worker(*args):
+            if os.getpid() != here:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return refine(*args)
+
+        monkeypatch.setattr(etsafe.inter_event, "_refine_sample_crossing", killed_in_a_worker)
+        out = tmp_path / "s.csv"
+        # the worker is killed at its first crossing
+        assert cmd_sample_tau(sat_config, str(out), grid="1.65,2.3,2.35", n=4) == EXIT_RUN
+        assert not out.exists()
+        assert "campaign worker 1 exited with code -9" in caplog.text
+        assert multiprocessing.active_children() == []
+
+
+def test_sample_and_fit_regenerate_the_shipped_tau_files(tmp_path):
+    # the shipped campaign, sharded as this host shards it
+    samples, model = str(tmp_path / "tau_samples.csv"), str(tmp_path / "tau_model.json")
+    assert cmd_sample_tau(os.path.join(CONFIGS, "greedy_satellite.ini"), samples, seed=3) == EXIT_OK
+    assert cmd_fit_tau(samples, model) == EXIT_OK
+    assert read_bytes(samples) == read_bytes(os.path.join(CONFIGS, "tau_samples.csv"))
+    assert read_bytes(model) == read_bytes(SHIPPED_MODEL)
+
+
 class TestCompare:
     def test_compare_report_fields(self, sat_config, tmp_path):
         samples = str(tmp_path / "samples.csv")
@@ -538,6 +599,66 @@ def test_worker_exits_when_compare_is_killed(sat_config, tmp_path, method):
         assert all(map(process_gone, workers))
     finally:
         proc.kill()
+        for pid in workers:
+            if not process_gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def settled_descendants(proc):
+    """The processes below ``proc`` once their set has not changed for 1 s
+    (60 s at most)."""
+    found = set()
+    deadline = time.monotonic() + 60.0
+    last, since = set(), time.monotonic()
+    while proc.poll() is None and time.monotonic() < deadline:
+        now = set(descendants(proc.pid))
+        found |= now
+        if now != last or not now:
+            last, since = now, time.monotonic()
+        elif time.monotonic() - since > 1.0:
+            break
+        time.sleep(0.05)
+    return found
+
+
+needs_two_cpus = pytest.mark.skipif(
+    etsafe.inter_event._usable_cpus() < 2, reason="sample-tau forks no worker on one CPU"
+)
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="finds the worker through /proc",
+)
+@needs_two_cpus
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_no_worker_outlives_a_signalled_sample_tau(sat_config, tmp_path, sig):
+    # 90 lanes make two shards, and at this wait the 2.0 lanes of both run
+    # for minutes.  SIGKILL runs no cleanup, so the worker must notice its
+    # parent's death; SIGTERM is an interrupt, which kills the worker
+    out = tmp_path / "s.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "etsafe.cli", "sample-tau", "--config", sat_config,
+         "--out", str(out), "--n", "30", "--max-wait", "100000"],
+        env=dict(os.environ, PYTHONPATH=SRC, ETSAFE_LOG_LEVEL="error"),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = set()
+    try:
+        workers = settled_descendants(proc)
+        assert proc.poll() is None, "sample-tau ended before it was signalled"
+        assert workers, "sample-tau started no worker"
+        proc.send_signal(sig)
+        code = proc.wait(timeout=30)
+        assert code == (-signal.SIGKILL if sig == signal.SIGKILL else EXIT_RUN)
+        deadline = time.monotonic() + 20.0
+        while not all(map(process_gone, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert all(map(process_gone, workers))
+        assert os.listdir(tmp_path) == ["sat.ini"]
+    finally:
+        proc.kill()
+        proc.wait()
         for pid in workers:
             if not process_gone(pid):
                 os.kill(pid, signal.SIGKILL)

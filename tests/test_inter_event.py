@@ -1,5 +1,9 @@
 """Inter-event-time sampling campaign and model fitting tests."""
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from etsafe.inter_event import (
     FitError,
     InterEventSampleSet,
     InterEventTimeModel,
+    LaneFailureError,
     _TAIL_WIDTH,
     _finish_lane,
     _initial_states,
@@ -18,6 +23,7 @@ from etsafe.inter_event import (
     _norm3,
     _propagate_batch_until_trigger,
     _refine_sample_crossing,
+    _shard_count,
     collect_inter_event_samples,
     fit_inter_event_model,
     load_model,
@@ -411,9 +417,20 @@ class TestComponentMajorKernel:
             assert err.x[3] == 1e153  # the lane's state at the start of the failing step
 
 
+@pytest.fixture
+def one_shard(monkeypatch):
+    """Keep a campaign in this process, so that spies on its calls see them
+    all; a forked worker would make its calls on its own copies."""
+    monkeypatch.setattr(inter_event, "_shard_count", lambda n_lanes: 1)
+
+
+def shards(monkeypatch, k):
+    monkeypatch.setattr(inter_event, "_shard_count", lambda n_lanes: k)
+
+
 class TestTailHandOff:
     @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)
-    def test_mid_run_hand_off_changes_no_bit(self, kind, monkeypatch):
+    def test_mid_run_hand_off_changes_no_bit(self, kind, monkeypatch, one_shard):
         # 24 lanes start in the batch; the 1.65 lanes fire first, and the
         # rest are finished in the tail, some firing and the 2.0 ones censored
         scn = make_scenario(seed=3, kind=kind)
@@ -458,6 +475,97 @@ class TestTailHandOff:
         assert "stream 8" in str(info.value)
         assert info.value.t == 4 * scn.integrator.step_size
         assert info.value.x.tolist() == x
+
+
+def poison_streams(monkeypatch, first_bad):
+    """From hold interval ``first_bad[stream]`` on, the held disturbance of
+    each stream named is NaN, in this process and in forked workers."""
+    real = inter_event._held_block
+
+    def poisoned(dist, streams, k, count):
+        held = real(dist, streams, k, count)
+        for i, stream in enumerate(np.ravel(streams).tolist()):
+            if stream in first_bad:
+                held[i, max(first_bad[stream] - k, 0):] = np.nan
+        return held
+
+    monkeypatch.setattr(inter_event, "_held_block", poisoned)
+
+
+class TestShards:
+    """Lanes split across processes, lane i in shard i mod k."""
+
+    GRID, N, MAX_WAIT = np.array([1.65, 2.0, 2.3]), 4, 400.0
+
+    @pytest.mark.parametrize(
+        "cpus, n_lanes, expected",
+        [(2, 605, 2), (4, 605, 4), (1, 605, 1), (2, 41, 1), (2, 42, 2), (3, 62, 2), (2, 5, 1)],
+    )
+    def test_one_shard_per_cpu_none_starting_in_the_tail(self, cpus, n_lanes, expected, monkeypatch):
+        monkeypatch.setattr(inter_event, "_usable_cpus", lambda: cpus)
+        assert _TAIL_WIDTH == 20
+        assert _shard_count(n_lanes) == expected
+
+    @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)
+    def test_taus_do_not_depend_on_shard_count(self, kind, kernel, monkeypatch):
+        scn = make_scenario(seed=3, kind=kind)
+        taus = {}
+        for k in (1, 2, 3):
+            shards(monkeypatch, k)
+            s = collect_inter_event_samples(scn, self.GRID, self.N, seed=3, max_wait=self.MAX_WAIT)
+            taus[k] = [repr(float(t)) for t in s.inter_event_time]
+        assert taus[2] == taus[1] and taus[3] == taus[1]
+        if kind in PINNED_TAUS:
+            assert taus[1] == PINNED_TAUS[kind]
+        assert multiprocessing.active_children() == []
+
+    def test_failure_in_a_worker_shard_names_its_stream(self, monkeypatch):
+        # stream 2 is lane 1, in the first worker's shard
+        scn = make_scenario(seed=3)
+        shards(monkeypatch, 2)
+        poison_streams(monkeypatch, {2: 3})
+        with pytest.raises(LaneFailureError) as info:
+            collect_inter_event_samples(scn, self.GRID, self.N, seed=3, max_wait=self.MAX_WAIT)
+        err = info.value
+        assert err.stream == 2 and "campaign stream 2" in str(err)
+        assert err.t == 2.95  # the step whose last stage is in interval 3
+        assert err.x.shape == (6,) and np.all(np.isfinite(err.x))
+        assert multiprocessing.active_children() == []
+
+    # streams 5-8 are the 2.0 lanes, quiet to max_wait: 5 and 7 in this
+    # process's shard, 6 and 8 in the worker's
+    @pytest.mark.parametrize(
+        "first_bad, named",
+        [
+            ({5: 6, 8: 3}, 8),  # the worker's failure is the earlier one
+            ({6: 6, 7: 3}, 7),  # this process's failure is the earlier one
+            ({7: 3, 6: 3}, 6),  # equal times: the lower stream, the worker's
+            ({5: 3, 6: 3}, 5),  # equal times: the lower stream, this process's
+        ],
+    )
+    def test_earliest_failure_then_lowest_stream_is_raised(self, first_bad, named, monkeypatch):
+        scn = make_scenario(seed=3)
+        shards(monkeypatch, 2)
+        poison_streams(monkeypatch, first_bad)
+        with pytest.raises(LaneFailureError) as info:
+            collect_inter_event_samples(scn, self.GRID, self.N, seed=3, max_wait=self.MAX_WAIT)
+        assert info.value.stream == named
+        assert info.value.t == first_bad[named] - 0.05
+
+    def test_killed_worker_raises_with_its_exit_code(self, monkeypatch):
+        scn = make_scenario(seed=3)
+        shards(monkeypatch, 3)
+        here, refine = os.getpid(), inter_event._refine_sample_crossing
+
+        def killed_in_a_worker(*args):
+            if os.getpid() != here:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return refine(*args)
+
+        monkeypatch.setattr(inter_event, "_refine_sample_crossing", killed_in_a_worker)
+        with pytest.raises(ChildProcessError, match="campaign worker 1 exited with code -9"):
+            collect_inter_event_samples(scn, self.GRID, self.N, seed=3, max_wait=self.MAX_WAIT)
+        assert multiprocessing.active_children() == []
 
 
 class TestSerialization:
