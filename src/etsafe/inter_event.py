@@ -30,11 +30,12 @@ row-major ``(n, 6)`` formulation the batch replaced (``np.linalg.norm`` and
 live or on which kernel steps it.
 
 So the lanes can also be split across processes (:func:`_propagate_sharded`):
-one interleaved shard per usable CPU, each through both kernels, shard 0 in
-the calling process and the others in forked workers.  A numpy batch step
-costs ≈43 µs at 21 lanes and ≈110 µs at 605 on a 2-vCPU host, so width buys
-little and a second process is what cuts the wall time.  The times are the
-same for any shard count; which failing lane is named need not be.
+one interleaved shard per usable CPU, at most ``_MAX_SHARDS`` (2), each
+through both kernels, shard 0 in the calling process and the other in a
+forked worker.  A numpy batch step costs ≈43 µs at 21 lanes and ≈110 µs at
+605 on a 2-vCPU host, so width buys little and a second process is what
+cuts the wall time.  The times are the same for any shard count; which
+failing lane is named need not be.
 """
 
 from __future__ import annotations
@@ -216,6 +217,10 @@ def collect_inter_event_samples(
     disturbance streams until the barrier-condition margin crosses zero.  The
     elapsed time is recorded against h(radius).  Craft still quiet at
     ``max_wait`` are censored, as are (rare) controller-infeasible starts.
+
+    Where more than one CPU is usable, the calling process forks a worker
+    for the second shard of the lanes (:func:`_propagate_sharded`), whoever
+    the caller is; the times do not depend on it.
     """
     g = scenario.gravity
     center, half_width = scenario.barrier.radial_geometry()
@@ -511,8 +516,18 @@ def _propagate_batch_until_trigger(
     return out
 
 
+# Two shards is the only count whose wall time has been measured (a 2-vCPU
+# host).  Sharding adds work: each shard pays the batch's per-iteration
+# floor until its own live width reaches the tail, so two shards do ≈1.47x
+# the CPU work of one process, and more shards move still more of it into
+# the float tail.  Raise this only on alternating-pair benchmark runs on a
+# host with 3 or more usable CPUs that show a gain.
+_MAX_SHARDS = 2
+
+
 def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on: its affinity mask, which ignores a
+    cgroup CPU quota (a container limited to 2 CPUs may list many)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -521,12 +536,13 @@ def _usable_cpus() -> int:
 
 def _shard_count(n_lanes: int) -> int:
     """Shards for ``n_lanes`` live lanes: one per usable CPU, but no more
-    than leave every shard more than ``_TAIL_WIDTH`` lanes (a shard that
-    would start in the tail gains nothing from a process of its own), and
-    one where no process can be forked."""
+    than ``_MAX_SHARDS``, no more than leave every shard more than
+    ``_TAIL_WIDTH`` lanes (a shard that would start in the tail gains
+    nothing from a process of its own), and one where no process can be
+    forked."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(_usable_cpus(), n_lanes // (_TAIL_WIDTH + 1)))
+    return max(1, min(_MAX_SHARDS, _usable_cpus(), n_lanes // (_TAIL_WIDTH + 1)))
 
 
 def _propagate_sharded(

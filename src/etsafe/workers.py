@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import sys
 import threading
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -85,11 +84,9 @@ def started_workers(
     import multiprocessing
 
     ctx = multiprocessing.get_context(start_method)
-    # a forked worker flushes its copy of the parent's buffered output when
-    # it exits, so that output would be written twice; flushed here rather
-    # than left to multiprocessing's own private flush before a fork
-    sys.stdout.flush()
-    sys.stderr.flush()
+    # no flush of stdio here: every start method flushes stdout and stderr
+    # before it starts a process, so a forked worker has no buffered output
+    # of its parent's to write a second time
     workers: list[Worker] = []
     try:
         for name, fn, args in calls:

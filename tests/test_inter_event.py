@@ -15,6 +15,7 @@ from etsafe.inter_event import (
     InterEventSampleSet,
     InterEventTimeModel,
     LaneFailureError,
+    _MAX_SHARDS,
     _TAIL_WIDTH,
     _finish_lane,
     _initial_states,
@@ -499,11 +500,11 @@ class TestShards:
 
     @pytest.mark.parametrize(
         "cpus, n_lanes, expected",
-        [(2, 605, 2), (4, 605, 4), (1, 605, 1), (2, 41, 1), (2, 42, 2), (3, 62, 2), (2, 5, 1)],
+        [(2, 605, 2), (4, 605, 2), (28, 605, 2), (1, 605, 1), (2, 41, 1), (2, 42, 2), (3, 62, 2), (2, 5, 1)],
     )
     def test_one_shard_per_cpu_none_starting_in_the_tail(self, cpus, n_lanes, expected, monkeypatch):
         monkeypatch.setattr(inter_event, "_usable_cpus", lambda: cpus)
-        assert _TAIL_WIDTH == 20
+        assert _TAIL_WIDTH == 20 and _MAX_SHARDS == 2
         assert _shard_count(n_lanes) == expected
 
     @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)

@@ -52,7 +52,10 @@ class TestStartedWorkers:
 
     def test_buffered_output_is_written_once(self):
         # stdout to a pipe is block-buffered: unflushed at the fork, the
-        # worker would write its copy of the text again when it exits
+        # worker would write its copy of the text again when it exits.
+        # started_workers relies on multiprocessing's flush before it starts
+        # a process; this fails if that flush is gone.  PYTHONUNBUFFERED
+        # would leave nothing buffered, so the child runs without it
         script = (
             "import sys\n"
             "from etsafe.workers import started_workers\n"
@@ -61,7 +64,8 @@ class TestStartedWorkers:
             "    w.result()\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
+            [sys.executable, "-c", script],
+            env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC},
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
