@@ -29,7 +29,6 @@ from .dynamics import (
     GravityModel,
     apply_impulse,
     goal_tracking_controller,
-    planar_demo_field,
     single_integrator,
     two_body_field,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "miet_bound",
     "orbital_range_barrier",
     "parse_config",
-    "planar_demo_field",
     "planar_disk_barrier",
     "project",
     "propagate_until",

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .barrier import orbital_range_barrier, planar_disk_barrier
-from .dynamics import DisturbanceModel, GravityModel
+from .dynamics import _DISTURBANCE_KINDS, DisturbanceModel, GravityModel
 from .numerics import EventLocatorConfig, IntegratorConfig
 from .orbital import StationKeepingConfig
 from .scenarios import PlanarScenario, SatelliteScenario
@@ -70,8 +70,6 @@ class ScenarioConfig:
     tau_radius_grid: np.ndarray
     tau_n_per_radius: int
     tau_max_wait: float
-    tau_statistic: str
-    tau_basis: str
 
     def build_satellite(self) -> SatelliteScenario:
         g = GravityModel(mu=self.mu, R=self.R)
@@ -206,6 +204,7 @@ def parse_config(path: str) -> ScenarioConfig:
     )
     tau_n = get("tau", "n_per_radius", int, 55)
     tau_wait = get("tau", "max_wait", float, 6000.0)
+    # validated only: fit-tau takes --statistic and --basis
     tau_stat = get("tau", "statistic", str, "median")
     tau_basis = get("tau", "basis", str, "piecewise-linear")
 
@@ -286,9 +285,9 @@ def parse_config(path: str) -> ScenarioConfig:
         if not ok:
             problems.append(message)
 
-    if d_kind is not None and d_kind not in ("none", "zonal-j2-like", "seeded-piecewise-constant"):
+    if d_kind is not None and d_kind not in _DISTURBANCE_KINDS:
         problems.append(f"[disturbance] unknown kind {d_kind!r}")
-    if d_kind in ("zonal-j2-like", "seeded-piecewise-constant") and d_bar is not None and not d_bar > 0.0:
+    if d_kind in _DISTURBANCE_KINDS and d_kind != "none" and d_bar is not None and not d_bar > 0.0:
         problems.append(f"[disturbance] kind {d_kind!r} requires d_bar > 0")
 
     if (
@@ -344,6 +343,4 @@ def parse_config(path: str) -> ScenarioConfig:
         tau_radius_grid=tau_grid,
         tau_n_per_radius=tau_n,
         tau_max_wait=tau_wait,
-        tau_statistic=tau_stat,
-        tau_basis=tau_basis,
     )

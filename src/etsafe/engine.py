@@ -246,7 +246,7 @@ def _run_impulsive(
     b = scenario.barrier
     g = scenario.gravity
     flow = scenario.nominal_flow()
-    field = scenario.disturbed_field(horizon, stream=0)
+    field = scenario.disturbed_field(stream=0)
     safety = lambda x: barrier_condition_margin(b, flow, x)
 
     x = np.array(x0, dtype=float)
@@ -456,7 +456,7 @@ def run_intermittent_filter(
     b = scenario.barrier
     nominal_flow = scenario.nominal_flow()
     n_checked = check_nominal_safety_assumption(scenario)
-    nominal_field, filtered_field = _planar_fields(scenario, horizon)
+    nominal_field, filtered_field = _planar_fields(scenario)
 
     on_margin = lambda x: barrier_condition_margin(b, nominal_flow, x)
     # the off trigger fires when the margin has RISEN back to the gap, so the
@@ -535,7 +535,7 @@ def run_intermittent_filter(
     return RunResult(events=events, trajectory=traj, summary=summary)
 
 
-def _planar_fields(scenario: PlanarScenario, horizon: float) -> tuple[Field, Field]:
+def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
     """The intermittent run's two flow fields, nominal loop and promoting
     filter, each with the realized disturbance of stream 0.
 
@@ -545,7 +545,7 @@ def _planar_fields(scenario: PlanarScenario, horizon: float) -> tuple[Field, Fie
     b = scenario.barrier
     sys = scenario.system
     k_nom = scenario.k_nom()
-    dist = scenario.disturbance.realize(horizon, stream=0)
+    dist = scenario.disturbance.realize(stream=0)
 
     def nominal_field(t: float, x: Sequence[float]) -> list[float]:
         x = np.asarray(x)
@@ -683,20 +683,14 @@ def miet_bound(
     n_samples: int = 2000,
     inflation: float = 1.1,
     fd_eps: float = 1e-6,
-    forced_l_xi: Optional[float] = None,
-    forced_b_sup: Optional[float] = None,
 ) -> float:
     """Minimum inter-event time implied by the post-event margin.
 
     Estimates the flow-speed bound and the margin's Lipschitz constant by
     dense sampling over the operating region (finite differences for the
     gradient), inflates both by 10% against sampling optimism, and plugs them
-    into :func:`miet_bound_formula`.  Forced constants bypass sampling and
-    inflation (used by tests pinning the closed form).
+    into :func:`miet_bound_formula`.
     """
-    if forced_l_xi is not None and forced_b_sup is not None:
-        return miet_bound_formula(margin, forced_l_xi, forced_b_sup, b.d_bar)
-
     states = region_sampler(n_samples)
     xi = lambda x: barrier_condition_margin(b, flow, x)
     b_sup = 0.0

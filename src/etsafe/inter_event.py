@@ -25,9 +25,12 @@ Both kernels give every lane the same bits.  Each operation keeps its IEEE
 operands and their association: the RK4 stages of :func:`_lane_field`, the
 radius of :func:`_norm3`, the margin of :func:`margin_batch`, and the
 row-major ``(n, 6)`` formulation the batch replaced (``np.linalg.norm`` and
-``np.einsum`` over rows).  The disturbance of a lane depends only on
-(seed, stream, interval) or on its stage state, never on which lanes are
-live or on which kernel steps it.
+``np.einsum`` over rows).  Both kernels take a lane's disturbance from
+:mod:`etsafe.dynamics`: the batch from its ``_LaneDisturbance``, the tail
+from :meth:`~etsafe.dynamics.DisturbanceModel.realize`, each bit for bit
+:meth:`~etsafe.dynamics.DisturbanceModel.sample`.  It depends only on
+(seed, stream, interval) or on the lane's stage state, never on which
+lanes are live or on which kernel steps it.
 
 So the lanes can also be split across processes (:func:`_propagate_sharded`):
 one interleaved shard per usable CPU, at most ``_MAX_SHARDS`` (2), each
@@ -50,6 +53,7 @@ import numpy as np
 from .atomic_io import atomic_write
 from .barrier import BarrierSpec, barrier_condition_margin
 from .dynamics import (
+    _LaneDisturbance,
     _hash_uniforms,
     _hash_unit_vectors,
     _two_body_rk4,
@@ -347,97 +351,12 @@ def _lane_field(x: np.ndarray, mu: float, accel, r: np.ndarray | None = None) ->
     return np.concatenate((x[3:], a))
 
 
-# Hold intervals hashed per call of the piecewise-constant disturbance table,
-# for all live lanes in the batch and for one lane in the tail.  A call costs
-# ≈0.2 ms almost whatever its length (one lane: 184 µs for 16 intervals,
-# 256 µs for 256), so the tail's single lane takes a long block, ≈40 KB of
-# floats, and the batch a short one, as its table grows with the width.
-_HELD_BLOCK = 16
-_LANE_BLOCK = 256
-
 # Live width at or below which the batch hands its lanes to _finish_lane.  On
 # a 2-vCPU host a numpy batch step costs ≈100 µs at any width up to 32 and a
 # float lane step ≈4.8 µs.  Over the 605-lane campaign at seed 3, widths 8,
 # 16, 20, 24 and 32 took 11.0, 11.4, 10.4, 11.2 and 11.8 s (medians of 3
 # alternating runs; the runs of one width spread by up to 2 s).
 _TAIL_WIDTH = 20
-
-
-def _held_block(dist, streams: np.ndarray, k: int, count: int) -> np.ndarray:
-    """Held disturbance vectors of ``streams`` on intervals ``k .. k+count-1``,
-    as ``(n_streams, count, dim)``; each row depends only on
-    (seed, stream, interval)."""
-    intervals = np.arange(k, k + count, dtype=np.uint64)
-    return dist.d_bar * _hash_unit_vectors(
-        dist.seed, streams[:, None], intervals[None, :], dist.dim
-    )
-
-
-class _LaneDisturbance:
-    """Disturbance acceleration of the live lanes, as ``(3, n_live)`` or 0.0.
-
-    For the piecewise-constant kind, the held vectors of the live lanes are
-    hashed ``_HELD_BLOCK`` intervals per call and kept as a
-    ``(block, 3, n_live)`` table.  The zonal kind is evaluated on the stage
-    state.
-    """
-
-    def __init__(self, model, streams: np.ndarray) -> None:
-        self.model = model
-        self.streams = streams
-        self.held = np.empty((0, 3, len(streams)))
-        self.start = 0
-
-    def __call__(self, t: float, x: np.ndarray):
-        dist = self.model
-        if dist.kind == "none":
-            return 0.0
-        if dist.kind == "zonal-j2-like":
-            return dist.sample_batch(t, np.ascontiguousarray(x.T), self.streams).T
-        k = math.floor(t / dist.hold_time)
-        if not self.start <= k < self.start + len(self.held):
-            self.held = np.ascontiguousarray(
-                _held_block(dist, self.streams, k, _HELD_BLOCK).transpose(1, 2, 0)
-            )
-            self.start = k
-        return self.held[k - self.start]
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the lanes where ``mask`` is False."""
-        self.streams = self.streams[mask]
-        self.held = self.held.compress(mask, axis=2)
-
-
-def _lane_accel(dist, stream: int):
-    """The disturbance ``accel(t, s) -> (a0, a1, a2)`` of one lane, as floats
-    bit-identical to its column of :class:`_LaneDisturbance`.
-
-    The piecewise-constant kind keeps one hashed block of the lane's held
-    vectors, starting at the interval that needed it; the zonal kind is
-    evaluated on the stage position as :meth:`DisturbanceModel.sample_batch`
-    evaluates it; the ``none`` kind adds 0.0, as the batch adds it.
-    """
-    if dist.kind == "none":
-        zero = (0.0, 0.0, 0.0)
-        return lambda t, s: zero
-    if dist.kind == "zonal-j2-like":
-        return lambda t, s: dist._clamp(dist._zonal(s)).tolist()
-    hold = dist.hold_time
-    floor = math.floor
-    key = np.array([stream], dtype=np.uint64)
-    block: list = []
-    start = end = 0  # the intervals block holds, start .. end-1
-
-    def held(t: float, s) -> list:
-        nonlocal block, start, end
-        k = floor(t / hold)
-        if start <= k < end:
-            return block[k - start]
-        start, end = k, k + _LANE_BLOCK
-        block = _held_block(dist, key, k, _LANE_BLOCK)[0].tolist()
-        return block[0]
-
-    return held
 
 
 def _propagate_batch_until_trigger(
@@ -613,7 +532,7 @@ def _finish_lane(
     margin = _lane_margin(scenario.barrier)
     dt = scenario.integrator.step_size
     dist = scenario.disturbance
-    step = _two_body_rk4(scenario.gravity.mu, 0.0, _lane_accel(dist, stream), dist.by_state)
+    step = _two_body_rk4(scenario.gravity.mu, 0.0, dist.realize(stream), dist.by_state)
     for k in range(first_step, n_steps):
         t0 = k * dt
         try:

@@ -52,14 +52,14 @@ class SatelliteScenario:
         g = self.gravity
         return lambda x: two_body_field(g, x)
 
-    def disturbed_field(self, horizon: float, stream: int = 0) -> Field:
+    def disturbed_field(self, stream: int = 0) -> Field:
         """Integration field including the realized disturbance stream.
 
         Takes any float sequence and returns the derivative as a tuple, and
         carries its own RK4 step, ``fld.rk4`` (see :mod:`etsafe.numerics`).
         """
         g = self.gravity
-        d = self.disturbance.realize(horizon, stream)
+        d = self.disturbance.realize(stream)
 
         def fld(t: float, x: Sequence[float]) -> tuple[float, ...]:
             return two_body_field(g, x, accel=d(t, x))

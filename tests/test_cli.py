@@ -29,6 +29,7 @@ from etsafe.cli import (
     main,
     write_trajectory_csv,
 )
+from etsafe.dynamics import DisturbanceModel
 from etsafe.engine import RunAbortedError, RunResult, Trajectory
 
 SAT_SMALL = """
@@ -343,14 +344,14 @@ class TestSampleAndFit:
         # and on the float tail, which takes them all at the default width
         if tail_width is not None:
             monkeypatch.setattr(etsafe.inter_event, "_TAIL_WIDTH", tail_width)
-        real = etsafe.inter_event._held_block
+        real = DisturbanceModel.held
 
-        def poisoned(dist, streams, k, count):
-            held = real(dist, streams, k, count)
+        def poisoned(self, streams, k, count):
+            held = real(self, streams, k, count)
             held[:, max(3 - k, 0):] = np.nan
             return held
 
-        monkeypatch.setattr(etsafe.inter_event, "_held_block", poisoned)
+        monkeypatch.setattr(DisturbanceModel, "held", poisoned)
         out = tmp_path / "s.csv"
         assert cmd_sample_tau(sat_config, str(out)) == EXIT_RUN
         assert not out.exists()
@@ -377,15 +378,15 @@ class TestSampleTauShards:
     def test_non_finite_lane_in_a_worker_exit_3(self, sat_config, tmp_path, monkeypatch, caplog):
         # stream 2 is lane 1, in the worker's shard, and only there is it
         # poisoned, so the error must cross the process boundary
-        here, real = os.getpid(), etsafe.inter_event._held_block
+        here, real = os.getpid(), DisturbanceModel.held
 
-        def poisoned(dist, streams, k, count):
-            held = real(dist, streams, k, count)
+        def poisoned(self, streams, k, count):
+            held = real(self, streams, k, count)
             if os.getpid() != here:
-                held[np.ravel(streams) == 2, max(3 - k, 0):] = np.nan
+                held[streams == 2, max(3 - k, 0):] = np.nan
             return held
 
-        monkeypatch.setattr(etsafe.inter_event, "_held_block", poisoned)
+        monkeypatch.setattr(DisturbanceModel, "held", poisoned)
         out = tmp_path / "s.csv"
         assert cmd_sample_tau(sat_config, str(out)) == EXIT_RUN
         assert not out.exists()

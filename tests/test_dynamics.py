@@ -6,11 +6,11 @@ import pytest
 from etsafe.barrier import orbital_range_barrier
 from etsafe.dynamics import (
     DisturbanceModel,
+    _LaneDisturbance,
     GravityModel,
     SingularityError,
     apply_impulse,
     goal_tracking_controller,
-    planar_demo_field,
     single_integrator,
     two_body_field,
 )
@@ -88,8 +88,8 @@ class TestTwoBodyField:
         rng = np.random.default_rng(12)
         times = np.concatenate([rng.uniform(0.0, 100.0, len(states) - 4), [0.0, 1.0, 100.0, 250.0]])
         for stream in (0, 3):
-            field = scenario.disturbed_field(100.0, stream)
-            sampler = dist.realize(100.0, stream)
+            field = scenario.disturbed_field(stream)
+            sampler = dist.realize(stream)
             for t, s in zip(times.tolist(), states):
                 old = np.asarray(two_body_field(GRAVITY, s))
                 old[3:] += sampler(t, s)
@@ -191,18 +191,39 @@ class TestDisturbanceModel:
         s = np.array([0.0, 0.0, 1.6, 0.0, 0.0, 0.0])
         assert np.linalg.norm(m.sample(0.0, s)) == pytest.approx(1e-3, rel=1e-9)
 
-    def test_realize_matches_sample(self):
-        m = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=11, hold_time=0.5)
-        sampler = m.realize(horizon=10.0, stream=4)
-        for t in (0.0, 0.49, 0.5, 3.21, 9.99):
-            assert np.allclose(sampler(t, np.zeros(6)), m.sample(t, np.zeros(6), stream=4))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_realize_matches_sample(self, dim):
+        # intervals on both sides of the sampler's block edges, visited
+        # forward, then back into an earlier block
+        hold = 0.5
+        m = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=11, hold_time=hold, dim=dim)
+        sampler = m.realize(stream=4)
+        s = np.zeros(2 * dim)
+        intervals = (0, 255, 256, 257, 512, 6001, 257, 0)
+        for t in [k * hold for k in intervals] + [k * hold + 0.49 for k in intervals]:
+            got = np.array(sampler(t, s))
+            assert got.tobytes() == m.sample(t, s, stream=4).tobytes(), t
 
-    def test_batch_matches_scalar(self):
-        m = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=11)
-        streams = np.arange(5, dtype=np.uint64)
-        batch = m.sample_batch(2.7, np.zeros((5, 6)), streams)
-        for i in range(5):
-            assert np.array_equal(batch[i], m.sample(2.7, np.zeros(6), stream=i))
+    @pytest.mark.parametrize("kind", ["seeded-piecewise-constant", "zonal-j2-like"])
+    def test_lane_columns_match_sample(self, kind):
+        # the campaign's lanes: component-major (6, n) stage states, one
+        # stream each, dropped as they fire
+        m = DisturbanceModel(kind=kind, d_bar=1e-3, seed=11)
+        streams = np.array([1, 2, 3, 5, 8, 13], dtype=np.uint64)
+        x = np.ascontiguousarray(field_test_states(len(streams)).T)
+        lanes = _LaneDisturbance(m, streams)
+        for t in (0.0, 2.7, 15.5, 16.0, 40.25, 3.0):
+            got = lanes(t, x)
+            for j, stream in enumerate(streams.tolist()):
+                expected = m.sample(t, x[:, j], stream=stream)
+                assert got[:, j].tobytes() == expected.tobytes(), (t, j)
+        keep = np.array([True, False, True, True, False, True])
+        lanes.keep(keep)
+        x = np.ascontiguousarray(x[:, keep])
+        for t in (3.5, 17.0, 100.0):
+            got = lanes(t, x)
+            for j, stream in enumerate(streams[keep].tolist()):
+                assert got[:, j].tobytes() == m.sample(t, x[:, j], stream=stream).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -214,23 +235,9 @@ class TestDisturbanceModel:
 
 
 class TestPlanarDemo:
-    def test_field_is_sum(self):
-        assert np.array_equal(
-            planar_demo_field(np.zeros(2), np.array([1.0, 0.0]), np.zeros(2)),
-            np.array([1.0, 0.0]),
-        )
-        assert np.array_equal(
-            planar_demo_field(np.zeros(2), np.zeros(2), np.array([0.0, 0.01])),
-            np.array([0.0, 0.01]),
-        )
-
     def test_goal_tracking_controller(self):
         k_nom = goal_tracking_controller(np.zeros(2), gain=1.0)
-        u = k_nom(np.array([1.0, 0.0]))
-        assert np.array_equal(
-            planar_demo_field(np.array([1.0, 0.0]), u, np.zeros(2)),
-            np.array([-1.0, 0.0]),
-        )
+        assert np.array_equal(k_nom(np.array([1.0, 0.0])), np.array([-1.0, 0.0]))
 
     def test_single_integrator_shape(self):
         sys = single_integrator(2)

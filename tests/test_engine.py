@@ -339,10 +339,7 @@ class TestIntermittent:
 class TestMietBound:
     def test_forced_constants_closed_form(self):
         b = orbital_range_barrier(GravityModel(), gamma=0.1, d_bar=0.01)
-        got = miet_bound(
-            b, lambda x: x, lambda n: np.empty((0, 6)), margin=0.01,
-            forced_l_xi=0.5, forced_b_sup=1.2,
-        )
+        got = miet_bound_formula(0.01, 0.5, 1.2, b.d_bar)
         assert abs(got - 0.01 / (0.5 * 1.21)) <= 1e-12
 
     def test_formula_linear_in_margin(self):

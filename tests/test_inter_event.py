@@ -278,7 +278,7 @@ def row_major_margin(states, R, gamma, d_bar):
 def scalar_lane_tau(scn, x, stream, max_wait):
     """One lane stepped by the scalar rk4_step on the scenario's disturbed
     field, fired and refined with the campaign's semantics."""
-    fld = scn.disturbed_field(max_wait, stream)
+    fld = scn.disturbed_field(stream)
     dt = scn.integrator.step_size
     b = scn.barrier
 
@@ -481,16 +481,16 @@ class TestTailHandOff:
 def poison_streams(monkeypatch, first_bad):
     """From hold interval ``first_bad[stream]`` on, the held disturbance of
     each stream named is NaN, in this process and in forked workers."""
-    real = inter_event._held_block
+    real = DisturbanceModel.held
 
-    def poisoned(dist, streams, k, count):
-        held = real(dist, streams, k, count)
-        for i, stream in enumerate(np.ravel(streams).tolist()):
+    def poisoned(self, streams, k, count):
+        held = real(self, streams, k, count)
+        for i, stream in enumerate(streams.tolist()):
             if stream in first_bad:
                 held[i, max(first_bad[stream] - k, 0):] = np.nan
         return held
 
-    monkeypatch.setattr(inter_event, "_held_block", poisoned)
+    monkeypatch.setattr(DisturbanceModel, "held", poisoned)
 
 
 class TestShards:

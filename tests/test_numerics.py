@@ -116,13 +116,13 @@ def shipped_field(config, kind=None):
     start, the disk center, is where the promoting constraint is infeasible)."""
     cfg = parse_config(os.path.join(CONFIGS, config))
     if cfg.kind == "planar-demo":
-        _, filtered = _planar_fields(cfg.build_planar(), cfg.horizon)
+        _, filtered = _planar_fields(cfg.build_planar())
         return filtered, np.array([0.99, 0.1]), cfg.step_size
     x0 = np.array(cfg.initial_state, dtype=float)
     scn = cfg.build_satellite()
     if kind is not None:
         scn = dataclasses.replace(scn, disturbance=dataclasses.replace(scn.disturbance, kind=kind))
-    return scn.disturbed_field(cfg.horizon, 0), x0, cfg.step_size
+    return scn.disturbed_field(0), x0, cfg.step_size
 
 
 class TestFloatStagesMatchNumpyOracle:
@@ -183,8 +183,8 @@ def poisoned_field(monkeypatch, kind, stage, bad, x0, t, dt):
     points = []
     real = DisturbanceModel.realize
 
-    def recording(self, horizon, stream=0):
-        d = real(self, horizon, stream)
+    def recording(self, stream=0):
+        d = real(self, stream)
         return lambda t, s: points.append((t, tuple(s))) or d(t, s)
 
     monkeypatch.setattr(DisturbanceModel, "realize", recording)
@@ -195,8 +195,8 @@ def poisoned_field(monkeypatch, kind, stage, bad, x0, t, dt):
     key = lambda t, s: (t, tuple(s)) if by_state else t
     target = key(*points[stage - 1])
 
-    def poisoning(self, horizon, stream=0):
-        d = real(self, horizon, stream)
+    def poisoning(self, stream=0):
+        d = real(self, stream)
 
         def sampler(t, s):
             a = list(d(t, s))
