@@ -34,7 +34,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .atomic_io import atomic_write
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import ConfigError, ScenarioConfig, _parse_vector, parse_config
 from .engine import (
     AssumptionCheckError,
     RunAbortedError,
@@ -309,11 +309,12 @@ def cmd_sample_tau(
         cfg = _load_config(config_path, seed, None)
         if cfg.kind != "satellite":
             raise ConfigError("sample-tau needs a satellite scenario")
-        radius_grid = (
-            np.array([float(tok) for tok in grid.replace(",", " ").split()])
-            if grid
-            else cfg.tau_radius_grid
-        )
+        try:
+            radius_grid = _parse_vector(grid) if grid else cfg.tau_radius_grid
+        except ValueError:
+            raise ConfigError(f"bad value for --grid: {grid!r}") from None
+        if len(radius_grid) == 0:
+            raise ConfigError("sample-tau needs at least one radius in its grid")
         n_per_radius = n if n is not None else cfg.tau_n_per_radius
         wait = max_wait if max_wait is not None else cfg.tau_max_wait
         scenario = cfg.build_satellite()

@@ -185,7 +185,7 @@ def parse_config(path: str) -> ScenarioConfig:
     promote = get("filter", "promote_rate", float, 0.05)
     gap = get("filter", "hysteresis_gap", float, 0.05)
     recovery = get("filter", "recovery_level", float, 0.2)
-    goal_text = get("filter", "goal", str, "0.0, 0.0")
+    goal = get("filter", "goal", _parse_vector, np.zeros(2))
     gain = get("filter", "gain", float, 1.0)
 
     step = get("integrator", "step_size", float, 0.05)
@@ -196,11 +196,11 @@ def parse_config(path: str) -> ScenarioConfig:
     bisections = get("events", "max_bisections", int, 200)
 
     tau_path = get("tau", "model_path", str, "")
-    tau_grid_text = get(
+    tau_grid = get(
         "tau",
         "radius_grid",
-        str,
-        "1.625, 1.68, 1.76, 1.85, 1.93, 2.0, 2.07, 2.16, 2.25, 2.33, 2.375",
+        _parse_vector,
+        np.array([1.625, 1.68, 1.76, 1.85, 1.93, 2.0, 2.07, 2.16, 2.25, 2.33, 2.375]),
     )
     tau_n = get("tau", "n_per_radius", int, 55)
     tau_wait = get("tau", "max_wait", float, 6000.0)
@@ -219,31 +219,21 @@ def parse_config(path: str) -> ScenarioConfig:
         )
 
     if kind == "satellite":
-        state_text = get("initial", "position", str)
-        vel_text = get("initial", "velocity", str)
+        pos = get("initial", "position", _parse_vector)
+        vel = get("initial", "velocity", _parse_vector)
         initial = None
-        if state_text is not None and vel_text is not None:
-            pos = _parse_vector(state_text)
-            vel = _parse_vector(vel_text)
+        if pos is not None and vel is not None:
             if len(pos) != 3 or len(vel) != 3:
                 problems.append("[initial] position and velocity must be 3-vectors")
             else:
                 initial = np.concatenate([pos, vel])
     else:
-        state_text = get("initial", "state", str)
-        initial = None
-        if state_text is not None:
-            initial = _parse_vector(state_text)
-            if len(initial) != 2:
-                problems.append("[initial] state must be a 2-vector")
-                initial = None
+        initial = get("initial", "state", _parse_vector)
+        if initial is not None and len(initial) != 2:
+            problems.append("[initial] state must be a 2-vector")
 
-    goal = _parse_vector(goal_text) if goal_text is not None else np.zeros(2)
-    if len(goal) != 2:
+    if goal is not None and len(goal) != 2:
         problems.append("[filter] goal must be a 2-vector")
-        goal = np.zeros(2)
-
-    tau_grid = _parse_vector(tau_grid_text) if tau_grid_text else np.empty(0)
 
     checks = [
         (horizon is None or horizon > 0.0, "[scenario] horizon must be > 0"),

@@ -11,10 +11,12 @@ either at the horizon or at a located monitor crossing, where an event fires:
 * greedy: every crossing of the barrier-condition margin triggers a
   station-keeping impulse; the post-jump buffer guarantees a minimum dwell
   before the margin can reach zero again (see :func:`miet_bound`).
-* maneuver: impulses come in pairs.  The first is timed greedily; the second
-  fires at the earlier of the safety crossing and the expected-payoff
-  crossing, the latter only armed once the expected inter-event time of the
-  first impulse has elapsed.
+* maneuver: impulses come in pairs, in the greedy scheme's loop.  The first
+  is timed greedily and sets a gate, the expected inter-event time
+  ``tau(h_after)`` later.  Before the gate only the safety margin is
+  monitored.  At the gate the second impulse fires at once if the
+  expected-payoff margin is already nonpositive (deadline); after it, at the
+  earlier of the safety crossing and the payoff crossing (timing).
 * intermittent: the safety filter toggles; while off, the nominal loop runs
   until the barrier-condition margin under the nominal controller crosses
   zero; while on, a rate-promoting filter raises h until the margin recovers
@@ -38,6 +40,7 @@ from .barrier import (
     BarrierSpec,
     barrier_condition_margin,
     barrier_value,
+    filter_off_margin,
     maneuver_timing_margin,
 )
 from .dynamics import apply_impulse
@@ -243,11 +246,24 @@ def _run_impulsive(
     horizon: float,
     tau_model: Optional[InterEventTimeModel],
 ) -> tuple[list[EventRecord], Trajectory]:
+    """The greedy and maneuver event loop; ``tau_model`` pairs the impulses.
+
+    Each segment flows from the last event under the safety monitor.  A
+    greedy run, and a maneuver run waiting for its first impulse, flows to
+    the horizon.  A first impulse sets the gate ``t + tau(h_after)`` of its
+    second: until the gate the segment ends there, and a payoff margin
+    already nonpositive at the gate fires the second impulse at once (the
+    deadline).  From the gate on, the payoff monitor runs beside the safety
+    monitor, and whichever crosses first fires the second impulse (safety or
+    timing).  Every impulse is recorded with its pair role, then the role
+    and gate move on.
+    """
     b = scenario.barrier
     g = scenario.gravity
     flow = scenario.nominal_flow()
     field = scenario.disturbed_field(stream=0)
     safety = lambda x: barrier_condition_margin(b, flow, x)
+    payoff = lambda x: maneuver_timing_margin(tau_model, b, flow, x)
 
     x = np.array(x0, dtype=float)
     t = 0.0
@@ -256,12 +272,12 @@ def _run_impulsive(
 
     events: list[EventRecord] = []
     builder = _TrajectoryBuilder(b)
-    paired = tau_model is not None
-    next_role = "first"
-    # gate for the payoff monitor of a pending second impulse
+    role = "first" if tau_model is not None else None
+    # set while a second impulse is pending: when its payoff monitor arms
     gate_time: Optional[float] = None
 
-    def do_jump(t_e: float, x_e: np.ndarray, trigger_id: str, role: Optional[str]) -> np.ndarray:
+    def do_jump(t_e: float, x_e: np.ndarray, trigger_id: str) -> np.ndarray:
+        nonlocal role, gate_time
         try:
             dv = station_keeping_impulse(scenario.controller, b, g, x_e)
         except Exception as err:
@@ -290,107 +306,43 @@ def _run_impulsive(
             ),
         )
         builder.add_point(t_e, x_post, check.xi_value, 0)
+        if role == "first":
+            role, gate_time = "second", t_e + tau_model.tau(check.h_value)
+        elif role == "second":
+            role, gate_time = "first", None
         return x_post
 
+    just_jumped = False
     if safety(x) <= 0.0:
         if not scenario.allow_initial_jump:
             raise RunAbortedError("margin nonpositive at start and initial jump disabled", t, x)
         builder.add_point(t, x, safety(x), 0)
-        x = do_jump(t, x, "initial", next_role if paired else None)
-        if paired:
-            gate_time = t + tau_model.tau(barrier_value(b, x))
-            next_role = "second"
+        x = do_jump(t, x, "initial")
         just_jumped = True
-    else:
-        just_jumped = False
 
-    end = horizon
-    while t < end - 1e-12:
-        if paired and next_role == "second":
-            t, x, just_jumped = _second_of_pair_segment(
-                scenario, tau_model, field, safety, builder,
-                t, x, end, gate_time, just_jumped, do_jump,
-            )
-            if just_jumped:
-                next_role = "first"
-                gate_time = None
-            continue
-
+    while t < horizon - 1e-12:
+        gated = gate_time is not None and t < gate_time - 1e-12
+        seg_end = min(gate_time, horizon) if gated else horizon
+        monitors = [safety, payoff] if gate_time is not None and not gated else [safety]
         times, states, vals, crossing = _propagate(
-            field, x, t, end - t, [safety],
-            scenario.integrator, scenario.events,
-            dwell_steps=1 if just_jumped else 0,
-        )
-        builder.add_segment(times, states, vals, safety, 0)
-        if crossing is None:
-            t = end
-            break
-        role = next_role if paired else None
-        x = do_jump(crossing.time, crossing.state, "safety", role)
-        t = crossing.time
-        just_jumped = True
-        if paired:
-            if next_role == "first":
-                gate_time = t + tau_model.tau(barrier_value(b, x))
-                next_role = "second"
-            else:
-                next_role = "first"
-                gate_time = None
-
-    return events, builder.build()
-
-
-def _second_of_pair_segment(
-    scenario: SatelliteScenario,
-    tau_model: InterEventTimeModel,
-    field,
-    safety: Callable[[np.ndarray], float],
-    builder: _TrajectoryBuilder,
-    t: float,
-    x: np.ndarray,
-    end: float,
-    gate_time: float,
-    just_jumped: bool,
-    do_jump,
-) -> tuple[float, np.ndarray, bool]:
-    """Advance one phase of a pending second impulse; returns (t, x, jumped)."""
-    b = scenario.barrier
-    flow = scenario.nominal_flow()
-    payoff = lambda s: maneuver_timing_margin(tau_model, b, flow, s)
-
-    if t < gate_time - 1e-12:
-        # phase A: payoff monitor not yet armed, safety only
-        seg_end = min(gate_time, end)
-        times, states, vals, crossing = _propagate(
-            field, x, t, seg_end - t, [safety],
+            field, x, t, seg_end - t, monitors,
             scenario.integrator, scenario.events,
             dwell_steps=1 if just_jumped else 0,
         )
         builder.add_segment(times, states, vals, safety, 0)
         if crossing is not None:
-            x_post = do_jump(crossing.time, crossing.state, "safety", "second")
-            return crossing.time, x_post, True
-        if seg_end >= end:
-            return end, states[-1], False
+            t = crossing.time
+            x = do_jump(t, crossing.state, "safety" if crossing.monitor_index == 0 else "timing")
+            just_jumped = True
+            continue
         t, x = seg_end, states[-1]
-        # the gate itself fires if the payoff margin is already nonpositive
-        if payoff(x) <= 0.0:
-            x_post = do_jump(t, x, "deadline", "second")
-            return t, x_post, True
         just_jumped = False
+        if gated and seg_end < horizon and payoff(x) <= 0.0:
+            # the gate itself fires if the payoff margin is already nonpositive
+            x = do_jump(t, x, "deadline")
+            just_jumped = True
 
-    # phase B: safety and payoff both monitored
-    times, states, vals, crossing = _propagate(
-        field, x, t, end - t, [safety, payoff],
-        scenario.integrator, scenario.events,
-        dwell_steps=1 if just_jumped else 0,
-    )
-    builder.add_segment(times, states, vals, safety, 0)
-    if crossing is None:
-        return end, states[-1], False
-    trigger_id = "safety" if crossing.monitor_index == 0 else "timing"
-    x_post = do_jump(crossing.time, crossing.state, trigger_id, "second")
-    return crossing.time, x_post, True
+    return events, builder.build()
 
 
 def _finalize_impulsive(
@@ -401,40 +353,59 @@ def _finalize_impulsive(
     horizon: float,
     seed: int,
 ) -> RunResult:
-    jump_times = [e.time for e in events if e.kind == "jump"]
-    diffs = np.diff(jump_times) if len(jump_times) >= 2 else np.empty(0)
-    margins = [e.xi_after for e in events if e.kind == "jump"]
     bound = miet_bound(
         scenario.barrier,
         scenario.nominal_flow(),
         satellite_region_sampler(scenario),
         scenario.controller.post_jump_margin,
     )
-    min_h, min_xi, _ = audit_safety(traj, scenario.barrier, scenario.events.value_tolerance)
-    summary = RunSummary(
-        scheme=scheme,
-        horizon=horizon,
-        seed=seed,
-        gamma=scenario.barrier.gamma,
-        d_bar=scenario.barrier.d_bar,
-        step_size=scenario.integrator.step_size,
-        time_tolerance=scenario.events.time_tolerance,
-        value_tolerance=scenario.events.value_tolerance,
-        jump_count=len(jump_times),
-        filter_on_count=0,
-        filter_off_count=0,
-        event_count=len(events),
-        min_inter_event_time=float(diffs.min()) if diffs.size else None,
-        mean_inter_event_time=float(diffs.mean()) if diffs.size else None,
-        median_inter_event_time=float(np.median(diffs)) if diffs.size else None,
-        min_h=min_h,
-        min_xi_flow=min_xi,
+    margins = [e.xi_after for e in events]
+    summary = _summary(
+        scheme, scenario, events, traj, horizon, seed,
+        gaps=np.diff([e.time for e in events]),
         miet_lower_bound=bound,
         min_post_jump_margin=float(min(margins)) if margins else None,
-        aborted=False,
         horizon_truncated=False,
     )
     return RunResult(events=events, trajectory=traj, summary=summary)
+
+
+def _summary(
+    scheme: str,
+    scenario: SatelliteScenario | PlanarScenario,
+    events: Sequence[EventRecord],
+    traj: Trajectory,
+    horizon: float,
+    seed: int,
+    gaps: np.ndarray,
+    **fields,
+) -> RunSummary:
+    """The :class:`RunSummary` fields every scheme fills alike, audit included;
+    ``gaps`` are the inter-event times and ``fields`` the scheme's own."""
+    b = scenario.barrier
+    min_h, min_xi, _ = audit_safety(traj, b, scenario.events.value_tolerance)
+    kinds = [e.kind for e in events]
+    return RunSummary(
+        scheme=scheme,
+        horizon=horizon,
+        seed=seed,
+        gamma=b.gamma,
+        d_bar=b.d_bar,
+        step_size=scenario.integrator.step_size,
+        time_tolerance=scenario.events.time_tolerance,
+        value_tolerance=scenario.events.value_tolerance,
+        jump_count=kinds.count("jump"),
+        filter_on_count=kinds.count("filter_on"),
+        filter_off_count=kinds.count("filter_off"),
+        event_count=len(events),
+        min_inter_event_time=float(np.min(gaps)) if len(gaps) else None,
+        mean_inter_event_time=float(np.mean(gaps)) if len(gaps) else None,
+        median_inter_event_time=float(np.median(gaps)) if len(gaps) else None,
+        min_h=min_h,
+        min_xi_flow=min_xi,
+        aborted=False,
+        **fields,
+    )
 
 
 # --- Intermittent safety filter ---
@@ -460,8 +431,8 @@ def run_intermittent_filter(
 
     on_margin = lambda x: barrier_condition_margin(b, nominal_flow, x)
     # the off trigger fires when the margin has RISEN back to the gap, so the
-    # monitored (positive-inside) quantity is gap - margin
-    off_monitor = lambda x: scenario.hysteresis_gap - on_margin(x)
+    # monitored (positive-inside) quantity is the negated off margin
+    off_monitor = lambda x: -filter_off_margin(b, nominal_flow, x, scenario.hysteresis_gap)
 
     x = np.array(x0, dtype=float)
     t = 0.0
@@ -498,37 +469,16 @@ def run_intermittent_filter(
         filter_on = not filter_on
 
     traj = builder.build()
-    on_count = sum(1 for e in events if e.kind == "filter_on")
-    off_count = sum(1 for e in events if e.kind == "filter_off")
-    truncated = filter_on  # horizon ended inside an on period
-    off_durations = _off_durations(events)
-    on_durations = _on_durations(events)
+    on_durations = _durations(events, "filter_on", "filter_off")
     bound = miet_bound(
         b, nominal_flow, planar_region_sampler(scenario), scenario.hysteresis_gap
     )
-    min_h, min_xi, _ = audit_safety(traj, b, scenario.events.value_tolerance)
-    summary = RunSummary(
-        scheme="intermittent",
-        horizon=horizon,
-        seed=seed,
-        gamma=b.gamma,
-        d_bar=b.d_bar,
-        step_size=scenario.integrator.step_size,
-        time_tolerance=scenario.events.time_tolerance,
-        value_tolerance=scenario.events.value_tolerance,
-        jump_count=0,
-        filter_on_count=on_count,
-        filter_off_count=off_count,
-        event_count=len(events),
-        min_inter_event_time=float(np.min(off_durations)) if len(off_durations) else None,
-        mean_inter_event_time=float(np.mean(off_durations)) if len(off_durations) else None,
-        median_inter_event_time=float(np.median(off_durations)) if len(off_durations) else None,
-        min_h=min_h,
-        min_xi_flow=min_xi,
+    summary = _summary(
+        "intermittent", scenario, events, traj, horizon, seed,
+        gaps=_durations(events, "filter_off", "filter_on"),
         miet_lower_bound=bound,
         min_post_jump_margin=None,
-        aborted=False,
-        horizon_truncated=truncated,
+        horizon_truncated=filter_on,  # horizon ended inside an on period
         assumption_check_samples=n_checked,
         max_on_duration=float(np.max(on_durations)) if len(on_durations) else None,
     )
@@ -583,29 +533,16 @@ def _record(events: list[EventRecord], e: EventRecord) -> None:
     events.append(e)
 
 
-def _on_durations(events: Sequence[EventRecord]) -> np.ndarray:
-    """Durations of completed on periods (filter_on to next filter_off)."""
+def _durations(events: Sequence[EventRecord], start: str, stop: str) -> np.ndarray:
+    """Durations from each ``start``-kind event to the next ``stop``-kind event."""
     durations = []
-    t_on: Optional[float] = None
+    t_start: Optional[float] = None
     for e in events:
-        if e.kind == "filter_on":
-            t_on = e.time
-        elif e.kind == "filter_off" and t_on is not None:
-            durations.append(e.time - t_on)
-            t_on = None
-    return np.array(durations)
-
-
-def _off_durations(events: Sequence[EventRecord]) -> np.ndarray:
-    """Durations between each filter_off and the following filter_on."""
-    durations = []
-    t_off: Optional[float] = None
-    for e in events:
-        if e.kind == "filter_off":
-            t_off = e.time
-        elif e.kind == "filter_on" and t_off is not None:
-            durations.append(e.time - t_off)
-            t_off = None
+        if e.kind == start:
+            t_start = e.time
+        elif e.kind == stop and t_start is not None:
+            durations.append(e.time - t_start)
+            t_start = None
     return np.array(durations)
 
 

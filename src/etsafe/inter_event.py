@@ -229,6 +229,8 @@ def collect_inter_event_samples(
     g = scenario.gravity
     center, half_width = scenario.barrier.radial_geometry()
     radius_grid = np.asarray(radius_grid, dtype=float)
+    if radius_grid.size == 0:
+        raise ValueError("radius_grid is empty")
     inner = center - half_width
     outer = center + half_width
     if np.any(radius_grid <= inner) or np.any(radius_grid >= outer):

@@ -131,6 +131,21 @@ class TestValidateConfig:
         path.write_text(text)
         assert cmd_validate_config(str(path)) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("position = 2.2, 0.0, 0.0", "position = 2.2, abc, 0.0"),
+            ("velocity = 0.0, 0.674199862463242, 0.0", "velocity = 0.0, 0.67.4, 0.0"),
+            ("radius_grid = 1.9, 2.0, 2.1", "radius_grid = 1.9, abc"),
+        ],
+        ids=["position", "velocity", "radius_grid"],
+    )
+    def test_malformed_vector_is_config_error(self, tmp_path, caplog, old, new):
+        path = tmp_path / "malformed.ini"
+        path.write_text(SAT_SMALL.replace(old, new))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert "bad value for" in caplog.text
+
 
 class TestSimulate:
     def test_greedy_writes_outputs(self, sat_config, tmp_path):
@@ -336,6 +351,19 @@ class TestSampleAndFit:
 
     def test_sample_tau_rejects_planar(self, planar_config, tmp_path):
         assert cmd_sample_tau(planar_config, str(tmp_path / "s.csv")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid", ["1.7,abc", " , "], ids=["malformed", "empty"])
+    def test_sample_tau_rejects_a_bad_grid(self, sat_config, tmp_path, grid):
+        out = tmp_path / "s.csv"
+        assert main(["sample-tau", "--config", sat_config, "--out", str(out), "--grid", grid]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_sample_tau_rejects_an_empty_config_grid(self, tmp_path):
+        path = tmp_path / "empty_grid.ini"
+        path.write_text(SAT_SMALL.replace("radius_grid = 1.9, 2.0, 2.1", "radius_grid ="))
+        out = tmp_path / "s.csv"
+        assert cmd_sample_tau(str(path), str(out)) == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize("tail_width", [0, None], ids=["batch", "tail"])
     def test_non_finite_lane_exit_3(self, sat_config, tmp_path, monkeypatch, caplog, tail_width):

@@ -109,6 +109,25 @@ class TestParseConfig:
         message = str(err.value)
         assert "horizon" in message and "gamma" in message
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (GREEDY.replace("2.2, 0.0, 0.0", "2.2, abc, 0.0"), "[initial] position: '2.2, abc, 0.0'"),
+            (GREEDY.replace("0.0, 0.6742, 0.0", "0.0, x, 0.0"), "[initial] velocity: '0.0, x, 0.0'"),
+            (GREEDY + "\n[tau]\nradius_grid = 1.9, 2.0o\n", "[tau] radius_grid: '1.9, 2.0o'"),
+            (PLANAR.replace("state = 0.0, 0.0", "state = 0.0, none"), "[initial] state: '0.0, none'"),
+            (PLANAR.replace("goal = 1.05, 0.0", "goal = a, b"), "[filter] goal: 'a, b'"),
+        ],
+        ids=["position", "velocity", "radius_grid", "state", "goal"],
+    )
+    def test_malformed_vector_is_reported_with_the_rest(self, tmp_path, text, problem):
+        text = text.replace("horizon = 100.0", "horizon = -5.0").replace("horizon = 50.0", "horizon = -5.0")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        message = str(err.value)
+        assert f"bad value for {problem}" in message
+        assert "[scenario] horizon must be > 0" in message
+
     def test_tau_model_path_resolved_relative_to_config(self, tmp_path):
         text = GREEDY.replace(
             "trigger_scheme = greedy", "trigger_scheme = maneuver"

@@ -33,7 +33,7 @@ from etsafe.engine import (
     run_maneuver,
     satellite_region_sampler,
 )
-from etsafe.inter_event import InterEventTimeModel
+from etsafe.inter_event import InterEventTimeModel, load_model
 from etsafe.numerics import EventLocatorConfig, IntegratorConfig
 from etsafe.orbital import StationKeepingConfig
 from etsafe.scenarios import PlanarScenario, SatelliteScenario
@@ -238,6 +238,48 @@ class TestManeuver:
         assert (shipped.barrier.gamma, shipped.barrier.d_bar) == (scn.barrier.gamma, scn.barrier.d_bar)
         maneuver = run_maneuver(scn, fitted_like_tau_model(), X0, 6000.0)
         assert maneuver.summary.jump_count < greedy.summary.jump_count
+
+
+class TestSecondImpulsePins:
+    """Bit-for-bit event sequences of the shipped maneuver config, covering a
+    deadline impulse, a timing impulse, a safety second impulse and an initial
+    jump that opens a pair."""
+
+    HOT_START = np.array([2.35, 0.0, 0.0, 0.12, np.sqrt(1.0 / 2.35), 0.0])
+
+    @staticmethod
+    def run(seed, horizon, x0=None):
+        cfg = parse_config(os.path.join(os.path.dirname(SHIPPED_PLANAR), "maneuver_satellite.ini"))
+        model = load_model(cfg.tau_model_path)
+        scn = dataclasses.replace(cfg, seed=seed).build_satellite()
+        x0 = cfg.initial_state if x0 is None else x0
+        return model, run_maneuver(scn, model, x0, horizon, seed=seed)
+
+    def test_deadline_and_safety_second_impulses(self):
+        _, res = self.run(seed=2, horizon=800.0)
+        assert [(e.time, e.trigger_id, e.pair_role) for e in res.events] == [
+            (133.19154205322266, "safety", "first"),
+            (142.98730004094347, "deadline", "second"),
+            (524.5461661603281, "safety", "first"),
+            (536.1685836102793, "safety", "second"),
+            (751.1659060742685, "safety", "first"),
+        ]
+
+    def test_timing_second_impulse(self):
+        _, res = self.run(seed=1, horizon=1250.0)
+        assert [(e.time, e.trigger_id, e.pair_role) for e in res.events] == [
+            (904.2982162475585, "safety", "first"),
+            (1203.4169178523646, "timing", "second"),
+        ]
+
+    def test_initial_jump_opens_a_pair(self):
+        model, res = self.run(seed=1, horizon=600.0, x0=self.HOT_START)
+        assert [(e.time, e.trigger_id, e.pair_role) for e in res.events] == [
+            (0.0, "initial", "first"),
+            (7.476409149771133, "deadline", "second"),
+        ]
+        # the deadline impulse fires exactly at the gate
+        assert res.events[1].time == model.tau(res.events[0].h_after)
 
 
 class TestDegradedCrossings:

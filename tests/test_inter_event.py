@@ -239,6 +239,10 @@ class TestCampaign:
         with pytest.raises(ValueError):
             collect_inter_event_samples(scn, np.array([1.5]), 2, seed=0)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            collect_inter_event_samples(make_scenario(), np.empty(0), 2, seed=0)
+
     def test_batch_margin_matches_scalar(self):
         scn = make_scenario()
         b = scn.barrier
