@@ -18,7 +18,6 @@ from .barrier import (
     barrier_value,
     filter_off_margin,
     lie_derivative,
-    linear_class_k,
     maneuver_timing_margin,
     orbital_range_barrier,
     planar_disk_barrier,
@@ -110,7 +109,6 @@ __all__ = [
     "fit_inter_event_model",
     "goal_tracking_controller",
     "lie_derivative",
-    "linear_class_k",
     "locate_zero_crossing",
     "maneuver_timing_margin",
     "miet_bound",

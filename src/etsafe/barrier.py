@@ -5,18 +5,18 @@ A barrier function h defines the safe set as its zero superlevel set
 
     barrier_condition_margin(x) = dh/dt along the flow
                                   - |grad h| * d_bar          (disturbance worst case)
-                                  + alpha(h(x))               (class-K rate)
+                                  + gamma * h(x)              (linear class-K rate)
 
 which is nonnegative exactly when the robust barrier condition holds.  Every
 trigger in this package is a zero crossing of this margin, of a shifted copy
 of it (hysteresis), or of the expected-inter-event-time trend in
 :func:`maneuver_timing_margin`.
 
-Both shipped barriers are radial, ``h = half_width^2 - (r - center)^2`` in
-the position norm r (the disk: center 0, half-width rho), and their specs
-carry that geometry.  Only the orbital spec carries fused margin terms: its
-gradient has no velocity block, so along any flow with ``dr/dt = v`` (every
-satellite flow) both margins need one radius and no flow call.
+Every spec is radial, ``h = half_width^2 - (r - center)^2`` in the position
+norm r (the disk: center 0, half-width rho), and must carry that geometry.
+Only the orbital spec carries fused margin terms: its gradient has no
+velocity block, so along any flow with ``dr/dt = v`` (every satellite flow)
+both margins need one radius and no flow call.
 """
 
 from __future__ import annotations
@@ -39,53 +39,41 @@ class GradientMismatchError(ValueError):
     """Analytic gradient disagrees with finite differences of h."""
 
 
-def linear_class_k(gain: float) -> Callable[[float], float]:
-    """Linear class-K rate ``alpha(h) = gain * h``."""
-    if not gain > 0.0:
-        raise ValueError("gain must be > 0")
-
-    def alpha(h: float) -> float:
-        return gain * h
-
-    return alpha
-
-
 @dataclass(frozen=True)
 class BarrierSpec:
-    """A barrier function with its gradient, class-K rate, and noise bound.
+    """A radial barrier function with its gradient, class-K gain, and noise bound.
 
+    The class-K rate is linear, ``alpha(h) = gamma * h`` with ``gamma > 0``.
     d_bar must equal the disturbance model's bound; the margin functions below
     use exactly this declared value in their robust terms.
 
-    ``center``/``half_width`` are a radial barrier's geometry; the optional
-    fused ``margin_terms(x) = (h, dh/dt, |grad h|)`` assume ``dr/dt = v``.
+    ``center``/``half_width`` are the radial geometry; the optional fused
+    ``margin_terms(x) = (h, dh/dt, |grad h|)`` assume ``dr/dt = v``.
     """
 
     h: Callable[[np.ndarray], float]
     grad_h: Callable[[np.ndarray], np.ndarray]
-    alpha: Callable[[float], float]
+    gamma: float
     d_bar: float
-    gamma: float = float("nan")  # gain of a linear alpha, recorded for reporting
-    center: float = float("nan")
-    half_width: float = float("nan")
+    center: float
+    half_width: float
     margin_terms: Optional[Callable[[np.ndarray], tuple[float, float, float]]] = None
 
     def __post_init__(self) -> None:
+        if not self.gamma > 0.0:
+            raise ValueError("gamma must be > 0")
         if self.d_bar < 0.0:
             raise ValueError("d_bar must be >= 0")
-
-    def radial_geometry(self) -> tuple[float, float]:
-        """``(center, half_width)``; ValueError for a spec built without them."""
+        # a NaN radius would make every grid point pass the assumption check
         if not (math.isfinite(self.center) and math.isfinite(self.half_width)):
-            raise ValueError("barrier spec carries no radial geometry")
-        return self.center, self.half_width
+            raise ValueError("radial geometry must be finite")
 
     def h_rows(self, states: np.ndarray) -> np.ndarray:
         """h of each row of ``states`` for a radial spec, bitwise ``h`` row by
         row: the position dots as ``ndarray.dot`` takes them, then the disk
         (center 0) subtracts the dot and the band ``(r - c) ** 2``, with
         Python's ``**``, as numpy's square differs in the last bit on some."""
-        c, hw = self.radial_geometry()
+        c, hw = self.center, self.half_width
         pos = states[:, :3]
         dots = np.matmul(pos[:, None, :], pos[:, :, None])[:, 0, 0]
         if c == 0.0:
@@ -97,16 +85,6 @@ class BarrierSpec:
         for lo in range(0, len(r), 4096):
             h[lo : lo + 4096] = [hw * hw - (e - c) ** 2 for e in r[lo : lo + 4096].tolist()]
         return h
-
-
-def check_class_k(alpha: Callable[[float], float], h_max: float, n: int = 64) -> None:
-    """Sampled check that alpha(0) = 0 and alpha is strictly increasing."""
-    if abs(alpha(0.0)) > 1e-12:
-        raise ValueError(f"alpha(0) must be 0, got {alpha(0.0)!r}")
-    grid = np.linspace(0.0, h_max, n)
-    vals = np.array([alpha(float(v)) for v in grid])
-    if not np.all(np.diff(vals) > 0.0):
-        raise ValueError("alpha must be strictly increasing on the evaluated range")
 
 
 def check_gradient(
@@ -193,10 +171,8 @@ def orbital_range_barrier(
         gp = (-2.0 * (r - c) / r) * pos
         return hw * hw - (r - c) ** 2, float(gp.dot(x[3:])), math.sqrt(gp.dot(gp))
 
-    alpha = linear_class_k(gamma)
-    check_class_k(alpha, hw * hw)
     spec = BarrierSpec(
-        h=h, grad_h=grad_h, alpha=alpha, d_bar=d_bar, gamma=gamma,
+        h=h, grad_h=grad_h, gamma=gamma, d_bar=d_bar,
         center=c, half_width=hw, margin_terms=margin_terms,
     )
     check_gradient(spec, _orbital_check_states(g, c, hw))
@@ -214,11 +190,7 @@ def planar_disk_barrier(rho: float, gamma: float, d_bar: float) -> BarrierSpec:
     def grad_h(x: np.ndarray) -> np.ndarray:
         return -2.0 * np.asarray(x, dtype=float)
 
-    alpha = linear_class_k(gamma)
-    check_class_k(alpha, rho * rho)
-    spec = BarrierSpec(
-        h=h, grad_h=grad_h, alpha=alpha, d_bar=d_bar, gamma=gamma, center=0.0, half_width=rho
-    )
+    spec = BarrierSpec(h=h, grad_h=grad_h, gamma=gamma, d_bar=d_bar, center=0.0, half_width=rho)
     check_gradient(spec, _disk_check_states(rho))
     return spec
 
@@ -275,7 +247,7 @@ def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: np.ndarray) -> float
         # exactly that for a contiguous 1-D float array, which grad_h returns
         grad_norm = math.sqrt(grad.dot(grad))
         h = b.h(x)
-    return lfh - grad_norm * b.d_bar + b.alpha(h)
+    return lfh - grad_norm * b.d_bar + b.gamma * h
 
 
 def filter_off_margin(b: BarrierSpec, nominal_flow: Flow, x: np.ndarray, gap: float) -> float:

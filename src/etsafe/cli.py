@@ -10,16 +10,17 @@ same time (greedy in a worker, maneuver in the calling process), each writing
 into a staging directory under --out; the outputs are moved into place only
 when both arms succeed; a compare interrupted by SIGINT or SIGTERM exits 3
 and removes its staging directories.  sample-tau steps its lanes in one
-process per usable CPU; a failing lane, a dead worker or an interrupt makes
-it exit 3 and write nothing.  Identical config and seed reproduce outputs
-byte-for-byte.  ETSAFE_LOG_LEVEL (error | info | debug) controls stderr
-logging.
+process per usable CPU, at most two; a failing lane, a dead worker or an
+interrupt makes it exit 3 and write nothing.  Identical config and seed
+reproduce outputs byte-for-byte.  ETSAFE_LOG_LEVEL (error | info | debug)
+controls stderr logging.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import math
@@ -46,6 +47,8 @@ from .engine import (
     run_maneuver,
 )
 from .inter_event import (
+    _BASES,
+    _STATISTICS,
     FitError,
     collect_inter_event_samples,
     fit_inter_event_model,
@@ -145,36 +148,17 @@ def _jsonable(value):
 
 
 def summary_document(result: RunResult, cfg: ScenarioConfig) -> dict:
+    """Every ``RunSummary`` field in declaration order, with ``scenario_kind``
+    after ``scheme`` and the hours annotation last."""
     s = result.summary
-    doc = {
-        "scheme": s.scheme,
+    fields = {f.name: _jsonable(getattr(s, f.name)) for f in dataclasses.fields(s)}
+    return {
+        "scheme": fields.pop("scheme"),
         "scenario_kind": cfg.kind,
-        "horizon": _jsonable(s.horizon),
-        "seed": s.seed,
-        "gamma": _jsonable(s.gamma),
-        "d_bar": _jsonable(s.d_bar),
-        "step_size": _jsonable(s.step_size),
-        "time_tolerance": _jsonable(s.time_tolerance),
-        "value_tolerance": _jsonable(s.value_tolerance),
-        "jump_count": s.jump_count,
-        "filter_on_count": s.filter_on_count,
-        "filter_off_count": s.filter_off_count,
-        "event_count": s.event_count,
-        "min_inter_event_time": _jsonable(s.min_inter_event_time),
-        "mean_inter_event_time": _jsonable(s.mean_inter_event_time),
-        "median_inter_event_time": _jsonable(s.median_inter_event_time),
-        "min_h": _jsonable(s.min_h),
-        "min_xi_flow": _jsonable(s.min_xi_flow),
-        "miet_lower_bound": _jsonable(s.miet_lower_bound),
-        "min_post_jump_margin": _jsonable(s.min_post_jump_margin),
-        "aborted": s.aborted,
-        "horizon_truncated": s.horizon_truncated,
-        "assumption_check_samples": s.assumption_check_samples,
-        "max_on_duration": _jsonable(s.max_on_duration),
+        **fields,
         "hours_per_time_unit": _jsonable(cfg.hours_per_time_unit),
         "horizon_hours": _jsonable(s.horizon * cfg.hours_per_time_unit),
     }
-    return doc
 
 
 def write_summary_json(path: str, result: RunResult, cfg: ScenarioConfig) -> None:
@@ -289,7 +273,7 @@ def cmd_simulate(
         return EXIT_RUN
     _write_run_outputs(out_dir, result, cfg)
     s = result.summary
-    safe = s.min_h >= -cfg.value_tolerance
+    safe = s.min_h >= -cfg.events.value_tolerance
     print(
         f"scheme={s.scheme} events={s.event_count} min_h={s.min_h!r} "
         f"safe={safe} out={out_dir}"
@@ -425,7 +409,7 @@ def cmd_compare(
     atomic_write(os.path.join(out_dir, "comparison.json"), [json.dumps(doc, indent=2) + "\n"])
 
     both_safe = (
-        g.min_h >= -cfg.value_tolerance and m.min_h >= -cfg.value_tolerance
+        g.min_h >= -cfg.events.value_tolerance and m.min_h >= -cfg.events.value_tolerance
     )
     print(
         f"greedy={g.jump_count} maneuver={m.jump_count} "
@@ -462,9 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit-tau", help="fit the inter-event-time model")
     fit.add_argument("--samples", required=True)
     fit.add_argument("--out", required=True, help="output JSON path")
-    fit.add_argument("--basis", default="piecewise-linear",
-                     choices=["piecewise-linear", "polynomial"])
-    fit.add_argument("--statistic", default="median", choices=["median", "mean"])
+    fit.add_argument("--basis", default="piecewise-linear", choices=_BASES)
+    fit.add_argument("--statistic", default="median", choices=_STATISTICS)
     fit.add_argument("--degree", type=int, default=3)
 
     cmp_ = sub.add_parser("compare", help="paired greedy vs maneuver runs")

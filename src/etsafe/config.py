@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .barrier import orbital_range_barrier, planar_disk_barrier
-from .dynamics import _DISTURBANCE_KINDS, DisturbanceModel, GravityModel
+from .dynamics import DisturbanceModel, GravityModel
+from .inter_event import _BASES, _STATISTICS
 from .numerics import EventLocatorConfig, IntegratorConfig
 from .orbital import StationKeepingConfig
 from .scenarios import PlanarScenario, SatelliteScenario
@@ -38,6 +39,8 @@ class ScenarioConfig:
 
     ``tau_model_path`` is resolved relative to the config file's directory.
     ``hours_per_time_unit`` only annotates outputs; nothing is rescaled.
+    ``build_satellite``/``build_planar`` give ``disturbance`` its ``seed``,
+    so an override of ``seed`` reaches the disturbance.
     """
 
     kind: str
@@ -46,25 +49,18 @@ class ScenarioConfig:
     horizon: float
     hours_per_time_unit: float
     allow_initial_jump: bool
-    mu: float
-    R: float
-    disturbance_kind: str
-    d_bar: float
-    hold_time: float
+    gravity: GravityModel
+    disturbance: DisturbanceModel
     gamma: float
     rho: float
-    post_jump_margin: float
-    retarget_gain: float
+    controller: StationKeepingConfig
     promote_rate: float
     hysteresis_gap: float
     recovery_level: float
     goal: np.ndarray
     gain: float
-    step_size: float
-    interpolation: str
-    time_tolerance: float
-    value_tolerance: float
-    max_bisections: int
+    integrator: IntegratorConfig
+    events: EventLocatorConfig
     initial_state: np.ndarray
     tau_model_path: Optional[str]
     tau_radius_grid: np.ndarray
@@ -72,54 +68,37 @@ class ScenarioConfig:
     tau_max_wait: float
 
     def build_satellite(self) -> SatelliteScenario:
-        g = GravityModel(mu=self.mu, R=self.R)
-        barrier = orbital_range_barrier(g, gamma=self.gamma, d_bar=self.d_bar)
-        center, half_width = barrier.radial_geometry()
+        barrier = orbital_range_barrier(
+            self.gravity, gamma=self.gamma, d_bar=self.disturbance.d_bar
+        )
         return SatelliteScenario(
-            gravity=g,
+            gravity=self.gravity,
             barrier=barrier,
-            controller=StationKeepingConfig(
-                post_jump_margin=self.post_jump_margin,
-                retarget_gain=self.retarget_gain,
-            ),
+            controller=self.controller,
             # the zonal field peaks at the band's inner radius
-            disturbance=replace(self._disturbance(dim=3), shell_inner=center - half_width),
-            integrator=IntegratorConfig(
-                step_size=self.step_size, interpolation=self.interpolation
+            disturbance=replace(
+                self.disturbance,
+                seed=self.seed,
+                shell_inner=barrier.center - barrier.half_width,
             ),
-            events=self._events(),
+            integrator=self.integrator,
+            events=self.events,
             allow_initial_jump=self.allow_initial_jump,
         )
 
     def build_planar(self) -> PlanarScenario:
         return PlanarScenario(
-            barrier=planar_disk_barrier(rho=self.rho, gamma=self.gamma, d_bar=self.d_bar),
+            barrier=planar_disk_barrier(
+                rho=self.rho, gamma=self.gamma, d_bar=self.disturbance.d_bar
+            ),
             goal=self.goal,
             gain=self.gain,
-            disturbance=self._disturbance(dim=2),
+            disturbance=replace(self.disturbance, seed=self.seed),
             promote_rate=self.promote_rate,
             hysteresis_gap=self.hysteresis_gap,
             recovery_level=self.recovery_level,
-            integrator=IntegratorConfig(
-                step_size=self.step_size, interpolation=self.interpolation
-            ),
-            events=self._events(),
-        )
-
-    def _disturbance(self, dim: int) -> DisturbanceModel:
-        return DisturbanceModel(
-            kind=self.disturbance_kind,
-            d_bar=self.d_bar,
-            seed=self.seed,
-            hold_time=self.hold_time,
-            dim=dim,
-        )
-
-    def _events(self) -> EventLocatorConfig:
-        return EventLocatorConfig(
-            time_tolerance=self.time_tolerance,
-            value_tolerance=self.value_tolerance,
-            max_bisections=self.max_bisections,
+            integrator=self.integrator,
+            events=self.events,
         )
 
 
@@ -161,6 +140,17 @@ def parse_config(path: str) -> ScenarioConfig:
             problems.append(f"bad value for [{section}] {key}: {raw!r}")
             return None
 
+    def build(section: str, make, **values):
+        """``make(**values)``, its ValueError recorded under ``[section]``;
+        None if that fails or a value did not parse."""
+        if any(v is None for v in values.values()):
+            return None
+        try:
+            return make(**values)
+        except ValueError as err:
+            problems.append(f"[{section}] {err}")
+            return None
+
     kind = get("scenario", "kind", str)
     scheme = get("scenario", "trigger_scheme", str)
     seed = get("scenario", "seed", int)
@@ -168,19 +158,33 @@ def parse_config(path: str) -> ScenarioConfig:
     hours = get("scenario", "hours_per_time_unit", float, 1.0)
     allow_initial = get("scenario", "allow_initial_jump", bool, True)
 
-    mu = get("gravity", "mu", float, 1.0)
-    R = get("gravity", "R", float, 1.0)
+    gravity = build(
+        "gravity",
+        GravityModel,
+        mu=get("gravity", "mu", float, 1.0),
+        R=get("gravity", "R", float, 1.0),
+    )
 
-    d_kind = get("disturbance", "kind", str, "none")
     d_bar = get("disturbance", "d_bar", float, 0.0)
-    hold = get("disturbance", "hold_time", float, 1.0)
+    disturbance = build(
+        "disturbance",
+        DisturbanceModel,
+        kind=get("disturbance", "kind", str, "none"),
+        d_bar=d_bar,
+        hold_time=get("disturbance", "hold_time", float, 1.0),
+        dim=2 if kind == "planar-demo" else 3,
+    )
 
     gamma = get("barrier", "gamma", float)
     rho = get("barrier", "rho", float, 1.0)
     barrier_d_bar = get("barrier", "d_bar", float, d_bar if d_bar is not None else 0.0)
 
-    margin = get("controller", "post_jump_margin", float, 0.01)
-    retarget = get("controller", "retarget_gain", float, 0.5)
+    controller = build(
+        "controller",
+        StationKeepingConfig,
+        post_jump_margin=get("controller", "post_jump_margin", float, 0.01),
+        retarget_gain=get("controller", "retarget_gain", float, 0.5),
+    )
 
     promote = get("filter", "promote_rate", float, 0.05)
     gap = get("filter", "hysteresis_gap", float, 0.05)
@@ -188,12 +192,19 @@ def parse_config(path: str) -> ScenarioConfig:
     goal = get("filter", "goal", _parse_vector, np.zeros(2))
     gain = get("filter", "gain", float, 1.0)
 
-    step = get("integrator", "step_size", float, 0.05)
-    interp = get("integrator", "interpolation", str, "cubic-hermite")
-
-    ttol = get("events", "time_tolerance", float, 1e-9)
-    vtol = get("events", "value_tolerance", float, 1e-9)
-    bisections = get("events", "max_bisections", int, 200)
+    integrator = build(
+        "integrator",
+        IntegratorConfig,
+        step_size=get("integrator", "step_size", float, 0.05),
+        interpolation=get("integrator", "interpolation", str, "cubic-hermite"),
+    )
+    events = build(
+        "events",
+        EventLocatorConfig,
+        time_tolerance=get("events", "time_tolerance", float, 1e-9),
+        value_tolerance=get("events", "value_tolerance", float, 1e-9),
+        max_bisections=get("events", "max_bisections", int, 200),
+    )
 
     tau_path = get("tau", "model_path", str, "")
     tau_grid = get(
@@ -238,47 +249,19 @@ def parse_config(path: str) -> ScenarioConfig:
     checks = [
         (horizon is None or horizon > 0.0, "[scenario] horizon must be > 0"),
         (seed is None or seed >= 0, "[scenario] seed must be >= 0"),
-        (mu is None or mu > 0.0, "[gravity] mu must be > 0"),
-        (R is None or R > 0.0, "[gravity] R must be > 0"),
-        (d_bar is None or d_bar >= 0.0, "[disturbance] d_bar must be >= 0"),
-        (hold is None or hold > 0.0, "[disturbance] hold_time must be > 0"),
         (gamma is None or gamma > 0.0, "[barrier] gamma must be > 0"),
         (rho is None or rho > 0.0, "[barrier] rho must be > 0"),
-        (margin is None or margin > 0.0, "[controller] post_jump_margin must be > 0"),
-        (
-            retarget is None or 0.0 <= retarget < 1.0,
-            "[controller] retarget_gain must be in [0, 1)",
-        ),
         (promote is None or promote > 0.0, "[filter] promote_rate must be > 0"),
         (gap is None or gap > 0.0, "[filter] hysteresis_gap must be > 0"),
         (recovery is None or recovery > 0.0, "[filter] recovery_level must be > 0"),
-        (step is None or step > 0.0, "[integrator] step_size must be > 0"),
-        (ttol is None or ttol > 0.0, "[events] time_tolerance must be > 0"),
-        (vtol is None or vtol > 0.0, "[events] value_tolerance must be > 0"),
-        (bisections is None or bisections >= 1, "[events] max_bisections must be >= 1"),
         (tau_n is None or tau_n >= 1, "[tau] n_per_radius must be >= 1"),
         (tau_wait is None or tau_wait > 0.0, "[tau] max_wait must be > 0"),
-        (
-            tau_stat in ("median", "mean"),
-            "[tau] statistic must be median or mean",
-        ),
-        (
-            tau_basis in ("piecewise-linear", "polynomial"),
-            "[tau] basis must be piecewise-linear or polynomial",
-        ),
-        (
-            interp in ("linear", "cubic-hermite"),
-            "[integrator] interpolation must be linear or cubic-hermite",
-        ),
+        (tau_stat in _STATISTICS, f"[tau] statistic must be {' or '.join(_STATISTICS)}"),
+        (tau_basis in _BASES, f"[tau] basis must be {' or '.join(_BASES)}"),
     ]
     for ok, message in checks:
         if not ok:
             problems.append(message)
-
-    if d_kind is not None and d_kind not in _DISTURBANCE_KINDS:
-        problems.append(f"[disturbance] unknown kind {d_kind!r}")
-    if d_kind in _DISTURBANCE_KINDS and d_kind != "none" and d_bar is not None and not d_bar > 0.0:
-        problems.append(f"[disturbance] kind {d_kind!r} requires d_bar > 0")
 
     if (
         barrier_d_bar is not None
@@ -309,25 +292,18 @@ def parse_config(path: str) -> ScenarioConfig:
         horizon=horizon,
         hours_per_time_unit=hours,
         allow_initial_jump=allow_initial,
-        mu=mu,
-        R=R,
-        disturbance_kind=d_kind,
-        d_bar=d_bar,
-        hold_time=hold,
+        gravity=gravity,
+        disturbance=disturbance,
         gamma=gamma,
         rho=rho,
-        post_jump_margin=margin,
-        retarget_gain=retarget,
+        controller=controller,
         promote_rate=promote,
         hysteresis_gap=gap,
         recovery_level=recovery,
         goal=goal,
         gain=gain,
-        step_size=step,
-        interpolation=interp,
-        time_tolerance=ttol,
-        value_tolerance=vtol,
-        max_bisections=bisections,
+        integrator=integrator,
+        events=events,
         initial_state=initial,
         tau_model_path=resolved_tau,
         tau_radius_grid=tau_grid,

@@ -231,15 +231,15 @@ class DisturbanceModel:
 
     def __post_init__(self) -> None:
         if self.kind not in _DISTURBANCE_KINDS:
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if self.d_bar < 0.0:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if not self.d_bar >= 0.0:
             raise ValueError("d_bar must be >= 0")
         if self.kind != "none" and not self.d_bar > 0.0:
             raise ValueError(f"kind {self.kind!r} requires d_bar > 0")
-        if self.kind == "seeded-piecewise-constant" and not self.hold_time > 0.0:
+        if not self.hold_time > 0.0:
             raise ValueError("hold_time must be > 0")
         if self.kind == "zonal-j2-like" and self.dim != 3:
-            raise ValueError("zonal-j2-like disturbance is 3-D only")
+            raise ValueError(f"kind {self.kind!r} is 3-D only, got dim {self.dim}")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
 

@@ -589,8 +589,7 @@ def check_nominal_safety_assumption(
 
 def _recovery_radius(b: BarrierSpec, level: float) -> float:
     """Outer radius where the radial barrier falls to ``level`` (else its center)."""
-    center, half_width = b.radial_geometry()
-    return center + math.sqrt(max(half_width ** 2 - level, 0.0))
+    return b.center + math.sqrt(max(b.half_width ** 2 - level, 0.0))
 
 
 # --- Bounds and audits ---
@@ -653,8 +652,8 @@ def miet_bound(
 
 def satellite_region_sampler(scenario: SatelliteScenario, seed: int = 0):
     """States covering the safe band with sub-escape speeds."""
-    center, half_width = scenario.barrier.radial_geometry()
-    inner, outer = center - half_width, center + half_width
+    b = scenario.barrier
+    inner, outer = b.center - b.half_width, b.center + b.half_width
     mu = scenario.gravity.mu
 
     def sampler(n: int) -> np.ndarray:
@@ -672,8 +671,8 @@ def satellite_region_sampler(scenario: SatelliteScenario, seed: int = 0):
 
 def planar_region_sampler(scenario: PlanarScenario, seed: int = 0):
     """States covering the planar safe disk."""
-    center, half_width = scenario.barrier.radial_geometry()
-    rho = center + half_width  # the disk's outer edge
+    b = scenario.barrier
+    rho = b.center + b.half_width  # the disk's outer edge
 
     def sampler(n: int) -> np.ndarray:
         rng = np.random.default_rng(seed)

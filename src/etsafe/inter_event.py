@@ -71,6 +71,7 @@ from .scenarios import SatelliteScenario
 from .workers import started_workers
 
 _BASES = ("piecewise-linear", "polynomial")
+_STATISTICS = ("median", "mean")
 
 # Hash-key tags for sample geometry; far above any disturbance interval index.
 _PLANE_TAG = np.uint64(1) << np.uint64(40)
@@ -196,9 +197,9 @@ class InterEventSampleSet:
         h, t = self.accepted()
         keys = np.round(h, _LEVEL_DECIMALS)
         levels = np.unique(keys)
-        reducer = np.median if statistic == "median" else np.mean
-        if statistic not in ("median", "mean"):
+        if statistic not in _STATISTICS:
             raise ValueError(f"unknown statistic {statistic!r}")
+        reducer = np.median if statistic == "median" else np.mean
         stats = np.array([reducer(t[keys == lv]) for lv in levels])
         return levels, stats
 
@@ -227,12 +228,12 @@ def collect_inter_event_samples(
     the caller is; the times do not depend on it.
     """
     g = scenario.gravity
-    center, half_width = scenario.barrier.radial_geometry()
+    b = scenario.barrier
     radius_grid = np.asarray(radius_grid, dtype=float)
     if radius_grid.size == 0:
         raise ValueError("radius_grid is empty")
-    inner = center - half_width
-    outer = center + half_width
+    inner = b.center - b.half_width
+    outer = b.center + b.half_width
     if np.any(radius_grid <= inner) or np.any(radius_grid >= outer):
         raise ValueError(f"radii must lie strictly inside ({inner}, {outer})")
     if n_per_radius < 1:
@@ -379,8 +380,8 @@ def _propagate_batch_until_trigger(
     """
     b = scenario.barrier
     dt = scenario.integrator.step_size
-    if b.margin_terms is None or not np.isfinite(b.gamma):
-        raise ValueError("batch campaign requires the linear class-K orbital barrier")
+    if b.margin_terms is None:
+        raise ValueError("batch campaign requires the orbital barrier")
     mu = scenario.gravity.mu
 
     n = len(states0)
@@ -652,6 +653,8 @@ def fit_inter_event_model(
             statistic=statistic,
         )
 
+    if degree < 0:
+        raise FitError(f"polynomial degree must be >= 0, got {degree}")
     if degree >= len(levels):
         raise FitError(
             f"polynomial degree {degree} needs more than {degree} levels, got {len(levels)}"

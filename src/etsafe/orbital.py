@@ -279,8 +279,8 @@ def station_keeping_impulse(
     t_hat = np.cross(n_hat, r_hat)
 
     flow = lambda x: two_body_field(g, x)
-    c, half_width = b.radial_geometry()
-    nu = _placed_anomaly(r, c, half_width)
+    c = b.center
+    nu = _placed_anomaly(r, c, b.half_width)
     for gain in (cfg.retarget_gain, 0.0):
         r_target = c + gain * (r - c)
         e, p = _transfer_ellipse(r, nu, r_target)

@@ -47,7 +47,7 @@ def build_constraint(
     """Assemble the barrier-condition halfspace at state x.
 
     ``standard`` enforces the robust barrier condition,
-        grad_h . (drift + G u) - |grad_h| d_bar >= -alpha(h),
+        grad_h . (drift + G u) - |grad_h| d_bar >= -gamma h,
     which keeps the safe set invariant while deviating minimally.
 
     ``promoting`` replaces the class-K right side with a positive floor on the
@@ -63,7 +63,7 @@ def build_constraint(
     robust = float(np.linalg.norm(grad)) * b.d_bar
     lfh_drift = float(grad @ drift)
     if mode == "standard":
-        rhs = -b.alpha(b.h(x)) + robust - lfh_drift
+        rhs = -b.gamma * b.h(x) + robust - lfh_drift
     elif mode == "promoting":
         if promote_rate is None or not promote_rate > 0.0:
             raise ValueError("promoting mode requires promote_rate > 0")

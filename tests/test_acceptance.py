@@ -257,7 +257,7 @@ def test_criterion_8_numerical_hygiene():
     period = 2.0 * np.pi * np.sqrt(8.0)
     _, states_t, _, _ = propagate_until(
         lambda t, x: two_body_field(g, x), s0, 0.0, period, [],
-        IntegratorConfig(step_size=cfg.step_size),
+        IntegratorConfig(step_size=cfg.integrator.step_size),
     )
     r = np.linalg.norm(states_t[:, :3], axis=1)
     v2 = np.sum(states_t[:, 3:] ** 2, axis=1)

@@ -11,11 +11,9 @@ from etsafe.barrier import (
     GradientMismatchError,
     barrier_condition_margin,
     barrier_value,
-    check_class_k,
     check_gradient,
     filter_off_margin,
     lie_derivative,
-    linear_class_k,
     maneuver_timing_margin,
     orbital_range_barrier,
     planar_disk_barrier,
@@ -146,7 +144,7 @@ class TestBitwiseAgainstNormFormulas:
     @staticmethod
     def norm_margin(b, flow, x, h, grad):
         lfh = float(grad @ np.asarray(flow(x)))
-        return lfh - float(np.linalg.norm(grad)) * b.d_bar + b.alpha(h)
+        return lfh - float(np.linalg.norm(grad)) * b.d_bar + b.gamma * h
 
     def orbital_states(self):
         rng = np.random.default_rng(5)
@@ -273,24 +271,21 @@ class TestManeuverTimingMargin:
 
 
 class TestValidationHelpers:
-    def test_class_k_rejects_nonzero_at_origin(self):
-        with pytest.raises(ValueError):
-            check_class_k(lambda h: h + 0.1, 1.0)
-
-    def test_class_k_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            check_class_k(lambda h: 0.0 * h, 1.0)
-
-    def test_linear_class_k_requires_positive_gain(self):
-        with pytest.raises(ValueError):
-            linear_class_k(0.0)
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+    def test_spec_requires_positive_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be > 0"):
+            planar_disk_barrier(1.0, gamma=gamma, d_bar=0.0)
+        with pytest.raises(ValueError, match="gamma must be > 0"):
+            orbital_range_barrier(GRAVITY, gamma=gamma, d_bar=0.0)
 
     def test_gradient_check_catches_wrong_gradient(self):
         bad = BarrierSpec(
             h=lambda x: 1.0 - float(x @ x),
             grad_h=lambda x: -1.0 * np.asarray(x),  # off by factor 2
-            alpha=linear_class_k(1.0),
+            gamma=1.0,
             d_bar=0.0,
+            center=0.0,
+            half_width=1.0,
         )
         with pytest.raises(GradientMismatchError):
             check_gradient(bad, np.array([[0.5, 0.2]]))
@@ -400,19 +395,21 @@ class TestRadialGeometry:
     def test_disk_is_centered_band(self):
         b = planar_disk_barrier(1.5, gamma=2.0, d_bar=0.01)
         assert (b.center, b.half_width) == (0.0, 1.5)
-        assert b.radial_geometry() == (0.0, 1.5)
 
     def test_spec_without_geometry_is_rejected(self):
-        b = BarrierSpec(
+        parts = dict(
             h=lambda x: 1.0 - float(x @ x),
             grad_h=lambda x: -2.0 * np.asarray(x),
-            alpha=linear_class_k(1.0),
+            gamma=1.0,
             d_bar=0.0,
         )
+        with pytest.raises(TypeError, match="center"):
+            BarrierSpec(**parts)
+        b = BarrierSpec(**parts, center=0.0, half_width=1.0)
         with pytest.raises(ValueError, match="radial geometry"):
-            b.radial_geometry()
+            dataclasses.replace(b, half_width=float("nan"))
         with pytest.raises(ValueError, match="radial geometry"):
-            dataclasses.replace(b, center=0.0).radial_geometry()
+            dataclasses.replace(b, center=float("inf"))
 
 
 class TestGradientCheckCoversFusedTerms:

@@ -146,6 +146,13 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
         assert "bad value for" in caplog.text
 
+    def test_zonal_planar_is_config_error(self, tmp_path, caplog):
+        # the zonal field is 3-D only, so a planar scenario cannot carry it
+        path = tmp_path / "zonal.ini"
+        path.write_text(PLANAR_SMALL.replace("seeded-piecewise-constant", "zonal-j2-like"))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert "[disturbance] kind 'zonal-j2-like' is 3-D only" in caplog.text
+
 
 class TestSimulate:
     def test_greedy_writes_outputs(self, sat_config, tmp_path):
@@ -176,6 +183,13 @@ class TestSimulate:
         path = tmp_path / "bad.ini"
         path.write_text(SAT_SMALL.replace("kind = satellite", "kind = rover"))
         assert cmd_simulate(str(path), str(tmp_path / "out")) == EXIT_CONFIG
+
+    def test_zonal_planar_exits_2_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "zonal.ini"
+        path.write_text(PLANAR_SMALL.replace("seeded-piecewise-constant", "zonal-j2-like"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_exit_3_on_run_abort(self, tmp_path):
         # start outside the safe band: the run aborts with a diagnostic
@@ -348,6 +362,16 @@ class TestSampleAndFit:
             "radius,h,inter_event_time,censored\n2.0,0.16,9.0,0\n2.0,0.16,8.0,0\n"
         )
         assert cmd_fit_tau(str(samples), str(tmp_path / "m.json")) == EXIT_RUN
+
+    def test_negative_polynomial_degree_exit_3(self, tmp_path):
+        samples = tmp_path / "two_levels.csv"
+        samples.write_text(
+            "radius,h,inter_event_time,censored\n2.4,0.0,1.0,0\n2.0,0.16,9.0,0\n"
+        )
+        out = tmp_path / "m.json"
+        argv = ["fit-tau", "--samples", str(samples), "--out", str(out)]
+        assert main(argv + ["--basis", "polynomial", "--degree", "-1"]) == EXIT_RUN
+        assert not out.exists()
 
     def test_sample_tau_rejects_planar(self, planar_config, tmp_path):
         assert cmd_sample_tau(planar_config, str(tmp_path / "s.csv")) == EXIT_CONFIG

@@ -1,5 +1,8 @@
 """Configuration parsing and validation tests."""
 
+import configparser
+import io
+
 import numpy as np
 import pytest
 
@@ -60,8 +63,8 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, GREEDY))
         assert cfg.kind == "satellite"
         assert cfg.trigger_scheme == "greedy"
-        assert cfg.step_size == 0.05
-        assert cfg.post_jump_margin == 0.01
+        assert cfg.integrator.step_size == 0.05
+        assert cfg.controller.post_jump_margin == 0.01
         assert np.allclose(cfg.initial_state, [2.2, 0, 0, 0, 0.6742, 0])
         scenario = cfg.build_satellite()
         assert scenario.barrier.d_bar == 0.001
@@ -160,7 +163,7 @@ class TestParseConfig:
             + "\n[gravity]\nmu = 1.0\nR = 3.0\n"
         )
         scn = parse_config(write(tmp_path, text)).build_satellite()
-        center, half_width = scn.barrier.radial_geometry()
+        center, half_width = scn.barrier.center, scn.barrier.half_width
         assert (center, half_width) == (6.0, 1.2000000000000002)
         dist = scn.disturbance
         assert dist.shell_inner == center - half_width
@@ -174,3 +177,132 @@ class TestParseConfig:
             float(np.linalg.norm(dist._zonal(r * u))) for r, u in zip(radii, dirs)
         )
         assert dist.d_bar * 0.5 < sup <= dist.d_bar * (1.0 + 1e-12)
+
+
+def with_values(text, values):
+    """``text`` with each ``"section.key"`` of ``values`` set, or removed
+    where the value is None."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    for name, value in values.items():
+        section, key = name.split(".")
+        if value is None:
+            parser.remove_option(section, key)
+            continue
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+# (values, the fragment of the ConfigError that names the broken rule), for
+# both the satellite and the planar text
+REJECTED = [
+    ({"scenario.kind": "rover"}, "[scenario] kind must be one of"),
+    ({"scenario.trigger_scheme": "sporadic"}, "[scenario] trigger_scheme must be one of"),
+    ({"scenario.horizon": None}, "missing [scenario] horizon"),
+    ({"scenario.horizon": "0"}, "[scenario] horizon must be > 0"),
+    ({"scenario.seed": "-1"}, "[scenario] seed must be >= 0"),
+    ({"scenario.allow_initial_jump": "maybe"}, "bad value for [scenario] allow_initial_jump"),
+    ({"gravity.mu": "0"}, "[gravity] mu must be > 0"),
+    ({"gravity.R": "-1"}, "[gravity] R must be > 0"),
+    ({"gravity.R": "nan"}, "[gravity] R must be > 0"),
+    ({"disturbance.kind": "windy"}, "[disturbance] unknown kind 'windy'"),
+    ({"disturbance.d_bar": "-0.001"}, "[disturbance] d_bar must be >= 0"),
+    ({"disturbance.d_bar": "0"}, "[disturbance] kind 'seeded-piecewise-constant' requires d_bar > 0"),
+    ({"disturbance.kind": "none", "disturbance.d_bar": "nan"}, "[disturbance] d_bar must be >= 0"),
+    ({"disturbance.hold_time": "0"}, "[disturbance] hold_time must be > 0"),
+    ({"disturbance.kind": "none", "disturbance.hold_time": "-1"}, "[disturbance] hold_time must be > 0"),
+    ({"barrier.gamma": None}, "missing [barrier] gamma"),
+    ({"barrier.gamma": "0"}, "[barrier] gamma must be > 0"),
+    ({"barrier.gamma": "nan"}, "[barrier] gamma must be > 0"),
+    ({"barrier.rho": "-1"}, "[barrier] rho must be > 0"),
+    ({"barrier.d_bar": "0.5"}, "[barrier] d_bar must equal [disturbance] d_bar"),
+    ({"controller.post_jump_margin": "0"}, "[controller] post_jump_margin must be > 0"),
+    ({"controller.retarget_gain": "1.0"}, "[controller] retarget_gain must be in [0, 1)"),
+    ({"controller.retarget_gain": "-0.1"}, "[controller] retarget_gain must be in [0, 1)"),
+    ({"filter.promote_rate": "0"}, "[filter] promote_rate must be > 0"),
+    ({"filter.hysteresis_gap": "0"}, "[filter] hysteresis_gap must be > 0"),
+    ({"filter.recovery_level": "-1"}, "[filter] recovery_level must be > 0"),
+    ({"filter.goal": "1, 2, 3"}, "[filter] goal must be a 2-vector"),
+    ({"integrator.step_size": "0"}, "[integrator] step_size must be > 0"),
+    ({"integrator.interpolation": "spline"}, "[integrator] interpolation must be"),
+    ({"events.time_tolerance": "0"}, "[events] time_tolerance must be > 0"),
+    ({"events.value_tolerance": "-1e-9"}, "[events] value_tolerance must be > 0"),
+    ({"events.max_bisections": "0"}, "[events] max_bisections must be >= 1"),
+    ({"tau.n_per_radius": "0"}, "[tau] n_per_radius must be >= 1"),
+    ({"tau.max_wait": "0"}, "[tau] max_wait must be > 0"),
+    ({"tau.statistic": "mode"}, "[tau] statistic must be median or mean"),
+    ({"tau.basis": "spline"}, "[tau] basis must be piecewise-linear or polynomial"),
+    ({"scenario.trigger_scheme": "maneuver"}, "[tau] model_path is required for the maneuver scheme"),
+]
+REJECTED_BY_KIND = {
+    "satellite": [
+        ({"initial.position": "2.2, 0.0"}, "[initial] position and velocity must be 3-vectors"),
+    ],
+    "planar": [
+        ({"initial.state": "0.0, 0.0, 0.0"}, "[initial] state must be a 2-vector"),
+        # the zonal field is 3-D only
+        ({"disturbance.kind": "zonal-j2-like"}, "[disturbance] kind 'zonal-j2-like' is 3-D only"),
+    ],
+}
+ACCEPTED = [
+    {},
+    {"controller.retarget_gain": "0.0"},
+    {"events.max_bisections": "1"},
+    {"disturbance.kind": "none", "disturbance.d_bar": "0"},
+    {"disturbance.kind": "none", "disturbance.hold_time": "2.5"},
+    {"barrier.d_bar": None},
+]
+ACCEPTED_BY_KIND = {"satellite": [{"disturbance.kind": "zonal-j2-like"}], "planar": []}
+TEXTS = {"satellite": GREEDY, "planar": PLANAR}
+
+
+def verdict_rows(shared, by_kind):
+    return [
+        pytest.param(TEXTS[kind], row, id=f"{kind}-{i}")
+        for kind in TEXTS
+        for i, row in enumerate(shared + by_kind[kind])
+    ]
+
+
+class TestVerdictTable:
+    """Every range rule of ``parse_config`` on both scenario kinds: a broken
+    rule is a ConfigError that names its ``[section] key``."""
+
+    @pytest.mark.parametrize("text, row", verdict_rows(REJECTED, REJECTED_BY_KIND))
+    def test_rejected(self, tmp_path, text, row):
+        values, problem = row
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, with_values(text, values)))
+        assert problem in str(err.value)
+
+    @pytest.mark.parametrize("text, values", verdict_rows(ACCEPTED, ACCEPTED_BY_KIND))
+    def test_accepted(self, tmp_path, text, values):
+        parse_config(write(tmp_path, with_values(text, values)))
+
+    @pytest.mark.parametrize("kind", TEXTS)
+    def test_one_broken_rule_per_section_all_reported(self, tmp_path, kind):
+        rows = [
+            ({"scenario.horizon": "0", "scenario.seed": "-1"},
+             ["[scenario] horizon must be > 0", "[scenario] seed must be >= 0"]),
+            ({"gravity.mu": "0"}, ["[gravity] mu must be > 0"]),
+            ({"disturbance.hold_time": "0"}, ["[disturbance] hold_time must be > 0"]),
+            ({"barrier.gamma": "0", "barrier.rho": "0"},
+             ["[barrier] gamma must be > 0", "[barrier] rho must be > 0"]),
+            ({"controller.retarget_gain": "2"}, ["[controller] retarget_gain must be in [0, 1)"]),
+            ({"filter.promote_rate": "0"}, ["[filter] promote_rate must be > 0"]),
+            ({"integrator.step_size": "0"}, ["[integrator] step_size must be > 0"]),
+            ({"events.max_bisections": "0"}, ["[events] max_bisections must be >= 1"]),
+            ({"tau.n_per_radius": "0", "tau.basis": "spline"},
+             ["[tau] n_per_radius must be >= 1", "[tau] basis must be"]),
+        ]
+        values = {k: v for broken, _ in rows for k, v in broken.items()}
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, with_values(TEXTS[kind], values)))
+        message = str(err.value)
+        for _, problems in rows:
+            for problem in problems:
+                assert problem in message

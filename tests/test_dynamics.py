@@ -233,6 +233,12 @@ class TestDisturbanceModel:
         with pytest.raises(ValueError):
             DisturbanceModel(kind="zonal-j2-like", d_bar=1e-3, dim=2)
 
+    def test_bound_and_hold_time_checked_for_every_kind(self):
+        with pytest.raises(ValueError, match="d_bar must be >= 0"):
+            DisturbanceModel(d_bar=float("nan"))
+        with pytest.raises(ValueError, match="hold_time must be > 0"):
+            DisturbanceModel(hold_time=0.0)
+
 
 class TestPlanarDemo:
     def test_goal_tracking_controller(self):

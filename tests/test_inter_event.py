@@ -120,6 +120,14 @@ class TestFit:
         with pytest.raises(FitError):
             fit_inter_event_model(two_level_samples(), basis="polynomial", degree=2)
 
+    def test_negative_polynomial_degree_rejected(self):
+        with pytest.raises(FitError, match="degree must be >= 0"):
+            fit_inter_event_model(two_level_samples(), basis="polynomial", degree=-1)
+
+    def test_unknown_statistic_rejected(self):
+        with pytest.raises(ValueError, match="unknown statistic 'mode'"):
+            two_level_samples().level_statistics("mode")
+
     def test_single_level_rejected(self):
         s = InterEventSampleSet(
             radius=np.array([2.0, 2.0]),

@@ -130,7 +130,7 @@ class TestBuildConstraint:
             u = project(rng.normal(size=2), con)
             grad = b.grad_h(x)
             lhs = float(grad @ u) - np.linalg.norm(grad) * b.d_bar
-            assert lhs >= -b.alpha(b.h(x)) - 1e-10
+            assert lhs >= -b.gamma * b.h(x) - 1e-10
 
     def test_promoting_requires_rate(self):
         b = planar_disk_barrier(rho=1.0, gamma=1.0, d_bar=0.0)
