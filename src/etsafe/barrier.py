@@ -87,18 +87,17 @@ class BarrierSpec:
         return h
 
 
-def check_gradient(
-    b: BarrierSpec,
-    states: np.ndarray,
-    rel_tol: float = 1e-5,
-    eps: float = 1e-6,
-) -> float:
-    """Compare grad_h against central finite differences of h.
+_GRADIENT_EPS = 1e-6  # check_gradient's central-difference step
+_GRADIENT_REL_TOL = 1e-5  # the largest relative error check_gradient accepts
+
+
+def check_gradient(b: BarrierSpec, states: np.ndarray) -> float:
+    """Compare grad_h against central finite differences of h, step 1e-6.
 
     A spec with ``margin_terms`` is held to the same differences: its h, its
     gradient norm, and its dh/dt along v = e_i (the gradient's i-th position
     component, with no velocity block).  Returns the worst relative error
-    over the given states; raises GradientMismatchError when it exceeds rel_tol.
+    over the given states; raises GradientMismatchError when it exceeds 1e-5.
     """
     worst = 0.0
     for x in np.atleast_2d(states):
@@ -107,9 +106,9 @@ def check_gradient(
         for i in range(len(x)):
             xp = np.array(x, dtype=float)
             xm = np.array(x, dtype=float)
-            xp[i] += eps
-            xm[i] -= eps
-            fd[i] = (b.h(xp) - b.h(xm)) / (2.0 * eps)
+            xp[i] += _GRADIENT_EPS
+            xm[i] -= _GRADIENT_EPS
+            fd[i] = (b.h(xp) - b.h(xm)) / (2.0 * _GRADIENT_EPS)
         scale = max(float(np.linalg.norm(g)), 1.0)
         err = float(np.linalg.norm(fd - g)) / scale
         if b.margin_terms is not None:
@@ -123,28 +122,27 @@ def check_gradient(
                 abs(h - b.h(x)) / max(abs(h), 1.0),
             )
         worst = max(worst, err)
-    if worst > rel_tol:
+    if worst > _GRADIENT_REL_TOL:
         raise GradientMismatchError(
-            f"gradient mismatch: relative error {worst:.3e} > {rel_tol:.1e}"
+            f"gradient mismatch: relative error {worst:.3e} > {_GRADIENT_REL_TOL:.1e}"
         )
     return worst
 
 
-def orbital_range_barrier(
-    g: GravityModel,
-    gamma: float,
-    d_bar: float,
-    half_width: float = 0.4,
-    center: float = 2.0,
-) -> BarrierSpec:
-    """Annular range barrier keeping the orbital radius near ``center * R``.
+# the orbital band, in body radii R: its center and half-width
+_BAND_CENTER = 2.0
+_BAND_HALF_WIDTH = 0.4
 
-    h(r, v) = (half_width R)^2 - (|r| - center R)^2, which is zero exactly at
-    r = (center +- half_width) R and positive strictly inside.  The gradient
-    lives in the position block only; velocity does not enter h.
+
+def orbital_range_barrier(g: GravityModel, gamma: float, d_bar: float) -> BarrierSpec:
+    """Annular range barrier keeping the orbital radius near 2 R.
+
+    h(r, v) = (0.4 R)^2 - (|r| - 2 R)^2, which is zero exactly at
+    r = (2 +- 0.4) R and positive strictly inside.  The gradient lives in the
+    position block only; velocity does not enter h.
     """
-    hw = half_width * g.R
-    c = center * g.R
+    hw = _BAND_HALF_WIDTH * g.R
+    c = _BAND_CENTER * g.R
     floor = g.singularity_floor  # two_body_field's default
 
     # sqrt(pos.dot(pos)) is bitwise np.linalg.norm(pos): norm computes exactly that

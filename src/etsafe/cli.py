@@ -49,7 +49,11 @@ from .engine import (
 from .inter_event import (
     _BASES,
     _STATISTICS,
+    DEFAULT_BASIS,
+    DEFAULT_DEGREE,
+    DEFAULT_STATISTIC,
     FitError,
+    campaign_problems,
     collect_inter_event_samples,
     fit_inter_event_model,
     load_model,
@@ -297,10 +301,11 @@ def cmd_sample_tau(
             radius_grid = _parse_vector(grid) if grid else cfg.tau_radius_grid
         except ValueError:
             raise ConfigError(f"bad value for --grid: {grid!r}") from None
-        if len(radius_grid) == 0:
-            raise ConfigError("sample-tau needs at least one radius in its grid")
         n_per_radius = n if n is not None else cfg.tau_n_per_radius
         wait = max_wait if max_wait is not None else cfg.tau_max_wait
+        problems = campaign_problems(cfg.barrier, radius_grid, n_per_radius, wait)
+        if problems:
+            raise ConfigError("sample-tau: " + "; ".join(problems))
         scenario = cfg.build_satellite()
     except ConfigError as err:
         log.error("%s", err)
@@ -329,9 +334,9 @@ def cmd_sample_tau(
 def cmd_fit_tau(
     samples_path: str,
     out_path: str,
-    basis: str = "piecewise-linear",
-    statistic: str = "median",
-    degree: int = 3,
+    basis: str = DEFAULT_BASIS,
+    statistic: str = DEFAULT_STATISTIC,
+    degree: int = DEFAULT_DEGREE,
 ) -> int:
     try:
         samples = load_samples(samples_path)
@@ -446,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit-tau", help="fit the inter-event-time model")
     fit.add_argument("--samples", required=True)
     fit.add_argument("--out", required=True, help="output JSON path")
-    fit.add_argument("--basis", default="piecewise-linear", choices=_BASES)
-    fit.add_argument("--statistic", default="median", choices=_STATISTICS)
-    fit.add_argument("--degree", type=int, default=3)
+    fit.add_argument("--basis", default=DEFAULT_BASIS, choices=_BASES)
+    fit.add_argument("--statistic", default=DEFAULT_STATISTIC, choices=_STATISTICS)
+    fit.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
 
     cmp_ = sub.add_parser("compare", help="paired greedy vs maneuver runs")
     cmp_.add_argument("--config", required=True)

@@ -10,13 +10,14 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .barrier import orbital_range_barrier, planar_disk_barrier
+from .barrier import BarrierSpec, orbital_range_barrier, planar_disk_barrier
 from .dynamics import DisturbanceModel, GravityModel
-from .inter_event import _BASES, _STATISTICS
+from .inter_event import _BASES, _STATISTICS, DEFAULT_MAX_WAIT, campaign_problems
 from .numerics import EventLocatorConfig, IntegratorConfig
 from .orbital import StationKeepingConfig
 from .scenarios import PlanarScenario, SatelliteScenario
@@ -51,8 +52,7 @@ class ScenarioConfig:
     allow_initial_jump: bool
     gravity: GravityModel
     disturbance: DisturbanceModel
-    gamma: float
-    rho: float
+    barrier: BarrierSpec
     controller: StationKeepingConfig
     promote_rate: float
     hysteresis_gap: float
@@ -68,18 +68,15 @@ class ScenarioConfig:
     tau_max_wait: float
 
     def build_satellite(self) -> SatelliteScenario:
-        barrier = orbital_range_barrier(
-            self.gravity, gamma=self.gamma, d_bar=self.disturbance.d_bar
-        )
         return SatelliteScenario(
             gravity=self.gravity,
-            barrier=barrier,
+            barrier=self.barrier,
             controller=self.controller,
             # the zonal field peaks at the band's inner radius
             disturbance=replace(
                 self.disturbance,
                 seed=self.seed,
-                shell_inner=barrier.center - barrier.half_width,
+                shell_inner=self.barrier.center - self.barrier.half_width,
             ),
             integrator=self.integrator,
             events=self.events,
@@ -88,9 +85,7 @@ class ScenarioConfig:
 
     def build_planar(self) -> PlanarScenario:
         return PlanarScenario(
-            barrier=planar_disk_barrier(
-                rho=self.rho, gamma=self.gamma, d_bar=self.disturbance.d_bar
-            ),
+            barrier=self.barrier,
             goal=self.goal,
             gain=self.gain,
             disturbance=replace(self.disturbance, seed=self.seed),
@@ -109,7 +104,11 @@ def _parse_vector(text: str) -> np.ndarray:
 def parse_config(path: str) -> ScenarioConfig:
     """Read and validate one scenario configuration file.
 
-    Raises ConfigError listing every violated check; never partially applies.
+    The gravity model, disturbance model, controller, integrator and
+    event-locator settings are each built from the keys their section sets,
+    so a key left out takes the default of the type that owns it, and the
+    type's own range checks apply; the barrier is built from them.  Raises
+    ConfigError listing every violated check; never partially applies.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -140,9 +139,12 @@ def parse_config(path: str) -> ScenarioConfig:
             problems.append(f"bad value for [{section}] {key}: {raw!r}")
             return None
 
-    def build(section: str, make, **values):
-        """``make(**values)``, its ValueError recorded under ``[section]``;
-        None if that fails or a value did not parse."""
+    def build(section: str, make, **casts):
+        """``make`` called with each key of ``casts`` that ``[section]`` sets,
+        read with its cast, so the type's own defaults fill in the rest; its
+        ValueError recorded under ``[section]``.  None if that fails or a
+        value did not parse."""
+        values = {k: get(section, k, c) for k, c in casts.items() if parser.has_option(section, k)}
         if any(v is None for v in values.values()):
             return None
         try:
@@ -158,32 +160,24 @@ def parse_config(path: str) -> ScenarioConfig:
     hours = get("scenario", "hours_per_time_unit", float, 1.0)
     allow_initial = get("scenario", "allow_initial_jump", bool, True)
 
-    gravity = build(
-        "gravity",
-        GravityModel,
-        mu=get("gravity", "mu", float, 1.0),
-        R=get("gravity", "R", float, 1.0),
-    )
-
-    d_bar = get("disturbance", "d_bar", float, 0.0)
+    gravity = build("gravity", GravityModel, mu=float, R=float)
     disturbance = build(
         "disturbance",
-        DisturbanceModel,
-        kind=get("disturbance", "kind", str, "none"),
-        d_bar=d_bar,
-        hold_time=get("disturbance", "hold_time", float, 1.0),
-        dim=2 if kind == "planar-demo" else 3,
+        partial(DisturbanceModel, dim=2 if kind == "planar-demo" else 3),
+        kind=str,
+        d_bar=float,
+        hold_time=float,
     )
 
     gamma = get("barrier", "gamma", float)
     rho = get("barrier", "rho", float, 1.0)
-    barrier_d_bar = get("barrier", "d_bar", float, d_bar if d_bar is not None else 0.0)
+    # optional: when set, it must equal the bound of the built disturbance
+    barrier_d_bar = None
+    if parser.has_option("barrier", "d_bar"):
+        barrier_d_bar = get("barrier", "d_bar", float)
 
     controller = build(
-        "controller",
-        StationKeepingConfig,
-        post_jump_margin=get("controller", "post_jump_margin", float, 0.01),
-        retarget_gain=get("controller", "retarget_gain", float, 0.5),
+        "controller", StationKeepingConfig, post_jump_margin=float, retarget_gain=float
     )
 
     promote = get("filter", "promote_rate", float, 0.05)
@@ -192,18 +186,13 @@ def parse_config(path: str) -> ScenarioConfig:
     goal = get("filter", "goal", _parse_vector, np.zeros(2))
     gain = get("filter", "gain", float, 1.0)
 
-    integrator = build(
-        "integrator",
-        IntegratorConfig,
-        step_size=get("integrator", "step_size", float, 0.05),
-        interpolation=get("integrator", "interpolation", str, "cubic-hermite"),
-    )
+    integrator = build("integrator", IntegratorConfig, step_size=float, interpolation=str)
     events = build(
         "events",
         EventLocatorConfig,
-        time_tolerance=get("events", "time_tolerance", float, 1e-9),
-        value_tolerance=get("events", "value_tolerance", float, 1e-9),
-        max_bisections=get("events", "max_bisections", int, 200),
+        time_tolerance=float,
+        value_tolerance=float,
+        max_bisections=int,
     )
 
     tau_path = get("tau", "model_path", str, "")
@@ -214,10 +203,7 @@ def parse_config(path: str) -> ScenarioConfig:
         np.array([1.625, 1.68, 1.76, 1.85, 1.93, 2.0, 2.07, 2.16, 2.25, 2.33, 2.375]),
     )
     tau_n = get("tau", "n_per_radius", int, 55)
-    tau_wait = get("tau", "max_wait", float, 6000.0)
-    # validated only: fit-tau takes --statistic and --basis
-    tau_stat = get("tau", "statistic", str, "median")
-    tau_basis = get("tau", "basis", str, "piecewise-linear")
+    tau_wait = get("tau", "max_wait", float, DEFAULT_MAX_WAIT)
 
     if kind is not None and kind not in _KINDS:
         problems.append(f"[scenario] kind must be one of {_KINDS}, got {kind!r}")
@@ -254,23 +240,36 @@ def parse_config(path: str) -> ScenarioConfig:
         (promote is None or promote > 0.0, "[filter] promote_rate must be > 0"),
         (gap is None or gap > 0.0, "[filter] hysteresis_gap must be > 0"),
         (recovery is None or recovery > 0.0, "[filter] recovery_level must be > 0"),
-        (tau_n is None or tau_n >= 1, "[tau] n_per_radius must be >= 1"),
-        (tau_wait is None or tau_wait > 0.0, "[tau] max_wait must be > 0"),
-        (tau_stat in _STATISTICS, f"[tau] statistic must be {' or '.join(_STATISTICS)}"),
-        (tau_basis in _BASES, f"[tau] basis must be {' or '.join(_BASES)}"),
     ]
     for ok, message in checks:
         if not ok:
             problems.append(message)
 
+    # built once its inputs passed their own checks, so no rule is reported twice
+    barrier = None
+    if disturbance is not None and gamma is not None and gamma > 0.0:
+        d_bar = disturbance.d_bar
+        if kind == "satellite" and gravity is not None:
+            barrier = build("barrier", partial(orbital_range_barrier, gravity, gamma, d_bar))
+        elif kind == "planar-demo" and rho is not None and rho > 0.0:
+            barrier = build("barrier", partial(planar_disk_barrier, rho, gamma, d_bar))
+    # radii the file sets are checked against the satellite band; the default
+    # grid lies in the band at R = 1, and sample-tau checks whatever it uses
+    band = barrier if kind == "satellite" and parser.has_option("tau", "radius_grid") else None
+    problems += [f"[tau] {p}" for p in campaign_problems(band, tau_grid, tau_n, tau_wait)]
+    # validated only: fit-tau takes --statistic and --basis
+    for key, allowed in (("statistic", _STATISTICS), ("basis", _BASES)):
+        if parser.has_option("tau", key) and get("tau", key, str) not in allowed:
+            problems.append(f"[tau] {key} must be {' or '.join(allowed)}")
+
     if (
         barrier_d_bar is not None
-        and d_bar is not None
-        and barrier_d_bar != d_bar
+        and disturbance is not None
+        and barrier_d_bar != disturbance.d_bar
     ):
         problems.append(
             "[barrier] d_bar must equal [disturbance] d_bar "
-            f"({barrier_d_bar!r} != {d_bar!r}); the margin's robust term must "
+            f"({barrier_d_bar!r} != {disturbance.d_bar!r}); the margin's robust term must "
             "use the actual disturbance bound"
         )
 
@@ -294,8 +293,7 @@ def parse_config(path: str) -> ScenarioConfig:
         allow_initial_jump=allow_initial,
         gravity=gravity,
         disturbance=disturbance,
-        gamma=gamma,
-        rho=rho,
+        barrier=barrier,
         controller=controller,
         promote_rate=promote,
         hysteresis_gap=gap,

@@ -65,9 +65,9 @@ def _below_floor(r: float, floor: float) -> SingularityError:
 
 
 def _two_body_rk4(mu: float, floor: float, accel, by_state: bool):
-    """``step(t, dt, x) -> (new state, stage-1 derivative)``: one RK4 step of
-    the two-body flow plus ``accel(t, stage_state)`` on Python floats, bit for
-    bit the generic step of :func:`etsafe.numerics.rk4_step` on
+    """``step(t, dt, x) -> new state``: one RK4 step of the two-body flow
+    plus ``accel(t, stage_state)`` on Python floats, bit for bit the generic
+    step of :func:`etsafe.numerics.rk4_step` on
     ``two_body_field(g, s, accel=accel(t, s))``.
 
     A disturbance that does not depend on the state (``by_state`` false) is
@@ -126,7 +126,7 @@ def _two_body_rk4(mu: float, floor: float, accel, by_state: bool):
         m0 = v0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + e0)
         m1 = v1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + e1)
         m2 = v2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + e2)
-        return (n0, n1, n2, m0, m1, m2), (v0, v1, v2, a0, a1, a2)
+        return n0, n1, n2, m0, m1, m2
 
     return step
 
@@ -402,7 +402,7 @@ def single_integrator(dim: int = 2) -> ControlAffineSystem:
     )
 
 
-def goal_tracking_controller(goal: np.ndarray, gain: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+def goal_tracking_controller(goal: np.ndarray, gain: float) -> Callable[[np.ndarray], np.ndarray]:
     """Proportional nominal controller ``k_nom(x) = -gain * (x - goal)``."""
     goal = np.array(goal, dtype=float)
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from .barrier import (
     BarrierSpec,
+    Flow,
     barrier_condition_margin,
     barrier_value,
     filter_off_margin,
@@ -356,7 +357,7 @@ def _finalize_impulsive(
     bound = miet_bound(
         scenario.barrier,
         scenario.nominal_flow(),
-        satellite_region_sampler(scenario),
+        satellite_region_states(scenario),
         scenario.controller.post_jump_margin,
     )
     margins = [e.xi_after for e in events]
@@ -470,9 +471,7 @@ def run_intermittent_filter(
 
     traj = builder.build()
     on_durations = _durations(events, "filter_on", "filter_off")
-    bound = miet_bound(
-        b, nominal_flow, planar_region_sampler(scenario), scenario.hysteresis_gap
-    )
+    bound = miet_bound(b, nominal_flow, planar_region_states(scenario), scenario.hysteresis_gap)
     summary = _summary(
         "intermittent", scenario, events, traj, horizon, seed,
         gaps=_durations(events, "filter_off", "filter_on"),
@@ -546,15 +545,18 @@ def _durations(events: Sequence[EventRecord], start: str, stop: str) -> np.ndarr
     return np.array(durations)
 
 
-def check_nominal_safety_assumption(
-    scenario: PlanarScenario, n_grid: int = 60, n_random: int = 2000, seed: int = 0
-) -> int:
+_GRID_SIDE = 60  # radii and angles of the nominal-safety check's polar grid
+_RANDOM_STATES = 2000  # drawn from default_rng(0) by each sampled check
+
+
+def check_nominal_safety_assumption(scenario: PlanarScenario) -> int:
     """Sampled verification that the nominal loop is safe above the recovery level.
 
-    Checks ``barrier_condition_margin >= hysteresis_gap`` over a polar grid
-    plus seeded random points of ``{x : h(x) >= recovery_level}``.  Raises
-    AssumptionCheckError at the first violation; returns the number of points
-    checked.
+    Checks ``barrier_condition_margin >= hysteresis_gap`` on the disk out to
+    the recovery radius: a polar grid of 60 radii by 60 angles, then 2,000
+    random points from ``default_rng(0)``, each skipped where
+    ``h < recovery_level``.  Raises AssumptionCheckError at the first
+    violation; returns the number of points checked.
     """
     b = scenario.barrier
     nominal_flow = scenario.nominal_flow()
@@ -562,11 +564,11 @@ def check_nominal_safety_assumption(
     s_max = _recovery_radius(b, scenario.recovery_level)
 
     points = []
-    for s in np.linspace(0.0, s_max, n_grid):
-        for ang in np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False):
+    for s in np.linspace(0.0, s_max, _GRID_SIDE):
+        for ang in np.linspace(0.0, 2.0 * np.pi, _GRID_SIDE, endpoint=False):
             points.append([s * np.cos(ang), s * np.sin(ang)])
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    rng = np.random.default_rng(0)
+    for _ in range(_RANDOM_STATES):
         ang = rng.uniform(0.0, 2.0 * np.pi)
         s = s_max * np.sqrt(rng.uniform())
         points.append([s * np.cos(ang), s * np.sin(ang)])
@@ -611,23 +613,19 @@ def miet_bound_formula(margin: float, l_xi: float, b_sup: float, d_bar: float) -
     return margin / denom
 
 
-def miet_bound(
-    b: BarrierSpec,
-    flow: Callable[[np.ndarray], np.ndarray],
-    region_sampler: Callable[[int], np.ndarray],
-    margin: float,
-    n_samples: int = 2000,
-    inflation: float = 1.1,
-    fd_eps: float = 1e-6,
-) -> float:
+_MIET_INFLATION = 1.1  # of miet_bound's sampled constants
+_MIET_EPS = 1e-6  # central-difference step of miet_bound's margin gradient
+
+
+def miet_bound(b: BarrierSpec, flow: Flow, states: np.ndarray, margin: float) -> float:
     """Minimum inter-event time implied by the post-event margin.
 
-    Estimates the flow-speed bound and the margin's Lipschitz constant by
-    dense sampling over the operating region (finite differences for the
-    gradient), inflates both by 10% against sampling optimism, and plugs them
-    into :func:`miet_bound_formula`.
+    Estimates the flow-speed bound and the margin's Lipschitz constant over
+    ``states``, samples of the operating region (:func:`satellite_region_states`,
+    :func:`planar_region_states`), with central differences of step 1e-6 for
+    the gradient; inflates both by 10% against sampling optimism, and plugs
+    them into :func:`miet_bound_formula`.
     """
-    states = region_sampler(n_samples)
     xi = lambda x: barrier_condition_margin(b, flow, x)
     b_sup = 0.0
     l_xi = 0.0
@@ -640,47 +638,39 @@ def miet_bound(
         for i in range(len(x)):
             xp = np.array(x)
             xm = np.array(x)
-            xp[i] += fd_eps
-            xm[i] -= fd_eps
-            di = (xi(xp) - xi(xm)) / (2.0 * fd_eps)
+            xp[i] += _MIET_EPS
+            xm[i] -= _MIET_EPS
+            di = (xi(xp) - xi(xm)) / (2.0 * _MIET_EPS)
             if not math.isfinite(di):
                 raise ValueError(f"non-finite margin gradient at x={x.tolist()!r}")
             grad_sq += di * di
         l_xi = max(l_xi, math.sqrt(grad_sq))
-    return miet_bound_formula(margin, inflation * l_xi, inflation * b_sup, b.d_bar)
+    return miet_bound_formula(margin, _MIET_INFLATION * l_xi, _MIET_INFLATION * b_sup, b.d_bar)
 
 
-def satellite_region_sampler(scenario: SatelliteScenario, seed: int = 0):
-    """States covering the safe band with sub-escape speeds."""
+def satellite_region_states(scenario: SatelliteScenario) -> np.ndarray:
+    """2,000 states from ``default_rng(0)`` covering the safe band with
+    sub-escape speeds."""
     b = scenario.barrier
-    inner, outer = b.center - b.half_width, b.center + b.half_width
-    mu = scenario.gravity.mu
-
-    def sampler(n: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        radii = rng.uniform(inner, outer, n)
-        dirs = rng.normal(size=(n, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        vdirs = rng.normal(size=(n, 3))
-        vdirs /= np.linalg.norm(vdirs, axis=1, keepdims=True)
-        speeds = rng.uniform(0.0, 0.99, n) * np.sqrt(2.0 * mu / radii)
-        return np.hstack([radii[:, None] * dirs, speeds[:, None] * vdirs])
-
-    return sampler
+    n = _RANDOM_STATES
+    rng = np.random.default_rng(0)
+    radii = rng.uniform(b.center - b.half_width, b.center + b.half_width, n)
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    vdirs = rng.normal(size=(n, 3))
+    vdirs /= np.linalg.norm(vdirs, axis=1, keepdims=True)
+    speeds = rng.uniform(0.0, 0.99, n) * np.sqrt(2.0 * scenario.gravity.mu / radii)
+    return np.hstack([radii[:, None] * dirs, speeds[:, None] * vdirs])
 
 
-def planar_region_sampler(scenario: PlanarScenario, seed: int = 0):
-    """States covering the planar safe disk."""
+def planar_region_states(scenario: PlanarScenario) -> np.ndarray:
+    """2,000 states from ``default_rng(0)`` covering the planar safe disk."""
     b = scenario.barrier
     rho = b.center + b.half_width  # the disk's outer edge
-
-    def sampler(n: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        ang = rng.uniform(0.0, 2.0 * np.pi, n)
-        s = rho * np.sqrt(rng.uniform(size=n))
-        return np.stack([s * np.cos(ang), s * np.sin(ang)], axis=1)
-
-    return sampler
+    rng = np.random.default_rng(0)
+    ang = rng.uniform(0.0, 2.0 * np.pi, _RANDOM_STATES)
+    s = rho * np.sqrt(rng.uniform(size=_RANDOM_STATES))
+    return np.stack([s * np.cos(ang), s * np.sin(ang)], axis=1)
 
 
 def audit_safety(

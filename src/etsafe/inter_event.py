@@ -47,6 +47,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -70,8 +71,14 @@ from .orbital import ControllerInfeasibleError, station_keeping_impulse
 from .scenarios import SatelliteScenario
 from .workers import started_workers
 
-_BASES = ("piecewise-linear", "polynomial")
-_STATISTICS = ("median", "mean")
+# fit-tau's and the campaign's defaults; the CLI and the config read them
+DEFAULT_BASIS = "piecewise-linear"
+DEFAULT_STATISTIC = "median"
+DEFAULT_DEGREE = 3
+DEFAULT_MAX_WAIT = 6000.0
+
+_BASES = (DEFAULT_BASIS, "polynomial")
+_STATISTICS = (DEFAULT_STATISTIC, "mean")
 
 # Hash-key tags for sample geometry; far above any disturbance interval index.
 _PLANE_TAG = np.uint64(1) << np.uint64(40)
@@ -125,7 +132,7 @@ class InterEventTimeModel:
     h_min: float
     h_max: float
     residual: float
-    statistic: str = "median"
+    statistic: str = DEFAULT_STATISTIC
 
     def evaluate(self, h: float) -> TauEval:
         extrapolated = h < self.h_min or h > self.h_max
@@ -188,7 +195,9 @@ class InterEventSampleSet:
         keep = ~self.censored
         return self.h[keep], self.inter_event_time[keep]
 
-    def level_statistics(self, statistic: str = "median") -> tuple[np.ndarray, np.ndarray]:
+    def level_statistics(
+        self, statistic: str = DEFAULT_STATISTIC
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per-h-level summary of the accepted records, sorted by h.
 
         Radii symmetric about the band center share an h value and pool into
@@ -207,12 +216,36 @@ class InterEventSampleSet:
 # --- Campaign collection (vectorized batch propagation) ---
 
 
+def campaign_problems(
+    b: Optional[BarrierSpec],
+    radius_grid: Optional[np.ndarray],
+    n_per_radius: Optional[int],
+    max_wait: Optional[float],
+) -> list[str]:
+    """The campaign's rules, one message per broken one, each naming its
+    parameter: at least one radius, every radius strictly inside the band of
+    ``b``, ``n_per_radius >= 1`` and ``max_wait > 0``.  A value of None goes
+    unchecked, and so do the radii when ``b`` is None."""
+    problems = []
+    if b is not None and radius_grid is not None:
+        inner, outer = b.center - b.half_width, b.center + b.half_width
+        if len(radius_grid) == 0:
+            problems.append("radius_grid is empty")
+        elif np.any(radius_grid <= inner) or np.any(radius_grid >= outer):
+            problems.append(f"radius_grid must lie strictly inside ({inner}, {outer})")
+    if n_per_radius is not None and n_per_radius < 1:
+        problems.append("n_per_radius must be >= 1")
+    if max_wait is not None and not max_wait > 0.0:
+        problems.append("max_wait must be > 0")
+    return problems
+
+
 def collect_inter_event_samples(
     scenario: SatelliteScenario,
     radius_grid: np.ndarray,
     n_per_radius: int,
     seed: int,
-    max_wait: float = 6000.0,
+    max_wait: float = DEFAULT_MAX_WAIT,
 ) -> InterEventSampleSet:
     """Sample inter-event times of the station-keeping loop at fixed radii.
 
@@ -222,22 +255,17 @@ def collect_inter_event_samples(
     disturbance streams until the barrier-condition margin crosses zero.  The
     elapsed time is recorded against h(radius).  Craft still quiet at
     ``max_wait`` are censored, as are (rare) controller-infeasible starts.
+    Raises ValueError listing what breaks :func:`campaign_problems`.
 
     Where more than one CPU is usable, the calling process forks a worker
     for the second shard of the lanes (:func:`_propagate_sharded`), whoever
     the caller is; the times do not depend on it.
     """
     g = scenario.gravity
-    b = scenario.barrier
     radius_grid = np.asarray(radius_grid, dtype=float)
-    if radius_grid.size == 0:
-        raise ValueError("radius_grid is empty")
-    inner = b.center - b.half_width
-    outer = b.center + b.half_width
-    if np.any(radius_grid <= inner) or np.any(radius_grid >= outer):
-        raise ValueError(f"radii must lie strictly inside ({inner}, {outer})")
-    if n_per_radius < 1:
-        raise ValueError("n_per_radius must be >= 1")
+    problems = campaign_problems(scenario.barrier, radius_grid, n_per_radius, max_wait)
+    if problems:
+        raise ValueError("; ".join(problems))
 
     n_total = len(radius_grid) * n_per_radius
     streams = np.arange(1, n_total + 1, dtype=np.uint64)  # stream 0 is the main run
@@ -417,8 +445,7 @@ def _propagate_batch_until_trigger(
         if np.count_nonzero(fired):
             for j in np.flatnonzero(fired):
                 out[lanes[j]] = _refine_sample_crossing(
-                    scenario, x[:, j].copy(), new_x[:, j].copy(), t0, dt,
-                    int(streams[lanes[j]]), k1[:, j].copy(),
+                    scenario, x[:, j].copy(), new_x[:, j].copy(), t0, dt, int(streams[lanes[j]])
                 )
             keep = ~fired
             lanes = lanes[keep]
@@ -539,16 +566,14 @@ def _finish_lane(
     for k in range(first_step, n_steps):
         t0 = k * dt
         try:
-            new, k1 = step(t0, dt, x)
+            new = step(t0, dt, x)
             nm = margin(new)
         except ZeroDivisionError:
             nm = math.nan
         if not math.isfinite(nm):
             raise LaneFailureError(t0, x, stream)
         if m > 0.0 and nm <= 0.0:
-            return _refine_sample_crossing(
-                scenario, np.array(x), np.array(new), t0, dt, stream, np.array(k1)
-            )
+            return _refine_sample_crossing(scenario, np.array(x), np.array(new), t0, dt, stream)
         x, m = new, nm
     return math.nan
 
@@ -594,21 +619,22 @@ def _refine_sample_crossing(
     t0: float,
     dt: float,
     stream: int,
-    f0: np.ndarray,
 ) -> float:
     """Scalar in-step refinement matching the engine's event semantics.
 
-    ``f0`` is the derivative at the step start, the caller's first RK4 stage
-    (bitwise ``two_body_field`` with the lane's disturbance at ``(t0, x0)``).
+    The derivative at each end of the step is ``two_body_field`` with the
+    lane's disturbance there; at the start it is bitwise the first RK4 stage
+    of the batch and of the tail.
     """
     g = scenario.gravity
     b = scenario.barrier
+    dist = scenario.disturbance
     flow = scenario.nominal_flow()
     monitor = lambda x: barrier_condition_margin(b, flow, x)
 
     if scenario.integrator.interpolation == "cubic-hermite":
-        d1 = scenario.disturbance.sample(t0 + dt, x1, stream)
-        f1 = np.asarray(two_body_field(g, x1, accel=d1))
+        f0 = np.asarray(two_body_field(g, x0, accel=dist.sample(t0, x0, stream)))
+        f1 = np.asarray(two_body_field(g, x1, accel=dist.sample(t0 + dt, x1, stream)))
         interp = hermite_interpolant(t0, x0, f0, t0 + dt, x1, f1)
     else:
         interp = linear_interpolant(t0, x0, t0 + dt, x1)
@@ -624,9 +650,9 @@ def _refine_sample_crossing(
 
 def fit_inter_event_model(
     samples: InterEventSampleSet,
-    basis: str = "piecewise-linear",
-    statistic: str = "median",
-    degree: int = 3,
+    basis: str = DEFAULT_BASIS,
+    statistic: str = DEFAULT_STATISTIC,
+    degree: int = DEFAULT_DEGREE,
 ) -> InterEventTimeModel:
     """Least-squares fit of the per-level statistics against h.
 
@@ -753,5 +779,5 @@ def load_model(path: str) -> InterEventTimeModel:
         h_min=float(doc["h_min"]),
         h_max=float(doc["h_max"]),
         residual=float(doc["residual"]),
-        statistic=doc.get("statistic", "median"),
+        statistic=doc.get("statistic", DEFAULT_STATISTIC),
     )

@@ -16,12 +16,12 @@ sequence of floats, such as a tuple.  :func:`rk4_step` still returns one
 ndarray per step; code that needs array arithmetic on a derivative converts
 it with ``np.asarray`` at that boundary.
 
-A field may bring its own step, ``field.rk4(t, dt, x) -> (new state,
-stage-1 derivative)`` with ``x`` a list of floats, bit for bit the generic
-step on the field (the satellite's disturbed field does).  :func:`rk4_step`
-then takes the step with it, and replays through the generic stages a step
-that raised SingularityError or came out non-finite, so a field's errors
-are the generic step's.
+A field may bring its own step, ``field.rk4(t, dt, x) -> new state`` with
+``x`` a list of floats and the state a sequence of floats, bit for bit the
+generic step on the field (the satellite's disturbed field does).
+:func:`rk4_step` then takes the step with it, and replays through the
+generic stages a step that raised SingularityError or came out non-finite,
+so a field's errors are the generic step's.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def rk4_step(field: Field, x: np.ndarray, t: float, dt: float) -> np.ndarray:
     own = getattr(field, "rk4", None)
     if own is not None:
         try:
-            x1 = own(t, dt, x0)[0]
+            x1 = own(t, dt, x0)
             if math.isfinite(sum(x1)):
                 return np.array(x1)
         except SingularityError:

@@ -79,7 +79,7 @@ class PlanarScenario:
     promote_rate: float
     hysteresis_gap: float
     recovery_level: float
-    integrator: IntegratorConfig = IntegratorConfig(step_size=0.01)
+    integrator: IntegratorConfig
     events: EventLocatorConfig = EventLocatorConfig()
     system: ControlAffineSystem = field(default_factory=lambda: single_integrator(2))
 

@@ -250,7 +250,7 @@ def test_criterion_8_numerical_hygiene():
     dirs = rng.normal(size=(1000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     states = np.hstack([radii[:, None] * dirs, rng.normal(0, 0.3, (1000, 3))])
-    worst_grad = check_gradient(b, states, rel_tol=1e-5)
+    worst_grad = check_gradient(b, states)
 
     # two-body energy drift over one circular period at the default step
     s0 = np.array([2.0, 0.0, 0.0, 0.0, np.sqrt(0.5), 0.0])

@@ -19,7 +19,7 @@ from etsafe.barrier import (
     planar_disk_barrier,
 )
 from etsafe.dynamics import GravityModel, SingularityError, two_body_field
-from etsafe.engine import satellite_region_sampler
+from etsafe.engine import satellite_region_states
 from etsafe.inter_event import load_model
 
 GRAVITY = GravityModel()
@@ -61,7 +61,7 @@ class TestOrbitalRangeBarrier:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        worst = check_gradient(self.B, random_shell_states(rng, 1000), rel_tol=1e-5)
+        worst = check_gradient(self.B, random_shell_states(rng, 1000))
         assert worst <= 1e-5
 
 
@@ -360,7 +360,7 @@ class TestFusedMargin:
         # the states miet_bound differences: 2,000 samples, each component +-1e-6
         _, scenario, _, _ = greedy_run
         states = []
-        for x in satellite_region_sampler(scenario)(2000):
+        for x in satellite_region_states(scenario):
             for i in range(6):
                 for sign in (1.0, -1.0):
                     xe = np.array(x)

@@ -146,6 +146,24 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
         assert "bad value for" in caplog.text
 
+    @pytest.mark.parametrize(
+        "grid, problem",
+        [
+            ("1.0, 2.0", "[tau] radius_grid must lie strictly inside (1.6, 2.4)"),
+            ("", "[tau] radius_grid is empty"),
+        ],
+        ids=["outside_band", "empty"],
+    )
+    def test_radius_grid_rule_is_config_error(self, tmp_path, caplog, grid, problem):
+        # the rule sample-tau applies to its grid holds for the key itself
+        path = tmp_path / "grid.ini"
+        path.write_text(SAT_SMALL.replace("radius_grid = 1.9, 2.0, 2.1", f"radius_grid = {grid}"))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert problem in caplog.text
+        out = tmp_path / "s.csv"
+        assert cmd_sample_tau(str(path), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_zonal_planar_is_config_error(self, tmp_path, caplog):
         # the zonal field is 3-D only, so a planar scenario cannot carry it
         path = tmp_path / "zonal.ini"
@@ -376,10 +394,29 @@ class TestSampleAndFit:
     def test_sample_tau_rejects_planar(self, planar_config, tmp_path):
         assert cmd_sample_tau(planar_config, str(tmp_path / "s.csv")) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("grid", ["1.7,abc", " , "], ids=["malformed", "empty"])
+    @pytest.mark.parametrize(
+        "grid", ["1.7,abc", " , ", "1.0,2.0"], ids=["malformed", "empty", "outside_band"]
+    )
     def test_sample_tau_rejects_a_bad_grid(self, sat_config, tmp_path, grid):
         out = tmp_path / "s.csv"
         assert main(["sample-tau", "--config", sat_config, "--out", str(out), "--grid", grid]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (["--n", "0"], "n_per_radius must be >= 1"),
+            (["--max-wait", "0"], "max_wait must be > 0"),
+            (["--max-wait", "-5"], "max_wait must be > 0"),
+            (["--max-wait", "nan"], "max_wait must be > 0"),
+        ],
+        ids=["n_zero", "max_wait_zero", "max_wait_negative", "max_wait_nan"],
+    )
+    def test_sample_tau_flags_obey_the_tau_rules(self, sat_config, tmp_path, caplog, flags, problem):
+        out = tmp_path / "s.csv"
+        argv = ["sample-tau", "--config", sat_config, "--out", str(out)]
+        assert main(argv + flags) == EXIT_CONFIG
+        assert problem in caplog.text
         assert not out.exists()
 
     def test_sample_tau_rejects_an_empty_config_grid(self, tmp_path):

@@ -2,11 +2,17 @@
 
 import configparser
 import io
+import json
+import os
 
 import numpy as np
 import pytest
 
 from etsafe.config import ConfigError, parse_config
+from etsafe.dynamics import DisturbanceModel, GravityModel
+from etsafe.inter_event import DEFAULT_MAX_WAIT
+from etsafe.numerics import EventLocatorConfig, IntegratorConfig
+from etsafe.orbital import StationKeepingConfig
 
 GREEDY = """
 [scenario]
@@ -68,6 +74,22 @@ class TestParseConfig:
         assert np.allclose(cfg.initial_state, [2.2, 0, 0, 0, 0.6742, 0])
         scenario = cfg.build_satellite()
         assert scenario.barrier.d_bar == 0.001
+
+    @pytest.mark.parametrize(
+        "text, dim, optional",
+        [(GREEDY, 3, []), (PLANAR, 2, ["barrier.rho", "filter.goal"])],
+        ids=["satellite", "planar"],
+    )
+    def test_no_optional_keys_gives_the_types_defaults(self, tmp_path, text, dim, optional):
+        optional = ["disturbance.kind", "disturbance.d_bar", "disturbance.hold_time", *optional]
+        cfg = parse_config(write(tmp_path, with_values(text, dict.fromkeys(optional))))
+        assert cfg.gravity == GravityModel()
+        assert cfg.disturbance == DisturbanceModel(dim=dim)
+        assert cfg.controller == StationKeepingConfig()
+        assert cfg.integrator == IntegratorConfig()
+        assert cfg.events == EventLocatorConfig()
+        assert cfg.barrier.d_bar == 0.0
+        assert cfg.tau_max_wait == DEFAULT_MAX_WAIT
 
     def test_planar_builds(self, tmp_path):
         cfg = parse_config(write(tmp_path, PLANAR))
@@ -241,6 +263,8 @@ REJECTED = [
 REJECTED_BY_KIND = {
     "satellite": [
         ({"initial.position": "2.2, 0.0"}, "[initial] position and velocity must be 3-vectors"),
+        ({"tau.radius_grid": "1.0, 2.0"}, "[tau] radius_grid must lie strictly inside (1.6, 2.4)"),
+        ({"tau.radius_grid": ""}, "[tau] radius_grid is empty"),
     ],
     "planar": [
         ({"initial.state": "0.0, 0.0, 0.0"}, "[initial] state must be a 2-vector"),
@@ -256,7 +280,11 @@ ACCEPTED = [
     {"disturbance.kind": "none", "disturbance.hold_time": "2.5"},
     {"barrier.d_bar": None},
 ]
-ACCEPTED_BY_KIND = {"satellite": [{"disturbance.kind": "zonal-j2-like"}], "planar": []}
+ACCEPTED_BY_KIND = {
+    "satellite": [{"disturbance.kind": "zonal-j2-like"}],
+    # sample-tau needs a satellite scenario: a planar one's grid is not checked
+    "planar": [{"tau.radius_grid": "1.0, 2.0"}],
+}
 TEXTS = {"satellite": GREEDY, "planar": PLANAR}
 
 
@@ -266,6 +294,28 @@ def verdict_rows(shared, by_kind):
         for kind in TEXTS
         for i, row in enumerate(shared + by_kind[kind])
     ]
+
+
+with open(os.path.join(os.path.dirname(__file__), "verdict_messages.json"), encoding="utf-8") as fh:
+    VERDICT_MESSAGES = json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "row", VERDICT_MESSAGES, ids=[f"{r['kind']}-{i}" for i, r in enumerate(VERDICT_MESSAGES)]
+)
+def test_verdict_message_is_unchanged(tmp_path, row):
+    """The complete ConfigError text (None where the config is accepted) of
+    every TestVerdictTable row as it read when the table was written, and of
+    one config with a broken rule in each section.  One change since: a
+    ``[disturbance] d_bar`` the disturbance rejects (NaN) is no longer also
+    compared with ``[barrier] d_bar``."""
+    path = write(tmp_path, with_values(TEXTS[row["kind"]], row["values"]))
+    try:
+        parse_config(path)
+        message = None
+    except ConfigError as err:
+        message = str(err).replace(path, "<path>")
+    assert message == row["message"]
 
 
 class TestVerdictTable:

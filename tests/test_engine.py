@@ -27,11 +27,11 @@ from etsafe.engine import (
     check_nominal_safety_assumption,
     miet_bound,
     miet_bound_formula,
-    planar_region_sampler,
+    planar_region_states,
     run_greedy_impulsive,
     run_intermittent_filter,
     run_maneuver,
-    satellite_region_sampler,
+    satellite_region_states,
 )
 from etsafe.inter_event import InterEventTimeModel, load_model
 from etsafe.numerics import EventLocatorConfig, IntegratorConfig
@@ -394,7 +394,7 @@ class TestMietBound:
         bound = miet_bound(
             scn.barrier,
             scn.nominal_flow(),
-            satellite_region_sampler(scn),
+            satellite_region_states(scn),
             scn.controller.post_jump_margin,
         )
         assert 0.0 < bound < 1.0
@@ -406,8 +406,7 @@ class TestMietBound:
         scn = satellite_scenario(seed=3)
         b = scn.barrier
         flow = scn.nominal_flow()
-        sampler = satellite_region_sampler(scn)
-        states = sampler(400)
+        states = satellite_region_states(scn)[:400]
         b_sup = max(float(np.linalg.norm(flow(x))) for x in states)
         l_xi = 0.0
         eps = 1e-6
@@ -496,7 +495,7 @@ class TestSpecGeometry:
         scn = satellite_scenario()
         R, mu = scn.gravity.R, scn.gravity.mu
         rng = np.random.default_rng(0)
-        n = 500
+        n = 2000
         radii = rng.uniform(1.6 * R, 2.4 * R, n)
         dirs = rng.normal(size=(n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -504,7 +503,7 @@ class TestSpecGeometry:
         vdirs /= np.linalg.norm(vdirs, axis=1, keepdims=True)
         speeds = rng.uniform(0.0, 0.99, n) * np.sqrt(2.0 * mu / radii)
         expected = np.hstack([radii[:, None] * dirs, speeds[:, None] * vdirs])
-        assert satellite_region_sampler(scn)(n).tobytes() == expected.tobytes()
+        assert satellite_region_states(scn).tobytes() == expected.tobytes()
 
     def test_shipped_recovery_radius_equals_bisection(self):
         scn = parse_config(SHIPPED_PLANAR).build_planar()
@@ -518,10 +517,10 @@ class TestSpecGeometry:
         assert (b.center + b.half_width).hex() == bisected_radius(b, 0.0).hex()
         assert bisected_radius(b, 0.0) == 1.0
         rng = np.random.default_rng(0)
-        ang = rng.uniform(0.0, 2.0 * np.pi, 300)
-        s = 1.0 * np.sqrt(rng.uniform(size=300))
+        ang = rng.uniform(0.0, 2.0 * np.pi, 2000)
+        s = 1.0 * np.sqrt(rng.uniform(size=2000))
         expected = np.stack([s * np.cos(ang), s * np.sin(ang)], axis=1)
-        assert planar_region_sampler(scn)(300).tobytes() == expected.tobytes()
+        assert planar_region_states(scn).tobytes() == expected.tobytes()
 
     def test_recovery_level_above_barrier_maximum(self):
         # no state reaches the level: the shell collapses to the center and

@@ -303,8 +303,7 @@ def scalar_lane_tau(scn, x, stream, max_wait):
         x1 = rk4_step(fld, x, t0, dt)
         m1 = margin(x1)
         if m > 0.0 and m1 <= 0.0:
-            f0 = np.asarray(fld(t0, x.tolist()))
-            return _refine_sample_crossing(scn, x, x1, t0, dt, stream, f0)
+            return _refine_sample_crossing(scn, x, x1, t0, dt, stream)
         x, m = x1, m1
     return None
 
@@ -456,11 +455,11 @@ class TestTailHandOff:
             entries.append(args[4])  # the step at which the lane entered
             return finish(*args)
 
-        def spy_refine(scenario, x0, x1, t0, dt, stream, f0):
-            # the step's start, end and first stage, to the bit: a crossing
-            # time alone rarely shows a last-bit difference in the state
-            crossings[stream] = (t0, x0.tobytes(), x1.tobytes(), f0.tobytes())
-            return refine(scenario, x0, x1, t0, dt, stream, f0)
+        def spy_refine(scenario, x0, x1, t0, dt, stream):
+            # the step's start and end, to the bit: a crossing time alone
+            # rarely shows a last-bit difference in the state
+            crossings[stream] = (t0, x0.tobytes(), x1.tobytes())
+            return refine(scenario, x0, x1, t0, dt, stream)
 
         monkeypatch.setattr(inter_event, "_refine_sample_crossing", spy_refine)
         monkeypatch.setattr(inter_event, "_finish_lane", spy_finish)
