@@ -42,7 +42,7 @@ scenario = SatelliteScenario(
 x0 = np.array([2.2, 0.0, 0.0, 0.0, np.sqrt(1.0 / 2.2), 0.0])
 horizon = 3000.0
 
-result = run_greedy_impulsive(scenario, x0, horizon, seed=1)
+result = run_greedy_impulsive(scenario, x0, horizon)
 s = result.summary
 
 print(f"horizon {horizon}: {s.jump_count} impulses")

@@ -52,8 +52,8 @@ print()
 # --- paired comparison on identical seed, disturbance, and start ---
 x0 = np.array([2.2, 0.0, 0.0, 0.0, np.sqrt(1.0 / 2.2), 0.0])
 horizon = 6000.0
-greedy = run_greedy_impulsive(scenario, x0, horizon, seed=1)
-maneuver = run_maneuver(scenario, model, x0, horizon, seed=1)
+greedy = run_greedy_impulsive(scenario, x0, horizon)
+maneuver = run_maneuver(scenario, model, x0, horizon)
 
 print(f"greedy   : {greedy.summary.jump_count} impulses, min h {greedy.summary.min_h:.4f}")
 print(f"maneuver : {maneuver.summary.jump_count} impulses, min h {maneuver.summary.min_h:.4f}")

@@ -35,7 +35,7 @@ scenario = PlanarScenario(
     integrator=IntegratorConfig(step_size=0.01),
 )
 
-result = run_intermittent_filter(scenario, np.zeros(2), 40.0, seed=2)
+result = run_intermittent_filter(scenario, np.zeros(2), 40.0)
 s = result.summary
 
 print(f"pre-run nominal-safety check sampled {s.assumption_check_samples} states: ok")

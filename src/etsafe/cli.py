@@ -2,7 +2,8 @@
 
 Subcommands: simulate, sample-tau, fit-tau, compare, validate-config.
 Exit codes: 0 success (and safety verdict passed), 2 configuration error,
-3 run or fit failure.
+3 run or fit failure or an unsafe verdict; :func:`_exit_policy` maps every
+failure to its code.
 
 Output files are written atomically (temp file + rename); a failed command
 leaves no partial files.  compare runs its two arms in two processes at the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -30,7 +32,7 @@ import signal
 import sys
 import tempfile
 import threading
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -52,7 +54,6 @@ from .inter_event import (
     DEFAULT_BASIS,
     DEFAULT_DEGREE,
     DEFAULT_STATISTIC,
-    FitError,
     campaign_problems,
     collect_inter_event_samples,
     fit_inter_event_model,
@@ -61,7 +62,8 @@ from .inter_event import (
     save_model,
     save_samples,
 )
-from .numerics import IntegrationFailureError
+from .numerics import IntegrationFailureError, SingularityError, span_problems
+from .safety_filter import InfeasibleFilterError
 from .workers import started_workers
 
 EXIT_OK = 0
@@ -179,15 +181,21 @@ def _write_run_outputs(out_dir: str, result: RunResult, cfg: ScenarioConfig) -> 
 # --- Run helpers ---
 
 
-def _load_config(path: str, seed: Optional[int], horizon: Optional[float]) -> ScenarioConfig:
+def _load_config(
+    path: str, seed: Optional[int], horizon: Optional[float], satellite_for: str = ""
+) -> ScenarioConfig:
+    """The config with the --seed and --horizon overrides; ``satellite_for``
+    names the command that needs a satellite scenario, if one does."""
     cfg = parse_config(path)
+    if satellite_for and cfg.kind != "satellite":
+        raise ConfigError(f"{satellite_for} needs a satellite scenario")
     if seed is not None:
         if seed < 0:
             raise ConfigError("--seed must be >= 0")
         cfg.seed = seed
     if horizon is not None:
-        if not horizon > 0.0:
-            raise ConfigError("--horizon must be > 0")
+        if problems := span_problems("--horizon", horizon):
+            raise ConfigError(problems[0])
         cfg.horizon = horizon
     return cfg
 
@@ -236,55 +244,87 @@ def _execute(cfg: ScenarioConfig, scheme: str) -> RunResult:
     if cfg.kind == "satellite":
         scenario = cfg.build_satellite()
         if scheme == "greedy":
-            return run_greedy_impulsive(scenario, cfg.initial_state, cfg.horizon, seed=cfg.seed)
+            return run_greedy_impulsive(scenario, cfg.initial_state, cfg.horizon)
         model = load_model(cfg.tau_model_path)
-        return run_maneuver(scenario, model, cfg.initial_state, cfg.horizon, seed=cfg.seed)
+        return run_maneuver(scenario, model, cfg.initial_state, cfg.horizon)
     scenario = cfg.build_planar()
-    return run_intermittent_filter(scenario, cfg.initial_state, cfg.horizon, seed=cfg.seed)
+    return run_intermittent_filter(scenario, cfg.initial_state, cfg.horizon)
+
+
+def _campaign_settings(
+    cfg: ScenarioConfig, grid: Optional[str], n: Optional[int], max_wait: Optional[float]
+) -> tuple[np.ndarray, int, float]:
+    """sample-tau's grid, samples per radius and wait cap: each flag, else its
+    [tau] key, held to the campaign's rules."""
+    try:
+        radius_grid = _parse_vector(grid) if grid else cfg.tau_radius_grid
+    except ValueError:
+        raise ConfigError(f"bad value for --grid: {grid!r}") from None
+    n_per_radius = n if n is not None else cfg.tau_n_per_radius
+    wait = max_wait if max_wait is not None else cfg.tau_max_wait
+    problems = campaign_problems(cfg.barrier, radius_grid, n_per_radius, wait)
+    if problems:
+        raise ConfigError("sample-tau: " + "; ".join(problems))
+    return radius_grid, n_per_radius, wait
 
 
 # --- Subcommands ---
 
 
+def _exit_policy(cmd: Callable[..., int]) -> Callable[..., int]:
+    """``cmd`` under the one failure policy of the subcommands: one ERROR line,
+    no traceback; exit 2 when the config or the pre-run check rejects the
+    run, 3 when the run, campaign, fit or output fails or is interrupted."""
+    command = cmd.__name__.removeprefix("cmd_").replace("_", "-")
+
+    @functools.wraps(cmd)
+    def run(*args, **kwargs) -> int:
+        try:
+            return cmd(*args, **kwargs)
+        except (ConfigError, AssumptionCheckError) as err:
+            log.error("%s", err)
+            return EXIT_CONFIG
+        # these cover FitError (a ValueError), a dead worker's ChildProcessError
+        # (an OSError) and a campaign's LaneFailureError
+        except (
+            RunAbortedError, IntegrationFailureError, SingularityError, InfeasibleFilterError,
+            OSError, ValueError,
+        ) as err:
+            log.error("%s failed: %s", command, err)
+            return EXIT_RUN
+        except KeyboardInterrupt:
+            log.error("%s interrupted", command)
+            return EXIT_RUN
+
+    return run
+
+
+@_exit_policy
 def cmd_validate_config(config_path: str) -> int:
-    try:
-        parse_config(config_path)
-    except ConfigError as err:
-        log.error("%s", err)
-        return EXIT_CONFIG
+    parse_config(config_path)
     print(f"config ok: {config_path}")
     return EXIT_OK
 
 
+@_exit_policy
 def cmd_simulate(
     config_path: str,
     out_dir: str,
     seed: Optional[int] = None,
     horizon: Optional[float] = None,
 ) -> int:
-    try:
-        cfg = _load_config(config_path, seed, horizon)
-    except ConfigError as err:
-        log.error("%s", err)
-        return EXIT_CONFIG
-    try:
-        result = _execute(cfg, cfg.trigger_scheme)
-    except AssumptionCheckError as err:
-        log.error("configuration rejected: %s", err)
-        return EXIT_CONFIG
-    except (RunAbortedError, FileNotFoundError) as err:
-        log.error("run failed: %s", err)
-        return EXIT_RUN
+    cfg = _load_config(config_path, seed, horizon)
+    result = _execute(cfg, cfg.trigger_scheme)
     _write_run_outputs(out_dir, result, cfg)
     s = result.summary
-    safe = s.min_h >= -cfg.events.value_tolerance
     print(
         f"scheme={s.scheme} events={s.event_count} min_h={s.min_h!r} "
-        f"safe={safe} out={out_dir}"
+        f"safe={s.safe} out={out_dir}"
     )
-    return EXIT_OK if safe else EXIT_RUN
+    return EXIT_OK if s.safe else EXIT_RUN
 
 
+@_exit_policy
 def cmd_sample_tau(
     config_path: str,
     out_path: str,
@@ -293,33 +333,11 @@ def cmd_sample_tau(
     seed: Optional[int] = None,
     max_wait: Optional[float] = None,
 ) -> int:
-    try:
-        cfg = _load_config(config_path, seed, None)
-        if cfg.kind != "satellite":
-            raise ConfigError("sample-tau needs a satellite scenario")
-        try:
-            radius_grid = _parse_vector(grid) if grid else cfg.tau_radius_grid
-        except ValueError:
-            raise ConfigError(f"bad value for --grid: {grid!r}") from None
-        n_per_radius = n if n is not None else cfg.tau_n_per_radius
-        wait = max_wait if max_wait is not None else cfg.tau_max_wait
-        problems = campaign_problems(cfg.barrier, radius_grid, n_per_radius, wait)
-        if problems:
-            raise ConfigError("sample-tau: " + "; ".join(problems))
-        scenario = cfg.build_satellite()
-    except ConfigError as err:
-        log.error("%s", err)
-        return EXIT_CONFIG
-    try:
-        samples = collect_inter_event_samples(
-            scenario, radius_grid, n_per_radius, seed=cfg.seed, max_wait=wait
-        )
-    except (ValueError, RunAbortedError, IntegrationFailureError, ChildProcessError) as err:
-        log.error("sampling failed: %s", err)
-        return EXIT_RUN
-    except KeyboardInterrupt:
-        log.error("sampling interrupted")
-        return EXIT_RUN
+    cfg = _load_config(config_path, seed, None, satellite_for="sample-tau")
+    radius_grid, n_per_radius, wait = _campaign_settings(cfg, grid, n, max_wait)
+    samples = collect_inter_event_samples(
+        cfg.build_satellite(), radius_grid, n_per_radius, seed=cfg.seed, max_wait=wait
+    )
     save_samples(samples, out_path)
     frac = samples.censored_count / max(len(samples.radius), 1)
     print(
@@ -331,6 +349,7 @@ def cmd_sample_tau(
     return EXIT_OK
 
 
+@_exit_policy
 def cmd_fit_tau(
     samples_path: str,
     out_path: str,
@@ -341,13 +360,8 @@ def cmd_fit_tau(
     try:
         samples = load_samples(samples_path)
     except (OSError, ValueError) as err:
-        log.error("cannot load samples: %s", err)
-        return EXIT_CONFIG
-    try:
-        model = fit_inter_event_model(samples, basis=basis, statistic=statistic, degree=degree)
-    except FitError as err:
-        log.error("fit failed: %s", err)
-        return EXIT_RUN
+        raise ConfigError(f"cannot load samples: {err}") from err
+    model = fit_inter_event_model(samples, basis=basis, statistic=statistic, degree=degree)
     save_model(model, out_path)
     print(
         f"model basis={model.basis} levels={len(model.knots)} "
@@ -356,6 +370,7 @@ def cmd_fit_tau(
     return EXIT_OK
 
 
+@_exit_policy
 def cmd_compare(
     config_path: str,
     tau_model_path: str,
@@ -363,13 +378,7 @@ def cmd_compare(
     seed: Optional[int] = None,
     horizon: Optional[float] = None,
 ) -> int:
-    try:
-        cfg = _load_config(config_path, seed, horizon)
-        if cfg.kind != "satellite":
-            raise ConfigError("compare needs a satellite scenario")
-    except ConfigError as err:
-        log.error("%s", err)
-        return EXIT_CONFIG
+    cfg = _load_config(config_path, seed, horizon, satellite_for="compare")
     fresh = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     stages: dict[str, str] = {}
@@ -383,12 +392,6 @@ def cmd_compare(
             os.makedirs(os.path.join(out_dir, arm), exist_ok=True)
             for name in sorted(os.listdir(stage)):
                 os.replace(os.path.join(stage, name), os.path.join(out_dir, arm, name))
-    except (RunAbortedError, OSError, ValueError) as err:
-        log.error("comparison failed: %s", err)
-        return EXIT_RUN
-    except KeyboardInterrupt:
-        log.error("comparison interrupted")
-        return EXIT_RUN
     finally:
         for stage in stages.values():
             shutil.rmtree(stage, ignore_errors=True)
@@ -413,9 +416,7 @@ def cmd_compare(
     }
     atomic_write(os.path.join(out_dir, "comparison.json"), [json.dumps(doc, indent=2) + "\n"])
 
-    both_safe = (
-        g.min_h >= -cfg.events.value_tolerance and m.min_h >= -cfg.events.value_tolerance
-    )
+    both_safe = g.safe and m.safe
     print(
         f"greedy={g.jump_count} maneuver={m.jump_count} "
         f"reduction={reduction!r} safe={both_safe} out={out_dir}"

@@ -18,7 +18,7 @@ import numpy as np
 from .barrier import BarrierSpec, orbital_range_barrier, planar_disk_barrier
 from .dynamics import DisturbanceModel, GravityModel
 from .inter_event import _BASES, _STATISTICS, DEFAULT_MAX_WAIT, campaign_problems
-from .numerics import EventLocatorConfig, IntegratorConfig
+from .numerics import EventLocatorConfig, IntegratorConfig, span_problems
 from .orbital import StationKeepingConfig
 from .scenarios import PlanarScenario, SatelliteScenario
 
@@ -98,7 +98,10 @@ class ScenarioConfig:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.replace(",", " ").split()])
+    vector = np.array([float(tok) for tok in text.replace(",", " ").split()])
+    if not np.all(np.isfinite(vector)):
+        raise ValueError(f"non-finite entry in {text!r}")
+    return vector
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -196,12 +199,10 @@ def parse_config(path: str) -> ScenarioConfig:
     )
 
     tau_path = get("tau", "model_path", str, "")
-    tau_grid = get(
-        "tau",
-        "radius_grid",
-        _parse_vector,
-        np.array([1.625, 1.68, 1.76, 1.85, 1.93, 2.0, 2.07, 2.16, 2.25, 2.33, 2.375]),
-    )
+    # the default radii are in units of [gravity] R
+    R = gravity.R if gravity is not None else 1.0
+    grid = np.array([1.625, 1.68, 1.76, 1.85, 1.93, 2.0, 2.07, 2.16, 2.25, 2.33, 2.375]) * R
+    tau_grid = get("tau", "radius_grid", _parse_vector, grid)
     tau_n = get("tau", "n_per_radius", int, 55)
     tau_wait = get("tau", "max_wait", float, DEFAULT_MAX_WAIT)
 
@@ -232,8 +233,8 @@ def parse_config(path: str) -> ScenarioConfig:
     if goal is not None and len(goal) != 2:
         problems.append("[filter] goal must be a 2-vector")
 
+    problems += span_problems("[scenario] horizon", horizon)
     checks = [
-        (horizon is None or horizon > 0.0, "[scenario] horizon must be > 0"),
         (seed is None or seed >= 0, "[scenario] seed must be >= 0"),
         (gamma is None or gamma > 0.0, "[barrier] gamma must be > 0"),
         (rho is None or rho > 0.0, "[barrier] rho must be > 0"),
@@ -253,9 +254,7 @@ def parse_config(path: str) -> ScenarioConfig:
             barrier = build("barrier", partial(orbital_range_barrier, gravity, gamma, d_bar))
         elif kind == "planar-demo" and rho is not None and rho > 0.0:
             barrier = build("barrier", partial(planar_disk_barrier, rho, gamma, d_bar))
-    # radii the file sets are checked against the satellite band; the default
-    # grid lies in the band at R = 1, and sample-tau checks whatever it uses
-    band = barrier if kind == "satellite" and parser.has_option("tau", "radius_grid") else None
+    band = barrier if kind == "satellite" else None
     problems += [f"[tau] {p}" for p in campaign_problems(band, tau_grid, tau_n, tau_wait)]
     # validated only: fit-tau takes --statistic and --basis
     for key, allowed in (("statistic", _STATISTICS), ("basis", _BASES)):

@@ -22,9 +22,10 @@ either at the horizon or at a located monitor crossing, where an event fires:
   zero; while on, a rate-promoting filter raises h until the margin recovers
   past a hysteresis gap.
 
-After every jump, monitoring stays disarmed for one integrator step (the
-post-jump buffer makes an instant re-fire impossible in exact arithmetic;
-the dwell removes the tolerance-level residue of it).
+The segment that starts at a jump is not armed: its monitors skip the
+post-jump state and start at the end of its first step (the post-jump
+buffer makes an instant re-fire impossible in exact arithmetic; skipping
+the start state removes the tolerance-level residue of it).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -138,6 +139,12 @@ class RunSummary:
     assumption_check_samples: Optional[int] = None
     max_on_duration: Optional[float] = None
 
+    @property
+    def safe(self) -> bool:
+        """The safety verdict: ``min_h >= -value_tolerance`` (not safe when
+        ``min_h`` is NaN, as for an empty trajectory)."""
+        return self.min_h >= -self.value_tolerance
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -155,21 +162,14 @@ class _TrajectoryBuilder:
         self.filter_on: list[np.ndarray] = []
 
     def add_segment(
-        self,
-        times: np.ndarray,
-        states: np.ndarray,
-        monitor_values: np.ndarray,
-        monitor: Callable[[np.ndarray], float],
-        filter_state: int,
+        self, times: np.ndarray, states: np.ndarray, xi: np.ndarray, filter_state: int
     ) -> None:
-        vals = monitor_values[:, 0].copy() if monitor_values.size else np.full(len(times), np.nan)
-        missing = ~np.isfinite(vals)
-        for i in np.where(missing)[0]:
-            vals[i] = monitor(states[i])
+        """A flow segment and its guarding monitor's values ``xi``, less a start
+        row that restates the last sample (that of every unarmed segment)."""
         start = 1 if self._repeats_last(times, states, filter_state) else 0
         self.times.append(times[start:])
         self.states.append(states[start:])
-        self.xi.append(vals[start:])
+        self.xi.append(xi[start:])
         self.filter_on.append(np.full(len(times) - start, filter_state, dtype=np.int8))
 
     def _repeats_last(self, times: np.ndarray, states: np.ndarray, filter_state: int) -> bool:
@@ -215,18 +215,16 @@ def _propagate(*args, **kwargs):
 # --- Greedy impulsive scheme ---
 
 
-def run_greedy_impulsive(
-    scenario: SatelliteScenario, x0: np.ndarray, horizon: float, seed: int = 0
-) -> RunResult:
+def run_greedy_impulsive(scenario: SatelliteScenario, x0: np.ndarray, horizon: float) -> RunResult:
     """On-demand impulsive safety: jump exactly when the margin reaches zero.
 
     Every flow segment keeps the barrier-condition margin positive in its
-    interior; every jump passes the in-set and buffer checks.  ``seed`` is
-    recorded in the summary; the disturbance realization is keyed by the
-    scenario's disturbance seed (stream 0).
+    interior; every jump passes the in-set and buffer checks.  The
+    disturbance realization is keyed by the scenario's disturbance seed
+    (stream 0), which the summary records.
     """
     events, traj = _run_impulsive(scenario, x0, horizon, tau_model=None)
-    return _finalize_impulsive(scenario, "greedy", events, traj, horizon, seed)
+    return _finalize_impulsive(scenario, "greedy", events, traj, horizon)
 
 
 def run_maneuver(
@@ -234,11 +232,10 @@ def run_maneuver(
     tau_model: InterEventTimeModel,
     x0: np.ndarray,
     horizon: float,
-    seed: int = 0,
 ) -> RunResult:
     """Two-impulse maneuvers: greedy first impulse, payoff-timed second."""
     events, traj = _run_impulsive(scenario, x0, horizon, tau_model=tau_model)
-    return _finalize_impulsive(scenario, "maneuver", events, traj, horizon, seed)
+    return _finalize_impulsive(scenario, "maneuver", events, traj, horizon)
 
 
 def _run_impulsive(
@@ -276,9 +273,11 @@ def _run_impulsive(
     role = "first" if tau_model is not None else None
     # set while a second impulse is pending: when its payoff monitor arms
     gate_time: Optional[float] = None
+    # a jump disarms the segment that starts at it
+    armed = True
 
     def do_jump(t_e: float, x_e: np.ndarray, trigger_id: str) -> np.ndarray:
-        nonlocal role, gate_time
+        nonlocal role, gate_time, armed
         try:
             dv = station_keeping_impulse(scenario.controller, b, g, x_e)
         except Exception as err:
@@ -311,15 +310,14 @@ def _run_impulsive(
             role, gate_time = "second", t_e + tau_model.tau(check.h_value)
         elif role == "second":
             role, gate_time = "first", None
+        armed = False
         return x_post
 
-    just_jumped = False
     if safety(x) <= 0.0:
         if not scenario.allow_initial_jump:
             raise RunAbortedError("margin nonpositive at start and initial jump disabled", t, x)
         builder.add_point(t, x, safety(x), 0)
         x = do_jump(t, x, "initial")
-        just_jumped = True
 
     while t < horizon - 1e-12:
         gated = gate_time is not None and t < gate_time - 1e-12
@@ -327,21 +325,18 @@ def _run_impulsive(
         monitors = [safety, payoff] if gate_time is not None and not gated else [safety]
         times, states, vals, crossing = _propagate(
             field, x, t, seg_end - t, monitors,
-            scenario.integrator, scenario.events,
-            dwell_steps=1 if just_jumped else 0,
+            scenario.integrator, scenario.events, armed=armed,
         )
-        builder.add_segment(times, states, vals, safety, 0)
+        builder.add_segment(times, states, vals[:, 0], 0)
         if crossing is not None:
             t = crossing.time
             x = do_jump(t, crossing.state, "safety" if crossing.monitor_index == 0 else "timing")
-            just_jumped = True
             continue
         t, x = seg_end, states[-1]
-        just_jumped = False
+        armed = True
         if gated and seg_end < horizon and payoff(x) <= 0.0:
             # the gate itself fires if the payoff margin is already nonpositive
             x = do_jump(t, x, "deadline")
-            just_jumped = True
 
     return events, builder.build()
 
@@ -352,7 +347,6 @@ def _finalize_impulsive(
     events: list[EventRecord],
     traj: Trajectory,
     horizon: float,
-    seed: int,
 ) -> RunResult:
     bound = miet_bound(
         scenario.barrier,
@@ -362,7 +356,7 @@ def _finalize_impulsive(
     )
     margins = [e.xi_after for e in events]
     summary = _summary(
-        scheme, scenario, events, traj, horizon, seed,
+        scheme, scenario, events, traj, horizon,
         gaps=np.diff([e.time for e in events]),
         miet_lower_bound=bound,
         min_post_jump_margin=float(min(margins)) if margins else None,
@@ -377,19 +371,19 @@ def _summary(
     events: Sequence[EventRecord],
     traj: Trajectory,
     horizon: float,
-    seed: int,
     gaps: np.ndarray,
     **fields,
 ) -> RunSummary:
     """The :class:`RunSummary` fields every scheme fills alike, audit included;
-    ``gaps`` are the inter-event times and ``fields`` the scheme's own."""
+    ``gaps`` are the inter-event times and ``fields`` the scheme's own.  The
+    seed is the disturbance's, the one the run used."""
     b = scenario.barrier
-    min_h, min_xi, _ = audit_safety(traj, b, scenario.events.value_tolerance)
+    min_h, min_xi = audit_safety(traj)
     kinds = [e.kind for e in events]
     return RunSummary(
         scheme=scheme,
         horizon=horizon,
-        seed=seed,
+        seed=scenario.disturbance.seed,
         gamma=b.gamma,
         d_bar=b.d_bar,
         step_size=scenario.integrator.step_size,
@@ -412,9 +406,7 @@ def _summary(
 # --- Intermittent safety filter ---
 
 
-def run_intermittent_filter(
-    scenario: PlanarScenario, x0: np.ndarray, horizon: float, seed: int = 0
-) -> RunResult:
+def run_intermittent_filter(scenario: PlanarScenario, x0: np.ndarray, horizon: float) -> RunResult:
     """Toggle a rate-promoting safety filter by hysteresis triggers.
 
     Off periods run the nominal loop and end when the barrier-condition
@@ -446,34 +438,25 @@ def run_intermittent_filter(
     if filter_on:
         _record(events, _filter_event(t, x, "filter_on", "initial", b, on_margin(x)))
 
-    def record_toggle(t_e: float, x_e: np.ndarray, kind: str) -> None:
-        _record(events, _filter_event(t_e, x_e, kind, "safety", b, on_margin(x_e)))
-
     while t < horizon - 1e-12:
-        if filter_on:
-            times, states, vals, crossing = _propagate(
-                filtered_field, x, t, horizon - t, [off_monitor],
-                scenario.integrator, scenario.events,
-            )
-            builder.add_segment(times, states, vals, off_monitor, 1)
-        else:
-            times, states, vals, crossing = _propagate(
-                nominal_field, x, t, horizon - t, [on_margin],
-                scenario.integrator, scenario.events,
-            )
-            builder.add_segment(times, states, vals, on_margin, 0)
+        field, monitor = (filtered_field, off_monitor) if filter_on else (nominal_field, on_margin)
+        times, states, vals, crossing = _propagate(
+            field, x, t, horizon - t, [monitor], scenario.integrator, scenario.events
+        )
+        builder.add_segment(times, states, vals[:, 0], int(filter_on))
         if crossing is None:
             t = horizon
             break
         t, x = crossing.time, crossing.state
-        record_toggle(t, x, "filter_off" if filter_on else "filter_on")
+        kind = "filter_off" if filter_on else "filter_on"
+        _record(events, _filter_event(t, x, kind, "safety", b, on_margin(x)))
         filter_on = not filter_on
 
     traj = builder.build()
     on_durations = _durations(events, "filter_on", "filter_off")
     bound = miet_bound(b, nominal_flow, planar_region_states(scenario), scenario.hysteresis_gap)
     summary = _summary(
-        "intermittent", scenario, events, traj, horizon, seed,
+        "intermittent", scenario, events, traj, horizon,
         gaps=_durations(events, "filter_off", "filter_on"),
         miet_lower_bound=bound,
         min_post_jump_margin=None,
@@ -673,16 +656,12 @@ def planar_region_states(scenario: PlanarScenario) -> np.ndarray:
     return np.stack([s * np.cos(ang), s * np.sin(ang)], axis=1)
 
 
-def audit_safety(
-    traj: Trajectory, b: BarrierSpec, value_tolerance: float
-) -> tuple[float, float, bool]:
-    """Scan dense samples: (min h, min active-monitor value, safe verdict).
-
-    The verdict is safe iff min h >= -value_tolerance.
-    """
+def audit_safety(traj: Trajectory) -> tuple[float, float]:
+    """Scan dense samples: (min h, min active-monitor value), NaN where there
+    is nothing to scan; :attr:`RunSummary.safe` is the verdict on min h."""
     if len(traj.times) == 0:
-        return float("nan"), float("nan"), False
+        return float("nan"), float("nan")
     min_h = float(np.min(traj.h))
     finite = traj.xi_active[np.isfinite(traj.xi_active)]
     min_xi = float(np.min(finite)) if len(finite) else float("nan")
-    return min_h, min_xi, bool(min_h >= -value_tolerance)
+    return min_h, min_xi

@@ -44,6 +44,7 @@ failing lane is named need not be.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -63,13 +64,15 @@ from .dynamics import (
 )
 from .numerics import (
     IntegrationFailureError,
-    hermite_interpolant,
-    linear_interpolant,
+    _step_interpolant,
     locate_zero_crossing,
+    span_problems,
 )
 from .orbital import ControllerInfeasibleError, station_keeping_impulse
 from .scenarios import SatelliteScenario
 from .workers import started_workers
+
+log = logging.getLogger(__name__)
 
 # fit-tau's and the campaign's defaults; the CLI and the config read them
 DEFAULT_BASIS = "piecewise-linear"
@@ -224,20 +227,19 @@ def campaign_problems(
 ) -> list[str]:
     """The campaign's rules, one message per broken one, each naming its
     parameter: at least one radius, every radius strictly inside the band of
-    ``b``, ``n_per_radius >= 1`` and ``max_wait > 0``.  A value of None goes
-    unchecked, and so do the radii when ``b`` is None."""
+    ``b``, ``n_per_radius >= 1`` and ``max_wait`` a time span (see
+    :func:`~etsafe.numerics.span_problems`).  A value of None goes unchecked,
+    and so do the radii when ``b`` is None."""
     problems = []
     if b is not None and radius_grid is not None:
         inner, outer = b.center - b.half_width, b.center + b.half_width
         if len(radius_grid) == 0:
             problems.append("radius_grid is empty")
-        elif np.any(radius_grid <= inner) or np.any(radius_grid >= outer):
+        elif not np.all((radius_grid > inner) & (radius_grid < outer)):
             problems.append(f"radius_grid must lie strictly inside ({inner}, {outer})")
     if n_per_radius is not None and n_per_radius < 1:
         problems.append("n_per_radius must be >= 1")
-    if max_wait is not None and not max_wait > 0.0:
-        problems.append("max_wait must be > 0")
-    return problems
+    return problems + span_problems("max_wait", max_wait)
 
 
 def collect_inter_event_samples(
@@ -624,7 +626,8 @@ def _refine_sample_crossing(
 
     The derivative at each end of the step is ``two_body_field`` with the
     lane's disturbance there; at the start it is bitwise the first RK4 stage
-    of the batch and of the tail.
+    of the batch and of the tail.  A degraded crossing is logged as a
+    WARNING, as the engine logs its own.
     """
     g = scenario.gravity
     b = scenario.barrier
@@ -632,16 +635,18 @@ def _refine_sample_crossing(
     flow = scenario.nominal_flow()
     monitor = lambda x: barrier_condition_margin(b, flow, x)
 
-    if scenario.integrator.interpolation == "cubic-hermite":
-        f0 = np.asarray(two_body_field(g, x0, accel=dist.sample(t0, x0, stream)))
-        f1 = np.asarray(two_body_field(g, x1, accel=dist.sample(t0 + dt, x1, stream)))
-        interp = hermite_interpolant(t0, x0, f0, t0 + dt, x1, f1)
-    else:
-        interp = linear_interpolant(t0, x0, t0 + dt, x1)
-
+    field = lambda t, x: two_body_field(g, x, accel=dist.sample(t, x, stream))
+    interp = _step_interpolant(field, scenario.integrator, t0, x0, t0 + dt, x1)
     if monitor(x0) <= 0.0:  # margin grazed zero within tolerance at step start
         return t0
     res = locate_zero_crossing(lambda t: monitor(interp(t)), t0, t0 + dt, scenario.events)
+    if res.degraded:
+        log.warning(
+            "degraded crossing of campaign stream %d at t=%r: bisection budget ran out "
+            "before either tolerance was met",
+            stream,
+            res.time,
+        )
     return res.time
 
 
@@ -770,14 +775,18 @@ def save_model(model: InterEventTimeModel, path: str) -> None:
 
 
 def load_model(path: str) -> InterEventTimeModel:
+    """The model :func:`save_model` wrote; ValueError naming a missing key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return InterEventTimeModel(
-        basis=doc["basis"],
-        knots=np.array(doc["knots"], dtype=float),
-        coefficients=np.array(doc["coefficients"], dtype=float),
-        h_min=float(doc["h_min"]),
-        h_max=float(doc["h_max"]),
-        residual=float(doc["residual"]),
-        statistic=doc.get("statistic", DEFAULT_STATISTIC),
-    )
+    try:
+        return InterEventTimeModel(
+            basis=doc["basis"],
+            knots=np.array(doc["knots"], dtype=float),
+            coefficients=np.array(doc["coefficients"], dtype=float),
+            h_min=float(doc["h_min"]),
+            h_max=float(doc["h_max"]),
+            residual=float(doc["residual"]),
+            statistic=doc.get("statistic", DEFAULT_STATISTIC),
+        )
+    except KeyError as err:
+        raise ValueError(f"tau model {path} has no {err.args[0]!r} key") from None

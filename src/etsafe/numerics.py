@@ -121,6 +121,14 @@ class MonitorCrossing:
     degraded: bool = False
 
 
+def span_problems(name: str, span: Optional[float]) -> list[str]:
+    """The rule for a time span (a horizon, the campaign's wait cap), > 0 and
+    finite: one message naming ``name`` if ``span`` breaks it, else none."""
+    if span is None or 0.0 < span < math.inf:
+        return []
+    return [f"{name} must be > 0" if not span > 0.0 else f"{name} must be finite"]
+
+
 def rk4_step(field: Field, x: np.ndarray, t: float, dt: float) -> np.ndarray:
     """Single classical 4th-order Runge-Kutta step of ``dx/dt = field(t, x)``.
 
@@ -253,7 +261,7 @@ def propagate_until(
     monitors: Sequence[Monitor],
     integrator: IntegratorConfig = IntegratorConfig(),
     events: EventLocatorConfig = EventLocatorConfig(),
-    dwell_steps: int = 0,
+    armed: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[MonitorCrossing]]:
     """Propagate until a monitor crosses zero downward or the horizon ends.
 
@@ -263,30 +271,30 @@ def propagate_until(
     with the monitor re-evaluated on interpolated states.  A monitor that is
     already <= 0 when monitoring starts is an immediate event at that time.
 
-    Monitoring is suppressed for the first ``dwell_steps`` integration steps;
-    callers use this to prevent tolerance-level re-firing just after a jump.
+    An ``armed`` segment starts monitoring at ``t0``.  One that is not skips
+    the start state and starts at the end of the first step; callers use
+    this after a jump, so a tolerance-level residue of the crossing that
+    fired it cannot fire again at once.
 
     Returns ``(times, states, monitor_values, crossing)``:
 
     * ``times``  - shape (N,), dense sample times, starting at t0.  The final
       sample is the crossing time if an event fired, else ``t0 + horizon``.
     * ``states`` - shape (N, n), states at those times.
-    * ``monitor_values`` - shape (N, len(monitors)); NaN where a monitor was
-      not evaluated (suppressed by dwell).
+    * ``monitor_values`` - shape (N, len(monitors)); the start row is NaN
+      when the segment is not armed.
     * ``crossing`` - earliest MonitorCrossing, or None.
     """
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if problems := span_problems("horizon", horizon):
+        raise ValueError(problems[0])
     dt = integrator.step_size
-    n_monitors = len(monitors)
 
     # Per-step bookkeeping stays in Python lists (monitor values as floats);
     # the returned arrays are built once at the end.
-    unmonitored = [math.nan] * n_monitors
     x = np.array(x0, dtype=float)
     times = [t0]
     states = [x]
-    values = [unmonitored]
+    values = [[math.nan] * len(monitors)]
 
     n_full = int(np.floor(horizon / dt + 1e-12))
     remainder = horizon - n_full * dt
@@ -295,12 +303,11 @@ def propagate_until(
     total_steps = n_full + (1 if remainder > 0.0 else 0)
 
     prev_vals: Optional[list[float]] = None
-    if dwell_steps <= 0:
+    if armed:
         prev_vals = [m(x) for m in monitors]
         values[0] = prev_vals
-        hit = _immediate_crossing(prev_vals)
-        if hit is not None:
-            crossing = MonitorCrossing(hit, t0, x.copy(), float(prev_vals[hit]))
+        crossing = _immediate_crossing(prev_vals, t0, x)
+        if crossing is not None:
             return (
                 np.array(times),
                 np.array(states),
@@ -308,32 +315,28 @@ def propagate_until(
                 crossing,
             )
 
-    first_armed_step = max(dwell_steps, 1) - 1
     for step in range(total_steps):
         step_dt = dt if step < n_full else remainder
         t_start = t0 + step * dt
         t_end = t_start + step_dt
         x_new = rk4_step(field, x, t_start, step_dt)
 
-        new_vals = unmonitored
+        new_vals = [m(x_new) for m in monitors]
         crossing: Optional[MonitorCrossing] = None
-        if n_monitors and step >= first_armed_step:
-            new_vals = [m(x_new) for m in monitors]
-            if prev_vals is None:
-                # Monitoring starts at this sample; a value already <= 0 is an
-                # immediate event here rather than a located crossing.
-                hit = _immediate_crossing(new_vals)
-                if hit is not None:
-                    crossing = MonitorCrossing(hit, t_end, x_new.copy(), float(new_vals[hit]))
-            else:
-                crossed = [
-                    i for i, (p, v) in enumerate(zip(prev_vals, new_vals)) if p > 0.0 and v <= 0.0
-                ]
-                if crossed:
-                    crossing = _refine_step_crossings(
-                        field, monitors, crossed, t_start, x, t_end, x_new, integrator, events
-                    )
-            prev_vals = new_vals
+        if prev_vals is None:
+            # Monitoring starts at this sample; a value already <= 0 is an
+            # immediate event here rather than a located crossing.
+            crossing = _immediate_crossing(new_vals, t_end, x_new)
+        else:
+            crossed = [
+                i for i, (p, v) in enumerate(zip(prev_vals, new_vals)) if p > 0.0 and v <= 0.0
+            ]
+            if crossed:
+                interp = _step_interpolant(field, integrator, t_start, x, t_end, x_new)
+                crossing = _refine_step_crossings(
+                    interp, monitors, crossed, t_start, t_end, events
+                )
+        prev_vals = new_vals
 
         if crossing is not None:
             times.append(crossing.time)
@@ -350,34 +353,41 @@ def propagate_until(
     return np.array(times), np.array(states), np.array(values), None
 
 
-def _immediate_crossing(vals: list[float]) -> Optional[int]:
+def _immediate_crossing(vals: list[float], t: float, x: np.ndarray) -> Optional[MonitorCrossing]:
     if not vals:
         return None
     idx = int(np.argmin(vals))
-    return idx if vals[idx] <= 0.0 else None
+    return MonitorCrossing(idx, t, x.copy(), float(vals[idx])) if vals[idx] <= 0.0 else None
+
+
+def _step_interpolant(
+    field: Field,
+    integrator: IntegratorConfig,
+    t0: float,
+    x0: np.ndarray,
+    t1: float,
+    x1: np.ndarray,
+) -> Callable[[float], np.ndarray]:
+    """The trajectory inside one step, by ``integrator.interpolation``: cubic
+    Hermite on ``field``'s derivatives at both ends, or linear."""
+    if integrator.interpolation == "cubic-hermite":
+        # the interpolant does array arithmetic on the end derivatives
+        f0 = np.asarray(field(t0, x0))
+        f1 = np.asarray(field(t1, x1))
+        return hermite_interpolant(t0, x0, f0, t1, x1, f1)
+    return linear_interpolant(t0, x0, t1, x1)
 
 
 def _refine_step_crossings(
-    field: Field,
+    interp: Callable[[float], np.ndarray],
     monitors: Sequence[Monitor],
     crossed: list[int],
     t_start: float,
-    x_start: np.ndarray,
     t_end: float,
-    x_end: np.ndarray,
-    integrator: IntegratorConfig,
     events: EventLocatorConfig,
 ) -> MonitorCrossing:
     """Refine each monitor in ``crossed`` (those whose sign went from > 0 to
-    <= 0 in this step) on the interpolated step; the earliest crossing wins."""
-    if integrator.interpolation == "cubic-hermite":
-        # the interpolant does array arithmetic on the end derivatives
-        f0 = np.asarray(field(t_start, x_start))
-        f1 = np.asarray(field(t_end, x_end))
-        interp = hermite_interpolant(t_start, x_start, f0, t_end, x_end, f1)
-    else:
-        interp = linear_interpolant(t_start, x_start, t_end, x_end)
-
+    <= 0 in this step) on the step's interpolant; the earliest crossing wins."""
     best: Optional[MonitorCrossing] = None
     for i in crossed:
         m = monitors[i]

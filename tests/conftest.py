@@ -26,7 +26,7 @@ def greedy_run():
     cfg = _load("greedy_satellite.ini")
     scenario = cfg.build_satellite()
     start = time.perf_counter()
-    result = run_greedy_impulsive(scenario, cfg.initial_state, cfg.horizon, seed=cfg.seed)
+    result = run_greedy_impulsive(scenario, cfg.initial_state, cfg.horizon)
     return cfg, scenario, result, time.perf_counter() - start
 
 
@@ -36,7 +36,7 @@ def maneuver_run():
     scenario = cfg.build_satellite()
     model = load_model(cfg.tau_model_path)
     start = time.perf_counter()
-    result = run_maneuver(scenario, model, cfg.initial_state, cfg.horizon, seed=cfg.seed)
+    result = run_maneuver(scenario, model, cfg.initial_state, cfg.horizon)
     return cfg, scenario, result, time.perf_counter() - start
 
 
@@ -45,7 +45,7 @@ def planar_run():
     cfg = _load("planar_intermittent.ini")
     scenario = cfg.build_planar()
     start = time.perf_counter()
-    result = run_intermittent_filter(scenario, cfg.initial_state, cfg.horizon, seed=cfg.seed)
+    result = run_intermittent_filter(scenario, cfg.initial_state, cfg.horizon)
     return cfg, scenario, result, time.perf_counter() - start
 
 

@@ -29,8 +29,12 @@ from etsafe.cli import (
     main,
     write_trajectory_csv,
 )
+from etsafe.config import ConfigError
 from etsafe.dynamics import DisturbanceModel
-from etsafe.engine import RunAbortedError, RunResult, Trajectory
+from etsafe.engine import AssumptionCheckError, RunAbortedError, RunResult, Trajectory
+from etsafe.inter_event import FitError, LaneFailureError
+from etsafe.numerics import IntegrationFailureError, SingularityError
+from etsafe.safety_filter import InfeasibleFilterError
 
 SAT_SMALL = """
 [scenario]
@@ -395,7 +399,9 @@ class TestSampleAndFit:
         assert cmd_sample_tau(planar_config, str(tmp_path / "s.csv")) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "grid", ["1.7,abc", " , ", "1.0,2.0"], ids=["malformed", "empty", "outside_band"]
+        "grid",
+        ["1.7,abc", " , ", "1.0,2.0", "nan"],
+        ids=["malformed", "empty", "outside_band", "non_finite"],
     )
     def test_sample_tau_rejects_a_bad_grid(self, sat_config, tmp_path, grid):
         out = tmp_path / "s.csv"
@@ -409,8 +415,9 @@ class TestSampleAndFit:
             (["--max-wait", "0"], "max_wait must be > 0"),
             (["--max-wait", "-5"], "max_wait must be > 0"),
             (["--max-wait", "nan"], "max_wait must be > 0"),
+            (["--max-wait", "inf"], "max_wait must be finite"),
         ],
-        ids=["n_zero", "max_wait_zero", "max_wait_negative", "max_wait_nan"],
+        ids=["n_zero", "max_wait_zero", "max_wait_negative", "max_wait_nan", "max_wait_inf"],
     )
     def test_sample_tau_flags_obey_the_tau_rules(self, sat_config, tmp_path, caplog, flags, problem):
         out = tmp_path / "s.csv"
@@ -556,7 +563,7 @@ def sleeping_greedy_arm(*args, **kwargs):
     time.sleep(120.0)
 
 
-def aborting_greedy_arm(scenario, x0, horizon, seed=None):
+def aborting_greedy_arm(scenario, x0, horizon):
     raise RunAbortedError("injected greedy abort", 4.5, x0)
 
 
@@ -948,3 +955,133 @@ class TestMainEntry:
     def test_log_level_env(self, sat_config, monkeypatch):
         monkeypatch.setenv("ETSAFE_LOG_LEVEL", "debug")
         assert main(["validate-config", "--config", sat_config]) == EXIT_OK
+
+
+# every failure class a command can meet, with the exit code it must give
+FAILURES = {
+    "ConfigError": (lambda: ConfigError("injected"), EXIT_CONFIG),
+    "AssumptionCheckError": (lambda: AssumptionCheckError("injected"), EXIT_CONFIG),
+    "RunAbortedError": (lambda: RunAbortedError("injected", 1.0, np.zeros(6)), EXIT_RUN),
+    "IntegrationFailureError": (lambda: IntegrationFailureError(1.0, np.zeros(6)), EXIT_RUN),
+    "LaneFailureError": (lambda: LaneFailureError(1.0, np.zeros(6), 4), EXIT_RUN),
+    "SingularityError": (lambda: SingularityError("injected"), EXIT_RUN),
+    "InfeasibleFilterError": (lambda: InfeasibleFilterError("injected"), EXIT_RUN),
+    "FitError": (lambda: FitError("injected"), EXIT_RUN),
+    "OSError": (lambda: OSError("injected"), EXIT_RUN),
+    "ChildProcessError": (lambda: ChildProcessError("injected"), EXIT_RUN),
+    "ValueError": (lambda: ValueError("injected"), EXIT_RUN),
+    "KeyboardInterrupt": (KeyboardInterrupt, EXIT_RUN),
+}
+
+# the step of each subcommand the failure is injected into
+INJECTED_STEP = {
+    "validate-config": "parse_config",
+    "simulate": "_execute",
+    "sample-tau": "collect_inter_event_samples",
+    "fit-tau": "fit_inter_event_model",
+    "compare": "_run_arms",
+}
+
+
+class TestExitPolicy:
+    """One failure policy for every subcommand: exit 2 or 3, one ERROR line,
+    no traceback, nothing written."""
+
+    def argv(self, command, sat_config, tmp_path):
+        out = str(tmp_path / "out")
+        if command == "validate-config":
+            return [command, "--config", sat_config]
+        if command == "fit-tau":
+            samples = tmp_path / "samples.csv"
+            samples.write_text("radius,h,inter_event_time,censored\n2.4,0.0,1.0,0\n2.0,0.16,9.0,0\n")
+            return [command, "--samples", str(samples), "--out", out]
+        if command == "compare":
+            return [command, "--config", sat_config, "--tau-model", SHIPPED_MODEL, "--out", out]
+        return [command, "--config", sat_config, "--out", out]
+
+    @pytest.mark.parametrize("failure", list(FAILURES))
+    @pytest.mark.parametrize("command", list(INJECTED_STEP))
+    def test_injected_failure(self, sat_config, tmp_path, monkeypatch, caplog, capsys, command, failure):
+        make, code = FAILURES[failure]
+
+        def fail(*args, **kwargs):
+            raise make()
+
+        monkeypatch.setattr(etsafe.cli, INJECTED_STEP[command], fail)
+        assert main(self.argv(command, sat_config, tmp_path)) == code
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+
+class TestNonFiniteInput:
+    """A non-finite number is rejected where it enters, with exit 2, before a
+    run starts (the config's own rules are in test_config's verdict table)."""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_nan_velocity(self, tmp_path, caplog, command):
+        path = tmp_path / "nan.ini"
+        path.write_text(SAT_SMALL.replace("velocity = 0.0, 0.674199862463242, 0.0", "velocity = 0.0, nan, 0.0"))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "compare":
+            argv += ["--tau-model", SHIPPED_MODEL]
+        assert main(argv) == EXIT_CONFIG
+        assert "bad value for [initial] velocity: '0.0, nan, 0.0'" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_infinite_horizon_flag(self, sat_config, tmp_path, caplog, command):
+        out = tmp_path / "out"
+        argv = [command, "--config", sat_config, "--out", str(out), "--horizon", "inf"]
+        if command == "compare":
+            argv += ["--tau-model", SHIPPED_MODEL]
+        assert main(argv) == EXIT_CONFIG
+        assert "--horizon must be finite" in caplog.text
+        assert not out.exists()
+
+
+class TestTauModelWithoutKnots:
+    """A τ model that lacks a key fails the run with exit 3, naming the key."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        doc = json.load(open(SHIPPED_MODEL))
+        del doc["knots"]
+        path = tmp_path / "no_knots.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_simulate(self, tmp_path, caplog, model):
+        path = tmp_path / "maneuver.ini"
+        path.write_text(
+            SAT_SMALL.replace("trigger_scheme = greedy", "trigger_scheme = maneuver")
+            .replace("[tau]", f"[tau]\nmodel_path = {model}")
+        )
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUN
+        assert "has no 'knots' key" in caplog.text
+
+    def test_compare(self, sat_config, tmp_path, caplog, model):
+        out = tmp_path / "out"
+        assert main(["compare", "--config", sat_config, "--tau-model", model, "--out", str(out)]) == EXIT_RUN
+        assert "has no 'knots' key" in caplog.text
+        assert not out.exists()
+
+
+class TestRadiusGridScale:
+    """The default [tau] radius_grid is in units of [gravity] R."""
+
+    def test_default_grid_follows_R(self, tmp_path):
+        text = read_bytes(os.path.join(CONFIGS, "greedy_satellite.ini")).decode()
+        text = text.replace("R = 1.0", "R = 3.0")
+        text = "\n".join(line for line in text.splitlines() if not line.startswith("radius_grid"))
+        path = tmp_path / "r3.ini"
+        path.write_text(text)
+        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+        out = tmp_path / "s.csv"
+        argv = ["sample-tau", "--config", str(path), "--out", str(out), "--n", "1", "--max-wait", "5"]
+        assert main(argv) == EXIT_OK
+        radii = np.loadtxt(out, delimiter=",", skiprows=3, usecols=0)
+        assert len(radii) == 11 and np.all((radii > 4.8) & (radii < 7.2))

@@ -226,6 +226,7 @@ REJECTED = [
     ({"scenario.trigger_scheme": "sporadic"}, "[scenario] trigger_scheme must be one of"),
     ({"scenario.horizon": None}, "missing [scenario] horizon"),
     ({"scenario.horizon": "0"}, "[scenario] horizon must be > 0"),
+    ({"scenario.horizon": "inf"}, "[scenario] horizon must be finite"),
     ({"scenario.seed": "-1"}, "[scenario] seed must be >= 0"),
     ({"scenario.allow_initial_jump": "maybe"}, "bad value for [scenario] allow_initial_jump"),
     ({"gravity.mu": "0"}, "[gravity] mu must be > 0"),
@@ -249,6 +250,7 @@ REJECTED = [
     ({"filter.hysteresis_gap": "0"}, "[filter] hysteresis_gap must be > 0"),
     ({"filter.recovery_level": "-1"}, "[filter] recovery_level must be > 0"),
     ({"filter.goal": "1, 2, 3"}, "[filter] goal must be a 2-vector"),
+    ({"filter.goal": "nan, 0.0"}, "bad value for [filter] goal: 'nan, 0.0'"),
     ({"integrator.step_size": "0"}, "[integrator] step_size must be > 0"),
     ({"integrator.interpolation": "spline"}, "[integrator] interpolation must be"),
     ({"events.time_tolerance": "0"}, "[events] time_tolerance must be > 0"),
@@ -256,6 +258,7 @@ REJECTED = [
     ({"events.max_bisections": "0"}, "[events] max_bisections must be >= 1"),
     ({"tau.n_per_radius": "0"}, "[tau] n_per_radius must be >= 1"),
     ({"tau.max_wait": "0"}, "[tau] max_wait must be > 0"),
+    ({"tau.max_wait": "inf"}, "[tau] max_wait must be finite"),
     ({"tau.statistic": "mode"}, "[tau] statistic must be median or mean"),
     ({"tau.basis": "spline"}, "[tau] basis must be piecewise-linear or polynomial"),
     ({"scenario.trigger_scheme": "maneuver"}, "[tau] model_path is required for the maneuver scheme"),
@@ -265,9 +268,12 @@ REJECTED_BY_KIND = {
         ({"initial.position": "2.2, 0.0"}, "[initial] position and velocity must be 3-vectors"),
         ({"tau.radius_grid": "1.0, 2.0"}, "[tau] radius_grid must lie strictly inside (1.6, 2.4)"),
         ({"tau.radius_grid": ""}, "[tau] radius_grid is empty"),
+        ({"initial.velocity": "0.0, nan, 0.0"}, "bad value for [initial] velocity: '0.0, nan, 0.0'"),
+        ({"tau.radius_grid": "2.0, nan"}, "bad value for [tau] radius_grid: '2.0, nan'"),
     ],
     "planar": [
         ({"initial.state": "0.0, 0.0, 0.0"}, "[initial] state must be a 2-vector"),
+        ({"initial.state": "inf, 0.0"}, "bad value for [initial] state: 'inf, 0.0'"),
         # the zonal field is 3-D only
         ({"disturbance.kind": "zonal-j2-like"}, "[disturbance] kind 'zonal-j2-like' is 3-D only"),
     ],
@@ -281,7 +287,8 @@ ACCEPTED = [
     {"barrier.d_bar": None},
 ]
 ACCEPTED_BY_KIND = {
-    "satellite": [{"disturbance.kind": "zonal-j2-like"}],
+    # the default radius grid scales with R
+    "satellite": [{"disturbance.kind": "zonal-j2-like"}, {"gravity.R": "3.0"}],
     # sample-tau needs a satellite scenario: a planar one's grid is not checked
     "planar": [{"tau.radius_grid": "1.0, 2.0"}],
 }

@@ -102,7 +102,7 @@ X0 = np.array([2.2, 0.0, 0.0, 0.0, np.sqrt(1.0 / 2.2), 0.0])
 @pytest.fixture(scope="module")
 def greedy_3000():
     scn = satellite_scenario(seed=1)
-    return scn, run_greedy_impulsive(scn, X0, 3000.0, seed=1)
+    return scn, run_greedy_impulsive(scn, X0, 3000.0)
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +253,7 @@ class TestSecondImpulsePins:
         model = load_model(cfg.tau_model_path)
         scn = dataclasses.replace(cfg, seed=seed).build_satellite()
         x0 = cfg.initial_state if x0 is None else x0
-        return model, run_maneuver(scn, model, x0, horizon, seed=seed)
+        return model, run_maneuver(scn, model, x0, horizon)
 
     def test_deadline_and_safety_second_impulses(self):
         _, res = self.run(seed=2, horizon=800.0)
@@ -310,7 +310,7 @@ class TestDegradedCrossings:
 class TestIntermittent:
     def test_default_run_cycles_and_stays_safe(self):
         scn = planar_scenario()
-        res = run_intermittent_filter(scn, np.zeros(2), 100.0, seed=2)
+        res = run_intermittent_filter(scn, np.zeros(2), 100.0)
         s = res.summary
         assert s.filter_on_count >= 1
         assert s.filter_off_count >= 1
@@ -434,16 +434,16 @@ class TestAuditSafety:
     def test_accepted_run_is_safe(self):
         scn = satellite_scenario(seed=1)
         res = run_greedy_impulsive(scn, X0, 500.0)
-        min_h, min_xi, safe = audit_safety(res.trajectory, scn.barrier, 1e-9)
-        assert safe
-        assert min_h == res.summary.min_h
+        min_h, min_xi = audit_safety(res.trajectory)
+        assert res.summary.safe
+        assert (min_h, min_xi) == (res.summary.min_h, res.summary.min_xi_flow)
 
     def test_corrupted_trajectory_flagged_unsafe(self):
         scn = satellite_scenario(seed=1)
         res = run_greedy_impulsive(scn, X0, 100.0)
         traj = res.trajectory
         bad_states = traj.states.copy()
-        bad_states[-1, :3] = [2.5, 0.0, 0.0]  # outside the band: h = -0.01
+        bad_states[-1, :3] = [2.5, 0.0, 0.0]  # outside the band: h = -0.09
         bad = Trajectory(
             times=traj.times,
             states=bad_states,
@@ -451,8 +451,25 @@ class TestAuditSafety:
             xi_active=traj.xi_active,
             filter_on=traj.filter_on,
         )
-        _, _, safe = audit_safety(bad, scn.barrier, 1e-9)
-        assert not safe
+        min_h, _ = audit_safety(bad)
+        assert min_h == pytest.approx(-0.09)
+        assert not dataclasses.replace(res.summary, min_h=min_h).safe
+
+
+class TestRunSummary:
+    @pytest.fixture(scope="class")
+    def base(self):
+        # no seed is passed: the summary's is the disturbance's
+        return run_greedy_impulsive(satellite_scenario(seed=2), X0, 20.0).summary
+
+    def test_seed_is_the_disturbance_seed(self, base):
+        assert base.seed == 2
+
+    def test_safe_verdict(self, base):
+        tol = base.value_tolerance
+        assert dataclasses.replace(base, min_h=-tol).safe
+        assert not dataclasses.replace(base, min_h=np.nextafter(-tol, -1.0)).safe
+        assert not dataclasses.replace(base, min_h=float("nan")).safe
 
 
 class TestRunAbortedError:

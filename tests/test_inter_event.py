@@ -1,5 +1,7 @@
 """Inter-event-time sampling campaign and model fitting tests."""
 
+import dataclasses
+import logging
 import multiprocessing
 import os
 import signal
@@ -578,6 +580,29 @@ class TestShards:
         with pytest.raises(ChildProcessError, match="campaign worker 1 exited with code -9"):
             collect_inter_event_samples(scn, self.GRID, self.N, seed=3, max_wait=self.MAX_WAIT)
         assert multiprocessing.active_children() == []
+
+
+class TestDegradedCampaignCrossings:
+    """Each campaign crossing whose bisection budget ran out logs one WARNING
+    on etsafe.inter_event, as the engine does for its own."""
+
+    def collect(self, caplog, events):
+        scn = dataclasses.replace(make_scenario(seed=3), events=events)
+        with caplog.at_level(logging.WARNING, logger="etsafe.inter_event"):
+            s = collect_inter_event_samples(scn, np.array([1.65, 2.3]), 2, seed=3, max_wait=400.0)
+        return s, [r for r in caplog.records if r.name == "etsafe.inter_event"]
+
+    def test_each_degraded_crossing_logs_one_warning(self, caplog):
+        s, logged = self.collect(caplog, EventLocatorConfig(max_bisections=1))
+        fired = np.flatnonzero(~s.censored)
+        assert len(fired) == 4
+        assert sorted(r.args[0] for r in logged) == [int(i) + 1 for i in fired]  # stream = lane + 1
+        assert all(r.levelno == logging.WARNING for r in logged)
+        assert all("degraded crossing of campaign stream" in r.getMessage() for r in logged)
+
+    def test_full_budget_logs_nothing(self, caplog):
+        _, logged = self.collect(caplog, EventLocatorConfig())
+        assert logged == []
 
 
 class TestSerialization:

@@ -379,11 +379,11 @@ class TestPropagateUntil:
         assert crossing.state[0] == 5.0
 
     def test_dwell_skips_initial_violation(self):
-        # With one dwell step the start-time violation is not reported at t0;
-        # monitoring arms at the first step end.
+        # An unarmed segment does not report the start-time violation at t0;
+        # monitoring starts at the first step end.
         _, _, _, crossing = propagate_until(
             CONSTANT_ONE, np.array([5.0]), 0.0, 2.0,
-            [lambda x: 1.0 - x[0]], self.ICFG, self.ECFG, dwell_steps=1,
+            [lambda x: 1.0 - x[0]], self.ICFG, self.ECFG, armed=False,
         )
         assert crossing is not None
         assert crossing.time == pytest.approx(self.ICFG.step_size)
