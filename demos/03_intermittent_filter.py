@@ -20,18 +20,16 @@ import numpy as np
 
 from etsafe import DisturbanceModel, IntegratorConfig, planar_disk_barrier
 from etsafe.engine import run_intermittent_filter
-from etsafe.scenarios import PlanarScenario
+from etsafe.scenarios import FilterConfig, PlanarScenario
 
 scenario = PlanarScenario(
     barrier=planar_disk_barrier(rho=1.0, gamma=2.0, d_bar=0.01),
-    goal=np.array([1.05, 0.0]),  # unsafe nominal objective
-    gain=1.0,
     disturbance=DisturbanceModel(
         kind="seeded-piecewise-constant", d_bar=0.01, seed=2, hold_time=0.5, dim=2
     ),
-    promote_rate=0.05,
-    hysteresis_gap=0.05,
-    recovery_level=0.2,
+    # an unsafe nominal objective; rate, gap and recovery level at their
+    # defaults 0.05, 0.05 and 0.2
+    filter=FilterConfig(goal=(1.05, 0.0)),
     integrator=IntegratorConfig(step_size=0.01),
 )
 
@@ -50,7 +48,7 @@ for i, e in enumerate(events[:10]):
     line = f"  t={e.time:7.3f}  {e.kind:10s} h={e.h_before:.4f} margin={e.xi_after:+.4f}"
     if e.kind == "filter_off":
         on = events[i - 1]
-        bound = (scenario.recovery_level - on.h_before) / scenario.promote_rate
+        bound = (scenario.filter.recovery_level - on.h_before) / scenario.filter.promote_rate
         line += f"   (on lasted {e.time - on.time:.3f}, bound {bound:.3f})"
     print(line)
 
@@ -63,4 +61,4 @@ dh = np.diff(traj.h)
 inside = on[:-1] & on[1:] & (dt > 1e-12)
 print()
 print(f"min dh/dt across all on-period samples: {np.min(dh[inside] / dt[inside]):.4f}"
-      f" (promoted rate {scenario.promote_rate})")
+      f" (promoted rate {scenario.filter.promote_rate})")

@@ -72,7 +72,7 @@ from .inter_event import (
     collect_inter_event_samples,
     fit_inter_event_model,
 )
-from .scenarios import PlanarScenario, SatelliteScenario
+from .scenarios import FilterConfig, PlanarScenario, SatelliteScenario
 
 __version__ = "0.1.0"
 
@@ -83,6 +83,7 @@ __all__ = [
     "DisturbanceModel",
     "EventLocatorConfig",
     "EventRecord",
+    "FilterConfig",
     "GravityModel",
     "HalfspaceConstraint",
     "InfeasibleFilterError",

@@ -62,7 +62,7 @@ from .inter_event import (
     save_model,
     save_samples,
 )
-from .numerics import IntegrationFailureError, SingularityError, span_problems
+from .numerics import IntegrationFailureError, SingularityError
 from .safety_filter import InfeasibleFilterError
 from .workers import started_workers
 
@@ -181,41 +181,21 @@ def _write_run_outputs(out_dir: str, result: RunResult, cfg: ScenarioConfig) -> 
 # --- Run helpers ---
 
 
-def _load_config(
-    path: str, seed: Optional[int], horizon: Optional[float], satellite_for: str = ""
-) -> ScenarioConfig:
-    """The config with the --seed and --horizon overrides; ``satellite_for``
-    names the command that needs a satellite scenario, if one does."""
-    cfg = parse_config(path)
-    if satellite_for and cfg.kind != "satellite":
-        raise ConfigError(f"{satellite_for} needs a satellite scenario")
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        cfg.seed = seed
-    if horizon is not None:
-        if problems := span_problems("--horizon", horizon):
-            raise ConfigError(problems[0])
-        cfg.horizon = horizon
-    return cfg
-
-
 def _run_arm(
     config_path: str,
-    scheme: str,
+    scheme: Optional[str],
     seed: Optional[int],
     horizon: Optional[float],
     tau_model_path: Optional[str],
-    stage_dir: str,
+    out_dir: str,
 ) -> RunSummary:
-    """One arm of ``compare``: parse, build, run one scheme, write its three
-    files into ``stage_dir``.  Takes only picklable arguments, so it can run in
-    a worker process under any start method."""
-    cfg = _load_config(config_path, seed, horizon)
-    if tau_model_path is not None:
-        cfg.tau_model_path = tau_model_path
-    result = _execute(cfg, scheme)
-    _write_run_outputs(stage_dir, result, cfg)
+    """simulate, or one arm of compare: parse and build the config, run one
+    scheme (the config's own when None), write its three files into
+    ``out_dir``.  Takes only picklable arguments, so it can run in a worker
+    process under any start method."""
+    cfg = parse_config(config_path, seed, horizon, tau_model_path)
+    result = _execute(cfg, scheme or cfg.trigger_scheme)
+    _write_run_outputs(out_dir, result, cfg)
     return result.summary
 
 
@@ -241,14 +221,12 @@ def _run_arms(
 
 
 def _execute(cfg: ScenarioConfig, scheme: str) -> RunResult:
-    if cfg.kind == "satellite":
-        scenario = cfg.build_satellite()
-        if scheme == "greedy":
-            return run_greedy_impulsive(scenario, cfg.initial_state, cfg.horizon)
-        model = load_model(cfg.tau_model_path)
-        return run_maneuver(scenario, model, cfg.initial_state, cfg.horizon)
-    scenario = cfg.build_planar()
-    return run_intermittent_filter(scenario, cfg.initial_state, cfg.horizon)
+    x0, horizon = cfg.initial_state, cfg.horizon
+    if scheme == "greedy":
+        return run_greedy_impulsive(cfg.scenario, x0, horizon)
+    if scheme == "maneuver":
+        return run_maneuver(cfg.scenario, load_model(cfg.tau_model_path), x0, horizon)
+    return run_intermittent_filter(cfg.scenario, x0, horizon)
 
 
 def _campaign_settings(
@@ -262,7 +240,7 @@ def _campaign_settings(
         raise ConfigError(f"bad value for --grid: {grid!r}") from None
     n_per_radius = n if n is not None else cfg.tau_n_per_radius
     wait = max_wait if max_wait is not None else cfg.tau_max_wait
-    problems = campaign_problems(cfg.barrier, radius_grid, n_per_radius, wait)
+    problems = campaign_problems(cfg.scenario.barrier, radius_grid, n_per_radius, wait)
     if problems:
         raise ConfigError("sample-tau: " + "; ".join(problems))
     return radius_grid, n_per_radius, wait
@@ -313,10 +291,7 @@ def cmd_simulate(
     seed: Optional[int] = None,
     horizon: Optional[float] = None,
 ) -> int:
-    cfg = _load_config(config_path, seed, horizon)
-    result = _execute(cfg, cfg.trigger_scheme)
-    _write_run_outputs(out_dir, result, cfg)
-    s = result.summary
+    s = _run_arm(config_path, None, seed, horizon, None, out_dir)
     print(
         f"scheme={s.scheme} events={s.event_count} min_h={s.min_h!r} "
         f"safe={s.safe} out={out_dir}"
@@ -333,10 +308,11 @@ def cmd_sample_tau(
     seed: Optional[int] = None,
     max_wait: Optional[float] = None,
 ) -> int:
-    cfg = _load_config(config_path, seed, None, satellite_for="sample-tau")
+    cfg = parse_config(config_path, seed)
+    scenario = cfg.build_satellite()
     radius_grid, n_per_radius, wait = _campaign_settings(cfg, grid, n, max_wait)
     samples = collect_inter_event_samples(
-        cfg.build_satellite(), radius_grid, n_per_radius, seed=cfg.seed, max_wait=wait
+        scenario, radius_grid, n_per_radius, seed=scenario.disturbance.seed, max_wait=wait
     )
     save_samples(samples, out_path)
     frac = samples.censored_count / max(len(samples.radius), 1)
@@ -378,7 +354,8 @@ def cmd_compare(
     seed: Optional[int] = None,
     horizon: Optional[float] = None,
 ) -> int:
-    cfg = _load_config(config_path, seed, horizon, satellite_for="compare")
+    cfg = parse_config(config_path, seed, horizon)
+    scenario = cfg.build_satellite()
     fresh = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     stages: dict[str, str] = {}
@@ -411,7 +388,7 @@ def cmd_compare(
         "maneuver_median_inter_event_time": _jsonable(m.median_inter_event_time),
         "greedy_min_h": _jsonable(g.min_h),
         "maneuver_min_h": _jsonable(m.min_h),
-        "seed": cfg.seed,
+        "seed": scenario.disturbance.seed,
         "horizon": _jsonable(cfg.horizon),
     }
     atomic_write(os.path.join(out_dir, "comparison.json"), [json.dumps(doc, indent=2) + "\n"])

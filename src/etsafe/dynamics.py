@@ -161,6 +161,15 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))).astype(np.uint64)
 
 
+def seed_problems(name: str, seed: Optional[int]) -> list[str]:
+    """The rule for a seed, the 64-bit key of every hashed draw: an integer
+    in [0, 2**64).  One message naming ``name`` if ``seed`` breaks it, else
+    none; None goes unchecked."""
+    if seed is None or 0 <= seed < 2**64:
+        return []
+    return [f"{name} must be >= 0" if seed < 0 else f"{name} must be < 2**64"]
+
+
 def _hash_uniforms(
     seed: int, streams: np.ndarray, intervals: np.ndarray, count: int
 ) -> np.ndarray:
@@ -242,6 +251,8 @@ class DisturbanceModel:
             raise ValueError(f"kind {self.kind!r} is 3-D only, got dim {self.dim}")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
+        if problems := seed_problems("seed", self.seed):
+            raise ValueError(problems[0])
 
     def sample(self, t: float, s: np.ndarray, stream: int = 0) -> np.ndarray:
         """Disturbance vector at time t and state s, clamped to d_bar."""

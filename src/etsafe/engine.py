@@ -417,7 +417,7 @@ def run_intermittent_filter(scenario: PlanarScenario, x0: np.ndarray, horizon: f
     the run; failure rejects the configuration, since without it the off
     trigger has no guarantee of ever firing.
     """
-    b = scenario.barrier
+    b, gap = scenario.barrier, scenario.filter.hysteresis_gap
     nominal_flow = scenario.nominal_flow()
     n_checked = check_nominal_safety_assumption(scenario)
     nominal_field, filtered_field = _planar_fields(scenario)
@@ -425,7 +425,7 @@ def run_intermittent_filter(scenario: PlanarScenario, x0: np.ndarray, horizon: f
     on_margin = lambda x: barrier_condition_margin(b, nominal_flow, x)
     # the off trigger fires when the margin has RISEN back to the gap, so the
     # monitored (positive-inside) quantity is the negated off margin
-    off_monitor = lambda x: -filter_off_margin(b, nominal_flow, x, scenario.hysteresis_gap)
+    off_monitor = lambda x: -filter_off_margin(b, nominal_flow, x, gap)
 
     x = np.array(x0, dtype=float)
     t = 0.0
@@ -454,7 +454,7 @@ def run_intermittent_filter(scenario: PlanarScenario, x0: np.ndarray, horizon: f
 
     traj = builder.build()
     on_durations = _durations(events, "filter_on", "filter_off")
-    bound = miet_bound(b, nominal_flow, planar_region_states(scenario), scenario.hysteresis_gap)
+    bound = miet_bound(b, nominal_flow, planar_region_states(scenario), gap)
     summary = _summary(
         "intermittent", scenario, events, traj, horizon,
         gaps=_durations(events, "filter_off", "filter_on"),
@@ -477,6 +477,7 @@ def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
     b = scenario.barrier
     sys = scenario.system
     k_nom = scenario.k_nom()
+    rate = scenario.filter.promote_rate
     dist = scenario.disturbance.realize(stream=0)
 
     def nominal_field(t: float, x: Sequence[float]) -> list[float]:
@@ -485,7 +486,7 @@ def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
 
     def filtered_field(t: float, x: Sequence[float]) -> list[float]:
         x = np.asarray(x)
-        con = build_constraint(b, sys, x, mode="promoting", promote_rate=scenario.promote_rate)
+        con = build_constraint(b, sys, x, mode="promoting", promote_rate=rate)
         u = project(k_nom(x), con)
         return (sys.closed_loop(x, u) + dist(t, x)).tolist()
 
@@ -543,8 +544,8 @@ def check_nominal_safety_assumption(scenario: PlanarScenario) -> int:
     """
     b = scenario.barrier
     nominal_flow = scenario.nominal_flow()
-    gap = scenario.hysteresis_gap
-    s_max = _recovery_radius(b, scenario.recovery_level)
+    gap, level = scenario.filter.hysteresis_gap, scenario.filter.recovery_level
+    s_max = _recovery_radius(b, level)
 
     points = []
     for s in np.linspace(0.0, s_max, _GRID_SIDE):
@@ -559,14 +560,14 @@ def check_nominal_safety_assumption(scenario: PlanarScenario) -> int:
     checked = 0
     for p in points:
         x = np.array(p)
-        if b.h(x) < scenario.recovery_level:
+        if b.h(x) < level:
             continue
         checked += 1
         margin = barrier_condition_margin(b, nominal_flow, x)
-        if margin < gap:
+        if not margin >= gap:  # a NaN margin fails too
             raise AssumptionCheckError(
                 "nominal loop violates the safety margin above the recovery level: "
-                f"margin {margin!r} < gap {gap!r} at x={x.tolist()!r}; "
+                f"margin {margin!r} is not >= gap {gap!r} at x={x.tolist()!r}; "
                 "increase the class-K gain or lower the recovery level"
             )
     return checked

@@ -137,6 +137,15 @@ class InterEventTimeModel:
     residual: float
     statistic: str = DEFAULT_STATISTIC
 
+    def __post_init__(self) -> None:
+        if self.basis not in _BASES:
+            raise ValueError(f"basis must be {' or '.join(_BASES)}, got {self.basis!r}")
+        n = len(self.knots) if np.ndim(self.knots) == 1 else 0
+        if n == 0 or not np.all(np.diff(self.knots) > 0.0):
+            raise ValueError("knots must be a non-empty, strictly increasing list")
+        if self.basis == DEFAULT_BASIS and np.shape(self.coefficients) != (n,):
+            raise ValueError(f"a piecewise-linear model needs one coefficient per knot ({n})")
+
     def evaluate(self, h: float) -> TauEval:
         extrapolated = h < self.h_min or h > self.h_max
         hc = min(max(float(h), self.h_min), self.h_max)
@@ -775,9 +784,12 @@ def save_model(model: InterEventTimeModel, path: str) -> None:
 
 
 def load_model(path: str) -> InterEventTimeModel:
-    """The model :func:`save_model` wrote; ValueError naming a missing key."""
+    """The model :func:`save_model` wrote; a ValueError naming the problem
+    when it is not a JSON object, lacks a key or breaks a model rule."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"tau model {path} is not a JSON object")
     try:
         return InterEventTimeModel(
             basis=doc["basis"],
@@ -790,3 +802,5 @@ def load_model(path: str) -> InterEventTimeModel:
         )
     except KeyError as err:
         raise ValueError(f"tau model {path} has no {err.args[0]!r} key") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"tau model {path}: {err}") from None

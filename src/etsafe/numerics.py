@@ -122,8 +122,9 @@ class MonitorCrossing:
 
 
 def span_problems(name: str, span: Optional[float]) -> list[str]:
-    """The rule for a time span (a horizon, the campaign's wait cap), > 0 and
-    finite: one message naming ``name`` if ``span`` breaks it, else none."""
+    """The rule for a time span or scale (a horizon, the campaign's wait cap,
+    the hours per time unit), > 0 and finite: one message naming ``name`` if
+    ``span`` breaks it, else none."""
     if span is None or 0.0 < span < math.inf:
         return []
     return [f"{name} must be > 0" if not span > 0.0 else f"{name} must be finite"]

@@ -7,10 +7,9 @@ engine realizes per-run disturbance streams itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .barrier import BarrierSpec
 from .dynamics import (
@@ -26,6 +25,17 @@ from .numerics import EventLocatorConfig, Field, IntegratorConfig
 from .orbital import StationKeepingConfig
 
 
+def _check_disturbance(d: DisturbanceModel, b: BarrierSpec, dim: int) -> None:
+    """A scenario's rule for its disturbance: the barrier's bound, in ``dim``
+    dimensions."""
+    if d.d_bar != b.d_bar:
+        raise ValueError(
+            f"disturbance bound and barrier d_bar must agree: {d.d_bar!r} != {b.d_bar!r}"
+        )
+    if d.dim != dim:
+        raise ValueError(f"the scenario needs a {dim}-D disturbance, got {d.dim}-D")
+
+
 @dataclass(frozen=True)
 class SatelliteScenario:
     """Orbit keeping around a normalized central body (mu = R = 1)."""
@@ -39,13 +49,7 @@ class SatelliteScenario:
     allow_initial_jump: bool = True
 
     def __post_init__(self) -> None:
-        if self.disturbance.d_bar != self.barrier.d_bar:
-            raise ValueError(
-                "disturbance bound and barrier d_bar must agree: "
-                f"{self.disturbance.d_bar!r} != {self.barrier.d_bar!r}"
-            )
-        if self.disturbance.dim != 3:
-            raise ValueError("satellite scenario needs a 3-D disturbance")
+        _check_disturbance(self.disturbance, self.barrier, 3)
 
     def nominal_flow(self):
         """Control-free flow used inside the trigger margins."""
@@ -69,37 +73,44 @@ class SatelliteScenario:
 
 
 @dataclass(frozen=True)
+class FilterConfig:
+    """The planar loop's ``[filter]`` settings: the promoting filter's rate,
+    the hysteresis gap that ends an on period, the recovery level above which
+    the nominal loop must keep that gap, and the nominal controller's goal
+    (a 2-vector) and gain."""
+
+    promote_rate: float = 0.05
+    hysteresis_gap: float = 0.05
+    recovery_level: float = 0.2
+    goal: Sequence[float] = (0.0, 0.0)
+    gain: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("promote_rate", "hysteresis_gap", "recovery_level"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        if len(self.goal) != 2:
+            raise ValueError("goal must be a 2-vector")
+        if not math.isfinite(self.gain):
+            raise ValueError("gain must be finite")
+
+
+@dataclass(frozen=True)
 class PlanarScenario:
     """Planar single integrator with a goal-tracking nominal controller."""
 
     barrier: BarrierSpec
-    goal: np.ndarray
-    gain: float
     disturbance: DisturbanceModel
-    promote_rate: float
-    hysteresis_gap: float
-    recovery_level: float
     integrator: IntegratorConfig
+    filter: FilterConfig = FilterConfig()
     events: EventLocatorConfig = EventLocatorConfig()
     system: ControlAffineSystem = field(default_factory=lambda: single_integrator(2))
 
     def __post_init__(self) -> None:
-        if self.disturbance.d_bar != self.barrier.d_bar:
-            raise ValueError(
-                "disturbance bound and barrier d_bar must agree: "
-                f"{self.disturbance.d_bar!r} != {self.barrier.d_bar!r}"
-            )
-        if self.disturbance.dim != 2:
-            raise ValueError("planar scenario needs a 2-D disturbance")
-        if not self.promote_rate > 0.0:
-            raise ValueError("promote_rate must be > 0")
-        if not self.hysteresis_gap > 0.0:
-            raise ValueError("hysteresis_gap must be > 0")
-        if not self.recovery_level > 0.0:
-            raise ValueError("recovery_level must be > 0")
+        _check_disturbance(self.disturbance, self.barrier, 2)
 
     def k_nom(self):
-        return goal_tracking_controller(self.goal, self.gain)
+        return goal_tracking_controller(self.filter.goal, self.filter.gain)
 
     def nominal_flow(self):
         """Disturbance-free nominal closed loop, used by the trigger margins."""

@@ -133,7 +133,8 @@ def test_criterion_4_maneuver_reduction(greedy_run, maneuver_run):
     """Strictly fewer jumps for the maneuver scheme on the paired default."""
     g_cfg, _, greedy, g_secs = greedy_run
     m_cfg, _, maneuver, m_secs = maneuver_run
-    assert g_cfg.seed == m_cfg.seed and g_cfg.horizon == m_cfg.horizon
+    assert g_cfg.scenario.disturbance.seed == m_cfg.scenario.disturbance.seed
+    assert g_cfg.horizon == m_cfg.horizon
     assert np.array_equal(g_cfg.initial_state, m_cfg.initial_state)
     assert maneuver.summary.jump_count < greedy.summary.jump_count
     assert g_secs + m_secs <= PAIR_BUDGET_S
@@ -182,7 +183,7 @@ def test_criterion_6_recovery_bounds(planar_run):
         if e.kind == "filter_off":
             on = events[i - 1]
             assert on.kind == "filter_on"
-            bound = (scenario.recovery_level - on.h_before) / scenario.promote_rate
+            bound = (scenario.filter.recovery_level - on.h_before) / scenario.filter.promote_rate
             duration = e.time - on.time
             assert duration <= bound + scenario.events.time_tolerance
             worst_slack = min(worst_slack, bound - duration)
@@ -194,11 +195,11 @@ def test_criterion_6_recovery_bounds(planar_run):
     inside = on[:-1] & on[1:] & (dt > 1e-12)
     rates = dh[inside] / dt[inside]
     assert len(rates) > 0
-    assert np.min(rates) >= scenario.promote_rate - 1e-6
+    assert np.min(rates) >= scenario.filter.promote_rate - 1e-6
     print(
         "PASS criterion 6 (recovery bounds): "
         f"{len(on_events)} on/off cycles, min duration slack {worst_slack:.3f}, "
-        f"min dh/dt during on {np.min(rates):.4f} >= {scenario.promote_rate} - 1e-6"
+        f"min dh/dt during on {np.min(rates):.4f} >= {scenario.filter.promote_rate} - 1e-6"
     )
 
 
@@ -257,7 +258,7 @@ def test_criterion_8_numerical_hygiene():
     period = 2.0 * np.pi * np.sqrt(8.0)
     _, states_t, _, _ = propagate_until(
         lambda t, x: two_body_field(g, x), s0, 0.0, period, [],
-        IntegratorConfig(step_size=cfg.integrator.step_size),
+        IntegratorConfig(step_size=cfg.scenario.integrator.step_size),
     )
     r = np.linalg.norm(states_t[:, :3], axis=1)
     v2 = np.sum(states_t[:, 3:] ** 2, axis=1)

@@ -1070,6 +1070,91 @@ class TestTauModelWithoutKnots:
         assert not out.exists()
 
 
+class TestMalformedTauModel:
+    """A τ model that breaks a model rule fails the run with exit 3, naming
+    the problem, before any step is taken."""
+
+    CASES = {
+        "not-an-object": (lambda doc: [1, 2], "is not a JSON object"),
+        "length-mismatch": (
+            lambda doc: {**doc, "coefficients": doc["coefficients"][:-1]}, "one coefficient per knot"
+        ),
+        "unknown-basis": (
+            lambda doc: {**doc, "basis": "spline"}, "basis must be piecewise-linear or polynomial"
+        ),
+        "reversed-knots": (
+            lambda doc: {**doc, "knots": doc["knots"][::-1]}, "knots must be a non-empty, strictly increasing"
+        ),
+    }
+
+    @pytest.fixture(params=list(CASES))
+    def model(self, request, tmp_path):
+        make, problem = self.CASES[request.param]
+        with open(SHIPPED_MODEL) as fh:
+            doc = make(json.load(fh))
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(doc))
+        return str(path), problem
+
+    def test_simulate(self, tmp_path, caplog, model):
+        path, problem = model
+        config = tmp_path / "maneuver.ini"
+        config.write_text(
+            SAT_SMALL.replace("trigger_scheme = greedy", "trigger_scheme = maneuver")
+            .replace("[tau]", f"[tau]\nmodel_path = {path}")
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_RUN
+        assert f"tau model {path}" in caplog.text and problem in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not out.exists()
+
+    def test_compare(self, sat_config, tmp_path, caplog, model):
+        path, problem = model
+        out = tmp_path / "out"
+        assert main(["compare", "--config", sat_config, "--tau-model", path, "--out", str(out)]) == EXIT_RUN
+        assert f"tau model {path}" in caplog.text and problem in caplog.text
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+
+class TestSeedFlag:
+    """One seed rule, 0 <= seed < 2**64, for the --seed of every command that
+    takes it and for [scenario] seed: exit 2, one ERROR line naming the
+    source, nothing written."""
+
+    def argv(self, command, config, out, seed):
+        argv = [command, "--config", config, "--out", out, "--seed", seed]
+        return argv + ["--tau-model", SHIPPED_MODEL] if command == "compare" else argv
+
+    @pytest.mark.parametrize(
+        "seed, problem", [("-1", "--seed must be >= 0"), ("18446744073709551616", "--seed must be < 2**64")]
+    )
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sample-tau"])
+    def test_flag_rejected(self, sat_config, tmp_path, caplog, capsys, command, seed, problem):
+        out = tmp_path / "out"
+        assert main(self.argv(command, sat_config, str(out), seed)) == EXIT_CONFIG
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and problem in errors[0].getMessage()
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sample-tau"])
+    def test_file_key_rejected(self, tmp_path, caplog, command):
+        config = tmp_path / "big_seed.ini"
+        config.write_text(SAT_SMALL.replace("seed = 1", "seed = 18446744073709551616"))
+        out = tmp_path / "out"
+        assert main(self.argv(command, str(config), str(out), "3")) == EXIT_CONFIG
+        assert "[scenario] seed must be < 2**64" in caplog.text
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, sat_config, tmp_path):
+        out = tmp_path / "out"
+        argv = self.argv("simulate", sat_config, str(out), str(2**64 - 1)) + ["--horizon", "5"]
+        assert main(argv) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["events.csv", "summary.json", "trajectory.csv"]
+
+
 class TestRadiusGridScale:
     """The default [tau] radius_grid is in units of [gravity] R."""
 

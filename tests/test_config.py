@@ -1,18 +1,23 @@
 """Configuration parsing and validation tests."""
 
 import configparser
+import dataclasses
 import io
 import json
+import math
 import os
+import re
+import types
 
 import numpy as np
 import pytest
 
-from etsafe.config import ConfigError, parse_config
+from etsafe.config import SCHEMA, ConfigError, parse_config
 from etsafe.dynamics import DisturbanceModel, GravityModel
 from etsafe.inter_event import DEFAULT_MAX_WAIT
 from etsafe.numerics import EventLocatorConfig, IntegratorConfig
 from etsafe.orbital import StationKeepingConfig
+from etsafe.scenarios import FilterConfig
 
 GREEDY = """
 [scenario]
@@ -69,33 +74,39 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, GREEDY))
         assert cfg.kind == "satellite"
         assert cfg.trigger_scheme == "greedy"
-        assert cfg.integrator.step_size == 0.05
-        assert cfg.controller.post_jump_margin == 0.01
+        assert cfg.scenario.integrator.step_size == 0.05
+        assert cfg.scenario.controller.post_jump_margin == 0.01
         assert np.allclose(cfg.initial_state, [2.2, 0, 0, 0, 0.6742, 0])
         scenario = cfg.build_satellite()
         assert scenario.barrier.d_bar == 0.001
 
     @pytest.mark.parametrize(
-        "text, dim, optional",
-        [(GREEDY, 3, []), (PLANAR, 2, ["barrier.rho", "filter.goal"])],
+        "text, dim, seed, optional",
+        [(GREEDY, 3, 1, []), (PLANAR, 2, 2, ["barrier.rho", "filter.goal"])],
         ids=["satellite", "planar"],
     )
-    def test_no_optional_keys_gives_the_types_defaults(self, tmp_path, text, dim, optional):
+    def test_no_optional_keys_gives_the_types_defaults(self, tmp_path, text, dim, seed, optional):
         optional = ["disturbance.kind", "disturbance.d_bar", "disturbance.hold_time", *optional]
         cfg = parse_config(write(tmp_path, with_values(text, dict.fromkeys(optional))))
-        assert cfg.gravity == GravityModel()
-        assert cfg.disturbance == DisturbanceModel(dim=dim)
-        assert cfg.controller == StationKeepingConfig()
-        assert cfg.integrator == IntegratorConfig()
-        assert cfg.events == EventLocatorConfig()
-        assert cfg.barrier.d_bar == 0.0
+        scn = cfg.scenario
+        # the built disturbance carries the run's seed
+        assert scn.disturbance == DisturbanceModel(dim=dim, seed=seed)
+        assert scn.integrator == IntegratorConfig()
+        assert scn.events == EventLocatorConfig()
+        assert scn.barrier.d_bar == 0.0
         assert cfg.tau_max_wait == DEFAULT_MAX_WAIT
+        if dim == 3:
+            assert scn.gravity == GravityModel()
+            assert scn.controller == StationKeepingConfig()
+            assert scn.allow_initial_jump is True
+        else:
+            assert scn.filter == FilterConfig()
 
     def test_planar_builds(self, tmp_path):
         cfg = parse_config(write(tmp_path, PLANAR))
         scenario = cfg.build_planar()
         assert scenario.disturbance.dim == 2
-        assert np.allclose(cfg.goal, [1.05, 0.0])
+        assert np.allclose(scenario.filter.goal, [1.05, 0.0])
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -278,6 +289,20 @@ REJECTED_BY_KIND = {
         ({"disturbance.kind": "zonal-j2-like"}, "[disturbance] kind 'zonal-j2-like' is 3-D only"),
     ],
 }
+# rules added after the table was written, on both kinds; listed after each
+# kind's own rows, so the ids of the earlier rows stay as they were
+ADDED_RULES = [
+    ({"scenario.seed": "18446744073709551616"}, "[scenario] seed must be < 2**64"),
+    ({"scenario.hours_per_time_unit": "nan"}, "[scenario] hours_per_time_unit must be > 0"),
+    ({"scenario.hours_per_time_unit": "0"}, "[scenario] hours_per_time_unit must be > 0"),
+    ({"scenario.hours_per_time_unit": "inf"}, "[scenario] hours_per_time_unit must be finite"),
+    ({"filter.gain": "nan"}, "[filter] gain must be finite"),
+    ({"filter.gain": "-inf"}, "[filter] gain must be finite"),
+    ({"filter.hysteresis_gpa": "0.3"}, "unknown key [filter] hysteresis_gpa"),
+    ({"tua.model_path": "tau_model.json"}, "unknown section [tua]"),
+]
+for rows in REJECTED_BY_KIND.values():
+    rows += ADDED_RULES
 ACCEPTED = [
     {},
     {"controller.retarget_gain": "0.0"},
@@ -363,3 +388,137 @@ class TestVerdictTable:
         for _, problems in rows:
             for problem in problems:
                 assert problem in message
+
+
+def same(a, b) -> bool:
+    """Structural equality of what parse_config returns: dataclasses field by
+    field, arrays by value, and functions (a barrier's h and gradient, the
+    planar system's matrices) by their code and the values they close over."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, types.FunctionType):
+        cells = lambda f: tuple(c.cell_contents for c in f.__closure__ or ())
+        return isinstance(b, types.FunctionType) and a.__code__ is b.__code__ and same(cells(a), cells(b))
+    return a == b
+
+
+class TestOverrides:
+    """The --seed, --horizon and --tau-model flags give the config that a
+    file carrying those values gives."""
+
+    @pytest.mark.parametrize("kind", TEXTS)
+    def test_flags_equal_file_values(self, tmp_path, kind):
+        model = str(tmp_path / "model.json")
+        values = {"scenario.seed": "7", "scenario.horizon": "12.5", "tau.model_path": model}
+        plain = write(tmp_path, TEXTS[kind])
+        flagged = parse_config(plain, seed=7, horizon=12.5, tau_model_path=model)
+        filed = parse_config(write(tmp_path, with_values(TEXTS[kind], values), "filed.ini"))
+        assert same(flagged, filed)
+        assert flagged.scenario.disturbance.seed == 7 and flagged.horizon == 12.5
+        assert flagged.tau_model_path == model
+        assert not same(parse_config(plain), filed)
+
+    def test_satellite_disturbance_peaks_at_the_band(self, tmp_path):
+        cfg = parse_config(write(tmp_path, GREEDY), seed=5)
+        b = cfg.scenario.barrier
+        assert cfg.scenario.disturbance.shell_inner == b.center - b.half_width
+
+    @pytest.mark.parametrize("kind", TEXTS)
+    def test_a_config_is_frozen(self, tmp_path, kind):
+        cfg = parse_config(write(tmp_path, TEXTS[kind]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.horizon = 1.0
+
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            ({"seed": -1}, "--seed must be >= 0"),
+            ({"seed": 2**64}, "--seed must be < 2**64"),
+            ({"horizon": math.inf}, "--horizon must be finite"),
+        ],
+    )
+    def test_a_flag_is_held_to_its_key_rule(self, tmp_path, flags, problem):
+        with pytest.raises(ConfigError, match=re.escape(problem)):
+            parse_config(write(tmp_path, GREEDY), **flags)
+
+    def test_the_kind_check_of_the_scenario(self, tmp_path):
+        sat, planar = parse_config(write(tmp_path, GREEDY)), parse_config(write(tmp_path, PLANAR, "p.ini"))
+        assert sat.build_satellite() is sat.scenario and planar.build_planar() is planar.scenario
+        with pytest.raises(ConfigError, match="a satellite scenario is needed"):
+            planar.build_satellite()
+        with pytest.raises(ConfigError, match="a planar-demo scenario is needed"):
+            sat.build_planar()
+
+
+class TestSeedRule:
+    """One seed rule, 0 <= seed < 2**64, for the file key, the flag and the
+    disturbance model."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_bounds_accepted(self, tmp_path, seed):
+        text = with_values(GREEDY, {"scenario.seed": str(seed)})
+        scn = parse_config(write(tmp_path, text)).scenario
+        assert scn.disturbance.seed == seed
+        # the largest seed still keys the hashed draws
+        assert len(scn.disturbance.realize(0)(0.0, [2.2, 0.0, 0.0, 0.0, 0.67, 0.0])) == 3
+
+    @pytest.mark.parametrize("seed, problem", [(-1, "seed must be >= 0"), (2**64, "seed must be < 2**64")])
+    def test_disturbance_model_rejects(self, seed, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            DisturbanceModel(seed=seed)
+
+
+class TestUnknownKeys:
+    """A section or key that no kind reads is rejected, by its name."""
+
+    def test_default_section_keys_are_rejected(self, tmp_path):
+        # a [DEFAULT] key would be set in every section, and no key belongs to all
+        text = "[DEFAULT]\nd_bar = 0.001\n" + GREEDY
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert str(err.value).endswith("\n  unknown key [DEFAULT] d_bar")
+
+    def test_every_unknown_name_is_reported(self, tmp_path):
+        text = with_values(PLANAR, {"filter.hysteresis_gpa": "0.3", "scenario.sead": "4", "tua.x": "1"})
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        for problem in ("unknown key [filter] hysteresis_gpa", "unknown key [scenario] sead",
+                        "unknown section [tua]"):
+            assert problem in str(err.value)
+
+    def test_keys_match_case_insensitively(self, tmp_path):
+        # configparser reads keys case-insensitively, so [gravity] r is R
+        text = GREEDY + "\n[gravity]\nr = 1.0\nMU = 1.0\n"
+        assert parse_config(write(tmp_path, text)).scenario.gravity == GravityModel()
+
+
+def test_filter_config_rules():
+    """FilterConfig owns the [filter] defaults and rules, for a config and a
+    library caller alike."""
+    assert FilterConfig() == FilterConfig(0.05, 0.05, 0.2, (0.0, 0.0), 1.0)
+    for kwargs, problem in [
+        ({"gain": math.nan}, "gain must be finite"),
+        ({"gain": math.inf}, "gain must be finite"),
+        ({"promote_rate": 0.0}, "promote_rate must be > 0"),
+        ({"goal": (1.0, 2.0, 3.0)}, "goal must be a 2-vector"),
+    ]:
+        with pytest.raises(ValueError, match=problem):
+            FilterConfig(**kwargs)
+
+
+def test_readme_schema_lists_exactly_the_keys():
+    """README's "Configuration schema" table has one row per key of SCHEMA,
+    the list the unknown-key rule checks against."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Configuration schema\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `\[(\w+)\] (\w+)` \|", section, re.MULTILINE)
+    assert sorted(listed) == sorted((sec, key) for sec, keys in SCHEMA.items() for key in keys)
+    assert len(listed) == len(set(listed))

@@ -36,7 +36,7 @@ from etsafe.engine import (
 from etsafe.inter_event import InterEventTimeModel, load_model
 from etsafe.numerics import EventLocatorConfig, IntegratorConfig
 from etsafe.orbital import StationKeepingConfig
-from etsafe.scenarios import PlanarScenario, SatelliteScenario
+from etsafe.scenarios import FilterConfig, PlanarScenario, SatelliteScenario
 
 
 def satellite_scenario(seed=1, kind="seeded-piecewise-constant", gamma=0.1, d_bar=1e-3):
@@ -56,14 +56,12 @@ def satellite_scenario(seed=1, kind="seeded-piecewise-constant", gamma=0.1, d_ba
 def planar_scenario(seed=2, goal=(1.05, 0.0), gamma=2.0, d_bar=0.01, kind="seeded-piecewise-constant"):
     return PlanarScenario(
         barrier=planar_disk_barrier(rho=1.0, gamma=gamma, d_bar=d_bar),
-        goal=np.array(goal),
-        gain=1.0,
         disturbance=DisturbanceModel(kind=kind, d_bar=d_bar, seed=seed, hold_time=0.5, dim=2)
         if kind != "none"
         else DisturbanceModel(kind="none", d_bar=d_bar, dim=2),
-        promote_rate=0.05,
-        hysteresis_gap=0.05,
-        recovery_level=0.2,
+        filter=FilterConfig(
+            promote_rate=0.05, hysteresis_gap=0.05, recovery_level=0.2, goal=goal, gain=1.0
+        ),
         integrator=IntegratorConfig(step_size=0.01),
         events=EventLocatorConfig(),
     )
@@ -249,9 +247,11 @@ class TestSecondImpulsePins:
 
     @staticmethod
     def run(seed, horizon, x0=None):
-        cfg = parse_config(os.path.join(os.path.dirname(SHIPPED_PLANAR), "maneuver_satellite.ini"))
+        cfg = parse_config(
+            os.path.join(os.path.dirname(SHIPPED_PLANAR), "maneuver_satellite.ini"), seed=seed
+        )
         model = load_model(cfg.tau_model_path)
-        scn = dataclasses.replace(cfg, seed=seed).build_satellite()
+        scn = cfg.build_satellite()
         x0 = cfg.initial_state if x0 is None else x0
         return model, run_maneuver(scn, model, x0, horizon)
 
@@ -333,7 +333,7 @@ class TestIntermittent:
         for i, e in enumerate(events):
             if e.kind == "filter_off":
                 on = events[i - 1]
-                bound = (scn.recovery_level - on.h_before) / scn.promote_rate
+                bound = (scn.filter.recovery_level - on.h_before) / scn.filter.promote_rate
                 assert e.time - on.time <= bound + scn.events.time_tolerance
 
     def test_barrier_rises_at_promoted_rate_during_on(self):
@@ -347,14 +347,14 @@ class TestIntermittent:
         inside = on[:-1] & on[1:] & (dt > 1e-12)
         rates = dh[inside] / dt[inside]
         assert len(rates) > 0
-        assert np.min(rates) >= scn.promote_rate - 1e-6
+        assert np.min(rates) >= scn.filter.promote_rate - 1e-6
 
     def test_filter_off_margin_at_gap(self):
         scn = planar_scenario()
         res = run_intermittent_filter(scn, np.zeros(2), 60.0)
         for e in res.events:
             if e.kind == "filter_off":
-                assert e.xi_after == pytest.approx(scn.hysteresis_gap, abs=1e-6)
+                assert e.xi_after == pytest.approx(scn.filter.hysteresis_gap, abs=1e-6)
 
     def test_origin_goal_without_disturbance_never_filters(self):
         scn = planar_scenario(goal=(0.0, 0.0), kind="none", d_bar=0.0)
@@ -370,6 +370,12 @@ class TestIntermittent:
             check_nominal_safety_assumption(scn)
         with pytest.raises(AssumptionCheckError):
             run_intermittent_filter(scn, np.zeros(2), 10.0)
+
+    def test_assumption_check_rejects_a_nan_margin(self):
+        # a NaN goal makes every margin NaN, which compares False with the gap
+        scn = planar_scenario(goal=(float("nan"), 0.0))
+        with pytest.raises(AssumptionCheckError, match="margin nan is not >= gap 0.05"):
+            check_nominal_safety_assumption(scn)
 
     def test_off_periods_beat_miet_bound(self):
         scn = planar_scenario()
@@ -524,8 +530,8 @@ class TestSpecGeometry:
 
     def test_shipped_recovery_radius_equals_bisection(self):
         scn = parse_config(SHIPPED_PLANAR).build_planar()
-        closed = _recovery_radius(scn.barrier, scn.recovery_level)
-        assert closed.hex() == bisected_radius(scn.barrier, scn.recovery_level).hex()
+        closed = _recovery_radius(scn.barrier, scn.filter.recovery_level)
+        assert closed.hex() == bisected_radius(scn.barrier, scn.filter.recovery_level).hex()
         assert closed == 0.8944271909999159
 
     def test_shipped_disk_radius_equals_bisection(self):
@@ -542,8 +548,9 @@ class TestSpecGeometry:
     def test_recovery_level_above_barrier_maximum(self):
         # no state reaches the level: the shell collapses to the center and
         # the assumption check has nothing to sample
-        scn = dataclasses.replace(planar_scenario(), recovery_level=1.5)
-        assert _recovery_radius(scn.barrier, scn.recovery_level) == 0.0
+        scn = planar_scenario()
+        scn = dataclasses.replace(scn, filter=dataclasses.replace(scn.filter, recovery_level=1.5))
+        assert _recovery_radius(scn.barrier, scn.filter.recovery_level) == 0.0
         assert check_nominal_safety_assumption(scn) == 0
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import multiprocessing
 import os
+import re
 import signal
 
 import numpy as np
@@ -155,6 +156,37 @@ class TestFit:
         )
         model = fit_inter_event_model(s)
         assert model.tau(0.16) == pytest.approx(5.0)  # censored 500 dropped
+
+
+class TestModelRules:
+    """A model whose evaluation would be wrong is rejected when it is made."""
+
+    def make(self, **fields):
+        base = dict(
+            basis="piecewise-linear", knots=np.array([0.0, 0.08, 0.16]),
+            coefficients=np.array([1.0, 5.0, 9.0]), h_min=0.0, h_max=0.16, residual=0.0,
+        )
+        return InterEventTimeModel(**{**base, **fields})
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({"basis": "spline"}, "basis must be piecewise-linear or polynomial, got 'spline'"),
+            ({"knots": np.array([0.16, 0.08, 0.0])}, "knots must be a non-empty, strictly increasing"),
+            ({"knots": np.array([0.0, 0.08, 0.08])}, "knots must be a non-empty, strictly increasing"),
+            ({"knots": np.array([0.0, np.nan, 0.16])}, "knots must be a non-empty, strictly increasing"),
+            ({"knots": np.array([])}, "knots must be a non-empty, strictly increasing"),
+            ({"knots": np.array(0.1)}, "knots must be a non-empty, strictly increasing"),
+            ({"coefficients": np.array([1.0, 9.0])}, "one coefficient per knot (3)"),
+        ],
+    )
+    def test_rejected(self, fields, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            self.make(**fields)
+
+    def test_polynomial_coefficients_need_not_match_the_knots(self):
+        model = self.make(basis="polynomial", coefficients=np.array([1.0, 50.0]))
+        assert model.tau(0.1) == pytest.approx(6.0)
 
 
 class TestModelEvaluation:

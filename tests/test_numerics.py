@@ -117,12 +117,12 @@ def shipped_field(config, kind=None):
     cfg = parse_config(os.path.join(CONFIGS, config))
     if cfg.kind == "planar-demo":
         _, filtered = _planar_fields(cfg.build_planar())
-        return filtered, np.array([0.99, 0.1]), cfg.integrator.step_size
+        return filtered, np.array([0.99, 0.1]), cfg.scenario.integrator.step_size
     x0 = np.array(cfg.initial_state, dtype=float)
     scn = cfg.build_satellite()
     if kind is not None:
         scn = dataclasses.replace(scn, disturbance=dataclasses.replace(scn.disturbance, kind=kind))
-    return scn.disturbed_field(0), x0, cfg.integrator.step_size
+    return scn.disturbed_field(0), x0, cfg.scenario.integrator.step_size
 
 
 class TestFloatStagesMatchNumpyOracle:
