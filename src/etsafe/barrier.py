@@ -23,20 +23,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import GravityModel, SingularityError
+from .numerics import _dot
 
 if TYPE_CHECKING:
     from .inter_event import InterEventTimeModel
 
-Flow = Callable[[np.ndarray], np.ndarray]
+Flow = Callable[[Sequence[float]], Sequence[float]]
 
 
 class GradientMismatchError(ValueError):
     """Analytic gradient disagrees with finite differences of h."""
+
+
+def barrier_problems(
+    gamma: Optional[float] = None, rho: Optional[float] = None
+) -> list[str]:
+    """The rules for a barrier's class-K rate ``gamma`` and a disk's radius
+    ``rho``, each > 0: one message for each that breaks its rule, else none;
+    None goes unchecked."""
+    problems = []
+    if gamma is not None and not gamma > 0.0:
+        problems.append("gamma must be > 0")
+    if rho is not None and not rho > 0.0:
+        problems.append("rho must be > 0")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -51,8 +66,8 @@ class BarrierSpec:
     ``margin_terms(x) = (h, dh/dt, |grad h|)`` assume ``dr/dt = v``.
     """
 
-    h: Callable[[np.ndarray], float]
-    grad_h: Callable[[np.ndarray], np.ndarray]
+    h: Callable[[Sequence[float]], float]
+    grad_h: Callable[[Sequence[float]], Sequence[float]]
     gamma: float
     d_bar: float
     center: float
@@ -60,8 +75,8 @@ class BarrierSpec:
     margin_terms: Optional[Callable[[np.ndarray], tuple[float, float, float]]] = None
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be > 0")
+        if problems := barrier_problems(gamma=self.gamma):
+            raise ValueError(problems[0])
         if self.d_bar < 0.0:
             raise ValueError("d_bar must be >= 0")
         # a NaN radius would make every grid point pass the assumption check
@@ -70,15 +85,15 @@ class BarrierSpec:
 
     def h_rows(self, states: np.ndarray) -> np.ndarray:
         """h of each row of ``states`` for a radial spec, bitwise ``h`` row by
-        row: the position dots as ``ndarray.dot`` takes them, then the disk
-        (center 0) subtracts the dot and the band ``(r - c) ** 2``, with
-        Python's ``**``, as numpy's square differs in the last bit on some."""
+        row.  The disk (center 0) subtracts each row's :func:`_dot`, on
+        floats as its ``h`` does.  The band takes the position dots as
+        ``ndarray.dot`` does and subtracts ``(r - c) ** 2``, with Python's
+        ``**``, as numpy's square differs in the last bit on some."""
         c, hw = self.center, self.half_width
         pos = states[:, :3]
-        dots = np.matmul(pos[:, None, :], pos[:, :, None])[:, 0, 0]
         if c == 0.0:
-            return hw * hw - dots
-        r = np.sqrt(dots)
+            return np.array([hw * hw - _dot(p, p) for p in pos.tolist()])
+        r = np.sqrt(np.matmul(pos[:, None, :], pos[:, :, None])[:, 0, 0])
         h = np.empty(len(r))
         # a block of Python floats at a time: one list of all 120k rows of a
         # compare arm raised its peak memory by ≈0.9 MB
@@ -178,15 +193,16 @@ def orbital_range_barrier(g: GravityModel, gamma: float, d_bar: float) -> Barrie
 
 
 def planar_disk_barrier(rho: float, gamma: float, d_bar: float) -> BarrierSpec:
-    """Disk barrier for the planar demo: h(x) = rho^2 - |x|^2."""
-    if not rho > 0.0:
-        raise ValueError("rho must be > 0")
+    """Disk barrier for the planar demo: h(x) = rho^2 - |x|^2, on floats."""
+    if problems := barrier_problems(rho=rho):
+        raise ValueError(problems[0])
+    rho_sq = rho * rho
 
-    def h(x: np.ndarray) -> float:
-        return rho * rho - float(x @ x)
+    def h(x: Sequence[float]) -> float:
+        return rho_sq - _dot(x, x)
 
-    def grad_h(x: np.ndarray) -> np.ndarray:
-        return -2.0 * np.asarray(x, dtype=float)
+    def grad_h(x: Sequence[float]) -> list[float]:
+        return [-2.0 * v for v in x]
 
     spec = BarrierSpec(h=h, grad_h=grad_h, gamma=gamma, d_bar=d_bar, center=0.0, half_width=rho)
     check_gradient(spec, _disk_check_states(rho))
@@ -228,22 +244,24 @@ def lie_derivative(b: BarrierSpec, field_value: np.ndarray, x: np.ndarray) -> fl
     return float(np.asarray(b.grad_h(x)) @ np.asarray(field_value))
 
 
-def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: np.ndarray) -> float:
+def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: Sequence[float]) -> float:
     """Robust barrier-condition margin along the control-free flow.
 
     Positive means the barrier condition holds with room to spare; the
     on-demand triggers fire when this reaches zero.  ``flow`` is the
     disturbance-free closed-loop field (disturbance is covered by the
     ``|grad h| * d_bar`` term), unused by a spec with ``margin_terms``.
+    A spec with ``margin_terms`` takes ``x`` as an ndarray; the generic path
+    takes any float sequence and costs least on a list of Python floats.
     """
     if b.margin_terms is not None:
         h, lfh, grad_norm = b.margin_terms(x)
     else:
-        grad = np.asarray(b.grad_h(x), dtype=float)
-        lfh = float(grad @ np.asarray(flow(x)))
-        # sqrt(grad.dot(grad)) is bitwise np.linalg.norm(grad): norm computes
-        # exactly that for a contiguous 1-D float array, which grad_h returns
-        grad_norm = math.sqrt(grad.dot(grad))
+        grad = b.grad_h(x)
+        lfh = _dot(grad, flow(x))
+        # math.sqrt of the dot is bitwise np.linalg.norm(grad): norm computes
+        # exactly sqrt(grad.dot(grad)) for a 1-D float array
+        grad_norm = math.sqrt(_dot(grad, grad))
         h = b.h(x)
     return lfh - grad_norm * b.d_bar + b.gamma * h
 

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .barrier import orbital_range_barrier, planar_disk_barrier
+from .barrier import barrier_problems, orbital_range_barrier, planar_disk_barrier
 from .dynamics import DisturbanceModel, GravityModel, seed_problems
 from .inter_event import _BASES, _STATISTICS, DEFAULT_MAX_WAIT, campaign_problems
 from .numerics import EventLocatorConfig, IntegratorConfig, span_problems
@@ -226,19 +226,18 @@ def parse_config(
     problems += span_problems("[scenario] horizon", file_horizon)
     problems += seed_problems("[scenario] seed", file_seed)
     problems += span_problems("[scenario] hours_per_time_unit", hours)
-    if gamma is not None and not gamma > 0.0:
-        problems.append("[barrier] gamma must be > 0")
-    if rho is not None and not rho > 0.0:
-        problems.append("[barrier] rho must be > 0")
+    gamma_problems = barrier_problems(gamma=gamma)
+    rho_problems = barrier_problems(rho=rho)
+    problems += [f"[barrier] {p}" for p in gamma_problems + rho_problems]
     filter_config = build("filter", FilterConfig)
 
     # built once its inputs passed their own checks, so no rule is reported twice
     barrier = None
-    if disturbance is not None and gamma is not None and gamma > 0.0:
+    if disturbance is not None and gamma is not None and not gamma_problems:
         d_bar = disturbance.d_bar
         if kind == "satellite" and gravity is not None:
             barrier = build("barrier", partial(orbital_range_barrier, gravity, gamma, d_bar), [])
-        elif kind == "planar-demo" and rho is not None and rho > 0.0:
+        elif kind == "planar-demo" and rho is not None and not rho_problems:
             barrier = build("barrier", partial(planar_disk_barrier, rho, gamma, d_bar), [])
     band = barrier if kind == "satellite" else None
     problems += [f"[tau] {p}" for p in campaign_problems(band, tau_grid, tau_n, tau_wait)]

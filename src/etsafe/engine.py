@@ -47,7 +47,7 @@ from .barrier import (
 )
 from .dynamics import apply_impulse
 from .inter_event import InterEventTimeModel
-from .numerics import Field, propagate_until
+from .numerics import Field, _dot, propagate_until
 from .orbital import station_keeping_impulse, verify_jump_conditions
 from .safety_filter import build_constraint, project
 from .scenarios import PlanarScenario, SatelliteScenario
@@ -422,10 +422,11 @@ def run_intermittent_filter(scenario: PlanarScenario, x0: np.ndarray, horizon: f
     n_checked = check_nominal_safety_assumption(scenario)
     nominal_field, filtered_field = _planar_fields(scenario)
 
-    on_margin = lambda x: barrier_condition_margin(b, nominal_flow, x)
+    # the monitors take propagate_until's states as Python floats
+    on_margin = lambda x: barrier_condition_margin(b, nominal_flow, x.tolist())
     # the off trigger fires when the margin has RISEN back to the gap, so the
     # monitored (positive-inside) quantity is the negated off margin
-    off_monitor = lambda x: -filter_off_margin(b, nominal_flow, x, gap)
+    off_monitor = lambda x: -filter_off_margin(b, nominal_flow, x.tolist(), gap)
 
     x = np.array(x0, dtype=float)
     t = 0.0
@@ -471,8 +472,8 @@ def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
     """The intermittent run's two flow fields, nominal loop and promoting
     filter, each with the realized disturbance of stream 0.
 
-    The planar loop works on arrays, so each field converts the stepper's
-    float list on entry and returns its derivative as a list of floats.
+    Both run on the stepper's Python floats; the filter's projection
+    returns an ndarray, converted back once.
     """
     b = scenario.barrier
     sys = scenario.system
@@ -481,14 +482,12 @@ def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
     dist = scenario.disturbance.realize(stream=0)
 
     def nominal_field(t: float, x: Sequence[float]) -> list[float]:
-        x = np.asarray(x)
-        return (sys.closed_loop(x, k_nom(x)) + dist(t, x)).tolist()
+        return [f + d for f, d in zip(sys.closed_loop(x, k_nom(x)), dist(t, x))]
 
     def filtered_field(t: float, x: Sequence[float]) -> list[float]:
-        x = np.asarray(x)
         con = build_constraint(b, sys, x, mode="promoting", promote_rate=rate)
-        u = project(k_nom(x), con)
-        return (sys.closed_loop(x, u) + dist(t, x)).tolist()
+        u = project(k_nom(x), con).tolist()
+        return [f + d for f, d in zip(sys.closed_loop(x, u), dist(t, x))]
 
     return nominal_field, filtered_field
 
@@ -558,8 +557,7 @@ def check_nominal_safety_assumption(scenario: PlanarScenario) -> int:
         points.append([s * np.cos(ang), s * np.sin(ang)])
 
     checked = 0
-    for p in points:
-        x = np.array(p)
+    for x in np.array(points).tolist():
         if b.h(x) < level:
             continue
         checked += 1
@@ -567,7 +565,7 @@ def check_nominal_safety_assumption(scenario: PlanarScenario) -> int:
         if not margin >= gap:  # a NaN margin fails too
             raise AssumptionCheckError(
                 "nominal loop violates the safety margin above the recovery level: "
-                f"margin {margin!r} is not >= gap {gap!r} at x={x.tolist()!r}; "
+                f"margin {margin!r} is not >= gap {gap!r} at x={x!r}; "
                 "increase the class-K gain or lower the recovery level"
             )
     return checked
@@ -611,22 +609,25 @@ def miet_bound(b: BarrierSpec, flow: Flow, states: np.ndarray, margin: float) ->
     them into :func:`miet_bound_formula`.
     """
     xi = lambda x: barrier_condition_margin(b, flow, x)
+    # the generic margin takes the floats; a spec's fused terms index an array
+    point = list if b.margin_terms is None else np.array
     b_sup = 0.0
     l_xi = 0.0
-    for x in states:
-        speed = float(np.linalg.norm(flow(x)))
+    for x in states.tolist():
+        velocity = flow(x)
+        speed = math.sqrt(_dot(velocity, velocity))
         if not math.isfinite(speed):
-            raise ValueError(f"non-finite flow sample at x={x.tolist()!r}")
+            raise ValueError(f"non-finite flow sample at x={x!r}")
         b_sup = max(b_sup, speed)
         grad_sq = 0.0
         for i in range(len(x)):
-            xp = np.array(x)
-            xm = np.array(x)
+            xp = point(x)
+            xm = point(x)
             xp[i] += _MIET_EPS
             xm[i] -= _MIET_EPS
             di = (xi(xp) - xi(xm)) / (2.0 * _MIET_EPS)
             if not math.isfinite(di):
-                raise ValueError(f"non-finite margin gradient at x={x.tolist()!r}")
+                raise ValueError(f"non-finite margin gradient at x={x!r}")
             grad_sq += di * di
         l_xi = max(l_xi, math.sqrt(grad_sq))
     return miet_bound_formula(margin, _MIET_INFLATION * l_xi, _MIET_INFLATION * b_sup, b.d_bar)

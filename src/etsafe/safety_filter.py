@@ -13,12 +13,15 @@ solver tolerance as a confound in the safety audits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .barrier import BarrierSpec
 from .dynamics import ControlAffineSystem
+from .numerics import _dot
 
 
 class InfeasibleFilterError(RuntimeError):
@@ -40,7 +43,7 @@ class HalfspaceConstraint:
 def build_constraint(
     b: BarrierSpec,
     sys: ControlAffineSystem,
-    x: np.ndarray,
+    x: Sequence[float],
     mode: str = "standard",
     promote_rate: float | None = None,
 ) -> HalfspaceConstraint:
@@ -56,12 +59,10 @@ def build_constraint(
     so dh/dt >= promote_rate despite the disturbance; the intermittent engine
     uses this to drive the state to a level where filtering can stop.
     """
-    grad = np.asarray(b.grad_h(x), dtype=float)
-    drift = np.asarray(sys.drift(x), dtype=float)
-    g_mat = np.asarray(sys.input_matrix(x), dtype=float)
-    a = grad @ g_mat
-    robust = float(np.linalg.norm(grad)) * b.d_bar
-    lfh_drift = float(grad @ drift)
+    grad = b.grad_h(x)
+    lfh_drift, a = sys.lie_derivatives(x, grad)
+    # math.sqrt of the dot is bitwise np.linalg.norm of a 1-D float array
+    robust = math.sqrt(_dot(grad, grad)) * b.d_bar
     if mode == "standard":
         rhs = -b.gamma * b.h(x) + robust - lfh_drift
     elif mode == "promoting":
@@ -70,33 +71,38 @@ def build_constraint(
         rhs = promote_rate + robust - lfh_drift
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return HalfspaceConstraint(a=np.asarray(a, dtype=float), rhs=float(rhs))
+    return HalfspaceConstraint(a=np.array(a), rhs=float(rhs))
 
 
-def filter_active(u_nom: np.ndarray, con: HalfspaceConstraint) -> bool:
+def filter_active(u_nom: Sequence[float], con: HalfspaceConstraint) -> bool:
     """True iff the nominal input violates the constraint (strict inequality).
 
     Exactly on the boundary the filter is reported inactive, so the projected
     output is the nominal input bit-exactly there.
     """
-    return float(con.a @ u_nom) < con.rhs
+    return _dot(con.a.tolist(), _floats(u_nom)) < con.rhs
 
 
-def project(u_nom: np.ndarray, con: HalfspaceConstraint) -> np.ndarray:
-    """Closest point to u_nom satisfying ``a . u >= rhs``.
+def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
+    """Closest point to u_nom satisfying ``a . u >= rhs``, as an ndarray.
 
-    Feasible nominal inputs are returned unchanged (the same array contents,
+    Feasible nominal inputs are returned unchanged (the same values,
     bit-exactly).  Otherwise the orthogonal projection onto the hyperplane
     ``a . u = rhs`` is returned, which satisfies the constraint with equality.
     """
-    u_nom = np.asarray(u_nom, dtype=float)
-    a = con.a
-    dot = float(a @ u_nom)
+    u = _floats(u_nom)
+    a = con.a.tolist()
+    dot = _dot(a, u)
     if dot >= con.rhs:
-        return u_nom.copy()
-    a_sq = float(a @ a)
+        return np.array(u)
+    a_sq = _dot(a, a)
     if a_sq == 0.0:
         raise InfeasibleFilterError(
             f"constraint row is zero with rhs={con.rhs!r} > 0: no input can satisfy it"
         )
-    return u_nom + ((con.rhs - dot) / a_sq) * a
+    step = (con.rhs - dot) / a_sq
+    return np.array([v + step * w for v, w in zip(u, a)])
+
+
+def _floats(u: Sequence[float]) -> Sequence[float]:
+    return u.tolist() if isinstance(u, np.ndarray) else u

@@ -10,6 +10,7 @@ from etsafe.barrier import (
     BarrierSpec,
     GradientMismatchError,
     barrier_condition_margin,
+    barrier_problems,
     barrier_value,
     check_gradient,
     filter_off_margin,
@@ -277,6 +278,20 @@ class TestValidationHelpers:
             planar_disk_barrier(1.0, gamma=gamma, d_bar=0.0)
         with pytest.raises(ValueError, match="gamma must be > 0"):
             orbital_range_barrier(GRAVITY, gamma=gamma, d_bar=0.0)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+    def test_disk_requires_positive_radius(self, rho):
+        with pytest.raises(ValueError, match="rho must be > 0"):
+            planar_disk_barrier(rho, gamma=1.0, d_bar=0.0)
+
+    def test_one_rule_for_gamma_and_rho(self):
+        # the spec, the disk and parse_config all report through barrier_problems
+        assert barrier_problems(gamma=0.0, rho=float("nan")) == [
+            "gamma must be > 0",
+            "rho must be > 0",
+        ]
+        assert barrier_problems(gamma=2.0, rho=1.0) == []
+        assert barrier_problems() == []
 
     def test_gradient_check_catches_wrong_gradient(self):
         bad = BarrierSpec(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 import os
 import signal
@@ -33,7 +34,7 @@ from etsafe.config import ConfigError
 from etsafe.dynamics import DisturbanceModel
 from etsafe.engine import AssumptionCheckError, RunAbortedError, RunResult, Trajectory
 from etsafe.inter_event import FitError, LaneFailureError
-from etsafe.numerics import IntegrationFailureError, SingularityError
+from etsafe.numerics import IntegrationFailureError, SingularityError, _dot
 from etsafe.safety_filter import InfeasibleFilterError
 
 SAT_SMALL = """
@@ -904,10 +905,27 @@ def fma(a, b, c):
     return float(Fraction(a) * Fraction(b) + Fraction(c))
 
 
+def fma_chain(a, b):
+    """The dot product of ``a`` and ``b`` as ``fma`` steps from +0.0, plus
+    +0.0: the reference for :func:`etsafe.numerics._dot`."""
+    s = 0.0
+    for x, y in zip(a, b):
+        s = fma(x, y, s)
+    return s + 0.0
+
+
+def random_vectors(rng, n, dim, lo, hi):
+    """``n`` pairs of ``dim``-vectors, each pair's two scaled by magnitudes
+    drawn log-uniformly from [10**lo, 10**hi]."""
+    scale = lambda: 10.0 ** rng.uniform(lo, hi, size=(n, 1))
+    return (rng.normal(size=(n, dim)) * scale()).tolist(), (rng.normal(size=(n, dim)) * scale()).tolist()
+
+
 class TestDigestPlatform:
     def test_three_element_dot_is_an_fma_chain(self):
-        # every barrier margin takes 3-element ndarray.dot products, so the
-        # bytes of every output rest on how the BLAS library rounds them
+        # every satellite barrier margin takes 3-element ndarray.dot products,
+        # so the bytes of the satellite outputs rest on how the BLAS library
+        # rounds them; the planar loop takes its dots with _dot, on floats
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-3, 4, size=(3000, 1))
         b = rng.normal(size=(3000, 3))
@@ -917,12 +935,93 @@ class TestDigestPlatform:
         assert mismatched == 0, (
             f"ndarray.dot of 3 floats differs from fma(a2, b2, fma(a1, b1, a0*b0)) "
             f"on {mismatched} of 3000 vectors: this BLAS rounds differently from the "
-            "one the output digests were pinned on, so TestOutputDigests and "
-            "perfbench/reference.json do not apply on this host"
+            "one the output digests were pinned on, so the satellite digests of "
+            "TestOutputDigests and perfbench/reference.json do not apply on this "
+            "host (the planar outputs take no BLAS product)"
         )
         # a plain left-to-right sum rounds differently on many of them
         plain = [(p[0] * q[0] + p[1] * q[1]) + p[2] * q[2] for p, q in zip(a.tolist(), b.tolist())]
         assert sum(d != s for d, s in zip(dots, plain)) > 100
+
+    def test_dot_helper_is_ndarray_dot_here(self):
+        # where the premise above holds, _dot is ndarray.dot bit for bit, so
+        # the planar loop kept its bytes when it moved to floats
+        rng = np.random.default_rng(1)
+        for dim in (2, 3, 6):
+            a, b = random_vectors(rng, 3000, dim, -3, 3)
+            for p, q in zip(a, b):
+                assert _dot(p, q).hex() == float(np.array(p).dot(np.array(q))).hex()
+        for p, q in SIGNED_ZEROS + [OVERFLOW_RESCUED]:
+            assert _dot(p, q).hex() == float(np.array(p).dot(np.array(q))).hex()
+
+
+# pairs whose dot is zero with factors of either sign: +0.0 every time
+SIGNED_ZEROS = [
+    ([-0.0, 0.0], [1.0, -1.0]),
+    ([-0.0, -0.0], [1.0, 1.0]),
+    ([-1.0, 0.0], [0.0, -0.0]),
+    ([2.0, -2.0], [3.0, 3.0]),
+    ([-0.0, -0.0, -0.0], [-0.0, 5.0, 0.0]),
+]
+# the second product overflows alone, but with the first its sum is 2**971
+OVERFLOW_RESCUED = ([1.0, 2.0**600], [-sys.float_info.max, 2.0**424])
+
+
+class TestFmaDot:
+    """``_dot`` is the exact FMA chain from +0.0 (plus +0.0), checked
+    against the same chain on exact rationals."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_vectors_match_the_fraction_chain(self, dim):
+        rng = np.random.default_rng(dim)
+        a, b = random_vectors(rng, 5000, dim, -3, 3)
+        for p, q in zip(a, b):
+            assert _dot(p, q).hex() == fma_chain(p, q).hex()
+
+    def test_cancelling_sums_match_the_fraction_chain(self):
+        # sums that cancel to their last bits, where one rounding too many shows
+        rng = np.random.default_rng(7)
+        a, b = random_vectors(rng, 3000, 2, -3, 3)
+        for p, q in zip(a, b):
+            q[1] = -p[0] * q[0] / p[1]
+            assert _dot(p, q).hex() == fma_chain(p, q).hex()
+
+    def test_zero_sums_are_positive_zero(self):
+        for p, q in SIGNED_ZEROS:
+            assert _dot(p, q).hex() == (0.0).hex()
+        assert _dot([], []).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-165.0, -150.0), (299.0, 305.0)],
+        ids=["subnormal-products", "factors-beyond-the-split"],
+    )
+    def test_fallback_ranges_match_the_fraction_chain(self, lo, hi):
+        # tiny factors make subnormal or underflowing products; factors above
+        # 2**995 would overflow the split, so the other factor is made small
+        rng = np.random.default_rng(8)
+        for dim in (2, 3):
+            a, b = random_vectors(rng, 500, dim, lo, hi)
+            if lo > 0.0:
+                b = (np.array(b) * 1e-300 * 1e-304).tolist()
+                assert min(abs(v) for q in b for v in q) > 0.0
+            for p, q in zip(a, b):
+                assert _dot(p, q).hex() == fma_chain(p, q).hex()
+
+    def test_overflow(self):
+        # the exact sum is finite although one product overflows alone
+        assert _dot(*OVERFLOW_RESCUED) == 2.0**971
+        assert _dot([1e308, 1.0], [1.0, 1e308]) == math.inf
+        assert _dot([-1e308, 1e300], [1e10, 1e300]) == -math.inf
+
+    def test_non_finite_factors_and_sums(self):
+        inf, nan = math.inf, math.nan
+        assert _dot([inf, 1.0], [1.0, 2.0]) == inf
+        assert _dot([1.0, inf], [1.0, -1.0]) == -inf
+        assert math.isnan(_dot([inf, 1.0], [0.0, 2.0]))
+        assert math.isnan(_dot([inf, -inf], [1.0, 1.0]))
+        assert math.isnan(_dot([nan, 1.0], [1.0, 1.0]))
+        assert math.isnan(_dot([1.0, 2.0], [1.0, nan]))
 
 
 class TestDebugEventLog:

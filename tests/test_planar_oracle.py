@@ -1,0 +1,178 @@
+"""The planar loop on Python floats against the numpy expressions it
+replaced, bit for bit: the disk barrier, its margin, both filter
+constraints, the projection, the single integrator and both flow fields."""
+
+import math
+import os
+
+import numpy as np
+import pytest
+
+from etsafe.barrier import barrier_condition_margin
+from etsafe.config import parse_config
+from etsafe.dynamics import ControlAffineSystem, single_integrator
+from etsafe.engine import _planar_fields, planar_region_states, run_intermittent_filter
+from etsafe.safety_filter import InfeasibleFilterError, build_constraint, project
+
+CONFIG = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "planar_intermittent.ini"
+)
+EYE = np.eye(2)
+
+
+# --- the numpy expressions of the planar loop before it moved to floats ---
+
+
+def numpy_h(b, x):
+    return b.half_width * b.half_width - float(x @ x)
+
+
+def numpy_h_rows(b, states):
+    dots = np.matmul(states[:, None, :], states[:, :, None])[:, 0, 0]
+    return b.half_width * b.half_width - dots
+
+
+def numpy_k_nom(scenario):
+    goal = np.array(scenario.filter.goal, dtype=float)
+    gain = scenario.filter.gain
+    return lambda x: -gain * (x - goal)
+
+
+def numpy_closed_loop(x, u):
+    return np.zeros(2) + EYE @ u
+
+
+def numpy_margin(b, k_nom, x):
+    grad = -2.0 * x
+    lfh = float(grad @ np.asarray(numpy_closed_loop(x, k_nom(x))))
+    return lfh - math.sqrt(grad.dot(grad)) * b.d_bar + b.gamma * numpy_h(b, x)
+
+
+def numpy_constraint(b, x, mode, promote_rate=None):
+    grad = -2.0 * x
+    a = grad @ EYE
+    robust = float(np.linalg.norm(grad)) * b.d_bar
+    lfh_drift = float(grad @ np.zeros(2))
+    if mode == "standard":
+        rhs = -b.gamma * numpy_h(b, x) + robust - lfh_drift
+    else:
+        rhs = promote_rate + robust - lfh_drift
+    return np.asarray(a, dtype=float), float(rhs)
+
+
+def numpy_project(u_nom, a, rhs):
+    dot = float(a @ u_nom)
+    if dot >= rhs:
+        return u_nom.copy()
+    a_sq = float(a @ a)
+    if a_sq == 0.0:
+        raise InfeasibleFilterError("zero row")
+    return u_nom + ((rhs - dot) / a_sq) * a
+
+
+def numpy_fields(scenario):
+    b, rate = scenario.barrier, scenario.filter.promote_rate
+    k_nom = numpy_k_nom(scenario)
+    dist = scenario.disturbance.realize(stream=0)
+
+    def nominal(t, x):
+        return numpy_closed_loop(x, k_nom(x)) + dist(t, x)
+
+    def filtered(t, x):
+        a, rhs = numpy_constraint(b, x, "promoting", rate)
+        return numpy_closed_loop(x, numpy_project(k_nom(x), a, rhs)) + dist(t, x)
+
+    return nominal, filtered
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def outcome(f, *args):
+    """The bytes of ``f(*args)``, or the filter error it raises: at the disk
+    center the promoting constraint's row is zero."""
+    try:
+        return bits(f(*args))
+    except InfeasibleFilterError:
+        return InfeasibleFilterError
+
+
+# --- the states they are compared on ---
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return parse_config(CONFIG).build_planar()
+
+
+@pytest.fixture(scope="module")
+def run_states():
+    """Times and states of a short planar run at another seed."""
+    cfg = parse_config(CONFIG, seed=5, horizon=20.0)
+    traj = run_intermittent_filter(cfg.build_planar(), cfg.initial_state, cfg.horizon).trajectory
+    return traj.times, traj.states
+
+
+def assert_planar_loop_matches_numpy(scenario, times, states):
+    """Every float path equals its numpy expression on each state; returns
+    how many states each filter mode's projection moved."""
+    b, sys = scenario.barrier, scenario.system
+    rate = scenario.filter.promote_rate
+    k_nom, k_ref = scenario.k_nom(), numpy_k_nom(scenario)
+    flow = scenario.nominal_flow()
+    nominal, filtered = _planar_fields(scenario)
+    nominal_ref, filtered_ref = numpy_fields(scenario)
+    active = {"standard": 0, "promoting": 0}
+    for t, x in zip(times.tolist(), states):
+        p = x.tolist()
+        assert b.h(p).hex() == numpy_h(b, x).hex()
+        assert bits(b.grad_h(p)) == bits(-2.0 * x)
+        assert barrier_condition_margin(b, flow, p).hex() == numpy_margin(b, k_ref, x).hex()
+        for mode, kwargs in (("standard", {}), ("promoting", {"promote_rate": rate})):
+            con = build_constraint(b, sys, p, mode=mode, **kwargs)
+            a_ref, rhs_ref = numpy_constraint(b, x, mode, **kwargs)
+            assert con.a.tobytes() == a_ref.tobytes()
+            assert con.rhs.hex() == rhs_ref.hex()
+            u = outcome(project, k_nom(p), con)
+            assert u == outcome(numpy_project, k_ref(x), a_ref, rhs_ref)
+            active[mode] += u != bits(k_ref(x))
+        assert bits(nominal(t, p)) == bits(nominal_ref(t, x))
+        assert outcome(filtered, t, p) == outcome(filtered_ref, t, x)
+    assert b.h_rows(states).tobytes() == numpy_h_rows(b, states).tobytes()
+    return active
+
+
+def test_region_states_match_numpy(scenario):
+    states = planar_region_states(scenario)
+    assert len(states) == 2000
+    active = assert_planar_loop_matches_numpy(scenario, np.zeros(len(states)), states)
+    assert active["standard"] > 0 and active["promoting"] > 0
+
+
+def test_run_states_match_numpy(scenario, run_states):
+    times, states = run_states
+    active = assert_planar_loop_matches_numpy(scenario, times, states)
+    # the run spends stretches with the filter on, where its projection acts
+    assert active["promoting"] > 100 and active["standard"] > 0
+
+
+def test_single_integrator_is_the_generic_identity_product():
+    """The single integrator's shortcut products equal the generic FMA-chain
+    products over its explicit zero drift and identity rows, and numpy's,
+    on signed zeros and subnormals too."""
+    si = single_integrator(2)
+    generic = ControlAffineSystem(
+        drift=si.drift, input_matrix=si.input_matrix, state_dim=2, input_dim=2
+    )
+    rng = np.random.default_rng(11)
+    vectors = (rng.normal(size=(500, 2)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1))).tolist()
+    vectors += [[0.0, -0.0], [-0.0, -0.0], [-0.0, 1.5], [5e-324, -5e-324], [-1e-310, 2.0]]
+    x = [0.3, -0.4]  # unused by either system
+    for v in vectors:
+        assert bits(si.closed_loop(x, v)) == bits(generic.closed_loop(x, v))
+        assert bits(si.closed_loop(x, v)) == bits(numpy_closed_loop(None, np.array(v)))
+        lfh, row = si.lie_derivatives(x, v)
+        lfh_generic, row_generic = generic.lie_derivatives(x, v)
+        assert lfh.hex() == lfh_generic.hex() == float(np.array(v) @ np.zeros(2)).hex()
+        assert bits(row) == bits(row_generic) == bits(np.array(v) @ EYE)
