@@ -17,7 +17,6 @@ from .barrier import (
     barrier_condition_margin,
     barrier_value,
     filter_off_margin,
-    lie_derivative,
     maneuver_timing_margin,
     orbital_range_barrier,
     planar_disk_barrier,
@@ -39,13 +38,9 @@ from .numerics import (
     rk4_step,
 )
 from .orbital import (
-    OrbitalElements,
     StationKeepingConfig,
-    elements_from_state,
-    state_from_elements,
     station_keeping_impulse,
     verify_jump_conditions,
-    vis_viva_speed,
 )
 from .safety_filter import (
     HalfspaceConstraint,
@@ -90,7 +85,6 @@ __all__ = [
     "IntegratorConfig",
     "InterEventSampleSet",
     "InterEventTimeModel",
-    "OrbitalElements",
     "PlanarScenario",
     "RunResult",
     "RunSummary",
@@ -104,12 +98,10 @@ __all__ = [
     "barrier_value",
     "build_constraint",
     "collect_inter_event_samples",
-    "elements_from_state",
     "filter_active",
     "filter_off_margin",
     "fit_inter_event_model",
     "goal_tracking_controller",
-    "lie_derivative",
     "locate_zero_crossing",
     "maneuver_timing_margin",
     "miet_bound",
@@ -123,9 +115,7 @@ __all__ = [
     "run_intermittent_filter",
     "run_maneuver",
     "single_integrator",
-    "state_from_elements",
     "station_keeping_impulse",
     "two_body_field",
     "verify_jump_conditions",
-    "vis_viva_speed",
 ]

@@ -239,11 +239,6 @@ def barrier_value(b: BarrierSpec, x: np.ndarray) -> float:
     return float(b.h(x))
 
 
-def lie_derivative(b: BarrierSpec, field_value: np.ndarray, x: np.ndarray) -> float:
-    """Directional derivative of h along a flow value: grad_h(x) . field_value."""
-    return float(np.asarray(b.grad_h(x)) @ np.asarray(field_value))
-
-
 def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: Sequence[float]) -> float:
     """Robust barrier-condition margin along the control-free flow.
 

@@ -235,7 +235,7 @@ def _campaign_settings(
     """sample-tau's grid, samples per radius and wait cap: each flag, else its
     [tau] key, held to the campaign's rules."""
     try:
-        radius_grid = _parse_vector(grid) if grid else cfg.tau_radius_grid
+        radius_grid = _parse_vector(grid) if grid is not None else cfg.tau_radius_grid
     except ValueError:
         raise ConfigError(f"bad value for --grid: {grid!r}") from None
     n_per_radius = n if n is not None else cfg.tau_n_per_radius

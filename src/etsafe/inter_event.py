@@ -145,6 +145,12 @@ class InterEventTimeModel:
             raise ValueError("knots must be a non-empty, strictly increasing list")
         if self.basis == DEFAULT_BASIS and np.shape(self.coefficients) != (n,):
             raise ValueError(f"a piecewise-linear model needs one coefficient per knot ({n})")
+        if self.statistic not in _STATISTICS:
+            raise ValueError(f"statistic must be {' or '.join(_STATISTICS)}, got {self.statistic!r}")
+        lo, hi = self.h_min, self.h_max
+        # an inverted range would clamp every h to one end and flag it extrapolated
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"h_min <= h_max must be finite, got {lo!r} and {hi!r}")
 
     def evaluate(self, h: float) -> TauEval:
         extrapolated = h < self.h_min or h > self.h_max
@@ -168,9 +174,6 @@ class InterEventTimeModel:
 
     def tau(self, h: float) -> float:
         return self.evaluate(h).value
-
-    def dtau_dh(self, h: float) -> float:
-        return self.evaluate(h).derivative
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Keplerian machinery and the impulsive station-keeping controller.
+"""The impulsive station-keeping controller and its post-jump checks.
 
 The controller keeps the orbital radius inside the barrier's annular band
 around its center radius c (``2R`` for the shipped barrier) by firing
@@ -30,42 +30,12 @@ from .barrier import BarrierSpec, barrier_condition_margin, barrier_value
 from .dynamics import GravityModel, apply_impulse, two_body_field
 
 
-class EscapeOrbitError(ValueError):
-    """State has nonnegative specific energy; no bound orbit exists."""
-
-
-class RectilinearError(ValueError):
-    """Angular momentum too small to define an orbital plane."""
-
-
-class UnreachableRadiusError(ValueError):
-    """vis-viva has no real speed for this (radius, semi-major axis) pair."""
-
-
 class ControllerInfeasibleError(RuntimeError):
     """No plane-preserving elliptic retarget satisfies the jump conditions."""
 
     def __init__(self, message: str, state: np.ndarray | None = None):
         super().__init__(message)
         self.state = None if state is None else np.array(state, dtype=float)
-
-
-@dataclass(frozen=True)
-class OrbitalElements:
-    """Classical elements of a bound two-body orbit.
-
-    ``true_anomaly`` is normalized to (-pi, pi].  Degenerate geometries use
-    the usual conventions: equatorial orbits take the node along +x
-    (raan = 0), circular orbits take periapsis along the node
-    (arg_periapsis = 0).
-    """
-
-    semi_major_axis: float
-    eccentricity: float
-    inclination: float
-    raan: float
-    arg_periapsis: float
-    true_anomaly: float
 
 
 @dataclass(frozen=True)
@@ -96,117 +66,6 @@ class JumpCheck:
 
 
 _ANGULAR_MOMENTUM_FLOOR = 1e-9
-
-
-def elements_from_state(g: GravityModel, s: np.ndarray) -> OrbitalElements:
-    """Convert an inertial state to osculating classical elements.
-
-    Raises EscapeOrbitError for nonnegative specific energy and
-    RectilinearError when the angular momentum is below the floor.
-    """
-    r_vec = np.asarray(s[:3], dtype=float)
-    v_vec = np.asarray(s[3:6], dtype=float)
-    r = float(np.linalg.norm(r_vec))
-    if not r > 0.0:
-        raise ValueError("position norm must be > 0")
-    v2 = float(v_vec @ v_vec)
-    energy = 0.5 * v2 - g.mu / r
-    if energy >= 0.0:
-        raise EscapeOrbitError(f"specific energy {energy!r} >= 0")
-    h_vec = np.cross(r_vec, v_vec)
-    h = float(np.linalg.norm(h_vec))
-    if h < _ANGULAR_MOMENTUM_FLOOR:
-        raise RectilinearError(f"angular momentum {h!r} below floor")
-
-    a = -g.mu / (2.0 * energy)
-    e_vec = np.cross(v_vec, h_vec) / g.mu - r_vec / r
-    e = float(np.linalg.norm(e_vec))
-
-    h_hat = h_vec / h
-    inclination = float(np.arccos(np.clip(h_vec[2] / h, -1.0, 1.0)))
-    node = np.array([-h_vec[1], h_vec[0], 0.0])
-    n_norm = float(np.linalg.norm(node))
-
-    tol = 1e-12
-    if n_norm > tol:
-        node_hat = node / n_norm
-        raan = float(np.arctan2(node_hat[1], node_hat[0]))
-    else:
-        node_hat = np.array([1.0, 0.0, 0.0])
-        raan = 0.0
-
-    if e > tol:
-        peri_hat = e_vec / e
-        node_perp = np.cross(h_hat, node_hat)
-        arg_periapsis = float(np.arctan2(peri_hat @ node_perp, peri_hat @ node_hat))
-    else:
-        peri_hat = node_hat
-        arg_periapsis = 0.0
-
-    peri_perp = np.cross(h_hat, peri_hat)
-    true_anomaly = float(np.arctan2(r_vec @ peri_perp, r_vec @ peri_hat))
-    if true_anomaly <= -np.pi:
-        true_anomaly = np.pi
-
-    return OrbitalElements(
-        semi_major_axis=a,
-        eccentricity=e,
-        inclination=inclination,
-        raan=raan,
-        arg_periapsis=arg_periapsis,
-        true_anomaly=true_anomaly,
-    )
-
-
-def state_from_elements(g: GravityModel, el: OrbitalElements) -> np.ndarray:
-    """Inverse of :func:`elements_from_state` for elliptic orbits."""
-    a, e = el.semi_major_axis, el.eccentricity
-    if not a > 0.0:
-        raise ValueError("semi_major_axis must be > 0")
-    if not 0.0 <= e < 1.0:
-        raise EscapeOrbitError(f"eccentricity {e!r} not in [0, 1)")
-    p = a * (1.0 - e * e)
-    nu = el.true_anomaly
-    r = p / (1.0 + e * np.cos(nu))
-    h = np.sqrt(g.mu * p)
-
-    r_pf = np.array([r * np.cos(nu), r * np.sin(nu), 0.0])
-    v_pf = (g.mu / h) * np.array([-np.sin(nu), e + np.cos(nu), 0.0])
-
-    cos_o, sin_o = np.cos(el.raan), np.sin(el.raan)
-    cos_i, sin_i = np.cos(el.inclination), np.sin(el.inclination)
-    cos_w, sin_w = np.cos(el.arg_periapsis), np.sin(el.arg_periapsis)
-    rot = np.array(
-        [
-            [
-                cos_o * cos_w - sin_o * sin_w * cos_i,
-                -cos_o * sin_w - sin_o * cos_w * cos_i,
-                sin_o * sin_i,
-            ],
-            [
-                sin_o * cos_w + cos_o * sin_w * cos_i,
-                -sin_o * sin_w + cos_o * cos_w * cos_i,
-                -cos_o * sin_i,
-            ],
-            [sin_w * sin_i, cos_w * sin_i, cos_i],
-        ]
-    )
-    out = np.empty(6)
-    out[:3] = rot @ r_pf
-    out[3:] = rot @ v_pf
-    return out
-
-
-def vis_viva_speed(g: GravityModel, r: float, a: float) -> float:
-    """Orbital speed at radius r on an orbit of semi-major axis a.
-
-    ``sqrt(mu (2/r - 1/a))``; raises UnreachableRadiusError when the orbit
-    never reaches that radius.
-    """
-    val = 2.0 / r - 1.0 / a
-    if not val > 0.0:
-        raise UnreachableRadiusError(f"2/r - 1/a = {val!r} <= 0 for r={r!r}, a={a!r}")
-    return float(np.sqrt(g.mu * val))
 
 
 def _placed_anomaly(r: float, center: float, half_width: float) -> float:
@@ -273,7 +132,9 @@ def station_keeping_impulse(
     h_vec = np.cross(pos, vel)
     h_norm = float(np.linalg.norm(h_vec))
     if h_norm < _ANGULAR_MOMENTUM_FLOOR:
-        raise RectilinearError("orbital plane undefined: angular momentum near zero")
+        raise ControllerInfeasibleError(
+            "orbital plane undefined: angular momentum near zero", state=s
+        )
     n_hat = h_vec / h_norm
     r_hat = pos / r
     t_hat = np.cross(n_hat, r_hat)

@@ -400,13 +400,21 @@ class TestSampleAndFit:
         assert cmd_sample_tau(planar_config, str(tmp_path / "s.csv")) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "grid",
-        ["1.7,abc", " , ", "1.0,2.0", "nan"],
-        ids=["malformed", "empty", "outside_band", "non_finite"],
+        "grid, problem",
+        [
+            ("1.7,abc", "bad value for --grid"),
+            (" , ", "radius_grid is empty"),
+            ("", "radius_grid is empty"),
+            ("1.0,2.0", "radius_grid must lie strictly inside"),
+            ("nan", "bad value for --grid"),
+        ],
+        ids=["malformed", "empty", "empty_flag", "outside_band", "non_finite"],
     )
-    def test_sample_tau_rejects_a_bad_grid(self, sat_config, tmp_path, grid):
+    def test_sample_tau_rejects_a_bad_grid(self, sat_config, tmp_path, caplog, grid, problem):
         out = tmp_path / "s.csv"
         assert main(["sample-tau", "--config", sat_config, "--out", str(out), "--grid", grid]) == EXIT_CONFIG
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and problem in errors[0].getMessage()
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1183,6 +1191,13 @@ class TestMalformedTauModel:
         ),
         "reversed-knots": (
             lambda doc: {**doc, "knots": doc["knots"][::-1]}, "knots must be a non-empty, strictly increasing"
+        ),
+        "unknown-statistic": (
+            lambda doc: {**doc, "statistic": "p10"}, "statistic must be median or mean"
+        ),
+        "nan-h-min": (lambda doc: {**doc, "h_min": math.nan}, "got nan and 0.16"),
+        "inverted-range": (
+            lambda doc: {**doc, "h_min": 1.0, "h_max": 0.0}, "h_min <= h_max must be finite, got 1.0 and 0.0"
         ),
     }
 

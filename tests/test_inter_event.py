@@ -76,12 +76,12 @@ class TestFit:
         model = fit_inter_event_model(two_level_samples())
         assert model.tau(0.0) == pytest.approx(1.0)
         assert model.tau(0.16) == pytest.approx(9.0)
-        assert model.dtau_dh(0.08) == pytest.approx(50.0)
+        assert model.evaluate(0.08).derivative == pytest.approx(50.0)
 
     def test_linear_model_interior_value(self):
         model = fit_inter_event_model(two_level_samples())
         assert model.tau(0.1) == pytest.approx(6.0)
-        assert model.dtau_dh(0.1) == pytest.approx(50.0)
+        assert model.evaluate(0.1).derivative == pytest.approx(50.0)
 
     def test_constant_data_zero_slope(self):
         s = InterEventSampleSet(
@@ -96,7 +96,7 @@ class TestFit:
         model = fit_inter_event_model(s)
         for h in (0.05, 0.1, 0.15):
             assert model.tau(h) == pytest.approx(5.0)
-            assert model.dtau_dh(h) == pytest.approx(0.0)
+            assert model.evaluate(h).derivative == pytest.approx(0.0)
 
     def test_piecewise_linear_interpolates_level_medians(self):
         rng = np.random.default_rng(0)
@@ -178,6 +178,10 @@ class TestModelRules:
             ({"knots": np.array([])}, "knots must be a non-empty, strictly increasing"),
             ({"knots": np.array(0.1)}, "knots must be a non-empty, strictly increasing"),
             ({"coefficients": np.array([1.0, 9.0])}, "one coefficient per knot (3)"),
+            ({"statistic": "p10"}, "statistic must be median or mean, got 'p10'"),
+            ({"h_min": np.nan}, "h_min <= h_max must be finite, got nan and 0.16"),
+            ({"h_max": np.inf}, "h_min <= h_max must be finite, got 0.0 and inf"),
+            ({"h_min": 1.0, "h_max": 0.0}, "h_min <= h_max must be finite, got 1.0 and 0.0"),
         ],
     )
     def test_rejected(self, fields, problem):
@@ -231,7 +235,7 @@ class TestModelEvaluation:
             if min(abs(h - k) for k in levels) < 10 * eps:
                 continue
             fd = (model.tau(h + eps) - model.tau(h - eps)) / (2 * eps)
-            assert model.dtau_dh(h) == pytest.approx(fd, rel=1e-6)
+            assert model.evaluate(h).derivative == pytest.approx(fd, rel=1e-6)
 
     def test_polynomial_derivative_matches_finite_difference(self):
         model = InterEventTimeModel(
@@ -245,7 +249,7 @@ class TestModelEvaluation:
         eps = 1e-7
         for h in np.linspace(0.005, 0.155, 31):
             fd = (model.tau(h + eps) - model.tau(h - eps)) / (2 * eps)
-            assert model.dtau_dh(h) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+            assert model.evaluate(h).derivative == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 class TestCampaign:

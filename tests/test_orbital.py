@@ -1,4 +1,7 @@
-"""Keplerian conversions and station-keeping controller tests."""
+"""Station-keeping impulse and post-jump check tests.
+
+The post-jump orbit is checked through its apsides, from the energy and the
+eccentricity vector, and against the propagated radius extremes."""
 
 import pickle
 
@@ -10,17 +13,10 @@ from etsafe.dynamics import GravityModel, apply_impulse, two_body_field
 from etsafe.numerics import IntegratorConfig, propagate_until
 from etsafe.orbital import (
     ControllerInfeasibleError,
-    EscapeOrbitError,
-    OrbitalElements,
-    RectilinearError,
     StationKeepingConfig,
-    UnreachableRadiusError,
     _placed_anomaly,
-    elements_from_state,
-    state_from_elements,
     station_keeping_impulse,
     verify_jump_conditions,
-    vis_viva_speed,
 )
 
 GRAVITY = GravityModel()
@@ -39,89 +35,24 @@ def propagate_orbit(s0, horizon, dt=0.02):
     return states
 
 
-def random_elliptic_states(rng, n):
-    states = []
-    while len(states) < n:
-        el = OrbitalElements(
-            semi_major_axis=rng.uniform(1.5, 3.0),
-            eccentricity=rng.uniform(0.0, 0.8),
-            inclination=rng.uniform(0.0, np.pi - 1e-3),
-            raan=rng.uniform(-np.pi, np.pi),
-            arg_periapsis=rng.uniform(-np.pi, np.pi),
-            true_anomaly=rng.uniform(-np.pi, np.pi),
-        )
-        states.append(state_from_elements(GRAVITY, el))
-    return states
+def apsides(s):
+    """(periapsis, apoapsis) radii of the osculating orbit at state s."""
+    r, v, mu = s[:3], s[3:], GRAVITY.mu
+    v2, mu_r = float(v @ v), mu / np.linalg.norm(r)
+    a = -mu / (2.0 * (0.5 * v2 - mu_r))  # from the specific energy
+    e = np.linalg.norm(((v2 - mu_r) * r - float(r @ v) * v) / mu)  # eccentricity vector
+    return a * (1.0 - e), a * (1.0 + e)
 
 
-class TestElementsFromState:
-    def test_circular_orbit(self):
-        s = np.array([2.0, 0.0, 0.0, 0.0, np.sqrt(0.5), 0.0])
-        el = elements_from_state(GRAVITY, s)
-        assert el.semi_major_axis == pytest.approx(2.0, abs=1e-12)
-        assert el.eccentricity == pytest.approx(0.0, abs=1e-12)
-
-    def test_apoapsis_state(self):
-        # vis-viva: a = 1/(2/r - v^2/mu) = 1.5625; apsis relation e = r/a - 1 = 0.28.
-        s = np.array([2.0, 0.0, 0.0, 0.0, 0.6, 0.0])
-        el = elements_from_state(GRAVITY, s)
-        assert el.semi_major_axis == pytest.approx(1.5625, abs=1e-12)
-        assert el.eccentricity == pytest.approx(0.28, abs=1e-12)
-        # apsides also show up as the radius extremes along the orbit
-        # (2e-5 tolerance: the dense grid does not land exactly on an apsis)
-        states = propagate_orbit(s, 12.0)
-        radii = np.linalg.norm(states[:, :3], axis=1)
-        assert radii.max() == pytest.approx(2.0, abs=2e-5)
-        assert radii.min() == pytest.approx(el.semi_major_axis * (1 - el.eccentricity), abs=2e-5)
-
-    def test_round_trip_1000_random_states(self):
-        rng = np.random.default_rng(0)
-        for s in random_elliptic_states(rng, 1000):
-            el = elements_from_state(GRAVITY, s)
-            back = state_from_elements(GRAVITY, el)
-            err = np.linalg.norm(back - s) / max(np.linalg.norm(s), 1.0)
-            assert err <= 1e-9
-
-    def test_equatorial_round_trip(self):
-        s = np.array([2.0, 0.0, 0.0, 0.0, 0.6, 0.0])
-        back = state_from_elements(GRAVITY, elements_from_state(GRAVITY, s))
-        assert np.linalg.norm(back - s) <= 1e-12
-
-    def test_escape_orbit_rejected(self):
-        s = np.array([2.0, 0.0, 0.0, 0.0, 1.5, 0.0])  # v > escape speed at r=2
-        with pytest.raises(EscapeOrbitError):
-            elements_from_state(GRAVITY, s)
-
-    def test_rectilinear_rejected(self):
-        s = np.array([2.0, 0.0, 0.0, 0.3, 0.0, 0.0])  # purely radial motion
-        with pytest.raises(RectilinearError):
-            elements_from_state(GRAVITY, s)
-
-
-class TestVisViva:
-    def test_circular_speed(self):
-        assert vis_viva_speed(GRAVITY, 2.0, 2.0) == pytest.approx(np.sqrt(0.5), abs=1e-12)
-
-    def test_transfer_orbit_speed(self):
-        # Half-transfer from 2.2 toward 2.1: a = 2.15.
-        v = vis_viva_speed(GRAVITY, 2.2, 2.15)
-        assert v == pytest.approx(0.66631, abs=1e-5)
-        # Cross-check against the propagated orbit with that apsis pair.
-        s0 = np.array([2.2, 0.0, 0.0, 0.0, v, 0.0])
-        states = propagate_orbit(s0, 22.0)
-        radii = np.linalg.norm(states[:, :3], axis=1)
-        assert radii.max() == pytest.approx(2.2, abs=1e-6)
-        assert radii.min() == pytest.approx(2.1, abs=1e-6)
-
-    def test_escape_speed_is_supremum(self):
-        escape = np.sqrt(2.0 * GRAVITY.mu / 2.0)
-        for a in (2.0, 5.0, 50.0, 5000.0):
-            assert vis_viva_speed(GRAVITY, 2.0, a) < escape
-        assert vis_viva_speed(GRAVITY, 2.0, 5000.0) == pytest.approx(escape, rel=1e-3)
-
-    def test_unreachable_radius(self):
-        with pytest.raises(UnreachableRadiusError):
-            vis_viva_speed(GRAVITY, 2.0, 0.9)
+def oriented_state(rng, r, rdot, v_t):
+    """State at radius r with radial rate rdot and tangential speed v_t, in a
+    random plane at a random phase."""
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    w = rng.normal(size=3)
+    w -= (w @ u) * u
+    w /= np.linalg.norm(w)
+    return np.concatenate([r * u, rdot * u + v_t * w])
 
 
 class TestStationKeepingImpulse:
@@ -130,9 +61,7 @@ class TestStationKeepingImpulse:
         s = np.array([2.2, 0.0, 0.0, 0.0, 0.65, 0.0])
         dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
         post = apply_impulse(s, dv)
-        el = elements_from_state(GRAVITY, post)
-        periapsis = el.semi_major_axis * (1.0 - el.eccentricity)
-        assert periapsis == pytest.approx(2.1, abs=1e-9)
+        assert apsides(post)[0] == pytest.approx(2.1, abs=1e-9)
         # cross-check the osculating apsis against the propagated extreme
         states = propagate_orbit(post, 25.0)
         radii = np.linalg.norm(states[:, :3], axis=1)
@@ -147,10 +76,8 @@ class TestStationKeepingImpulse:
         s = np.array([1.8, 0.0, 0.0, 0.0, 0.75, 0.0])
         dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
         post = apply_impulse(s, dv)
-        el = elements_from_state(GRAVITY, post)
-        apoapsis = el.semi_major_axis * (1.0 + el.eccentricity)
         # target radius 2R + 0.5 (r - 2R) = 1.9
-        assert apoapsis == pytest.approx(1.9, abs=1e-9)
+        assert apsides(post)[1] == pytest.approx(1.9, abs=1e-9)
         states = propagate_orbit(post, 25.0)
         radii = np.linalg.norm(states[:, :3], axis=1)
         assert radii.max() == pytest.approx(1.9, abs=2e-5)
@@ -169,16 +96,16 @@ class TestStationKeepingImpulse:
                 continue
             dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
             post = apply_impulse(s, dv)
-            el = elements_from_state(GRAVITY, post)
+            periapsis, apoapsis = apsides(post)
             rdot_post = float(post[:3] @ post[3:]) / np.linalg.norm(post[:3])
             if abs(r - 2.0) < 1e-12:
                 continue
             if r < 2.0:
                 assert rdot_post >= 0.0  # outbound, next apsis is apoapsis
-                next_apsis = el.semi_major_axis * (1.0 + el.eccentricity)
+                next_apsis = apoapsis
             else:
                 assert rdot_post <= 0.0  # inbound, next apsis is periapsis
-                next_apsis = el.semi_major_axis * (1.0 - el.eccentricity)
+                next_apsis = periapsis
             r_target = 2.0 + CONTROLLER.retarget_gain * (r - 2.0)
             assert next_apsis == pytest.approx(r_target, abs=1e-6)
 
@@ -186,15 +113,8 @@ class TestStationKeepingImpulse:
         rng = np.random.default_rng(1)
         for _ in range(50):
             r = rng.uniform(1.65, 2.35)
-            el = OrbitalElements(
-                semi_major_axis=r,
-                eccentricity=rng.uniform(0.0, 0.05),
-                inclination=rng.uniform(0.0, np.pi - 0.1),
-                raan=rng.uniform(-np.pi, np.pi),
-                arg_periapsis=rng.uniform(-np.pi, np.pi),
-                true_anomaly=rng.uniform(-np.pi, np.pi),
-            )
-            s = state_from_elements(GRAVITY, el)
+            v_c = np.sqrt(GRAVITY.mu / r)
+            s = oriented_state(rng, r, rng.normal(0.0, 0.03), v_c * rng.uniform(0.95, 1.05))
             if barrier_value(BARRIER, s) < 0.0:
                 continue
             dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
@@ -226,13 +146,7 @@ class TestStationKeepingImpulse:
             v2 = rdot**2 + v_t**2
             if v2 >= 2.0 * GRAVITY.mu / r:  # not elliptic-capturable
                 continue
-            # random orientation
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            w = rng.normal(size=3)
-            w -= (w @ u) * u
-            w /= np.linalg.norm(w)
-            s = np.concatenate([r * u, rdot * u + v_t * w])
+            s = oriented_state(rng, r, rdot, v_t)
             assert abs(barrier_condition_margin(BARRIER, orbital_flow, s)) < 1e-10
             dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
             post = apply_impulse(s, dv)
@@ -247,8 +161,9 @@ class TestStationKeepingImpulse:
 
     def test_rectilinear_rejected(self):
         s = np.array([2.0, 0.0, 0.0, 0.2, 0.0, 0.0])
-        with pytest.raises(RectilinearError):
+        with pytest.raises(ControllerInfeasibleError, match="orbital plane undefined") as err:
             station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
+        assert err.value.state.tobytes() == s.tobytes()
 
     def test_impulse_magnitude_bounded(self):
         # The correction should never exceed the local escape speed scale.
