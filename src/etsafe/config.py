@@ -17,7 +17,7 @@ import numpy as np
 
 from .barrier import barrier_problems, orbital_range_barrier, planar_disk_barrier
 from .dynamics import DisturbanceModel, GravityModel, seed_problems
-from .inter_event import _BASES, _STATISTICS, DEFAULT_MAX_WAIT, campaign_problems
+from .inter_event import DEFAULT_MAX_WAIT, campaign_problems
 from .numerics import EventLocatorConfig, IntegratorConfig, span_problems
 from .orbital import StationKeepingConfig
 from .scenarios import FilterConfig, PlanarScenario, SatelliteScenario
@@ -99,13 +99,10 @@ SCHEMA = {
         promote_rate=float, hysteresis_gap=float, recovery_level=float,
         goal=_parse_vector, gain=float,
     ),
-    "integrator": dict(step_size=float, interpolation=str),
+    "integrator": dict(step_size=float),
     "events": dict(time_tolerance=float, value_tolerance=float, max_bisections=int),
     "initial": dict(position=_parse_vector, velocity=_parse_vector, state=_parse_vector),
-    "tau": dict(
-        model_path=str, radius_grid=_parse_vector, n_per_radius=int,
-        max_wait=float, statistic=str, basis=str,
-    ),
+    "tau": dict(model_path=str, radius_grid=_parse_vector, n_per_radius=int, max_wait=float),
 }
 
 
@@ -241,10 +238,6 @@ def parse_config(
             barrier = build("barrier", partial(planar_disk_barrier, rho, gamma, d_bar), [])
     band = barrier if kind == "satellite" else None
     problems += [f"[tau] {p}" for p in campaign_problems(band, tau_grid, tau_n, tau_wait)]
-    # validated only: fit-tau takes --statistic and --basis
-    for key, allowed in (("statistic", _STATISTICS), ("basis", _BASES)):
-        if parser.has_option("tau", key) and get("tau", key) not in allowed:
-            problems.append(f"[tau] {key} must be {' or '.join(allowed)}")
 
     if disturbance is not None and barrier_d_bar not in (None, disturbance.d_bar):
         problems.append(

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import SingularityError, _dot
+from .numerics import SingularityError, _dot, span_problems
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,9 @@ class GravityModel:
     R: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ValueError("mu must be > 0")
-        if not self.R > 0.0:
-            raise ValueError("R must be > 0")
+        for name in ("mu", "R"):
+            if problems := span_problems(name, getattr(self, name)):
+                raise ValueError(problems[0])
 
     @property
     def singularity_floor(self) -> float:
@@ -243,10 +242,12 @@ class DisturbanceModel:
             raise ValueError(f"unknown kind {self.kind!r}")
         if not self.d_bar >= 0.0:
             raise ValueError("d_bar must be >= 0")
+        if self.d_bar == math.inf:
+            raise ValueError("d_bar must be finite")
         if self.kind != "none" and not self.d_bar > 0.0:
             raise ValueError(f"kind {self.kind!r} requires d_bar > 0")
-        if not self.hold_time > 0.0:
-            raise ValueError("hold_time must be > 0")
+        if problems := span_problems("hold_time", self.hold_time):
+            raise ValueError(problems[0])
         if self.kind == "zonal-j2-like" and self.dim != 3:
             raise ValueError(f"kind {self.kind!r} is 3-D only, got dim {self.dim}")
         if self.dim not in (2, 3):

@@ -5,9 +5,9 @@ period is expected to last.  Rather than learning that over the full state
 space, the barrier value h serves as a one-dimensional proxy: states are
 sampled at fixed orbital radii (fixed h), pushed through the station-keeping
 impulse, and propagated until the safety trigger fires again; the elapsed
-times per h level are summarized and a curve is fit through the level
-statistics.  The fitted model and its derivative feed
-:func:`etsafe.barrier.maneuver_timing_margin`.
+times per h level are summarized by their median and the piecewise-linear
+curve through the level medians is the model.  The model and its derivative
+feed :func:`etsafe.barrier.maneuver_timing_margin`.
 
 Sample collection is embarrassingly parallel and fully deterministic: sample
 (j, i) of the campaign is keyed by (seed, radius index j, sample index i),
@@ -74,14 +74,12 @@ from .workers import started_workers
 
 log = logging.getLogger(__name__)
 
-# fit-tau's and the campaign's defaults; the CLI and the config read them
-DEFAULT_BASIS = "piecewise-linear"
-DEFAULT_STATISTIC = "median"
-DEFAULT_DEGREE = 3
+# the campaign's default wait cap; the CLI and the config read it
 DEFAULT_MAX_WAIT = 6000.0
 
-_BASES = (DEFAULT_BASIS, "polynomial")
-_STATISTICS = (DEFAULT_STATISTIC, "mean")
+# the model file's basis and statistic, each with its one value
+_BASIS = "piecewise-linear"
+_STATISTIC = "median"
 
 # Hash-key tags for sample geometry; far above any disturbance interval index.
 _PLANE_TAG = np.uint64(1) << np.uint64(40)
@@ -91,7 +89,7 @@ _LEVEL_DECIMALS = 9  # h values are pooled after rounding to this many digits
 
 
 class FitError(ValueError):
-    """Curve fit is impossible for the requested basis and data."""
+    """The samples give too few h levels to fit a model."""
 
 
 class LaneFailureError(IntegrationFailureError):
@@ -122,31 +120,25 @@ class TauEval:
 
 @dataclass(frozen=True)
 class InterEventTimeModel:
-    """Fitted map from barrier value to expected inter-event time.
+    """Fitted map from barrier value to median inter-event time: the
+    piecewise-linear interpolant of ``coefficients`` at ``knots``, on the
+    fitted range ``[h_min, h_max]``."""
 
-    ``knots``/``coefficients`` are the interpolation nodes for the
-    piecewise-linear basis, or the ascending power-basis coefficients for the
-    polynomial basis (knots then holds the fitted levels for reference).
-    """
-
-    basis: str
     knots: np.ndarray
     coefficients: np.ndarray
     h_min: float
     h_max: float
-    residual: float
-    statistic: str = DEFAULT_STATISTIC
 
     def __post_init__(self) -> None:
-        if self.basis not in _BASES:
-            raise ValueError(f"basis must be {' or '.join(_BASES)}, got {self.basis!r}")
         n = len(self.knots) if np.ndim(self.knots) == 1 else 0
         if n == 0 or not np.all(np.diff(self.knots) > 0.0):
             raise ValueError("knots must be a non-empty, strictly increasing list")
-        if self.basis == DEFAULT_BASIS and np.shape(self.coefficients) != (n,):
+        if not np.all(np.isfinite(self.knots)):
+            raise ValueError("knots must be finite")
+        if np.shape(self.coefficients) != (n,):
             raise ValueError(f"a piecewise-linear model needs one coefficient per knot ({n})")
-        if self.statistic not in _STATISTICS:
-            raise ValueError(f"statistic must be {' or '.join(_STATISTICS)}, got {self.statistic!r}")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError("coefficients must be finite")
         lo, hi = self.h_min, self.h_max
         # an inverted range would clamp every h to one end and flag it extrapolated
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -155,21 +147,14 @@ class InterEventTimeModel:
     def evaluate(self, h: float) -> TauEval:
         extrapolated = h < self.h_min or h > self.h_max
         hc = min(max(float(h), self.h_min), self.h_max)
-        if self.basis == "piecewise-linear":
-            value = float(np.interp(hc, self.knots, self.coefficients))
-            if len(self.knots) < 2:
-                derivative = 0.0
-            else:
-                seg = int(np.searchsorted(self.knots, hc, side="right")) - 1
-                seg = min(max(seg, 0), len(self.knots) - 2)
-                dh = self.knots[seg + 1] - self.knots[seg]
-                derivative = float(
-                    (self.coefficients[seg + 1] - self.coefficients[seg]) / dh
-                )
+        value = float(np.interp(hc, self.knots, self.coefficients))
+        if len(self.knots) < 2:
+            derivative = 0.0
         else:
-            value = float(np.polynomial.polynomial.polyval(hc, self.coefficients))
-            dcoef = np.polynomial.polynomial.polyder(self.coefficients)
-            derivative = float(np.polynomial.polynomial.polyval(hc, dcoef))
+            seg = int(np.searchsorted(self.knots, hc, side="right")) - 1
+            seg = min(max(seg, 0), len(self.knots) - 2)
+            dh = self.knots[seg + 1] - self.knots[seg]
+            derivative = float((self.coefficients[seg + 1] - self.coefficients[seg]) / dh)
         return TauEval(value=value, derivative=derivative, extrapolated=extrapolated)
 
     def tau(self, h: float) -> float:
@@ -210,10 +195,9 @@ class InterEventSampleSet:
         keep = ~self.censored
         return self.h[keep], self.inter_event_time[keep]
 
-    def level_statistics(
-        self, statistic: str = DEFAULT_STATISTIC
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-h-level summary of the accepted records, sorted by h.
+    def level_statistics(self) -> tuple[np.ndarray, np.ndarray]:
+        """The h levels of the accepted records, sorted, and the median
+        inter-event time at each.
 
         Radii symmetric about the band center share an h value and pool into
         one level (after rounding to 9 decimals).
@@ -221,10 +205,7 @@ class InterEventSampleSet:
         h, t = self.accepted()
         keys = np.round(h, _LEVEL_DECIMALS)
         levels = np.unique(keys)
-        if statistic not in _STATISTICS:
-            raise ValueError(f"unknown statistic {statistic!r}")
-        reducer = np.median if statistic == "median" else np.mean
-        stats = np.array([reducer(t[keys == lv]) for lv in levels])
+        stats = np.array([np.median(t[keys == lv]) for lv in levels])
         return levels, stats
 
 
@@ -648,7 +629,7 @@ def _refine_sample_crossing(
     monitor = lambda x: barrier_condition_margin(b, flow, x)
 
     field = lambda t, x: two_body_field(g, x, accel=dist.sample(t, x, stream))
-    interp = _step_interpolant(field, scenario.integrator, t0, x0, t0 + dt, x1)
+    interp = _step_interpolant(field, t0, x0, t0 + dt, x1)
     if monitor(x0) <= 0.0:  # margin grazed zero within tolerance at step start
         return t0
     res = locate_zero_crossing(lambda t: monitor(interp(t)), t0, t0 + dt, scenario.events)
@@ -665,54 +646,17 @@ def _refine_sample_crossing(
 # --- Fitting ---
 
 
-def fit_inter_event_model(
-    samples: InterEventSampleSet,
-    basis: str = DEFAULT_BASIS,
-    statistic: str = DEFAULT_STATISTIC,
-    degree: int = DEFAULT_DEGREE,
-) -> InterEventTimeModel:
-    """Least-squares fit of the per-level statistics against h.
+def fit_inter_event_model(samples: InterEventSampleSet) -> InterEventTimeModel:
+    """The model through the per-level medians, with a knot at each level.
 
-    The default piecewise-linear basis with knots at the levels interpolates
-    the level statistics exactly (residual 0), keeping the fitted curve
-    monotone wherever the statistics are.  The polynomial basis is retained
-    for smoother-derivative experiments and requires degree < number of
-    levels.
+    It interpolates the level medians exactly, so the curve is monotone
+    wherever they are.  Raises FitError for fewer than two levels.
     """
-    if basis not in _BASES:
-        raise FitError(f"unknown basis {basis!r}")
-    levels, stats = samples.level_statistics(statistic)
+    levels, stats = samples.level_statistics()
     if len(levels) < 2:
         raise FitError(f"need >= 2 distinct h levels, got {len(levels)}")
-
-    if basis == "piecewise-linear":
-        return InterEventTimeModel(
-            basis=basis,
-            knots=levels,
-            coefficients=stats,
-            h_min=float(levels[0]),
-            h_max=float(levels[-1]),
-            residual=0.0,
-            statistic=statistic,
-        )
-
-    if degree < 0:
-        raise FitError(f"polynomial degree must be >= 0, got {degree}")
-    if degree >= len(levels):
-        raise FitError(
-            f"polynomial degree {degree} needs more than {degree} levels, got {len(levels)}"
-        )
-    coeffs = np.polynomial.polynomial.polyfit(levels, stats, degree)
-    fitted = np.polynomial.polynomial.polyval(levels, coeffs)
-    residual = float(np.sqrt(np.mean((fitted - stats) ** 2)))
     return InterEventTimeModel(
-        basis=basis,
-        knots=levels,
-        coefficients=coeffs,
-        h_min=float(levels[0]),
-        h_max=float(levels[-1]),
-        residual=residual,
-        statistic=statistic,
+        knots=levels, coefficients=stats, h_min=float(levels[0]), h_max=float(levels[-1])
     )
 
 
@@ -773,36 +717,45 @@ def load_samples(path: str) -> InterEventSampleSet:
 
 
 def save_model(model: InterEventTimeModel, path: str) -> None:
-    """JSON document: basis id, knots, coefficients, fitted range, residual."""
+    """JSON document: knots, coefficients and fitted range, beside the format
+    constants ``basis`` ("piecewise-linear"), ``residual`` (0.0, as the model
+    interpolates its levels) and ``statistic`` ("median")."""
     doc = {
-        "basis": model.basis,
+        "basis": _BASIS,
         "knots": [float(k) for k in model.knots],
         "coefficients": [float(c) for c in model.coefficients],
         "h_min": model.h_min,
         "h_max": model.h_max,
-        "residual": model.residual,
-        "statistic": model.statistic,
+        "residual": 0.0,
+        "statistic": _STATISTIC,
     }
     atomic_write(path, [json.dumps(doc, indent=2) + "\n"])
 
 
 def load_model(path: str) -> InterEventTimeModel:
     """The model :func:`save_model` wrote; a ValueError naming the problem
-    when it is not a JSON object, lacks a key or breaks a model rule."""
+    when it is not a JSON object, lacks a key, names another basis or
+    statistic (a missing ``statistic`` reads as "median") or breaks a model
+    rule."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"tau model {path} is not a JSON object")
     try:
-        return InterEventTimeModel(
-            basis=doc["basis"],
+        basis = doc["basis"]
+        model = dict(
             knots=np.array(doc["knots"], dtype=float),
             coefficients=np.array(doc["coefficients"], dtype=float),
             h_min=float(doc["h_min"]),
             h_max=float(doc["h_max"]),
-            residual=float(doc["residual"]),
-            statistic=doc.get("statistic", DEFAULT_STATISTIC),
         )
+        float(doc["residual"])  # a required number, though save_model writes 0.0
+        statistic = doc.get("statistic", _STATISTIC)
+        if basis != _BASIS:
+            raise ValueError(f"basis must be {_BASIS}, got {basis!r}")
+        if statistic != _STATISTIC:
+            raise ValueError(f"statistic must be {_STATISTIC}, got {statistic!r}")
+        return InterEventTimeModel(**model)
     except KeyError as err:
         raise ValueError(f"tau model {path} has no {err.args[0]!r} key") from None
     except (TypeError, ValueError) as err:

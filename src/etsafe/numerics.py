@@ -2,9 +2,9 @@
 
 The simulation loops in :mod:`etsafe.engine` alternate smooth flow with
 instantaneous events (impulses, filter toggles).  Everything here is built for
-that pattern: a classical RK4 stepper, within-step interpolation so events can
-be located between grid points, and a bisection root finder that preserves the
-left-most sign change (the earliest event wins).
+that pattern: a classical RK4 stepper, a cubic Hermite interpolant within each
+step so events can be located between grid points, and a bisection root
+finder that preserves the left-most sign change (the earliest event wins).
 
 All functions are pure and deterministic: identical inputs produce
 bit-identical outputs.
@@ -39,8 +39,6 @@ import numpy as np
 Field = Callable[[float, Sequence[float]], Sequence[float]]
 Monitor = Callable[[np.ndarray], float]
 
-_VALID_INTERPOLATIONS = ("linear", "cubic-hermite")
-
 
 class IntegrationFailureError(RuntimeError):
     """A vector field returned a non-finite derivative."""
@@ -69,19 +67,17 @@ class BracketError(ValueError):
 class IntegratorConfig:
     """Fixed-step integrator settings.
 
-    step_size is in scenario time units and must be positive.
+    step_size is in scenario time units and must be positive and finite.
+    Events inside a step are located on its cubic Hermite interpolant.
     """
 
     step_size: float = 0.05
-    interpolation: str = "cubic-hermite"
 
     def __post_init__(self) -> None:
         if not self.step_size > 0.0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if self.interpolation not in _VALID_INTERPOLATIONS:
-            raise ValueError(
-                f"interpolation must be one of {_VALID_INTERPOLATIONS}, got {self.interpolation!r}"
-            )
+        if self.step_size == math.inf:
+            raise ValueError("step_size must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -93,10 +89,9 @@ class EventLocatorConfig:
     max_bisections: int = 200
 
     def __post_init__(self) -> None:
-        if not self.time_tolerance > 0.0:
-            raise ValueError("time_tolerance must be > 0")
-        if not self.value_tolerance > 0.0:
-            raise ValueError("value_tolerance must be > 0")
+        for name in ("time_tolerance", "value_tolerance"):
+            if problems := span_problems(name, getattr(self, name)):
+                raise ValueError(problems[0])
         if self.max_bisections < 1:
             raise ValueError("max_bisections must be >= 1")
 
@@ -126,9 +121,9 @@ class MonitorCrossing:
 
 
 def span_problems(name: str, span: Optional[float]) -> list[str]:
-    """The rule for a time span or scale (a horizon, the campaign's wait cap,
-    the hours per time unit), > 0 and finite: one message naming ``name`` if
-    ``span`` breaks it, else none."""
+    """The rule for a positive setting (a horizon, the campaign's wait cap,
+    a scale, rate or tolerance), > 0 and finite: one message naming ``name``
+    if ``span`` breaks it, else none; None goes unchecked."""
     if span is None or 0.0 < span < math.inf:
         return []
     return [f"{name} must be > 0" if not span > 0.0 else f"{name} must be finite"]
@@ -269,18 +264,6 @@ def hermite_interpolant(
     return interp
 
 
-def linear_interpolant(
-    t0: float, x0: np.ndarray, t1: float, x1: np.ndarray
-) -> Callable[[float], np.ndarray]:
-    dt = t1 - t0
-
-    def interp(t: float) -> np.ndarray:
-        s = (t - t0) / dt
-        return (1.0 - s) * x0 + s * x1
-
-    return interp
-
-
 def locate_zero_crossing(
     g: Callable[[float], float],
     t_lo: float,
@@ -334,7 +317,7 @@ def propagate_until(
 
     Steps with RK4 at the configured step size, checking each monitor's sign at
     every step endpoint.  A downward sign change (previous value > 0, new value
-    <= 0) is refined with bisection on the interpolated in-step trajectory,
+    <= 0) is refined with bisection on the step's cubic Hermite interpolant,
     with the monitor re-evaluated on interpolated states.  A monitor that is
     already <= 0 when monitoring starts is an immediate event at that time.
 
@@ -399,7 +382,7 @@ def propagate_until(
                 i for i, (p, v) in enumerate(zip(prev_vals, new_vals)) if p > 0.0 and v <= 0.0
             ]
             if crossed:
-                interp = _step_interpolant(field, integrator, t_start, x, t_end, x_new)
+                interp = _step_interpolant(field, t_start, x, t_end, x_new)
                 crossing = _refine_step_crossings(
                     interp, monitors, crossed, t_start, t_end, events
                 )
@@ -428,21 +411,14 @@ def _immediate_crossing(vals: list[float], t: float, x: np.ndarray) -> Optional[
 
 
 def _step_interpolant(
-    field: Field,
-    integrator: IntegratorConfig,
-    t0: float,
-    x0: np.ndarray,
-    t1: float,
-    x1: np.ndarray,
+    field: Field, t0: float, x0: np.ndarray, t1: float, x1: np.ndarray
 ) -> Callable[[float], np.ndarray]:
-    """The trajectory inside one step, by ``integrator.interpolation``: cubic
-    Hermite on ``field``'s derivatives at both ends, or linear."""
-    if integrator.interpolation == "cubic-hermite":
-        # the interpolant does array arithmetic on the end derivatives
-        f0 = np.asarray(field(t0, x0.tolist()))
-        f1 = np.asarray(field(t1, x1.tolist()))
-        return hermite_interpolant(t0, x0, f0, t1, x1, f1)
-    return linear_interpolant(t0, x0, t1, x1)
+    """The trajectory inside one step: the cubic Hermite interpolant on
+    ``field``'s derivatives at both ends."""
+    # the interpolant does array arithmetic on the end derivatives
+    f0 = np.asarray(field(t0, x0.tolist()))
+    f1 = np.asarray(field(t1, x1.tolist()))
+    return hermite_interpolant(t0, x0, f0, t1, x1, f1)
 
 
 def _refine_step_crossings(

@@ -28,6 +28,7 @@ import numpy as np
 
 from .barrier import BarrierSpec, barrier_condition_margin, barrier_value
 from .dynamics import GravityModel, apply_impulse, two_body_field
+from .numerics import span_problems
 
 
 class ControllerInfeasibleError(RuntimeError):
@@ -50,8 +51,8 @@ class StationKeepingConfig:
     retarget_gain: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.post_jump_margin > 0.0:
-            raise ValueError("post_jump_margin must be > 0")
+        if problems := span_problems("post_jump_margin", self.post_jump_margin):
+            raise ValueError(problems[0])
         if not 0.0 <= self.retarget_gain < 1.0:
             raise ValueError("retarget_gain must be in [0, 1)")
 

@@ -21,7 +21,7 @@ from .dynamics import (
     single_integrator,
     two_body_field,
 )
-from .numerics import EventLocatorConfig, Field, IntegratorConfig
+from .numerics import EventLocatorConfig, Field, IntegratorConfig, span_problems
 from .orbital import StationKeepingConfig
 
 
@@ -87,8 +87,8 @@ class FilterConfig:
 
     def __post_init__(self) -> None:
         for name in ("promote_rate", "hysteresis_gap", "recovery_level"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if problems := span_problems(name, getattr(self, name)):
+                raise ValueError(problems[0])
         if len(self.goal) != 2:
             raise ValueError("goal must be a 2-vector")
         if not math.isfinite(self.gain):

@@ -146,7 +146,7 @@ def test_criterion_5_dwell_shape(campaign):
     samples, seconds = campaign
     assert seconds <= CAMPAIGN_BUDGET_S
     assert samples.censored_count / len(samples.radius) < 0.05
-    levels, stats = samples.level_statistics("median")
+    levels, stats = samples.level_statistics()
     assert len(levels) >= 7
     # every level must carry at least 50 accepted samples
     h_acc, _ = samples.accepted()

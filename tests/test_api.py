@@ -1,13 +1,18 @@
-"""The public API: ``etsafe.__all__`` is well formed, and every public
-module-level function has a user in the library or the demos."""
+"""The public API: ``etsafe.__all__`` is well formed, every public
+module-level function has a user in the library or the demos, and README's
+configuration table and τ-command flags match the code."""
 
+import argparse
 import ast
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 
 import etsafe
+from etsafe.cli import build_parser
+from etsafe.config import SCHEMA
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.dirname(etsafe.__file__)
@@ -54,3 +59,34 @@ def test_every_public_function_has_a_user():
             if obj.__module__ == module.__name__ and name not in used:
                 unused.append(f"{info.name}.{name}")
     assert [q for q in unused if q not in UNUSED_ALLOWED] == []
+
+
+def _readme() -> str:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_readme_config_table_is_the_schema():
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \|", _readme(), re.MULTILINE)
+    assert sorted(rows) == sorted((section, key) for section in SCHEMA for key in SCHEMA[section])
+
+
+def test_readme_tau_command_flags_exist():
+    """Every flag README gives ``sample-tau`` or ``fit-tau``, on a command
+    line or as "`command`'s `--flag`", is one of that subcommand's, and every
+    other flag it names in backticks is some subcommand's."""
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    text = _readme()
+    known = {f for parser in subcommands.values() for f in parser._option_string_actions}
+    assert set(re.findall(r"`(--[\w-]+)", text)) - known == set()
+    named = []
+    for command in ("sample-tau", "fit-tau"):
+        lines = re.findall(rf"^etsafe {command} (.*)$", text, re.MULTILINE)
+        phrases = re.findall(rf"`{command}`'s ((?:`--[\w-]+`(?:, | and |,\s+)?)+)", text)
+        flags = set(re.findall(r"--[\w-]+", " ".join(lines + phrases)))
+        assert flags, command
+        named += [(command, f) for f in sorted(flags)]
+    missing = [(c, f) for c, f in named if f not in subcommands[c]._option_string_actions]
+    assert missing == []

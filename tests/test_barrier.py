@@ -233,14 +233,12 @@ class TestManeuverTimingMargin:
         from etsafe.inter_event import InterEventTimeModel
 
         return InterEventTimeModel(
-            basis="piecewise-linear",
             knots=np.array(h_range),
             coefficients=np.array(
                 [intercept + slope * h_range[0], intercept + slope * h_range[1]]
             ),
             h_min=h_range[0],
             h_max=h_range[1],
-            residual=0.0,
         )
 
     def test_threshold_at_rate_minus_one(self):
@@ -282,6 +280,14 @@ class TestValidationHelpers:
     def test_disk_requires_positive_radius(self, rho):
         with pytest.raises(ValueError, match="rho must be > 0"):
             planar_disk_barrier(rho, gamma=1.0, d_bar=0.0)
+
+    def test_infinite_settings_rejected(self):
+        assert barrier_problems(gamma=float("inf"), rho=float("inf")) == [
+            "gamma must be finite",
+            "rho must be finite",
+        ]
+        with pytest.raises(ValueError, match="d_bar must be finite"):
+            planar_disk_barrier(1.0, gamma=1.0, d_bar=float("inf"))
 
     def test_one_rule_for_gamma_and_rho(self):
         # the spec, the disk and parse_config all report through barrier_problems

@@ -386,14 +386,20 @@ class TestSampleAndFit:
         )
         assert cmd_fit_tau(str(samples), str(tmp_path / "m.json")) == EXIT_RUN
 
-    def test_negative_polynomial_degree_exit_3(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag", [["--basis", "polynomial"], ["--statistic", "mean"], ["--degree", "-1"]]
+    )
+    def test_fit_options_are_gone(self, tmp_path, flag):
+        # the model is always the piecewise-linear curve through the level medians
         samples = tmp_path / "two_levels.csv"
         samples.write_text(
             "radius,h,inter_event_time,censored\n2.4,0.0,1.0,0\n2.0,0.16,9.0,0\n"
         )
         out = tmp_path / "m.json"
         argv = ["fit-tau", "--samples", str(samples), "--out", str(out)]
-        assert main(argv + ["--basis", "polynomial", "--degree", "-1"]) == EXIT_RUN
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == EXIT_CONFIG
         assert not out.exists()
 
     def test_sample_tau_rejects_planar(self, planar_config, tmp_path):
@@ -1149,6 +1155,17 @@ class TestNonFiniteInput:
         assert "--horizon must be finite" in caplog.text
         assert not out.exists()
 
+    def test_infinite_gamma(self, tmp_path, caplog):
+        # the planar loop once toggled its filter forever at a gamma of inf
+        path = tmp_path / "planar.ini"
+        with open(os.path.join(CONFIGS, "planar_intermittent.ini")) as fh:
+            path.write_text(fh.read().replace("gamma = 2.0", "gamma = inf"))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(path), "--out", str(out), "--horizon", "5"]
+        assert main(argv) == EXIT_CONFIG
+        assert "[barrier] gamma must be finite" in caplog.text
+        assert not out.exists()
+
 
 class TestTauModelWithoutKnots:
     """A τ model that lacks a key fails the run with exit 3, naming the key."""
@@ -1187,13 +1204,25 @@ class TestMalformedTauModel:
             lambda doc: {**doc, "coefficients": doc["coefficients"][:-1]}, "one coefficient per knot"
         ),
         "unknown-basis": (
-            lambda doc: {**doc, "basis": "spline"}, "basis must be piecewise-linear or polynomial"
+            lambda doc: {**doc, "basis": "spline"}, "basis must be piecewise-linear, got 'spline'"
+        ),
+        "polynomial-basis": (
+            lambda doc: {**doc, "basis": "polynomial", "coefficients": []},
+            "basis must be piecewise-linear, got 'polynomial'",
         ),
         "reversed-knots": (
             lambda doc: {**doc, "knots": doc["knots"][::-1]}, "knots must be a non-empty, strictly increasing"
         ),
         "unknown-statistic": (
-            lambda doc: {**doc, "statistic": "p10"}, "statistic must be median or mean"
+            lambda doc: {**doc, "statistic": "p10"}, "statistic must be median, got 'p10'"
+        ),
+        "mean-statistic": (lambda doc: {**doc, "statistic": "mean"}, "statistic must be median, got 'mean'"),
+        "infinite-knot": (
+            lambda doc: {**doc, "knots": doc["knots"][:-1] + [math.inf]}, "knots must be finite"
+        ),
+        "nan-coefficient": (
+            lambda doc: {**doc, "coefficients": [math.nan] + doc["coefficients"][1:]},
+            "coefficients must be finite",
         ),
         "nan-h-min": (lambda doc: {**doc, "h_min": math.nan}, "got nan and 0.16"),
         "inverted-range": (

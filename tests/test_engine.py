@@ -69,12 +69,10 @@ def planar_scenario(seed=2, goal=(1.05, 0.0), gamma=2.0, d_bar=0.01, kind="seede
 
 def constant_tau_model(value=50.0):
     return InterEventTimeModel(
-        basis="piecewise-linear",
         knots=np.array([0.0, 0.16]),
         coefficients=np.array([value, value]),
         h_min=0.0,
         h_max=0.16,
-        residual=0.0,
     )
 
 
@@ -83,12 +81,10 @@ def fitted_like_tau_model():
     knots = np.array([0.0194, 0.0576, 0.1024, 0.1375, 0.16])
     values = np.array([6.0, 8.0, 12.0, 650.0, 1200.0])
     return InterEventTimeModel(
-        basis="piecewise-linear",
         knots=knots,
         coefficients=values,
         h_min=float(knots[0]),
         h_max=float(knots[-1]),
-        residual=0.0,
     )
 
 

@@ -1,6 +1,7 @@
 """Inter-event-time sampling campaign and model fitting tests."""
 
 import dataclasses
+import json
 import logging
 import multiprocessing
 import os
@@ -113,23 +114,11 @@ class TestFit:
             n_per_radius=21,
             max_wait=100.0,
         )
-        model = fit_inter_event_model(s, statistic="median")
-        levels, stats = s.level_statistics("median")
+        model = fit_inter_event_model(s)
+        levels, stats = s.level_statistics()
         for lv, st in zip(levels, stats):
             assert model.tau(float(lv)) == pytest.approx(float(st), rel=1e-12)
-        assert model.residual == 0.0
-
-    def test_polynomial_rank_guard(self):
-        with pytest.raises(FitError):
-            fit_inter_event_model(two_level_samples(), basis="polynomial", degree=2)
-
-    def test_negative_polynomial_degree_rejected(self):
-        with pytest.raises(FitError, match="degree must be >= 0"):
-            fit_inter_event_model(two_level_samples(), basis="polynomial", degree=-1)
-
-    def test_unknown_statistic_rejected(self):
-        with pytest.raises(ValueError, match="unknown statistic 'mode'"):
-            two_level_samples().level_statistics("mode")
+        assert np.array_equal(model.coefficients, stats)  # residual 0
 
     def test_single_level_rejected(self):
         s = InterEventSampleSet(
@@ -163,22 +152,24 @@ class TestModelRules:
 
     def make(self, **fields):
         base = dict(
-            basis="piecewise-linear", knots=np.array([0.0, 0.08, 0.16]),
-            coefficients=np.array([1.0, 5.0, 9.0]), h_min=0.0, h_max=0.16, residual=0.0,
+            knots=np.array([0.0, 0.08, 0.16]), coefficients=np.array([1.0, 5.0, 9.0]),
+            h_min=0.0, h_max=0.16,
         )
         return InterEventTimeModel(**{**base, **fields})
 
     @pytest.mark.parametrize(
         "fields, problem",
         [
-            ({"basis": "spline"}, "basis must be piecewise-linear or polynomial, got 'spline'"),
             ({"knots": np.array([0.16, 0.08, 0.0])}, "knots must be a non-empty, strictly increasing"),
             ({"knots": np.array([0.0, 0.08, 0.08])}, "knots must be a non-empty, strictly increasing"),
             ({"knots": np.array([0.0, np.nan, 0.16])}, "knots must be a non-empty, strictly increasing"),
             ({"knots": np.array([])}, "knots must be a non-empty, strictly increasing"),
             ({"knots": np.array(0.1)}, "knots must be a non-empty, strictly increasing"),
+            ({"knots": np.array([0.0, 0.08, np.inf])}, "knots must be finite"),
+            ({"knots": np.array([-np.inf, 0.08, 0.16])}, "knots must be finite"),
             ({"coefficients": np.array([1.0, 9.0])}, "one coefficient per knot (3)"),
-            ({"statistic": "p10"}, "statistic must be median or mean, got 'p10'"),
+            ({"coefficients": np.array([1.0, np.nan, 9.0])}, "coefficients must be finite"),
+            ({"coefficients": np.array([1.0, 5.0, np.inf])}, "coefficients must be finite"),
             ({"h_min": np.nan}, "h_min <= h_max must be finite, got nan and 0.16"),
             ({"h_max": np.inf}, "h_min <= h_max must be finite, got 0.0 and inf"),
             ({"h_min": 1.0, "h_max": 0.0}, "h_min <= h_max must be finite, got 1.0 and 0.0"),
@@ -188,19 +179,13 @@ class TestModelRules:
         with pytest.raises(ValueError, match=re.escape(problem)):
             self.make(**fields)
 
-    def test_polynomial_coefficients_need_not_match_the_knots(self):
-        model = self.make(basis="polynomial", coefficients=np.array([1.0, 50.0]))
-        assert model.tau(0.1) == pytest.approx(6.0)
-
 
 class TestModelEvaluation:
     MODEL = InterEventTimeModel(
-        basis="piecewise-linear",
         knots=np.array([0.0, 0.16]),
         coefficients=np.array([1.0, 9.0]),
         h_min=0.0,
         h_max=0.16,
-        residual=0.0,
     )
 
     def test_clamped_below_range_with_flag(self):
@@ -221,12 +206,10 @@ class TestModelEvaluation:
         levels = np.array([0.0, 0.03, 0.09, 0.16])
         vals = np.array([2.0, 10.0, 11.0, 40.0])
         model = InterEventTimeModel(
-            basis="piecewise-linear",
             knots=levels,
             coefficients=vals,
             h_min=0.0,
             h_max=0.16,
-            residual=0.0,
         )
         eps = 1e-9
         rng = np.random.default_rng(1)
@@ -236,20 +219,6 @@ class TestModelEvaluation:
                 continue
             fd = (model.tau(h + eps) - model.tau(h - eps)) / (2 * eps)
             assert model.evaluate(h).derivative == pytest.approx(fd, rel=1e-6)
-
-    def test_polynomial_derivative_matches_finite_difference(self):
-        model = InterEventTimeModel(
-            basis="polynomial",
-            knots=np.array([0.0, 0.16]),
-            coefficients=np.array([1.0, 3.0, -2.0, 11.0]),
-            h_min=0.0,
-            h_max=0.16,
-            residual=0.1,
-        )
-        eps = 1e-7
-        for h in np.linspace(0.005, 0.155, 31):
-            fd = (model.tau(h + eps) - model.tau(h - eps)) / (2 * eps)
-            assert model.evaluate(h).derivative == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 class TestCampaign:
@@ -276,7 +245,7 @@ class TestCampaign:
         s = collect_inter_event_samples(
             scn, np.array([2.0, 2.35]), 16, seed=7, max_wait=4000.0
         )
-        levels, stats = s.level_statistics("median")
+        levels, stats = s.level_statistics()
         assert stats[-1] >= stats[0]  # levels sorted by h; center level is last
         assert stats[-1] / stats[0] >= 1.5
 
@@ -659,7 +628,8 @@ class TestSerialization:
         path = str(tmp_path / "model.json")
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.basis == model.basis
+        doc = json.load(open(path))
+        assert (doc["basis"], doc["residual"], doc["statistic"]) == ("piecewise-linear", 0.0, "median")
         assert np.array_equal(loaded.knots, model.knots)
         assert np.array_equal(loaded.coefficients, model.coefficients)
         assert loaded.h_min == model.h_min and loaded.h_max == model.h_max

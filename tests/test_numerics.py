@@ -439,10 +439,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(step_size=0.0)
 
-    def test_integrator_rejects_unknown_interpolation(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(interpolation="quintic")
-
     def test_event_locator_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             EventLocatorConfig(time_tolerance=0.0)
