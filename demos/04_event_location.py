@@ -60,7 +60,7 @@ print(f"margin crossing located at t = {crossing.time:.6f}, value {crossing.valu
 fine = 0.005
 t, x, prev = 0.0, x0.copy(), monitor(x0)
 while t < 40.0:
-    x = rk4_step(field, x, t, fine)
+    x = np.array(rk4_step(field, x, t, fine))  # the step returns Python floats
     t += fine
     val = monitor(x)
     if prev > 0.0 >= val:

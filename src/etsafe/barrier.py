@@ -58,7 +58,10 @@ class BarrierSpec:
     use exactly this declared value in their robust terms.
 
     ``center``/``half_width`` are the radial geometry; the optional fused
-    ``margin_terms(x) = (h, dh/dt, |grad h|)`` assume ``dr/dt = v``.
+    ``margin_terms(x) = (h, dh/dt, |grad h|)`` assume ``dr/dt = v``, and
+    ``margin_rows(states)`` is their row form: the three terms of each row of
+    an (n, 6) array as three arrays, bit for bit ``margin_terms`` row by row,
+    raising where it would raise on some row.
     """
 
     h: Callable[[Sequence[float]], float]
@@ -68,6 +71,9 @@ class BarrierSpec:
     center: float
     half_width: float
     margin_terms: Optional[Callable[[np.ndarray], tuple[float, float, float]]] = None
+    margin_rows: Optional[
+        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    ] = None
 
     def __post_init__(self) -> None:
         if problems := barrier_problems(gamma=self.gamma):
@@ -83,20 +89,31 @@ class BarrierSpec:
     def h_rows(self, states: np.ndarray) -> np.ndarray:
         """h of each row of ``states`` for a radial spec, bitwise ``h`` row by
         row.  The disk (center 0) subtracts each row's :func:`_dot`, on
-        floats as its ``h`` does.  The band takes the position dots as
-        ``ndarray.dot`` does and subtracts ``(r - c) ** 2``, with Python's
-        ``**``, as numpy's square differs in the last bit on some."""
+        floats as its ``h`` does; the band is :func:`_band_h` of the rows'
+        radii."""
         c, hw = self.center, self.half_width
-        pos = states[:, :3]
         if c == 0.0:
-            return np.array([hw * hw - _dot(p, p) for p in pos.tolist()])
-        r = np.sqrt(np.matmul(pos[:, None, :], pos[:, :, None])[:, 0, 0])
-        h = np.empty(len(r))
-        # a block of Python floats at a time: one list of all 120k rows of a
-        # compare arm raised its peak memory by ≈0.9 MB
-        for lo in range(0, len(r), 4096):
-            h[lo : lo + 4096] = [hw * hw - (e - c) ** 2 for e in r[lo : lo + 4096].tolist()]
-        return h
+            return np.array([hw * hw - _dot(p, p) for p in states[:, :3].tolist()])
+        return _band_h(_row_radii(states), c, hw)
+
+
+def _row_radii(states: np.ndarray) -> np.ndarray:
+    """The position norm of each row of an (n, 6) array, bitwise
+    ``math.sqrt(pos.dot(pos))``: ``np.matmul`` of (n, 1, 3) by (n, 3, 1)
+    takes BLAS's ``ddot`` on each row, as ``ndarray.dot`` does."""
+    pos = states[:, None, :3]
+    return np.sqrt(np.matmul(pos, pos.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _band_h(r: np.ndarray, c: float, hw: float) -> np.ndarray:
+    """``hw**2 - (r - c)**2`` of each radius with Python's ``**``, as the
+    band's ``h`` takes it: numpy's square differs in the last bit on some."""
+    h = np.empty(len(r))
+    # a block of Python floats at a time: one list of all 120k rows of a
+    # compare arm raised its peak memory by ≈0.9 MB
+    for lo in range(0, len(r), 4096):
+        h[lo : lo + 4096] = [hw * hw - (e - c) ** 2 for e in r[lo : lo + 4096].tolist()]
+    return h
 
 
 _GRADIENT_EPS = 1e-6  # check_gradient's central-difference step
@@ -181,9 +198,22 @@ def orbital_range_barrier(g: GravityModel, gamma: float, d_bar: float) -> Barrie
         gp = (-2.0 * (r - c) / r) * pos
         return hw * hw - (r - c) ** 2, float(gp.dot(x[3:])), math.sqrt(gp.dot(gp))
 
+    # margin_terms of each row in the same association; every dot is a
+    # stacked np.matmul, which takes the same ddot per row
+    def margin_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        states = np.ascontiguousarray(states, dtype=float)
+        r = _row_radii(states)
+        low = np.flatnonzero(r < floor)
+        if len(low):
+            raise SingularityError(f"radius {float(r[low[0]])!r} below singularity floor {floor!r}")
+        gp = ((-2.0 * (r - c)) / r)[:, None, None] * states[:, None, :3]
+        lfh = np.matmul(gp, states[:, 3:, None])[:, 0, 0]
+        grad_norm = np.sqrt(np.matmul(gp, gp.transpose(0, 2, 1))[:, 0, 0])
+        return _band_h(r, c, hw), lfh, grad_norm
+
     spec = BarrierSpec(
         h=h, grad_h=grad_h, gamma=gamma, d_bar=d_bar,
-        center=c, half_width=hw, margin_terms=margin_terms,
+        center=c, half_width=hw, margin_terms=margin_terms, margin_rows=margin_rows,
     )
     check_gradient(spec, _orbital_check_states(g, c, hw))
     return spec
@@ -258,6 +288,13 @@ def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: Sequence[float]) -> 
     return lfh - grad_norm * b.d_bar + b.gamma * h
 
 
+def barrier_condition_rows(b: BarrierSpec, states: np.ndarray) -> np.ndarray:
+    """:func:`barrier_condition_margin` of each row of ``states`` for a spec
+    with ``margin_rows``, bit for bit, in the same association."""
+    h, lfh, grad_norm = b.margin_rows(states)
+    return (lfh - grad_norm * b.d_bar) + b.gamma * h
+
+
 def filter_off_margin(b: BarrierSpec, nominal_flow: Flow, x: np.ndarray, gap: float) -> float:
     """Margin whose rise through zero allows switching the safety filter off.
 
@@ -288,3 +325,13 @@ def maneuver_timing_margin(
     h, lfh, _ = b.margin_terms(x)
     rate = model.evaluate(h).derivative * lfh
     return 0.5 * (1.0 + rate)
+
+
+def maneuver_timing_rows(
+    model: "InterEventTimeModel", b: BarrierSpec, states: np.ndarray
+) -> np.ndarray:
+    """:func:`maneuver_timing_margin` of each row of ``states``, bit for bit:
+    the model's slope on each row's segment (:meth:`InterEventTimeModel.slopes`)
+    times dh/dt from ``margin_rows``."""
+    h, lfh, _ = b.margin_rows(states)
+    return 0.5 * (1.0 + model.slopes(h) * lfh)

@@ -307,9 +307,10 @@ class DisturbanceModel:
         """Per-run sampler ``d(t, s)`` of stream ``stream``, for any ``t >= 0``.
 
         The sampler accepts any float sequence ``s`` and returns a sequence of
-        Python floats, bit for bit :meth:`sample`.  The piecewise-constant
-        kind hashes ``_LANE_BLOCK`` hold intervals at a time, starting at the
-        interval that needs them, and keeps that block as Python floats.
+        Python floats, bit for bit :meth:`sample`; the caller reads it before
+        the next call.  The piecewise-constant kind hashes ``_LANE_BLOCK``
+        hold intervals at a time, starting at the interval that needs them,
+        into one block of Python floats that it refills in place.
         """
         if self.kind == "none":
             zero = (0.0,) * self.dim
@@ -319,16 +320,19 @@ class DisturbanceModel:
         hold = self.hold_time
         floor = math.floor
         key = np.array([stream], dtype=np.uint64)
-        block: list = []
+        # one list per interval, made once: fresh lists at every refill,
+        # interleaved with the step loop's objects, fragmented the heap
+        block = [[0.0] * self.dim for _ in range(_LANE_BLOCK)]
         start = end = 0  # the intervals block holds, start .. end-1
 
         def sampler(t: float, s: Sequence[float]) -> list[float]:
-            nonlocal block, start, end
+            nonlocal start, end
             k = floor(t / hold)
             if start <= k < end:
                 return block[k - start]
             start, end = k, k + _LANE_BLOCK
-            block = self.held(key, k, _LANE_BLOCK)[0].tolist()
+            for row, vec in zip(block, self.held(key, k, _LANE_BLOCK)[0].tolist()):
+                row[:] = vec
             return block[0]
 
         return sampler

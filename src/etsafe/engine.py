@@ -41,13 +41,15 @@ from .barrier import (
     BarrierSpec,
     Flow,
     barrier_condition_margin,
+    barrier_condition_rows,
     barrier_value,
     filter_off_margin,
     maneuver_timing_margin,
+    maneuver_timing_rows,
 )
 from .dynamics import apply_impulse
 from .inter_event import InterEventTimeModel
-from .numerics import Field, _dot, propagate_until
+from .numerics import Field, SingularityError, _dot, propagate_until
 from .orbital import station_keeping_impulse, verify_jump_conditions
 from .safety_filter import build_constraint, project
 from .scenarios import PlanarScenario, SatelliteScenario
@@ -262,6 +264,10 @@ def _run_impulsive(
     field = scenario.disturbed_field(stream=0)
     safety = lambda x: barrier_condition_margin(b, flow, x)
     payoff = lambda x: maneuver_timing_margin(tau_model, b, flow, x)
+    if b.margin_rows is not None:
+        # propagate_until evaluates a block of steps at once by the row forms
+        safety.rows = lambda states: barrier_condition_rows(b, states)
+        payoff.rows = lambda states: maneuver_timing_rows(tau_model, b, states)
 
     x = np.array(x0, dtype=float)
     t = 0.0
@@ -611,9 +617,10 @@ def miet_bound(b: BarrierSpec, flow: Flow, states: np.ndarray, margin: float) ->
     xi = lambda x: barrier_condition_margin(b, flow, x)
     # the generic margin takes the floats; a spec's fused terms index an array
     point = list if b.margin_terms is None else np.array
+    differences = _margin_differences(b, states)
     b_sup = 0.0
     l_xi = 0.0
-    for x in states.tolist():
+    for k, x in enumerate(states.tolist()):
         velocity = flow(x)
         speed = math.sqrt(_dot(velocity, velocity))
         if not math.isfinite(speed):
@@ -621,16 +628,38 @@ def miet_bound(b: BarrierSpec, flow: Flow, states: np.ndarray, margin: float) ->
         b_sup = max(b_sup, speed)
         grad_sq = 0.0
         for i in range(len(x)):
-            xp = point(x)
-            xm = point(x)
-            xp[i] += _MIET_EPS
-            xm[i] -= _MIET_EPS
-            di = (xi(xp) - xi(xm)) / (2.0 * _MIET_EPS)
+            if differences is not None:
+                di = differences[k][i]
+            else:
+                xp = point(x)
+                xm = point(x)
+                xp[i] += _MIET_EPS
+                xm[i] -= _MIET_EPS
+                di = (xi(xp) - xi(xm)) / (2.0 * _MIET_EPS)
             if not math.isfinite(di):
                 raise ValueError(f"non-finite margin gradient at x={x!r}")
             grad_sq += di * di
         l_xi = max(l_xi, math.sqrt(grad_sq))
     return miet_bound_formula(margin, _MIET_INFLATION * l_xi, _MIET_INFLATION * b_sup, b.d_bar)
+
+
+def _margin_differences(b: BarrierSpec, states: np.ndarray) -> Optional[list[list[float]]]:
+    """:func:`miet_bound`'s central differences of the margin, state by
+    coordinate, from the row form over all ``2 n d`` shifted states in one
+    call; None for a spec without ``margin_rows`` or when a shifted state is
+    below the singularity floor, and the scalar margin then raises there."""
+    if b.margin_rows is None:
+        return None
+    n, d = states.shape
+    diag = np.arange(d)
+    shifted = np.repeat(np.repeat(states[None, :, None, :], 2, axis=0), d, axis=2)
+    shifted[0, :, diag, diag] += _MIET_EPS
+    shifted[1, :, diag, diag] -= _MIET_EPS
+    try:
+        xi = barrier_condition_rows(b, shifted.reshape(-1, d)).reshape(2, n, d)
+    except SingularityError:
+        return None
+    return ((xi[0] - xi[1]) / (2.0 * _MIET_EPS)).tolist()
 
 
 def satellite_region_states(scenario: SatelliteScenario) -> np.ndarray:

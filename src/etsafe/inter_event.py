@@ -148,17 +148,24 @@ class InterEventTimeModel:
         extrapolated = h < self.h_min or h > self.h_max
         hc = min(max(float(h), self.h_min), self.h_max)
         value = float(np.interp(hc, self.knots, self.coefficients))
-        if len(self.knots) < 2:
-            derivative = 0.0
-        else:
-            seg = int(np.searchsorted(self.knots, hc, side="right")) - 1
-            seg = min(max(seg, 0), len(self.knots) - 2)
-            dh = self.knots[seg + 1] - self.knots[seg]
-            derivative = float((self.coefficients[seg + 1] - self.coefficients[seg]) / dh)
+        derivative = float(self.slopes(np.array([hc]))[0])
         return TauEval(value=value, derivative=derivative, extrapolated=extrapolated)
 
     def tau(self, h: float) -> float:
         return self.evaluate(h).value
+
+    def slopes(self, h: np.ndarray) -> np.ndarray:
+        """The model's slope at each value of ``h``, ``evaluate``'s
+        derivative: that of the segment holding the value clamped to the
+        fitted range (the first or last segment beyond the knots; 0.0 for a
+        single knot)."""
+        if len(self.knots) < 2:
+            return np.zeros(len(h))
+        knots = np.asarray(self.knots, dtype=float)
+        coef = np.asarray(self.coefficients, dtype=float)
+        hc = np.minimum(np.maximum(h, self.h_min), self.h_max)
+        seg = np.clip(np.searchsorted(knots, hc, side="right") - 1, 0, len(knots) - 2)
+        return ((coef[1:] - coef[:-1]) / (knots[1:] - knots[:-1]))[seg]
 
 
 @dataclass(frozen=True)

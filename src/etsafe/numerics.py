@@ -12,13 +12,13 @@ bit-identical outputs.
 The :data:`Field` contract: ``field(t, x)`` takes the state as a list of
 Python floats (:func:`rk4_step` passes each stage state, and the in-step
 interpolant each end state, as one) and returns its derivative as a sequence
-of floats, such as a tuple.  :func:`rk4_step` still returns one ndarray per
-step; code that needs array arithmetic on a derivative converts it with
-``np.asarray`` at that boundary.  The planar fields stay on floats
-throughout: their dot products, and those of the planar margin, are
-:func:`_dot`, the exact FMA chain that ``ndarray.dot`` computes on the hosts
-the outputs are pinned on, so they build no array but the filter's
-``HalfspaceConstraint.a`` and projected input.
+of floats, such as a tuple.  :func:`rk4_step` takes and returns a state as a
+sequence of Python floats and builds no array; code that needs array
+arithmetic on a state or a derivative converts it with ``np.asarray`` at that
+boundary.  The planar fields stay on floats throughout: their dot products,
+and those of the planar margin, are :func:`_dot`, the exact FMA chain that
+``ndarray.dot`` computes on the hosts the outputs are pinned on, so they
+build no array but the filter's ``HalfspaceConstraint.a`` and projected input.
 
 A field may bring its own step, ``field.rk4(t, dt, x) -> new state`` with
 ``x`` a list of floats and the state a sequence of floats, bit for bit the
@@ -26,6 +26,15 @@ generic step on the field (the satellite's disturbed field does).
 :func:`rk4_step` then takes the step with it, and replays through the
 generic stages a step that raised SingularityError or came out non-finite,
 so a field's errors are the generic step's.
+
+The :data:`Monitor` contract: ``monitor(x)`` is a scalar of one state, an
+ndarray.  A monitor may also carry a row form, ``monitor.rows(states)``: its
+value at each row of an (n, dim) array as an array, bit for bit the scalar
+calls, raising if the monitor raises on some row.  When every monitor of a
+:func:`propagate_until` call has one, the steps run in blocks and each
+monitor is evaluated once per block; a row form that raises sends the block
+through the scalar calls, one row at a time, to find the error or the
+crossing that comes first.
 """
 
 from __future__ import annotations
@@ -191,13 +200,15 @@ def _fma_exact(a: float, b: float, c: float) -> float:
         return math.inf if exact > 0 else -math.inf
 
 
-def rk4_step(field: Field, x: np.ndarray, t: float, dt: float) -> np.ndarray:
+def rk4_step(field: Field, x: Sequence[float], t: float, dt: float) -> Sequence[float]:
     """Single classical 4th-order Runge-Kutta step of ``dx/dt = field(t, x)``.
 
-    The stages run on Python floats with the association of the numpy
-    expression ``x + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so the result is
-    bit-identical to it; no array is built until the returned state.  A field
-    with its own ``rk4`` step is stepped by it (see the module docstring).
+    ``x`` is a sequence of floats (an ndarray is read once with ``tolist``);
+    the new state is a new sequence of Python floats, and no array is built.
+    The stages run with the association of the numpy expression
+    ``x + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so the result is
+    bit-identical to it.  A field with its own ``rk4`` step is stepped by it
+    (see the module docstring).
 
     Raises IntegrationFailureError, with the step-start ``t`` and ``x``, if any
     stage derivative is non-finite.  The generic stages then evaluate no later
@@ -205,36 +216,34 @@ def rk4_step(field: Field, x: np.ndarray, t: float, dt: float) -> np.ndarray:
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    x0 = x.tolist()
+    x0 = x.tolist() if isinstance(x, np.ndarray) else x
     own = getattr(field, "rk4", None)
     if own is not None:
         try:
             x1 = own(t, dt, x0)
             if math.isfinite(sum(x1)):
-                return np.array(x1)
+                return x1
         except SingularityError:
             pass
         # a non-finite stage derivative leaves a non-finite sum; then, or
         # below the floor, the generic stages replay the step and raise
     half = 0.5 * dt
     k1 = field(t, x0)
-    _require_finite(k1, t, x)
+    _require_finite(k1, t, x0)
     k2 = field(t + half, [a + half * k for a, k in zip(x0, k1)])
-    _require_finite(k2, t, x)
+    _require_finite(k2, t, x0)
     k3 = field(t + half, [a + half * k for a, k in zip(x0, k2)])
-    _require_finite(k3, t, x)
+    _require_finite(k3, t, x0)
     k4 = field(t + dt, [a + dt * k for a, k in zip(x0, k3)])
-    _require_finite(k4, t, x)
+    _require_finite(k4, t, x0)
     sixth = dt / 6.0
-    return np.array(
-        [
-            a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-            for a, p, q, r, s in zip(x0, k1, k2, k3, k4)
-        ]
-    )
+    return [
+        a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+        for a, p, q, r, s in zip(x0, k1, k2, k3, k4)
+    ]
 
 
-def _require_finite(k: Sequence[float], t: float, x: np.ndarray) -> None:
+def _require_finite(k: Sequence[float], t: float, x: Sequence[float]) -> None:
     # same verdict as np.all(np.isfinite(k)) for a 1-D k, at a fraction of the cost
     if not all(map(math.isfinite, k)):
         raise IntegrationFailureError(t, x)
@@ -303,6 +312,10 @@ def locate_zero_crossing(
     return CrossingResult(time=mid, value=g(mid), degraded=True)
 
 
+# Steps per block of propagate_until when every monitor has a row form.
+_BLOCK_STEPS = 128
+
+
 def propagate_until(
     field: Field,
     x0: np.ndarray,
@@ -320,6 +333,14 @@ def propagate_until(
     <= 0) is refined with bisection on the step's cubic Hermite interpolant,
     with the monitor re-evaluated on interpolated states.  A monitor that is
     already <= 0 when monitoring starts is an immediate event at that time.
+
+    When every monitor has a row form (see the module docstring), the steps
+    run a block of ``_BLOCK_STEPS`` at a time, each monitor is evaluated once
+    over the block's stacked states, and the steps after the block's first
+    crossing are dropped; otherwise a block is one step.  The result is that
+    of a loop that monitors every step before it takes the next: an error of
+    a step or a monitor after the first crossing is dropped, and one before
+    it is raised as that loop would raise it.
 
     An ``armed`` segment starts monitoring at ``t0``.  One that is not skips
     the start state and starts at the end of the first step; callers use
@@ -339,75 +360,149 @@ def propagate_until(
         raise ValueError(problems[0])
     dt = integrator.step_size
 
-    # Per-step bookkeeping stays in Python lists (monitor values as floats);
-    # the returned arrays are built once at the end.
+    # each part is a block of rows; the returned arrays are joined once at the end
     x = np.array(x0, dtype=float)
-    times = [t0]
-    states = [x]
-    values = [[math.nan] * len(monitors)]
+    prev = [m(x) for m in monitors] if armed else [math.nan] * len(monitors)
+    times = [np.array([t0])]
+    states = [x[None, :]]
+    values = [np.array(prev, dtype=float).reshape(1, len(monitors))]
+    if armed:
+        crossing = _immediate_crossing(prev, t0, x)
+        if crossing is not None:
+            return _joined(times, states, values, monitors, crossing)
 
     n_full = int(np.floor(horizon / dt + 1e-12))
     remainder = horizon - n_full * dt
     if remainder < 1e-12 * max(1.0, abs(horizon)):
         remainder = 0.0
     total_steps = n_full + (1 if remainder > 0.0 else 0)
+    block = _BLOCK_STEPS if all(hasattr(m, "rows") for m in monitors) else 1
 
-    prev_vals: Optional[list[float]] = None
-    if armed:
-        prev_vals = [m(x) for m in monitors]
-        values[0] = prev_vals
-        crossing = _immediate_crossing(prev_vals, t0, x)
-        if crossing is not None:
-            return (
-                np.array(times),
-                np.array(states),
-                np.array(values),
-                crossing,
-            )
-
-    for step in range(total_steps):
-        step_dt = dt if step < n_full else remainder
-        t_start = t0 + step * dt
-        t_end = t_start + step_dt
-        x_new = rk4_step(field, x, t_start, step_dt)
-
-        new_vals = [m(x_new) for m in monitors]
-        crossing: Optional[MonitorCrossing] = None
-        if prev_vals is None:
-            # Monitoring starts at this sample; a value already <= 0 is an
-            # immediate event here rather than a located crossing.
-            crossing = _immediate_crossing(new_vals, t_end, x_new)
-        else:
-            crossed = [
-                i for i, (p, v) in enumerate(zip(prev_vals, new_vals)) if p > 0.0 and v <= 0.0
-            ]
-            if crossed:
-                interp = _step_interpolant(field, t_start, x, t_end, x_new)
+    step, state = 0, x.tolist()
+    while step < total_steps:
+        ends, rows, failure = [], [], None
+        for k in range(step, min(step + block, total_steps)):
+            t_start = t0 + k * dt
+            step_dt = dt if k < n_full else remainder
+            try:
+                state = rk4_step(field, state, t_start, step_dt)
+            except Exception as err:  # raised below unless a crossing comes first
+                failure = err
+                break
+            ends.append(t_start + step_dt)
+            rows.append(state)
+        if not rows:
+            raise failure
+        block_states = np.array(rows, dtype=float)
+        at_start = step == 0 and not armed
+        vals, i = _monitor_block(monitors, block_states, prev, block > 1, at_start)
+        if i is not None:
+            if at_start and i == 0:
+                # Monitoring starts at this sample; a value already <= 0 is an
+                # immediate event here rather than a located crossing.
+                crossing = _immediate_crossing(vals[0].tolist(), ends[0], block_states[0])
+            else:
+                before = vals[i - 1] if i else prev
+                crossed = [
+                    j for j, (p, v) in enumerate(zip(before, vals[i])) if p > 0.0 and v <= 0.0
+                ]
+                t_start = t0 + (step + i) * dt
+                x_start = block_states[i - 1] if i else x
+                interp = _step_interpolant(field, t_start, x_start, ends[i], block_states[i])
                 crossing = _refine_step_crossings(
-                    interp, monitors, crossed, t_start, t_end, events
+                    interp, monitors, crossed, t_start, ends[i], events
                 )
-        prev_vals = new_vals
+            times.append(np.array(ends[:i]))
+            states.append(block_states[:i])
+            values.append(vals[:i])
+            return _joined(times, states, values, monitors, crossing)
 
-        if crossing is not None:
-            times.append(crossing.time)
-            states.append(crossing.state)
-            values.append([m(crossing.state) for m in monitors])
-            return np.array(times), np.array(states), np.array(values), crossing
+        times.append(np.array(ends))
+        states.append(block_states)
+        values.append(vals)
+        if failure is not None:
+            raise failure
+        step += len(rows)
+        prev, x = vals[-1].tolist(), block_states[-1]
 
-        # rk4_step returns a fresh array that nothing mutates: no copy needed
-        times.append(t_end)
-        states.append(x_new)
-        values.append(new_vals)
-        x = x_new
-
-    return np.array(times), np.array(states), np.array(values), None
+    return np.concatenate(times), np.concatenate(states), np.concatenate(values), None
 
 
-def _immediate_crossing(vals: list[float], t: float, x: np.ndarray) -> Optional[MonitorCrossing]:
+def _monitor_block(
+    monitors: Sequence[Monitor],
+    states: np.ndarray,
+    prev: Sequence[float],
+    by_rows: bool,
+    at_start: bool,
+) -> tuple[np.ndarray, Optional[int]]:
+    """Each monitor's value at each row of ``states`` up to the first row
+    where a monitor fires, or at every row, as a (rows, len(monitors))
+    array, and the index of that row or None.  A monitor fires at a sign
+    change from the row before (``prev`` before the first row), or,
+    ``at_start``, by an immediate event at the first row.
+
+    ``by_rows`` takes each monitor's row form over all rows at once.  Without
+    it, or when a row form raised, the monitors are evaluated one row at a
+    time in monitor order, and only up to the first row that fires, so an
+    error is the one a step-by-step loop meets first.
+    """
+    if by_rows:
+        n, m = len(states), len(monitors)
+        vals = np.empty((n, m))
+        try:
+            for j, mon in enumerate(monitors):
+                vals[:, j] = mon.rows(states)
+        except Exception:  # evaluated again below, one row at a time
+            pass
+        else:
+            if at_start and _at_once(vals[0].tolist()) is not None:
+                return vals, 0
+            before = np.vstack((np.reshape(prev, (1, m)), vals[:-1]))
+            hit = np.flatnonzero(((before > 0.0) & (vals <= 0.0)).any(axis=1))
+            return vals, int(hit[0]) if len(hit) else None
+    evaluated = []
+    for i in range(len(states)):
+        x = states[i]
+        row = [mon(x) for mon in monitors]
+        evaluated.append(row)
+        if at_start and i == 0:
+            if _at_once(row) is not None:
+                return np.array(evaluated, dtype=float), i
+        else:
+            for p, v in zip(prev, row):
+                if p > 0.0 and v <= 0.0:
+                    return np.array(evaluated, dtype=float), i
+        prev = row
+    return np.array(evaluated, dtype=float), None
+
+
+def _joined(
+    times: list[np.ndarray],
+    states: list[np.ndarray],
+    values: list[np.ndarray],
+    monitors: Sequence[Monitor],
+    crossing: MonitorCrossing,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, MonitorCrossing]:
+    """The segment's arrays ending at ``crossing``, with the monitors
+    evaluated again at its state."""
+    times.append(np.array([crossing.time]))
+    states.append(crossing.state[None, :])
+    values.append(np.array([m(crossing.state) for m in monitors], dtype=float).reshape(1, -1))
+    return np.concatenate(times), np.concatenate(states), np.concatenate(values), crossing
+
+
+def _at_once(vals: list[float]) -> Optional[int]:
+    """The monitor that fires at once at a segment's first monitored sample:
+    the smallest value, if <= 0 (``argmin`` picks a NaN, which does not)."""
     if not vals:
         return None
     idx = int(np.argmin(vals))
-    return MonitorCrossing(idx, t, x.copy(), float(vals[idx])) if vals[idx] <= 0.0 else None
+    return idx if vals[idx] <= 0.0 else None
+
+
+def _immediate_crossing(vals: list[float], t: float, x: np.ndarray) -> Optional[MonitorCrossing]:
+    idx = _at_once(vals)
+    return None if idx is None else MonitorCrossing(idx, t, x.copy(), float(vals[idx]))
 
 
 def _step_interpolant(

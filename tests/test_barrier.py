@@ -10,17 +10,19 @@ from etsafe.barrier import (
     BarrierSpec,
     GradientMismatchError,
     barrier_condition_margin,
+    barrier_condition_rows,
     barrier_problems,
     barrier_value,
     check_gradient,
     filter_off_margin,
     maneuver_timing_margin,
+    maneuver_timing_rows,
     orbital_range_barrier,
     planar_disk_barrier,
 )
 from etsafe.dynamics import GravityModel, SingularityError, two_body_field
 from etsafe.engine import satellite_region_states
-from etsafe.inter_event import load_model
+from etsafe.inter_event import InterEventTimeModel, load_model
 
 GRAVITY = GravityModel()
 
@@ -84,7 +86,7 @@ class TestLieDerivative:
         eps = 1e-6
         for s in random_shell_states(rng, 100):
             lfh = self.B.margin_terms(s)[1]
-            s_eps = rk4_step(lambda t, x: orbital_flow(x), s, 0.0, eps)
+            s_eps = np.array(rk4_step(lambda t, x: orbital_flow(x), s, 0.0, eps))
             fd = (barrier_value(self.B, s_eps) - barrier_value(self.B, s)) / eps
             assert lfh == pytest.approx(fd, abs=1e-4)
 
@@ -456,3 +458,95 @@ class TestGradientCheckCoversFusedTerms:
         bad = dataclasses.replace(self.B, margin_terms=lambda x: mutate(*terms(x)))
         with pytest.raises(GradientMismatchError):
             check_gradient(bad, self.STATES)
+
+
+def random_band_states(rng, n):
+    """States around the band (radius 1.5 to 2.5, so h of either sign) with
+    velocities over six decades, and one in 50 with a zero component or a
+    zero velocity, where the sign of a zero could show."""
+    radii = rng.uniform(1.5, 2.5, n)
+    dirs = rng.normal(size=(n, 3))
+    vels = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-4.0, 2.0, size=(n, 1))
+    zeroed = rng.random(n) < 0.02
+    dirs[zeroed, rng.integers(0, 3, zeroed.sum())] = 0.0
+    zeroed = rng.random(n) < 0.02
+    vels[zeroed, rng.integers(0, 3, zeroed.sum())] = 0.0
+    vels[rng.random(n) < 0.02] = 0.0
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.hstack([radii[:, None] * dirs, vels])
+
+
+def segment_slope(model, h):
+    """The slope of one value, one segment at a time: the scalar reference
+    for ``InterEventTimeModel.slopes``."""
+    hc = min(max(float(h), model.h_min), model.h_max)
+    seg = int(np.searchsorted(model.knots, hc, side="right")) - 1
+    seg = min(max(seg, 0), len(model.knots) - 2)
+    dh = model.knots[seg + 1] - model.knots[seg]
+    return float((model.coefficients[seg + 1] - model.coefficients[seg]) / dh)
+
+
+class TestRowMargins:
+    """The row forms the block loop evaluates equal the scalar margins row
+    by row, bit for bit (compared as bytes, so the sign of a zero counts)."""
+
+    N = 100_000
+    B = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        return random_band_states(np.random.default_rng(19), self.N)
+
+    def test_margin_rows_equal_margin_terms(self, states):
+        rows = self.B.margin_rows(states)
+        scalar = np.array([self.B.margin_terms(x) for x in states])
+        for k in range(3):
+            assert rows[k].tobytes() == np.ascontiguousarray(scalar[:, k]).tobytes(), f"term {k}"
+
+    def test_barrier_condition_rows_equal_the_margin(self, states):
+        rows = barrier_condition_rows(self.B, states)
+        scalar = np.array([barrier_condition_margin(self.B, orbital_flow, x) for x in states])
+        assert rows.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("model", ["shipped", "steep"])
+    def test_maneuver_timing_rows_equal_the_margin(self, states, model):
+        if model == "shipped":
+            tau = load_model(os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "tau_model.json"))
+        else:
+            # knots inside the range, so the clamp picks the end segments
+            tau = InterEventTimeModel(
+                knots=np.array([-0.05, 0.0, 0.07, 0.12]),
+                coefficients=np.array([3.0, 9.5, 40.25, 12.0]),
+                h_min=-0.02,
+                h_max=0.1,
+            )
+        rows = maneuver_timing_rows(tau, self.B, states)
+        scalar = np.array([maneuver_timing_margin(tau, self.B, orbital_flow, x) for x in states])
+        assert rows.tobytes() == scalar.tobytes()
+
+    def test_slopes_equal_the_segment_formula(self):
+        tau = InterEventTimeModel(
+            knots=np.array([0.0, 0.04, 0.09, 0.15]),
+            coefficients=np.array([12.0, 30.5, 27.0, 80.0]),
+            h_min=0.01,
+            h_max=0.15,
+        )
+        h = np.concatenate(
+            [np.random.default_rng(4).uniform(-0.1, 0.3, 5000), tau.knots, [0.01, 0.15, -0.0, np.nan]]
+        )
+        assert tau.slopes(h).tobytes() == np.array([segment_slope(tau, v) for v in h.tolist()]).tobytes()
+        assert [tau.evaluate(v).derivative for v in h.tolist()] == tau.slopes(h).tolist()
+        single = InterEventTimeModel(knots=np.array([0.1]), coefficients=np.array([5.0]), h_min=0.1, h_max=0.1)
+        assert single.slopes(h).tolist() == [0.0] * len(h)
+
+    def test_row_below_the_floor_raises_like_the_scalar_terms(self, states):
+        low = states[:300].copy()
+        low[250, :3] = [0.05, 0.02, 0.0]  # radius below 0.1 R
+        with pytest.raises(SingularityError, match="below singularity floor") as rows_err:
+            self.B.margin_rows(low)
+        with pytest.raises(SingularityError) as one_err:
+            self.B.margin_terms(low[250])
+        assert str(rows_err.value) == str(one_err.value)
+
+    def test_h_column_of_the_rows_is_h_rows(self, states):
+        assert self.B.margin_rows(states)[0].tobytes() == self.B.h_rows(states).tobytes()

@@ -957,6 +957,28 @@ class TestDigestPlatform:
         plain = [(p[0] * q[0] + p[1] * q[1]) + p[2] * q[2] for p, q in zip(a.tolist(), b.tolist())]
         assert sum(d != s for d, s in zip(dots, plain)) > 100
 
+    def test_stacked_matmul_is_ndarray_dot_row_by_row(self):
+        # the block loop takes every step's satellite margin as stacked
+        # (K, 1, 3) @ (K, 3, 1) products, so its bytes rest on np.matmul
+        # calling the same BLAS ddot for each row as ndarray.dot does
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(3000, 6)) * 10.0 ** rng.integers(-3, 4, size=(3000, 1))
+        b = rng.normal(size=(3000, 3))
+        pos = a[:, None, :3]
+        for left, right, rows in (
+            (pos, pos.transpose(0, 2, 1), [(x[:3], x[:3]) for x in a]),
+            (pos, a[:, 3:, None], [(x[:3], x[3:]) for x in a]),
+            (b[:, None, :], a[:, 3:, None], [(p, x[3:]) for p, x in zip(b, a)]),
+        ):
+            stacked = np.matmul(left, right)[:, 0, 0]
+            dots = np.array([p.dot(q) for p, q in rows])
+            mismatched = int((stacked != dots).sum())
+            assert mismatched == 0, (
+                f"np.matmul of stacked 3-vectors differs from ndarray.dot on {mismatched} "
+                "of 3000 rows: the block loop's satellite margins would not be the "
+                "scalar margins, so the satellite digests do not apply on this host"
+            )
+
     def test_dot_helper_is_ndarray_dot_here(self):
         # where the premise above holds, _dot is ndarray.dot bit for bit, so
         # the planar loop kept its bytes when it moved to floats

@@ -34,7 +34,7 @@ from etsafe.engine import (
     satellite_region_states,
 )
 from etsafe.inter_event import InterEventTimeModel, load_model
-from etsafe.numerics import EventLocatorConfig, IntegratorConfig
+from etsafe.numerics import EventLocatorConfig, IntegratorConfig, SingularityError
 from etsafe.orbital import StationKeepingConfig
 from etsafe.scenarios import FilterConfig, PlanarScenario, SatelliteScenario
 
@@ -401,6 +401,28 @@ class TestMietBound:
         )
         assert 0.0 < bound < 1.0
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_row_differences_equal_the_scalar_loop(self, seed):
+        # the band's 24,000 shifted states go through the row margin in one
+        # call; without margin_rows the same spec takes each scalar margin
+        scn = satellite_scenario(seed=seed)
+        args = (scn.nominal_flow(), satellite_region_states(scn), scn.controller.post_jump_margin)
+        scalar = dataclasses.replace(scn.barrier, margin_rows=None)
+        assert miet_bound(scn.barrier, *args).hex() == miet_bound(scalar, *args).hex()
+
+    def test_state_below_the_floor_raises_as_the_scalar_loop(self):
+        scn = satellite_scenario()
+        states = satellite_region_states(scn)[:50].copy()
+        # the flow takes the state itself, but one shifted state is below
+        # the floor, where the margin raises
+        states[30, :3] = [0.1 + 5e-7, 0.0, 0.0]
+        errors = []
+        for b in (scn.barrier, dataclasses.replace(scn.barrier, margin_rows=None)):
+            with pytest.raises(SingularityError) as err:
+                miet_bound(b, scn.nominal_flow(), states, scn.controller.post_jump_margin)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] and errors[0].startswith("radius 0.09999")
+
     def test_margin_slope_along_flow_respects_constants(self):
         # Consecutive margin samples along a flow segment can differ by at
         # most L_xi (B + d_bar) dt plus higher-order terms; the sampled
@@ -550,11 +572,14 @@ class TestSpecGeometry:
         assert check_nominal_safety_assumption(scn) == 0
 
 
-def test_every_step_routes_through_barrier_condition_margin(monkeypatch):
-    # the benchmark's per-layer trace counts the margin at this one public
-    # function, so each RK4 step's monitor call must reach it; calls are
-    # counted inside propagation only, where miet_bound's 24,000 do not land
-    counts = {"margin": 0, "step": 0}
+def test_every_step_routes_through_rk4_step_and_a_barrier_margin(monkeypatch):
+    # the benchmark's per-layer trace counts steps at rk4_step and margins at
+    # the public barrier functions, so each RK4 step must reach rk4_step and
+    # each step's monitor value one of them: the row margin for the block's
+    # steps, the scalar margin for segment starts and refinements.  Calls are
+    # counted inside propagation only, where miet_bound's 24,000 rows do not
+    # land.
+    counts = {"margin": 0, "rows": 0, "step": 0}
     propagating = []
 
     def rebind(original, wrapper):
@@ -564,9 +589,9 @@ def test_every_step_routes_through_barrier_condition_margin(monkeypatch):
                     if obj is original:
                         monkeypatch.setattr(mod, attr, wrapper)
 
-    def counted(original, key):
+    def counted(original, key, size=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            counts[key] += bool(propagating)
+            counts[key] += size(*args) if propagating else 0
             return original(*args, **kwargs)
 
         rebind(original, wrapper)
@@ -581,11 +606,13 @@ def test_every_step_routes_through_barrier_condition_margin(monkeypatch):
     original_propagate = etsafe.numerics.propagate_until
     rebind(original_propagate, propagate)
     counted(etsafe.barrier.barrier_condition_margin, "margin")
+    counted(etsafe.barrier.barrier_condition_rows, "rows", lambda b, states: len(states))
     counted(etsafe.numerics.rk4_step, "step")
     cfg = parse_config(os.path.join(os.path.dirname(SHIPPED_PLANAR), "greedy_satellite.ini"))
     run_greedy_impulsive(cfg.build_satellite(), cfg.initial_state, 150.0)
     assert counts["step"] >= 3000
-    assert counts["margin"] >= counts["step"]
+    assert counts["rows"] >= counts["step"]
+    assert counts["margin"] > 0
 
 
 class TestTrajectoryH:

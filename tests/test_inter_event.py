@@ -307,7 +307,7 @@ def scalar_lane_tau(scn, x, stream, max_wait):
     m = margin(x)
     for k in range(int(np.ceil(max_wait / dt))):
         t0 = k * dt
-        x1 = rk4_step(fld, x, t0, dt)
+        x1 = np.array(rk4_step(fld, x, t0, dt))
         m1 = margin(x1)
         if m > 0.0 and m1 <= 0.0:
             return _refine_sample_crossing(scn, x, x1, t0, dt, stream)
