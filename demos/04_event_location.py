@@ -71,7 +71,5 @@ print()
 
 # --- every disturbance sample respects its declared bound ---
 model = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=5)
-worst = max(
-    float(np.linalg.norm(model.sample(t, np.zeros(6)))) for t in np.linspace(0, 500, 2000)
-)
+worst = max(float(np.linalg.norm(model.sample(t))) for t in np.linspace(0, 500, 2000))
 print(f"max |d| over 2000 held intervals: {worst:.6e}  (bound {model.d_bar})")

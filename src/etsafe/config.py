@@ -254,18 +254,12 @@ def parse_config(
         raise ConfigError(f"invalid config {path}:\n  " + "\n  ".join(problems))
 
     seed = file_seed if seed is None else seed
-    parts = dict(barrier=barrier, integrator=integrator, events=events)
+    disturbance = replace(disturbance, seed=seed)
+    parts = dict(barrier=barrier, disturbance=disturbance, integrator=integrator, events=events)
     if kind == "satellite":
-        # the zonal field peaks at the band's inner radius
-        inner = barrier.center - barrier.half_width
-        disturbance = replace(disturbance, seed=seed, shell_inner=inner)
-        scenario = SatelliteScenario(
-            gravity=gravity, controller=controller, disturbance=disturbance,
-            **initial_jump, **parts,
-        )
+        scenario = SatelliteScenario(gravity=gravity, controller=controller, **initial_jump, **parts)
     else:
-        disturbance = replace(disturbance, seed=seed)
-        scenario = PlanarScenario(filter=filter_config, disturbance=disturbance, **parts)
+        scenario = PlanarScenario(filter=filter_config, **parts)
     if tau_model_path is None and tau_path:
         config_dir = os.path.dirname(os.path.abspath(path))
         tau_model_path = os.path.normpath(os.path.join(config_dir, tau_path))

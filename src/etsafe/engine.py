@@ -488,12 +488,12 @@ def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
     dist = scenario.disturbance.realize(stream=0)
 
     def nominal_field(t: float, x: Sequence[float]) -> list[float]:
-        return [f + d for f, d in zip(sys.closed_loop(x, k_nom(x)), dist(t, x))]
+        return [f + d for f, d in zip(sys.closed_loop(x, k_nom(x)), dist(t))]
 
     def filtered_field(t: float, x: Sequence[float]) -> list[float]:
         con = build_constraint(b, sys, x, mode="promoting", promote_rate=rate)
         u = project(k_nom(x), con).tolist()
-        return [f + d for f, d in zip(sys.closed_loop(x, u), dist(t, x))]
+        return [f + d for f, d in zip(sys.closed_loop(x, u), dist(t))]
 
     return nominal_field, filtered_field
 

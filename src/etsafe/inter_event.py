@@ -29,8 +29,8 @@ row-major ``(n, 6)`` formulation the batch replaced (``np.linalg.norm`` and
 :mod:`etsafe.dynamics`: the batch from its ``_LaneDisturbance``, the tail
 from :meth:`~etsafe.dynamics.DisturbanceModel.realize`, each bit for bit
 :meth:`~etsafe.dynamics.DisturbanceModel.sample`.  It depends only on
-(seed, stream, interval) or on the lane's stage state, never on which
-lanes are live or on which kernel steps it.
+(seed, stream, interval), never on which lanes are live or on which kernel
+steps it.
 
 So the lanes can also be split across processes (:func:`_propagate_sharded`):
 one interleaved shard per usable CPU, at most ``_MAX_SHARDS`` (2), each
@@ -431,13 +431,17 @@ def _propagate_batch_until_trigger(
     while k < n_steps and len(lanes) > _TAIL_WIDTH:
         t0 = k * dt
         k += 1
-        k1 = _lane_field(x, mu, accel_at(t0, x), r)
+        k1 = _lane_field(x, mu, accel_at(t0), r)
+        # stages 2 and 3 share a time and so one disturbance lookup; it is a
+        # view of the lane table, dropped before stage 4 may refill the table
+        d_half = accel_at(t0 + 0.5 * dt)
         x2 = x + 0.5 * dt * k1
-        k2 = _lane_field(x2, mu, accel_at(t0 + 0.5 * dt, x2))
+        k2 = _lane_field(x2, mu, d_half)
         x3 = x + 0.5 * dt * k2
-        k3 = _lane_field(x3, mu, accel_at(t0 + 0.5 * dt, x3))
+        k3 = _lane_field(x3, mu, d_half)
+        del d_half
         x4 = x + dt * k3
-        k4 = _lane_field(x4, mu, accel_at(t0 + dt, x4))
+        k4 = _lane_field(x4, mu, accel_at(t0 + dt))
         new_x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         new_r = _norm3(new_x[:3])
         new_margins = margin_batch(new_x.T, b, new_r)
@@ -563,8 +567,7 @@ def _finish_lane(
     """
     margin = _lane_margin(scenario.barrier)
     dt = scenario.integrator.step_size
-    dist = scenario.disturbance
-    step = _two_body_rk4(scenario.gravity.mu, 0.0, dist.realize(stream), dist.by_state)
+    step = _two_body_rk4(scenario.gravity.mu, 0.0, scenario.disturbance.realize(stream))
     for k in range(first_step, n_steps):
         t0 = k * dt
         try:
@@ -635,7 +638,7 @@ def _refine_sample_crossing(
     flow = scenario.nominal_flow()
     monitor = lambda x: barrier_condition_margin(b, flow, x)
 
-    field = lambda t, x: two_body_field(g, x, accel=dist.sample(t, x, stream))
+    field = lambda t, x: two_body_field(g, x, accel=dist.sample(t, stream))
     interp = _step_interpolant(field, t0, x0, t0 + dt, x1)
     if monitor(x0) <= 0.0:  # margin grazed zero within tolerance at step start
         return t0

@@ -66,9 +66,9 @@ class SatelliteScenario:
         d = self.disturbance.realize(stream)
 
         def fld(t: float, x: Sequence[float]) -> tuple[float, ...]:
-            return two_body_field(g, x, accel=d(t, x))
+            return two_body_field(g, x, accel=d(t))
 
-        fld.rk4 = _two_body_rk4(g.mu, g.singularity_floor, d, self.disturbance.by_state)
+        fld.rk4 = _two_body_rk4(g.mu, g.singularity_floor, d)
         return fld
 
 

@@ -1,6 +1,7 @@
 """The public API: ``etsafe.__all__`` is well formed, every public
 module-level function has a user in the library or the demos, and README's
-configuration table and τ-command flags match the code."""
+configuration table (its keys and the values of its enumerated keys) and
+τ-command flags match the code."""
 
 import argparse
 import ast
@@ -10,7 +11,10 @@ import os
 import pkgutil
 import re
 
+import pytest
+
 import etsafe
+from etsafe import config, dynamics
 from etsafe.cli import build_parser
 from etsafe.config import SCHEMA
 
@@ -69,6 +73,22 @@ def _readme() -> str:
 def test_readme_config_table_is_the_schema():
     rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \|", _readme(), re.MULTILINE)
     assert sorted(rows) == sorted((section, key) for section in SCHEMA for key in SCHEMA[section])
+
+
+@pytest.mark.parametrize(
+    "key, allowed",
+    [
+        ("[scenario] kind", config._KINDS),
+        ("[scenario] trigger_scheme", config._SCHEMES),
+        ("[disturbance] kind", dynamics._DISTURBANCE_KINDS),
+    ],
+    ids=["scenario-kind", "trigger_scheme", "disturbance-kind"],
+)
+def test_readme_config_table_values_are_the_accepted_ones(key, allowed):
+    """The backticked values of an enumerated key's rule, in order, are the
+    values the code accepts."""
+    rule = re.search(rf"^\| `{re.escape(key)}` \| [^|]* \| ([^|]*) \|$", _readme(), re.MULTILINE)
+    assert tuple(re.findall(r"`([^`]+)`", rule.group(1))) == allowed
 
 
 def test_readme_tau_command_flags_exist():

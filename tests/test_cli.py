@@ -170,11 +170,26 @@ class TestValidateConfig:
         assert not out.exists()
 
     def test_zonal_planar_is_config_error(self, tmp_path, caplog):
-        # the zonal field is 3-D only, so a planar scenario cannot carry it
-        path = tmp_path / "zonal.ini"
-        path.write_text(PLANAR_SMALL.replace("seeded-piecewise-constant", "zonal-j2-like"))
-        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
-        assert "[disturbance] kind 'zonal-j2-like' is 3-D only" in caplog.text
+        assert_zonal_rejected(tmp_path, caplog, PLANAR_SMALL, ["validate-config"])
+
+    def test_zonal_satellite_is_config_error(self, tmp_path, caplog):
+        assert_zonal_rejected(tmp_path, caplog, SAT_SMALL, ["validate-config"])
+
+
+def assert_zonal_rejected(tmp_path, caplog, text, command):
+    """``command`` on ``text`` with the deleted zonal-j2-like kind exits 2
+    with one ERROR line naming the kind, and writes nothing."""
+    path = tmp_path / "zonal.ini"
+    path.write_text(text.replace("seeded-piecewise-constant", "zonal-j2-like"))
+    out = tmp_path / "out"
+    argv = command + ["--config", str(path)]
+    if command == ["simulate"]:
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert "[disturbance] unknown kind 'zonal-j2-like'" in errors[0].getMessage()
+    assert not out.exists()
 
 
 class TestSimulate:
@@ -207,12 +222,11 @@ class TestSimulate:
         path.write_text(SAT_SMALL.replace("kind = satellite", "kind = rover"))
         assert cmd_simulate(str(path), str(tmp_path / "out")) == EXIT_CONFIG
 
-    def test_zonal_planar_exits_2_and_writes_nothing(self, tmp_path):
-        path = tmp_path / "zonal.ini"
-        path.write_text(PLANAR_SMALL.replace("seeded-piecewise-constant", "zonal-j2-like"))
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-        assert not out.exists()
+    def test_zonal_planar_exits_2_and_writes_nothing(self, tmp_path, caplog):
+        assert_zonal_rejected(tmp_path, caplog, PLANAR_SMALL, ["simulate"])
+
+    def test_zonal_satellite_exits_2_and_writes_nothing(self, tmp_path, caplog):
+        assert_zonal_rejected(tmp_path, caplog, SAT_SMALL, ["simulate"])
 
     def test_exit_3_on_run_abort(self, tmp_path):
         # start outside the safe band: the run aborts with a diagnostic

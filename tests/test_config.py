@@ -186,31 +186,6 @@ class TestParseConfig:
             else:
                 cfg.build_planar()
 
-    def test_zonal_bound_follows_the_band(self, tmp_path):
-        # R = 3: the band is 6 +- 1.2, so the zonal field must reach d_bar at
-        # the inner radius 4.8 (the pole) and stay below it across the band
-        text = (
-            GREEDY.replace("kind = seeded-piecewise-constant", "kind = zonal-j2-like")
-            .replace("position = 2.2, 0.0, 0.0", "position = 6.6, 0.0, 0.0")
-            .replace("velocity = 0.0, 0.6742, 0.0", "velocity = 0.0, 0.3892, 0.0")
-            + "\n[gravity]\nmu = 1.0\nR = 3.0\n"
-        )
-        scn = parse_config(write(tmp_path, text)).build_satellite()
-        center, half_width = scn.barrier.center, scn.barrier.half_width
-        assert (center, half_width) == (6.0, 1.2000000000000002)
-        dist = scn.disturbance
-        assert dist.shell_inner == center - half_width
-        pole = np.array([0.0, 0.0, center - half_width, 0.0, 0.0, 0.0])
-        assert np.linalg.norm(dist.sample(0.0, pole)) == pytest.approx(dist.d_bar, rel=1e-12)
-        rng = np.random.default_rng(4)
-        dirs = rng.normal(size=(2000, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = rng.uniform(center - half_width, center + half_width, 2000)
-        sup = max(
-            float(np.linalg.norm(dist._zonal(r * u))) for r, u in zip(radii, dirs)
-        )
-        assert dist.d_bar * 0.5 < sup <= dist.d_bar * (1.0 + 1e-12)
-
 
 def with_values(text, values):
     """``text`` with each ``"section.key"`` of ``values`` set, or removed
@@ -285,8 +260,8 @@ REJECTED_BY_KIND = {
     "planar": [
         ({"initial.state": "0.0, 0.0, 0.0"}, "[initial] state must be a 2-vector"),
         ({"initial.state": "inf, 0.0"}, "bad value for [initial] state: 'inf, 0.0'"),
-        # the zonal field is 3-D only
-        ({"disturbance.kind": "zonal-j2-like"}, "[disturbance] kind 'zonal-j2-like' is 3-D only"),
+        # a deleted kind
+        ({"disturbance.kind": "zonal-j2-like"}, "[disturbance] unknown kind 'zonal-j2-like'"),
     ],
 }
 # rules added after the table was written, on both kinds; listed after each
@@ -303,6 +278,10 @@ ADDED_RULES = [
 ]
 for rows in REJECTED_BY_KIND.values():
     rows += ADDED_RULES
+# the satellite accepted the deleted zonal kind when the table was written
+REJECTED_BY_KIND["satellite"].append(
+    ({"disturbance.kind": "zonal-j2-like"}, "[disturbance] unknown kind 'zonal-j2-like'")
+)
 ACCEPTED = [
     {},
     {"controller.retarget_gain": "0.0"},
@@ -313,7 +292,7 @@ ACCEPTED = [
 ]
 ACCEPTED_BY_KIND = {
     # the default radius grid scales with R
-    "satellite": [{"disturbance.kind": "zonal-j2-like"}, {"gravity.R": "3.0"}],
+    "satellite": [{"gravity.R": "3.0"}],
     # sample-tau needs a satellite scenario: a planar one's grid is not checked
     "planar": [{"tau.radius_grid": "1.0, 2.0"}],
 }
@@ -342,7 +321,9 @@ def test_verdict_message_is_unchanged(tmp_path, row):
     ``[disturbance] d_bar`` the disturbance rejects (NaN) is no longer also
     compared with ``[barrier] d_bar``; ``[integrator] interpolation``,
     ``[tau] statistic`` and ``[tau] basis`` left the schema, so the rows that
-    set them read ``unknown key``.  Rows added later follow the table's."""
+    set them read ``unknown key``; the ``zonal-j2-like`` disturbance kind was
+    deleted, so its rows read ``unknown kind``.  Rows added later follow the
+    table's."""
     path = write(tmp_path, with_values(TEXTS[row["kind"]], row["values"]))
     try:
         parse_config(path)
@@ -426,11 +407,6 @@ class TestOverrides:
         assert flagged.tau_model_path == model
         assert not same(parse_config(plain), filed)
 
-    def test_satellite_disturbance_peaks_at_the_band(self, tmp_path):
-        cfg = parse_config(write(tmp_path, GREEDY), seed=5)
-        b = cfg.scenario.barrier
-        assert cfg.scenario.disturbance.shell_inner == b.center - b.half_width
-
     @pytest.mark.parametrize("kind", TEXTS)
     def test_a_config_is_frozen(self, tmp_path, kind):
         cfg = parse_config(write(tmp_path, TEXTS[kind]))
@@ -468,7 +444,7 @@ class TestSeedRule:
         scn = parse_config(write(tmp_path, text)).scenario
         assert scn.disturbance.seed == seed
         # the largest seed still keys the hashed draws
-        assert len(scn.disturbance.realize(0)(0.0, [2.2, 0.0, 0.0, 0.0, 0.67, 0.0])) == 3
+        assert len(scn.disturbance.realize(0)(0.0)) == 3
 
     @pytest.mark.parametrize("seed, problem", [(-1, "seed must be >= 0"), (2**64, "seed must be < 2**64")])
     def test_disturbance_model_rejects(self, seed, problem):

@@ -73,7 +73,7 @@ class TestTwoBodyField:
             for s in field_test_states():
                 assert np.asarray(two_body_field(g, s)).tobytes() == numpy_formula(g, s).tobytes()
 
-    @pytest.mark.parametrize("kind", ["seeded-piecewise-constant", "zonal-j2-like", "none"])
+    @pytest.mark.parametrize("kind", ["seeded-piecewise-constant", "none"])
     def test_disturbed_field_bitwise_equal_to_in_place_add(self, kind):
         # The disturbance is added inside the field's one array construction;
         # that must be the same IEEE addition as the in-place add it replaced.
@@ -92,7 +92,7 @@ class TestTwoBodyField:
             sampler = dist.realize(stream)
             for t, s in zip(times.tolist(), states):
                 old = np.asarray(two_body_field(GRAVITY, s))
-                old[3:] += sampler(t, s)
+                old[3:] += sampler(t)
                 assert np.asarray(field(t, s)).tobytes() == old.tobytes()
 
     def test_circular_period_returns_to_start(self):
@@ -149,47 +149,35 @@ class TestApplyImpulse:
 class TestDisturbanceModel:
     def test_none_kind_is_zero(self):
         m = DisturbanceModel(kind="none")
-        assert np.array_equal(m.sample(3.7, np.zeros(6)), np.zeros(3))
+        assert np.array_equal(m.sample(3.7), np.zeros(3))
 
     def test_piecewise_constant_deterministic(self):
         m = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=7)
-        a = m.sample(2.4, np.zeros(6))
-        b = m.sample(2.4, np.zeros(6))
+        a = m.sample(2.4)
+        b = m.sample(2.4)
         assert np.array_equal(a, b)
 
     def test_piecewise_constant_within_interval(self):
         m = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=7, hold_time=1.0)
-        assert np.array_equal(m.sample(2.1, np.zeros(6)), m.sample(2.9, np.zeros(6)))
-        assert not np.array_equal(m.sample(2.1, np.zeros(6)), m.sample(3.1, np.zeros(6)))
+        assert np.array_equal(m.sample(2.1), m.sample(2.9))
+        assert not np.array_equal(m.sample(2.1), m.sample(3.1))
 
     def test_streams_are_independent(self):
         m = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=7)
-        assert not np.array_equal(
-            m.sample(0.5, np.zeros(6), stream=0), m.sample(0.5, np.zeros(6), stream=1)
-        )
+        assert not np.array_equal(m.sample(0.5, stream=0), m.sample(0.5, stream=1))
 
     def test_bound_holds_over_monte_carlo(self):
-        # 1e5 (t, state) pairs across kinds; |d| <= d_bar must hold exactly.
+        # 5,000 random times.  A held vector is d_bar times a rounded unit
+        # vector, so |d| <= d_bar holds up to rounding, not exactly: at seed
+        # 1, streams 1-200 and intervals 0-1999 (d_bar = 1e-3), 23,986 of the
+        # 400,000 vectors exceed d_bar, by at most 4.3e-19 (2 ulps).
         rng = np.random.default_rng(0)
         d_bar = 1e-3
-        for kind in ("zonal-j2-like", "seeded-piecewise-constant"):
-            m = DisturbanceModel(kind=kind, d_bar=d_bar, seed=3)
-            times = rng.uniform(0.0, 1e3, 50_000)
-            radii = rng.uniform(1.6, 2.4, 50_000)
-            dirs = rng.normal(size=(50_000, 3))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            worst = 0.0
-            for t, r, u in zip(times[:5000], radii[:5000], dirs[:5000]):
-                s = np.concatenate([r * u, np.zeros(3)])
-                worst = max(worst, float(np.linalg.norm(m.sample(t, s))))
-            assert worst <= d_bar + 1e-18
-
-    def test_zonal_sup_reaches_bound_on_shell(self):
-        # The zonal scale is chosen so the supremum over the safe shell is
-        # d_bar; the polar inner-shell point attains it.
-        m = DisturbanceModel(kind="zonal-j2-like", d_bar=1e-3)
-        s = np.array([0.0, 0.0, 1.6, 0.0, 0.0, 0.0])
-        assert np.linalg.norm(m.sample(0.0, s)) == pytest.approx(1e-3, rel=1e-9)
+        m = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=d_bar, seed=3)
+        worst = 0.0
+        for t in rng.uniform(0.0, 1e3, 5000):
+            worst = max(worst, float(np.linalg.norm(m.sample(t))))
+        assert worst <= d_bar + 1e-18
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_realize_matches_sample(self, dim):
@@ -198,40 +186,36 @@ class TestDisturbanceModel:
         hold = 0.5
         m = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=11, hold_time=hold, dim=dim)
         sampler = m.realize(stream=4)
-        s = np.zeros(2 * dim)
         intervals = (0, 255, 256, 257, 512, 6001, 257, 0)
         for t in [k * hold for k in intervals] + [k * hold + 0.49 for k in intervals]:
-            got = np.array(sampler(t, s))
-            assert got.tobytes() == m.sample(t, s, stream=4).tobytes(), t
+            got = np.array(sampler(t))
+            assert got.tobytes() == m.sample(t, stream=4).tobytes(), t
 
-    @pytest.mark.parametrize("kind", ["seeded-piecewise-constant", "zonal-j2-like"])
+    @pytest.mark.parametrize("kind", ["seeded-piecewise-constant"])
     def test_lane_columns_match_sample(self, kind):
-        # the campaign's lanes: component-major (6, n) stage states, one
-        # stream each, dropped as they fire
+        # the campaign's lanes, one stream each, dropped as they fire
         m = DisturbanceModel(kind=kind, d_bar=1e-3, seed=11)
         streams = np.array([1, 2, 3, 5, 8, 13], dtype=np.uint64)
-        x = np.ascontiguousarray(field_test_states(len(streams)).T)
         lanes = _LaneDisturbance(m, streams)
         for t in (0.0, 2.7, 15.5, 16.0, 40.25, 3.0):
-            got = lanes(t, x)
+            got = lanes(t)
             for j, stream in enumerate(streams.tolist()):
-                expected = m.sample(t, x[:, j], stream=stream)
+                expected = m.sample(t, stream=stream)
                 assert got[:, j].tobytes() == expected.tobytes(), (t, j)
         keep = np.array([True, False, True, True, False, True])
         lanes.keep(keep)
-        x = np.ascontiguousarray(x[:, keep])
         for t in (3.5, 17.0, 100.0):
-            got = lanes(t, x)
+            got = lanes(t)
             for j, stream in enumerate(streams[keep].tolist()):
-                assert got[:, j].tobytes() == m.sample(t, x[:, j], stream=stream).tobytes()
+                assert got[:, j].tobytes() == m.sample(t, stream=stream).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DisturbanceModel(kind="windy")
         with pytest.raises(ValueError):
             DisturbanceModel(kind="seeded-piecewise-constant", d_bar=0.0)
-        with pytest.raises(ValueError):
-            DisturbanceModel(kind="zonal-j2-like", d_bar=1e-3, dim=2)
+        with pytest.raises(ValueError, match="unknown kind 'zonal-j2-like'"):
+            DisturbanceModel(kind="zonal-j2-like", d_bar=1e-3)
 
     def test_bound_and_hold_time_checked_for_every_kind(self):
         with pytest.raises(ValueError, match="d_bar must be >= 0"):

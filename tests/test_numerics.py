@@ -132,7 +132,6 @@ class TestFloatStagesMatchNumpyOracle:
         "config, kind",
         [
             ("greedy_satellite.ini", None),
-            ("greedy_satellite.ini", "zonal-j2-like"),
             ("greedy_satellite.ini", "none"),
             ("planar_intermittent.ini", None),
         ],
@@ -178,31 +177,28 @@ def generic(field):
 
 def poisoned_field(monkeypatch, kind, stage, bad, x0, t, dt):
     """The shipped satellite field whose disturbance returns ``bad`` in one
-    component at one stage point of the step from ``(t, x0)``: that stage's
-    time, and also its state when the kind depends on the state.  Both step
-    paths reach the point with the same bits, so it poisons the same stage
-    in both; a state-free kind has one point for stages 2 and 3."""
-    points = []
+    component at one stage time of the step from ``(t, x0)``.  Both step
+    paths reach that time with the same bits, so it poisons the same stage
+    in both; stages 2 and 3 share one time."""
+    times = []
     real = DisturbanceModel.realize
 
     def recording(self, stream=0):
         d = real(self, stream)
-        return lambda t, s: points.append((t, tuple(s))) or d(t, s)
+        return lambda t: times.append(t) or d(t)
 
     monkeypatch.setattr(DisturbanceModel, "realize", recording)
     field, _, _ = shipped_field("greedy_satellite.ini", kind)
     with contextlib.suppress(SingularityError):
         rk4_step(generic(field), x0, t, dt)
-    by_state = kind == "zonal-j2-like"
-    key = lambda t, s: (t, tuple(s)) if by_state else t
-    target = key(*points[stage - 1])
+    target = times[stage - 1]
 
     def poisoning(self, stream=0):
         d = real(self, stream)
 
-        def sampler(t, s):
-            a = list(d(t, s))
-            if key(t, s) == target:
+        def sampler(t):
+            a = list(d(t))
+            if t == target:
                 a[stage % 3] = bad
             return a
 
@@ -215,7 +211,7 @@ def poisoned_field(monkeypatch, kind, stage, bad, x0, t, dt):
 class TestFusedTwoBodyStep:
     """The satellite field's own step raises what the generic stages raise."""
 
-    @pytest.mark.parametrize("kind", ["zonal-j2-like", "seeded-piecewise-constant"])
+    @pytest.mark.parametrize("kind", ["seeded-piecewise-constant"])
     @pytest.mark.parametrize("stage", [1, 2, 3, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_disturbance_raises_as_generic(self, kind, stage, bad, monkeypatch):
@@ -223,9 +219,8 @@ class TestFusedTwoBodyStep:
         field = poisoned_field(monkeypatch, kind, stage, bad, x0, 7.25, dt)
         errors = []
         for f in (field, generic(field)):
-            # the fused step evaluates all four stages before the replay, so
-            # the zonal field may meet a non-finite stage state; it must take
-            # it without a warning
+            # the fused step evaluates all four stages before the replay,
+            # without a warning
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(IntegrationFailureError) as err:

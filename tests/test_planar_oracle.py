@@ -76,11 +76,11 @@ def numpy_fields(scenario):
     dist = scenario.disturbance.realize(stream=0)
 
     def nominal(t, x):
-        return numpy_closed_loop(x, k_nom(x)) + dist(t, x)
+        return numpy_closed_loop(x, k_nom(x)) + dist(t)
 
     def filtered(t, x):
         a, rhs = numpy_constraint(b, x, "promoting", rate)
-        return numpy_closed_loop(x, numpy_project(k_nom(x), a, rhs)) + dist(t, x)
+        return numpy_closed_loop(x, numpy_project(k_nom(x), a, rhs)) + dist(t)
 
     return nominal, filtered
 
