@@ -291,8 +291,9 @@ ACCEPTED = [
     {"barrier.d_bar": None},
 ]
 ACCEPTED_BY_KIND = {
-    # the default radius grid scales with R
-    "satellite": [{"gravity.R": "3.0"}],
+    # a radius grid strictly inside the band (1.6, 2.4), in the place of the
+    # deleted zonal kind's row; the default radius grid scales with R
+    "satellite": [{"tau.radius_grid": "1.7, 2.0, 2.3"}, {"gravity.R": "3.0"}],
     # sample-tau needs a satellite scenario: a planar one's grid is not checked
     "planar": [{"tau.radius_grid": "1.0, 2.0"}],
 }
