@@ -130,6 +130,47 @@ def _two_body_rk4(mu: float, floor: float, accel):
     return step
 
 
+def _single_integrator_rk4(control, accel):
+    """``step(t, dt, x) -> new state``: one RK4 step of the planar single
+    integrator under the input ``control(x0, x1) -> (u0, u1)`` plus the
+    disturbance ``accel(t)``, on Python floats, bit for bit the generic step
+    of :func:`etsafe.numerics.rk4_step` on the field
+    ``closed_loop(x, u) + accel(t)``, whose stage derivative is
+    ``(0.0 + u) + d``.
+
+    The disturbance is taken once for stages 2 and 3, which share a time.
+    Stage derivatives are not checked: a non-finite one leaves every later
+    stage state, and the new state, non-finite, for the caller to check.
+    """
+
+    def step(t: float, dt: float, x: Sequence[float]):
+        x0, x1 = x
+        half = 0.5 * dt
+        # stage 1 at (t, x)
+        u0, u1 = control(x0, x1)
+        d0, d1 = accel(t)
+        a0, a1 = (0.0 + u0) + d0, (0.0 + u1) + d1
+        # stage 2 at x + half k1
+        u0, u1 = control(x0 + half * a0, x1 + half * a1)
+        d0, d1 = accel(t + half)
+        b0, b1 = (0.0 + u0) + d0, (0.0 + u1) + d1
+        # stage 3 at x + half k2, with stage 2's disturbance
+        u0, u1 = control(x0 + half * b0, x1 + half * b1)
+        c0, c1 = (0.0 + u0) + d0, (0.0 + u1) + d1
+        # stage 4 at x + dt k3
+        u0, u1 = control(x0 + dt * c0, x1 + dt * c1)
+        d0, d1 = accel(t + dt)
+        e0, e1 = (0.0 + u0) + d0, (0.0 + u1) + d1
+        # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
+        sixth = dt / 6.0
+        return (
+            x0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + e0),
+            x1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + e1),
+        )
+
+    return step
+
+
 def apply_impulse(s: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Instantaneous velocity change: position unchanged, velocity += dv."""
     out = np.array(s, dtype=float)

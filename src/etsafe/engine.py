@@ -47,11 +47,11 @@ from .barrier import (
     maneuver_timing_margin,
     maneuver_timing_rows,
 )
-from .dynamics import apply_impulse
+from .dynamics import _single_integrator_rk4, apply_impulse, single_integrator
 from .inter_event import InterEventTimeModel
 from .numerics import Field, SingularityError, _dot, propagate_until
 from .orbital import station_keeping_impulse, verify_jump_conditions
-from .safety_filter import build_constraint, project
+from .safety_filter import _promoting_filter, build_constraint, project
 from .scenarios import PlanarScenario, SatelliteScenario
 
 log = logging.getLogger(__name__)
@@ -478,11 +478,14 @@ def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
     """The intermittent run's two flow fields, nominal loop and promoting
     filter, each with the realized disturbance of stream 0.
 
-    Both run on the stepper's Python floats; the filter's projection
-    returns an ndarray, converted back once.
+    Each carries its own RK4 step, ``field.rk4`` (see :mod:`etsafe.numerics`),
+    which takes the goal-tracking input and the promoting filter on named
+    Python floats.  The field calls themselves build the filter's
+    :func:`build_constraint` and :func:`project`: the reference path, which
+    serves the in-step interpolant's ends and the replay of a non-finite step.
     """
     b = scenario.barrier
-    sys = scenario.system
+    sys = single_integrator(2)
     k_nom = scenario.k_nom()
     rate = scenario.filter.promote_rate
     dist = scenario.disturbance.realize(stream=0)
@@ -495,6 +498,19 @@ def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
         u = project(k_nom(x), con).tolist()
         return [f + d for f, d in zip(sys.closed_loop(x, u), dist(t))]
 
+    # goal_tracking_controller's input, -gain * (x - goal), on named floats
+    g0, g1 = (float(g) for g in scenario.filter.goal)
+    neg_gain = -scenario.filter.gain
+    promote = _promoting_filter(b, rate)
+
+    def nominal_input(x0: float, x1: float) -> tuple[float, float]:
+        return neg_gain * (x0 - g0), neg_gain * (x1 - g1)
+
+    def filtered_input(x0: float, x1: float) -> tuple[float, float]:
+        return promote(x0, x1, *nominal_input(x0, x1))
+
+    nominal_field.rk4 = _single_integrator_rk4(nominal_input, dist)
+    filtered_field.rk4 = _single_integrator_rk4(filtered_input, dist)
     return nominal_field, filtered_field
 
 
@@ -550,20 +566,9 @@ def check_nominal_safety_assumption(scenario: PlanarScenario) -> int:
     b = scenario.barrier
     nominal_flow = scenario.nominal_flow()
     gap, level = scenario.filter.hysteresis_gap, scenario.filter.recovery_level
-    s_max = _recovery_radius(b, level)
-
-    points = []
-    for s in np.linspace(0.0, s_max, _GRID_SIDE):
-        for ang in np.linspace(0.0, 2.0 * np.pi, _GRID_SIDE, endpoint=False):
-            points.append([s * np.cos(ang), s * np.sin(ang)])
-    rng = np.random.default_rng(0)
-    for _ in range(_RANDOM_STATES):
-        ang = rng.uniform(0.0, 2.0 * np.pi)
-        s = s_max * np.sqrt(rng.uniform())
-        points.append([s * np.cos(ang), s * np.sin(ang)])
 
     checked = 0
-    for x in np.array(points).tolist():
+    for x in _assumption_check_states(_recovery_radius(b, level)).tolist():
         if b.h(x) < level:
             continue
         checked += 1
@@ -575,6 +580,21 @@ def check_nominal_safety_assumption(scenario: PlanarScenario) -> int:
                 "increase the class-K gain or lower the recovery level"
             )
     return checked
+
+
+def _assumption_check_states(s_max: float) -> np.ndarray:
+    """The points of :func:`check_nominal_safety_assumption`, in check order:
+    the polar grid radius by radius, then the random points, each drawn as
+    an angle then a radius fraction, in turn, from ``default_rng(0)``."""
+    radii = np.linspace(0.0, s_max, _GRID_SIDE)[:, None]
+    angles = np.linspace(0.0, 2.0 * np.pi, _GRID_SIDE, endpoint=False)
+    grid = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=2)
+    # uniform(0, high) is 0.0 + high * U; the added zero leaves U >= 0 as it is
+    draws = np.random.default_rng(0).uniform(size=(_RANDOM_STATES, 2))
+    ang = (2.0 * np.pi) * draws[:, 0]
+    s = s_max * np.sqrt(draws[:, 1])
+    drawn = np.stack([s * np.cos(ang), s * np.sin(ang)], axis=1)
+    return np.concatenate([grid.reshape(-1, 2), drawn])
 
 
 def _recovery_radius(b: BarrierSpec, level: float) -> float:

@@ -17,12 +17,16 @@ sequence of Python floats and builds no array; code that needs array
 arithmetic on a state or a derivative converts it with ``np.asarray`` at that
 boundary.  The planar fields stay on floats throughout: their dot products,
 and those of the planar margin, are :func:`_dot`, the exact FMA chain that
-``ndarray.dot`` computes on the hosts the outputs are pinned on, so they
-build no array but the filter's ``HalfspaceConstraint.a`` and projected input.
+``ndarray.dot`` computes on the hosts the outputs are pinned on.  Their own
+steps take the filter on named floats, so its only arrays, the
+``HalfspaceConstraint.a`` and projected input, are built only where the
+filtered field itself is called: at the in-step interpolant's ends and in a
+replayed step.
 
 A field may bring its own step, ``field.rk4(t, dt, x) -> new state`` with
 ``x`` a list of floats and the state a sequence of floats, bit for bit the
-generic step on the field (the satellite's disturbed field does).
+generic step on the field (the satellite's disturbed field and both planar
+fields do).
 :func:`rk4_step` then takes the step with it, and replays through the
 generic stages a step that raised SingularityError or came out non-finite,
 so a field's errors are the generic step's.

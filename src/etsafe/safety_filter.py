@@ -97,11 +97,47 @@ def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
         return np.array(u)
     a_sq = _dot(a, a)
     if a_sq == 0.0:
-        raise InfeasibleFilterError(
-            f"constraint row is zero with rhs={con.rhs!r} > 0: no input can satisfy it"
-        )
+        raise _zero_row(con.rhs)
     step = (con.rhs - dot) / a_sq
     return np.array([v + step * w for v, w in zip(u, a)])
+
+
+def _zero_row(rhs: float) -> InfeasibleFilterError:
+    return InfeasibleFilterError(
+        f"constraint row is zero with rhs={rhs!r} > 0: no input can satisfy it"
+    )
+
+
+def _promoting_filter(b: BarrierSpec, promote_rate: float):
+    """``promote(x0, x1, u0, u1) -> (u0, u1)``: the input the promoting
+    filter passes for the nominal input ``(u0, u1)`` at the planar state
+    ``(x0, x1)`` of the single integrator, on named Python floats, bit for
+    bit ``project(u, build_constraint(b, single_integrator(2), x,
+    "promoting", promote_rate))``, its zero-row error included.
+
+    The single integrator's row is ``a = 0.0 + grad`` and its drift term
+    ``+0.0``.  ``a . a`` is bitwise ``grad . grad``: the two differ only in
+    the sign of a zero, whose square is +0.0 either way, so the robust
+    term's dot serves as the projection's denominator.
+    """
+    grad_h, d_bar = b.grad_h, b.d_bar
+    sqrt = math.sqrt
+
+    def promote(x0: float, x1: float, u0: float, u1: float) -> tuple[float, float]:
+        grad = grad_h((x0, x1))
+        g0, g1 = grad
+        a0, a1 = 0.0 + g0, 0.0 + g1
+        grad_sq = _dot(grad, grad)
+        rhs = promote_rate + sqrt(grad_sq) * d_bar - 0.0
+        dot = _dot((a0, a1), (u0, u1))
+        if dot >= rhs:
+            return u0, u1
+        if grad_sq == 0.0:
+            raise _zero_row(rhs)
+        step = (rhs - dot) / grad_sq
+        return u0 + step * a0, u1 + step * a1
+
+    return promote
 
 
 def _floats(u: Sequence[float]) -> Sequence[float]:

@@ -8,12 +8,11 @@ engine realizes per-run disturbance streams itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .barrier import BarrierSpec
 from .dynamics import (
-    ControlAffineSystem,
     DisturbanceModel,
     GravityModel,
     _two_body_rk4,
@@ -104,7 +103,6 @@ class PlanarScenario:
     integrator: IntegratorConfig
     filter: FilterConfig = FilterConfig()
     events: EventLocatorConfig = EventLocatorConfig()
-    system: ControlAffineSystem = field(default_factory=lambda: single_integrator(2))
 
     def __post_init__(self) -> None:
         _check_disturbance(self.disturbance, self.barrier, 2)
@@ -115,5 +113,5 @@ class PlanarScenario:
     def nominal_flow(self):
         """Disturbance-free nominal closed loop, used by the trigger margins."""
         k = self.k_nom()
-        sys = self.system
+        sys = single_integrator(2)
         return lambda x: sys.closed_loop(x, k(x))

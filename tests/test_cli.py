@@ -108,6 +108,8 @@ def planar_config(tmp_path):
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 SHIPPED_MODEL = os.path.join(CONFIGS, "tau_model.json")
+# the benchmark's reference outputs, read and never written here
+BENCHMARK_REFERENCE = os.path.join(os.path.dirname(CONFIGS), "perfbench", "reference.json")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(etsafe.__file__)))
 # the greedy arm's failures are injected by patching the parent before the
 # worker is forked, so those tests need the fork start method
@@ -926,6 +928,17 @@ class TestOutputDigests:
         config = os.path.join(CONFIGS, "planar_intermittent.ini")
         assert cmd_simulate(config, out, horizon=20.0) == EXIT_OK
         assert output_digests(out) == OUTPUT_DIGESTS["planar"]
+
+    # two of the benchmark's planar seeds, run to the shipped horizon: the
+    # fused planar steps take every step there, the filter on and off
+    @pytest.mark.parametrize("seed", [5, 13])
+    def test_planar_simulate_at_benchmark_seed(self, tmp_path, seed):
+        with open(BENCHMARK_REFERENCE, encoding="utf-8") as fh:
+            pinned = json.load(fh)["planar"][str(seed)]["digests"]
+        out = str(tmp_path / "planar")
+        config = os.path.join(CONFIGS, "planar_intermittent.ini")
+        assert cmd_simulate(config, out, seed=seed) == EXIT_OK
+        assert output_digests(out) == pinned
 
 
 def fma(a, b, c):

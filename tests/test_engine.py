@@ -22,6 +22,7 @@ from etsafe.engine import (
     AssumptionCheckError,
     RunAbortedError,
     Trajectory,
+    _assumption_check_states,
     _recovery_radius,
     audit_safety,
     check_nominal_safety_assumption,
@@ -562,6 +563,21 @@ class TestSpecGeometry:
         s = 1.0 * np.sqrt(rng.uniform(size=2000))
         expected = np.stack([s * np.cos(ang), s * np.sin(ang)], axis=1)
         assert planar_region_states(scn).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("s_max", [0.8944271909999159, 1.0, 0.3, 7.25, 1e-3, 0.0])
+    def test_assumption_check_states_equal_the_scalar_loop(self, s_max):
+        # the point loop the array operations replaced, in its order: the
+        # grid radius by radius, then angle and radius fraction drawn in turn
+        points = []
+        for s in np.linspace(0.0, s_max, 60):
+            for ang in np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False):
+                points.append([s * np.cos(ang), s * np.sin(ang)])
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            s = s_max * np.sqrt(rng.uniform())
+            points.append([s * np.cos(ang), s * np.sin(ang)])
+        assert _assumption_check_states(s_max).tobytes() == np.array(points).tobytes()
 
     def test_recovery_level_above_barrier_maximum(self):
         # no state reaches the level: the shell collapses to the center and

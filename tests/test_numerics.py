@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import math
 import os
 import pickle
 import warnings
@@ -11,7 +12,7 @@ import pytest
 
 import etsafe.scenarios as scenarios
 from etsafe.config import parse_config
-from etsafe.dynamics import DisturbanceModel
+from etsafe.dynamics import DisturbanceModel, single_integrator
 from etsafe.engine import _planar_fields
 from etsafe.numerics import (
     BracketError,
@@ -23,6 +24,7 @@ from etsafe.numerics import (
     propagate_until,
     rk4_step,
 )
+from etsafe.safety_filter import InfeasibleFilterError, build_constraint, filter_active
 
 DECAY = lambda t, x: -np.asarray(x)
 CONSTANT_ONE = lambda t, x: np.ones_like(x)
@@ -108,16 +110,23 @@ def numpy_rk4_step(field, x, t, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# planar start states: near the disk boundary, where the promoting filter is
+# on, and across the disk from the goal, where it is off
+PLANAR_STARTS = {None: [0.99, 0.1], "nominal": [0.99, 0.1], "inactive": [-0.5, 0.3]}
+
+
 def shipped_field(config, kind=None):
     """(field, start state, step size) of a shipped config's run: the
     satellite's disturbed field from the shipped start, with its disturbance
-    kind replaced by ``kind`` if given, or the planar filtered field from a
-    state near the disk boundary, where the filter switches on (the shipped
-    start, the disk center, is where the promoting constraint is infeasible)."""
+    kind replaced by ``kind`` if given, or a planar field from a start of
+    ``PLANAR_STARTS``: the filtered field, or with ``kind`` "nominal" the
+    nominal one.  (The shipped planar start, the disk center, is where the
+    promoting constraint is infeasible.)"""
     cfg = parse_config(os.path.join(CONFIGS, config))
     if cfg.kind == "planar-demo":
-        _, filtered = _planar_fields(cfg.build_planar())
-        return filtered, np.array([0.99, 0.1]), cfg.scenario.integrator.step_size
+        nominal, filtered = _planar_fields(cfg.build_planar())
+        field = nominal if kind == "nominal" else filtered
+        return field, np.array(PLANAR_STARTS[kind]), cfg.scenario.integrator.step_size
     x0 = np.array(cfg.initial_state, dtype=float)
     scn = cfg.build_satellite()
     if kind is not None:
@@ -134,13 +143,15 @@ class TestFloatStagesMatchNumpyOracle:
             ("greedy_satellite.ini", None),
             ("greedy_satellite.ini", "none"),
             ("planar_intermittent.ini", None),
+            ("planar_intermittent.ini", "nominal"),
+            ("planar_intermittent.ini", "inactive"),
         ],
     )
     def test_consecutive_steps_bitwise_equal(self, config, kind):
-        # the satellite field steps with its own fused step, the oracle with
+        # every shipped field steps with its own fused step, the oracle with
         # four field calls
         field, x, dt = shipped_field(config, kind)
-        assert hasattr(field, "rk4") == (config == "greedy_satellite.ini")
+        assert hasattr(field, "rk4")
         oracle = x.copy()
         for k in range(self.STEPS):
             new = rk4_step(field, x, k * dt, dt)
@@ -175,11 +186,11 @@ def generic(field):
     return lambda t, x: field(t, x)
 
 
-def poisoned_field(monkeypatch, kind, stage, bad, x0, t, dt):
-    """The shipped satellite field whose disturbance returns ``bad`` in one
-    component at one stage time of the step from ``(t, x0)``.  Both step
-    paths reach that time with the same bits, so it poisons the same stage
-    in both; stages 2 and 3 share one time."""
+def poisoned_field(monkeypatch, config, kind, stage, bad, x0, t, dt):
+    """The shipped field of ``shipped_field(config, kind)`` whose disturbance
+    returns ``bad`` in one component at one stage time of the step from
+    ``(t, x0)``.  Both step paths reach that time with the same bits, so it
+    poisons the same stage in both; stages 2 and 3 share one time."""
     times = []
     real = DisturbanceModel.realize
 
@@ -188,7 +199,7 @@ def poisoned_field(monkeypatch, kind, stage, bad, x0, t, dt):
         return lambda t: times.append(t) or d(t)
 
     monkeypatch.setattr(DisturbanceModel, "realize", recording)
-    field, _, _ = shipped_field("greedy_satellite.ini", kind)
+    field, _, _ = shipped_field(config, kind)
     with contextlib.suppress(SingularityError):
         rk4_step(generic(field), x0, t, dt)
     target = times[stage - 1]
@@ -199,13 +210,13 @@ def poisoned_field(monkeypatch, kind, stage, bad, x0, t, dt):
         def sampler(t):
             a = list(d(t))
             if t == target:
-                a[stage % 3] = bad
+                a[stage % len(a)] = bad
             return a
 
         return sampler
 
     monkeypatch.setattr(DisturbanceModel, "realize", poisoning)
-    return shipped_field("greedy_satellite.ini", kind)[0]
+    return shipped_field(config, kind)[0]
 
 
 class TestFusedTwoBodyStep:
@@ -216,7 +227,9 @@ class TestFusedTwoBodyStep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_disturbance_raises_as_generic(self, kind, stage, bad, monkeypatch):
         _, x0, dt = shipped_field("greedy_satellite.ini")
-        field = poisoned_field(monkeypatch, kind, stage, bad, x0, 7.25, dt)
+        field = poisoned_field(
+            monkeypatch, "greedy_satellite.ini", kind, stage, bad, x0, 7.25, dt
+        )
         errors = []
         for f in (field, generic(field)):
             # the fused step evaluates all four stages before the replay,
@@ -257,7 +270,7 @@ class TestFusedTwoBodyStep:
         with pytest.raises(SingularityError):
             rk4_step(field, x0, 0.0, dt)
         field = poisoned_field(
-            monkeypatch, "seeded-piecewise-constant", 1, np.nan, x0, 0.0, dt
+            monkeypatch, "greedy_satellite.ini", "seeded-piecewise-constant", 1, np.nan, x0, 0.0, dt
         )
         for f in (field, generic(field)):
             with pytest.raises(IntegrationFailureError) as err:
@@ -280,6 +293,57 @@ class TestFusedTwoBodyStep:
         _, _, _, crossing = propagate_until(field, x0, 0.0, 200 * dt, [lambda x: x[0] - 2.1], cfg)
         assert crossing is not None
         assert len(calls) == 2
+
+
+class TestFusedPlanarStep:
+    """The planar fields' own steps raise what the generic stages raise."""
+
+    def test_starts_put_the_filter_on_and_off(self):
+        cfg = parse_config(os.path.join(CONFIGS, "planar_intermittent.ini"))
+        scn = cfg.build_planar()
+        k_nom = scn.k_nom()
+        for kind, on in ((None, True), ("inactive", False)):
+            x = PLANAR_STARTS[kind]
+            con = build_constraint(
+                scn.barrier, single_integrator(2), x, "promoting", scn.filter.promote_rate
+            )
+            assert filter_active(k_nom(x), con) == on
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [-0.0, 0.0], [1e-170, -5e-324]])
+    def test_zero_row_raises_the_generic_message(self, x0):
+        # at the disk center, or where the gradient's square underflows, the
+        # promoting constraint's row is zero and no input satisfies it
+        field, _, dt = shipped_field("planar_intermittent.ini")
+        messages = []
+        for step in (lambda: field.rk4(3.5, dt, x0), lambda: rk4_step(field, x0, 3.5, dt)):
+            with pytest.raises(InfeasibleFilterError) as err:
+                step()
+            messages.append(str(err.value))
+        with pytest.raises(InfeasibleFilterError) as err:
+            rk4_step(generic(field), x0, 3.5, dt)
+        assert messages == [str(err.value)] * 2
+        assert messages[0].startswith("constraint row is zero with rhs=")
+
+    @pytest.mark.parametrize("kind", [None, "nominal"])
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_disturbance_raises_as_generic(self, kind, stage, bad, monkeypatch):
+        _, x0, dt = shipped_field("planar_intermittent.ini", kind)
+        field = poisoned_field(
+            monkeypatch, "planar_intermittent.ini", kind, stage, bad, x0, 7.25, dt
+        )
+        errors = []
+        for f in (field, generic(field)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(IntegrationFailureError) as err:
+                    rk4_step(f, x0, 7.25, dt)
+            assert [str(w.message) for w in caught] == []
+            errors.append((str(err.value), err.value.t, err.value.x.tobytes()))
+        assert errors[0] == errors[1]
+        assert errors[0][1:] == (7.25, x0.tobytes())
+        # the field's own step itself comes out non-finite, for the replay
+        assert not all(map(math.isfinite, field.rk4(7.25, dt, x0.tolist())))
 
 
 class TestLocateZeroCrossing:

@@ -1,6 +1,7 @@
 """The planar loop on Python floats against the numpy expressions it
 replaced, bit for bit: the disk barrier, its margin, both filter
-constraints, the projection, the single integrator and both flow fields."""
+constraints, the projection and the promoting filter on named floats, the
+single integrator and both flow fields."""
 
 import math
 import os
@@ -12,7 +13,13 @@ from etsafe.barrier import barrier_condition_margin
 from etsafe.config import parse_config
 from etsafe.dynamics import ControlAffineSystem, single_integrator
 from etsafe.engine import _planar_fields, planar_region_states, run_intermittent_filter
-from etsafe.safety_filter import InfeasibleFilterError, build_constraint, project
+from etsafe.numerics import _dot
+from etsafe.safety_filter import (
+    InfeasibleFilterError,
+    _promoting_filter,
+    build_constraint,
+    project,
+)
 
 CONFIG = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "planar_intermittent.ini"
@@ -117,8 +124,9 @@ def run_states():
 def assert_planar_loop_matches_numpy(scenario, times, states):
     """Every float path equals its numpy expression on each state; returns
     how many states each filter mode's projection moved."""
-    b, sys = scenario.barrier, scenario.system
+    b, sys = scenario.barrier, single_integrator(2)
     rate = scenario.filter.promote_rate
+    promote = _promoting_filter(b, rate)
     k_nom, k_ref = scenario.k_nom(), numpy_k_nom(scenario)
     flow = scenario.nominal_flow()
     nominal, filtered = _planar_fields(scenario)
@@ -137,6 +145,9 @@ def assert_planar_loop_matches_numpy(scenario, times, states):
             u = outcome(project, k_nom(p), con)
             assert u == outcome(numpy_project, k_ref(x), a_ref, rhs_ref)
             active[mode] += u != bits(k_ref(x))
+            if mode == "promoting":
+                # the fused steps' filter, on the state's and the input's floats
+                assert outcome(promote, *p, *k_nom(p)) == u
         assert bits(nominal(t, p)) == bits(nominal_ref(t, x))
         assert outcome(filtered, t, p) == outcome(filtered_ref, t, x)
     assert b.h_rows(states).tobytes() == numpy_h_rows(b, states).tobytes()
@@ -176,3 +187,17 @@ def test_single_integrator_is_the_generic_identity_product():
         lfh_generic, row_generic = generic.lie_derivatives(x, v)
         assert lfh.hex() == lfh_generic.hex() == float(np.array(v) @ np.zeros(2)).hex()
         assert bits(row) == bits(row_generic) == bits(np.array(v) @ EYE)
+
+
+def test_promoting_row_squares_to_the_gradient_square():
+    """``a = 0.0 + grad`` differs from ``grad`` only in the sign of a zero,
+    so ``a . a`` is bitwise ``grad . grad`` and the promoting filter divides
+    by the robust term's dot: on random magnitudes, signed zeros and
+    subnormals, where the products underflow, round or overflow."""
+    rng = np.random.default_rng(17)
+    grads = (rng.normal(size=(4000, 2)) * 10.0 ** rng.uniform(-170, 170, size=(4000, 2))).tolist()
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.5, -3.0, 1e300]
+    grads += [[p, q] for p in specials for q in specials]
+    for grad in grads:
+        a = [0.0 + g for g in grad]
+        assert _dot(a, a).hex() == _dot(grad, grad).hex(), grad
