@@ -5,11 +5,12 @@ The package simulates three trigger schemes built on barrier functions:
 * greedy impulsive safety (fire an impulse only when the robust barrier
   condition is about to fail),
 * two-impulse safety maneuvers guided by a fitted inter-event-time model,
-* an event-triggered intermittent safety filter for control-affine systems,
+* an event-triggered intermittent safety filter, a closed-form halfspace
+  projection of a nominal input,
 
-demonstrated on a satellite orbit-keeping scenario and a planar single
-integrator.  See the README for the CLI and the demos directory for
-narrative walkthroughs.
+demonstrated on a satellite orbit-keeping scenario (the first two) and a
+planar single integrator (the filter).  See the README for the CLI and the
+demos directory for narrative walkthroughs.
 """
 
 from .barrier import (
@@ -22,12 +23,9 @@ from .barrier import (
     planar_disk_barrier,
 )
 from .dynamics import (
-    ControlAffineSystem,
     DisturbanceModel,
     GravityModel,
     apply_impulse,
-    goal_tracking_controller,
-    single_integrator,
     two_body_field,
 )
 from .numerics import (
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BarrierSpec",
     "ConfigError",
-    "ControlAffineSystem",
     "DisturbanceModel",
     "EventLocatorConfig",
     "EventRecord",
@@ -101,7 +98,6 @@ __all__ = [
     "filter_active",
     "filter_off_margin",
     "fit_inter_event_model",
-    "goal_tracking_controller",
     "locate_zero_crossing",
     "maneuver_timing_margin",
     "miet_bound",
@@ -114,7 +110,6 @@ __all__ = [
     "run_greedy_impulsive",
     "run_intermittent_filter",
     "run_maneuver",
-    "single_integrator",
     "station_keeping_impulse",
     "two_body_field",
     "verify_jump_conditions",

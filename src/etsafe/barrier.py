@@ -309,9 +309,7 @@ def filter_off_margin(b: BarrierSpec, nominal_flow: Flow, x: np.ndarray, gap: fl
     return barrier_condition_margin(b, nominal_flow, x) - gap
 
 
-def maneuver_timing_margin(
-    model: "InterEventTimeModel", b: BarrierSpec, flow: Flow, x: np.ndarray
-) -> float:
+def maneuver_timing_margin(model: "InterEventTimeModel", b: BarrierSpec, x: np.ndarray) -> float:
     """Margin that fires when the expected inter-event payoff stops improving.
 
     The fitted model maps the barrier value to the expected time until the
@@ -320,7 +318,7 @@ def maneuver_timing_margin(
     zero exactly when the expectation decays faster than real time advances,
     i.e. when waiting longer no longer pays.  Outside the fitted range the
     model derivative is clamped, which never fabricates a firing.  ``b`` is
-    the orbital spec: dh/dt comes from its ``margin_terms`` (``flow`` unused).
+    the orbital spec: dh/dt comes from its ``margin_terms``.
     """
     h, lfh, _ = b.margin_terms(x)
     rate = model.evaluate(h).derivative * lfh

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import SingularityError, _dot, span_problems
+from .numerics import SingularityError, span_problems
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,10 @@ def _single_integrator_rk4(control, accel):
     """``step(t, dt, x) -> new state``: one RK4 step of the planar single
     integrator under the input ``control(x0, x1) -> (u0, u1)`` plus the
     disturbance ``accel(t)``, on Python floats, bit for bit the generic step
-    of :func:`etsafe.numerics.rk4_step` on the field
-    ``closed_loop(x, u) + accel(t)``, whose stage derivative is
-    ``(0.0 + u) + d``.
+    of :func:`etsafe.numerics.rk4_step` on the field whose stage derivative
+    is ``(0.0 + u) + d``: the closed loop of
+    :meth:`etsafe.scenarios.PlanarScenario.nominal_flow` plus the
+    disturbance.
 
     The disturbance is taken once for stages 2 and 3, which share a time.
     Stage derivatives are not checked: a non-finite one leaves every later
@@ -378,73 +379,3 @@ class _LaneDisturbance:
         """Drop the lanes where ``mask`` is False."""
         self.streams = self.streams[mask]
         self.block = self.block.compress(mask, axis=2)
-
-
-# --- Control-affine systems and the planar demo ---
-
-
-@dataclass(frozen=True)
-class ControlAffineSystem:
-    """System ``dx/dt = drift(x) + G(x) u + d`` on sequences of floats.
-
-    ``drift(x)`` is a float sequence and ``input_matrix(x)`` the rows of
-    ``G(x)``; every product with them is a :func:`~etsafe.numerics._dot`.
-    """
-
-    drift: Callable[[Sequence[float]], Sequence[float]]
-    input_matrix: Callable[[Sequence[float]], Sequence[Sequence[float]]]
-    state_dim: int
-    input_dim: int
-
-    def closed_loop(self, x: Sequence[float], u: Sequence[float]) -> list[float]:
-        """``drift(x) + G(x) u``."""
-        return [f + _dot(row, u) for f, row in zip(self.drift(x), self.input_matrix(x))]
-
-    def lie_derivatives(
-        self, x: Sequence[float], grad: Sequence[float]
-    ) -> tuple[float, list[float]]:
-        """``(grad . drift(x), grad G(x))`` for a barrier gradient ``grad``:
-        the drift's share of dh/dt and the input row of the filter's
-        constraint."""
-        lfh = _dot(grad, self.drift(x))
-        return lfh, [_dot(grad, col) for col in zip(*self.input_matrix(x))]
-
-
-class _SingleIntegrator(ControlAffineSystem):
-    """Zero drift and identity input, whose products need no multiply: the
-    FMA chain of a finite vector with an identity row or column, or with
-    the zero drift, adds exact zeros to +0.0, so it is ``0.0 + v``
-    component by component, and ``+0.0``."""
-
-    def closed_loop(self, x: Sequence[float], u: Sequence[float]) -> list[float]:
-        return [0.0 + v for v in u]
-
-    def lie_derivatives(
-        self, x: Sequence[float], grad: Sequence[float]
-    ) -> tuple[float, list[float]]:
-        return 0.0, [0.0 + g for g in grad]
-
-
-def single_integrator(dim: int = 2) -> ControlAffineSystem:
-    """``dx/dt = u + d``: the desk-scale instance used by the planar demo."""
-    eye = tuple(tuple(float(i == j) for j in range(dim)) for i in range(dim))
-    zero = (0.0,) * dim
-    return _SingleIntegrator(
-        drift=lambda x: zero,
-        input_matrix=lambda x: eye,
-        state_dim=dim,
-        input_dim=dim,
-    )
-
-
-def goal_tracking_controller(
-    goal: Sequence[float], gain: float
-) -> Callable[[Sequence[float]], list[float]]:
-    """Proportional nominal controller ``k_nom(x) = -gain * (x - goal)``."""
-    goal = [float(g) for g in goal]
-    neg_gain = -gain
-
-    def k_nom(x: Sequence[float]) -> list[float]:
-        return [neg_gain * (v - g) for v, g in zip(x, goal)]
-
-    return k_nom

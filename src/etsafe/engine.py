@@ -47,7 +47,7 @@ from .barrier import (
     maneuver_timing_margin,
     maneuver_timing_rows,
 )
-from .dynamics import _single_integrator_rk4, apply_impulse, single_integrator
+from .dynamics import _single_integrator_rk4, apply_impulse
 from .inter_event import InterEventTimeModel
 from .numerics import Field, SingularityError, _dot, propagate_until
 from .orbital import station_keeping_impulse, verify_jump_conditions
@@ -263,7 +263,7 @@ def _run_impulsive(
     flow = scenario.nominal_flow()
     field = scenario.disturbed_field(stream=0)
     safety = lambda x: barrier_condition_margin(b, flow, x)
-    payoff = lambda x: maneuver_timing_margin(tau_model, b, flow, x)
+    payoff = lambda x: maneuver_timing_margin(tau_model, b, x)
     if b.margin_rows is not None:
         # propagate_until evaluates a block of steps at once by the row forms
         safety.rows = lambda states: barrier_condition_rows(b, states)
@@ -476,40 +476,37 @@ def run_intermittent_filter(scenario: PlanarScenario, x0: np.ndarray, horizon: f
 
 def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
     """The intermittent run's two flow fields, nominal loop and promoting
-    filter, each with the realized disturbance of stream 0.
+    filter, each with the realized disturbance of stream 0, both built from
+    the scenario's one nominal input.
 
     Each carries its own RK4 step, ``field.rk4`` (see :mod:`etsafe.numerics`),
-    which takes the goal-tracking input and the promoting filter on named
-    Python floats.  The field calls themselves build the filter's
+    which takes the nominal input and the promoting filter on named Python
+    floats.  The field calls themselves build the filter's
     :func:`build_constraint` and :func:`project`: the reference path, which
     serves the in-step interpolant's ends and the replay of a non-finite step.
     """
     b = scenario.barrier
-    sys = single_integrator(2)
-    k_nom = scenario.k_nom()
+    control = scenario.nominal_input()
     rate = scenario.filter.promote_rate
     dist = scenario.disturbance.realize(stream=0)
-
-    def nominal_field(t: float, x: Sequence[float]) -> list[float]:
-        return [f + d for f, d in zip(sys.closed_loop(x, k_nom(x)), dist(t))]
-
-    def filtered_field(t: float, x: Sequence[float]) -> list[float]:
-        con = build_constraint(b, sys, x, mode="promoting", promote_rate=rate)
-        u = project(k_nom(x), con).tolist()
-        return [f + d for f, d in zip(sys.closed_loop(x, u), dist(t))]
-
-    # goal_tracking_controller's input, -gain * (x - goal), on named floats
-    g0, g1 = (float(g) for g in scenario.filter.goal)
-    neg_gain = -scenario.filter.gain
     promote = _promoting_filter(b, rate)
 
-    def nominal_input(x0: float, x1: float) -> tuple[float, float]:
-        return neg_gain * (x0 - g0), neg_gain * (x1 - g1)
+    def disturbed(t: float, u0: float, u1: float) -> list[float]:
+        # the single integrator's closed loop 0.0 + u, plus the disturbance
+        d0, d1 = dist(t)
+        return [(0.0 + u0) + d0, (0.0 + u1) + d1]
+
+    def nominal_field(t: float, x: Sequence[float]) -> list[float]:
+        return disturbed(t, *control(*x))
+
+    def filtered_field(t: float, x: Sequence[float]) -> list[float]:
+        con = build_constraint(b, x, mode="promoting", promote_rate=rate)
+        return disturbed(t, *project(control(*x), con).tolist())
 
     def filtered_input(x0: float, x1: float) -> tuple[float, float]:
-        return promote(x0, x1, *nominal_input(x0, x1))
+        return promote(x0, x1, *control(x0, x1))
 
-    nominal_field.rk4 = _single_integrator_rk4(nominal_input, dist)
+    nominal_field.rk4 = _single_integrator_rk4(control, dist)
     filtered_field.rk4 = _single_integrator_rk4(filtered_input, dist)
     return nominal_field, filtered_field
 

@@ -1,7 +1,8 @@
 """Minimally invasive safety filtering via closed-form halfspace projection.
 
-For control-affine dynamics the robust barrier condition is linear in the
-input, so the filter
+For the planar single integrator ``dx/dt = u + d`` (as for any
+control-affine system) the robust barrier condition is linear in the input,
+so the filter
 
     argmin_u |u - u_nom|^2   s.t.  a . u >= rhs
 
@@ -20,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .barrier import BarrierSpec
-from .dynamics import ControlAffineSystem
 from .numerics import _dot
 
 
@@ -42,33 +42,36 @@ class HalfspaceConstraint:
 
 def build_constraint(
     b: BarrierSpec,
-    sys: ControlAffineSystem,
     x: Sequence[float],
     mode: str = "standard",
     promote_rate: float | None = None,
 ) -> HalfspaceConstraint:
-    """Assemble the barrier-condition halfspace at state x.
+    """Assemble the barrier-condition halfspace of the planar single
+    integrator at state x.
 
     ``standard`` enforces the robust barrier condition,
-        grad_h . (drift + G u) - |grad_h| d_bar >= -gamma h,
+        grad_h . u - |grad_h| d_bar >= -gamma h,
     which keeps the safe set invariant while deviating minimally.
 
     ``promoting`` replaces the class-K right side with a positive floor on the
     barrier rate,
-        grad_h . (drift + G u) - |grad_h| d_bar >= promote_rate,
+        grad_h . u - |grad_h| d_bar >= promote_rate,
     so dh/dt >= promote_rate despite the disturbance; the intermittent engine
     uses this to drive the state to a level where filtering can stop.
+
+    The single integrator's identity input makes the row ``a = 0.0 + grad``
+    and its zero drift makes the drift term ``+0.0``.
     """
     grad = b.grad_h(x)
-    lfh_drift, a = sys.lie_derivatives(x, grad)
+    a = [0.0 + g for g in grad]
     # math.sqrt of the dot is bitwise np.linalg.norm of a 1-D float array
     robust = math.sqrt(_dot(grad, grad)) * b.d_bar
     if mode == "standard":
-        rhs = -b.gamma * b.h(x) + robust - lfh_drift
+        rhs = -b.gamma * b.h(x) + robust - 0.0
     elif mode == "promoting":
         if promote_rate is None or not promote_rate > 0.0:
             raise ValueError("promoting mode requires promote_rate > 0")
-        rhs = promote_rate + robust - lfh_drift
+        rhs = promote_rate + robust - 0.0
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return HalfspaceConstraint(a=np.array(a), rhs=float(rhs))
@@ -112,11 +115,11 @@ def _promoting_filter(b: BarrierSpec, promote_rate: float):
     """``promote(x0, x1, u0, u1) -> (u0, u1)``: the input the promoting
     filter passes for the nominal input ``(u0, u1)`` at the planar state
     ``(x0, x1)`` of the single integrator, on named Python floats, bit for
-    bit ``project(u, build_constraint(b, single_integrator(2), x,
-    "promoting", promote_rate))``, its zero-row error included.
+    bit ``project(u, build_constraint(b, x, "promoting", promote_rate))``,
+    its zero-row error included.
 
-    The single integrator's row is ``a = 0.0 + grad`` and its drift term
-    ``+0.0``.  ``a . a`` is bitwise ``grad . grad``: the two differ only in
+    As there, the row is ``a = 0.0 + grad`` and the drift term ``+0.0``.
+    ``a . a`` is bitwise ``grad . grad``: the two differ only in
     the sign of a zero, whose square is +0.0 either way, so the robust
     term's dot serves as the projection's denominator.
     """

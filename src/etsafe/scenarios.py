@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .barrier import BarrierSpec
-from .dynamics import (
-    DisturbanceModel,
-    GravityModel,
-    _two_body_rk4,
-    goal_tracking_controller,
-    single_integrator,
-    two_body_field,
-)
+from .dynamics import DisturbanceModel, GravityModel, _two_body_rk4, two_body_field
 from .numerics import EventLocatorConfig, Field, IntegratorConfig, span_problems
 from .orbital import StationKeepingConfig
 
@@ -90,13 +83,18 @@ class FilterConfig:
                 raise ValueError(problems[0])
         if len(self.goal) != 2:
             raise ValueError("goal must be a 2-vector")
+        if not all(math.isfinite(g) for g in self.goal):
+            raise ValueError("goal must be finite")
         if not math.isfinite(self.gain):
             raise ValueError("gain must be finite")
 
 
 @dataclass(frozen=True)
 class PlanarScenario:
-    """Planar single integrator with a goal-tracking nominal controller."""
+    """Planar single integrator ``dx/dt = u + d`` with a goal-tracking
+    nominal controller: the one owner of the planar closed loop, whose
+    fields, fused steps and filter the engine builds from
+    :meth:`nominal_input`."""
 
     barrier: BarrierSpec
     disturbance: DisturbanceModel
@@ -107,11 +105,26 @@ class PlanarScenario:
     def __post_init__(self) -> None:
         _check_disturbance(self.disturbance, self.barrier, 2)
 
-    def k_nom(self):
-        return goal_tracking_controller(self.filter.goal, self.filter.gain)
+    def nominal_input(self):
+        """``control(x0, x1) -> (u0, u1)``: the goal-tracking nominal input
+        ``-gain * (x - goal)`` on named Python floats."""
+        g0, g1 = (float(g) for g in self.filter.goal)
+        neg_gain = -self.filter.gain
+
+        def control(x0: float, x1: float) -> tuple[float, float]:
+            return neg_gain * (x0 - g0), neg_gain * (x1 - g1)
+
+        return control
 
     def nominal_flow(self):
-        """Disturbance-free nominal closed loop, used by the trigger margins."""
-        k = self.k_nom()
-        sys = single_integrator(2)
-        return lambda x: sys.closed_loop(x, k(x))
+        """Disturbance-free nominal closed loop ``0.0 + u`` of the input
+        :meth:`nominal_input`, used by the trigger margins.  The single
+        integrator has zero drift and identity input, so its closed loop
+        adds the input to +0.0: exact, save that -0.0 becomes +0.0."""
+        control = self.nominal_input()
+
+        def flow(x: Sequence[float]) -> tuple[float, float]:
+            u0, u1 = control(*x)
+            return 0.0 + u0, 0.0 + u1
+
+        return flow

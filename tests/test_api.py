@@ -1,5 +1,6 @@
 """The public API: ``etsafe.__all__`` is well formed, every public
-module-level function has a user in the library or the demos, and README's
+module-level function and class, and each public method of such a class, has
+a user in the library or the demos, and README's
 configuration table (its keys and the values of its enumerated keys) and
 τ-command flags match the code."""
 
@@ -23,7 +24,11 @@ PACKAGE = os.path.dirname(etsafe.__file__)
 
 # build_constraint's "standard" mode needs it for the CBF-QP baseline of the
 # planned filter-duration audit; it is deleted if that audit is not written
-UNUSED_ALLOWED = {"safety_filter.filter_active"}
+UNUSED_ALLOWED = {
+    "safety_filter.filter_active",
+    # perfbench/tracer.py's METHODS wraps it by name to time the planar build
+    "config.ScenarioConfig.build_planar",
+}
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -52,16 +57,31 @@ def _referenced_names() -> set[str]:
     return names
 
 
-def test_every_public_function_has_a_user():
+def _is_method(attr) -> bool:
+    return inspect.isfunction(attr) or isinstance(attr, (classmethod, staticmethod, property))
+
+
+def test_every_public_function_and_class_has_a_user():
+    """A public function, class or method that only the tests use is API
+    kept alive by its own tests."""
     used = _referenced_names()
     unused = []
     for info in pkgutil.iter_modules(etsafe.__path__):
         module = importlib.import_module(f"etsafe.{info.name}")
         for name, obj in vars(module).items():
-            if name.startswith("_") or not inspect.isfunction(obj):
+            is_class = inspect.isclass(obj)
+            if name.startswith("_") or not (is_class or inspect.isfunction(obj)):
                 continue
-            if obj.__module__ == module.__name__ and name not in used:
+            if obj.__module__ != module.__name__:
+                continue
+            if name not in used:
                 unused.append(f"{info.name}.{name}")
+            if is_class:
+                unused += [
+                    f"{info.name}.{name}.{m}"
+                    for m, attr in vars(obj).items()
+                    if not m.startswith("_") and _is_method(attr) and m not in used
+                ]
     assert [q for q in unused if q not in UNUSED_ALLOWED] == []
 
 

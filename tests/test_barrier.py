@@ -247,14 +247,14 @@ class TestManeuverTimingMargin:
         # model slope chosen so slope * L_F h = -1 exactly => margin 0.
         s = np.array([2.2, 0.0, 0.0, 0.1, 0.6, 0.0])  # L_F h = -0.04
         model = self._linear_model(slope=25.0)
-        assert maneuver_timing_margin(model, self.B, orbital_flow, s) == pytest.approx(
+        assert maneuver_timing_margin(model, self.B, s) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_fires_when_expectation_decays_fast(self):
         s = np.array([2.2, 0.0, 0.0, 0.1, 0.6, 0.0])  # L_F h = -0.04
         model = self._linear_model(slope=50.0)
-        assert maneuver_timing_margin(model, self.B, orbital_flow, s) == pytest.approx(
+        assert maneuver_timing_margin(model, self.B, s) == pytest.approx(
             -0.5, abs=1e-12
         )
 
@@ -267,7 +267,7 @@ class TestManeuverTimingMargin:
         ):
             lfh = self.B.margin_terms(s)[1]
             assert lfh >= 0.0
-            assert maneuver_timing_margin(model, self.B, orbital_flow, s) >= 0.5
+            assert maneuver_timing_margin(model, self.B, s) >= 0.5
 
 
 class TestValidationHelpers:
@@ -343,7 +343,7 @@ class TestFusedMargin:
         fused = [barrier_condition_margin(b, flow, x).hex() for x in states]
         norm_margin = TestBitwiseAgainstNormFormulas.norm_margin
         assert fused == [norm_margin(b, flow, x, b.h(x), b.grad_h(x)).hex() for x in states]
-        timing = [maneuver_timing_margin(self.MODEL, b, flow, x).hex() for x in states]
+        timing = [maneuver_timing_margin(self.MODEL, b, x).hex() for x in states]
         assert timing == [generic_timing_margin(self.MODEL, b, g, x).hex() for x in states]
         for x in states[:50]:
             h, lfh, grad_norm = b.margin_terms(x)
@@ -397,7 +397,7 @@ class TestFusedMargin:
         with pytest.raises(SingularityError):
             barrier_condition_margin(b, orbital_flow, x)
         with pytest.raises(SingularityError):
-            maneuver_timing_margin(self.MODEL, b, orbital_flow, x)
+            maneuver_timing_margin(self.MODEL, b, x)
 
 
 class TestRadialGeometry:
@@ -521,7 +521,7 @@ class TestRowMargins:
                 h_max=0.1,
             )
         rows = maneuver_timing_rows(tau, self.B, states)
-        scalar = np.array([maneuver_timing_margin(tau, self.B, orbital_flow, x) for x in states])
+        scalar = np.array([maneuver_timing_margin(tau, self.B, x) for x in states])
         assert rows.tobytes() == scalar.tobytes()
 
     def test_slopes_equal_the_segment_formula(self):

@@ -491,6 +491,14 @@ def test_filter_config_rules():
             FilterConfig(**kwargs)
 
 
+@pytest.mark.parametrize("goal", [(math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf)])
+def test_filter_config_rejects_a_non_finite_goal(goal):
+    """A library caller's non-finite goal is refused where it is built, not
+    by the run's nominal-safety pre-check with a message about the gain."""
+    with pytest.raises(ValueError, match="goal must be finite"):
+        FilterConfig(goal=goal)
+
+
 def test_readme_schema_lists_exactly_the_keys():
     """README's "Configuration schema" table has one row per key of SCHEMA,
     the list the unknown-key rule checks against."""

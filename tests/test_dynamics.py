@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from etsafe.barrier import orbital_range_barrier
+from etsafe.barrier import orbital_range_barrier, planar_disk_barrier
 from etsafe.dynamics import (
     DisturbanceModel,
     _LaneDisturbance,
     GravityModel,
     SingularityError,
     apply_impulse,
-    goal_tracking_controller,
-    single_integrator,
     two_body_field,
 )
 from etsafe.numerics import IntegratorConfig, propagate_until
 from etsafe.orbital import StationKeepingConfig
-from etsafe.scenarios import SatelliteScenario
+from etsafe.scenarios import FilterConfig, PlanarScenario, SatelliteScenario
 
 GRAVITY = GravityModel()
 
@@ -225,12 +223,25 @@ class TestDisturbanceModel:
 
 
 class TestPlanarDemo:
-    def test_goal_tracking_controller(self):
-        k_nom = goal_tracking_controller(np.zeros(2), gain=1.0)
-        assert np.array_equal(k_nom(np.array([1.0, 0.0])), np.array([-1.0, 0.0]))
+    @staticmethod
+    def scenario(goal=(0.0, 0.0), gain=1.0):
+        return PlanarScenario(
+            barrier=planar_disk_barrier(rho=1.0, gamma=1.0, d_bar=0.0),
+            disturbance=DisturbanceModel(dim=2),
+            integrator=IntegratorConfig(),
+            filter=FilterConfig(goal=goal, gain=gain),
+        )
+
+    def test_goal_tracking_input(self):
+        control = self.scenario().nominal_input()
+        assert control(1.0, 0.0) == (-1.0, 0.0)
+        control = self.scenario(goal=(1.0, -2.0), gain=0.5).nominal_input()
+        assert control(3.0, 2.0) == (-1.0, -2.0)
 
     def test_single_integrator_shape(self):
-        sys = single_integrator(2)
-        x = np.array([0.3, -0.7])
-        u = np.array([1.0, 2.0])
-        assert np.array_equal(sys.closed_loop(x, u), u)
+        # zero drift and identity input: the closed loop is the input
+        scn = self.scenario(goal=(0.5, 0.25), gain=2.0)
+        flow = scn.nominal_flow()
+        u = scn.nominal_input()(0.3, -0.7)
+        assert flow([0.3, -0.7]) == u
+        assert np.array_equal(flow(np.array([0.3, -0.7])), u)

@@ -54,14 +54,16 @@ def satellite_scenario(seed=1, kind="seeded-piecewise-constant", gamma=0.1, d_ba
     )
 
 
-def planar_scenario(seed=2, goal=(1.05, 0.0), gamma=2.0, d_bar=0.01, kind="seeded-piecewise-constant"):
+def planar_scenario(
+    seed=2, goal=(1.05, 0.0), gamma=2.0, d_bar=0.01, kind="seeded-piecewise-constant", gain=1.0
+):
     return PlanarScenario(
         barrier=planar_disk_barrier(rho=1.0, gamma=gamma, d_bar=d_bar),
         disturbance=DisturbanceModel(kind=kind, d_bar=d_bar, seed=seed, hold_time=0.5, dim=2)
         if kind != "none"
         else DisturbanceModel(kind="none", d_bar=d_bar, dim=2),
         filter=FilterConfig(
-            promote_rate=0.05, hysteresis_gap=0.05, recovery_level=0.2, goal=goal, gain=1.0
+            promote_rate=0.05, hysteresis_gap=0.05, recovery_level=0.2, goal=goal, gain=gain
         ),
         integrator=IntegratorConfig(step_size=0.01),
         events=EventLocatorConfig(),
@@ -369,8 +371,10 @@ class TestIntermittent:
             run_intermittent_filter(scn, np.zeros(2), 10.0)
 
     def test_assumption_check_rejects_a_nan_margin(self):
-        # a NaN goal makes every margin NaN, which compares False with the gap
-        scn = planar_scenario(goal=(float("nan"), 0.0))
+        # the input overflows to -inf and +inf at the disk center, where the
+        # gradient is zero, so the margin is NaN, which compares False with
+        # the gap
+        scn = planar_scenario(goal=(-2.0, 2.0), gain=1e308)
         with pytest.raises(AssumptionCheckError, match="margin nan is not >= gap 0.05"):
             check_nominal_safety_assumption(scn)
 

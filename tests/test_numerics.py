@@ -12,7 +12,7 @@ import pytest
 
 import etsafe.scenarios as scenarios
 from etsafe.config import parse_config
-from etsafe.dynamics import DisturbanceModel, single_integrator
+from etsafe.dynamics import DisturbanceModel
 from etsafe.engine import _planar_fields
 from etsafe.numerics import (
     BracketError,
@@ -301,13 +301,11 @@ class TestFusedPlanarStep:
     def test_starts_put_the_filter_on_and_off(self):
         cfg = parse_config(os.path.join(CONFIGS, "planar_intermittent.ini"))
         scn = cfg.build_planar()
-        k_nom = scn.k_nom()
+        control = scn.nominal_input()
         for kind, on in ((None, True), ("inactive", False)):
             x = PLANAR_STARTS[kind]
-            con = build_constraint(
-                scn.barrier, single_integrator(2), x, "promoting", scn.filter.promote_rate
-            )
-            assert filter_active(k_nom(x), con) == on
+            con = build_constraint(scn.barrier, x, "promoting", scn.filter.promote_rate)
+            assert filter_active(control(*x), con) == on
 
     @pytest.mark.parametrize("x0", [[0.0, 0.0], [-0.0, 0.0], [1e-170, -5e-324]])
     def test_zero_row_raises_the_generic_message(self, x0):

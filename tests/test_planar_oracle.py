@@ -3,6 +3,7 @@ replaced, bit for bit: the disk barrier, its margin, both filter
 constraints, the projection and the promoting filter on named floats, the
 single integrator and both flow fields."""
 
+import dataclasses
 import math
 import os
 
@@ -11,9 +12,9 @@ import pytest
 
 from etsafe.barrier import barrier_condition_margin
 from etsafe.config import parse_config
-from etsafe.dynamics import ControlAffineSystem, single_integrator
 from etsafe.engine import _planar_fields, planar_region_states, run_intermittent_filter
 from etsafe.numerics import _dot
+from etsafe.scenarios import FilterConfig
 from etsafe.safety_filter import (
     InfeasibleFilterError,
     _promoting_filter,
@@ -124,10 +125,9 @@ def run_states():
 def assert_planar_loop_matches_numpy(scenario, times, states):
     """Every float path equals its numpy expression on each state; returns
     how many states each filter mode's projection moved."""
-    b, sys = scenario.barrier, single_integrator(2)
-    rate = scenario.filter.promote_rate
+    b, rate = scenario.barrier, scenario.filter.promote_rate
     promote = _promoting_filter(b, rate)
-    k_nom, k_ref = scenario.k_nom(), numpy_k_nom(scenario)
+    control, k_ref = scenario.nominal_input(), numpy_k_nom(scenario)
     flow = scenario.nominal_flow()
     nominal, filtered = _planar_fields(scenario)
     nominal_ref, filtered_ref = numpy_fields(scenario)
@@ -136,18 +136,19 @@ def assert_planar_loop_matches_numpy(scenario, times, states):
         p = x.tolist()
         assert b.h(p).hex() == numpy_h(b, x).hex()
         assert bits(b.grad_h(p)) == bits(-2.0 * x)
+        assert bits(control(*p)) == bits(k_ref(x))
         assert barrier_condition_margin(b, flow, p).hex() == numpy_margin(b, k_ref, x).hex()
         for mode, kwargs in (("standard", {}), ("promoting", {"promote_rate": rate})):
-            con = build_constraint(b, sys, p, mode=mode, **kwargs)
+            con = build_constraint(b, p, mode=mode, **kwargs)
             a_ref, rhs_ref = numpy_constraint(b, x, mode, **kwargs)
             assert con.a.tobytes() == a_ref.tobytes()
             assert con.rhs.hex() == rhs_ref.hex()
-            u = outcome(project, k_nom(p), con)
+            u = outcome(project, control(*p), con)
             assert u == outcome(numpy_project, k_ref(x), a_ref, rhs_ref)
             active[mode] += u != bits(k_ref(x))
             if mode == "promoting":
                 # the fused steps' filter, on the state's and the input's floats
-                assert outcome(promote, *p, *k_nom(p)) == u
+                assert outcome(promote, *p, *control(*p)) == u
         assert bits(nominal(t, p)) == bits(nominal_ref(t, x))
         assert outcome(filtered, t, p) == outcome(filtered_ref, t, x)
     assert b.h_rows(states).tobytes() == numpy_h_rows(b, states).tobytes()
@@ -168,25 +169,34 @@ def test_run_states_match_numpy(scenario, run_states):
     assert active["promoting"] > 100 and active["standard"] > 0
 
 
-def test_single_integrator_is_the_generic_identity_product():
-    """The single integrator's shortcut products equal the generic FMA-chain
-    products over its explicit zero drift and identity rows, and numpy's,
-    on signed zeros and subnormals too."""
-    si = single_integrator(2)
-    generic = ControlAffineSystem(
-        drift=si.drift, input_matrix=si.input_matrix, state_dim=2, input_dim=2
-    )
+def test_single_integrator_is_the_generic_identity_product(scenario):
+    """The single integrator's shortcut products, the closed loop ``0.0 + u``
+    and the filter row ``0.0 + grad`` with the drift term ``+0.0``, equal
+    numpy's products with its explicit identity input and zero drift, on
+    signed zeros and subnormals too."""
+    # gain -1 toward the origin makes the nominal input the state itself
+    identity = dataclasses.replace(scenario, filter=FilterConfig(gain=-1.0))
+    control, flow = identity.nominal_input(), identity.nominal_flow()
+    rate = scenario.filter.promote_rate
     rng = np.random.default_rng(11)
     vectors = (rng.normal(size=(500, 2)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1))).tolist()
     vectors += [[0.0, -0.0], [-0.0, -0.0], [-0.0, 1.5], [5e-324, -5e-324], [-1e-310, 2.0]]
-    x = [0.3, -0.4]  # unused by either system
+    x = [0.3, -0.4]  # the state of the constraint's h; its gradient is stubbed
     for v in vectors:
-        assert bits(si.closed_loop(x, v)) == bits(generic.closed_loop(x, v))
-        assert bits(si.closed_loop(x, v)) == bits(numpy_closed_loop(None, np.array(v)))
-        lfh, row = si.lie_derivatives(x, v)
-        lfh_generic, row_generic = generic.lie_derivatives(x, v)
-        assert lfh.hex() == lfh_generic.hex() == float(np.array(v) @ np.zeros(2)).hex()
-        assert bits(row) == bits(row_generic) == bits(np.array(v) @ EYE)
+        ref = np.array(v)
+        assert bits(control(*v)) == bits(v)
+        assert bits(flow(v)) == bits(numpy_closed_loop(None, ref))
+        b = dataclasses.replace(scenario.barrier, grad_h=lambda _, v=v: v)
+        robust = float(np.linalg.norm(ref)) * b.d_bar
+        lfh_drift = float(ref @ np.zeros(2))
+        assert lfh_drift.hex() == (0.0).hex()  # the drift term build_constraint takes
+        for mode, kwargs, rhs_ref in (
+            ("standard", {}, -b.gamma * b.h(x) + robust - lfh_drift),
+            ("promoting", {"promote_rate": rate}, rate + robust - lfh_drift),
+        ):
+            con = build_constraint(b, x, mode=mode, **kwargs)
+            assert con.a.tobytes() == bits(ref @ EYE)
+            assert con.rhs.hex() == rhs_ref.hex()
 
 
 def test_promoting_row_squares_to_the_gradient_square():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from etsafe.barrier import planar_disk_barrier
-from etsafe.dynamics import single_integrator
 from etsafe.safety_filter import (
     HalfspaceConstraint,
     InfeasibleFilterError,
@@ -98,17 +97,15 @@ class TestFilterActive:
 
 
 class TestBuildConstraint:
-    SYS = single_integrator(2)
-
     def test_row_is_barrier_gradient_for_identity_input(self):
         b = planar_disk_barrier(rho=np.sqrt(2.0), gamma=1.0, d_bar=0.0)
-        con = build_constraint(b, self.SYS, np.array([1.0, 0.0]), mode="standard")
+        con = build_constraint(b, np.array([1.0, 0.0]), mode="standard")
         assert np.allclose(con.a, [-2.0, 0.0], atol=1e-15)
 
     def test_promoting_rhs_for_driftless_system(self):
         b = planar_disk_barrier(rho=1.0, gamma=1.0, d_bar=0.0)
         con = build_constraint(
-            b, self.SYS, np.array([0.3, 0.1]), mode="promoting", promote_rate=0.05
+            b, np.array([0.3, 0.1]), mode="promoting", promote_rate=0.05
         )
         assert con.rhs == pytest.approx(0.05, abs=1e-15)
 
@@ -116,7 +113,7 @@ class TestBuildConstraint:
         # alpha(h) = 0 at the boundary, leaving the robust term only.
         b = planar_disk_barrier(rho=1.0, gamma=1.0, d_bar=0.02)
         x = np.array([1.0, 0.0])
-        con = build_constraint(b, self.SYS, x, mode="standard")
+        con = build_constraint(b, x, mode="standard")
         grad_norm = np.linalg.norm(b.grad_h(x))
         assert con.rhs == pytest.approx(grad_norm * 0.02, abs=1e-14)
 
@@ -126,7 +123,7 @@ class TestBuildConstraint:
         rng = np.random.default_rng(3)
         for _ in range(100):
             x = rng.uniform(-0.7, 0.7, 2)
-            con = build_constraint(b, self.SYS, x, mode="standard")
+            con = build_constraint(b, x, mode="standard")
             u = project(rng.normal(size=2), con)
             grad = b.grad_h(x)
             lhs = float(grad @ u) - np.linalg.norm(grad) * b.d_bar
@@ -135,12 +132,12 @@ class TestBuildConstraint:
     def test_promoting_requires_rate(self):
         b = planar_disk_barrier(rho=1.0, gamma=1.0, d_bar=0.0)
         with pytest.raises(ValueError):
-            build_constraint(b, self.SYS, np.zeros(2), mode="promoting")
+            build_constraint(b, np.zeros(2), mode="promoting")
 
     def test_unknown_mode_rejected(self):
         b = planar_disk_barrier(rho=1.0, gamma=1.0, d_bar=0.0)
         with pytest.raises(ValueError):
-            build_constraint(b, self.SYS, np.zeros(2), mode="soft")
+            build_constraint(b, np.zeros(2), mode="soft")
 
     def test_oracle_equivalence_for_both_modes(self):
         b = planar_disk_barrier(rho=1.0, gamma=2.0, d_bar=0.01)
@@ -148,7 +145,7 @@ class TestBuildConstraint:
         for mode, kwargs in (("standard", {}), ("promoting", {"promote_rate": 0.05})):
             for _ in range(100):
                 x = rng.uniform(-0.7, 0.7, 2)
-                con = build_constraint(b, self.SYS, x, mode=mode, **kwargs)
+                con = build_constraint(b, x, mode=mode, **kwargs)
                 if np.linalg.norm(con.a) < 1e-6:
                     continue
                 u = rng.normal(size=2)
