@@ -14,9 +14,11 @@ of it (hysteresis), or of the expected-inter-event-time trend in
 
 Every spec is radial, ``h = half_width^2 - (r - center)^2`` in the position
 norm r (the disk: center 0, half-width rho), and must carry that geometry.
-Only the orbital spec carries fused margin terms: its gradient has no
-velocity block, so along any flow with ``dr/dt = v`` (every satellite flow)
-both margins need one radius and no flow call.
+The orbital spec carries fused margin terms: its gradient has no velocity
+block, so along any flow with ``dr/dt = v`` (every satellite flow) both
+margins need one radius and no flow call.  A spec without them is the
+planar disk, whose margin is its closed form on named floats: gradient
+``-2 x``, ``h = half_width^2 - x . x``, and one flow call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import GravityModel, SingularityError
-from .numerics import _dot, span_problems
+from .numerics import _dot2, span_problems
 
 if TYPE_CHECKING:
     from .inter_event import InterEventTimeModel
@@ -58,7 +60,8 @@ class BarrierSpec:
     use exactly this declared value in their robust terms.
 
     ``center``/``half_width`` are the radial geometry; the optional fused
-    ``margin_terms(x) = (h, dh/dt, |grad h|)`` assume ``dr/dt = v``, and
+    ``margin_terms(x) = (h, dh/dt, |grad h|)`` assume ``dr/dt = v`` (a spec
+    without them is the disk, center 0, whose margin is its closed form), and
     ``margin_rows(states)`` is their row form: the three terms of each row of
     an (n, 6) array as three arrays, bit for bit ``margin_terms`` row by row,
     raising where it would raise on some row.
@@ -85,15 +88,17 @@ class BarrierSpec:
         # a NaN radius would make every grid point pass the assumption check
         if not (math.isfinite(self.center) and math.isfinite(self.half_width)):
             raise ValueError("radial geometry must be finite")
+        if self.margin_terms is None and self.center != 0.0:
+            raise ValueError("a spec without margin_terms is the disk: center must be 0")
 
     def h_rows(self, states: np.ndarray) -> np.ndarray:
         """h of each row of ``states`` for a radial spec, bitwise ``h`` row by
-        row.  The disk (center 0) subtracts each row's :func:`_dot`, on
+        row.  The disk (center 0) subtracts each row's :func:`_dot2`, on
         floats as its ``h`` does; the band is :func:`_band_h` of the rows'
         radii."""
         c, hw = self.center, self.half_width
         if c == 0.0:
-            return np.array([hw * hw - _dot(p, p) for p in states[:, :3].tolist()])
+            return np.array([hw * hw - _dot2(p0, p1, p0, p1) for p0, p1 in states.tolist()])
         return _band_h(_row_radii(states), c, hw)
 
 
@@ -226,7 +231,8 @@ def planar_disk_barrier(rho: float, gamma: float, d_bar: float) -> BarrierSpec:
     rho_sq = rho * rho
 
     def h(x: Sequence[float]) -> float:
-        return rho_sq - _dot(x, x)
+        x0, x1 = x
+        return rho_sq - _dot2(x0, x1, x0, x1)
 
     def grad_h(x: Sequence[float]) -> list[float]:
         return [-2.0 * v for v in x]
@@ -273,18 +279,23 @@ def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: Sequence[float]) -> 
     on-demand triggers fire when this reaches zero.  ``flow`` is the
     disturbance-free closed-loop field (disturbance is covered by the
     ``|grad h| * d_bar`` term), unused by a spec with ``margin_terms``.
-    A spec with ``margin_terms`` takes ``x`` as an ndarray; the generic path
-    takes any float sequence and costs least on a list of Python floats.
+    A spec with ``margin_terms`` takes ``x`` as an ndarray.  A spec without
+    them is the disk: its closed form takes the planar state as any two
+    floats and costs least on Python floats.
     """
     if b.margin_terms is not None:
         h, lfh, grad_norm = b.margin_terms(x)
     else:
-        grad = b.grad_h(x)
-        lfh = _dot(grad, flow(x))
+        # the disk's grad_h, h and dots, bit for bit, on named floats
+        x0, x1 = x
+        g0, g1 = -2.0 * x0, -2.0 * x1
+        f0, f1 = flow(x)
+        lfh = _dot2(g0, g1, f0, f1)
         # math.sqrt of the dot is bitwise np.linalg.norm(grad): norm computes
         # exactly sqrt(grad.dot(grad)) for a 1-D float array
-        grad_norm = math.sqrt(_dot(grad, grad))
-        h = b.h(x)
+        grad_norm = math.sqrt(_dot2(g0, g1, g0, g1))
+        hw = b.half_width
+        h = hw * hw - _dot2(x0, x1, x0, x1)
     return lfh - grad_norm * b.d_bar + b.gamma * h
 
 

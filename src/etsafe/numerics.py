@@ -16,12 +16,13 @@ of floats, such as a tuple.  :func:`rk4_step` takes and returns a state as a
 sequence of Python floats and builds no array; code that needs array
 arithmetic on a state or a derivative converts it with ``np.asarray`` at that
 boundary.  The planar fields stay on floats throughout: their dot products,
-and those of the planar margin, are :func:`_dot`, the exact FMA chain that
-``ndarray.dot`` computes on the hosts the outputs are pinned on.  Their own
-steps take the filter on named floats, so its only arrays, the
-``HalfspaceConstraint.a`` and projected input, are built only where the
-filtered field itself is called: at the in-step interpolant's ends and in a
-replayed step.
+and those of the planar margin, are the exact FMA chain that ``ndarray.dot``
+computes on the hosts the outputs are pinned on, each step one exact
+:func:`_fma`: :func:`_dot` of two sequences, or :func:`_dot2` of two named
+2-vectors, which the planar loop takes.  Their own steps take the filter on
+named floats, so its only arrays, the ``HalfspaceConstraint.a`` and
+projected input, are built only where the filtered field itself is called:
+at the in-step interpolant's ends and in a replayed step.
 
 A field may bring its own step, ``field.rk4(t, dt, x) -> new state`` with
 ``x`` a list of floats and the state a sequence of floats, bit for bit the
@@ -38,7 +39,9 @@ calls, raising if the monitor raises on some row.  When every monitor of a
 :func:`propagate_until` call has one, the steps run in blocks and each
 monitor is evaluated once per block; a row form that raises sends the block
 through the scalar calls, one row at a time, to find the error or the
-crossing that comes first.
+crossing that comes first.  Otherwise (the planar monitors) the monitors are
+called after each step, inside the same step loop, and the segment's times,
+states and monitor values stay in Python lists until the segment ends.
 """
 
 from __future__ import annotations
@@ -149,44 +152,56 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 _PRODUCT_MIN = 2.0**-960
 
 
+def _fma(x: float, y: float, s: float) -> float:
+    """``x * y + s`` rounded once: one step of the FMA chain of :func:`_dot`
+    and :func:`_dot2`.
+
+    TwoProduct gives ``x * y`` as its rounded value plus its exact error, and
+    ``math.fsum`` rounds their sum with ``s`` once.  A product below 2**-960
+    or not finite, or a sum that comes out non-finite (an overflow, or an
+    infinite or NaN ``s``), is evaluated again by :func:`_fma_exact`.
+    """
+    p = x * y
+    if not _PRODUCT_MIN <= abs(p) < math.inf:
+        return _fma_exact(x, y, s)
+    if not s:
+        return p  # a normal product plus a zero: the product
+    t = _SPLITTER * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLITTER * y
+    yh = t - (t - y)
+    yl = y - yh
+    try:
+        r = math.fsum((p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl, s))
+    except OverflowError:
+        r = math.inf
+    return r if -math.inf < r < math.inf else _fma_exact(x, y, s)
+
+
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     """Dot product of two float sequences, bitwise ``ndarray.dot`` of them
     where that is a fused multiply-add chain (OpenBLAS's ddot on Haswell):
-    ``s = fma(a_i, b_i, s)`` from ``s = +0.0``, then ``s + 0.0``, as numpy
-    adds the BLAS result to +0.0.
-
-    Each fma is exact: TwoProduct gives ``a_i * b_i`` as its rounded value
-    plus its exact error, and ``math.fsum`` rounds their sum with ``s`` once.
-    A step whose product is below 2**-960 or not finite, or whose sum comes
-    out non-finite (an overflow, or an infinite or NaN ``s``), is evaluated
-    again by :func:`_fma_exact`.  Costs ≈0.8 µs for two elements, about what
-    ``ndarray.dot`` costs, but takes and returns Python floats.
+    ``s = fma(a_i, b_i, s)`` from ``s = +0.0``, each step an exact
+    :func:`_fma`, then ``s + 0.0``, as numpy adds the BLAS result to +0.0.
+    Takes and returns Python floats; two elements cost ≈0.9 µs, about what
+    ``ndarray.dot`` costs, and :func:`_dot2` takes them for less.
     """
     s = 0.0
     for x, y in zip(a, b):
-        p = x * y
-        if not _PRODUCT_MIN <= abs(p) < math.inf:
-            s = _fma_exact(x, y, s)
-        elif not s:
-            s = p  # a normal product plus a zero: the product
-        else:
-            t = _SPLITTER * x
-            xh = t - (t - x)
-            xl = x - xh
-            t = _SPLITTER * y
-            yh = t - (t - y)
-            yl = y - yh
-            try:
-                r = math.fsum((p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl, s))
-            except OverflowError:
-                r = math.inf
-            s = r if -math.inf < r < math.inf else _fma_exact(x, y, s)
+        s = _fma(x, y, s)
     return s + 0.0
+
+
+def _dot2(a0: float, a1: float, b0: float, b1: float) -> float:
+    """``_dot((a0, a1), (b0, b1))`` on named floats, bit for bit, with no
+    sequence built or iterated: the planar loop's dot (≈0.6 µs)."""
+    return _fma(a1, b1, _fma(a0, b0, 0.0)) + 0.0
 
 
 def _fma_exact(a: float, b: float, c: float) -> float:
     """``a * b + c`` rounded once, on exact rationals: the steps of
-    :func:`_dot` that TwoProduct cannot take."""
+    :func:`_fma` that TwoProduct cannot take."""
     if not (a and b and math.isfinite(a) and math.isfinite(b)):
         return a * b + c  # a zero, infinite or NaN factor: IEEE's product is exact
     if not math.isfinite(c):
@@ -341,10 +356,11 @@ def propagate_until(
     When every monitor has a row form (see the module docstring), the steps
     run a block of ``_BLOCK_STEPS`` at a time, each monitor is evaluated once
     over the block's stacked states, and the steps after the block's first
-    crossing are dropped; otherwise a block is one step.  The result is that
-    of a loop that monitors every step before it takes the next: an error of
-    a step or a monitor after the first crossing is dropped, and one before
-    it is raised as that loop would raise it.
+    crossing are dropped; otherwise the one block is the whole segment, its
+    monitors called after each step and the loop left at the first crossing.
+    The result is that of a loop that monitors every step before it takes
+    the next: an error of a step or a monitor after the first crossing is
+    dropped, and one before it is raised as that loop would raise it.
 
     An ``armed`` segment starts monitoring at ``t0``.  One that is not skips
     the start state and starts at the end of the first step; callers use
@@ -380,11 +396,15 @@ def propagate_until(
     if remainder < 1e-12 * max(1.0, abs(horizon)):
         remainder = 0.0
     total_steps = n_full + (1 if remainder > 0.0 else 0)
-    block = _BLOCK_STEPS if all(hasattr(m, "rows") for m in monitors) else 1
+    # without a row form for every monitor, the monitors are evaluated after
+    # each step inside the step loop, whose one block is the whole segment
+    by_step = not all(hasattr(m, "rows") for m in monitors)
+    block = total_steps if by_step else _BLOCK_STEPS
 
     step, state = 0, x.tolist()
     while step < total_steps:
-        ends, rows, failure = [], [], None
+        at_start = step == 0 and not armed
+        ends, rows, row_vals, failure, i = [], [], [], None, None
         for k in range(step, min(step + block, total_steps)):
             t_start = t0 + k * dt
             step_dt = dt if k < n_full else remainder
@@ -395,11 +415,21 @@ def propagate_until(
                 break
             ends.append(t_start + step_dt)
             rows.append(state)
+            if by_step:
+                x_end = np.array(state)
+                row = [m(x_end) for m in monitors]
+                row_vals.append(row)
+                if _fires(row, prev, at_start and k == 0):
+                    i = len(rows) - 1
+                    break
+                prev = row
         if not rows:
             raise failure
         block_states = np.array(rows, dtype=float)
-        at_start = step == 0 and not armed
-        vals, i = _monitor_block(monitors, block_states, prev, block > 1, at_start)
+        if by_step:
+            vals = np.array(row_vals, dtype=float)
+        else:
+            vals, i = _monitor_block(monitors, block_states, prev, block > 1, at_start)
         if i is not None:
             if at_start and i == 0:
                 # Monitoring starts at this sample; a value already <= 0 is an
@@ -469,15 +499,22 @@ def _monitor_block(
         x = states[i]
         row = [mon(x) for mon in monitors]
         evaluated.append(row)
-        if at_start and i == 0:
-            if _at_once(row) is not None:
-                return np.array(evaluated, dtype=float), i
-        else:
-            for p, v in zip(prev, row):
-                if p > 0.0 and v <= 0.0:
-                    return np.array(evaluated, dtype=float), i
+        if _fires(row, prev, at_start and i == 0):
+            return np.array(evaluated, dtype=float), i
         prev = row
     return np.array(evaluated, dtype=float), None
+
+
+def _fires(row: list[float], prev: Sequence[float], at_start: bool) -> bool:
+    """Whether the monitor values ``row`` of one step fire: by an immediate
+    event at a segment's first monitored sample (``at_start``), else by a
+    sign change from ``prev``, the values a step before."""
+    if at_start:
+        return _at_once(row) is not None
+    for p, v in zip(prev, row):
+        if p > 0.0 and v <= 0.0:
+            return True
+    return False
 
 
 def _joined(

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .barrier import BarrierSpec
-from .numerics import _dot
+from .numerics import _dot, _dot2
 
 
 class InfeasibleFilterError(RuntimeError):
@@ -127,12 +127,11 @@ def _promoting_filter(b: BarrierSpec, promote_rate: float):
     sqrt = math.sqrt
 
     def promote(x0: float, x1: float, u0: float, u1: float) -> tuple[float, float]:
-        grad = grad_h((x0, x1))
-        g0, g1 = grad
+        g0, g1 = grad_h((x0, x1))
         a0, a1 = 0.0 + g0, 0.0 + g1
-        grad_sq = _dot(grad, grad)
+        grad_sq = _dot2(g0, g1, g0, g1)
         rhs = promote_rate + sqrt(grad_sq) * d_bar - 0.0
-        dot = _dot((a0, a1), (u0, u1))
+        dot = _dot2(a0, a1, u0, u1)
         if dot >= rhs:
             return u0, u1
         if grad_sq == 0.0:

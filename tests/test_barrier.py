@@ -433,6 +433,15 @@ class TestRadialGeometry:
         with pytest.raises(ValueError, match="radial geometry"):
             dataclasses.replace(b, center=float("inf"))
 
+    def test_spec_without_margin_terms_is_the_disk(self):
+        # barrier_condition_margin takes such a spec's closed form, the disk's
+        b = planar_disk_barrier(1.5, gamma=2.0, d_bar=0.01)
+        with pytest.raises(ValueError, match="is the disk"):
+            dataclasses.replace(b, center=2.0)
+        band = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+        with pytest.raises(ValueError, match="is the disk"):
+            dataclasses.replace(band, margin_terms=None)
+
 
 class TestGradientCheckCoversFusedTerms:
     """check_gradient holds an orbital spec's margin_terms to the same finite

@@ -3,7 +3,9 @@
 With ``numerics._BLOCK_STEPS = 1`` every block is one step: the loop then
 monitors each step before it takes the next.  The default block length must
 give the same arrays, the same crossing and the same errors, bit for bit,
-wherever the crossing or the error falls inside or across blocks.
+wherever the crossing or the error falls inside or across blocks; and so
+must the same monitors stripped of their row forms, which the loop calls
+after each step and keeps in lists until the segment ends.
 """
 
 import hashlib
@@ -74,12 +76,15 @@ def outcome(*args, **kwargs):
     return ("returned", times.tobytes(), states.tobytes(), values.tobytes(), values.shape, found)
 
 
-def both(monkeypatch, *args, **kwargs):
-    """(one-step reference, default block length) of the same call."""
+def arms(monkeypatch, field, x0, t0, horizon, monitors, *args, **kwargs):
+    """(one-step reference, default block length, monitors without row
+    forms) of the same call."""
+    call = lambda mons: outcome(field, x0, t0, horizon, mons, *args, **kwargs)
     with monkeypatch.context() as m:
         m.setattr(numerics, "_BLOCK_STEPS", 1)
-        reference = outcome(*args, **kwargs)
-    return reference, outcome(*args, **kwargs)
+        reference = call(monitors)
+    scalar = [lambda x, mon=mon: mon(x) for mon in monitors]
+    return reference, call(monitors), call(scalar)
 
 
 def test_default_blocks_are_longer_than_one_step():
@@ -94,10 +99,10 @@ class TestCrossingPlacement:
              "after-boundary", "last-of-second-block", "third-block"],
     )
     def test_crossing_matches_one_step_loop(self, monkeypatch, k):
-        ref, got = both(
+        ref, got, scalar = arms(
             monkeypatch, RAMP, np.array([0.0, 3.0]), 0.0, (3 * B + 5) * DT, [Ramp(ramp_c(k))], ICFG, ECFG
         )
-        assert ref == got
+        assert ref == got == scalar
         assert got[0] == "returned" and got[5] is not None
         assert np.frombuffer(got[1])[-1] == pytest.approx(ramp_c(k), abs=1e-9)
 
@@ -105,21 +110,21 @@ class TestCrossingPlacement:
     def test_value_exactly_zero_at_a_row_is_a_crossing(self, monkeypatch, k):
         # c equal to the state after k + 1 steps: that row's value is 0.0
         _, states, _, _ = propagate_until(RAMP, np.array([0.0]), 0.0, (k + 1) * DT, [], ICFG)
-        ref, got = both(
+        ref, got, scalar = arms(
             monkeypatch, RAMP, np.array([0.0]), 0.0, 3 * B * DT, [Ramp(states[-1][0])], ICFG, ECFG
         )
-        assert ref == got and got[5] is not None
+        assert ref == got == scalar and got[5] is not None
 
     @pytest.mark.parametrize("k1, k2", [(B + 9, B + 4), (B + 4, B + 4), (3, B + 3)])
     def test_earliest_of_two_monitors(self, monkeypatch, k1, k2):
         monitors = [Ramp(ramp_c(k1, 0.25)), Ramp(ramp_c(k2, 0.75))]
-        ref, got = both(monkeypatch, RAMP, np.array([0.0]), 0.0, 3 * B * DT, monitors, ICFG, ECFG)
-        assert ref == got
+        ref, got, scalar = arms(monkeypatch, RAMP, np.array([0.0]), 0.0, 3 * B * DT, monitors, ICFG, ECFG)
+        assert ref == got == scalar
         assert got[5][0] == (0 if k1 <= k2 else 1)  # monitor 0 crosses a quarter step in
 
     def test_no_crossing_spans_several_blocks(self, monkeypatch):
-        ref, got = both(monkeypatch, RAMP, np.array([0.0]), 0.0, (2 * B + 3) * DT, [Ramp(1e9)], ICFG)
-        assert ref == got and got[5] is None
+        ref, got, scalar = arms(monkeypatch, RAMP, np.array([0.0]), 0.0, (2 * B + 3) * DT, [Ramp(1e9)], ICFG)
+        assert ref == got == scalar and got[5] is None
         assert np.frombuffer(got[1]).shape == (2 * B + 4,)
 
     def test_block_evaluates_the_row_form_once(self):
@@ -141,44 +146,44 @@ class TestCrossingPlacement:
 
 class TestSegmentStart:
     def test_unarmed_start_fires_at_the_first_step(self, monkeypatch):
-        ref, got = both(
+        ref, got, scalar = arms(
             monkeypatch, RAMP, np.array([5.0]), 0.0, 3 * B * DT, [Ramp(1.0)], ICFG, ECFG, armed=False
         )
-        assert ref == got
+        assert ref == got == scalar
         assert got[5][1] == DT.hex() and np.isnan(np.frombuffer(got[3])[0])
 
     @pytest.mark.parametrize("k", [1, 3, B, B + 2])
     def test_unarmed_start_then_a_crossing(self, monkeypatch, k):
-        ref, got = both(
+        ref, got, scalar = arms(
             monkeypatch, RAMP, np.array([0.0]), 0.0, 3 * B * DT, [Ramp(ramp_c(k))], ICFG, ECFG, armed=False
         )
-        assert ref == got and got[5] is not None
+        assert ref == got == scalar and got[5] is not None
 
     def test_unarmed_start_skips_a_sign_change_in_the_first_step(self, monkeypatch):
         # the start is not monitored, so the first step's sign change is no
         # crossing, and the first row, already below zero, fires at once
-        ref, got = both(
+        ref, got, scalar = arms(
             monkeypatch, RAMP, np.array([0.0]), 0.0, 3 * B * DT, [Ramp(ramp_c(0))], ICFG, ECFG, armed=False
         )
-        assert ref == got and got[5][1] == DT.hex()
+        assert ref == got == scalar and got[5][1] == DT.hex()
 
     def test_armed_start_already_nonpositive(self, monkeypatch):
-        ref, got = both(monkeypatch, RAMP, np.array([5.0]), 1.0, 2.0, [Ramp(1.0)], ICFG, ECFG)
-        assert ref == got and got[5][1] == (1.0).hex()
+        ref, got, scalar = arms(monkeypatch, RAMP, np.array([5.0]), 1.0, 2.0, [Ramp(1.0)], ICFG, ECFG)
+        assert ref == got == scalar and got[5][1] == (1.0).hex()
 
 
 class TestRemainderStep:
     HORIZON = (B + 10.5) * DT
 
     def test_no_crossing_ends_at_the_horizon(self, monkeypatch):
-        ref, got = both(monkeypatch, RAMP, np.array([0.0]), 0.0, self.HORIZON, [Ramp(1e9)], ICFG)
-        assert ref == got and got[5] is None
+        ref, got, scalar = arms(monkeypatch, RAMP, np.array([0.0]), 0.0, self.HORIZON, [Ramp(1e9)], ICFG)
+        assert ref == got == scalar and got[5] is None
         assert np.frombuffer(got[1]).shape == (B + 12,)
 
     def test_crossing_in_the_remainder_step(self, monkeypatch):
         c = (B + 10.25) * DT
-        ref, got = both(monkeypatch, RAMP, np.array([0.0]), 0.0, self.HORIZON, [Ramp(c)], ICFG, ECFG)
-        assert ref == got
+        ref, got, scalar = arms(monkeypatch, RAMP, np.array([0.0]), 0.0, self.HORIZON, [Ramp(c)], ICFG, ECFG)
+        assert ref == got == scalar
         assert np.frombuffer(got[1])[-1] == pytest.approx(c, abs=1e-9)
 
 
@@ -200,20 +205,20 @@ class TestErrors:
     @pytest.mark.parametrize("error", [IntegrationFailureError, SingularityError])
     @pytest.mark.parametrize("k_cross, k_fail", [(10, 20), (B - 3, B - 1), (B + 2, B + 90)])
     def test_step_error_after_the_crossing_is_dropped(self, monkeypatch, error, k_cross, k_fail):
-        ref, got = both(
+        ref, got, scalar = arms(
             monkeypatch, failing_at(k_fail, error), np.array([0.0]), 0.0, 3 * B * DT,
             [Ramp(ramp_c(k_cross))], ICFG, ECFG,
         )
-        assert ref == got and got[0] == "returned" and got[5] is not None
+        assert ref == got == scalar and got[0] == "returned" and got[5] is not None
 
     @pytest.mark.parametrize("error", [IntegrationFailureError, SingularityError])
     @pytest.mark.parametrize("k_fail, k_cross", [(10, 20), (0, 5), (B - 1, B + 1), (B + 3, B + 4)])
     def test_step_error_before_the_crossing_is_raised(self, monkeypatch, error, k_fail, k_cross):
-        ref, got = both(
+        ref, got, scalar = arms(
             monkeypatch, failing_at(k_fail, error), np.array([0.0, 1.0]), 0.0, 3 * B * DT,
             [Ramp(ramp_c(k_cross))], ICFG, ECFG,
         )
-        assert ref == got and got[0] == "raised" and got[1] is error
+        assert ref == got == scalar and got[0] == "raised" and got[1] is error
         if error is IntegrationFailureError:
             # the step-start t and x of the failing step
             assert got[3] == k_fail * DT
@@ -238,8 +243,8 @@ class TestErrors:
                 return super().rows(states)
 
         monitors = [Fragile(1e9), Ramp(ramp_c(k_cross))]
-        ref, got = both(monkeypatch, RAMP, np.array([0.0]), 0.0, 3 * B * DT, monitors, ICFG, ECFG)
-        assert ref == got
+        ref, got, scalar = arms(monkeypatch, RAMP, np.array([0.0]), 0.0, 3 * B * DT, monitors, ICFG, ECFG)
+        assert ref == got == scalar
         assert got[0] == ("raised" if raised else "returned")
 
 
@@ -262,18 +267,18 @@ class TestBandRowBelowFloor:
     def test_floor_row_raises_as_one_step_loop(self, monkeypatch):
         monitor = self.negated_margin()
         assert monitor(self.X0) > 0.0
-        ref, got = both(monkeypatch, self.BALLISTIC, self.X0, 0.0, 2.0, [monitor], ICFG, ECFG)
-        assert ref == got
+        ref, got, scalar = arms(monkeypatch, self.BALLISTIC, self.X0, 0.0, 2.0, [monitor], ICFG, ECFG)
+        assert ref == got == scalar
         assert got[0] == "raised" and got[1] is SingularityError
         assert "below singularity floor" in got[2]
 
     def test_floor_row_after_a_crossing_is_dropped(self, monkeypatch):
         radius = lambda x: x[0] - 0.2
         radius.rows = lambda states: states[:, 0] - 0.2
-        ref, got = both(
+        ref, got, scalar = arms(
             monkeypatch, self.BALLISTIC, self.X0, 0.0, 2.0, [self.negated_margin(), radius], ICFG, ECFG
         )
-        assert ref == got
+        assert ref == got == scalar
         assert got[0] == "returned" and got[5][0] == 1
 
 

@@ -34,7 +34,7 @@ from etsafe.config import ConfigError
 from etsafe.dynamics import DisturbanceModel
 from etsafe.engine import AssumptionCheckError, RunAbortedError, RunResult, Trajectory
 from etsafe.inter_event import FitError, LaneFailureError
-from etsafe.numerics import IntegrationFailureError, SingularityError, _dot
+from etsafe.numerics import IntegrationFailureError, SingularityError, _dot, _dot2
 from etsafe.safety_filter import InfeasibleFilterError
 
 SAT_SMALL = """
@@ -955,6 +955,12 @@ def fma_chain(a, b):
     return s + 0.0
 
 
+def dots(p, q):
+    """The dot of ``p`` and ``q`` from each helper that takes the pair:
+    ``_dot``, and ``_dot2`` on named floats where the pair has two elements."""
+    return [_dot(p, q)] + ([_dot2(*p, *q)] if len(p) == 2 else [])
+
+
 def random_vectors(rng, n, dim, lo, hi):
     """``n`` pairs of ``dim``-vectors, each pair's two scaled by magnitudes
     drawn log-uniformly from [10**lo, 10**hi]."""
@@ -1007,15 +1013,17 @@ class TestDigestPlatform:
             )
 
     def test_dot_helper_is_ndarray_dot_here(self):
-        # where the premise above holds, _dot is ndarray.dot bit for bit, so
-        # the planar loop kept its bytes when it moved to floats
+        # where the premise above holds, _dot and _dot2 are ndarray.dot bit
+        # for bit, so the planar loop kept its bytes when it moved to floats
         rng = np.random.default_rng(1)
         for dim in (2, 3, 6):
             a, b = random_vectors(rng, 3000, dim, -3, 3)
             for p, q in zip(a, b):
-                assert _dot(p, q).hex() == float(np.array(p).dot(np.array(q))).hex()
+                ref = float(np.array(p).dot(np.array(q))).hex()
+                assert [d.hex() for d in dots(p, q)] == [ref] * len(dots(p, q))
         for p, q in SIGNED_ZEROS + [OVERFLOW_RESCUED]:
-            assert _dot(p, q).hex() == float(np.array(p).dot(np.array(q))).hex()
+            ref = float(np.array(p).dot(np.array(q))).hex()
+            assert [d.hex() for d in dots(p, q)] == [ref] * len(dots(p, q))
 
 
 # pairs whose dot is zero with factors of either sign: +0.0 every time
@@ -1032,14 +1040,21 @@ OVERFLOW_RESCUED = ([1.0, 2.0**600], [-sys.float_info.max, 2.0**424])
 
 class TestFmaDot:
     """``_dot`` is the exact FMA chain from +0.0 (plus +0.0), checked
-    against the same chain on exact rationals."""
+    against the same chain on exact rationals; ``_dot2`` is checked beside
+    it on every two-element pair (see :func:`dots`)."""
+
+    @staticmethod
+    def assert_chain(p, q):
+        ref = fma_chain(p, q).hex()
+        found = [d.hex() for d in dots(p, q)]
+        assert found == [ref] * len(found), (p, q)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_vectors_match_the_fraction_chain(self, dim):
         rng = np.random.default_rng(dim)
         a, b = random_vectors(rng, 5000, dim, -3, 3)
         for p, q in zip(a, b):
-            assert _dot(p, q).hex() == fma_chain(p, q).hex()
+            self.assert_chain(p, q)
 
     def test_cancelling_sums_match_the_fraction_chain(self):
         # sums that cancel to their last bits, where one rounding too many shows
@@ -1047,11 +1062,11 @@ class TestFmaDot:
         a, b = random_vectors(rng, 3000, 2, -3, 3)
         for p, q in zip(a, b):
             q[1] = -p[0] * q[0] / p[1]
-            assert _dot(p, q).hex() == fma_chain(p, q).hex()
+            self.assert_chain(p, q)
 
     def test_zero_sums_are_positive_zero(self):
         for p, q in SIGNED_ZEROS:
-            assert _dot(p, q).hex() == (0.0).hex()
+            assert [d.hex() for d in dots(p, q)] == [(0.0).hex()] * len(dots(p, q))
         assert _dot([], []).hex() == (0.0).hex()
 
     @pytest.mark.parametrize(
@@ -1069,22 +1084,26 @@ class TestFmaDot:
                 b = (np.array(b) * 1e-300 * 1e-304).tolist()
                 assert min(abs(v) for q in b for v in q) > 0.0
             for p, q in zip(a, b):
-                assert _dot(p, q).hex() == fma_chain(p, q).hex()
+                self.assert_chain(p, q)
 
     def test_overflow(self):
         # the exact sum is finite although one product overflows alone
-        assert _dot(*OVERFLOW_RESCUED) == 2.0**971
-        assert _dot([1e308, 1.0], [1.0, 1e308]) == math.inf
-        assert _dot([-1e308, 1e300], [1e10, 1e300]) == -math.inf
+        assert dots(*OVERFLOW_RESCUED) == [2.0**971] * 2
+        assert dots([1e308, 1.0], [1.0, 1e308]) == [math.inf] * 2
+        assert dots([-1e308, 1e300], [1e10, 1e300]) == [-math.inf] * 2
 
     def test_non_finite_factors_and_sums(self):
         inf, nan = math.inf, math.nan
-        assert _dot([inf, 1.0], [1.0, 2.0]) == inf
-        assert _dot([1.0, inf], [1.0, -1.0]) == -inf
-        assert math.isnan(_dot([inf, 1.0], [0.0, 2.0]))
-        assert math.isnan(_dot([inf, -inf], [1.0, 1.0]))
-        assert math.isnan(_dot([nan, 1.0], [1.0, 1.0]))
-        assert math.isnan(_dot([1.0, 2.0], [1.0, nan]))
+        assert dots([inf, 1.0], [1.0, 2.0]) == [inf] * 2
+        assert dots([1.0, inf], [1.0, -1.0]) == [-inf] * 2
+        for p, q in (
+            ([inf, 1.0], [0.0, 2.0]),
+            ([inf, -inf], [1.0, 1.0]),
+            ([nan, 1.0], [1.0, 1.0]),
+            ([1.0, 2.0], [1.0, nan]),
+        ):
+            found = dots(p, q)
+            assert len(found) == 2 and all(math.isnan(d) for d in found)
 
 
 class TestDebugEventLog:

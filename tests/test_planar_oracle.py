@@ -1,7 +1,7 @@
 """The planar loop on Python floats against the numpy expressions it
 replaced, bit for bit: the disk barrier, its margin, both filter
 constraints, the projection and the promoting filter on named floats, the
-single integrator and both flow fields."""
+single integrator and both flow fields, on run, region and edge states."""
 
 import dataclasses
 import math
@@ -167,6 +167,41 @@ def test_run_states_match_numpy(scenario, run_states):
     active = assert_planar_loop_matches_numpy(scenario, times, states)
     # the run spends stretches with the filter on, where its projection acts
     assert active["promoting"] > 100 and active["standard"] > 0
+
+
+# states no run or region sample reaches, rho = 1 in the shipped config
+EDGE_STATES = [
+    [0.0, 0.0],  # the shipped start, where the promoting row is zero
+    [-0.0, 0.0],
+    [0.0, -0.0],
+    [-0.0, -0.0],
+    [5e-324, -5e-324],  # subnormal coordinates
+    [-1e-310, 2.2e-308],
+    [1e-160, -3e-170],  # normal coordinates, subnormal products
+    [1.0, 0.0],  # on the circle
+    [-0.0, -1.0],
+    [1.05, 0.0],  # the goal, outside the disk
+    [-2.0, 3.0],
+    [1e3, -7e2],
+    [1e200, -1e200],  # products that overflow
+]
+
+
+def test_edge_states_match_numpy(scenario):
+    states = np.array(EDGE_STATES)
+    b, flow, k_ref = scenario.barrier, scenario.nominal_flow(), numpy_k_nom(scenario)
+    margins = [barrier_condition_margin(b, flow, x) for x in EDGE_STATES]
+    with np.errstate(over="ignore"):
+        reference = [numpy_margin(b, k_ref, x) for x in states]
+    assert [m.hex() for m in margins] == [m.hex() for m in reference]
+    assert margins[0] > 0.0 and margins[7] < 0.0 and math.isnan(margins[-1])
+    # the rest of the loop, save where the gradient's square is subnormal:
+    # there the promoting projection's step overflows, and the closed loop
+    # 0.0 + u keeps the infinite input where numpy's EYE @ u takes inf * 0.0,
+    # a NaN; a step meeting either is replayed and raised as non-finite
+    finite = states[[i for i, x in enumerate(EDGE_STATES) if x != [1e-160, -3e-170]]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_planar_loop_matches_numpy(scenario, np.zeros(len(finite)), finite)
 
 
 def test_single_integrator_is_the_generic_identity_product(scenario):
