@@ -185,7 +185,7 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     ``s = fma(a_i, b_i, s)`` from ``s = +0.0``, each step an exact
     :func:`_fma`, then ``s + 0.0``, as numpy adds the BLAS result to +0.0.
     Takes and returns Python floats; two elements cost ≈0.9 µs, about what
-    ``ndarray.dot`` costs, and :func:`_dot2` takes them for less.
+    ``ndarray.dot`` costs, and :func:`_dot2` takes them for about half.
     """
     s = 0.0
     for x, y in zip(a, b):
@@ -195,8 +195,15 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 
 def _dot2(a0: float, a1: float, b0: float, b1: float) -> float:
     """``_dot((a0, a1), (b0, b1))`` on named floats, bit for bit, with no
-    sequence built or iterated: the planar loop's dot (≈0.6 µs)."""
-    return _fma(a1, b1, _fma(a0, b0, 0.0)) + 0.0
+    sequence built or iterated: the planar loop's dot (≈0.5 µs).
+
+    The chain's first step, ``fma(a0, b0, +0.0)``, is the rounded product
+    ``a0 * b0`` save for the sign of a zero, so the product is the second
+    step's addend: a zero addend of either sign gives the same nonzero
+    result, and a zero result only differs in a sign the final ``+ 0.0``
+    drops.
+    """
+    return _fma(a1, b1, a0 * b0) + 0.0
 
 
 def _fma_exact(a: float, b: float, c: float) -> float:

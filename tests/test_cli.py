@@ -1,6 +1,7 @@
 """CLI subcommand tests: exit codes, output schemas, determinism."""
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -1085,6 +1086,14 @@ class TestFmaDot:
                 assert min(abs(v) for q in b for v in q) > 0.0
             for p, q in zip(a, b):
                 self.assert_chain(p, q)
+
+    def test_signed_zero_and_tiny_grid_matches_the_fraction_chain(self):
+        # every position takes signed zeros, subnormals, products below
+        # 2**-960 and exact ones: _dot2 adds its first product, not the
+        # chain's first step, so a zero's sign must not show
+        values = [0.0, -0.0, 5e-324, -1e-310, 2.0**-500, -3e-170, 1.0, -1.5, 1e153]
+        for p0, p1, q0, q1 in itertools.product(values, repeat=4):
+            self.assert_chain([p0, p1], [q0, q1])
 
     def test_overflow(self):
         # the exact sum is finite although one product overflows alone
