@@ -354,7 +354,11 @@ class _LaneDisturbance:
     :meth:`DisturbanceModel.sample` of its lane's stream.
 
     The held vectors of the live lanes are hashed ``_HELD_BLOCK`` intervals
-    per call and kept as a ``(block, dim, n_live)`` table.
+    per call and kept as a ``(block, dim, n_live)`` table.  A row it returns
+    is a view of that table, which a refill or :meth:`keep` replaces and
+    never writes in place, so the campaign keeps the rows it read over a
+    block of steps and hands a fired lane's column of them to the crossing's
+    refinement.
     """
 
     def __init__(self, model: DisturbanceModel, streams: np.ndarray) -> None:

@@ -14,30 +14,35 @@ Sample collection is embarrassingly parallel and fully deterministic: sample
 and every sample is propagated under its own disturbance stream.
 
 Propagation runs in two kernels.  While the batch is wide, all live lanes
-step together as one component-major, C-contiguous ``(6, n_live)`` numpy
-array (each state component a contiguous row), compacted when lanes fire.
-A numpy step costs about the same at any width, so once at most
-``_TAIL_WIDTH`` lanes are live, each remaining lane is finished on its own
-on Python floats (:func:`_finish_lane`), by the two-body step that the
-scalar engine's satellite field takes too.
+step together, component-major, ``_BATCH_BLOCK`` steps at a time: each
+step's state is one C-contiguous ``(6, n_live)`` row of the block's array
+(each state component a contiguous row), and after the block one
+:func:`margin_batch` call over its rows and one scan of its margins find each
+lane's first fire and first non-finite margin; the lanes that fired are
+refined from the block's rows and dropped.  A numpy step costs about the same
+at any width, so once at most ``_TAIL_WIDTH`` lanes are live after a block,
+each remaining lane is finished on its own on Python floats
+(:func:`_finish_lane`), by the two-body step that the scalar engine's
+satellite field takes too.
 
 Both kernels give every lane the same bits.  Each operation keeps its IEEE
-operands and their association: the RK4 stages of :func:`_lane_field`, the
+operands and their association: the RK4 stages of :class:`_LaneBlock`, the
 radius of :func:`_norm3`, the margin of :func:`margin_batch`, and the
 row-major ``(n, 6)`` formulation the batch replaced (``np.linalg.norm`` and
 ``np.einsum`` over rows).  Both kernels take a lane's disturbance from
 :mod:`etsafe.dynamics`: the batch from its ``_LaneDisturbance``, the tail
 from :meth:`~etsafe.dynamics.DisturbanceModel.realize`, each bit for bit
-:meth:`~etsafe.dynamics.DisturbanceModel.sample`.  It depends only on
-(seed, stream, interval), never on which lanes are live or on which kernel
-steps it.
+:meth:`~etsafe.dynamics.DisturbanceModel.sample`, and each hands the vectors
+it read at a fired step's two ends to the crossing's refinement.  A vector
+depends only on (seed, stream, interval), never on which lanes are live, on
+the block length or on which kernel steps it.
 
 So the lanes can also be split across processes (:func:`_propagate_sharded`):
 one interleaved shard per usable CPU, at most ``_MAX_SHARDS`` (2), each
 through both kernels, shard 0 in the calling process and the other in a
-forked worker.  A numpy batch step costs ≈43 µs at 21 lanes and ≈110 µs at
-605 on a 2-vCPU host, so width buys little and a second process is what
-cuts the wall time.  The times are the same for any shard count; which
+forked worker.  A batch step, its share of the block's margin and scan
+included, costs ≈30 µs at 21 lanes and ≈100 µs at 605 on a 2-vCPU host, so
+width buys little and a second process is what cuts the wall time.  The times are the same for any shard count; which
 failing lane is named need not be.
 """
 
@@ -347,8 +352,11 @@ def margin_batch(states: np.ndarray, b: BarrierSpec, r: np.ndarray) -> np.ndarra
     """Vectorized barrier-condition margin for the orbital range barrier ``b``.
 
     ``states`` is ``(n, 6)`` and ``r`` its :func:`_norm3` radii; the campaign
-    passes the ``.T`` view of its component-major ``(6, n)`` array, so every
-    component read here is one contiguous row.  Must agree with
+    passes the ``.T`` view of its component-major ``(6, n)`` array at the
+    start, and then, once per block, the ``(n, steps, 6)`` view of the
+    block's ``(steps, 6, n)`` states with their ``(steps, n)`` radii, which
+    gives ``(steps, n)`` margins.  Every component read here is a contiguous
+    ``(n,)`` row of those arrays.  Must agree with
     :func:`etsafe.barrier.barrier_condition_margin` evaluated per state
     (covered by tests); reads the band and the linear class-K gain from ``b``.
 
@@ -370,26 +378,21 @@ def margin_batch(states: np.ndarray, b: BarrierSpec, r: np.ndarray) -> np.ndarra
     return neg2_delta * rdot - np.abs(neg2_delta) * b.d_bar + b.gamma * h
 
 
-def _lane_field(x: np.ndarray, mu: float, accel, r: np.ndarray | None = None) -> np.ndarray:
-    """Two-body derivative of component-major lanes ``x`` (6, n) plus ``accel``.
-
-    ``r`` is the lanes' radii, if the caller has them.  Same IEEE operations
-    per lane as the row-major ``(-mu / (r * r * r)) * pos`` then ``+= accel``.
-    """
-    pos = x[:3]
-    if r is None:
-        r = _norm3(pos)
-    a = (-mu / (r * r * r)) * pos
-    a += accel
-    return np.concatenate((x[3:], a))
-
-
 # Live width at or below which the batch hands its lanes to _finish_lane.  On
-# a 2-vCPU host a numpy batch step costs ≈100 µs at any width up to 32 and a
-# float lane step ≈4.8 µs.  Over the 605-lane campaign at seed 3, widths 8,
-# 16, 20, 24 and 32 took 11.0, 11.4, 10.4, 11.2 and 11.8 s (medians of 3
-# alternating runs; the runs of one width spread by up to 2 s).
-_TAIL_WIDTH = 20
+# a 2-vCPU host a batch step costs ≈30 µs at 12 to 30 lanes and a float lane
+# step ≈5 µs, so the batch is the cheaper kernel down to about six lanes.
+# Over the campaign benchmark (benchmark seed 1, four rotating rounds of
+# 25 s runs), widths 8, 12 and 20 gave medians of 2.04M, 2.05M and 1.87M
+# lane-steps/s; the runs of one width spread by up to 0.4M.
+_TAIL_WIDTH = 12
+
+# Steps the batch takes between margin scans.  A block writes each step's
+# states and radii into rows of its own arrays, evaluates their margins in one
+# margin_batch call and scans them once for fires and non-finite margins.
+# Blocks of 8, 16 and 32 steps timed within noise of each other (one shard of
+# the seed-3 campaign in process, 3 runs each); a longer block holds more
+# rows, and peak RSS counts them.
+_BATCH_BLOCK = 16
 
 
 def _propagate_batch_until_trigger(
@@ -401,12 +404,15 @@ def _propagate_batch_until_trigger(
     """First margin zero-crossing time per sample; NaN where max_wait passed.
 
     While more than ``_TAIL_WIDTH`` lanes are live, they step together,
-    component-major, as one C-contiguous ``(6, n_live)`` array that is
-    compacted when lanes fire.  Once the live width is at most
-    ``_TAIL_WIDTH``, each remaining lane is finished alone by
-    :func:`_finish_lane` on Python floats, which repeats the batch's
-    operations bit for bit, so the times do not depend on the switch.
-    Raises LaneFailureError when a lane's margin goes non-finite.
+    component-major, ``_BATCH_BLOCK`` steps at a time (:class:`_LaneBlock`);
+    after each block its margins are scanned by the per-step rule
+    (:func:`_scan_block`), the lanes that fired are refined from the block's
+    rows and dropped, and the rest go on from the block's last row.  Once the
+    live width after a block is at most ``_TAIL_WIDTH``, each remaining lane
+    is finished alone by :func:`_finish_lane` on Python floats, which repeats
+    the batch's operations bit for bit, so the times do not depend on the
+    switch or on the block length.  Raises LaneFailureError when a lane's
+    margin goes non-finite.
     """
     b = scenario.barrier
     dt = scenario.integrator.step_size
@@ -422,48 +428,44 @@ def _propagate_batch_until_trigger(
     # each step's radii serve its margin and the next step's first stage
     r = _norm3(x[:3])
     margins = margin_batch(x.T, b, r)
-    _require_finite_margins(margins, 0.0, x, streams, lanes)
+    bad = np.flatnonzero(~np.isfinite(margins))
+    if len(bad):
+        raise LaneFailureError(0.0, x[:, bad[0]], int(streams[bad[0]]))
     n_steps = int(np.ceil(max_wait / dt))
 
     accel_at = _LaneDisturbance(scenario.disturbance, streams)
-
+    block = _LaneBlock(x, r)
     k = 0
     while k < n_steps and len(lanes) > _TAIL_WIDTH:
-        t0 = k * dt
-        k += 1
-        k1 = _lane_field(x, mu, accel_at(t0), r)
-        # stages 2 and 3 share a time and so one disturbance lookup; it is a
-        # view of the lane table, dropped before stage 4 may refill the table
-        d_half = accel_at(t0 + 0.5 * dt)
-        x2 = x + 0.5 * dt * k1
-        k2 = _lane_field(x2, mu, d_half)
-        x3 = x + 0.5 * dt * k2
-        k3 = _lane_field(x3, mu, d_half)
-        del d_half
-        x4 = x + dt * k3
-        k4 = _lane_field(x4, mu, accel_at(t0 + dt))
-        new_x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        new_r = _norm3(new_x[:3])
-        new_margins = margin_batch(new_x.T, b, new_r)
-        _require_finite_margins(new_margins, t0, x, streams, lanes)
+        steps = min(_BATCH_BLOCK, n_steps - k)
+        accels = block.run(accel_at, k, steps, dt, mu)
+        after, radii = block.states[1 : steps + 1], block.radii[1 : steps + 1]
+        # the (n, steps, 6) view whose .T is component-major (6, steps, n)
+        block_margins = margin_batch(after.transpose(2, 0, 1), b, radii)
+        fired, failed = _scan_block(margins, block_margins)
+        for i, j in fired:
+            d0, d1 = accels[i]
+            out[lanes[j]] = _refine_sample_crossing(
+                scenario, block.states[i, :, j].copy(), after[i, :, j].copy(), (k + i) * dt,
+                dt, int(streams[lanes[j]]), _column(d0, j), _column(d1, j),
+            )
+        if failed is not None:
+            i, j = failed
+            raise LaneFailureError((k + i) * dt, block.states[i, :, j], int(streams[lanes[j]]))
 
-        fired = (margins > 0.0) & (new_margins <= 0.0)
-        if np.count_nonzero(fired):
-            for j in np.flatnonzero(fired):
-                out[lanes[j]] = _refine_sample_crossing(
-                    scenario, x[:, j].copy(), new_x[:, j].copy(), t0, dt, int(streams[lanes[j]])
-                )
-            keep = ~fired
+        k += steps
+        margins = block_margins[-1]
+        if fired:
+            keep = np.ones(len(lanes), dtype=bool)
+            keep[[j for _, j in fired]] = False
             lanes = lanes[keep]
-            x = new_x.compress(keep, axis=1)
-            r = new_r[keep]
-            margins = new_margins[keep]
+            margins = margins[keep]
             accel_at.keep(keep)
+            block = _LaneBlock(after[-1].compress(keep, axis=1), radii[-1][keep])
         else:
-            x = new_x
-            r = new_r
-            margins = new_margins
+            block.restart(steps)
 
+    x = block.states[0]
     for j, lane in enumerate(lanes.tolist()):
         out[lane] = _finish_lane(
             scenario, x[:, j].tolist(), float(margins[j]), int(streams[lane]), k, n_steps
@@ -471,12 +473,158 @@ def _propagate_batch_until_trigger(
     return out
 
 
+class _LaneBlock:
+    """The lanes' states over one block of batch steps: ``states[0]``
+    (6, width) and ``radii[0]`` (width,) are the state and :func:`_norm3`
+    radii at the block's start, ``states[i + 1]`` and ``radii[i + 1]`` those
+    after its step i; beside them, the stage buffers that every step reuses.
+
+    Each step runs the IEEE operations of the batch's RK4 stages, the
+    two-body derivative ``(v, (-mu / (r r r)) p + d)`` at ``x``,
+    ``x + (dt/2) k1``, ``x + (dt/2) k2`` and ``x + dt k3``, and their sum
+    ``x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)``, in that association, writing
+    each result through ``out=``.
+    """
+
+    def __init__(self, x: np.ndarray, r: np.ndarray) -> None:
+        width = x.shape[1]
+        self.states = np.empty((_BATCH_BLOCK + 1, 6, width))
+        self.radii = np.empty((_BATCH_BLOCK + 1, width))
+        self.states[0] = x
+        self.radii[0] = r
+        self.total = np.empty((6, width))  # k1, then the running RK4 sum
+        self.stage = np.empty((6, width))  # the derivative of stages 2 to 4
+        self.state = np.empty((6, width))  # the state of stages 2 to 4
+        self.squares = np.empty((3, width))
+        self.q = np.empty(width)  # -mu / r^3 of the stage
+        self.r = np.empty(width)  # the radii of the stage state
+
+    def restart(self, steps: int) -> None:
+        """Start the next block where step ``steps`` of this one ended."""
+        self.states[0] = self.states[steps]
+        self.radii[0] = self.radii[steps]
+
+    def run(self, accel_at, k: int, steps: int, dt: float, mu: float) -> list:
+        """Steps ``k .. k+steps-1`` from ``states[0]`` into ``states[1 ..
+        steps]``; returns each step's disturbances at its start and its end,
+        as ``accel_at`` gave them."""
+        multiply, add, divide, sqrt, copyto = np.multiply, np.add, np.divide, np.sqrt, np.copyto
+        add_rows = np.add.reduce
+        total, stage, state, squares, q, rs = (
+            self.total, self.stage, self.state, self.squares, self.q, self.r
+        )
+        total_v, total_a = total[:3], total[3:]
+        stage_v, stage_a = stage[:3], stage[3:]
+        state_p, state_v = state[:3], state[3:]
+        states, radii = self.states, self.radii
+        x, r = states[0], radii[0]
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        neg_mu = -mu
+        accels = []
+        for i in range(steps):
+            t0 = (k + i) * dt
+            # stage 1 at x, with the radii the previous step took:
+            # k1 = (v, (-mu / (r r r)) p + d)
+            d0 = accel_at(t0)
+            multiply(r, r, out=q)
+            multiply(q, r, out=q)
+            divide(neg_mu, q, out=q)
+            multiply(q, x[:3], out=total_a)
+            add(total_a, d0, out=total_a)
+            copyto(total_v, x[3:])
+            multiply(total, half, out=state)
+            add(x, state, out=state)
+            # stages 2 and 3 share a time and so one disturbance lookup; the
+            # state of stage 3 is x + half k2, that of stage 4 x + dt k3, and
+            # the sum takes 2 k2 and 2 k3
+            d_half = accel_at(t0 + half)
+            for scale in (half, dt):
+                multiply(state_p, state_p, out=squares)
+                add_rows(squares, axis=0, out=rs)
+                sqrt(rs, out=rs)
+                multiply(rs, rs, out=q)
+                multiply(q, rs, out=q)
+                divide(neg_mu, q, out=q)
+                multiply(q, state_p, out=stage_a)
+                add(stage_a, d_half, out=stage_a)
+                copyto(stage_v, state_v)
+                multiply(stage, scale, out=state)
+                add(x, state, out=state)
+                multiply(stage, 2.0, out=stage)
+                add(total, stage, out=total)
+            # stage 4, then the new state x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
+            d1 = accel_at(t0 + dt)
+            multiply(state_p, state_p, out=squares)
+            add_rows(squares, axis=0, out=rs)
+            sqrt(rs, out=rs)
+            multiply(rs, rs, out=q)
+            multiply(q, rs, out=q)
+            divide(neg_mu, q, out=q)
+            multiply(q, state_p, out=stage_a)
+            add(stage_a, d1, out=stage_a)
+            copyto(stage_v, state_v)
+            add(total, stage, out=total)
+            multiply(total, sixth, out=total)
+            row, rad = states[i + 1], radii[i + 1]
+            add(x, total, out=row)
+            positions = row[:3]
+            multiply(positions, positions, out=squares)
+            add_rows(squares, axis=0, out=rad)
+            sqrt(rad, out=rad)
+            x, r = row, rad
+            accels.append((d0, d1))
+        return accels
+
+
+def _column(d, j: int) -> list[float]:
+    """Lane ``j``'s disturbance vector from a lane-table row ``d`` (dim, n),
+    or the zero vector where the row is the scalar 0.0 of the ``none``
+    kind."""
+    return d[:, j].tolist() if np.ndim(d) else [d, d, d]
+
+
+def _scan_block(m0: np.ndarray, m: np.ndarray):
+    """The per-step rule over one block of margins: ``m0`` (n,) the lanes'
+    margins before the block, ``m`` (steps, n) those after each step.
+
+    A lane fires at the first step whose margin goes from > 0 to <= 0, and
+    fails at its first non-finite margin unless it fired at an earlier step
+    (the per-step loop tested the margins before the fires).  Returns
+    ``(fired, failed)``: ``failed`` is the ``(step, lane)`` of the earliest
+    failing step and its first lane in array order, or None; ``fired`` lists
+    the ``(step, lane)`` of the lanes that fired before that step (all that
+    fired, if none failed), by step, then by lane.
+    """
+    steps = len(m)
+    fires = np.empty(m.shape, dtype=bool)
+    np.greater(m0, 0.0, out=fires[0])
+    np.greater(m[:-1], 0.0, out=fires[1:])
+    fires &= m <= 0.0
+    fire_step = np.where(fires.any(axis=0), fires.argmax(axis=0), steps)
+    failed = None
+    limit = steps
+    finite = np.isfinite(m)
+    if not finite.all():
+        bad = ~finite
+        fail_step = np.where(bad.any(axis=0), bad.argmax(axis=0), steps)
+        failing = (fail_step < steps) & (fail_step <= fire_step)
+        if failing.any():
+            limit = int(fail_step[failing].min())
+            failed = (limit, int(np.flatnonzero(failing & (fail_step == limit))[0]))
+    lanes = np.flatnonzero(fire_step < limit)
+    order = np.argsort(fire_step[lanes], kind="stable")
+    fired = [(int(fire_step[j]), int(j)) for j in lanes[order]]
+    return fired, failed
+
+
 # Two shards is the only count whose wall time has been measured (a 2-vCPU
 # host).  Sharding adds work: each shard pays the batch's per-iteration
-# floor until its own live width reaches the tail, so two shards do ≈1.47x
-# the CPU work of one process, and more shards move still more of it into
-# the float tail.  Raise this only on alternating-pair benchmark runs on a
-# host with 3 or more usable CPUs that show a gain.
+# floor until its own live width reaches the tail, so two shards do ≈1.4x
+# the CPU work of one process (1.39-1.42x at seed 3: CPU time of each shard
+# alone against all lanes in one process), and more shards move still more
+# of it into the float tail.  Raise this only on alternating-pair benchmark
+# runs on a host with 3 or more usable CPUs that show a gain.
 _MAX_SHARDS = 2
 
 
@@ -567,7 +715,8 @@ def _finish_lane(
     """
     margin = _lane_margin(scenario.barrier)
     dt = scenario.integrator.step_size
-    step = _two_body_rk4(scenario.gravity.mu, 0.0, scenario.disturbance.realize(stream))
+    accel = scenario.disturbance.realize(stream)
+    step = _two_body_rk4(scenario.gravity.mu, 0.0, accel)
     for k in range(first_step, n_steps):
         t0 = k * dt
         try:
@@ -578,7 +727,13 @@ def _finish_lane(
         if not math.isfinite(nm):
             raise LaneFailureError(t0, x, stream)
         if m > 0.0 and nm <= 0.0:
-            return _refine_sample_crossing(scenario, np.array(x), np.array(new), t0, dt, stream)
+            # copies: the sampler refills its block in place, and the end's
+            # interval is in the block, the start's perhaps not
+            end = list(accel(t0 + dt))
+            start = list(accel(t0))
+            return _refine_sample_crossing(
+                scenario, np.array(x), np.array(new), t0, dt, stream, start, end
+            )
         x, m = new, nm
     return math.nan
 
@@ -601,22 +756,6 @@ def _lane_margin(b: BarrierSpec):
     return margin
 
 
-def _require_finite_margins(
-    margins: np.ndarray, t: float, x: np.ndarray, streams: np.ndarray, lanes: np.ndarray
-) -> None:
-    """Raise LaneFailureError for the first live lane whose margin is
-    non-finite, with the time and state at the start of its step; such a
-    lane would otherwise never fire and be censored at max_wait."""
-    # one cheap test per step: the dot product is non-finite when any margin
-    # is, and (only for margins beyond ~1e154) when it overflows
-    if math.isfinite(margins.dot(margins)):
-        return
-    bad = np.flatnonzero(~np.isfinite(margins))
-    if len(bad):
-        j = int(bad[0])
-        raise LaneFailureError(t, x[:, j], int(streams[lanes[j]]))
-
-
 def _refine_sample_crossing(
     scenario: SatelliteScenario,
     x0: np.ndarray,
@@ -624,21 +763,25 @@ def _refine_sample_crossing(
     t0: float,
     dt: float,
     stream: int,
+    accel0,
+    accel1,
 ) -> float:
     """Scalar in-step refinement matching the engine's event semantics.
 
-    The derivative at each end of the step is ``two_body_field`` with the
-    lane's disturbance there; at the start it is bitwise the first RK4 stage
-    of the batch and of the tail.  A degraded crossing is logged as a
-    WARNING, as the engine logs its own.
+    ``accel0`` and ``accel1`` are the lane's disturbance at the start and the
+    end of the step, as the kernel that stepped it read them (for the
+    ``none`` kind a zero vector, which the field adds as it adds any other).
+    The derivative at each end is ``two_body_field`` with that disturbance;
+    at the start it is bitwise the first RK4 stage of the batch and of the
+    tail.  A degraded crossing is logged as a WARNING, as the engine logs its
+    own.
     """
     g = scenario.gravity
     b = scenario.barrier
-    dist = scenario.disturbance
     flow = scenario.nominal_flow()
     monitor = lambda x: barrier_condition_margin(b, flow, x)
 
-    field = lambda t, x: two_body_field(g, x, accel=dist.sample(t, stream))
+    field = lambda t, x: two_body_field(g, x, accel=accel0 if t == t0 else accel1)
     interp = _step_interpolant(field, t0, x0, t0 + dt, x1)
     if monitor(x0) <= 0.0:  # margin grazed zero within tolerance at step start
         return t0

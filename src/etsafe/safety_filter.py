@@ -25,7 +25,9 @@ from .numerics import _dot, _dot2
 
 
 class InfeasibleFilterError(RuntimeError):
-    """The halfspace constraint is unsatisfiable (zero row, positive rhs).
+    """The halfspace constraint is unsatisfiable (zero row, positive rhs), or
+    no finite input satisfies it (a row so small that the projection step
+    overflows).
 
     Feasibility of the filter is assumed, not guaranteed; this error is the
     honest surface for that assumption's failure, never silently clamped.
@@ -92,6 +94,10 @@ def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
     Feasible nominal inputs are returned unchanged (the same values,
     bit-exactly).  Otherwise the orthogonal projection onto the hyperplane
     ``a . u = rhs`` is returned, which satisfies the constraint with equality.
+    Raises InfeasibleFilterError where the row is zero or the projection
+    step ``(rhs - a . u) / (a . a)`` overflows.  Non-finite operands (a
+    non-finite state) give a NaN step and input, left for the integrator's
+    finiteness check.
     """
     u = _floats(u_nom)
     a = con.a.tolist()
@@ -102,6 +108,8 @@ def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
     if a_sq == 0.0:
         raise _zero_row(con.rhs)
     step = (con.rhs - dot) / a_sq
+    if math.isinf(step):
+        raise _step_overflow(a_sq)
     return np.array([v + step * w for v, w in zip(u, a)])
 
 
@@ -111,12 +119,19 @@ def _zero_row(rhs: float) -> InfeasibleFilterError:
     )
 
 
+def _step_overflow(a_sq: float) -> InfeasibleFilterError:
+    return InfeasibleFilterError(
+        f"projection step overflows with row square {a_sq!r}: "
+        "no finite input satisfies the constraint"
+    )
+
+
 def _promoting_filter(b: BarrierSpec, promote_rate: float):
     """``promote(x0, x1, u0, u1) -> (u0, u1)``: the input the promoting
     filter passes for the nominal input ``(u0, u1)`` at the planar state
     ``(x0, x1)`` of the single integrator, on named Python floats, bit for
     bit ``project(u, build_constraint(b, x, "promoting", promote_rate))``,
-    its zero-row error included.
+    its errors included.
 
     As there, the row is ``a = 0.0 + grad`` and the drift term ``+0.0``.
     ``a . a`` is bitwise ``grad . grad``: the two differ only in
@@ -137,6 +152,8 @@ def _promoting_filter(b: BarrierSpec, promote_rate: float):
         if grad_sq == 0.0:
             raise _zero_row(rhs)
         step = (rhs - dot) / grad_sq
+        if math.isinf(step):
+            raise _step_overflow(grad_sq)
         return u0 + step * a0, u1 + step * a1
 
     return promote

@@ -465,13 +465,12 @@ class TestSampleAndFit:
         assert cmd_sample_tau(str(path), str(out)) == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("tail_width", [0, None], ids=["batch", "tail"])
+    @pytest.mark.parametrize("tail_width", [0, 9], ids=["batch", "tail"])
     def test_non_finite_lane_exit_3(self, sat_config, tmp_path, monkeypatch, caplog, tail_width):
         # poison every held disturbance vector from hold interval 3 on, which
         # the 9 lanes reach mid-run: on the numpy batch alone (tail width 0),
-        # and on the float tail, which takes them all at the default width
-        if tail_width is not None:
-            monkeypatch.setattr(etsafe.inter_event, "_TAIL_WIDTH", tail_width)
+        # and on the float tail, which takes all 9 at width 9
+        monkeypatch.setattr(etsafe.inter_event, "_TAIL_WIDTH", tail_width)
         real = DisturbanceModel.held
 
         def poisoned(self, streams, k, count):

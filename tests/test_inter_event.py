@@ -13,21 +13,23 @@ import pytest
 
 import etsafe.inter_event as inter_event
 from etsafe.barrier import barrier_condition_margin, orbital_range_barrier
-from etsafe.dynamics import DisturbanceModel, GravityModel, apply_impulse
+from etsafe.dynamics import DisturbanceModel, GravityModel, _LaneDisturbance, apply_impulse
 from etsafe.inter_event import (
     FitError,
     InterEventSampleSet,
     InterEventTimeModel,
     LaneFailureError,
+    _BATCH_BLOCK,
     _MAX_SHARDS,
     _TAIL_WIDTH,
+    _LaneBlock,
     _finish_lane,
     _initial_states,
-    _lane_field,
     _lane_margin,
     _norm3,
     _propagate_batch_until_trigger,
     _refine_sample_crossing,
+    _scan_block,
     _shard_count,
     collect_inter_event_samples,
     fit_inter_event_model,
@@ -294,6 +296,33 @@ def row_major_margin(states, R, gamma, d_bar):
     return -2.0 * delta * rdot - 2.0 * np.abs(delta) * d_bar + gamma * h
 
 
+def lane_field(x, mu, accel):
+    """The batch's stage derivative before it stepped in blocks: the
+    two-body derivative of component-major lanes ``x`` (6, n) plus
+    ``accel``, on fresh arrays."""
+    pos = x[:3]
+    r = _norm3(pos)
+    a = (-mu / (r * r * r)) * pos
+    a += accel
+    return np.concatenate((x[3:], a))
+
+
+def per_step_lanes(x, mu, accel_at, k, steps, dt):
+    """The batch's steps before it stepped in blocks, each on fresh arrays:
+    the states after steps ``k .. k+steps-1`` of lanes ``x`` (6, n)."""
+    rows = []
+    for i in range(k, k + steps):
+        t0 = i * dt
+        k1 = lane_field(x, mu, accel_at(t0))
+        d_half = accel_at(t0 + 0.5 * dt)
+        k2 = lane_field(x + 0.5 * dt * k1, mu, d_half)
+        k3 = lane_field(x + 0.5 * dt * k2, mu, d_half)
+        k4 = lane_field(x + dt * k3, mu, accel_at(t0 + dt))
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows.append(x)
+    return np.array(rows)
+
+
 def scalar_lane_tau(scn, x, stream, max_wait):
     """One lane stepped by the scalar rk4_step on the scenario's disturbed
     field, fired and refined with the campaign's semantics."""
@@ -310,7 +339,8 @@ def scalar_lane_tau(scn, x, stream, max_wait):
         x1 = np.array(rk4_step(fld, x, t0, dt))
         m1 = margin(x1)
         if m > 0.0 and m1 <= 0.0:
-            return _refine_sample_crossing(scn, x, x1, t0, dt, stream)
+            ends = (scn.disturbance.sample(t0, stream), scn.disturbance.sample(t0 + dt, stream))
+            return _refine_sample_crossing(scn, x, x1, t0, dt, stream, *ends)
         x, m = x1, m1
     return None
 
@@ -370,12 +400,25 @@ class TestComponentMajorKernel:
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_lane_field_with_handed_radii_changes_no_bit(self, n):
-        # the campaign takes each step's radii once, for the margin and the
-        # next step's first stage
+        # a block takes each step's radii once, for the margin and the next
+        # step's first stage, and writes every stage through its buffers:
+        # its rows and radii equal, bit for bit, the steps on fresh arrays
+        # that took the radii again
         x = np.ascontiguousarray(band_states(n, seed=n).T)
-        r = _norm3(x[:3])
-        accel = np.full((3, n), 1e-3)
-        assert _lane_field(x, 1.0, accel, r).tobytes() == _lane_field(x, 1.0, accel).tobytes()
+        dist = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=n, hold_time=1.0)
+        streams = np.arange(1, n + 1, dtype=np.uint64)
+        block, k, dt = _LaneBlock(x, _norm3(x[:3])), 37, 0.05  # 37 dt crosses a hold interval
+        ends = block.run(_LaneDisturbance(dist, streams), k, _BATCH_BLOCK, dt, 1.0)
+        expected = per_step_lanes(x, 1.0, _LaneDisturbance(dist, streams), k, _BATCH_BLOCK, dt)
+        assert block.states[1:].tobytes() == expected.tobytes()
+        assert block.radii[1:].tobytes() == _norm3(expected.transpose(1, 0, 2)[:3]).tobytes()
+        # the disturbances handed to a refinement: the table's, at each
+        # step's start and end
+        for i, (d0, d1) in enumerate(ends):
+            t0 = (k + i) * dt
+            for j in (0, n - 1):
+                assert d0[:, j].tobytes() == dist.sample(t0, j + 1).tobytes()
+                assert d1[:, j].tobytes() == dist.sample(t0 + dt, j + 1).tobytes()
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_stage_norm_bitwise_equals_linalg_norm(self, n):
@@ -436,6 +479,11 @@ class TestComponentMajorKernel:
             assert err.x[3] == 1e153  # the lane's state at the start of the failing step
 
 
+# lanes per radius of the hand-off campaigns: the 3n lanes start in the
+# batch, and the 2n left when the 1.65 lanes have fired go to the tail
+HAND_OFF_N = _TAIL_WIDTH // 2
+
+
 @pytest.fixture
 def one_shard(monkeypatch):
     """Keep a campaign in this process, so that spies on its calls see them
@@ -450,10 +498,11 @@ def shards(monkeypatch, k):
 class TestTailHandOff:
     @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)
     def test_mid_run_hand_off_changes_no_bit(self, kind, monkeypatch, one_shard):
-        # 24 lanes start in the batch; the 1.65 lanes fire first, and the
-        # rest are finished in the tail, some firing and the 2.0 ones censored
+        # 3n lanes start in the batch; the 1.65 lanes fire first, which
+        # leaves 2n <= _TAIL_WIDTH, and the rest are finished in the tail,
+        # some firing and the 2.0 ones censored
         scn = make_scenario(seed=3, kind=kind)
-        grid, n, max_wait = np.array([1.65, 2.0, 2.3]), 8, 30.0
+        grid, n, max_wait = np.array([1.65, 2.0, 2.3]), HAND_OFF_N, 30.0
         assert len(grid) * n > _TAIL_WIDTH
         finish, refine = inter_event._finish_lane, inter_event._refine_sample_crossing
         entries, crossings = [], {}
@@ -462,11 +511,12 @@ class TestTailHandOff:
             entries.append(args[4])  # the step at which the lane entered
             return finish(*args)
 
-        def spy_refine(scenario, x0, x1, t0, dt, stream):
-            # the step's start and end, to the bit: a crossing time alone
-            # rarely shows a last-bit difference in the state
-            crossings[stream] = (t0, x0.tobytes(), x1.tobytes())
-            return refine(scenario, x0, x1, t0, dt, stream)
+        def spy_refine(scenario, x0, x1, t0, dt, stream, accel0, accel1):
+            # the step's start and end and their disturbances, to the bit: a
+            # crossing time alone rarely shows a last-bit difference
+            ends = np.array([accel0, accel1]).tobytes()
+            crossings[stream] = (t0, x0.tobytes(), x1.tobytes(), ends)
+            return refine(scenario, x0, x1, t0, dt, stream, accel0, accel1)
 
         monkeypatch.setattr(inter_event, "_refine_sample_crossing", spy_refine)
         monkeypatch.setattr(inter_event, "_finish_lane", spy_finish)
@@ -496,6 +546,177 @@ class TestTailHandOff:
         assert info.value.x.tolist() == x
 
 
+def per_step_verdicts(m0, m):
+    """The per-step loop's verdicts on margins ``m0`` (n,) then ``m``
+    (steps, n): at each step the live lanes' margins are tested first, and a
+    non-finite one fails its lane; then the live lanes whose margin went from
+    > 0 to <= 0 fire and leave.  Returns (fired (step, lane) pairs in order,
+    the failing (step, lane) or None)."""
+    live, prev, fired = list(range(len(m0))), m0, []
+    for i, row in enumerate(m):
+        bad = [j for j in live if not np.isfinite(row[j])]
+        if bad:
+            return fired, (i, bad[0])
+        now = [j for j in live if prev[j] > 0.0 and row[j] <= 0.0]
+        fired += [(i, j) for j in now]
+        live = [j for j in live if j not in now]
+        prev = row
+    return fired, None
+
+
+BLOCKS = (1, 2, 7, _BATCH_BLOCK)
+
+
+class TestBatchBlocks:
+    """The batch steps _BATCH_BLOCK steps at a time and scans each block's
+    margins once, by the per-step rule."""
+
+    NAN, INF = np.nan, np.inf
+    # lanes 0-7 over 4 steps, from margins M0: lane 0 fires at step 1 and goes
+    # NaN after; lane 1 fails at step 2 (+inf) after firing at none; lane 2
+    # fires at step 2 with -inf (a failure, tested first); lane 3 fails at
+    # step 2 with NaN; lane 4 fires at step 3, after the failure; lane 5 fires
+    # at step 0; lane 6 never fires; lane 7 starts at <= 0 and never fires
+    M0 = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0]
+    M = [
+        [0.5, 0.9, 0.8, 0.7, 0.9, -0.1, 1.0, -2.0],
+        [-0.5, 0.8, 0.7, 0.6, 0.8, NAN, 1.0, -3.0],
+        [NAN, INF, -INF, NAN, 0.7, NAN, 1.0, 1.0],
+        [NAN, NAN, NAN, NAN, -0.2, NAN, 1.0, 2.0],
+    ]
+
+    def test_scan_follows_the_per_step_rule(self):
+        m0, m = np.array(self.M0), np.array(self.M)
+        fired, failed = _scan_block(m0, m)
+        assert (fired, failed) == per_step_verdicts(m0, m)
+        assert fired == [(0, 5), (1, 0)] and failed == (2, 1)
+        # without the failing lanes, the fires after that step are listed
+        ok = [0, 4, 5, 6, 7]
+        assert _scan_block(m0[ok], m[:, ok]) == ([(0, 2), (1, 0), (3, 1)], None)
+
+    def test_scan_on_random_margins(self):
+        rng = np.random.default_rng(24)
+        values = [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf, -np.inf]
+        for _ in range(500):
+            steps, n = rng.integers(1, 9), rng.integers(1, 7)
+            m0 = rng.choice([-1.0, 0.0, 1.0], n)
+            m = rng.choice(values, (steps, n), p=[0.3, 0.1, 0.3, 0.2, 0.04, 0.03, 0.03])
+            assert _scan_block(m0, m) == per_step_verdicts(m0, m), (m0, m)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)
+    def test_cap_inside_a_block_changes_no_bit(self, kind, block, monkeypatch):
+        # the batch alone, to a cap of 7,999 steps, which ends inside a block
+        # of 2, 7 and 16 steps; the lanes that fire keep their pinned times
+        monkeypatch.setattr(inter_event, "_TAIL_WIDTH", 0)
+        monkeypatch.setattr(inter_event, "_BATCH_BLOCK", block)
+        scn = make_scenario(seed=3, kind=kind)
+        max_wait = 399.95
+        n_steps = int(np.ceil(max_wait / scn.integrator.step_size))
+        assert n_steps == 7999 and all(n_steps % b for b in BLOCKS[1:])
+        s = collect_inter_event_samples(scn, np.array([1.65, 2.0, 2.3]), 4, seed=3, max_wait=max_wait)
+        expected = [t if t != "400.0" else repr(max_wait) for t in PINNED_TAUS[kind]]
+        assert [repr(float(t)) for t in s.inter_event_time] == expected
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)
+    def test_hand_off_inside_a_block_changes_no_bit(self, kind, block, monkeypatch, one_shard):
+        # the tail takes the lanes at the end of the block in which the live
+        # width fell to _TAIL_WIDTH; it is the same lanes' times at any block
+        scn = make_scenario(seed=3, kind=kind)
+        grid, n, max_wait = np.array([1.65, 2.0, 2.3]), HAND_OFF_N, 30.0
+        assert len(grid) * n > _TAIL_WIDTH
+        finish = inter_event._finish_lane
+        entries = []
+
+        def spy_finish(*args):
+            entries.append(args[4])  # the step at which the lane entered
+            return finish(*args)
+
+        monkeypatch.setattr(inter_event, "_finish_lane", spy_finish)
+        taus, starts = {}, {}
+        for b in (1, block):
+            monkeypatch.setattr(inter_event, "_BATCH_BLOCK", b)
+            taus[b] = collect_inter_event_samples(scn, grid, n, seed=3, max_wait=max_wait)
+            (starts[b],) = set(entries)  # every lane entered the tail at one step
+            entries.clear()
+        width_step, hand_off = starts[1], starts[block]  # the width fell at width_step
+        assert hand_off % block == 0 and hand_off - block < width_step <= hand_off
+        if block in (7, _BATCH_BLOCK):
+            assert hand_off > width_step  # the width fell inside the block
+        assert [t.hex() for t in taus[block].inter_event_time] == [
+            t.hex() for t in taus[1].inter_event_time
+        ]
+        assert taus[1].censored.any() and not taus[1].censored.all()
+
+    @pytest.mark.parametrize("kernel_width", [0, None], ids=["batch", "tail"])
+    @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)
+    def test_one_margin_call_per_block_and_no_disturbance_hash(self, kind, kernel_width, monkeypatch, one_shard):
+        # the batch evaluates margins once at the start and once per block,
+        # and the refinements read the disturbance the kernels read: the lane
+        # table's rows and the tail's sampler, never DisturbanceModel.sample
+        if kernel_width is not None:
+            monkeypatch.setattr(inter_event, "_TAIL_WIDTH", kernel_width)
+        scn = make_scenario(seed=3, kind=kind)
+        margin, finish, refine = inter_event.margin_batch, inter_event._finish_lane, inter_event._refine_sample_crossing
+        shapes, entries, ends = [], [], []
+
+        def spy_margin(states, b, r):
+            shapes.append(np.shape(r))
+            return margin(states, b, r)
+
+        def spy_finish(*args):
+            entries.append(args[4])
+            return finish(*args)
+
+        def spy_refine(scenario, x0, x1, t0, dt, stream, accel0, accel1):
+            ends.append((t0, dt, stream, accel0, accel1))
+            return refine(scenario, x0, x1, t0, dt, stream, accel0, accel1)
+
+        def no_sample(self, t, stream=0):
+            raise AssertionError("DisturbanceModel.sample called")
+
+        monkeypatch.setattr(inter_event, "margin_batch", spy_margin)
+        monkeypatch.setattr(inter_event, "_finish_lane", spy_finish)
+        monkeypatch.setattr(inter_event, "_refine_sample_crossing", spy_refine)
+        monkeypatch.setattr(DisturbanceModel, "sample", no_sample)
+        grid, n, max_wait = np.array([1.65, 2.0, 2.3]), 8, 30.0
+        s = collect_inter_event_samples(scn, grid, n, seed=3, max_wait=max_wait)
+        monkeypatch.undo()
+
+        steps = min(entries) if entries else int(np.ceil(max_wait / scn.integrator.step_size))
+        assert len(set(entries)) <= 1
+        assert shapes[0] == (len(grid) * n,)  # the start call
+        assert len(shapes) == 1 + -(-steps // _BATCH_BLOCK)
+        assert sum(shape[0] for shape in shapes[1:]) == steps
+        if kernel_width is None:
+            assert entries and steps > 0  # both kernels ran
+        assert len(ends) == np.count_nonzero(~s.censored) > 0
+        for t0, dt, stream, accel0, accel1 in ends:
+            # each end's vector, bit for bit the reference's; for the none
+            # kind a zero vector, which the field adds as +0.0
+            assert np.array(accel0).tobytes() == scn.disturbance.sample(t0, stream).tobytes()
+            assert np.array(accel1).tobytes() == scn.disturbance.sample(t0 + dt, stream).tobytes()
+            assert len(accel0) == len(accel1) == 3
+
+    @pytest.mark.parametrize("block", [_BATCH_BLOCK, 400])
+    def test_lanes_fired_before_a_failure_are_refined_first(self, block, monkeypatch, caplog, one_shard):
+        # the 1.65 lanes (streams 1-4) fire near t = 5.5, stream 5 fails in
+        # the step into hold interval 7, and the 2.3 lanes would fire after
+        # it; in a block of 400 steps all three fall in one block
+        monkeypatch.setattr(inter_event, "_TAIL_WIDTH", 0)
+        monkeypatch.setattr(inter_event, "_BATCH_BLOCK", block)
+        poison_streams(monkeypatch, {5: 7})
+        scn = dataclasses.replace(make_scenario(seed=3), events=EventLocatorConfig(max_bisections=1))
+        with caplog.at_level(logging.WARNING, logger="etsafe.inter_event"), pytest.raises(
+            LaneFailureError
+        ) as info:
+            collect_inter_event_samples(scn, np.array([1.65, 2.0, 2.3]), 4, seed=3, max_wait=400.0)
+        assert (info.value.stream, info.value.t) == (5, 6.95)
+        logged = [r.args[0] for r in caplog.records if r.name == "etsafe.inter_event"]
+        assert sorted(logged) == [1, 2, 3, 4]
+
+
 def poison_streams(monkeypatch, first_bad):
     """From hold interval ``first_bad[stream]`` on, the held disturbance of
     each stream named is NaN, in this process and in forked workers."""
@@ -518,11 +739,16 @@ class TestShards:
 
     @pytest.mark.parametrize(
         "cpus, n_lanes, expected",
-        [(2, 605, 2), (4, 605, 2), (28, 605, 2), (1, 605, 1), (2, 41, 1), (2, 42, 2), (3, 62, 2), (2, 5, 1)],
+        # a shard needs more than _TAIL_WIDTH lanes: 2 (w + 1) - 1 lanes make one
+        [
+            (2, 605, 2), (4, 605, 2), (28, 605, 2), (1, 605, 1),
+            (2, 2 * (_TAIL_WIDTH + 1) - 1, 1), (2, 2 * (_TAIL_WIDTH + 1), 2),
+            (3, 3 * (_TAIL_WIDTH + 1) - 1, 2), (2, 5, 1),
+        ],
     )
     def test_one_shard_per_cpu_none_starting_in_the_tail(self, cpus, n_lanes, expected, monkeypatch):
         monkeypatch.setattr(inter_event, "_usable_cpus", lambda: cpus)
-        assert _TAIL_WIDTH == 20 and _MAX_SHARDS == 2
+        assert _MAX_SHARDS == 2 and 5 <= _TAIL_WIDTH < 604 // 2
         assert _shard_count(n_lanes) == expected
 
     @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)

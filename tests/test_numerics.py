@@ -322,6 +322,23 @@ class TestFusedPlanarStep:
         assert messages == [str(err.value)] * 2
         assert messages[0].startswith("constraint row is zero with rhs=")
 
+    def test_overflowing_projection_step_raises_the_generic_message(self):
+        # the gradient's square is subnormal but not zero, so the promoting
+        # projection's step overflows: no finite input satisfies the row
+        field, _, dt = shipped_field("planar_intermittent.ini")
+        x0 = [1e-160, -3e-170]
+        messages = []
+        for step in (
+            lambda: field.rk4(3.5, dt, x0),
+            lambda: rk4_step(field, x0, 3.5, dt),
+            lambda: rk4_step(generic(field), x0, 3.5, dt),
+        ):
+            with pytest.raises(InfeasibleFilterError) as err:
+                step()
+            messages.append(str(err.value))
+        assert messages == [messages[0]] * 3
+        assert messages[0].startswith("projection step overflows with row square ")
+
     @pytest.mark.parametrize("kind", [None, "nominal"])
     @pytest.mark.parametrize("stage", [1, 2, 3, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

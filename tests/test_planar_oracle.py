@@ -195,13 +195,28 @@ def test_edge_states_match_numpy(scenario):
         reference = [numpy_margin(b, k_ref, x) for x in states]
     assert [m.hex() for m in margins] == [m.hex() for m in reference]
     assert margins[0] > 0.0 and margins[7] < 0.0 and math.isnan(margins[-1])
-    # the rest of the loop, save where the gradient's square is subnormal:
-    # there the promoting projection's step overflows, and the closed loop
-    # 0.0 + u keeps the infinite input where numpy's EYE @ u takes inf * 0.0,
-    # a NaN; a step meeting either is replayed and raised as non-finite
-    finite = states[[i for i, x in enumerate(EDGE_STATES) if x != [1e-160, -3e-170]]]
+    # the rest of the loop, save where the gradient's square is subnormal
+    subnormal = [1e-160, -3e-170]
+    finite = states[[i for i, x in enumerate(EDGE_STATES) if x != subnormal]]
     with np.errstate(over="ignore", invalid="ignore"):
         assert_planar_loop_matches_numpy(scenario, np.zeros(len(finite)), finite)
+    # there the promoting projection's step overflows, which numpy's
+    # projection returns as an infinite input, and every path of the filter
+    # raises instead
+    rate = scenario.filter.promote_rate
+    u = scenario.nominal_input()(*subnormal)
+    con = build_constraint(b, subnormal, mode="promoting", promote_rate=rate)
+    a_ref, rhs_ref = numpy_constraint(b, np.array(subnormal), "promoting", rate)
+    with np.errstate(over="ignore"):
+        assert np.isinf(numpy_project(np.array(u), a_ref, rhs_ref)).any()
+    _, filtered = _planar_fields(scenario)
+    for call in (
+        lambda: project(u, con),
+        lambda: _promoting_filter(b, rate)(*subnormal, *u),
+        lambda: filtered(0.0, subnormal),
+    ):
+        with pytest.raises(InfeasibleFilterError, match="projection step overflows with row square"):
+            call()
 
 
 def test_single_integrator_is_the_generic_identity_product(scenario):

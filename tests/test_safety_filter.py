@@ -65,6 +65,12 @@ class TestProject:
         with pytest.raises(InfeasibleFilterError):
             project(np.zeros(2), con)
 
+    def test_overflowing_step_raises(self):
+        # a subnormal row square: (rhs - a . u) / (a . a) overflows
+        con = HalfspaceConstraint(a=np.array([1e-160, 0.0]), rhs=1.0)
+        with pytest.raises(InfeasibleFilterError, match="projection step overflows with row square"):
+            project(np.zeros(2), con)
+
     def test_matches_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
