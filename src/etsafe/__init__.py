@@ -14,9 +14,10 @@ demos directory for narrative walkthroughs.
 """
 
 from .barrier import (
+    BandBarrier,
     BarrierSpec,
+    DiskBarrier,
     barrier_condition_margin,
-    barrier_value,
     filter_off_margin,
     maneuver_timing_margin,
     orbital_range_barrier,
@@ -70,8 +71,10 @@ from .scenarios import FilterConfig, PlanarScenario, SatelliteScenario
 __version__ = "0.1.0"
 
 __all__ = [
+    "BandBarrier",
     "BarrierSpec",
     "ConfigError",
+    "DiskBarrier",
     "DisturbanceModel",
     "EventLocatorConfig",
     "EventRecord",
@@ -92,7 +95,6 @@ __all__ = [
     "apply_impulse",
     "audit_safety",
     "barrier_condition_margin",
-    "barrier_value",
     "build_constraint",
     "collect_inter_event_samples",
     "filter_active",

@@ -12,19 +12,19 @@ trigger in this package is a zero crossing of this margin, of a shifted copy
 of it (hysteresis), or of the expected-inter-event-time trend in
 :func:`maneuver_timing_margin`.
 
-Every spec is radial, ``h = half_width^2 - (r - center)^2`` in the position
-norm r (the disk: center 0, half-width rho), and must carry that geometry.
-The orbital spec carries fused margin terms: its gradient has no velocity
-block, so along any flow with ``dr/dt = v`` (every satellite flow) both
-margins need one radius and no flow call.  A spec without them is the
-planar disk, whose margin is its closed form on named floats: gradient
-``-2 x``, ``h = half_width^2 - x . x``, and one flow call.
+Every barrier is radial, ``h = half_width^2 - (r - center)^2`` in the
+position norm r, and is one of two geometries, each stating its formulas
+once: the planar :class:`DiskBarrier` (center 0), whose margin is its closed
+form on named floats with one flow call, and the orbital
+:class:`BandBarrier`, whose gradient has no velocity block, so along any
+flow with ``dr/dt = v`` (every satellite flow) both margins need one radius
+and no flow call, and which also evaluates them on rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -53,30 +53,19 @@ def barrier_problems(
 
 @dataclass(frozen=True)
 class BarrierSpec:
-    """A radial barrier function with its gradient, class-K gain, and noise bound.
+    """The gain, noise bound and radial geometry every barrier has, and
+    their rules; :class:`DiskBarrier` and :class:`BandBarrier` state the
+    formulas, each ``margin_terms(flow, x)`` returning ``(h, dh/dt, |grad h|)``.
 
     The class-K rate is linear, ``alpha(h) = gamma * h`` with ``gamma > 0``.
     d_bar must equal the disturbance model's bound; the margin functions below
     use exactly this declared value in their robust terms.
-
-    ``center``/``half_width`` are the radial geometry; the optional fused
-    ``margin_terms(x) = (h, dh/dt, |grad h|)`` assume ``dr/dt = v`` (a spec
-    without them is the disk, center 0, whose margin is its closed form), and
-    ``margin_rows(states)`` is their row form: the three terms of each row of
-    an (n, 6) array as three arrays, bit for bit ``margin_terms`` row by row,
-    raising where it would raise on some row.
     """
 
-    h: Callable[[Sequence[float]], float]
-    grad_h: Callable[[Sequence[float]], Sequence[float]]
     gamma: float
     d_bar: float
     center: float
     half_width: float
-    margin_terms: Optional[Callable[[np.ndarray], tuple[float, float, float]]] = None
-    margin_rows: Optional[
-        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ] = None
 
     def __post_init__(self) -> None:
         if problems := barrier_problems(gamma=self.gamma):
@@ -88,18 +77,94 @@ class BarrierSpec:
         # a NaN radius would make every grid point pass the assumption check
         if not (math.isfinite(self.center) and math.isfinite(self.half_width)):
             raise ValueError("radial geometry must be finite")
-        if self.margin_terms is None and self.center != 0.0:
-            raise ValueError("a spec without margin_terms is the disk: center must be 0")
+
+
+@dataclass(frozen=True)
+class DiskBarrier(BarrierSpec):
+    """The planar disk ``h = half_width^2 - x . x`` on two floats, centered
+    at the origin, with gradient ``-2 x``."""
+
+    center: float = field(default=0.0, init=False)
+
+    def h(self, x: Sequence[float]) -> float:
+        x0, x1 = x
+        hw = self.half_width
+        return hw * hw - _dot2(x0, x1, x0, x1)
+
+    def grad_h(self, x: Sequence[float]) -> list[float]:
+        return [-2.0 * v for v in x]
 
     def h_rows(self, states: np.ndarray) -> np.ndarray:
-        """h of each row of ``states`` for a radial spec, bitwise ``h`` row by
-        row.  The disk (center 0) subtracts each row's :func:`_dot2`, on
-        floats as its ``h`` does; the band is :func:`_band_h` of the rows'
-        radii."""
+        """``h`` of each row of an (n, 2) array, bitwise ``h`` row by row."""
+        hw = self.half_width
+        return np.array([hw * hw - _dot2(p0, p1, p0, p1) for p0, p1 in states.tolist()])
+
+    def margin_terms(self, flow: Flow, x: Sequence[float]) -> tuple[float, float, float]:
+        """``h``, ``grad_h`` and their dots, bit for bit, on named floats, with
+        one call of ``flow``.  math.sqrt of the dot is bitwise
+        np.linalg.norm(grad), which computes exactly sqrt(grad.dot(grad))."""
+        x0, x1 = x
+        g0, g1 = -2.0 * x0, -2.0 * x1
+        f0, f1 = flow(x)
+        hw = self.half_width
+        h = hw * hw - _dot2(x0, x1, x0, x1)
+        return h, _dot2(g0, g1, f0, f1), math.sqrt(_dot2(g0, g1, g0, g1))
+
+
+@dataclass(frozen=True)
+class BandBarrier(BarrierSpec):
+    """The orbital band ``h = half_width^2 - (|pos| - center)^2`` of a state
+    (position, velocity); ``h`` and ``grad_h`` take an ndarray.  The margin
+    terms take any float sequence, assume ``dr/dt = v`` and raise
+    SingularityError below ``floor``, the two-body field's singularity floor.
+    ``sqrt(pos.dot(pos))`` is bitwise ``np.linalg.norm(pos)``."""
+
+    floor: float
+
+    def h(self, x: np.ndarray) -> float:
+        pos = x[:3]
+        r = math.sqrt(pos.dot(pos))
+        hw = self.half_width
+        return hw * hw - (r - self.center) ** 2
+
+    def grad_h(self, x: np.ndarray) -> np.ndarray:
+        pos = x[:3]
+        r = math.sqrt(pos.dot(pos))
+        k = -2.0 * (r - self.center) / r
+        x0, x1, x2 = pos.tolist()
+        return np.array((k * x0, k * x1, k * x2, 0.0, 0.0, 0.0))
+
+    def h_rows(self, states: np.ndarray) -> np.ndarray:
+        """``h`` of each row of an (n, 6) array, bitwise ``h`` row by row."""
+        return _band_h(_row_radii(states), self.center, self.half_width)
+
+    def margin_terms(self, flow: Flow, x: Sequence[float]) -> tuple[float, float, float]:
+        """Bitwise the generic terms along two_body_field, whose floor it
+        keeps, without calling ``flow``: grad_h's products and ndarray.dot, as
+        a Python-float sum differs in the last bit."""
+        x = np.asarray(x)
+        pos = x[:3]
+        r = math.sqrt(pos.dot(pos))
+        if r < self.floor:
+            raise SingularityError(f"radius {r!r} below singularity floor {self.floor!r}")
         c, hw = self.center, self.half_width
-        if c == 0.0:
-            return np.array([hw * hw - _dot2(p0, p1, p0, p1) for p0, p1 in states.tolist()])
-        return _band_h(_row_radii(states), c, hw)
+        gp = (-2.0 * (r - c) / r) * pos
+        return hw * hw - (r - c) ** 2, float(gp.dot(x[3:])), math.sqrt(gp.dot(gp))
+
+    def margin_rows(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three terms of each row of an (n, 6) array, bit for bit
+        ``margin_terms`` row by row (every dot is a stacked np.matmul, which
+        takes the same ddot per row), raising where it would on some row."""
+        states = np.ascontiguousarray(states, dtype=float)
+        r, floor = _row_radii(states), self.floor
+        low = np.flatnonzero(r < floor)
+        if len(low):
+            raise SingularityError(f"radius {float(r[low[0]])!r} below singularity floor {floor!r}")
+        c = self.center
+        gp = ((-2.0 * (r - c)) / r)[:, None, None] * states[:, None, :3]
+        lfh = np.matmul(gp, states[:, 3:, None])[:, 0, 0]
+        grad_norm = np.sqrt(np.matmul(gp, gp.transpose(0, 2, 1))[:, 0, 0])
+        return _band_h(r, c, self.half_width), lfh, grad_norm
 
 
 def _row_radii(states: np.ndarray) -> np.ndarray:
@@ -128,7 +193,7 @@ _GRADIENT_REL_TOL = 1e-5  # the largest relative error check_gradient accepts
 def check_gradient(b: BarrierSpec, states: np.ndarray) -> float:
     """Compare grad_h against central finite differences of h, step 1e-6.
 
-    A spec with ``margin_terms`` is held to the same differences: its h, its
+    The band's margin terms are held to the same differences: its h, its
     gradient norm, and its dh/dt along v = e_i (the gradient's i-th position
     component, with no velocity block).  Returns the worst relative error
     over the given states; raises GradientMismatchError when it exceeds 1e-5.
@@ -145,10 +210,10 @@ def check_gradient(b: BarrierSpec, states: np.ndarray) -> float:
             fd[i] = (b.h(xp) - b.h(xm)) / (2.0 * _GRADIENT_EPS)
         scale = max(float(np.linalg.norm(g)), 1.0)
         err = float(np.linalg.norm(fd - g)) / scale
-        if b.margin_terms is not None:
+        if isinstance(b, BandBarrier):
             fused = np.zeros_like(fd)
-            fused[:3] = [b.margin_terms(np.concatenate((x[:3], e)))[1] for e in np.eye(3)]
-            h, _, grad_norm = b.margin_terms(x)
+            fused[:3] = [b.margin_terms(None, np.concatenate((x[:3], e)))[1] for e in np.eye(3)]
+            h, _, grad_norm = b.margin_terms(None, x)
             err = max(
                 err,
                 float(np.linalg.norm(fd - fused)) / scale,
@@ -168,81 +233,31 @@ _BAND_CENTER = 2.0
 _BAND_HALF_WIDTH = 0.4
 
 
-def orbital_range_barrier(g: GravityModel, gamma: float, d_bar: float) -> BarrierSpec:
+def orbital_range_barrier(g: GravityModel, gamma: float, d_bar: float) -> BandBarrier:
     """Annular range barrier keeping the orbital radius near 2 R.
 
     h(r, v) = (0.4 R)^2 - (|r| - 2 R)^2, which is zero exactly at
     r = (2 +- 0.4) R and positive strictly inside.  The gradient lives in the
-    position block only; velocity does not enter h.
+    position block only; velocity does not enter h.  The margin terms keep
+    two_body_field's default singularity floor.
     """
     hw = _BAND_HALF_WIDTH * g.R
     c = _BAND_CENTER * g.R
-    floor = g.singularity_floor  # two_body_field's default
-
-    # sqrt(pos.dot(pos)) is bitwise np.linalg.norm(pos): norm computes exactly that
-    def h(x: np.ndarray) -> float:
-        pos = x[:3]
-        r = math.sqrt(pos.dot(pos))
-        return hw * hw - (r - c) ** 2
-
-    def grad_h(x: np.ndarray) -> np.ndarray:
-        pos = x[:3]
-        r = math.sqrt(pos.dot(pos))
-        k = -2.0 * (r - c) / r
-        x0, x1, x2 = pos.tolist()
-        return np.array((k * x0, k * x1, k * x2, 0.0, 0.0, 0.0))
-
-    # Bitwise the generic terms along two_body_field (whose floor it keeps):
-    # grad_h's products and ndarray.dot, as a Python-float sum differs in the
-    # last bit.
-    def margin_terms(x: np.ndarray) -> tuple[float, float, float]:
-        pos = x[:3]
-        r = math.sqrt(pos.dot(pos))
-        if r < floor:
-            raise SingularityError(f"radius {r!r} below singularity floor {floor!r}")
-        gp = (-2.0 * (r - c) / r) * pos
-        return hw * hw - (r - c) ** 2, float(gp.dot(x[3:])), math.sqrt(gp.dot(gp))
-
-    # margin_terms of each row in the same association; every dot is a
-    # stacked np.matmul, which takes the same ddot per row
-    def margin_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        states = np.ascontiguousarray(states, dtype=float)
-        r = _row_radii(states)
-        low = np.flatnonzero(r < floor)
-        if len(low):
-            raise SingularityError(f"radius {float(r[low[0]])!r} below singularity floor {floor!r}")
-        gp = ((-2.0 * (r - c)) / r)[:, None, None] * states[:, None, :3]
-        lfh = np.matmul(gp, states[:, 3:, None])[:, 0, 0]
-        grad_norm = np.sqrt(np.matmul(gp, gp.transpose(0, 2, 1))[:, 0, 0])
-        return _band_h(r, c, hw), lfh, grad_norm
-
-    spec = BarrierSpec(
-        h=h, grad_h=grad_h, gamma=gamma, d_bar=d_bar,
-        center=c, half_width=hw, margin_terms=margin_terms, margin_rows=margin_rows,
-    )
-    check_gradient(spec, _orbital_check_states(g, c, hw))
+    spec = BandBarrier(gamma=gamma, d_bar=d_bar, center=c, half_width=hw, floor=g.singularity_floor)
+    check_gradient(spec, _orbital_check_states(c, hw))
     return spec
 
 
-def planar_disk_barrier(rho: float, gamma: float, d_bar: float) -> BarrierSpec:
+def planar_disk_barrier(rho: float, gamma: float, d_bar: float) -> DiskBarrier:
     """Disk barrier for the planar demo: h(x) = rho^2 - |x|^2, on floats."""
     if problems := barrier_problems(rho=rho):
         raise ValueError(problems[0])
-    rho_sq = rho * rho
-
-    def h(x: Sequence[float]) -> float:
-        x0, x1 = x
-        return rho_sq - _dot2(x0, x1, x0, x1)
-
-    def grad_h(x: Sequence[float]) -> list[float]:
-        return [-2.0 * v for v in x]
-
-    spec = BarrierSpec(h=h, grad_h=grad_h, gamma=gamma, d_bar=d_bar, center=0.0, half_width=rho)
+    spec = DiskBarrier(gamma=gamma, d_bar=d_bar, half_width=rho)
     check_gradient(spec, _disk_check_states(rho))
     return spec
 
 
-def _orbital_check_states(g: GravityModel, center: float, half_width: float) -> np.ndarray:
+def _orbital_check_states(center: float, half_width: float) -> np.ndarray:
     # Deterministic spread of radii/directions inside the safe shell; catches
     # hand-derivation errors in grad_h at construction time.
     radii = np.linspace(center - 0.9 * half_width, center + 0.9 * half_width, 8)
@@ -267,41 +282,22 @@ def _disk_check_states(rho: float) -> np.ndarray:
 # --- Margin (trigger condition) evaluations ---
 
 
-def barrier_value(b: BarrierSpec, x: np.ndarray) -> float:
-    """h(x)."""
-    return float(b.h(x))
-
-
 def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: Sequence[float]) -> float:
     """Robust barrier-condition margin along the control-free flow.
 
     Positive means the barrier condition holds with room to spare; the
     on-demand triggers fire when this reaches zero.  ``flow`` is the
     disturbance-free closed-loop field (disturbance is covered by the
-    ``|grad h| * d_bar`` term), unused by a spec with ``margin_terms``.
-    A spec with ``margin_terms`` takes ``x`` as an ndarray.  A spec without
-    them is the disk: its closed form takes the planar state as any two
-    floats and costs least on Python floats.
+    ``|grad h| * d_bar`` term), unused by the band.  ``x`` is any float
+    sequence; the disk's closed form costs least on Python floats.
     """
-    if b.margin_terms is not None:
-        h, lfh, grad_norm = b.margin_terms(x)
-    else:
-        # the disk's grad_h, h and dots, bit for bit, on named floats
-        x0, x1 = x
-        g0, g1 = -2.0 * x0, -2.0 * x1
-        f0, f1 = flow(x)
-        lfh = _dot2(g0, g1, f0, f1)
-        # math.sqrt of the dot is bitwise np.linalg.norm(grad): norm computes
-        # exactly sqrt(grad.dot(grad)) for a 1-D float array
-        grad_norm = math.sqrt(_dot2(g0, g1, g0, g1))
-        hw = b.half_width
-        h = hw * hw - _dot2(x0, x1, x0, x1)
+    h, lfh, grad_norm = b.margin_terms(flow, x)
     return lfh - grad_norm * b.d_bar + b.gamma * h
 
 
-def barrier_condition_rows(b: BarrierSpec, states: np.ndarray) -> np.ndarray:
-    """:func:`barrier_condition_margin` of each row of ``states`` for a spec
-    with ``margin_rows``, bit for bit, in the same association."""
+def barrier_condition_rows(b: BandBarrier, states: np.ndarray) -> np.ndarray:
+    """:func:`barrier_condition_margin` of each row of ``states`` for the
+    band, bit for bit, in the same association."""
     h, lfh, grad_norm = b.margin_rows(states)
     return (lfh - grad_norm * b.d_bar) + b.gamma * h
 
@@ -320,7 +316,7 @@ def filter_off_margin(b: BarrierSpec, nominal_flow: Flow, x: np.ndarray, gap: fl
     return barrier_condition_margin(b, nominal_flow, x) - gap
 
 
-def maneuver_timing_margin(model: "InterEventTimeModel", b: BarrierSpec, x: np.ndarray) -> float:
+def maneuver_timing_margin(model: "InterEventTimeModel", b: BandBarrier, x: np.ndarray) -> float:
     """Margin that fires when the expected inter-event payoff stops improving.
 
     The fitted model maps the barrier value to the expected time until the
@@ -329,15 +325,15 @@ def maneuver_timing_margin(model: "InterEventTimeModel", b: BarrierSpec, x: np.n
     zero exactly when the expectation decays faster than real time advances,
     i.e. when waiting longer no longer pays.  Outside the fitted range the
     model derivative is clamped, which never fabricates a firing.  ``b`` is
-    the orbital spec: dh/dt comes from its ``margin_terms``.
+    the band: dh/dt comes from its margin terms, which take no flow.
     """
-    h, lfh, _ = b.margin_terms(x)
+    h, lfh, _ = b.margin_terms(None, x)
     rate = model.evaluate(h).derivative * lfh
     return 0.5 * (1.0 + rate)
 
 
 def maneuver_timing_rows(
-    model: "InterEventTimeModel", b: BarrierSpec, states: np.ndarray
+    model: "InterEventTimeModel", b: BandBarrier, states: np.ndarray
 ) -> np.ndarray:
     """:func:`maneuver_timing_margin` of each row of ``states``, bit for bit:
     the model's slope on each row's segment (:meth:`InterEventTimeModel.slopes`)

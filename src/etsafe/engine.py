@@ -38,11 +38,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .barrier import (
+    BandBarrier,
     BarrierSpec,
     Flow,
     barrier_condition_margin,
     barrier_condition_rows,
-    barrier_value,
     filter_off_margin,
     maneuver_timing_margin,
     maneuver_timing_rows,
@@ -264,14 +264,13 @@ def _run_impulsive(
     field = scenario.disturbed_field(stream=0)
     safety = lambda x: barrier_condition_margin(b, flow, x)
     payoff = lambda x: maneuver_timing_margin(tau_model, b, x)
-    if b.margin_rows is not None:
-        # propagate_until evaluates a block of steps at once by the row forms
-        safety.rows = lambda states: barrier_condition_rows(b, states)
-        payoff.rows = lambda states: maneuver_timing_rows(tau_model, b, states)
+    # propagate_until evaluates a block of steps at once by the row forms
+    safety.rows = lambda states: barrier_condition_rows(b, states)
+    payoff.rows = lambda states: maneuver_timing_rows(tau_model, b, states)
 
     x = np.array(x0, dtype=float)
     t = 0.0
-    if barrier_value(b, x) < 0.0:
+    if b.h(x) < 0.0:
         raise RunAbortedError("initial state outside the safe set", t, x)
 
     events: list[EventRecord] = []
@@ -304,7 +303,7 @@ def _run_impulsive(
                 trigger_id=trigger_id,
                 state_before=x_e.copy(),
                 state_after=x_post.copy(),
-                h_before=barrier_value(b, x_e),
+                h_before=b.h(x_e),
                 h_after=check.h_value,
                 xi_after=check.xi_value,
                 impulse_magnitude=float(np.linalg.norm(dv)),
@@ -436,7 +435,7 @@ def run_intermittent_filter(scenario: PlanarScenario, x0: np.ndarray, horizon: f
 
     x = np.array(x0, dtype=float)
     t = 0.0
-    if barrier_value(b, x) < 0.0:
+    if b.h(x) < 0.0:
         raise RunAbortedError("initial state outside the safe set", t, x)
 
     events: list[EventRecord] = []
@@ -514,14 +513,15 @@ def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
 def _filter_event(
     t: float, x: np.ndarray, kind: str, trigger_id: str, b: BarrierSpec, xi: float
 ) -> EventRecord:
+    h = b.h(x.tolist())  # on Python floats the disk's h returns a Python float
     return EventRecord(
         time=t,
         kind=kind,
         trigger_id=trigger_id,
         state_before=np.array(x, dtype=float),
         state_after=np.array(x, dtype=float),
-        h_before=barrier_value(b, x),
-        h_after=barrier_value(b, x),
+        h_before=h,
+        h_after=h,
         xi_after=xi,
     )
 
@@ -632,8 +632,6 @@ def miet_bound(b: BarrierSpec, flow: Flow, states: np.ndarray, margin: float) ->
     them into :func:`miet_bound_formula`.
     """
     xi = lambda x: barrier_condition_margin(b, flow, x)
-    # the generic margin takes the floats; a spec's fused terms index an array
-    point = list if b.margin_terms is None else np.array
     differences = _margin_differences(b, states)
     b_sup = 0.0
     l_xi = 0.0
@@ -648,8 +646,8 @@ def miet_bound(b: BarrierSpec, flow: Flow, states: np.ndarray, margin: float) ->
             if differences is not None:
                 di = differences[k][i]
             else:
-                xp = point(x)
-                xm = point(x)
+                xp = list(x)
+                xm = list(x)
                 xp[i] += _MIET_EPS
                 xm[i] -= _MIET_EPS
                 di = (xi(xp) - xi(xm)) / (2.0 * _MIET_EPS)
@@ -663,9 +661,9 @@ def miet_bound(b: BarrierSpec, flow: Flow, states: np.ndarray, margin: float) ->
 def _margin_differences(b: BarrierSpec, states: np.ndarray) -> Optional[list[list[float]]]:
     """:func:`miet_bound`'s central differences of the margin, state by
     coordinate, from the row form over all ``2 n d`` shifted states in one
-    call; None for a spec without ``margin_rows`` or when a shifted state is
-    below the singularity floor, and the scalar margin then raises there."""
-    if b.margin_rows is None:
+    call; None for the disk, which has no row form, or when a shifted state
+    is below the singularity floor, and the scalar margin then raises there."""
+    if not isinstance(b, BandBarrier):
         return None
     n, d = states.shape
     diag = np.arange(d)
@@ -697,7 +695,7 @@ def satellite_region_states(scenario: SatelliteScenario) -> np.ndarray:
 def planar_region_states(scenario: PlanarScenario) -> np.ndarray:
     """2,000 states from ``default_rng(0)`` covering the planar safe disk."""
     b = scenario.barrier
-    rho = b.center + b.half_width  # the disk's outer edge
+    rho = b.half_width  # the disk's outer edge
     rng = np.random.default_rng(0)
     ang = rng.uniform(0.0, 2.0 * np.pi, _RANDOM_STATES)
     s = rho * np.sqrt(rng.uniform(size=_RANDOM_STATES))

@@ -416,8 +416,6 @@ def _propagate_batch_until_trigger(
     """
     b = scenario.barrier
     dt = scenario.integrator.step_size
-    if b.margin_terms is None:
-        raise ValueError("batch campaign requires the orbital barrier")
     mu = scenario.gravity.mu
 
     n = len(states0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierSpec, barrier_condition_margin, barrier_value
+from .barrier import BarrierSpec, barrier_condition_margin
 from .dynamics import GravityModel, apply_impulse, two_body_field
 from .numerics import span_problems
 
@@ -126,7 +126,7 @@ def station_keeping_impulse(
     pos = s[:3]
     vel = s[3:6]
     r = float(np.linalg.norm(pos))
-    if barrier_value(b, s) < 0.0:
+    if b.h(s) < 0.0:
         raise ControllerInfeasibleError(
             f"state outside safe band: r={r!r}", state=s
         )
@@ -170,6 +170,6 @@ def verify_jump_conditions(
 
     With margin = 0 this reduces to the plain barrier-condition check.
     """
-    h_val = barrier_value(b, s_post)
+    h_val = b.h(s_post)
     xi_val = barrier_condition_margin(b, lambda x: two_body_field(g, x), s_post)
     return JumpCheck(ok=(h_val >= 0.0 and xi_val >= margin), h_value=h_val, xi_value=xi_val)

@@ -11,15 +11,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .barrier import BarrierSpec
+from .barrier import BandBarrier, BarrierSpec, DiskBarrier
 from .dynamics import DisturbanceModel, GravityModel, _two_body_rk4, two_body_field
 from .numerics import EventLocatorConfig, Field, IntegratorConfig, span_problems
 from .orbital import StationKeepingConfig
 
 
-def _check_disturbance(d: DisturbanceModel, b: BarrierSpec, dim: int) -> None:
-    """A scenario's rule for its disturbance: the barrier's bound, in ``dim``
-    dimensions."""
+def _check_parts(d: DisturbanceModel, b: BarrierSpec, geometry: type, dim: int) -> None:
+    """A scenario's rules for its barrier and disturbance: a barrier of the
+    ``geometry`` the scenario's state takes, and a disturbance with the
+    barrier's bound in ``dim`` dimensions."""
+    if not isinstance(b, geometry):
+        raise ValueError(f"the scenario needs a {geometry.__name__}, got a {type(b).__name__}")
     if d.d_bar != b.d_bar:
         raise ValueError(
             f"disturbance bound and barrier d_bar must agree: {d.d_bar!r} != {b.d_bar!r}"
@@ -33,7 +36,7 @@ class SatelliteScenario:
     """Orbit keeping around a normalized central body (mu = R = 1)."""
 
     gravity: GravityModel
-    barrier: BarrierSpec
+    barrier: BandBarrier
     controller: StationKeepingConfig
     disturbance: DisturbanceModel
     integrator: IntegratorConfig = IntegratorConfig()
@@ -41,7 +44,7 @@ class SatelliteScenario:
     allow_initial_jump: bool = True
 
     def __post_init__(self) -> None:
-        _check_disturbance(self.disturbance, self.barrier, 3)
+        _check_parts(self.disturbance, self.barrier, BandBarrier, 3)
 
     def nominal_flow(self):
         """Control-free flow used inside the trigger margins."""
@@ -96,14 +99,14 @@ class PlanarScenario:
     fields, fused steps and filter the engine builds from
     :meth:`nominal_input`."""
 
-    barrier: BarrierSpec
+    barrier: DiskBarrier
     disturbance: DisturbanceModel
     integrator: IntegratorConfig
     filter: FilterConfig = FilterConfig()
     events: EventLocatorConfig = EventLocatorConfig()
 
     def __post_init__(self) -> None:
-        _check_disturbance(self.disturbance, self.barrier, 2)
+        _check_parts(self.disturbance, self.barrier, DiskBarrier, 2)
 
     def nominal_input(self):
         """``control(x0, x1) -> (u0, u1)``: the goal-tracking nominal input

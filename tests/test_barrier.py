@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from etsafe.barrier import (
-    BarrierSpec,
+    BandBarrier,
+    DiskBarrier,
     GradientMismatchError,
     barrier_condition_margin,
     barrier_condition_rows,
     barrier_problems,
-    barrier_value,
     check_gradient,
     filter_off_margin,
     maneuver_timing_margin,
@@ -45,21 +45,21 @@ class TestOrbitalRangeBarrier:
 
     def test_value_at_band_center(self):
         s = np.array([2.0, 0.0, 0.0, 0.0, 0.7, 0.0])
-        assert barrier_value(self.B, s) == pytest.approx(0.16, abs=1e-15)
+        assert self.B.h(s) == pytest.approx(0.16, abs=1e-15)
 
     def test_zero_exactly_on_boundaries(self):
         for r in (1.6, 2.4):
             s = np.array([r, 0.0, 0.0, 0.0, 0.0, 0.0])
-            assert barrier_value(self.B, s) == pytest.approx(0.0, abs=1e-15)
+            assert self.B.h(s) == pytest.approx(0.0, abs=1e-15)
 
     def test_value_at_2p2(self):
         s = np.array([0.0, 2.2, 0.0, 0.0, 0.0, 0.0])
-        assert barrier_value(self.B, s) == pytest.approx(0.12, abs=1e-14)
+        assert self.B.h(s) == pytest.approx(0.12, abs=1e-14)
 
     def test_positive_strictly_inside(self):
         rng = np.random.default_rng(1)
         for s in random_shell_states(rng, 200):
-            assert barrier_value(self.B, s) > 0.0
+            assert self.B.h(s) > 0.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -72,12 +72,12 @@ class TestLieDerivative:
 
     def test_zero_radial_velocity(self):
         s = np.array([2.2, 0.0, 0.0, 0.0, 0.6, 0.0])
-        assert self.B.margin_terms(s)[1] == pytest.approx(0.0, abs=1e-15)
+        assert self.B.margin_terms(None, s)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_chain_rule_value(self):
         # dh/dt = -2 (r - 2R) rdot with rdot = rhat . v = 0.1 here.
         s = np.array([2.2, 0.0, 0.0, 0.1, 0.6, 0.0])
-        assert self.B.margin_terms(s)[1] == pytest.approx(-0.04, abs=1e-14)
+        assert self.B.margin_terms(None, s)[1] == pytest.approx(-0.04, abs=1e-14)
 
     def test_matches_flow_finite_difference(self):
         from etsafe.numerics import rk4_step
@@ -85,9 +85,9 @@ class TestLieDerivative:
         rng = np.random.default_rng(3)
         eps = 1e-6
         for s in random_shell_states(rng, 100):
-            lfh = self.B.margin_terms(s)[1]
+            lfh = self.B.margin_terms(None, s)[1]
             s_eps = np.array(rk4_step(lambda t, x: orbital_flow(x), s, 0.0, eps))
-            fd = (barrier_value(self.B, s_eps) - barrier_value(self.B, s)) / eps
+            fd = (self.B.h(s_eps) - self.B.h(s)) / eps
             assert lfh == pytest.approx(fd, abs=1e-4)
 
 
@@ -111,8 +111,8 @@ class TestBarrierConditionMargin:
     def test_zero_dbar_drops_robust_term(self):
         b0 = orbital_range_barrier(GRAVITY, gamma=1.0, d_bar=0.0)
         s = np.array([2.2, 0.0, 0.0, 0.1, 0.6, 0.0])
-        lfh = b0.margin_terms(s)[1]
-        expected = lfh + 1.0 * barrier_value(b0, s)
+        lfh = b0.margin_terms(None, s)[1]
+        expected = lfh + 1.0 * b0.h(s)
         assert barrier_condition_margin(b0, orbital_flow, s) == pytest.approx(
             expected, abs=1e-15
         )
@@ -265,7 +265,7 @@ class TestManeuverTimingMargin:
             np.array([2.2, 0.0, 0.0, -0.1, 0.6, 0.0]),
             np.array([1.8, 0.0, 0.0, 0.1, 0.7, 0.0]),
         ):
-            lfh = self.B.margin_terms(s)[1]
+            lfh = self.B.margin_terms(None, s)[1]
             assert lfh >= 0.0
             assert maneuver_timing_margin(model, self.B, s) >= 0.5
 
@@ -301,14 +301,11 @@ class TestValidationHelpers:
         assert barrier_problems() == []
 
     def test_gradient_check_catches_wrong_gradient(self):
-        bad = BarrierSpec(
-            h=lambda x: 1.0 - float(x @ x),
-            grad_h=lambda x: -1.0 * np.asarray(x),  # off by factor 2
-            gamma=1.0,
-            d_bar=0.0,
-            center=0.0,
-            half_width=1.0,
-        )
+        class HalfGradientDisk(DiskBarrier):
+            def grad_h(self, x):
+                return [-1.0 * v for v in x]  # off by factor 2
+
+        bad = HalfGradientDisk(gamma=1.0, d_bar=0.0, half_width=1.0)
         with pytest.raises(GradientMismatchError):
             check_gradient(bad, np.array([[0.5, 0.2]]))
 
@@ -346,14 +343,22 @@ class TestFusedMargin:
         timing = [maneuver_timing_margin(self.MODEL, b, x).hex() for x in states]
         assert timing == [generic_timing_margin(self.MODEL, b, g, x).hex() for x in states]
         for x in states[:50]:
-            h, lfh, grad_norm = b.margin_terms(x)
+            h, lfh, grad_norm = b.margin_terms(None, x)
             lfh_ref, grad = generic_lfh(b, g, x)
             assert (h.hex(), lfh.hex()) == (b.h(x).hex(), lfh_ref.hex())
             assert grad_norm.hex() == np.linalg.norm(grad).hex()
 
     def test_only_the_orbital_spec_is_fused(self):
-        assert orbital_range_barrier(GRAVITY, self.GAMMA, self.D_BAR).margin_terms is not None
-        assert planar_disk_barrier(1.0, gamma=2.0, d_bar=0.01).margin_terms is None
+        def no_flow(x):
+            raise AssertionError("flow called")
+
+        band = orbital_range_barrier(GRAVITY, self.GAMMA, self.D_BAR)
+        assert isinstance(band, BandBarrier)
+        band.margin_terms(no_flow, np.array([2.1, 0.0, 0.0, 0.1, 0.6, 0.0]))
+        disk = planar_disk_barrier(1.0, gamma=2.0, d_bar=0.01)
+        assert isinstance(disk, DiskBarrier) and not hasattr(disk, "margin_rows")
+        with pytest.raises(AssertionError, match="flow called"):
+            disk.margin_terms(no_flow, [0.3, -0.4])
 
     def test_band_edges_and_center(self):
         b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
@@ -419,28 +424,36 @@ class TestRadialGeometry:
         assert (b.center, b.half_width) == (0.0, 1.5)
 
     def test_spec_without_geometry_is_rejected(self):
-        parts = dict(
-            h=lambda x: 1.0 - float(x @ x),
-            grad_h=lambda x: -2.0 * np.asarray(x),
-            gamma=1.0,
-            d_bar=0.0,
-        )
+        parts = dict(gamma=1.0, d_bar=0.0)
         with pytest.raises(TypeError, match="center"):
-            BarrierSpec(**parts)
-        b = BarrierSpec(**parts, center=0.0, half_width=1.0)
+            BandBarrier(**parts, floor=0.1)
+        b = BandBarrier(**parts, center=2.0, half_width=0.4, floor=0.1)
         with pytest.raises(ValueError, match="radial geometry"):
             dataclasses.replace(b, half_width=float("nan"))
         with pytest.raises(ValueError, match="radial geometry"):
             dataclasses.replace(b, center=float("inf"))
+        with pytest.raises(ValueError, match="radial geometry"):
+            DiskBarrier(**parts, half_width=float("nan"))
 
-    def test_spec_without_margin_terms_is_the_disk(self):
-        # barrier_condition_margin takes such a spec's closed form, the disk's
+    def test_disk_is_centered_and_band_keeps_its_terms(self):
+        # the disk's formulas take center 0, which it cannot be given; the
+        # band's terms are methods, not settings
         b = planar_disk_barrier(1.5, gamma=2.0, d_bar=0.01)
-        with pytest.raises(ValueError, match="is the disk"):
+        assert b.center == 0.0
+        with pytest.raises(ValueError, match="center"):
             dataclasses.replace(b, center=2.0)
         band = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
-        with pytest.raises(ValueError, match="is the disk"):
+        with pytest.raises(TypeError, match="margin_terms"):
             dataclasses.replace(band, margin_terms=None)
+
+    def test_fields_are_the_geometry_alone(self):
+        # no callable field: each geometry states its formulas as methods
+        geometry = ["gamma", "d_bar", "center", "half_width"]
+        disk = planar_disk_barrier(1.5, gamma=2.0, d_bar=0.01)
+        band = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+        assert [f.name for f in dataclasses.fields(disk)] == geometry
+        assert [f.name for f in dataclasses.fields(band)] == geometry + ["floor"]
+        assert band.floor == GRAVITY.singularity_floor
 
 
 class TestGradientCheckCoversFusedTerms:
@@ -463,8 +476,11 @@ class TestGradientCheckCoversFusedTerms:
         ids=["lfh", "grad_norm", "h"],
     )
     def test_wrong_fused_term_is_caught(self, mutate):
-        terms = self.B.margin_terms
-        bad = dataclasses.replace(self.B, margin_terms=lambda x: mutate(*terms(x)))
+        class MutatedBand(BandBarrier):
+            def margin_terms(self, flow, x):
+                return mutate(*super().margin_terms(flow, x))
+
+        bad = MutatedBand(**dataclasses.asdict(self.B))
         with pytest.raises(GradientMismatchError):
             check_gradient(bad, self.STATES)
 
@@ -508,7 +524,7 @@ class TestRowMargins:
 
     def test_margin_rows_equal_margin_terms(self, states):
         rows = self.B.margin_rows(states)
-        scalar = np.array([self.B.margin_terms(x) for x in states])
+        scalar = np.array([self.B.margin_terms(None, x) for x in states])
         for k in range(3):
             assert rows[k].tobytes() == np.ascontiguousarray(scalar[:, k]).tobytes(), f"term {k}"
 
@@ -554,7 +570,7 @@ class TestRowMargins:
         with pytest.raises(SingularityError, match="below singularity floor") as rows_err:
             self.B.margin_rows(low)
         with pytest.raises(SingularityError) as one_err:
-            self.B.margin_terms(low[250])
+            self.B.margin_terms(None, low[250])
         assert str(rows_err.value) == str(one_err.value)
 
     def test_h_column_of_the_rows_is_h_rows(self, states):

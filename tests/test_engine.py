@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from etsafe.barrier import (
+    BandBarrier,
     barrier_condition_margin,
     orbital_range_barrier,
     planar_disk_barrier,
@@ -68,6 +69,17 @@ def planar_scenario(
         integrator=IntegratorConfig(step_size=0.01),
         events=EventLocatorConfig(),
     )
+
+
+class ScalarBand(BandBarrier):
+    """A band with no usable row form, so miet_bound takes each scalar margin."""
+
+    def margin_rows(self, states):
+        raise SingularityError("no row form")
+
+
+def scalar_band(b):
+    return ScalarBand(**dataclasses.asdict(b))
 
 
 def constant_tau_model(value=50.0):
@@ -409,10 +421,10 @@ class TestMietBound:
     @pytest.mark.parametrize("seed", [1, 3])
     def test_row_differences_equal_the_scalar_loop(self, seed):
         # the band's 24,000 shifted states go through the row margin in one
-        # call; without margin_rows the same spec takes each scalar margin
+        # call; without a row form the same band takes each scalar margin
         scn = satellite_scenario(seed=seed)
         args = (scn.nominal_flow(), satellite_region_states(scn), scn.controller.post_jump_margin)
-        scalar = dataclasses.replace(scn.barrier, margin_rows=None)
+        scalar = scalar_band(scn.barrier)
         assert miet_bound(scn.barrier, *args).hex() == miet_bound(scalar, *args).hex()
 
     def test_state_below_the_floor_raises_as_the_scalar_loop(self):
@@ -422,7 +434,7 @@ class TestMietBound:
         # the floor, where the margin raises
         states[30, :3] = [0.1 + 5e-7, 0.0, 0.0]
         errors = []
-        for b in (scn.barrier, dataclasses.replace(scn.barrier, margin_rows=None)):
+        for b in (scn.barrier, scalar_band(scn.barrier)):
             with pytest.raises(SingularityError) as err:
                 miet_bound(b, scn.nominal_flow(), states, scn.controller.post_jump_margin)
             errors.append(str(err.value))
@@ -648,3 +660,20 @@ class TestTrajectoryH:
             c, hw = scenario.barrier.center, scenario.barrier.half_width
             r = np.sqrt([s[:3].dot(s[:3]) for s in states])
             assert np.any(hw * hw - np.square(r - c) != per_row)
+
+
+class TestScenarioGeometry:
+    """Each scenario takes the barrier of its own geometry and rejects the
+    other where it is built, naming both types."""
+
+    def test_satellite_scenario_rejects_the_disk(self):
+        scn = satellite_scenario()
+        disk = planar_disk_barrier(rho=1.0, gamma=0.1, d_bar=scn.barrier.d_bar)
+        with pytest.raises(ValueError, match="needs a BandBarrier, got a DiskBarrier"):
+            dataclasses.replace(scn, barrier=disk)
+
+    def test_planar_scenario_rejects_the_band(self):
+        scn = planar_scenario()
+        band = orbital_range_barrier(GravityModel(), gamma=2.0, d_bar=scn.barrier.d_bar)
+        with pytest.raises(ValueError, match="needs a DiskBarrier, got a BandBarrier"):
+            dataclasses.replace(scn, barrier=band)

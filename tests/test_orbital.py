@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from etsafe.barrier import barrier_condition_margin, barrier_value, orbital_range_barrier
+from etsafe.barrier import barrier_condition_margin, orbital_range_barrier
 from etsafe.dynamics import GravityModel, apply_impulse, two_body_field
 from etsafe.numerics import IntegratorConfig, propagate_until
 from etsafe.orbital import (
@@ -92,7 +92,7 @@ class TestStationKeepingImpulse:
             r = rng.uniform(1.62, 2.38)
             v_t = np.sqrt(GRAVITY.mu / r) * rng.uniform(0.9, 1.1)
             s = np.array([r, 0.0, 0.0, rng.normal(0.0, 0.03), v_t, 0.0])
-            if barrier_value(BARRIER, s) < 0.0:
+            if BARRIER.h(s) < 0.0:
                 continue
             dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
             post = apply_impulse(s, dv)
@@ -115,7 +115,7 @@ class TestStationKeepingImpulse:
             r = rng.uniform(1.65, 2.35)
             v_c = np.sqrt(GRAVITY.mu / r)
             s = oriented_state(rng, r, rng.normal(0.0, 0.03), v_c * rng.uniform(0.95, 1.05))
-            if barrier_value(BARRIER, s) < 0.0:
+            if BARRIER.h(s) < 0.0:
                 continue
             dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
             post = apply_impulse(s, dv)
@@ -172,7 +172,7 @@ class TestStationKeepingImpulse:
             r = rng.uniform(1.65, 2.35)
             v_c = np.sqrt(GRAVITY.mu / r)
             s = np.array([r, 0.0, 0.0, rng.normal(0, 0.05), v_c * rng.uniform(0.9, 1.1), 0.0])
-            if barrier_value(BARRIER, s) < 0:
+            if BARRIER.h(s) < 0:
                 continue
             dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
             assert np.linalg.norm(dv) < 2.0 * v_c

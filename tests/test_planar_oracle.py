@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from etsafe.barrier import barrier_condition_margin
+from etsafe.barrier import DiskBarrier, barrier_condition_margin
 from etsafe.config import parse_config
 from etsafe.engine import _planar_fields, planar_region_states, run_intermittent_filter
 from etsafe.numerics import _dot
@@ -236,7 +236,12 @@ def test_single_integrator_is_the_generic_identity_product(scenario):
         ref = np.array(v)
         assert bits(control(*v)) == bits(v)
         assert bits(flow(v)) == bits(numpy_closed_loop(None, ref))
-        b = dataclasses.replace(scenario.barrier, grad_h=lambda _, v=v: v)
+        class StubbedGradient(DiskBarrier):
+            def grad_h(self, _, v=v):
+                return v
+
+        disk = scenario.barrier
+        b = StubbedGradient(gamma=disk.gamma, d_bar=disk.d_bar, half_width=disk.half_width)
         robust = float(np.linalg.norm(ref)) * b.d_bar
         lfh_drift = float(ref @ np.zeros(2))
         assert lfh_drift.hex() == (0.0).hex()  # the drift term build_constraint takes
