@@ -13,12 +13,10 @@ of it (hysteresis), or of the expected-inter-event-time trend in
 :func:`maneuver_timing_margin`.
 
 Every barrier is radial, ``h = half_width^2 - (r - center)^2`` in the
-position norm r, and is one of two geometries, each stating its formulas
-once: the planar :class:`DiskBarrier` (center 0), whose margin is its closed
-form on named floats with one flow call, and the orbital
-:class:`BandBarrier`, whose gradient has no velocity block, so along any
-flow with ``dr/dt = v`` (every satellite flow) both margins need one radius
-and no flow call, and which also evaluates them on rows.
+position norm r: the planar :class:`DiskBarrier` (center 0) or the orbital
+:class:`BandBarrier`.  The band's margin terms have one closed form, on
+Python floats for one state (:func:`_band_terms`) and elementwise on rows
+(:func:`_band_rows`), which the engine and the tau campaign share.
 """
 
 from __future__ import annotations
@@ -114,10 +112,10 @@ class DiskBarrier(BarrierSpec):
 @dataclass(frozen=True)
 class BandBarrier(BarrierSpec):
     """The orbital band ``h = half_width^2 - (|pos| - center)^2`` of a state
-    (position, velocity); ``h`` and ``grad_h`` take an ndarray.  The margin
-    terms take any float sequence, assume ``dr/dt = v`` and raise
-    SingularityError below ``floor``, the two-body field's singularity floor.
-    ``sqrt(pos.dot(pos))`` is bitwise ``np.linalg.norm(pos)``."""
+    (position, velocity); ``h`` and ``grad_h`` take an ndarray and
+    ``sqrt(pos.dot(pos))``, bitwise ``np.linalg.norm(pos)``.  The margin
+    terms take no flow (they assume ``dr/dt = v``) and raise
+    SingularityError below ``floor``, the two-body field's singularity floor."""
 
     floor: float
 
@@ -139,32 +137,51 @@ class BandBarrier(BarrierSpec):
         return _band_h(_row_radii(states), self.center, self.half_width)
 
     def margin_terms(self, flow: Flow, x: Sequence[float]) -> tuple[float, float, float]:
-        """Bitwise the generic terms along two_body_field, whose floor it
-        keeps, without calling ``flow``: grad_h's products and ndarray.dot, as
-        a Python-float sum differs in the last bit."""
-        x = np.asarray(x)
-        pos = x[:3]
-        r = math.sqrt(pos.dot(pos))
-        if r < self.floor:
-            raise SingularityError(f"radius {r!r} below singularity floor {self.floor!r}")
-        c, hw = self.center, self.half_width
-        gp = (-2.0 * (r - c) / r) * pos
-        return hw * hw - (r - c) ** 2, float(gp.dot(x[3:])), math.sqrt(gp.dot(gp))
+        """:func:`_band_terms` of any six-float sequence ``x``."""
+        return _band_terms(self, np.asarray(x, dtype=float).tolist(), self.floor)
 
     def margin_rows(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three terms of each row of an (n, 6) array, bit for bit
-        ``margin_terms`` row by row (every dot is a stacked np.matmul, which
-        takes the same ddot per row), raising where it would on some row."""
-        states = np.ascontiguousarray(states, dtype=float)
-        r, floor = _row_radii(states), self.floor
+        """The terms of each row of an (n, 6) array, bit for bit
+        ``margin_terms`` row by row, raising where it would on some row."""
+        p = np.asarray(states, dtype=float).T
+        r, floor = _norm3(p[:3]), self.floor
         low = np.flatnonzero(r < floor)
         if len(low):
             raise SingularityError(f"radius {float(r[low[0]])!r} below singularity floor {floor!r}")
-        c = self.center
-        gp = ((-2.0 * (r - c)) / r)[:, None, None] * states[:, None, :3]
-        lfh = np.matmul(gp, states[:, 3:, None])[:, 0, 0]
-        grad_norm = np.sqrt(np.matmul(gp, gp.transpose(0, 2, 1))[:, 0, 0])
-        return _band_h(r, c, self.half_width), lfh, grad_norm
+        return _band_rows(self, p, r)
+
+
+def _band_terms(b: BandBarrier, x: Sequence[float], floor: float) -> tuple[float, float, float]:
+    """``(h, dh/dt, |grad h|)`` of one state's six Python floats in closed
+    form: with ``r = sqrt((x0*x0 + x1*x1) + x2*x2)`` and ``d = r - center``,
+    ``h = hw*hw - d*d``, ``dh/dt = -2d * (((x0*v0 + x2*v2) + x1*v1) / r)``
+    and ``|grad h| = |-2d|``.  Raises SingularityError where ``r < floor``;
+    with a zero floor a zero radius raises ZeroDivisionError instead."""
+    x0, x1, x2, v0, v1, v2 = x
+    r = math.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+    if r < floor:
+        raise SingularityError(f"radius {r!r} below singularity floor {floor!r}")
+    delta = r - b.center
+    neg2_delta = -2.0 * delta
+    hw = b.half_width
+    return hw * hw - delta * delta, neg2_delta * (((x0 * v0 + x2 * v2) + x1 * v1) / r), abs(neg2_delta)
+
+
+def _band_rows(b: BandBarrier, p: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_band_terms` of each column of a component-major ``(6, ...)``
+    array ``p`` with its :func:`_norm3` radii ``r``, elementwise and bit for
+    bit, with no floor."""
+    pv = p[:3] * p[3:]
+    delta = r - b.center
+    neg2_delta = -2.0 * delta
+    hw = b.half_width
+    return hw * hw - delta * delta, neg2_delta * (((pv[0] + pv[2]) + pv[1]) / r), np.abs(neg2_delta)
+
+
+def _norm3(p: np.ndarray) -> np.ndarray:
+    """Column norms of a ``(3, ...)`` array, ``sqrt((x0*x0 + x1*x1) + x2*x2)``,
+    bit-identical to ``np.linalg.norm(p.T, axis=1)`` without its overhead."""
+    return np.sqrt(np.add.reduce(p * p, axis=0))
 
 
 def _row_radii(states: np.ndarray) -> np.ndarray:
@@ -176,7 +193,7 @@ def _row_radii(states: np.ndarray) -> np.ndarray:
 
 
 def _band_h(r: np.ndarray, c: float, hw: float) -> np.ndarray:
-    """``hw**2 - (r - c)**2`` of each radius with Python's ``**``, as the
+    """``hw*hw - (r - c)**2`` of each radius with Python's ``**``, as the
     band's ``h`` takes it: numpy's square differs in the last bit on some."""
     h = np.empty(len(r))
     # a block of Python floats at a time: one list of all 120k rows of a
@@ -291,14 +308,19 @@ def barrier_condition_margin(b: BarrierSpec, flow: Flow, x: Sequence[float]) -> 
     ``|grad h| * d_bar`` term), unused by the band.  ``x`` is any float
     sequence; the disk's closed form costs least on Python floats.
     """
-    h, lfh, grad_norm = b.margin_terms(flow, x)
-    return lfh - grad_norm * b.d_bar + b.gamma * h
+    return _condition_margin(b, b.margin_terms(flow, x))
 
 
 def barrier_condition_rows(b: BandBarrier, states: np.ndarray) -> np.ndarray:
     """:func:`barrier_condition_margin` of each row of ``states`` for the
-    band, bit for bit, in the same association."""
-    h, lfh, grad_norm = b.margin_rows(states)
+    band, bit for bit."""
+    return _condition_margin(b, b.margin_rows(states))
+
+
+def _condition_margin(b: BarrierSpec, terms: tuple):
+    """The robust barrier condition of the margin terms ``(h, dh/dt,
+    |grad h|)``, on floats or on rows."""
+    h, lfh, grad_norm = terms
     return (lfh - grad_norm * b.d_bar) + b.gamma * h
 
 

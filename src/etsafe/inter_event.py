@@ -13,37 +13,21 @@ Sample collection is embarrassingly parallel and fully deterministic: sample
 (j, i) of the campaign is keyed by (seed, radius index j, sample index i),
 and every sample is propagated under its own disturbance stream.
 
-Propagation runs in two kernels.  While the batch is wide, all live lanes
-step together, component-major, ``_BATCH_BLOCK`` steps at a time: each
-step's state is one C-contiguous ``(6, n_live)`` row of the block's array
-(each state component a contiguous row), and after the block one
-:func:`margin_batch` call over its rows and one scan of its margins find each
-lane's first fire and first non-finite margin; the lanes that fired are
-refined from the block's rows and dropped.  A numpy step costs about the same
-at any width, so once at most ``_TAIL_WIDTH`` lanes are live after a block,
-each remaining lane is finished on its own on Python floats
-(:func:`_finish_lane`), by the two-body step that the scalar engine's
-satellite field takes too.
+Propagation runs in two kernels.  While more than ``_TAIL_WIDTH`` lanes are
+live, they step together, component-major, ``_BATCH_BLOCK`` steps at a time,
+and one :func:`margin_batch` call and one scan per block find each lane's
+first fire; then each remaining lane is finished alone on Python floats
+(:func:`_finish_lane`), by the two-body step the scalar engine takes too.
+Both kernels give every lane the same bits: the same IEEE operations in the
+same association, the band's one margin formula (in its row and float forms)
+and disturbance vectors that depend only on (seed, stream, interval).  A
+fired step is refined with that margin too.
 
-Both kernels give every lane the same bits.  Each operation keeps its IEEE
-operands and their association: the RK4 stages of :class:`_LaneBlock`, the
-radius of :func:`_norm3`, the margin of :func:`margin_batch`, and the
-row-major ``(n, 6)`` formulation the batch replaced (``np.linalg.norm`` and
-``np.einsum`` over rows).  Both kernels take a lane's disturbance from
-:mod:`etsafe.dynamics`: the batch from its ``_LaneDisturbance``, the tail
-from :meth:`~etsafe.dynamics.DisturbanceModel.realize`, each bit for bit
-:meth:`~etsafe.dynamics.DisturbanceModel.sample`, and each hands the vectors
-it read at a fired step's two ends to the crossing's refinement.  A vector
-depends only on (seed, stream, interval), never on which lanes are live, on
-the block length or on which kernel steps it.
-
-So the lanes can also be split across processes (:func:`_propagate_sharded`):
-one interleaved shard per usable CPU, at most ``_MAX_SHARDS`` (2), each
-through both kernels, shard 0 in the calling process and the other in a
-forked worker.  A batch step, its share of the block's margin and scan
-included, costs ≈30 µs at 21 lanes and ≈100 µs at 605 on a 2-vCPU host, so
-width buys little and a second process is what cuts the wall time.  The times are the same for any shard count; which
-failing lane is named need not be.
+A batch step costs about the same at any width, so the lanes are split
+across processes (:func:`_propagate_sharded`) to cut the wall time: one
+interleaved shard per usable CPU, at most ``_MAX_SHARDS`` (2), shard 0 in the
+calling process and the other in a forked worker.  The times are the
+same for any shard count; which failing lane is named need not be.
 """
 
 from __future__ import annotations
@@ -58,7 +42,15 @@ from typing import Optional
 import numpy as np
 
 from .atomic_io import atomic_write
-from .barrier import BarrierSpec, barrier_condition_margin
+from .barrier import (
+    BandBarrier,
+    BarrierSpec,
+    _band_rows,
+    _band_terms,
+    _condition_margin,
+    _norm3,
+    barrier_condition_margin,
+)
 from .dynamics import (
     _LaneDisturbance,
     _hash_uniforms,
@@ -339,43 +331,15 @@ def _initial_states(mu: float, radii: np.ndarray, seed: int, streams: np.ndarray
     return states
 
 
-def _norm3(p: np.ndarray) -> np.ndarray:
-    """Column norms of a ``(3, n)`` array, ``sqrt((x0*x0 + x1*x1) + x2*x2)``.
+def margin_batch(states: np.ndarray, b: BandBarrier, r: np.ndarray) -> np.ndarray:
+    """Barrier-condition margin of each state, by the band's row form
+    (:func:`etsafe.barrier._band_rows`) with no floor.
 
-    Bit-identical to ``np.linalg.norm(p.T, axis=1)``: the same ``add.reduce``
-    of the squares, without the wrapper's overhead.
+    ``states`` is an ``(n, 6)`` or ``(n, steps, 6)`` view whose ``.T`` is
+    component-major, and ``r`` its :func:`_norm3` radii: the campaign's
+    ``(6, n)`` lanes at the start, then each block's ``(steps, 6, n)`` rows.
     """
-    return np.sqrt(np.add.reduce(p * p, axis=0))
-
-
-def margin_batch(states: np.ndarray, b: BarrierSpec, r: np.ndarray) -> np.ndarray:
-    """Vectorized barrier-condition margin for the orbital range barrier ``b``.
-
-    ``states`` is ``(n, 6)`` and ``r`` its :func:`_norm3` radii; the campaign
-    passes the ``.T`` view of its component-major ``(6, n)`` array at the
-    start, and then, once per block, the ``(n, steps, 6)`` view of the
-    block's ``(steps, 6, n)`` states with their ``(steps, n)`` radii, which
-    gives ``(steps, n)`` margins.  Every component read here is a contiguous
-    ``(n,)`` row of those arrays.  Must agree with
-    :func:`etsafe.barrier.barrier_condition_margin` evaluated per state
-    (covered by tests); reads the band and the linear class-K gain from ``b``.
-
-    On either layout the result is bit-identical to the row-major formula
-    ``r = np.linalg.norm(pos, axis=1)``,
-    ``rdot = np.einsum("ij,ij->i", pos, vel) / r`` on a C-contiguous
-    ``(n, 6)`` array: the norm as in :func:`_norm3`, and the dot product with
-    the association numpy 2.4.6's einsum uses there for three terms,
-    ``(x0*v0 + x2*v2) + x1*v1`` (pinned bitwise by tests; einsum itself
-    associates differently on strided views).
-    """
-    c = states.T
-    pv = c[:3] * c[3:]
-    rdot = ((pv[0] + pv[2]) + pv[1]) / r
-    delta = r - b.center
-    h = b.half_width ** 2 - delta * delta
-    # |-2 delta| is exactly 2 |delta|: scaling by a power of two is exact
-    neg2_delta = -2.0 * delta
-    return neg2_delta * rdot - np.abs(neg2_delta) * b.d_bar + b.gamma * h
+    return _condition_margin(b, _band_rows(b, states.T, r))
 
 
 # Live width at or below which the batch hands its lanes to _finish_lane.  On
@@ -705,13 +669,13 @@ def _finish_lane(
 
     The lane enters at step ``first_step`` with state ``x`` and margin ``m``.
     Each step is :func:`etsafe.dynamics._two_body_rk4` with no singularity
-    floor, as the batch has none, then the margin of :func:`_lane_margin`:
-    the batch step's IEEE operations in its association.  A non-finite
-    margin, or a division by a zero radius (which gives one in the batch),
-    raises LaneFailureError with the step-start time and state and the
-    lane's stream.
+    floor, as the batch has none, then the margin by the band's float form
+    (:func:`etsafe.barrier._band_terms`), with no floor either.  A
+    non-finite margin, or a division by a zero radius (which gives one in the
+    batch), raises LaneFailureError with the step-start time and state and
+    the lane's stream.
     """
-    margin = _lane_margin(scenario.barrier)
+    b = scenario.barrier
     dt = scenario.integrator.step_size
     accel = scenario.disturbance.realize(stream)
     step = _two_body_rk4(scenario.gravity.mu, 0.0, accel)
@@ -719,7 +683,7 @@ def _finish_lane(
         t0 = k * dt
         try:
             new = step(t0, dt, x)
-            nm = margin(new)
+            nm = _condition_margin(b, _band_terms(b, new, 0.0))
         except ZeroDivisionError:
             nm = math.nan
         if not math.isfinite(nm):
@@ -734,24 +698,6 @@ def _finish_lane(
             )
         x, m = new, nm
     return math.nan
-
-
-def _lane_margin(b: BarrierSpec):
-    """``margin(x)``: :func:`margin_batch` of one lane's six floats with its
-    :func:`_norm3` radius, on Python floats, bit for bit; reads the band and
-    the gain from ``b`` once."""
-    c, hw2, d_bar, gamma = b.center, b.half_width ** 2, b.d_bar, b.gamma
-    sqrt = math.sqrt
-
-    def margin(x) -> float:
-        x0, x1, x2, v0, v1, v2 = x
-        r = sqrt((x0 * x0 + x1 * x1) + x2 * x2)
-        rdot = ((x0 * v0 + x2 * v2) + x1 * v1) / r
-        delta = r - c
-        neg2_delta = -2.0 * delta
-        return neg2_delta * rdot - abs(neg2_delta) * d_bar + gamma * (hw2 - delta * delta)
-
-    return margin
 
 
 def _refine_sample_crossing(
@@ -781,8 +727,6 @@ def _refine_sample_crossing(
 
     field = lambda t, x: two_body_field(g, x, accel=accel0 if t == t0 else accel1)
     interp = _step_interpolant(field, t0, x0, t0 + dt, x1)
-    if monitor(x0) <= 0.0:  # margin grazed zero within tolerance at step start
-        return t0
     res = locate_zero_crossing(lambda t: monitor(interp(t)), t0, t0 + dt, scenario.events)
     if res.degraded:
         log.warning(

@@ -165,7 +165,7 @@ def _fma(x: float, y: float, s: float) -> float:
     if not _PRODUCT_MIN <= abs(p) < math.inf:
         return _fma_exact(x, y, s)
     if not s:
-        return p  # a normal product plus a zero: the product
+        return float(p)  # a normal product plus a zero: the product
     t = _SPLITTER * x
     xh = t - (t - x)
     xl = x - xh
@@ -207,19 +207,19 @@ def _dot2(a0: float, a1: float, b0: float, b1: float) -> float:
 
 
 def _fma_exact(a: float, b: float, c: float) -> float:
-    """``a * b + c`` rounded once, on exact rationals: the steps of
-    :func:`_fma` that TwoProduct cannot take."""
+    """``a * b + c`` rounded once, on exact rationals, as a Python float:
+    the steps of :func:`_fma` that TwoProduct cannot take."""
     if not (a and b and math.isfinite(a) and math.isfinite(b)):
-        return a * b + c  # a zero, infinite or NaN factor: IEEE's product is exact
+        return float(a * b + c)  # a zero, infinite or NaN factor: IEEE's product is exact
     if not math.isfinite(c):
-        return c  # a finite product leaves an infinite or NaN addend as it is
+        return float(c)  # a finite product leaves an infinite or NaN addend as it is
     # imported on first use, which no shipped run makes: fractions imports decimal
     from fractions import Fraction
 
     exact = Fraction(a) * Fraction(b) + Fraction(c)
     if not exact:
         # then a * b is exact (zero, or -c), and IEEE addition signs the zero
-        return a * b + c
+        return float(a * b + c)
     try:
         return float(exact)
     except OverflowError:

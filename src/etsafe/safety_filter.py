@@ -26,8 +26,8 @@ from .numerics import _dot, _dot2
 
 class InfeasibleFilterError(RuntimeError):
     """The halfspace constraint is unsatisfiable (zero row, positive rhs), or
-    no finite input satisfies it (a row so small that the projection step
-    overflows).
+    its projection leaves the float range: a row so small that the projection
+    step overflows, or a finite row so large that its square does.
 
     Feasibility of the filter is assumed, not guaranteed; this error is the
     honest surface for that assumption's failure, never silently clamped.
@@ -94,10 +94,10 @@ def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
     Feasible nominal inputs are returned unchanged (the same values,
     bit-exactly).  Otherwise the orthogonal projection onto the hyperplane
     ``a . u = rhs`` is returned, which satisfies the constraint with equality.
-    Raises InfeasibleFilterError where the row is zero or the projection
-    step ``(rhs - a . u) / (a . a)`` overflows.  Non-finite operands (a
-    non-finite state) give a NaN step and input, left for the integrator's
-    finiteness check.
+    Raises InfeasibleFilterError where the row is zero, where a finite
+    row's square ``a . a`` overflows, or where the projection step
+    ``(rhs - a . u) / (a . a)`` does.  A non-finite row (a non-finite state)
+    gives a NaN step and input, left for the integrator's finiteness check.
     """
     u = _floats(u_nom)
     a = con.a.tolist()
@@ -107,6 +107,8 @@ def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
     a_sq = _dot(a, a)
     if a_sq == 0.0:
         raise _zero_row(con.rhs)
+    if a_sq == math.inf and all(map(math.isfinite, a)):
+        raise _square_overflow()
     step = (con.rhs - dot) / a_sq
     if math.isinf(step):
         raise _step_overflow(a_sq)
@@ -116,6 +118,12 @@ def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
 def _zero_row(rhs: float) -> InfeasibleFilterError:
     return InfeasibleFilterError(
         f"constraint row is zero with rhs={rhs!r} > 0: no input can satisfy it"
+    )
+
+
+def _square_overflow() -> InfeasibleFilterError:
+    return InfeasibleFilterError(
+        "the constraint row's square overflows: the projection is out of float range"
     )
 
 
@@ -151,6 +159,8 @@ def _promoting_filter(b: BarrierSpec, promote_rate: float):
             return u0, u1
         if grad_sq == 0.0:
             raise _zero_row(rhs)
+        if grad_sq == math.inf and math.isfinite(a0) and math.isfinite(a1):
+            raise _square_overflow()
         step = (rhs - dot) / grad_sq
         if math.isinf(step):
             raise _step_overflow(grad_sq)

@@ -1,6 +1,7 @@
 """Barrier function and trigger margin tests."""
 
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -38,6 +39,28 @@ def random_shell_states(rng, n):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     vels = rng.normal(scale=0.4, size=(n, 3))
     return np.hstack([radii[:, None] * dirs, vels])
+
+
+def closed_form_terms(b, x):
+    """The band's margin terms as the closed form states them, on Python
+    floats: with r = sqrt((x0*x0 + x1*x1) + x2*x2) and d = r - center,
+    (hw*hw - d*d, -2d * (((x0*v0 + x2*v2) + x1*v1) / r), |-2d|)."""
+    x0, x1, x2, v0, v1, v2 = np.asarray(x, dtype=float).tolist()
+    r = math.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+    d = r - b.center
+    hw = b.half_width
+    return hw * hw - d * d, -2.0 * d * (((x0 * v0 + x2 * v2) + x1 * v1) / r), abs(-2.0 * d)
+
+
+def closed_form_margin(b, x):
+    h, lfh, grad_norm = closed_form_terms(b, x)
+    return lfh - grad_norm * b.d_bar + b.gamma * h
+
+
+# the closed form and the generic formulas (grad_h and np.linalg.norm, whose
+# 3-element dots take BLAS's fused multiply-add) round differently: at most a
+# few units in the last place of values of order one
+ROUNDING = 2e-15
 
 
 class TestOrbitalRangeBarrier:
@@ -161,13 +184,28 @@ class TestBitwiseAgainstNormFormulas:
         return states
 
     def test_orbital_h_grad_and_margin(self):
+        # h and grad_h keep the norm formulas bit for bit; the margin is the
+        # closed form, which agrees with the norm formula up to rounding
         b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
         for x in self.orbital_states():
             h_ref, grad_ref = self.norm_orbital(x)
             assert b.h(x).hex() == h_ref.hex()
             assert b.grad_h(x).tobytes() == grad_ref.tobytes()
             margin = barrier_condition_margin(b, orbital_flow, x)
-            assert margin.hex() == self.norm_margin(b, orbital_flow, x, h_ref, grad_ref).hex()
+            assert margin.hex() == closed_form_margin(b, x).hex()
+            norm_margin = self.norm_margin(b, orbital_flow, x, h_ref, grad_ref)
+            assert margin == pytest.approx(norm_margin, rel=0.0, abs=ROUNDING)
+
+    def test_disk_h_and_margin_are_python_floats(self):
+        # a zero coordinate takes the dot's zero-addend step, which returned
+        # the ndarray's numpy float unconverted
+        b = planar_disk_barrier(1.0, gamma=2.0, d_bar=0.01)
+        flow = lambda x: [-v for v in x]
+        for x in ([0.0, 0.5], [0.3, 0.5], [0.3, 0.0], [0.0, 0.0], [-0.0, 2.0]):
+            state = np.array(x)
+            assert type(b.h(state)) is float and b.h(state).hex() == b.h(x).hex()
+            margin = barrier_condition_margin(b, flow, state)
+            assert type(margin) is float and margin.hex() == barrier_condition_margin(b, flow, x).hex()
 
     def test_disk_margin(self):
         rho = 1.0
@@ -329,24 +367,37 @@ def generic_timing_margin(model, b, g, x):
 
 class TestFusedMargin:
     """Both margins of the orbital spec, through its fused terms, equal bit
-    for bit the generic formulas along the two-body flow, on every state
-    family the runs and the dwell bound evaluate."""
+    for bit the closed form, and up to rounding the generic formulas along
+    the two-body flow, on every state family the runs and the dwell bound
+    evaluate."""
 
     GAMMA, D_BAR = 0.1, 1e-3
     MODEL = load_model(SHIPPED_MODEL)
 
     def assert_fused_equal(self, b, g, states):
         flow = lambda x: two_body_field(g, x)
-        fused = [barrier_condition_margin(b, flow, x).hex() for x in states]
+        fused = [barrier_condition_margin(b, flow, x) for x in states]
+        assert [m.hex() for m in fused] == [closed_form_margin(b, x).hex() for x in states]
         norm_margin = TestBitwiseAgainstNormFormulas.norm_margin
-        assert fused == [norm_margin(b, flow, x, b.h(x), b.grad_h(x)).hex() for x in states]
-        timing = [maneuver_timing_margin(self.MODEL, b, x).hex() for x in states]
-        assert timing == [generic_timing_margin(self.MODEL, b, g, x).hex() for x in states]
+        generic = [norm_margin(b, flow, x, b.h(x), b.grad_h(x)) for x in states]
+        assert fused == pytest.approx(generic, rel=0.0, abs=ROUNDING)
+        timing = [maneuver_timing_margin(self.MODEL, b, x) for x in states]
+        closed_timing = []
+        for x in states:
+            h, lfh, _ = closed_form_terms(b, x)
+            closed_timing.append(0.5 * (1.0 + self.MODEL.evaluate(h).derivative * lfh))
+        assert [m.hex() for m in timing] == [m.hex() for m in closed_timing]
+        for x, t in zip(states, timing):
+            # the model's slope scales the rounding of dh/dt
+            slope = self.MODEL.evaluate(b.h(x)).derivative
+            generic = generic_timing_margin(self.MODEL, b, g, x)
+            assert t == pytest.approx(generic, rel=0.0, abs=(1.0 + abs(slope)) * ROUNDING)
         for x in states[:50]:
-            h, lfh, grad_norm = b.margin_terms(None, x)
+            terms = b.margin_terms(None, x)
+            assert [t.hex() for t in terms] == [t.hex() for t in closed_form_terms(b, x)]
             lfh_ref, grad = generic_lfh(b, g, x)
-            assert (h.hex(), lfh.hex()) == (b.h(x).hex(), lfh_ref.hex())
-            assert grad_norm.hex() == np.linalg.norm(grad).hex()
+            generic_terms = (b.h(x), lfh_ref, float(np.linalg.norm(grad)))
+            assert terms == pytest.approx(generic_terms, rel=0.0, abs=ROUNDING)
 
     def test_only_the_orbital_spec_is_fused(self):
         def no_flow(x):
@@ -574,4 +625,8 @@ class TestRowMargins:
         assert str(rows_err.value) == str(one_err.value)
 
     def test_h_column_of_the_rows_is_h_rows(self, states):
-        assert self.B.margin_rows(states)[0].tobytes() == self.B.h_rows(states).tobytes()
+        # the h column is the closed form's, on the plain radius; h_rows
+        # keeps the BLAS radius of h, so the two agree up to rounding
+        h = self.B.margin_rows(states)[0]
+        assert h.tobytes() == np.array([closed_form_terms(self.B, x)[0] for x in states]).tobytes()
+        assert np.abs(h - self.B.h_rows(states)).max() <= ROUNDING

@@ -35,7 +35,7 @@ from etsafe.config import ConfigError
 from etsafe.dynamics import DisturbanceModel
 from etsafe.engine import AssumptionCheckError, RunAbortedError, RunResult, Trajectory
 from etsafe.inter_event import FitError, LaneFailureError
-from etsafe.numerics import IntegrationFailureError, SingularityError, _dot, _dot2
+from etsafe.numerics import IntegrationFailureError, SingularityError, _dot, _dot2, _fma, _fma_exact
 from etsafe.safety_filter import InfeasibleFilterError
 
 SAT_SMALL = """
@@ -883,20 +883,22 @@ class TestCompareMatchesSimulate:
         self.assert_arms_match(out, simulated)
 
 
-# SHA-256 of every output of two short shipped runs, recorded before the RK4
-# stages moved to Python floats, so drift anywhere in the scalar stack fails
-# here and not only in the benchmark.  Horizon 1250 takes in the first safety
+# SHA-256 of every output of two short shipped runs, so drift anywhere in the
+# scalar stack fails here and not only in the benchmark.  The planar pins were
+# recorded before the RK4 stages moved to Python floats; the satellite runs'
+# margin columns and keys were recorded again when the band's margin became
+# its closed form (their event times, states and h did not move).  Horizon 1250 takes in the first safety
 # jump (t = 904.3) and the maneuver arm's first timing jump (t = 1203.4), so
 # the located crossings are pinned too; the planar run has 41 filter events.
 OUTPUT_DIGESTS = {
     "compare": {
         "comparison.json": "815f7b1c4fda512a2e500c93aeea1c4428ee03e82969eaeded9f9db3ba81bb27",
-        "greedy/events.csv": "5018b80f4a46370ef66a6c24f28a91860c1b15a24f2803e78d2c7b08f7f51259",
-        "greedy/summary.json": "8415855d00414a59f63cc2ad7ea65f1ff9b68d8894017d95a263ad3fcb04c4f1",
-        "greedy/trajectory.csv": "94da0203abf3180762ab3d1fbc2ebafa029ae756fab69b6c384e93482627693c",
-        "maneuver/events.csv": "49019249330275dd7b70a63b05acc2ccb288ac63a0b4db9d90735303939d633c",
-        "maneuver/summary.json": "fcfd43652063fbbc4482c109a770ed7ca9b575ec15a92bcc6254fd4db6b10036",
-        "maneuver/trajectory.csv": "6764fc0c13af0fd7cbb85159b5edf7a3cacf1a86cd05542a9f5d7274ea9cbd2a",
+        "greedy/events.csv": "910343dcbb60ae680b6ff4e04099e2d2ce9b85d6f1aea23c3a9f1ac70622c9f8",
+        "greedy/summary.json": "947ef1b29574fb125805ef335406e9306b5d2944281d04a1fa4a2800ee5fbe9e",
+        "greedy/trajectory.csv": "77129b9801828abef952d3b5a3f71600e9a93bcbfbb525ea5791eb5446a12abf",
+        "maneuver/events.csv": "bac107242bb48fa4f27a0a8f43954e418171bd2f2d891492d1861266708aaf1e",
+        "maneuver/summary.json": "f68c0476c97715a6b588f6ce583a3cad1e5a32261286116648f978e1fa2c88a4",
+        "maneuver/trajectory.csv": "ca2dd0001ff39a52273a57686b48eecc6038ed90f99025c207fe63c1c27c862d",
     },
     "planar": {
         "events.csv": "fae5bb4d3e9adcdd57512a25f53134de1e9f0d5a35b63402d27f9b6ff446f442",
@@ -970,9 +972,10 @@ def random_vectors(rng, n, dim, lo, hi):
 
 class TestDigestPlatform:
     def test_three_element_dot_is_an_fma_chain(self):
-        # every satellite barrier margin takes 3-element ndarray.dot products,
-        # so the bytes of the satellite outputs rest on how the BLAS library
-        # rounds them; the planar loop takes its dots with _dot, on floats
+        # the band's h takes the 3-element ndarray.dot pos . pos, so the bytes
+        # of the satellite outputs rest on how the BLAS library rounds it;
+        # the margins take plain products, and the planar loop its dots with
+        # _dot, on floats
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-3, 4, size=(3000, 1))
         b = rng.normal(size=(3000, 3))
@@ -991,26 +994,20 @@ class TestDigestPlatform:
         assert sum(d != s for d, s in zip(dots, plain)) > 100
 
     def test_stacked_matmul_is_ndarray_dot_row_by_row(self):
-        # the block loop takes every step's satellite margin as stacked
+        # the band's h_rows takes each row's pos . pos as stacked
         # (K, 1, 3) @ (K, 3, 1) products, so its bytes rest on np.matmul
         # calling the same BLAS ddot for each row as ndarray.dot does
         rng = np.random.default_rng(2)
         a = rng.normal(size=(3000, 6)) * 10.0 ** rng.integers(-3, 4, size=(3000, 1))
-        b = rng.normal(size=(3000, 3))
         pos = a[:, None, :3]
-        for left, right, rows in (
-            (pos, pos.transpose(0, 2, 1), [(x[:3], x[:3]) for x in a]),
-            (pos, a[:, 3:, None], [(x[:3], x[3:]) for x in a]),
-            (b[:, None, :], a[:, 3:, None], [(p, x[3:]) for p, x in zip(b, a)]),
-        ):
-            stacked = np.matmul(left, right)[:, 0, 0]
-            dots = np.array([p.dot(q) for p, q in rows])
-            mismatched = int((stacked != dots).sum())
-            assert mismatched == 0, (
-                f"np.matmul of stacked 3-vectors differs from ndarray.dot on {mismatched} "
-                "of 3000 rows: the block loop's satellite margins would not be the "
-                "scalar margins, so the satellite digests do not apply on this host"
-            )
+        stacked = np.matmul(pos, pos.transpose(0, 2, 1))[:, 0, 0]
+        dots = np.array([x[:3].dot(x[:3]) for x in a])
+        mismatched = int((stacked != dots).sum())
+        assert mismatched == 0, (
+            f"np.matmul of stacked 3-vectors differs from ndarray.dot on {mismatched} "
+            "of 3000 rows: the trajectory's h column would not be the scalar h, "
+            "so the satellite digests do not apply on this host"
+        )
 
     def test_dot_helper_is_ndarray_dot_here(self):
         # where the premise above holds, _dot and _dot2 are ndarray.dot bit
@@ -1099,6 +1096,17 @@ class TestFmaDot:
         assert dots(*OVERFLOW_RESCUED) == [2.0**971] * 2
         assert dots([1e308, 1.0], [1.0, 1e308]) == [math.inf] * 2
         assert dots([-1e308, 1e300], [1e10, 1e300]) == [-math.inf] * 2
+
+    def test_every_branch_returns_a_python_float(self):
+        # operands unpacked from an ndarray are numpy floats; each branch,
+        # the zero addend's and the exact fallback's included, converts
+        values = [0.0, -0.0, 5e-324, 2.0**-500, 1.5, -3e-170, 1e308, math.inf, math.nan]
+        for x, y, s in itertools.product(values, repeat=3):
+            for fma_step in (_fma, _fma_exact):
+                with np.errstate(all="ignore"):
+                    found = fma_step(np.float64(x), np.float64(y), np.float64(s))
+                assert type(found) is float, (fma_step.__name__, x, y, s)
+                assert found.hex() == fma_step(x, y, s).hex()
 
     def test_non_finite_factors_and_sums(self):
         inf, nan = math.inf, math.nan

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 import etsafe.inter_event as inter_event
-from etsafe.barrier import barrier_condition_margin, orbital_range_barrier
+from etsafe.barrier import (
+    _band_terms,
+    _condition_margin,
+    barrier_condition_margin,
+    barrier_condition_rows,
+    orbital_range_barrier,
+)
 from etsafe.dynamics import DisturbanceModel, GravityModel, _LaneDisturbance, apply_impulse
 from etsafe.inter_event import (
     FitError,
@@ -25,7 +31,6 @@ from etsafe.inter_event import (
     _LaneBlock,
     _finish_lane,
     _initial_states,
-    _lane_margin,
     _norm3,
     _propagate_batch_until_trigger,
     _refine_sample_crossing,
@@ -392,11 +397,17 @@ class TestComponentMajorKernel:
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_lane_margin_bitwise_equals_margin_batch(self, n):
-        # the tail's float margin, radius included, lane by lane
+        # one margin at its four sites, radius included: the campaign's batch
+        # and its float tail (no floor), and the engine's scalar margin and
+        # its row form (with the floor, which no state here is below)
         states = band_states(n, seed=n)
         r = _norm3(np.ascontiguousarray(states.T)[:3])
-        lanes = list(map(_lane_margin(BAND), states.tolist()))
-        assert np.array(lanes).tobytes() == margin_batch(states, BAND, r).tobytes()
+        batch = margin_batch(states, BAND, r).tobytes()
+        lanes = [_condition_margin(BAND, _band_terms(BAND, x, 0.0)) for x in states.tolist()]
+        assert np.array(lanes).tobytes() == batch
+        scalar = [barrier_condition_margin(BAND, None, x) for x in states]
+        assert np.array(scalar).tobytes() == batch
+        assert barrier_condition_rows(BAND, states).tobytes() == batch
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_lane_field_with_handed_radii_changes_no_bit(self, n):

@@ -219,6 +219,19 @@ def test_edge_states_match_numpy(scenario):
             call()
 
 
+def test_overflowing_row_square_raises_on_both_filter_paths(scenario):
+    # a finite state whose gradient's square overflows, with an input the
+    # constraint rejects: the step (rhs - a . u) / (a . a) would come out NaN
+    b, rate = scenario.barrier, scenario.filter.promote_rate
+    x, u = [1e160, -1e160], [0.0, 0.0]
+    con = build_constraint(b, x, mode="promoting", promote_rate=rate)
+    for call in (lambda: project(u, con), lambda: _promoting_filter(b, rate)(*x, *u)):
+        with pytest.raises(InfeasibleFilterError, match="square overflows"):
+            call()
+    # a non-finite state keeps its NaN input
+    assert all(map(math.isnan, _promoting_filter(b, rate)(math.nan, 1.0, *u)))
+
+
 def test_single_integrator_is_the_generic_identity_product(scenario):
     """The single integrator's shortcut products, the closed loop ``0.0 + u``
     and the filter row ``0.0 + grad`` with the drift term ``+0.0``, equal

@@ -71,6 +71,20 @@ class TestProject:
         with pytest.raises(InfeasibleFilterError, match="projection step overflows with row square"):
             project(np.zeros(2), con)
 
+    def test_overflowing_row_square_raises(self):
+        # a finite row whose square overflows: a . a is inf, so the step
+        # would be 0.0 and u, with a . u = 2e200 < rhs, would pass unprojected
+        con = HalfspaceConstraint(a=np.array([1e200, 1e200]), rhs=1e300)
+        with pytest.raises(InfeasibleFilterError, match="square overflows"):
+            project([1.0, 1.0], con)
+
+    def test_non_finite_row_gives_nan_input(self):
+        # a non-finite row (a non-finite state) is left to the integrator's
+        # finiteness check
+        for row in ([np.inf, 1.0], [np.nan, 1.0]):
+            con = HalfspaceConstraint(a=np.array(row), rhs=1.0)
+            assert np.isnan(project([0.0, 0.0], con)).all()
+
     def test_matches_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
