@@ -24,9 +24,9 @@ from etsafe.barrier import barrier_condition_margin
 
 # --- RK4 is 4th order: halving the step divides the error by ~16 ---
 def endpoint_error(dt):
-    x, t = np.array([1.0]), 0.0
+    x, t = [1.0], 0.0  # a state is a list of Python floats
     for _ in range(round(1.0 / dt)):
-        x = rk4_step(lambda t_, y: -np.asarray(y), x, t, dt)
+        x = rk4_step(lambda t_, y: [-v for v in y], x, t, dt)
         t += dt
     return abs(x[0] - np.exp(-1.0))
 
@@ -58,9 +58,10 @@ print(f"margin crossing located at t = {crossing.time:.6f}, value {crossing.valu
 
 # brute-force oracle: scan with a 10x finer step and find the sign change
 fine = 0.005
-t, x, prev = 0.0, x0.copy(), monitor(x0)
+t, x = 0.0, x0.tolist()
+prev = monitor(x)
 while t < 40.0:
-    x = np.array(rk4_step(field, x, t, fine))  # the step returns Python floats
+    x = rk4_step(field, x, t, fine)
     t += fine
     val = monitor(x)
     if prev > 0.0 >= val:

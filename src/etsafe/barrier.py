@@ -137,8 +137,8 @@ class BandBarrier(BarrierSpec):
         return _band_h(_row_radii(states), self.center, self.half_width)
 
     def margin_terms(self, flow: Flow, x: Sequence[float]) -> tuple[float, float, float]:
-        """:func:`_band_terms` of any six-float sequence ``x``."""
-        return _band_terms(self, np.asarray(x, dtype=float).tolist(), self.floor)
+        """:func:`_band_terms` of six Python floats ``x``."""
+        return _band_terms(self, x, self.floor)
 
     def margin_rows(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The terms of each row of an (n, 6) array, bit for bit
@@ -229,8 +229,9 @@ def check_gradient(b: BarrierSpec, states: np.ndarray) -> float:
         err = float(np.linalg.norm(fd - g)) / scale
         if isinstance(b, BandBarrier):
             fused = np.zeros_like(fd)
-            fused[:3] = [b.margin_terms(None, np.concatenate((x[:3], e)))[1] for e in np.eye(3)]
-            h, _, grad_norm = b.margin_terms(None, x)
+            pos = x[:3].tolist()
+            fused[:3] = [b.margin_terms(None, pos + e)[1] for e in np.eye(3).tolist()]
+            h, _, grad_norm = b.margin_terms(None, x.tolist())
             err = max(
                 err,
                 float(np.linalg.norm(fd - fused)) / scale,
@@ -324,7 +325,9 @@ def _condition_margin(b: BarrierSpec, terms: tuple):
     return (lfh - grad_norm * b.d_bar) + b.gamma * h
 
 
-def filter_off_margin(b: BarrierSpec, nominal_flow: Flow, x: np.ndarray, gap: float) -> float:
+def filter_off_margin(
+    b: BarrierSpec, nominal_flow: Flow, x: Sequence[float], gap: float
+) -> float:
     """Margin whose rise through zero allows switching the safety filter off.
 
     Equals ``barrier_condition_margin`` under the nominal closed loop minus a
@@ -338,7 +341,9 @@ def filter_off_margin(b: BarrierSpec, nominal_flow: Flow, x: np.ndarray, gap: fl
     return barrier_condition_margin(b, nominal_flow, x) - gap
 
 
-def maneuver_timing_margin(model: "InterEventTimeModel", b: BandBarrier, x: np.ndarray) -> float:
+def maneuver_timing_margin(
+    model: "InterEventTimeModel", b: BandBarrier, x: Sequence[float]
+) -> float:
     """Margin that fires when the expected inter-event payoff stops improving.
 
     The fitted model maps the barrier value to the expected time until the

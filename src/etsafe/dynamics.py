@@ -43,15 +43,14 @@ def two_body_field(
 ) -> tuple[float, ...]:
     """Two-body derivative ``d/dt [r, v] = [v, -mu r / |r|^3 + accel]``.
 
-    ``s`` is any sequence of six floats (a list, a tuple or an ndarray); the
-    derivative is a tuple of floats.  ``accel`` is an extra acceleration (the
+    ``s`` is a sequence of six Python floats, such as the step loop's list;
+    the derivative is a tuple of floats.  ``accel`` is an extra acceleration (the
     disturbance), added to each gravity component with one IEEE addition.
     The singularity floor only guards pathological configurations; the safe
     set keeps the radius well above it.
     """
     floor = g.singularity_floor
-    # Python floats run the same IEEE operations as numpy scalars, faster.
-    x0, x1, x2, v0, v1, v2 = s.tolist() if isinstance(s, np.ndarray) else s
+    x0, x1, x2, v0, v1, v2 = s
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     if r < floor:
         raise _below_floor(r, floor)
@@ -68,9 +67,9 @@ def _below_floor(r: float, floor: float) -> SingularityError:
 
 def _two_body_rk4(mu: float, floor: float, accel):
     """``step(t, dt, x) -> new state``: one RK4 step of the two-body flow
-    plus the disturbance ``accel(t)`` on Python floats, bit for bit the
-    generic step of :func:`etsafe.numerics.rk4_step` on
-    ``two_body_field(g, s, accel=accel(t))``.
+    plus the disturbance ``accel(t)`` on Python floats, the new state a list
+    of them, bit for bit the generic step of :func:`etsafe.numerics.rk4_step`
+    on ``two_body_field(g, s, accel=accel(t))``.
 
     The disturbance is taken once for stages 2 and 3, which share a time.  A
     stage radius below ``floor`` raises SingularityError; a floor of 0.0
@@ -125,7 +124,7 @@ def _two_body_rk4(mu: float, floor: float, accel):
         m0 = v0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + e0)
         m1 = v1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + e1)
         m2 = v2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + e2)
-        return n0, n1, n2, m0, m1, m2
+        return [n0, n1, n2, m0, m1, m2]
 
     return step
 
@@ -133,10 +132,10 @@ def _two_body_rk4(mu: float, floor: float, accel):
 def _single_integrator_rk4(control, accel):
     """``step(t, dt, x) -> new state``: one RK4 step of the planar single
     integrator under the input ``control(x0, x1) -> (u0, u1)`` plus the
-    disturbance ``accel(t)``, on Python floats, bit for bit the generic step
-    of :func:`etsafe.numerics.rk4_step` on the field whose stage derivative
-    is ``(0.0 + u) + d``: the closed loop of
-    :meth:`etsafe.scenarios.PlanarScenario.nominal_flow` plus the
+    disturbance ``accel(t)``, on Python floats, the new state a list of
+    them, bit for bit the generic step of :func:`etsafe.numerics.rk4_step`
+    on the field whose stage derivative is ``(0.0 + u) + d``: the closed
+    loop of :meth:`etsafe.scenarios.PlanarScenario.nominal_flow` plus the
     disturbance.
 
     The disturbance is taken once for stages 2 and 3, which share a time.
@@ -164,10 +163,10 @@ def _single_integrator_rk4(control, accel):
         e0, e1 = (0.0 + u0) + d0, (0.0 + u1) + d1
         # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
         sixth = dt / 6.0
-        return (
+        return [
             x0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + e0),
             x1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + e1),
-        )
+        ]
 
     return step
 

@@ -60,7 +60,7 @@ log = logging.getLogger(__name__)
 class RunAbortedError(RuntimeError):
     """A run could not continue; carries the diagnostic state and time."""
 
-    def __init__(self, message: str, t: float, x: np.ndarray):
+    def __init__(self, message: str, t: float, x: Sequence[float]):
         super().__init__(f"{message} (t={t!r})")
         self.reason = message
         self.t = t
@@ -185,7 +185,7 @@ class _TrajectoryBuilder:
             and bool(np.array_equal(states[0], self.states[-1][-1]))
         )
 
-    def add_point(self, t: float, x: np.ndarray, xi: float, filter_state: int) -> None:
+    def add_point(self, t: float, x: Sequence[float], xi: float, filter_state: int) -> None:
         self.times.append(np.array([t]))
         self.states.append(np.array([x]))
         self.xi.append(np.array([xi]))
@@ -268,10 +268,10 @@ def _run_impulsive(
     safety.rows = lambda states: barrier_condition_rows(b, states)
     payoff.rows = lambda states: maneuver_timing_rows(tau_model, b, states)
 
-    x = np.array(x0, dtype=float)
     t = 0.0
-    if b.h(x) < 0.0:
-        raise RunAbortedError("initial state outside the safe set", t, x)
+    if b.h(np.array(x0, dtype=float)) < 0.0:
+        raise RunAbortedError("initial state outside the safe set", t, x0)
+    x = [float(v) for v in x0]
 
     events: list[EventRecord] = []
     builder = _TrajectoryBuilder(b)
@@ -281,8 +281,9 @@ def _run_impulsive(
     # a jump disarms the segment that starts at it
     armed = True
 
-    def do_jump(t_e: float, x_e: np.ndarray, trigger_id: str) -> np.ndarray:
+    def do_jump(t_e: float, x_jump: list[float], trigger_id: str) -> list[float]:
         nonlocal role, gate_time, armed
+        x_e = np.array(x_jump)
         try:
             dv = station_keeping_impulse(scenario.controller, b, g, x_e)
         except Exception as err:
@@ -301,8 +302,8 @@ def _run_impulsive(
                 time=t_e,
                 kind="jump",
                 trigger_id=trigger_id,
-                state_before=x_e.copy(),
-                state_after=x_post.copy(),
+                state_before=x_e,
+                state_after=x_post,
                 h_before=b.h(x_e),
                 h_after=check.h_value,
                 xi_after=check.xi_value,
@@ -316,7 +317,7 @@ def _run_impulsive(
         elif role == "second":
             role, gate_time = "first", None
         armed = False
-        return x_post
+        return x_post.tolist()
 
     if safety(x) <= 0.0:
         if not scenario.allow_initial_jump:
@@ -337,7 +338,7 @@ def _run_impulsive(
             t = crossing.time
             x = do_jump(t, crossing.state, "safety" if crossing.monitor_index == 0 else "timing")
             continue
-        t, x = seg_end, states[-1]
+        t, x = seg_end, states[-1].tolist()
         armed = True
         if gated and seg_end < horizon and payoff(x) <= 0.0:
             # the gate itself fires if the payoff margin is already nonpositive
@@ -427,13 +428,12 @@ def run_intermittent_filter(scenario: PlanarScenario, x0: np.ndarray, horizon: f
     n_checked = check_nominal_safety_assumption(scenario)
     nominal_field, filtered_field = _planar_fields(scenario)
 
-    # the monitors take propagate_until's states as Python floats
-    on_margin = lambda x: barrier_condition_margin(b, nominal_flow, x.tolist())
+    on_margin = lambda x: barrier_condition_margin(b, nominal_flow, x)
     # the off trigger fires when the margin has RISEN back to the gap, so the
     # monitored (positive-inside) quantity is the negated off margin
-    off_monitor = lambda x: -filter_off_margin(b, nominal_flow, x.tolist(), gap)
+    off_monitor = lambda x: -filter_off_margin(b, nominal_flow, x, gap)
 
-    x = np.array(x0, dtype=float)
+    x = [float(v) for v in x0]
     t = 0.0
     if b.h(x) < 0.0:
         raise RunAbortedError("initial state outside the safe set", t, x)
@@ -511,9 +511,9 @@ def _planar_fields(scenario: PlanarScenario) -> tuple[Field, Field]:
 
 
 def _filter_event(
-    t: float, x: np.ndarray, kind: str, trigger_id: str, b: BarrierSpec, xi: float
+    t: float, x: list[float], kind: str, trigger_id: str, b: BarrierSpec, xi: float
 ) -> EventRecord:
-    h = b.h(x.tolist())  # on Python floats the disk's h returns a Python float
+    h = b.h(x)
     return EventRecord(
         time=t,
         kind=kind,

@@ -408,7 +408,7 @@ def _propagate_batch_until_trigger(
         for i, j in fired:
             d0, d1 = accels[i]
             out[lanes[j]] = _refine_sample_crossing(
-                scenario, block.states[i, :, j].copy(), after[i, :, j].copy(), (k + i) * dt,
+                scenario, block.states[i, :, j].tolist(), after[i, :, j].tolist(), (k + i) * dt,
                 dt, int(streams[lanes[j]]), _column(d0, j), _column(d1, j),
             )
         if failed is not None:
@@ -693,17 +693,15 @@ def _finish_lane(
             # interval is in the block, the start's perhaps not
             end = list(accel(t0 + dt))
             start = list(accel(t0))
-            return _refine_sample_crossing(
-                scenario, np.array(x), np.array(new), t0, dt, stream, start, end
-            )
+            return _refine_sample_crossing(scenario, x, new, t0, dt, stream, start, end)
         x, m = new, nm
     return math.nan
 
 
 def _refine_sample_crossing(
     scenario: SatelliteScenario,
-    x0: np.ndarray,
-    x1: np.ndarray,
+    x0: list[float],
+    x1: list[float],
     t0: float,
     dt: float,
     stream: int,
@@ -712,13 +710,13 @@ def _refine_sample_crossing(
 ) -> float:
     """Scalar in-step refinement matching the engine's event semantics.
 
-    ``accel0`` and ``accel1`` are the lane's disturbance at the start and the
-    end of the step, as the kernel that stepped it read them (for the
-    ``none`` kind a zero vector, which the field adds as it adds any other).
-    The derivative at each end is ``two_body_field`` with that disturbance;
-    at the start it is bitwise the first RK4 stage of the batch and of the
-    tail.  A degraded crossing is logged as a WARNING, as the engine logs its
-    own.
+    ``x0`` and ``x1`` are the lane's states at the step's start and end, as
+    lists of Python floats; ``accel0`` and ``accel1`` its disturbance there,
+    as the kernel that stepped it read them (for the ``none`` kind a zero
+    vector, which the field adds as it adds any other).  The derivative at
+    each end is ``two_body_field`` with that disturbance; at the start it is
+    bitwise the first RK4 stage of the batch and of the tail.  A degraded
+    crossing is logged as a WARNING, as the engine logs its own.
     """
     g = scenario.gravity
     b = scenario.barrier

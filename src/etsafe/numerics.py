@@ -9,36 +9,38 @@ finder that preserves the left-most sign change (the earliest event wins).
 All functions are pure and deterministic: identical inputs produce
 bit-identical outputs.
 
-The :data:`Field` contract: ``field(t, x)`` takes the state as a list of
-Python floats (:func:`rk4_step` passes each stage state, and the in-step
-interpolant each end state, as one) and returns its derivative as a sequence
-of floats, such as a tuple.  :func:`rk4_step` takes and returns a state as a
-sequence of Python floats and builds no array; code that needs array
-arithmetic on a state or a derivative converts it with ``np.asarray`` at that
-boundary.  The planar fields stay on floats throughout: their dot products,
-and those of the planar margin, are the exact FMA chain that ``ndarray.dot``
-computes on the hosts the outputs are pinned on, each step one exact
-:func:`_fma`: :func:`_dot` of two sequences, or :func:`_dot2` of two named
-2-vectors, which the planar loop takes.  Their own steps take the filter on
-named floats, so its only arrays, the ``HalfspaceConstraint.a`` and
-projected input, are built only where the filtered field itself is called:
-at the in-step interpolant's ends and in a replayed step.
+A state in the step loop is a list of Python floats, from :func:`rk4_step`
+until :func:`propagate_until` stacks a segment's rows.  The :data:`Field`
+contract: ``field(t, x)`` takes one (:func:`rk4_step` passes each stage
+state, and the in-step interpolant each end state) and returns its
+derivative as a sequence of floats, such as a tuple.  :func:`rk4_step`
+builds no array; code that needs array arithmetic on a state or a
+derivative converts it with ``np.asarray`` at that boundary.  The planar
+fields stay on floats throughout: their dot products, and those of the
+planar margin, are the exact FMA chain that ``ndarray.dot`` computes on the
+hosts the outputs are pinned on, each step one exact :func:`_fma`:
+:func:`_dot` of two sequences, or :func:`_dot2` of two named 2-vectors,
+which the planar loop takes.  Their own steps take the filter on named
+floats, so its only arrays, the ``HalfspaceConstraint.a`` and projected
+input, are built only where the filtered field itself is called: at the
+in-step interpolant's ends and in a replayed step.
 
 A field may bring its own step, ``field.rk4(t, dt, x) -> new state`` with
-``x`` a list of floats and the state a sequence of floats, bit for bit the
-generic step on the field (the satellite's disturbed field and both planar
-fields do).
+``x`` and the new state lists of Python floats, bit for bit the generic step
+on the field (the satellite's disturbed field and both planar fields do).
 :func:`rk4_step` then takes the step with it, and replays through the
 generic stages a step that raised SingularityError or came out non-finite,
 so a field's errors are the generic step's.
 
-The :data:`Monitor` contract: ``monitor(x)`` is a scalar of one state, an
-ndarray.  A monitor may also carry a row form, ``monitor.rows(states)``: its
-value at each row of an (n, dim) array as an array, bit for bit the scalar
-calls, raising if the monitor raises on some row.  When every monitor of a
+The :data:`Monitor` contract: ``monitor(x)`` is a scalar of one state, a
+list of Python floats: the segment's start state, each step's end state,
+and each point of the in-step interpolant that a refinement evaluates.  A
+monitor may also carry a row form, ``monitor.rows(states)``: its value at
+each row of an (n, dim) array as an array, bit for bit the scalar calls,
+raising if the monitor raises on some row.  When every monitor of a
 :func:`propagate_until` call has one, the steps run in blocks and each
 monitor is evaluated once per block; a row form that raises sends the block
-through the scalar calls, one row at a time, to find the error or the
+through the scalar calls, one state at a time, to find the error or the
 crossing that comes first.  Otherwise (the planar monitors) the monitors are
 called after each step, inside the same step loop, and the segment's times,
 states and monitor values stay in Python lists until the segment ends.
@@ -53,13 +55,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 Field = Callable[[float, Sequence[float]], Sequence[float]]
-Monitor = Callable[[np.ndarray], float]
+Monitor = Callable[[list[float]], float]
 
 
 class IntegrationFailureError(RuntimeError):
     """A vector field returned a non-finite derivative."""
 
-    def __init__(self, t: float, x: np.ndarray, message: str = "non-finite derivative"):
+    def __init__(self, t: float, x: Sequence[float], message: str = "non-finite derivative"):
         super().__init__(f"{message} at t={t!r}, x={np.asarray(x).tolist()!r}")
         self.reason = message
         self.t = t
@@ -131,7 +133,7 @@ class MonitorCrossing:
 
     monitor_index: int
     time: float
-    state: np.ndarray
+    state: list[float]
     value: float
     degraded: bool = False
 
@@ -226,15 +228,14 @@ def _fma_exact(a: float, b: float, c: float) -> float:
         return math.inf if exact > 0 else -math.inf
 
 
-def rk4_step(field: Field, x: Sequence[float], t: float, dt: float) -> Sequence[float]:
+def rk4_step(field: Field, x: Sequence[float], t: float, dt: float) -> list[float]:
     """Single classical 4th-order Runge-Kutta step of ``dx/dt = field(t, x)``.
 
-    ``x`` is a sequence of floats (an ndarray is read once with ``tolist``);
-    the new state is a new sequence of Python floats, and no array is built.
-    The stages run with the association of the numpy expression
-    ``x + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so the result is
-    bit-identical to it.  A field with its own ``rk4`` step is stepped by it
-    (see the module docstring).
+    ``x`` is a sequence of Python floats; the new state is a new list of
+    them, and no array is built.  The stages run with the association of the
+    numpy expression ``x + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so the
+    result is bit-identical to it.  A field with its own ``rk4`` step is
+    stepped by it (see the module docstring).
 
     Raises IntegrationFailureError, with the step-start ``t`` and ``x``, if any
     stage derivative is non-finite.  The generic stages then evaluate no later
@@ -242,11 +243,10 @@ def rk4_step(field: Field, x: Sequence[float], t: float, dt: float) -> Sequence[
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    x0 = x.tolist() if isinstance(x, np.ndarray) else x
     own = getattr(field, "rk4", None)
     if own is not None:
         try:
-            x1 = own(t, dt, x0)
+            x1 = own(t, dt, x)
             if math.isfinite(sum(x1)):
                 return x1
         except SingularityError:
@@ -254,18 +254,18 @@ def rk4_step(field: Field, x: Sequence[float], t: float, dt: float) -> Sequence[
         # a non-finite stage derivative leaves a non-finite sum; then, or
         # below the floor, the generic stages replay the step and raise
     half = 0.5 * dt
-    k1 = field(t, x0)
-    _require_finite(k1, t, x0)
-    k2 = field(t + half, [a + half * k for a, k in zip(x0, k1)])
-    _require_finite(k2, t, x0)
-    k3 = field(t + half, [a + half * k for a, k in zip(x0, k2)])
-    _require_finite(k3, t, x0)
-    k4 = field(t + dt, [a + dt * k for a, k in zip(x0, k3)])
-    _require_finite(k4, t, x0)
+    k1 = field(t, x)
+    _require_finite(k1, t, x)
+    k2 = field(t + half, [a + half * k for a, k in zip(x, k1)])
+    _require_finite(k2, t, x)
+    k3 = field(t + half, [a + half * k for a, k in zip(x, k2)])
+    _require_finite(k3, t, x)
+    k4 = field(t + dt, [a + dt * k for a, k in zip(x, k3)])
+    _require_finite(k4, t, x)
     sixth = dt / 6.0
     return [
         a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-        for a, p, q, r, s in zip(x0, k1, k2, k3, k4)
+        for a, p, q, r, s in zip(x, k1, k2, k3, k4)
     ]
 
 
@@ -277,24 +277,28 @@ def _require_finite(k: Sequence[float], t: float, x: Sequence[float]) -> None:
 
 def hermite_interpolant(
     t0: float,
-    x0: np.ndarray,
-    f0: np.ndarray,
+    x0: Sequence[float],
+    f0: Sequence[float],
     t1: float,
-    x1: np.ndarray,
-    f1: np.ndarray,
-) -> Callable[[float], np.ndarray]:
-    """Cubic Hermite interpolant matching states and derivatives at both ends."""
+    x1: Sequence[float],
+    f1: Sequence[float],
+) -> Callable[[float], list[float]]:
+    """Cubic Hermite interpolant matching states and derivatives at both ends,
+    which are float sequences.  Each value is a new list of Python floats,
+    bit for bit the numpy expression ``h00*x0 + (h10*dt)*f0 + h01*x1 +
+    (h11*dt)*f1``, whose IEEE operations each component repeats in order."""
     dt = t1 - t0
+    ends = tuple(zip(x0, f0, x1, f1))
 
-    def interp(t: float) -> np.ndarray:
+    def interp(t: float) -> list[float]:
         s = (t - t0) / dt
         s2 = s * s
         s3 = s2 * s
         h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-        h10 = s3 - 2.0 * s2 + s
+        h10 = (s3 - 2.0 * s2 + s) * dt
         h01 = -2.0 * s3 + 3.0 * s2
-        h11 = s3 - s2
-        return h00 * x0 + (h10 * dt) * f0 + h01 * x1 + (h11 * dt) * f1
+        h11 = (s3 - s2) * dt
+        return [((h00 * a + h10 * p) + h01 * b) + h11 * q for a, p, b, q in ends]
 
     return interp
 
@@ -344,7 +348,7 @@ _BLOCK_STEPS = 128
 
 def propagate_until(
     field: Field,
-    x0: np.ndarray,
+    x0: Sequence[float],
     t0: float,
     horizon: float,
     monitors: Sequence[Monitor],
@@ -354,11 +358,13 @@ def propagate_until(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[MonitorCrossing]]:
     """Propagate until a monitor crosses zero downward or the horizon ends.
 
-    Steps with RK4 at the configured step size, checking each monitor's sign at
-    every step endpoint.  A downward sign change (previous value > 0, new value
-    <= 0) is refined with bisection on the step's cubic Hermite interpolant,
-    with the monitor re-evaluated on interpolated states.  A monitor that is
-    already <= 0 when monitoring starts is an immediate event at that time.
+    Steps with RK4 at the configured step size from ``x0``, any sequence of
+    floats, copied into a list of Python floats, checking each monitor's sign
+    at every step endpoint.  A downward sign change (previous value > 0, new
+    value <= 0) is refined with bisection on the step's cubic Hermite
+    interpolant, with the monitor re-evaluated on interpolated states.  A
+    monitor that is already <= 0 when monitoring starts is an immediate event
+    at that time.
 
     When every monitor has a row form (see the module docstring), the steps
     run a block of ``_BLOCK_STEPS`` at a time, each monitor is evaluated once
@@ -388,10 +394,10 @@ def propagate_until(
     dt = integrator.step_size
 
     # each part is a block of rows; the returned arrays are joined once at the end
-    x = np.array(x0, dtype=float)
+    x = [float(v) for v in x0]
     prev = [m(x) for m in monitors] if armed else [math.nan] * len(monitors)
     times = [np.array([t0])]
-    states = [x[None, :]]
+    states = [np.array([x])]
     values = [np.array(prev, dtype=float).reshape(1, len(monitors))]
     if armed:
         crossing = _immediate_crossing(prev, t0, x)
@@ -408,7 +414,7 @@ def propagate_until(
     by_step = not all(hasattr(m, "rows") for m in monitors)
     block = total_steps if by_step else _BLOCK_STEPS
 
-    step, state = 0, x.tolist()
+    step, state = 0, x
     while step < total_steps:
         at_start = step == 0 and not armed
         ends, rows, row_vals, failure, i = [], [], [], None, None
@@ -423,8 +429,7 @@ def propagate_until(
             ends.append(t_start + step_dt)
             rows.append(state)
             if by_step:
-                x_end = np.array(state)
-                row = [m(x_end) for m in monitors]
+                row = [m(state) for m in monitors]
                 row_vals.append(row)
                 if _fires(row, prev, at_start and k == 0):
                     i = len(rows) - 1
@@ -436,20 +441,20 @@ def propagate_until(
         if by_step:
             vals = np.array(row_vals, dtype=float)
         else:
-            vals, i = _monitor_block(monitors, block_states, prev, block > 1, at_start)
+            vals, i = _monitor_block(monitors, rows, block_states, prev, at_start)
         if i is not None:
             if at_start and i == 0:
                 # Monitoring starts at this sample; a value already <= 0 is an
                 # immediate event here rather than a located crossing.
-                crossing = _immediate_crossing(vals[0].tolist(), ends[0], block_states[0])
+                crossing = _immediate_crossing(vals[0].tolist(), ends[0], rows[0])
             else:
                 before = vals[i - 1] if i else prev
                 crossed = [
                     j for j, (p, v) in enumerate(zip(before, vals[i])) if p > 0.0 and v <= 0.0
                 ]
                 t_start = t0 + (step + i) * dt
-                x_start = block_states[i - 1] if i else x
-                interp = _step_interpolant(field, t_start, x_start, ends[i], block_states[i])
+                x_start = rows[i - 1] if i else x
+                interp = _step_interpolant(field, t_start, x_start, ends[i], rows[i])
                 crossing = _refine_step_crossings(
                     interp, monitors, crossed, t_start, ends[i], events
                 )
@@ -464,46 +469,44 @@ def propagate_until(
         if failure is not None:
             raise failure
         step += len(rows)
-        prev, x = vals[-1].tolist(), block_states[-1]
+        prev, x = vals[-1].tolist(), rows[-1]
 
     return np.concatenate(times), np.concatenate(states), np.concatenate(values), None
 
 
 def _monitor_block(
     monitors: Sequence[Monitor],
+    rows: list[list[float]],
     states: np.ndarray,
     prev: Sequence[float],
-    by_rows: bool,
     at_start: bool,
 ) -> tuple[np.ndarray, Optional[int]]:
-    """Each monitor's value at each row of ``states`` up to the first row
-    where a monitor fires, or at every row, as a (rows, len(monitors))
-    array, and the index of that row or None.  A monitor fires at a sign
-    change from the row before (``prev`` before the first row), or,
-    ``at_start``, by an immediate event at the first row.
+    """Each monitor's value at each state of ``rows``, stacked as ``states``,
+    up to the first state where a monitor fires, or at every state, as a
+    (rows, len(monitors)) array, and the index of that state or None.  A
+    monitor fires at a sign change from the state before (``prev`` before
+    the first), or, ``at_start``, by an immediate event at the first state.
 
-    ``by_rows`` takes each monitor's row form over all rows at once.  Without
-    it, or when a row form raised, the monitors are evaluated one row at a
-    time in monitor order, and only up to the first row that fires, so an
-    error is the one a step-by-step loop meets first.
+    Each row form takes all of ``states`` at once.  When one raises, the
+    monitors are called on ``rows`` one state at a time, in monitor order,
+    up to the first state that fires, so an error is the one a step-by-step
+    loop meets first.
     """
-    if by_rows:
-        n, m = len(states), len(monitors)
-        vals = np.empty((n, m))
-        try:
-            for j, mon in enumerate(monitors):
-                vals[:, j] = mon.rows(states)
-        except Exception:  # evaluated again below, one row at a time
-            pass
-        else:
-            if at_start and _at_once(vals[0].tolist()) is not None:
-                return vals, 0
-            before = np.vstack((np.reshape(prev, (1, m)), vals[:-1]))
-            hit = np.flatnonzero(((before > 0.0) & (vals <= 0.0)).any(axis=1))
-            return vals, int(hit[0]) if len(hit) else None
+    n, m = len(states), len(monitors)
+    vals = np.empty((n, m))
+    try:
+        for j, mon in enumerate(monitors):
+            vals[:, j] = mon.rows(states)
+    except Exception:  # evaluated again below, one state at a time
+        pass
+    else:
+        if at_start and _at_once(vals[0].tolist()) is not None:
+            return vals, 0
+        before = np.vstack((np.reshape(prev, (1, m)), vals[:-1]))
+        hit = np.flatnonzero(((before > 0.0) & (vals <= 0.0)).any(axis=1))
+        return vals, int(hit[0]) if len(hit) else None
     evaluated = []
-    for i in range(len(states)):
-        x = states[i]
+    for i, x in enumerate(rows):
         row = [mon(x) for mon in monitors]
         evaluated.append(row)
         if _fires(row, prev, at_start and i == 0):
@@ -534,7 +537,7 @@ def _joined(
     """The segment's arrays ending at ``crossing``, with the monitors
     evaluated again at its state."""
     times.append(np.array([crossing.time]))
-    states.append(crossing.state[None, :])
+    states.append(np.array([crossing.state]))
     values.append(np.array([m(crossing.state) for m in monitors], dtype=float).reshape(1, -1))
     return np.concatenate(times), np.concatenate(states), np.concatenate(values), crossing
 
@@ -548,24 +551,21 @@ def _at_once(vals: list[float]) -> Optional[int]:
     return idx if vals[idx] <= 0.0 else None
 
 
-def _immediate_crossing(vals: list[float], t: float, x: np.ndarray) -> Optional[MonitorCrossing]:
+def _immediate_crossing(vals: list[float], t: float, x: list[float]) -> Optional[MonitorCrossing]:
     idx = _at_once(vals)
-    return None if idx is None else MonitorCrossing(idx, t, x.copy(), float(vals[idx]))
+    return None if idx is None else MonitorCrossing(idx, t, x, float(vals[idx]))
 
 
 def _step_interpolant(
-    field: Field, t0: float, x0: np.ndarray, t1: float, x1: np.ndarray
-) -> Callable[[float], np.ndarray]:
+    field: Field, t0: float, x0: list[float], t1: float, x1: list[float]
+) -> Callable[[float], list[float]]:
     """The trajectory inside one step: the cubic Hermite interpolant on
     ``field``'s derivatives at both ends."""
-    # the interpolant does array arithmetic on the end derivatives
-    f0 = np.asarray(field(t0, x0.tolist()))
-    f1 = np.asarray(field(t1, x1.tolist()))
-    return hermite_interpolant(t0, x0, f0, t1, x1, f1)
+    return hermite_interpolant(t0, x0, field(t0, x0), t1, x1, field(t1, x1))
 
 
 def _refine_step_crossings(
-    interp: Callable[[float], np.ndarray],
+    interp: Callable[[float], list[float]],
     monitors: Sequence[Monitor],
     crossed: list[int],
     t_start: float,

@@ -152,7 +152,7 @@ def station_keeping_impulse(
         v_new = v_radial * r_hat + v_tangential * t_hat
         dv = v_new - vel
         post = apply_impulse(s, dv)
-        if barrier_condition_margin(b, flow, post) >= cfg.post_jump_margin:
+        if barrier_condition_margin(b, flow, post.tolist()) >= cfg.post_jump_margin:
             return dv
         if gain == 0.0:
             break
@@ -171,5 +171,5 @@ def verify_jump_conditions(
     With margin = 0 this reduces to the plain barrier-condition check.
     """
     h_val = b.h(s_post)
-    xi_val = barrier_condition_margin(b, lambda x: two_body_field(g, x), s_post)
+    xi_val = barrier_condition_margin(b, lambda x: two_body_field(g, x), s_post.tolist())
     return JumpCheck(ok=(h_val >= 0.0 and xi_val >= margin), h_value=h_val, xi_value=xi_val)

@@ -85,7 +85,7 @@ def filter_active(u_nom: Sequence[float], con: HalfspaceConstraint) -> bool:
     Exactly on the boundary the filter is reported inactive, so the projected
     output is the nominal input bit-exactly there.
     """
-    return _dot(con.a.tolist(), _floats(u_nom)) < con.rhs
+    return _dot(con.a.tolist(), u_nom) < con.rhs
 
 
 def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
@@ -99,11 +99,10 @@ def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
     ``(rhs - a . u) / (a . a)`` does.  A non-finite row (a non-finite state)
     gives a NaN step and input, left for the integrator's finiteness check.
     """
-    u = _floats(u_nom)
     a = con.a.tolist()
-    dot = _dot(a, u)
+    dot = _dot(a, u_nom)
     if dot >= con.rhs:
-        return np.array(u)
+        return np.array(u_nom)
     a_sq = _dot(a, a)
     if a_sq == 0.0:
         raise _zero_row(con.rhs)
@@ -112,7 +111,7 @@ def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
     step = (con.rhs - dot) / a_sq
     if math.isinf(step):
         raise _step_overflow(a_sq)
-    return np.array([v + step * w for v, w in zip(u, a)])
+    return np.array([v + step * w for v, w in zip(u_nom, a)])
 
 
 def _zero_row(rhs: float) -> InfeasibleFilterError:
@@ -167,7 +166,3 @@ def _promoting_filter(b: BarrierSpec, promote_rate: float):
         return u0 + step * a0, u1 + step * a1
 
     return promote
-
-
-def _floats(u: Sequence[float]) -> Sequence[float]:
-    return u.tolist() if isinstance(u, np.ndarray) else u

@@ -69,7 +69,7 @@ def outcome(*args, **kwargs):
         found = (
             crossing.monitor_index,
             crossing.time.hex(),
-            crossing.state.tobytes(),
+            np.array(crossing.state).tobytes(),
             float(crossing.value).hex(),
             crossing.degraded,
         )

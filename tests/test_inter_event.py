@@ -526,7 +526,7 @@ class TestTailHandOff:
             # the step's start and end and their disturbances, to the bit: a
             # crossing time alone rarely shows a last-bit difference
             ends = np.array([accel0, accel1]).tobytes()
-            crossings[stream] = (t0, x0.tobytes(), x1.tobytes(), ends)
+            crossings[stream] = (t0, np.array(x0).tobytes(), np.array(x1).tobytes(), ends)
             return refine(scenario, x0, x1, t0, dt, stream, accel0, accel1)
 
         monkeypatch.setattr(inter_event, "_refine_sample_crossing", spy_refine)

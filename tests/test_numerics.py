@@ -20,6 +20,8 @@ from etsafe.numerics import (
     IntegrationFailureError,
     IntegratorConfig,
     SingularityError,
+    _step_interpolant,
+    hermite_interpolant,
     locate_zero_crossing,
     propagate_until,
     rk4_step,
@@ -150,16 +152,15 @@ class TestFloatStagesMatchNumpyOracle:
     def test_consecutive_steps_bitwise_equal(self, config, kind):
         # every shipped field steps with its own fused step, the oracle with
         # four field calls
-        field, x, dt = shipped_field(config, kind)
+        field, x0, dt = shipped_field(config, kind)
         assert hasattr(field, "rk4")
-        oracle = x.copy()
+        x, oracle = x0.tolist(), x0.copy()
         for k in range(self.STEPS):
-            new = rk4_step(field, x, k * dt, dt)
-            x = np.array(new)
+            x = rk4_step(field, x, k * dt, dt)
             oracle = numpy_rk4_step(field, oracle, k * dt, dt)
-            assert x.tobytes() == oracle.tobytes(), f"step {k}"
-        # the new state is a sequence of Python floats, not an array
-        assert not isinstance(new, np.ndarray) and all(type(v) is float for v in new)
+            assert np.array(x).tobytes() == oracle.tobytes(), f"step {k}"
+        # the new state is a list of Python floats, not an array
+        assert type(x) is list and all(type(v) is float for v in x)
 
     @pytest.mark.parametrize("stage", [1, 2, 3, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -201,7 +202,7 @@ def poisoned_field(monkeypatch, config, kind, stage, bad, x0, t, dt):
     monkeypatch.setattr(DisturbanceModel, "realize", recording)
     field, _, _ = shipped_field(config, kind)
     with contextlib.suppress(SingularityError):
-        rk4_step(generic(field), x0, t, dt)
+        rk4_step(generic(field), x0.tolist(), t, dt)
     target = times[stage - 1]
 
     def poisoning(self, stream=0):
@@ -237,7 +238,7 @@ class TestFusedTwoBodyStep:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(IntegrationFailureError) as err:
-                    rk4_step(f, x0, 7.25, dt)
+                    rk4_step(f, x0.tolist(), 7.25, dt)
             assert [str(w.message) for w in caught] == []
             errors.append((str(err.value), err.value.t, err.value.x.tobytes()))
         assert errors[0] == errors[1]
@@ -352,7 +353,7 @@ class TestFusedPlanarStep:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(IntegrationFailureError) as err:
-                    rk4_step(f, x0, 7.25, dt)
+                    rk4_step(f, x0.tolist(), 7.25, dt)
             assert [str(w.message) for w in caught] == []
             errors.append((str(err.value), err.value.t, err.value.x.tobytes()))
         assert errors[0] == errors[1]
@@ -508,6 +509,123 @@ class TestPropagateUntil:
         assert np.array_equal(t1, t2)
         assert np.array_equal(s1, s2)
         assert c1.time == c2.time
+
+
+def float_lists(states):
+    """Whether every state is a list of Python floats."""
+    return all(type(x) is list and all(type(v) is float for v in x) for x in states)
+
+
+SPIRAL = lambda t, x: [x[1], -x[0]]  # a generic field: no step of its own
+
+
+class TestFloatStateContract:
+    """A state in propagate_until's step loop is a list of Python floats: at
+    the start, at each step end, at each refinement point and in the
+    crossing."""
+
+    ECFG = EventLocatorConfig(time_tolerance=1e-12, value_tolerance=1e-14)
+
+    @staticmethod
+    def case(name):
+        """(field, start array, step size, component, level): the component
+        falls through the level inside the horizon."""
+        if name == "generic-field":
+            return SPIRAL, np.array([1.0, 0.3]), 0.05, 0, 0.2
+        field, start, dt = shipped_field("planar_intermittent.ini", "nominal")
+        return field, start, dt, 1, 0.08
+
+    def propagate(self, field, x0, dt, monitor):
+        icfg = IntegratorConfig(step_size=dt)
+        return propagate_until(field, x0, 0.0, 200 * dt, [monitor], icfg, self.ECFG)
+
+    @staticmethod
+    def assert_crossing_is_the_interpolant(field, x0, dt, times, crossing):
+        # the crossing's step is the last one taken: k steps after t0 = 0.0
+        k = len(times) - 2
+        t_start = 0.0 + k * dt
+        x = x0.tolist()
+        for j in range(k):
+            x = rk4_step(field, x, 0.0 + j * dt, dt)
+        interp = _step_interpolant(field, t_start, x, t_start + dt, rk4_step(field, x, t_start, dt))
+        assert type(crossing.state) is list
+        assert [v.hex() for v in crossing.state] == [v.hex() for v in interp(crossing.time)]
+
+    @pytest.mark.parametrize("name", ["generic-field", "own-step-field"])
+    def test_by_step_monitor_gets_float_lists(self, name):
+        field, x0, dt, i, level = self.case(name)
+        seen = []
+        monitor = lambda x: seen.append(x) or x[i] - level
+        times, _, _, crossing = self.propagate(field, x0, dt, monitor)
+        assert crossing is not None
+        # the start, each step end, the refinement's points and the crossing
+        assert len(seen) > 1 + (len(times) - 2) + 2
+        assert float_lists(seen)
+        self.assert_crossing_is_the_interpolant(field, x0, dt, times, crossing)
+
+    @pytest.mark.parametrize("name", ["generic-field", "own-step-field"])
+    def test_scalar_fallback_of_a_row_form_gets_float_lists(self, name):
+        field, x0, dt, i, level = self.case(name)
+        seen = []
+
+        def monitor(x):
+            seen.append(x)
+            return x[i] - level
+
+        def rows(states):
+            raise ValueError("row form out of service")
+
+        monitor.rows = rows
+        times, _, _, crossing = self.propagate(field, x0, dt, monitor)
+        assert crossing is not None
+        assert len(seen) > 1 + (len(times) - 2) + 2
+        assert float_lists(seen)
+        self.assert_crossing_is_the_interpolant(field, x0, dt, times, crossing)
+
+
+def numpy_hermite(t0, x0, f0, t1, x1, f1, t):
+    """The cubic Hermite interpolant on numpy arrays that the float one
+    replaced: the reference it must match bit for bit."""
+    dt = t1 - t0
+    s = (t - t0) / dt
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10 = s3 - 2.0 * s2 + s
+    h01 = -2.0 * s3 + 3.0 * s2
+    h11 = s3 - s2
+    return h00 * x0 + (h10 * dt) * f0 + h01 * x1 + (h11 * dt) * f1
+
+
+# signed zeros, subnormals, magnitudes near 1e300, and near the largest
+# float, whose sums can overflow
+HERMITE_SPECIALS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.5e-320, -1e-310, 1.3e300, -9.7e299, 1e300, 1.7e308, -1.6e308,
+]
+
+
+class TestFloatHermiteInterpolant:
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_matches_the_numpy_expression_bitwise(self, dim):
+        rng = np.random.default_rng(29 + dim)
+        for trial in range(400):
+            ends = []
+            for _ in range(4):
+                v = rng.normal(size=dim) * 10.0 ** rng.integers(-5, 5, size=dim)
+                # every fourth trial takes every component from the specials
+                special = rng.random(dim) < (1.0 if trial % 4 == 0 else 0.3)
+                v[special] = rng.choice(HERMITE_SPECIALS, size=int(special.sum()))
+                ends.append(v)
+            x0, f0, x1, f1 = ends
+            t0 = float(rng.uniform(-50.0, 50.0))
+            t1 = t0 + float(rng.choice([0.05, 0.01, rng.uniform(1e-6, 2.0)]))
+            interp = hermite_interpolant(t0, x0.tolist(), f0.tolist(), t1, x1.tolist(), f1.tolist())
+            for t in [t0, t1, *(t0 + (t1 - t0) * rng.random(3)).tolist()]:
+                got = interp(t)
+                assert type(got) is list and all(type(v) is float for v in got)
+                with np.errstate(all="ignore"):
+                    want = numpy_hermite(t0, x0, f0, t1, x1, f1, t)
+                assert np.array(got).tobytes() == want.tobytes(), (trial, t)
 
 
 class TestConfigValidation:
