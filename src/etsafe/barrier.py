@@ -325,9 +325,7 @@ def _condition_margin(b: BarrierSpec, terms: tuple):
     return (lfh - grad_norm * b.d_bar) + b.gamma * h
 
 
-def filter_off_margin(
-    b: BarrierSpec, nominal_flow: Flow, x: Sequence[float], gap: float
-) -> float:
+def filter_off_margin(b: BarrierSpec, nominal_flow: Flow, x: Sequence[float], gap: float) -> float:
     """Margin whose rise through zero allows switching the safety filter off.
 
     Equals ``barrier_condition_margin`` under the nominal closed loop minus a

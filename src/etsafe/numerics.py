@@ -441,7 +441,7 @@ def propagate_until(
         if by_step:
             vals = np.array(row_vals, dtype=float)
         else:
-            vals, i = _monitor_block(monitors, rows, block_states, prev, at_start)
+            vals, i = _monitor_block(monitors, rows, block_states, prev, block > 1, at_start)
         if i is not None:
             if at_start and i == 0:
                 # Monitoring starts at this sample; a value already <= 0 is an
@@ -479,6 +479,7 @@ def _monitor_block(
     rows: list[list[float]],
     states: np.ndarray,
     prev: Sequence[float],
+    by_rows: bool,
     at_start: bool,
 ) -> tuple[np.ndarray, Optional[int]]:
     """Each monitor's value at each state of ``rows``, stacked as ``states``,
@@ -487,24 +488,26 @@ def _monitor_block(
     monitor fires at a sign change from the state before (``prev`` before
     the first), or, ``at_start``, by an immediate event at the first state.
 
-    Each row form takes all of ``states`` at once.  When one raises, the
-    monitors are called on ``rows`` one state at a time, in monitor order,
-    up to the first state that fires, so an error is the one a step-by-step
-    loop meets first.
+    ``by_rows`` takes each monitor's row form over all of ``states`` at
+    once.  Without it (one-step blocks, the reference the row forms are
+    checked against), or when a row form raised, the monitors are called on
+    ``rows`` one state at a time, in monitor order, up to the first state
+    that fires, so an error is the one a step-by-step loop meets first.
     """
-    n, m = len(states), len(monitors)
-    vals = np.empty((n, m))
-    try:
-        for j, mon in enumerate(monitors):
-            vals[:, j] = mon.rows(states)
-    except Exception:  # evaluated again below, one state at a time
-        pass
-    else:
-        if at_start and _at_once(vals[0].tolist()) is not None:
-            return vals, 0
-        before = np.vstack((np.reshape(prev, (1, m)), vals[:-1]))
-        hit = np.flatnonzero(((before > 0.0) & (vals <= 0.0)).any(axis=1))
-        return vals, int(hit[0]) if len(hit) else None
+    if by_rows:
+        n, m = len(states), len(monitors)
+        vals = np.empty((n, m))
+        try:
+            for j, mon in enumerate(monitors):
+                vals[:, j] = mon.rows(states)
+        except Exception:  # evaluated again below, one state at a time
+            pass
+        else:
+            if at_start and _at_once(vals[0].tolist()) is not None:
+                return vals, 0
+            before = np.vstack((np.reshape(prev, (1, m)), vals[:-1]))
+            hit = np.flatnonzero(((before > 0.0) & (vals <= 0.0)).any(axis=1))
+            return vals, int(hit[0]) if len(hit) else None
     evaluated = []
     for i, x in enumerate(rows):
         row = [mon(x) for mon in monitors]

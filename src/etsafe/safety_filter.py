@@ -80,7 +80,7 @@ def build_constraint(
 
 
 def filter_active(u_nom: Sequence[float], con: HalfspaceConstraint) -> bool:
-    """True iff the nominal input violates the constraint (strict inequality).
+    """True iff the nominal input ``u_nom``, Python floats, has ``a . u < rhs``.
 
     Exactly on the boundary the filter is reported inactive, so the projected
     output is the nominal input bit-exactly there.
@@ -89,7 +89,7 @@ def filter_active(u_nom: Sequence[float], con: HalfspaceConstraint) -> bool:
 
 
 def project(u_nom: Sequence[float], con: HalfspaceConstraint) -> np.ndarray:
-    """Closest point to u_nom satisfying ``a . u >= rhs``, as an ndarray.
+    """Closest point to Python floats ``u_nom`` with ``a . u >= rhs``, as an ndarray.
 
     Feasible nominal inputs are returned unchanged (the same values,
     bit-exactly).  Otherwise the orthogonal projection onto the hyperplane

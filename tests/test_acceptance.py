@@ -208,7 +208,7 @@ def test_criterion_7_filter_exactness():
             a = rng.normal(size=2)
         u = rng.normal(size=2)
         con = HalfspaceConstraint(a=a, rhs=float(rng.normal()))
-        out = project(u, con)
+        out = project(u.tolist(), con)
         if float(con.a @ u) >= con.rhs:
             assert out[0] == u[0] and out[1] == u[1]  # bit-exact passthrough
         else:

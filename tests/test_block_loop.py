@@ -132,6 +132,13 @@ class TestCrossingPlacement:
         propagate_until(RAMP, np.array([0.0]), 0.0, (2 * B + 3) * DT, [monitor], ICFG)
         assert monitor.rows_calls == 3  # two full blocks and the rest
 
+    def test_one_step_reference_takes_the_scalar_calls(self, monkeypatch):
+        # the reference the row forms are checked against never calls them
+        monitor = Ramp(1e9)
+        monkeypatch.setattr(numerics, "_BLOCK_STEPS", 1)
+        propagate_until(RAMP, np.array([0.0]), 0.0, (2 * B + 3) * DT, [monitor], ICFG)
+        assert monitor.rows_calls == 0
+
     def test_monitor_without_row_form_steps_one_at_a_time(self, monkeypatch):
         steps = []
         real = numerics.rk4_step

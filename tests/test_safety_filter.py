@@ -18,19 +18,19 @@ from conftest import grid_projection_oracle, oracle_deviation
 
 class TestProject:
     def test_feasible_nominal_unchanged_bit_exact(self):
-        u = np.array([2.0, 0.0])
+        u = [2.0, 0.0]
         con = HalfspaceConstraint(a=np.array([1.0, 0.0]), rhs=1.0)
         out = project(u, con)
         assert out[0] == u[0] and out[1] == u[1]
 
     def test_projection_onto_boundary(self):
         con = HalfspaceConstraint(a=np.array([1.0, 1.0]), rhs=2.0)
-        out = project(np.zeros(2), con)
+        out = project([0.0, 0.0], con)
         assert np.allclose(out, [1.0, 1.0], atol=1e-15)
 
     def test_active_constraint_tight(self):
         con = HalfspaceConstraint(a=np.array([0.3, -1.2]), rhs=0.7)
-        out = project(np.array([-1.0, 2.0]), con)
+        out = project([-1.0, 2.0], con)
         assert float(con.a @ out) == pytest.approx(con.rhs, abs=1e-12)
 
     def test_minimal_deviation_distance(self):
@@ -41,7 +41,7 @@ class TestProject:
             u = rng.normal(size=2)
             rhs = float(a @ u) + rng.uniform(0.1, 2.0)  # force violation
             con = HalfspaceConstraint(a=a, rhs=rhs)
-            out = project(u, con)
+            out = project(u.tolist(), con)
             expected = (rhs - float(a @ u)) / np.linalg.norm(a)
             assert np.linalg.norm(out - u) == pytest.approx(expected, rel=1e-12)
 
@@ -51,25 +51,25 @@ class TestProject:
             a = rng.normal(size=3)
             u = rng.normal(size=3)
             con = HalfspaceConstraint(a=a, rhs=rng.normal())
-            once = project(u, con)
-            twice = project(once, con)
+            once = project(u.tolist(), con)
+            twice = project(once.tolist(), con)
             assert np.allclose(once, twice, atol=1e-12)
 
     def test_degenerate_feasible(self):
         con = HalfspaceConstraint(a=np.zeros(2), rhs=-1.0)
-        u = np.array([0.4, 0.5])
+        u = [0.4, 0.5]
         assert np.array_equal(project(u, con), u)
 
     def test_degenerate_infeasible_raises(self):
         con = HalfspaceConstraint(a=np.zeros(2), rhs=0.5)
         with pytest.raises(InfeasibleFilterError):
-            project(np.zeros(2), con)
+            project([0.0, 0.0], con)
 
     def test_overflowing_step_raises(self):
         # a subnormal row square: (rhs - a . u) / (a . a) overflows
         con = HalfspaceConstraint(a=np.array([1e-160, 0.0]), rhs=1.0)
         with pytest.raises(InfeasibleFilterError, match="projection step overflows with row square"):
-            project(np.zeros(2), con)
+            project([0.0, 0.0], con)
 
     def test_overflowing_row_square_raises(self):
         # a finite row whose square overflows: a . a is inf, so the step
@@ -94,7 +94,7 @@ class TestProject:
             u = rng.normal(size=2)
             rhs = float(rng.normal())
             con = HalfspaceConstraint(a=a, rhs=rhs)
-            out = project(u, con)
+            out = project(u.tolist(), con)
             oracle, resolution = grid_projection_oracle(u, con)
             assert oracle_deviation(u, out, oracle, con) <= resolution
 
@@ -102,18 +102,18 @@ class TestProject:
 class TestFilterActive:
     def test_feasible_inactive(self):
         con = HalfspaceConstraint(a=np.array([1.0, 0.0]), rhs=1.0)
-        assert not filter_active(np.array([2.0, 0.0]), con)
+        assert not filter_active([2.0, 0.0], con)
 
     def test_infeasible_active_and_tight_after_projection(self):
         con = HalfspaceConstraint(a=np.array([1.0, 0.0]), rhs=1.0)
-        u = np.array([0.0, 0.0])
+        u = [0.0, 0.0]
         assert filter_active(u, con)
         out = project(u, con)
         assert float(con.a @ out) == pytest.approx(con.rhs, abs=1e-15)
 
     def test_boundary_is_inactive_by_convention(self):
         con = HalfspaceConstraint(a=np.array([1.0, 0.0]), rhs=1.0)
-        assert not filter_active(np.array([1.0, 0.0]), con)
+        assert not filter_active([1.0, 0.0], con)
 
 
 class TestBuildConstraint:
@@ -144,7 +144,7 @@ class TestBuildConstraint:
         for _ in range(100):
             x = rng.uniform(-0.7, 0.7, 2)
             con = build_constraint(b, x, mode="standard")
-            u = project(rng.normal(size=2), con)
+            u = project(rng.normal(size=2).tolist(), con)
             grad = b.grad_h(x)
             lhs = float(grad @ u) - np.linalg.norm(grad) * b.d_bar
             assert lhs >= -b.gamma * b.h(x) - 1e-10
@@ -169,6 +169,6 @@ class TestBuildConstraint:
                 if np.linalg.norm(con.a) < 1e-6:
                     continue
                 u = rng.normal(size=2)
-                out = project(u, con)
+                out = project(u.tolist(), con)
                 oracle, resolution = grid_projection_oracle(u, con)
                 assert oracle_deviation(u, out, oracle, con) <= resolution
