@@ -3,7 +3,7 @@
 #
 # A satellite coasts around a normalized central body (mu = R = 1) under a
 # bounded random disturbance.  Safety means staying in the radial band
-# 1.6 R <= r <= 2.4 R, encoded by the barrier h = (0.4 R)^2 - (r - 2R)^2.
+# 1.6 <= r <= 2.4 body radii, encoded by the barrier h = 0.4^2 - (r - 2)^2.
 # Nothing happens until the robust barrier-condition margin
 #
 #     dh/dt - |grad h| d_bar + gamma h
@@ -17,7 +17,6 @@ import numpy as np
 
 from etsafe import (
     DisturbanceModel,
-    GravityModel,
     IntegratorConfig,
     StationKeepingConfig,
     orbital_range_barrier,
@@ -25,12 +24,10 @@ from etsafe import (
 from etsafe.engine import run_greedy_impulsive
 from etsafe.scenarios import SatelliteScenario
 
-gravity = GravityModel()
 d_bar = 1e-3
 
 scenario = SatelliteScenario(
-    gravity=gravity,
-    barrier=orbital_range_barrier(gravity, gamma=0.1, d_bar=d_bar),
+    barrier=orbital_range_barrier(gamma=0.1, d_bar=d_bar),
     controller=StationKeepingConfig(post_jump_margin=0.01, retarget_gain=0.5),
     disturbance=DisturbanceModel(
         kind="seeded-piecewise-constant", d_bar=d_bar, seed=1, hold_time=1.0

@@ -17,7 +17,6 @@ import numpy as np
 
 from etsafe import (
     DisturbanceModel,
-    GravityModel,
     IntegratorConfig,
     StationKeepingConfig,
     orbital_range_barrier,
@@ -26,11 +25,9 @@ from etsafe.engine import run_greedy_impulsive, run_maneuver
 from etsafe.inter_event import collect_inter_event_samples, fit_inter_event_model
 from etsafe.scenarios import SatelliteScenario
 
-gravity = GravityModel()
 d_bar = 1e-3
 scenario = SatelliteScenario(
-    gravity=gravity,
-    barrier=orbital_range_barrier(gravity, gamma=0.1, d_bar=d_bar),
+    barrier=orbital_range_barrier(gamma=0.1, d_bar=d_bar),
     controller=StationKeepingConfig(),
     disturbance=DisturbanceModel(
         kind="seeded-piecewise-constant", d_bar=d_bar, seed=1, hold_time=1.0

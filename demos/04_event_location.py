@@ -12,7 +12,6 @@ import numpy as np
 from etsafe import (
     DisturbanceModel,
     EventLocatorConfig,
-    GravityModel,
     IntegratorConfig,
     locate_zero_crossing,
     orbital_range_barrier,
@@ -42,15 +41,14 @@ print(f"cos crosses zero at {res.time:.12f} (pi/2 = {np.pi / 2:.12f})")
 print()
 
 # --- monitored propagation refines in-step crossings on interpolated states ---
-gravity = GravityModel()
-barrier = orbital_range_barrier(gravity, gamma=0.1, d_bar=1e-3)
-flow = lambda x: two_body_field(gravity, x)
+barrier = orbital_range_barrier(gamma=0.1, d_bar=1e-3)
+flow = two_body_field
 monitor = lambda x: barrier_condition_margin(barrier, flow, x)
 
 # a slightly hot orbit at r = 2.3: its apoapsis would overshoot the outer
 # boundary, so the margin decays and crosses zero on the outbound leg
 x0 = np.array([2.3, 0.0, 0.0, 0.0, 1.02 * np.sqrt(1.0 / 2.3), 0.0])
-field = lambda t, x: two_body_field(gravity, x)
+field = lambda t, x: two_body_field(x)
 times, states, vals, crossing = propagate_until(
     field, x0, 0.0, 40.0, [monitor], IntegratorConfig(step_size=0.05), cfg
 )

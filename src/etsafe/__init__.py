@@ -23,12 +23,7 @@ from .barrier import (
     orbital_range_barrier,
     planar_disk_barrier,
 )
-from .dynamics import (
-    DisturbanceModel,
-    GravityModel,
-    apply_impulse,
-    two_body_field,
-)
+from .dynamics import DisturbanceModel, apply_impulse, two_body_field
 from .numerics import (
     EventLocatorConfig,
     IntegratorConfig,
@@ -79,7 +74,6 @@ __all__ = [
     "EventLocatorConfig",
     "EventRecord",
     "FilterConfig",
-    "GravityModel",
     "HalfspaceConstraint",
     "InfeasibleFilterError",
     "IntegratorConfig",

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import GravityModel, SingularityError
+from .dynamics import SINGULARITY_FLOOR, SingularityError
 from .numerics import _dot2, span_problems
 
 if TYPE_CHECKING:
@@ -246,23 +246,16 @@ def check_gradient(b: BarrierSpec, states: np.ndarray) -> float:
     return worst
 
 
-# the orbital band, in body radii R: its center and half-width
-_BAND_CENTER = 2.0
-_BAND_HALF_WIDTH = 0.4
+def orbital_range_barrier(gamma: float, d_bar: float) -> BandBarrier:
+    """Annular range barrier keeping the orbital radius near 2 body radii.
 
-
-def orbital_range_barrier(g: GravityModel, gamma: float, d_bar: float) -> BandBarrier:
-    """Annular range barrier keeping the orbital radius near 2 R.
-
-    h(r, v) = (0.4 R)^2 - (|r| - 2 R)^2, which is zero exactly at
-    r = (2 +- 0.4) R and positive strictly inside.  The gradient lives in the
-    position block only; velocity does not enter h.  The margin terms keep
-    two_body_field's default singularity floor.
+    h(r, v) = 0.4^2 - (|r| - 2)^2, which is zero exactly at r = 2 +- 0.4 and
+    positive strictly inside.  The gradient lives in the position block
+    only; velocity does not enter h.  The margin terms keep two_body_field's
+    singularity floor.
     """
-    hw = _BAND_HALF_WIDTH * g.R
-    c = _BAND_CENTER * g.R
-    spec = BandBarrier(gamma=gamma, d_bar=d_bar, center=c, half_width=hw, floor=g.singularity_floor)
-    check_gradient(spec, _orbital_check_states(c, hw))
+    spec = BandBarrier(gamma=gamma, d_bar=d_bar, center=2.0, half_width=0.4, floor=SINGULARITY_FLOOR)
+    check_gradient(spec, _orbital_check_states(spec.center, spec.half_width))
     return spec
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .barrier import barrier_problems, orbital_range_barrier, planar_disk_barrier
-from .dynamics import DisturbanceModel, GravityModel, seed_problems
+from .dynamics import DisturbanceModel, seed_problems
 from .inter_event import DEFAULT_MAX_WAIT, campaign_problems
 from .numerics import EventLocatorConfig, IntegratorConfig, span_problems
 from .orbital import StationKeepingConfig
@@ -84,14 +84,13 @@ def _parse_bool(text: str) -> bool:
 
 # Every key a config may set, by section, with the cast that reads it; any
 # other section or key is rejected.  Both kinds read every section, though
-# [gravity] and [controller] serve only the satellite, [filter] only the
-# planar loop, and [initial] holds each kind's own keys.
+# [controller] serves only the satellite, [filter] only the planar loop, and
+# [initial] holds each kind's own keys.
 SCHEMA = {
     "scenario": dict(
         kind=str, trigger_scheme=str, seed=int, horizon=float,
         hours_per_time_unit=float, allow_initial_jump=_parse_bool,
     ),
-    "gravity": dict(mu=float, R=float),
     "disturbance": dict(kind=str, d_bar=float, hold_time=float),
     "barrier": dict(gamma=float, rho=float, d_bar=float),
     "controller": dict(post_jump_margin=float, retarget_gain=float),
@@ -114,8 +113,8 @@ def parse_config(
 ) -> ScenarioConfig:
     """Read and validate one scenario configuration file and build its scenario.
 
-    Each runtime part (gravity, disturbance, controller, filter, integrator,
-    event locator) is built from the keys its section sets, so a key left out
+    Each runtime part (disturbance, controller, filter, integrator, event
+    locator) is built from the keys its section sets, so a key left out
     takes the default of the type that owns it and the type's own range
     checks apply; the barrier and then the scenario are built from them.
     ``seed``, ``horizon`` and ``tau_model_path`` (the --seed, --horizon and
@@ -178,7 +177,6 @@ def parse_config(
     # read for both kinds; SatelliteScenario's default fills it in
     initial_jump = build("scenario", dict, ["allow_initial_jump"])
 
-    gravity = build("gravity", GravityModel)
     disturbance = build(
         "disturbance", partial(DisturbanceModel, dim=2 if kind == "planar-demo" else 3)
     )
@@ -193,9 +191,7 @@ def parse_config(
     events = build("events", EventLocatorConfig)
 
     tau_path = get("tau", "model_path", "")
-    # the default radii are in units of [gravity] R
-    R = gravity.R if gravity is not None else 1.0
-    grid = np.array([1.625, 1.68, 1.76, 1.85, 1.93, 2.0, 2.07, 2.16, 2.25, 2.33, 2.375]) * R
+    grid = np.array([1.625, 1.68, 1.76, 1.85, 1.93, 2.0, 2.07, 2.16, 2.25, 2.33, 2.375])
     tau_grid = get("tau", "radius_grid", grid)
     tau_n = get("tau", "n_per_radius", 55)
     tau_wait = get("tau", "max_wait", DEFAULT_MAX_WAIT)
@@ -232,8 +228,8 @@ def parse_config(
     barrier = None
     if disturbance is not None and gamma is not None and not gamma_problems:
         d_bar = disturbance.d_bar
-        if kind == "satellite" and gravity is not None:
-            barrier = build("barrier", partial(orbital_range_barrier, gravity, gamma, d_bar), [])
+        if kind == "satellite":
+            barrier = build("barrier", partial(orbital_range_barrier, gamma, d_bar), [])
         elif kind == "planar-demo" and rho is not None and not rho_problems:
             barrier = build("barrier", partial(planar_disk_barrier, rho, gamma, d_bar), [])
     band = barrier if kind == "satellite" else None
@@ -257,7 +253,7 @@ def parse_config(
     disturbance = replace(disturbance, seed=seed)
     parts = dict(barrier=barrier, disturbance=disturbance, integrator=integrator, events=events)
     if kind == "satellite":
-        scenario = SatelliteScenario(gravity=gravity, controller=controller, **initial_jump, **parts)
+        scenario = SatelliteScenario(controller=controller, **initial_jump, **parts)
     else:
         scenario = PlanarScenario(filter=filter_config, **parts)
     if tau_model_path is None and tau_path:

@@ -2,7 +2,8 @@
 
 Units are normalized: the central body has gravitational parameter mu = 1 and
 mean radius R = 1, so all lengths are in body radii and time is the
-corresponding dynamical unit.  Satellite states are flat 6-vectors
+corresponding dynamical unit; any other (mu, R) is the same problem with
+length and time rescaled.  Satellite states are flat 6-vectors
 ``[rx, ry, rz, vx, vy, vz]`` in a body-centered inertial frame.
 
 A disturbance is a function of time alone, ``d(t)`` on one stream of one
@@ -20,28 +21,12 @@ import numpy as np
 from .numerics import SingularityError, span_problems
 
 
-@dataclass(frozen=True)
-class GravityModel:
-    """Point-mass central body."""
-
-    mu: float = 1.0
-    R: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("mu", "R"):
-            if problems := span_problems(name, getattr(self, name)):
-                raise ValueError(problems[0])
-
-    @property
-    def singularity_floor(self) -> float:
-        """Default radius below which the two-body field raises, 0.1 R."""
-        return 0.1 * self.R
+# the radius, in body radii, below which the two-body field raises
+SINGULARITY_FLOOR = 0.1
 
 
-def two_body_field(
-    g: GravityModel, s: Sequence[float], accel: Optional[Sequence[float]] = None
-) -> tuple[float, ...]:
-    """Two-body derivative ``d/dt [r, v] = [v, -mu r / |r|^3 + accel]``.
+def two_body_field(s: Sequence[float], accel: Optional[Sequence[float]] = None) -> tuple[float, ...]:
+    """Two-body derivative ``d/dt [r, v] = [v, -r / |r|^3 + accel]``.
 
     ``s`` is a sequence of six Python floats, such as the step loop's list;
     the derivative is a tuple of floats.  ``accel`` is an extra acceleration (the
@@ -49,12 +34,11 @@ def two_body_field(
     The singularity floor only guards pathological configurations; the safe
     set keeps the radius well above it.
     """
-    floor = g.singularity_floor
     x0, x1, x2, v0, v1, v2 = s
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    if r < floor:
-        raise _below_floor(r, floor)
-    k = -g.mu / (r * r * r)
+    if r < SINGULARITY_FLOOR:
+        raise _below_floor(r, SINGULARITY_FLOOR)
+    k = -1.0 / (r * r * r)
     if accel is None:
         return (v0, v1, v2, k * x0, k * x1, k * x2)
     a0, a1, a2 = accel
@@ -65,11 +49,11 @@ def _below_floor(r: float, floor: float) -> SingularityError:
     return SingularityError(f"radius {r!r} below singularity floor {floor!r}")
 
 
-def _two_body_rk4(mu: float, floor: float, accel):
+def _two_body_rk4(floor: float, accel):
     """``step(t, dt, x) -> new state``: one RK4 step of the two-body flow
     plus the disturbance ``accel(t)`` on Python floats, the new state a list
     of them, bit for bit the generic step of :func:`etsafe.numerics.rk4_step`
-    on ``two_body_field(g, s, accel=accel(t))``.
+    on ``two_body_field(s, accel=accel(t))``.
 
     The disturbance is taken once for stages 2 and 3, which share a time.  A
     stage radius below ``floor`` raises SingularityError; a floor of 0.0
@@ -88,7 +72,7 @@ def _two_body_rk4(mu: float, floor: float, accel):
         r = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
         if r < floor:
             raise _below_floor(r, floor)
-        q = -mu / (r * r * r)
+        q = -1.0 / (r * r * r)
         a0, a1, a2 = q * x0 + d0, q * x1 + d1, q * x2 + d2
         # stage 2 at x + half k1
         p0, p1, p2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
@@ -97,7 +81,7 @@ def _two_body_rk4(mu: float, floor: float, accel):
         r = sqrt(p0 * p0 + p1 * p1 + p2 * p2)
         if r < floor:
             raise _below_floor(r, floor)
-        q = -mu / (r * r * r)
+        q = -1.0 / (r * r * r)
         b0, b1, b2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
         # stage 3 at x + half k2, with stage 2's disturbance
         p0, p1, p2 = x0 + half * u0, x1 + half * u1, x2 + half * u2
@@ -105,7 +89,7 @@ def _two_body_rk4(mu: float, floor: float, accel):
         r = sqrt(p0 * p0 + p1 * p1 + p2 * p2)
         if r < floor:
             raise _below_floor(r, floor)
-        q = -mu / (r * r * r)
+        q = -1.0 / (r * r * r)
         c0, c1, c2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
         # stage 4 at x + dt k3
         p0, p1, p2 = x0 + dt * w0, x1 + dt * w1, x2 + dt * w2
@@ -114,7 +98,7 @@ def _two_body_rk4(mu: float, floor: float, accel):
         r = sqrt(p0 * p0 + p1 * p1 + p2 * p2)
         if r < floor:
             raise _below_floor(r, floor)
-        q = -mu / (r * r * r)
+        q = -1.0 / (r * r * r)
         e0, e1, e2 = q * p0 + d0, q * p1 + d1, q * p2 + d2
         # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
         sixth = dt / 6.0

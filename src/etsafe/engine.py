@@ -259,7 +259,6 @@ def _run_impulsive(
     and gate move on.
     """
     b = scenario.barrier
-    g = scenario.gravity
     flow = scenario.nominal_flow()
     field = scenario.disturbed_field(stream=0)
     safety = lambda x: barrier_condition_margin(b, flow, x)
@@ -285,11 +284,11 @@ def _run_impulsive(
         nonlocal role, gate_time, armed
         x_e = np.array(x_jump)
         try:
-            dv = station_keeping_impulse(scenario.controller, b, g, x_e)
+            dv = station_keeping_impulse(scenario.controller, b, x_e)
         except Exception as err:
             raise RunAbortedError(f"station-keeping impulse failed: {err}", t_e, x_e) from err
         x_post = apply_impulse(x_e, dv)
-        check = verify_jump_conditions(b, g, x_post, scenario.controller.post_jump_margin)
+        check = verify_jump_conditions(b, x_post, scenario.controller.post_jump_margin)
         if not check.ok:
             raise RunAbortedError(
                 f"post-jump conditions violated: h={check.h_value!r}, xi={check.xi_value!r}",
@@ -688,7 +687,7 @@ def satellite_region_states(scenario: SatelliteScenario) -> np.ndarray:
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     vdirs = rng.normal(size=(n, 3))
     vdirs /= np.linalg.norm(vdirs, axis=1, keepdims=True)
-    speeds = rng.uniform(0.0, 0.99, n) * np.sqrt(2.0 * scenario.gravity.mu / radii)
+    speeds = rng.uniform(0.0, 0.99, n) * np.sqrt(2.0 / radii)
     return np.hstack([radii[:, None] * dirs, speeds[:, None] * vdirs])
 
 

@@ -260,7 +260,6 @@ def collect_inter_event_samples(
     for the second shard of the lanes (:func:`_propagate_sharded`), whoever
     the caller is; the times do not depend on it.
     """
-    g = scenario.gravity
     radius_grid = np.asarray(radius_grid, dtype=float)
     problems = campaign_problems(scenario.barrier, radius_grid, n_per_radius, max_wait)
     if problems:
@@ -270,13 +269,13 @@ def collect_inter_event_samples(
     streams = np.arange(1, n_total + 1, dtype=np.uint64)  # stream 0 is the main run
     radii = np.repeat(radius_grid, n_per_radius)
 
-    states = _initial_states(g.mu, radii, seed, streams)
+    states = _initial_states(radii, seed, streams)
 
     censored = np.zeros(n_total, dtype=bool)
     times = np.full(n_total, np.nan)
     for i in range(n_total):
         try:
-            dv = station_keeping_impulse(scenario.controller, scenario.barrier, g, states[i])
+            dv = station_keeping_impulse(scenario.controller, scenario.barrier, states[i])
         except ControllerInfeasibleError:
             censored[i] = True
             times[i] = 0.0
@@ -303,7 +302,7 @@ def collect_inter_event_samples(
     )
 
 
-def _initial_states(mu: float, radii: np.ndarray, seed: int, streams: np.ndarray) -> np.ndarray:
+def _initial_states(radii: np.ndarray, seed: int, streams: np.ndarray) -> np.ndarray:
     """Random-plane, random-phase circular states at the given radii."""
     n = len(radii)
     normals = _hash_unit_vectors(seed, streams, np.full(n, _PLANE_TAG, dtype=np.uint64), 3)
@@ -323,7 +322,7 @@ def _initial_states(mu: float, radii: np.ndarray, seed: int, streams: np.ndarray
 
     r_hat = np.cos(angles)[:, None] * e1 + np.sin(angles)[:, None] * e2
     t_hat = np.cross(normals, r_hat)
-    v_circ = np.sqrt(mu / radii)
+    v_circ = np.sqrt(1.0 / radii)
 
     states = np.empty((n, 6))
     states[:, :3] = radii[:, None] * r_hat
@@ -380,7 +379,6 @@ def _propagate_batch_until_trigger(
     """
     b = scenario.barrier
     dt = scenario.integrator.step_size
-    mu = scenario.gravity.mu
 
     n = len(states0)
     out = np.full(n, np.nan)
@@ -400,7 +398,7 @@ def _propagate_batch_until_trigger(
     k = 0
     while k < n_steps and len(lanes) > _TAIL_WIDTH:
         steps = min(_BATCH_BLOCK, n_steps - k)
-        accels = block.run(accel_at, k, steps, dt, mu)
+        accels = block.run(accel_at, k, steps, dt)
         after, radii = block.states[1 : steps + 1], block.radii[1 : steps + 1]
         # the (n, steps, 6) view whose .T is component-major (6, steps, n)
         block_margins = margin_batch(after.transpose(2, 0, 1), b, radii)
@@ -442,7 +440,7 @@ class _LaneBlock:
     after its step i; beside them, the stage buffers that every step reuses.
 
     Each step runs the IEEE operations of the batch's RK4 stages, the
-    two-body derivative ``(v, (-mu / (r r r)) p + d)`` at ``x``,
+    two-body derivative ``(v, (-1 / (r r r)) p + d)`` at ``x``,
     ``x + (dt/2) k1``, ``x + (dt/2) k2`` and ``x + dt k3``, and their sum
     ``x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)``, in that association, writing
     each result through ``out=``.
@@ -458,7 +456,7 @@ class _LaneBlock:
         self.stage = np.empty((6, width))  # the derivative of stages 2 to 4
         self.state = np.empty((6, width))  # the state of stages 2 to 4
         self.squares = np.empty((3, width))
-        self.q = np.empty(width)  # -mu / r^3 of the stage
+        self.q = np.empty(width)  # -1 / r^3 of the stage
         self.r = np.empty(width)  # the radii of the stage state
 
     def restart(self, steps: int) -> None:
@@ -466,7 +464,7 @@ class _LaneBlock:
         self.states[0] = self.states[steps]
         self.radii[0] = self.radii[steps]
 
-    def run(self, accel_at, k: int, steps: int, dt: float, mu: float) -> list:
+    def run(self, accel_at, k: int, steps: int, dt: float) -> list:
         """Steps ``k .. k+steps-1`` from ``states[0]`` into ``states[1 ..
         steps]``; returns each step's disturbances at its start and its end,
         as ``accel_at`` gave them."""
@@ -482,16 +480,15 @@ class _LaneBlock:
         x, r = states[0], radii[0]
         half = 0.5 * dt
         sixth = dt / 6.0
-        neg_mu = -mu
         accels = []
         for i in range(steps):
             t0 = (k + i) * dt
             # stage 1 at x, with the radii the previous step took:
-            # k1 = (v, (-mu / (r r r)) p + d)
+            # k1 = (v, (-1 / (r r r)) p + d)
             d0 = accel_at(t0)
             multiply(r, r, out=q)
             multiply(q, r, out=q)
-            divide(neg_mu, q, out=q)
+            divide(-1.0, q, out=q)
             multiply(q, x[:3], out=total_a)
             add(total_a, d0, out=total_a)
             copyto(total_v, x[3:])
@@ -507,7 +504,7 @@ class _LaneBlock:
                 sqrt(rs, out=rs)
                 multiply(rs, rs, out=q)
                 multiply(q, rs, out=q)
-                divide(neg_mu, q, out=q)
+                divide(-1.0, q, out=q)
                 multiply(q, state_p, out=stage_a)
                 add(stage_a, d_half, out=stage_a)
                 copyto(stage_v, state_v)
@@ -522,7 +519,7 @@ class _LaneBlock:
             sqrt(rs, out=rs)
             multiply(rs, rs, out=q)
             multiply(q, rs, out=q)
-            divide(neg_mu, q, out=q)
+            divide(-1.0, q, out=q)
             multiply(q, state_p, out=stage_a)
             add(stage_a, d1, out=stage_a)
             copyto(stage_v, state_v)
@@ -678,7 +675,7 @@ def _finish_lane(
     b = scenario.barrier
     dt = scenario.integrator.step_size
     accel = scenario.disturbance.realize(stream)
-    step = _two_body_rk4(scenario.gravity.mu, 0.0, accel)
+    step = _two_body_rk4(0.0, accel)
     for k in range(first_step, n_steps):
         t0 = k * dt
         try:
@@ -718,12 +715,11 @@ def _refine_sample_crossing(
     bitwise the first RK4 stage of the batch and of the tail.  A degraded
     crossing is logged as a WARNING, as the engine logs its own.
     """
-    g = scenario.gravity
     b = scenario.barrier
     flow = scenario.nominal_flow()
     monitor = lambda x: barrier_condition_margin(b, flow, x)
 
-    field = lambda t, x: two_body_field(g, x, accel=accel0 if t == t0 else accel1)
+    field = lambda t, x: two_body_field(x, accel=accel0 if t == t0 else accel1)
     interp = _step_interpolant(field, t0, x0, t0 + dt, x1)
     res = locate_zero_crossing(lambda t: monitor(interp(t)), t0, t0 + dt, scenario.events)
     if res.degraded:

@@ -1,7 +1,7 @@
 """The impulsive station-keeping controller and its post-jump checks.
 
 The controller keeps the orbital radius inside the barrier's annular band
-around its center radius c (``2R`` for the shipped barrier) by firing
+around its center radius c (2 body radii for the shipped barrier) by firing
 velocity impulses.  Each impulse re-shapes the osculating orbit in place
 (position is unchanged, the orbital plane is preserved) so that:
 
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierSpec, barrier_condition_margin
-from .dynamics import GravityModel, apply_impulse, two_body_field
+from .barrier import BandBarrier, barrier_condition_margin
+from .dynamics import apply_impulse
 from .numerics import span_problems
 
 
@@ -105,8 +105,7 @@ def _transfer_ellipse(r: float, nu: float, r_target: float) -> tuple[float, floa
 
 def station_keeping_impulse(
     cfg: StationKeepingConfig,
-    b: BarrierSpec,
-    g: GravityModel,
+    b: BandBarrier,
     s: np.ndarray,
 ) -> np.ndarray:
     """Velocity impulse that re-injects the craft on a safe, buffered orbit.
@@ -140,19 +139,18 @@ def station_keeping_impulse(
     r_hat = pos / r
     t_hat = np.cross(n_hat, r_hat)
 
-    flow = lambda x: two_body_field(g, x)
     c = b.center
     nu = _placed_anomaly(r, c, b.half_width)
     for gain in (cfg.retarget_gain, 0.0):
         r_target = c + gain * (r - c)
         e, p = _transfer_ellipse(r, nu, r_target)
-        h_new = np.sqrt(g.mu * p)
-        v_radial = (g.mu / h_new) * e * np.sin(nu)
+        h_new = np.sqrt(p)
+        v_radial = (1.0 / h_new) * e * np.sin(nu)
         v_tangential = h_new / r
         v_new = v_radial * r_hat + v_tangential * t_hat
         dv = v_new - vel
         post = apply_impulse(s, dv)
-        if barrier_condition_margin(b, flow, post.tolist()) >= cfg.post_jump_margin:
+        if barrier_condition_margin(b, None, post.tolist()) >= cfg.post_jump_margin:
             return dv
         if gain == 0.0:
             break
@@ -163,13 +161,11 @@ def station_keeping_impulse(
     )
 
 
-def verify_jump_conditions(
-    b: BarrierSpec, g: GravityModel, s_post: np.ndarray, margin: float
-) -> JumpCheck:
+def verify_jump_conditions(b: BandBarrier, s_post: np.ndarray, margin: float) -> JumpCheck:
     """Audit a post-jump state: h >= 0 and barrier-condition margin >= margin.
 
     With margin = 0 this reduces to the plain barrier-condition check.
     """
     h_val = b.h(s_post)
-    xi_val = barrier_condition_margin(b, lambda x: two_body_field(g, x), s_post.tolist())
+    xi_val = barrier_condition_margin(b, None, s_post.tolist())
     return JumpCheck(ok=(h_val >= 0.0 and xi_val >= margin), h_value=h_val, xi_value=xi_val)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .barrier import BandBarrier, BarrierSpec, DiskBarrier
-from .dynamics import DisturbanceModel, GravityModel, _two_body_rk4, two_body_field
+from .dynamics import SINGULARITY_FLOOR, DisturbanceModel, _two_body_rk4, two_body_field
 from .numerics import EventLocatorConfig, Field, IntegratorConfig, span_problems
 from .orbital import StationKeepingConfig
 
@@ -35,7 +35,6 @@ def _check_parts(d: DisturbanceModel, b: BarrierSpec, geometry: type, dim: int) 
 class SatelliteScenario:
     """Orbit keeping around a normalized central body (mu = R = 1)."""
 
-    gravity: GravityModel
     barrier: BandBarrier
     controller: StationKeepingConfig
     disturbance: DisturbanceModel
@@ -48,8 +47,7 @@ class SatelliteScenario:
 
     def nominal_flow(self):
         """Control-free flow used inside the trigger margins."""
-        g = self.gravity
-        return lambda x: two_body_field(g, x)
+        return two_body_field
 
     def disturbed_field(self, stream: int = 0) -> Field:
         """Integration field including the realized disturbance stream.
@@ -57,13 +55,12 @@ class SatelliteScenario:
         Takes any float sequence and returns the derivative as a tuple, and
         carries its own RK4 step, ``fld.rk4`` (see :mod:`etsafe.numerics`).
         """
-        g = self.gravity
         d = self.disturbance.realize(stream)
 
         def fld(t: float, x: Sequence[float]) -> tuple[float, ...]:
-            return two_body_field(g, x, accel=d(t))
+            return two_body_field(x, accel=d(t))
 
-        fld.rk4 = _two_body_rk4(g.mu, g.singularity_floor, d)
+        fld.rk4 = _two_body_rk4(SINGULARITY_FLOOR, d)
         return fld
 
 

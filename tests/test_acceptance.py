@@ -21,7 +21,7 @@ from etsafe.cli import (
     cmd_simulate,
 )
 from etsafe.config import parse_config
-from etsafe.dynamics import GravityModel, apply_impulse, two_body_field
+from etsafe.dynamics import apply_impulse, two_body_field
 from etsafe.engine import miet_bound_formula
 from etsafe.numerics import IntegratorConfig, propagate_until, rk4_step
 from etsafe.orbital import station_keeping_impulse, verify_jump_conditions
@@ -69,8 +69,8 @@ def test_criterion_2_post_jump_buffer(greedy_run, maneuver_run):
             assert e.h_after >= 0.0
 
     cfg, scenario, _, _ = greedy_run
-    b, g = scenario.barrier, scenario.gravity
-    flow = lambda x: two_body_field(g, x)
+    b = scenario.barrier
+    flow = two_body_field
     rng = np.random.default_rng(2)
     violations = 0
     count = 0
@@ -81,8 +81,8 @@ def test_criterion_2_post_jump_buffer(greedy_run, maneuver_run):
         h = b.h(np.array([r, 0, 0, 0, 0, 0]))
         delta = r - 2.0
         rdot = (b.gamma * h - 2.0 * abs(delta) * b.d_bar) / (2.0 * delta)
-        v_t = rng.uniform(0.8, 1.1) * np.sqrt(g.mu / r)
-        if rdot**2 + v_t**2 >= 2.0 * g.mu / r:
+        v_t = rng.uniform(0.8, 1.1) * np.sqrt(1.0 / r)
+        if rdot**2 + v_t**2 >= 2.0 / r:
             continue
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
@@ -91,8 +91,8 @@ def test_criterion_2_post_jump_buffer(greedy_run, maneuver_run):
         w /= np.linalg.norm(w)
         s = np.concatenate([r * u, rdot * u + v_t * w])
         assert abs(barrier_condition_margin(b, flow, s)) < 1e-10
-        dv = station_keeping_impulse(scenario.controller, b, g, s)
-        check = verify_jump_conditions(b, g, apply_impulse(s, dv), margin_cfg)
+        dv = station_keeping_impulse(scenario.controller, b, s)
+        check = verify_jump_conditions(b, apply_impulse(s, dv), margin_cfg)
         if not check.ok:
             violations += 1
         count += 1
@@ -109,7 +109,7 @@ def test_criterion_3_miet(greedy_run):
     from etsafe.barrier import orbital_range_barrier
 
     assert abs(miet_bound_formula(0.01, 0.5, 1.2, 0.01) - 0.01 / (0.5 * 1.21)) <= 1e-12
-    b_example = orbital_range_barrier(GravityModel(), gamma=1.0, d_bar=0.01)
+    b_example = orbital_range_barrier(gamma=1.0, d_bar=0.01)
     got = miet_bound_formula(0.01, 0.5, 1.2, b_example.d_bar)
     assert abs(got - 0.01 / (0.5 * 1.21)) <= 1e-12
 
@@ -238,7 +238,6 @@ def test_criterion_8_numerical_hygiene():
     assert ratio >= 15.0
 
     # barrier gradient vs finite differences on 1000 safe-band states
-    g = GravityModel()
     cfg = _load("greedy_satellite.ini")
     b = cfg.build_satellite().barrier
     rng = np.random.default_rng(8)
@@ -252,12 +251,12 @@ def test_criterion_8_numerical_hygiene():
     s0 = np.array([2.0, 0.0, 0.0, 0.0, np.sqrt(0.5), 0.0])
     period = 2.0 * np.pi * np.sqrt(8.0)
     _, states_t, _, _ = propagate_until(
-        lambda t, x: two_body_field(g, x), s0, 0.0, period, [],
+        lambda t, x: two_body_field(x), s0, 0.0, period, [],
         IntegratorConfig(step_size=cfg.scenario.integrator.step_size),
     )
     r = np.linalg.norm(states_t[:, :3], axis=1)
     v2 = np.sum(states_t[:, 3:] ** 2, axis=1)
-    energy = 0.5 * v2 - g.mu / r
+    energy = 0.5 * v2 - 1.0 / r
     drift = float(np.max(np.abs(energy - energy[0]) / abs(energy[0])))
     assert drift <= 1e-6
     print(

@@ -21,15 +21,12 @@ from etsafe.barrier import (
     orbital_range_barrier,
     planar_disk_barrier,
 )
-from etsafe.dynamics import GravityModel, SingularityError, two_body_field
+from etsafe.dynamics import SINGULARITY_FLOOR, SingularityError, two_body_field
 from etsafe.engine import satellite_region_states
 from etsafe.inter_event import InterEventTimeModel, load_model
 
-GRAVITY = GravityModel()
-
-
 def orbital_flow(x):
-    return two_body_field(GRAVITY, x)
+    return two_body_field(x)
 
 
 def random_shell_states(rng, n):
@@ -64,7 +61,7 @@ ROUNDING = 2e-15
 
 
 class TestOrbitalRangeBarrier:
-    B = orbital_range_barrier(GRAVITY, gamma=1.0, d_bar=0.01)
+    B = orbital_range_barrier(gamma=1.0, d_bar=0.01)
 
     def test_value_at_band_center(self):
         s = np.array([2.0, 0.0, 0.0, 0.0, 0.7, 0.0])
@@ -91,14 +88,14 @@ class TestOrbitalRangeBarrier:
 
 
 class TestLieDerivative:
-    B = orbital_range_barrier(GRAVITY, gamma=1.0, d_bar=0.01)
+    B = orbital_range_barrier(gamma=1.0, d_bar=0.01)
 
     def test_zero_radial_velocity(self):
         s = np.array([2.2, 0.0, 0.0, 0.0, 0.6, 0.0])
         assert self.B.margin_terms(None, s)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_chain_rule_value(self):
-        # dh/dt = -2 (r - 2R) rdot with rdot = rhat . v = 0.1 here.
+        # dh/dt = -2 (r - 2) rdot with rdot = rhat . v = 0.1 here.
         s = np.array([2.2, 0.0, 0.0, 0.1, 0.6, 0.0])
         assert self.B.margin_terms(None, s)[1] == pytest.approx(-0.04, abs=1e-14)
 
@@ -115,28 +112,28 @@ class TestLieDerivative:
 
 
 class TestBarrierConditionMargin:
-    B = orbital_range_barrier(GRAVITY, gamma=1.0, d_bar=0.01)
+    B = orbital_range_barrier(gamma=1.0, d_bar=0.01)
 
     def test_composed_value(self):
         # L_F h - |grad| d_bar + gamma h = -0.04 - 0.4*0.01 + 0.12
-        s = np.array([2.2, 0.0, 0.0, 0.1, 0.6, 0.0])
+        s = [2.2, 0.0, 0.0, 0.1, 0.6, 0.0]
         assert barrier_condition_margin(self.B, orbital_flow, s) == pytest.approx(
             0.076, abs=1e-14
         )
 
     def test_center_with_no_radial_velocity(self):
         # Gradient norm vanishes at the band center, leaving alpha(h) only.
-        s = np.array([2.0, 0.0, 0.0, 0.0, 0.7, 0.0])
+        s = [2.0, 0.0, 0.0, 0.0, 0.7, 0.0]
         assert barrier_condition_margin(self.B, orbital_flow, s) == pytest.approx(
             1.0 * 0.16, abs=1e-14
         )
 
     def test_zero_dbar_drops_robust_term(self):
-        b0 = orbital_range_barrier(GRAVITY, gamma=1.0, d_bar=0.0)
+        b0 = orbital_range_barrier(gamma=1.0, d_bar=0.0)
         s = np.array([2.2, 0.0, 0.0, 0.1, 0.6, 0.0])
         lfh = b0.margin_terms(None, s)[1]
         expected = lfh + 1.0 * b0.h(s)
-        assert barrier_condition_margin(b0, orbital_flow, s) == pytest.approx(
+        assert barrier_condition_margin(b0, orbital_flow, s.tolist()) == pytest.approx(
             expected, abs=1e-15
         )
 
@@ -146,7 +143,7 @@ class TestBarrierConditionMargin:
             s = np.array([r, 0.0, 0.0, 0.05, 0.6, 0.0])
             grad = self.B.grad_h(s)
             expected = float(grad @ orbital_flow(s)) - np.linalg.norm(grad) * self.B.d_bar
-            assert barrier_condition_margin(self.B, orbital_flow, s) == pytest.approx(
+            assert barrier_condition_margin(self.B, orbital_flow, s.tolist()) == pytest.approx(
                 expected, abs=1e-15
             )
 
@@ -186,7 +183,7 @@ class TestBitwiseAgainstNormFormulas:
     def test_orbital_h_grad_and_margin(self):
         # h and grad_h keep the norm formulas bit for bit; the margin is the
         # closed form, which agrees with the norm formula up to rounding
-        b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
+        b = orbital_range_barrier(gamma=self.GAMMA, d_bar=self.D_BAR)
         for x in self.orbital_states():
             h_ref, grad_ref = self.norm_orbital(x)
             assert b.h(x).hex() == h_ref.hex()
@@ -266,7 +263,7 @@ class TestFilterMargins:
 
 
 class TestManeuverTimingMargin:
-    B = orbital_range_barrier(GRAVITY, gamma=1.0, d_bar=0.01)
+    B = orbital_range_barrier(gamma=1.0, d_bar=0.01)
 
     @staticmethod
     def _linear_model(slope, intercept=1.0, h_range=(0.0, 0.16)):
@@ -314,7 +311,7 @@ class TestValidationHelpers:
         with pytest.raises(ValueError, match="gamma must be > 0"):
             planar_disk_barrier(1.0, gamma=gamma, d_bar=0.0)
         with pytest.raises(ValueError, match="gamma must be > 0"):
-            orbital_range_barrier(GRAVITY, gamma=gamma, d_bar=0.0)
+            orbital_range_barrier(gamma=gamma, d_bar=0.0)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
     def test_disk_requires_positive_radius(self, rho):
@@ -353,15 +350,15 @@ SHIPPED_MODEL = os.path.join(
 )
 
 
-def generic_lfh(b, g, x):
+def generic_lfh(b, x):
     """dh/dt as the 6-element dot of grad_h with the full two-body flow."""
     grad = np.asarray(b.grad_h(x), dtype=float)
-    return float(grad @ np.asarray(two_body_field(g, x))), grad
+    return float(grad @ np.asarray(two_body_field(x))), grad
 
 
-def generic_timing_margin(model, b, g, x):
+def generic_timing_margin(model, b, x):
     """maneuver_timing_margin's formula for a spec without margin terms."""
-    lfh, _ = generic_lfh(b, g, x)
+    lfh, _ = generic_lfh(b, x)
     return 0.5 * (1.0 + model.evaluate(b.h(x)).derivative * lfh)
 
 
@@ -374,8 +371,8 @@ class TestFusedMargin:
     GAMMA, D_BAR = 0.1, 1e-3
     MODEL = load_model(SHIPPED_MODEL)
 
-    def assert_fused_equal(self, b, g, states):
-        flow = lambda x: two_body_field(g, x)
+    def assert_fused_equal(self, b, states):
+        flow = two_body_field
         fused = [barrier_condition_margin(b, flow, x) for x in states]
         assert [m.hex() for m in fused] == [closed_form_margin(b, x).hex() for x in states]
         norm_margin = TestBitwiseAgainstNormFormulas.norm_margin
@@ -390,12 +387,12 @@ class TestFusedMargin:
         for x, t in zip(states, timing):
             # the model's slope scales the rounding of dh/dt
             slope = self.MODEL.evaluate(b.h(x)).derivative
-            generic = generic_timing_margin(self.MODEL, b, g, x)
+            generic = generic_timing_margin(self.MODEL, b, x)
             assert t == pytest.approx(generic, rel=0.0, abs=(1.0 + abs(slope)) * ROUNDING)
         for x in states[:50]:
             terms = b.margin_terms(None, x)
             assert [t.hex() for t in terms] == [t.hex() for t in closed_form_terms(b, x)]
-            lfh_ref, grad = generic_lfh(b, g, x)
+            lfh_ref, grad = generic_lfh(b, x)
             generic_terms = (b.h(x), lfh_ref, float(np.linalg.norm(grad)))
             assert terms == pytest.approx(generic_terms, rel=0.0, abs=ROUNDING)
 
@@ -403,7 +400,7 @@ class TestFusedMargin:
         def no_flow(x):
             raise AssertionError("flow called")
 
-        band = orbital_range_barrier(GRAVITY, self.GAMMA, self.D_BAR)
+        band = orbital_range_barrier(self.GAMMA, self.D_BAR)
         assert isinstance(band, BandBarrier)
         band.margin_terms(no_flow, np.array([2.1, 0.0, 0.0, 0.1, 0.6, 0.0]))
         disk = planar_disk_barrier(1.0, gamma=2.0, d_bar=0.01)
@@ -412,7 +409,7 @@ class TestFusedMargin:
             disk.margin_terms(no_flow, [0.3, -0.4])
 
     def test_band_edges_and_center(self):
-        b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
+        b = orbital_range_barrier(gamma=self.GAMMA, d_bar=self.D_BAR)
         states = []
         for r in (1.6, 2.4, 2.0):
             for axis in range(3):
@@ -422,17 +419,17 @@ class TestFusedMargin:
                     x[3:] = vel
                     states.append(x)
                     states.append(-x)
-        self.assert_fused_equal(b, GRAVITY, states)
+        self.assert_fused_equal(b, states)
 
     def test_seeded_shell_states(self):
-        b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
-        self.assert_fused_equal(b, GRAVITY, random_shell_states(np.random.default_rng(8), 2000))
+        b = orbital_range_barrier(gamma=self.GAMMA, d_bar=self.D_BAR)
+        self.assert_fused_equal(b, random_shell_states(np.random.default_rng(8), 2000))
 
     def test_shipped_greedy_run_states(self, greedy_run):
         _, scenario, result, _ = greedy_run
         states = result.trajectory.states[:20000]
         assert len(states) == 20000
-        self.assert_fused_equal(scenario.barrier, scenario.gravity, states)
+        self.assert_fused_equal(scenario.barrier, states)
 
     def test_miet_bound_perturbed_states(self, greedy_run):
         # the states miet_bound differences: 2,000 samples, each component +-1e-6
@@ -444,11 +441,11 @@ class TestFusedMargin:
                     xe = np.array(x)
                     xe[i] += sign * 1e-6
                     states.append(xe)
-        self.assert_fused_equal(scenario.barrier, scenario.gravity, states)
+        self.assert_fused_equal(scenario.barrier, states)
 
     @pytest.mark.parametrize("r", [0.0, 0.05, 0.0999])
     def test_below_singularity_floor_raises(self, r):
-        b = orbital_range_barrier(GRAVITY, gamma=self.GAMMA, d_bar=self.D_BAR)
+        b = orbital_range_barrier(gamma=self.GAMMA, d_bar=self.D_BAR)
         x = np.array([0.0, r, 0.0, 1.0, 0.0, 0.0])
         with pytest.raises(SingularityError):
             barrier_condition_margin(b, orbital_flow, x)
@@ -458,17 +455,12 @@ class TestFusedMargin:
 
 class TestRadialGeometry:
     def test_band_at_unit_radius_equals_literals(self):
-        b = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
-        R = GRAVITY.R
-        assert b.center.hex() == (2.0 * R).hex()
-        assert b.half_width.hex() == (0.4 * R).hex()
-        assert (b.center - b.half_width).hex() == (1.6 * R).hex()
-        assert (b.center + b.half_width).hex() == (2.4 * R).hex()
-        assert (b.half_width ** 2).hex() == ((0.4 * R) ** 2).hex()
-
-    def test_band_scales_with_radius(self):
-        b = orbital_range_barrier(GravityModel(mu=1.0, R=3.0), gamma=0.1, d_bar=1e-3)
-        assert (b.center, b.half_width) == (6.0, 0.4 * 3.0)
+        b = orbital_range_barrier(gamma=0.1, d_bar=1e-3)
+        assert b.center.hex() == (2.0).hex()
+        assert b.half_width.hex() == (0.4).hex()
+        assert (b.center - b.half_width).hex() == (1.6).hex()
+        assert (b.center + b.half_width).hex() == (2.4).hex()
+        assert (b.half_width ** 2).hex() == (0.4 ** 2).hex()
 
     def test_disk_is_centered_band(self):
         b = planar_disk_barrier(1.5, gamma=2.0, d_bar=0.01)
@@ -493,7 +485,7 @@ class TestRadialGeometry:
         assert b.center == 0.0
         with pytest.raises(ValueError, match="center"):
             dataclasses.replace(b, center=2.0)
-        band = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+        band = orbital_range_barrier(gamma=0.1, d_bar=1e-3)
         with pytest.raises(TypeError, match="margin_terms"):
             dataclasses.replace(band, margin_terms=None)
 
@@ -501,17 +493,17 @@ class TestRadialGeometry:
         # no callable field: each geometry states its formulas as methods
         geometry = ["gamma", "d_bar", "center", "half_width"]
         disk = planar_disk_barrier(1.5, gamma=2.0, d_bar=0.01)
-        band = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+        band = orbital_range_barrier(gamma=0.1, d_bar=1e-3)
         assert [f.name for f in dataclasses.fields(disk)] == geometry
         assert [f.name for f in dataclasses.fields(band)] == geometry + ["floor"]
-        assert band.floor == GRAVITY.singularity_floor
+        assert band.floor == SINGULARITY_FLOOR == 0.1
 
 
 class TestGradientCheckCoversFusedTerms:
     """check_gradient holds an orbital spec's margin_terms to the same finite
     differences as grad_h, so a wrong fused term fails at construction."""
 
-    B = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+    B = orbital_range_barrier(gamma=0.1, d_bar=1e-3)
     STATES = random_shell_states(np.random.default_rng(3), 20)
 
     def test_shipped_terms_pass(self):
@@ -567,7 +559,7 @@ class TestRowMargins:
     by row, bit for bit (compared as bytes, so the sign of a zero counts)."""
 
     N = 100_000
-    B = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+    B = orbital_range_barrier(gamma=0.1, d_bar=1e-3)
 
     @pytest.fixture(scope="class")
     def states(self):
@@ -581,7 +573,7 @@ class TestRowMargins:
 
     def test_barrier_condition_rows_equal_the_margin(self, states):
         rows = barrier_condition_rows(self.B, states)
-        scalar = np.array([barrier_condition_margin(self.B, orbital_flow, x) for x in states])
+        scalar = np.array([barrier_condition_margin(self.B, orbital_flow, x) for x in states.tolist()])
         assert rows.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("model", ["shipped", "steep"])
@@ -617,7 +609,7 @@ class TestRowMargins:
 
     def test_row_below_the_floor_raises_like_the_scalar_terms(self, states):
         low = states[:300].copy()
-        low[250, :3] = [0.05, 0.02, 0.0]  # radius below 0.1 R
+        low[250, :3] = [0.05, 0.02, 0.0]  # radius below the floor 0.1
         with pytest.raises(SingularityError, match="below singularity floor") as rows_err:
             self.B.margin_rows(low)
         with pytest.raises(SingularityError) as one_err:

@@ -18,7 +18,6 @@ import etsafe.numerics as numerics
 from etsafe.barrier import barrier_condition_margin, barrier_condition_rows, orbital_range_barrier
 from etsafe.cli import EXIT_OK, cmd_compare
 from etsafe.config import parse_config
-from etsafe.dynamics import GravityModel
 from etsafe.numerics import (
     EventLocatorConfig,
     IntegrationFailureError,
@@ -260,7 +259,7 @@ class TestBandRowBelowFloor:
     singularity floor; the loop then meets the error where the one-step loop
     does, or not at all after a crossing."""
 
-    B_SPEC = orbital_range_barrier(GravityModel(), gamma=0.1, d_bar=1e-3)
+    B_SPEC = orbital_range_barrier(gamma=0.1, d_bar=1e-3)
     BALLISTIC = staticmethod(lambda t, x: (x[3], x[4], x[5], 0.0, 0.0, 0.0))
     X0 = np.array([0.3, 0.0, 0.0, -1.0, 0.0, 0.0])  # falls through the 0.1 floor at t = 0.2
 

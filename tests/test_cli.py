@@ -1381,19 +1381,3 @@ class TestSeedFlag:
         assert main(argv) == EXIT_OK
         assert sorted(os.listdir(out)) == ["events.csv", "summary.json", "trajectory.csv"]
 
-
-class TestRadiusGridScale:
-    """The default [tau] radius_grid is in units of [gravity] R."""
-
-    def test_default_grid_follows_R(self, tmp_path):
-        text = read_bytes(os.path.join(CONFIGS, "greedy_satellite.ini")).decode()
-        text = text.replace("R = 1.0", "R = 3.0")
-        text = "\n".join(line for line in text.splitlines() if not line.startswith("radius_grid"))
-        path = tmp_path / "r3.ini"
-        path.write_text(text)
-        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
-        out = tmp_path / "s.csv"
-        argv = ["sample-tau", "--config", str(path), "--out", str(out), "--n", "1", "--max-wait", "5"]
-        assert main(argv) == EXIT_OK
-        radii = np.loadtxt(out, delimiter=",", skiprows=3, usecols=0)
-        assert len(radii) == 11 and np.all((radii > 4.8) & (radii < 7.2))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from etsafe.config import SCHEMA, ConfigError, parse_config
-from etsafe.dynamics import DisturbanceModel, GravityModel
+from etsafe.dynamics import DisturbanceModel
 from etsafe.inter_event import DEFAULT_MAX_WAIT
 from etsafe.numerics import EventLocatorConfig, IntegratorConfig
 from etsafe.orbital import StationKeepingConfig
@@ -96,7 +96,6 @@ class TestParseConfig:
         assert scn.barrier.d_bar == 0.0
         assert cfg.tau_max_wait == DEFAULT_MAX_WAIT
         if dim == 3:
-            assert scn.gravity == GravityModel()
             assert scn.controller == StationKeepingConfig()
             assert scn.allow_initial_jump is True
         else:
@@ -215,9 +214,6 @@ REJECTED = [
     ({"scenario.horizon": "inf"}, "[scenario] horizon must be finite"),
     ({"scenario.seed": "-1"}, "[scenario] seed must be >= 0"),
     ({"scenario.allow_initial_jump": "maybe"}, "bad value for [scenario] allow_initial_jump"),
-    ({"gravity.mu": "0"}, "[gravity] mu must be > 0"),
-    ({"gravity.R": "-1"}, "[gravity] R must be > 0"),
-    ({"gravity.R": "nan"}, "[gravity] R must be > 0"),
     ({"disturbance.kind": "windy"}, "[disturbance] unknown kind 'windy'"),
     ({"disturbance.d_bar": "-0.001"}, "[disturbance] d_bar must be >= 0"),
     ({"disturbance.d_bar": "0"}, "[disturbance] kind 'seeded-piecewise-constant' requires d_bar > 0"),
@@ -275,6 +271,8 @@ ADDED_RULES = [
     ({"filter.gain": "-inf"}, "[filter] gain must be finite"),
     ({"filter.hysteresis_gpa": "0.3"}, "unknown key [filter] hysteresis_gpa"),
     ({"tua.model_path": "tau_model.json"}, "unknown section [tua]"),
+    # normalized units are constants, and their section is gone
+    ({"gravity.mu": "1.0"}, "unknown section [gravity]"),
 ]
 for rows in REJECTED_BY_KIND.values():
     rows += ADDED_RULES
@@ -292,8 +290,8 @@ ACCEPTED = [
 ]
 ACCEPTED_BY_KIND = {
     # a radius grid strictly inside the band (1.6, 2.4), in the place of the
-    # deleted zonal kind's row; the default radius grid scales with R
-    "satellite": [{"tau.radius_grid": "1.7, 2.0, 2.3"}, {"gravity.R": "3.0"}],
+    # deleted zonal kind's row
+    "satellite": [{"tau.radius_grid": "1.7, 2.0, 2.3"}],
     # sample-tau needs a satellite scenario: a planar one's grid is not checked
     "planar": [{"tau.radius_grid": "1.0, 2.0"}],
 }
@@ -323,8 +321,9 @@ def test_verdict_message_is_unchanged(tmp_path, row):
     compared with ``[barrier] d_bar``; ``[integrator] interpolation``,
     ``[tau] statistic`` and ``[tau] basis`` left the schema, so the rows that
     set them read ``unknown key``; the ``zonal-j2-like`` disturbance kind was
-    deleted, so its rows read ``unknown kind``.  Rows added later follow the
-    table's."""
+    deleted, so its rows read ``unknown kind``; the units became constants
+    and ``[gravity]`` left the schema, so the rows that set it read
+    ``unknown section``.  Rows added later follow the table's."""
     path = write(tmp_path, with_values(TEXTS[row["kind"]], row["values"]))
     try:
         parse_config(path)
@@ -354,7 +353,6 @@ class TestVerdictTable:
         rows = [
             ({"scenario.horizon": "0", "scenario.seed": "-1"},
              ["[scenario] horizon must be > 0", "[scenario] seed must be >= 0"]),
-            ({"gravity.mu": "0"}, ["[gravity] mu must be > 0"]),
             ({"disturbance.hold_time": "0"}, ["[disturbance] hold_time must be > 0"]),
             ({"barrier.gamma": "0", "barrier.rho": "0"},
              ["[barrier] gamma must be > 0", "[barrier] rho must be > 0"]),
@@ -472,9 +470,10 @@ class TestUnknownKeys:
             assert problem in str(err.value)
 
     def test_keys_match_case_insensitively(self, tmp_path):
-        # configparser reads keys case-insensitively, so [gravity] r is R
-        text = GREEDY + "\n[gravity]\nr = 1.0\nMU = 1.0\n"
-        assert parse_config(write(tmp_path, text)).scenario.gravity == GravityModel()
+        # configparser reads keys case-insensitively, so POST_JUMP_MARGIN is post_jump_margin
+        text = GREEDY + "\n[controller]\nPOST_JUMP_MARGIN = 0.02\nRetarget_Gain = 0.25\n"
+        controller = parse_config(write(tmp_path, text)).scenario.controller
+        assert controller == StationKeepingConfig(post_jump_margin=0.02, retarget_gain=0.25)
 
 
 def test_filter_config_rules():

@@ -1,22 +1,24 @@
 """Vector field, jump map, and disturbance model tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from etsafe.barrier import orbital_range_barrier, planar_disk_barrier
 from etsafe.dynamics import (
+    SINGULARITY_FLOOR,
     DisturbanceModel,
     _LaneDisturbance,
-    GravityModel,
     SingularityError,
+    _single_integrator_rk4,
+    _two_body_rk4,
     apply_impulse,
     two_body_field,
 )
-from etsafe.numerics import IntegratorConfig, propagate_until
+from etsafe.numerics import IntegratorConfig, propagate_until, rk4_step
 from etsafe.orbital import StationKeepingConfig
 from etsafe.scenarios import FilterConfig, PlanarScenario, SatelliteScenario
-
-GRAVITY = GravityModel()
 
 
 def field_test_states(n=2000):
@@ -32,16 +34,16 @@ def field_test_states(n=2000):
     return states
 
 
-def specific_energy(g, s):
+def specific_energy(s):
     r = np.linalg.norm(s[:3])
     v2 = s[3:] @ s[3:]
-    return 0.5 * v2 - g.mu / r
+    return 0.5 * v2 - 1.0 / r
 
 
 class TestTwoBodyField:
     def test_circular_orbit_balance(self):
         s = np.array([2.0, 0.0, 0.0, 0.0, np.sqrt(0.5), 0.0])
-        deriv = two_body_field(GRAVITY, s)
+        deriv = two_body_field(s)
         assert deriv[3] == pytest.approx(-0.25, abs=1e-15)
         assert deriv[4] == 0.0 and deriv[5] == 0.0
         # centripetal balance |a| = v^2 / r
@@ -49,27 +51,26 @@ class TestTwoBodyField:
 
     def test_unit_radius_rest_state(self):
         s = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        assert np.allclose(two_body_field(GRAVITY, s), [0, 0, 0, -1, 0, 0], atol=1e-15)
+        assert np.allclose(two_body_field(s), [0, 0, 0, -1, 0, 0], atol=1e-15)
 
     def test_singularity_floor(self):
         s = np.array([0.05, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(SingularityError):
-            two_body_field(GRAVITY, s)
+            two_body_field(s)
 
     def test_bitwise_equal_to_numpy_scalar_formula(self):
         # The float body must run exactly the IEEE operations of the numpy
         # formula it replaced, so trajectories stay byte-identical.
-        def numpy_formula(g, s):
+        def numpy_formula(s):
             pos = s[:3]
             r = float(np.sqrt(pos[0] * pos[0] + pos[1] * pos[1] + pos[2] * pos[2]))
             out = np.empty(6)
             out[:3] = s[3:]
-            out[3:] = (-g.mu / (r * r * r)) * pos
+            out[3:] = (-1.0 / (r * r * r)) * pos
             return out
 
-        for g in (GRAVITY, GravityModel(mu=0.37, R=1.3)):
-            for s in field_test_states():
-                assert np.asarray(two_body_field(g, s)).tobytes() == numpy_formula(g, s).tobytes()
+        for s in field_test_states():
+            assert np.asarray(two_body_field(s)).tobytes() == numpy_formula(s).tobytes()
 
     @pytest.mark.parametrize("kind", ["seeded-piecewise-constant", "none"])
     def test_disturbed_field_bitwise_equal_to_in_place_add(self, kind):
@@ -77,8 +78,7 @@ class TestTwoBodyField:
         # that must be the same IEEE addition as the in-place add it replaced.
         dist = DisturbanceModel(kind=kind, d_bar=1e-3, seed=5, hold_time=1.0)
         scenario = SatelliteScenario(
-            gravity=GRAVITY,
-            barrier=orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3),
+            barrier=orbital_range_barrier(gamma=0.1, d_bar=1e-3),
             controller=StationKeepingConfig(),
             disturbance=dist,
         )
@@ -89,7 +89,7 @@ class TestTwoBodyField:
             field = scenario.disturbed_field(stream)
             sampler = dist.realize(stream)
             for t, s in zip(times.tolist(), states):
-                old = np.asarray(two_body_field(GRAVITY, s))
+                old = np.asarray(two_body_field(s))
                 old[3:] += sampler(t)
                 assert np.asarray(field(t, s)).tobytes() == old.tobytes()
 
@@ -98,7 +98,7 @@ class TestTwoBodyField:
         period = 2.0 * np.pi * np.sqrt(8.0)
         assert period == pytest.approx(17.7715, abs=5e-4)
         s0 = np.array([2.0, 0.0, 0.0, 0.0, np.sqrt(0.5), 0.0])
-        field = lambda t, x: two_body_field(GRAVITY, x)
+        field = lambda t, x: two_body_field(x)
         _, states, _, crossing = propagate_until(
             field, s0, 0.0, period, [], IntegratorConfig(step_size=0.05)
         )
@@ -107,15 +107,15 @@ class TestTwoBodyField:
 
     def test_energy_and_momentum_conserved_over_period(self):
         s0 = np.array([2.0, 0.0, 0.0, 0.0, np.sqrt(0.5), 0.0])
-        field = lambda t, x: two_body_field(GRAVITY, x)
+        field = lambda t, x: two_body_field(x)
         period = 2.0 * np.pi * np.sqrt(8.0)
         _, states, _, _ = propagate_until(
             field, s0, 0.0, period, [], IntegratorConfig(step_size=0.05)
         )
-        e0 = specific_energy(GRAVITY, s0)
+        e0 = specific_energy(s0)
         h0 = np.cross(s0[:3], s0[3:])
         for s in states[:: len(states) // 50]:
-            assert abs(specific_energy(GRAVITY, s) - e0) / abs(e0) <= 1e-6
+            assert abs(specific_energy(s) - e0) / abs(e0) <= 1e-6
             h = np.cross(s[:3], s[3:])
             assert np.linalg.norm(h - h0) / np.linalg.norm(h0) <= 1e-6
 
@@ -188,6 +188,35 @@ class TestDisturbanceModel:
         for t in [k * hold for k in intervals] + [k * hold + 0.49 for k in intervals]:
             got = np.array(sampler(t))
             assert got.tobytes() == m.sample(t, stream=4).tobytes(), t
+
+    @pytest.mark.parametrize("shared", [255, 256])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fused_steps_across_a_block_edge(self, dim, shared):
+        # stage 1 reads hold interval 255, the last row of the sampler's
+        # first block, and a later stage (stage 4, or the shared stages 2 and
+        # 3 at shared=256) refills that block in place: each stage must read
+        # its vector before the refill, so the fused step equals the generic
+        # step on DisturbanceModel.sample bit for bit
+        hold, dt = 0.5, 0.05
+        m = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=1, hold_time=hold, dim=dim)
+        t0 = 256 * hold - (0.7 if shared == 255 else 0.3) * dt
+        times = (t0, t0 + 0.5 * dt, t0 + dt)
+        assert [math.floor(t / hold) for t in times] == [255, shared, 256]
+        sampler = m.realize(stream=2)
+        sampler(0.0)  # the sampler holds intervals 0 .. 255
+        d = lambda t: m.sample(t, stream=2).tolist()
+        if dim == 3:
+            step = _two_body_rk4(SINGULARITY_FLOOR, sampler)
+            reference = lambda t, y: two_body_field(y, accel=d(t))
+            x = [2.2, 0.1, -0.05, 0.02, 0.67, 0.03]
+        else:
+            scn = TestPlanarDemo.scenario(goal=(1.05, 0.0))
+            flow = scn.nominal_flow()
+            step = _single_integrator_rk4(scn.nominal_input(), sampler)
+            reference = lambda t, y: [f + e for f, e in zip(flow(y), d(t))]
+            x = [0.3, -0.4]
+        got = step(t0, dt, x)
+        assert np.array(got).tobytes() == np.array(rk4_step(reference, x, t0, dt)).tobytes()
 
     @pytest.mark.parametrize("kind", ["seeded-piecewise-constant"])
     def test_lane_columns_match_sample(self, kind):

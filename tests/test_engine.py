@@ -15,7 +15,7 @@ from etsafe.barrier import (
     orbital_range_barrier,
     planar_disk_barrier,
 )
-from etsafe.dynamics import DisturbanceModel, GravityModel
+from etsafe.dynamics import DisturbanceModel
 import etsafe.barrier
 import etsafe.numerics
 from etsafe.config import parse_config
@@ -42,10 +42,8 @@ from etsafe.scenarios import FilterConfig, PlanarScenario, SatelliteScenario
 
 
 def satellite_scenario(seed=1, kind="seeded-piecewise-constant", gamma=0.1, d_bar=1e-3):
-    g = GravityModel()
     return SatelliteScenario(
-        gravity=g,
-        barrier=orbital_range_barrier(g, gamma=gamma, d_bar=d_bar),
+        barrier=orbital_range_barrier(gamma=gamma, d_bar=d_bar),
         controller=StationKeepingConfig(),
         disturbance=DisturbanceModel(kind=kind, d_bar=d_bar, seed=seed, hold_time=1.0)
         if kind != "none"
@@ -168,7 +166,6 @@ class TestGreedy:
     def test_initial_jump_disabled_aborts(self):
         scn = satellite_scenario(seed=1)
         scn = SatelliteScenario(
-            gravity=scn.gravity,
             barrier=scn.barrier,
             controller=scn.controller,
             disturbance=scn.disturbance,
@@ -399,7 +396,7 @@ class TestIntermittent:
 
 class TestMietBound:
     def test_forced_constants_closed_form(self):
-        b = orbital_range_barrier(GravityModel(), gamma=0.1, d_bar=0.01)
+        b = orbital_range_barrier(gamma=0.1, d_bar=0.01)
         got = miet_bound_formula(0.01, 0.5, 1.2, b.d_bar)
         assert abs(got - 0.01 / (0.5 * 1.21)) <= 1e-12
 
@@ -551,15 +548,14 @@ class TestSpecGeometry:
 
     def test_satellite_sampler_bounds_equal_literals(self):
         scn = satellite_scenario()
-        R, mu = scn.gravity.R, scn.gravity.mu
         rng = np.random.default_rng(0)
         n = 2000
-        radii = rng.uniform(1.6 * R, 2.4 * R, n)
+        radii = rng.uniform(1.6, 2.4, n)
         dirs = rng.normal(size=(n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         vdirs = rng.normal(size=(n, 3))
         vdirs /= np.linalg.norm(vdirs, axis=1, keepdims=True)
-        speeds = rng.uniform(0.0, 0.99, n) * np.sqrt(2.0 * mu / radii)
+        speeds = rng.uniform(0.0, 0.99, n) * np.sqrt(2.0 / radii)
         expected = np.hstack([radii[:, None] * dirs, speeds[:, None] * vdirs])
         assert satellite_region_states(scn).tobytes() == expected.tobytes()
 
@@ -674,6 +670,6 @@ class TestScenarioGeometry:
 
     def test_planar_scenario_rejects_the_band(self):
         scn = planar_scenario()
-        band = orbital_range_barrier(GravityModel(), gamma=2.0, d_bar=scn.barrier.d_bar)
+        band = orbital_range_barrier(gamma=2.0, d_bar=scn.barrier.d_bar)
         with pytest.raises(ValueError, match="needs a DiskBarrier, got a BandBarrier"):
             dataclasses.replace(scn, barrier=band)

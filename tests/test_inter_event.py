@@ -19,7 +19,7 @@ from etsafe.barrier import (
     barrier_condition_rows,
     orbital_range_barrier,
 )
-from etsafe.dynamics import DisturbanceModel, GravityModel, _LaneDisturbance, apply_impulse
+from etsafe.dynamics import DisturbanceModel, _LaneDisturbance, apply_impulse
 from etsafe.inter_event import (
     FitError,
     InterEventSampleSet,
@@ -55,10 +55,8 @@ from etsafe.scenarios import SatelliteScenario
 
 
 def make_scenario(seed=1, gamma=0.1, d_bar=1e-3, kind="seeded-piecewise-constant"):
-    g = GravityModel()
     return SatelliteScenario(
-        gravity=g,
-        barrier=orbital_range_barrier(g, gamma=gamma, d_bar=d_bar),
+        barrier=orbital_range_barrier(gamma=gamma, d_bar=d_bar),
         controller=StationKeepingConfig(),
         disturbance=DisturbanceModel(kind=kind, d_bar=d_bar, seed=seed, hold_time=1.0),
         integrator=IntegratorConfig(step_size=0.05),
@@ -289,40 +287,40 @@ def band_states(n, seed):
     return np.hstack([radii[:, None] * dirs, rng.normal(0.0, 0.5, (n, 3))])
 
 
-def row_major_margin(states, R, gamma, d_bar):
+def row_major_margin(states, gamma, d_bar):
     """The campaign's margin formula before the component-major kernel,
     evaluated as it was: on C-contiguous (n, 6) rows."""
     rows = np.ascontiguousarray(states)
     pos, vel = rows[:, :3], rows[:, 3:]
     r = np.linalg.norm(pos, axis=1)
     rdot = np.einsum("ij,ij->i", pos, vel) / r
-    delta = r - 2.0 * R
-    h = (0.4 * R) ** 2 - delta * delta
+    delta = r - 2.0
+    h = 0.4 ** 2 - delta * delta
     return -2.0 * delta * rdot - 2.0 * np.abs(delta) * d_bar + gamma * h
 
 
-def lane_field(x, mu, accel):
+def lane_field(x, accel):
     """The batch's stage derivative before it stepped in blocks: the
     two-body derivative of component-major lanes ``x`` (6, n) plus
     ``accel``, on fresh arrays."""
     pos = x[:3]
     r = _norm3(pos)
-    a = (-mu / (r * r * r)) * pos
+    a = (-1.0 / (r * r * r)) * pos
     a += accel
     return np.concatenate((x[3:], a))
 
 
-def per_step_lanes(x, mu, accel_at, k, steps, dt):
+def per_step_lanes(x, accel_at, k, steps, dt):
     """The batch's steps before it stepped in blocks, each on fresh arrays:
     the states after steps ``k .. k+steps-1`` of lanes ``x`` (6, n)."""
     rows = []
     for i in range(k, k + steps):
         t0 = i * dt
-        k1 = lane_field(x, mu, accel_at(t0))
+        k1 = lane_field(x, accel_at(t0))
         d_half = accel_at(t0 + 0.5 * dt)
-        k2 = lane_field(x + 0.5 * dt * k1, mu, d_half)
-        k3 = lane_field(x + 0.5 * dt * k2, mu, d_half)
-        k4 = lane_field(x + dt * k3, mu, accel_at(t0 + dt))
+        k2 = lane_field(x + 0.5 * dt * k1, d_half)
+        k3 = lane_field(x + 0.5 * dt * k2, d_half)
+        k4 = lane_field(x + dt * k3, accel_at(t0 + dt))
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rows.append(x)
     return np.array(rows)
@@ -367,8 +365,8 @@ PINNED_TAUS = {
 }
 
 
-# R = 1, gamma = 0.1, d_bar = 1e-3: the arguments row_major_margin is given
-BAND = orbital_range_barrier(GravityModel(), gamma=0.1, d_bar=1e-3)
+# gamma = 0.1, d_bar = 1e-3: the arguments row_major_margin is given
+BAND = orbital_range_barrier(gamma=0.1, d_bar=1e-3)
 
 DISTURBANCE_KINDS = ("none", "seeded-piecewise-constant")
 
@@ -389,7 +387,7 @@ class TestComponentMajorKernel:
     @pytest.mark.parametrize("n", WIDTHS)
     def test_margin_batch_bitwise_equals_row_major_formula(self, n):
         states = band_states(n, seed=n)
-        expected = row_major_margin(states, 1.0, 0.1, 1e-3).tobytes()
+        expected = row_major_margin(states, 0.1, 1e-3).tobytes()
         component_major = np.ascontiguousarray(states.T)
         r = _norm3(component_major[:3])
         assert margin_batch(states, BAND, r).tobytes() == expected
@@ -419,8 +417,8 @@ class TestComponentMajorKernel:
         dist = DisturbanceModel(kind="seeded-piecewise-constant", d_bar=1e-3, seed=n, hold_time=1.0)
         streams = np.arange(1, n + 1, dtype=np.uint64)
         block, k, dt = _LaneBlock(x, _norm3(x[:3])), 37, 0.05  # 37 dt crosses a hold interval
-        ends = block.run(_LaneDisturbance(dist, streams), k, _BATCH_BLOCK, dt, 1.0)
-        expected = per_step_lanes(x, 1.0, _LaneDisturbance(dist, streams), k, _BATCH_BLOCK, dt)
+        ends = block.run(_LaneDisturbance(dist, streams), k, _BATCH_BLOCK, dt)
+        expected = per_step_lanes(x, _LaneDisturbance(dist, streams), k, _BATCH_BLOCK, dt)
         assert block.states[1:].tobytes() == expected.tobytes()
         assert block.radii[1:].tobytes() == _norm3(expected.transpose(1, 0, 2)[:3]).tobytes()
         # the disturbances handed to a refinement: the table's, at each
@@ -460,9 +458,9 @@ class TestComponentMajorKernel:
         s = collect_inter_event_samples(scn, grid, n, seed=3, max_wait=max_wait)
         assert not s.censored.any()
         streams = np.arange(1, len(grid) * n + 1, dtype=np.uint64)
-        starts = _initial_states(scn.gravity.mu, np.repeat(grid, n), 3, streams)
+        starts = _initial_states(np.repeat(grid, n), 3, streams)
         for i, stream in enumerate(streams):
-            dv = station_keeping_impulse(scn.controller, scn.barrier, scn.gravity, starts[i])
+            dv = station_keeping_impulse(scn.controller, scn.barrier, starts[i])
             x0 = apply_impulse(starts[i], dv)
             assert s.inter_event_time[i] == scalar_lane_tau(scn, x0, int(stream), max_wait)
 
@@ -476,7 +474,7 @@ class TestComponentMajorKernel:
     def test_non_finite_lane_raises(self, poison, fails_at_start, kernel):
         scn = make_scenario()
         streams = np.array([7, 8], dtype=np.uint64)
-        healthy = _initial_states(1.0, np.array([2.2]), 3, streams[:1])[0]
+        healthy = _initial_states(np.array([2.2]), 3, streams[:1])[0]
         states = np.array([healthy, poison])
         with np.errstate(all="ignore"), pytest.raises(IntegrationFailureError) as info:
             _propagate_batch_until_trigger(scn, states, streams, 50.0)

@@ -37,15 +37,15 @@ class TestRk4Step:
     def test_decay_hand_expanded(self):
         # Four-stage expansion of xdot = -x from 1.0 with dt = 0.1:
         # k1=-1, k2=-0.95, k3=-0.9525, k4=-0.90475 -> 1 - 0.0951625
-        x1 = rk4_step(DECAY, np.array([1.0]), 0.0, 0.1)
+        x1 = rk4_step(DECAY, [1.0], 0.0, 0.1)
         assert x1[0] == pytest.approx(0.9048375, abs=1e-15)
 
     def test_zero_field_fixed_point(self):
-        x0 = np.array([3.7, -1.2])
+        x0 = [3.7, -1.2]
         assert np.array_equal(rk4_step(ZERO, x0, 0.0, 0.5), x0)
 
     def test_constant_field_exact(self):
-        x1 = rk4_step(CONSTANT_ONE, np.array([0.0]), 0.0, 0.5)
+        x1 = rk4_step(CONSTANT_ONE, [0.0], 0.0, 0.5)
         assert x1[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_nonfinite_derivative_raises_with_context(self):
@@ -53,7 +53,7 @@ class TestRk4Step:
             return np.array([np.nan])
 
         with pytest.raises(IntegrationFailureError) as err:
-            rk4_step(bad, np.array([1.0]), 2.5, 0.1)
+            rk4_step(bad, [1.0], 2.5, 0.1)
         assert err.value.t == 2.5
         assert err.value.x[0] == 1.0
 
@@ -70,19 +70,19 @@ class TestRk4Step:
 
         x0 = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -0.25])
         with pytest.raises(IntegrationFailureError) as err:
-            rk4_step(field, x0, 2.5, 0.1)
+            rk4_step(field, x0.tolist(), 2.5, 0.1)
         assert len(calls) == 3  # the fourth stage never ran
         assert err.value.t == 2.5
         assert np.array_equal(err.value.x, x0)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            rk4_step(DECAY, np.array([1.0]), 0.0, 0.0)
+            rk4_step(DECAY, [1.0], 0.0, 0.0)
 
     def test_fourth_order_convergence(self):
         # Halving dt must cut the endpoint error by at least 15x (asymptotic 16).
         def endpoint_error(dt):
-            x = np.array([1.0])
+            x = [1.0]
             t = 0.0
             for _ in range(round(1.0 / dt)):
                 x = rk4_step(DECAY, x, t, dt)
@@ -93,8 +93,8 @@ class TestRk4Step:
         assert ratio >= 15.0
 
     def test_deterministic(self):
-        a = rk4_step(DECAY, np.array([1.0]), 0.0, 0.1)
-        b = rk4_step(DECAY, np.array([1.0]), 0.0, 0.1)
+        a = rk4_step(DECAY, [1.0], 0.0, 0.1)
+        b = rk4_step(DECAY, [1.0], 0.0, 0.1)
         assert a[0] == b[0]
 
 
@@ -176,7 +176,7 @@ class TestFloatStagesMatchNumpyOracle:
             return k
 
         with pytest.raises(IntegrationFailureError) as err:
-            rk4_step(poisoned, x0, 7.25, dt)
+            rk4_step(poisoned, x0.tolist(), 7.25, dt)
         assert len(calls) == stage  # no later stage ran
         assert err.value.t == 7.25
         assert err.value.x.tobytes() == x0.tobytes()
@@ -245,7 +245,7 @@ class TestFusedTwoBodyStep:
         assert errors[0][1:] == (7.25, x0.tobytes())
 
     # falling straight in at 1.2 per unit from these radii, the stage named
-    # is the first whose radius is below the floor (0.1 R)
+    # is the first whose radius is below the floor (0.1)
     @pytest.mark.parametrize("r0, stage", [(0.099, 1), (0.11, 2), (0.13, 3), (0.16, 4)])
     def test_dip_below_floor_raises_singularity(self, r0, stage):
         field, _, dt = shipped_field("greedy_satellite.ini")
@@ -254,7 +254,7 @@ class TestFusedTwoBodyStep:
         counted = lambda t, x: calls.append(t) or field(t, x)
         for f in (field, counted):
             with pytest.raises(SingularityError) as err:
-                rk4_step(f, x0, 0.0, dt)
+                rk4_step(f, x0.tolist(), 0.0, dt)
             messages.append(str(err.value))
         assert len(calls) == stage
         assert messages[0] == messages[1]  # the message holds the stage radius
@@ -269,13 +269,13 @@ class TestFusedTwoBodyStep:
         field, _, dt = shipped_field("greedy_satellite.ini")
         x0 = np.array([0.11, 0.0, 0.0, -1.2, 0.0, 0.0])
         with pytest.raises(SingularityError):
-            rk4_step(field, x0, 0.0, dt)
+            rk4_step(field, x0.tolist(), 0.0, dt)
         field = poisoned_field(
             monkeypatch, "greedy_satellite.ini", "seeded-piecewise-constant", 1, np.nan, x0, 0.0, dt
         )
         for f in (field, generic(field)):
             with pytest.raises(IntegrationFailureError) as err:
-                rk4_step(f, x0, 0.0, dt)
+                rk4_step(f, x0.tolist(), 0.0, dt)
             assert err.value.t == 0.0 and err.value.x.tobytes() == x0.tobytes()
 
     def test_steps_take_no_field_call_but_refinement(self, monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from etsafe.barrier import barrier_condition_margin, orbital_range_barrier
-from etsafe.dynamics import GravityModel, apply_impulse, two_body_field
+from etsafe.dynamics import apply_impulse, two_body_field
 from etsafe.numerics import IntegratorConfig, propagate_until
 from etsafe.orbital import (
     ControllerInfeasibleError,
@@ -19,13 +19,12 @@ from etsafe.orbital import (
     verify_jump_conditions,
 )
 
-GRAVITY = GravityModel()
-BARRIER = orbital_range_barrier(GRAVITY, gamma=0.1, d_bar=1e-3)
+BARRIER = orbital_range_barrier(gamma=0.1, d_bar=1e-3)
 CONTROLLER = StationKeepingConfig(post_jump_margin=0.01, retarget_gain=0.5)
 
 
 def orbital_flow(x):
-    return two_body_field(GRAVITY, x)
+    return two_body_field(x)
 
 
 def propagate_orbit(s0, horizon, dt=0.02):
@@ -37,7 +36,7 @@ def propagate_orbit(s0, horizon, dt=0.02):
 
 def apsides(s):
     """(periapsis, apoapsis) radii of the osculating orbit at state s."""
-    r, v, mu = s[:3], s[3:], GRAVITY.mu
+    r, v, mu = s[:3], s[3:], 1.0
     v2, mu_r = float(v @ v), mu / np.linalg.norm(r)
     a = -mu / (2.0 * (0.5 * v2 - mu_r))  # from the specific energy
     e = np.linalg.norm(((v2 - mu_r) * r - float(r @ v) * v) / mu)  # eccentricity vector
@@ -59,7 +58,7 @@ class TestStationKeepingImpulse:
     def test_outer_band_apsis_targeting(self):
         # From r = 2.2 with tangential velocity: target apsis 2.1, same plane.
         s = np.array([2.2, 0.0, 0.0, 0.0, 0.65, 0.0])
-        dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
+        dv = station_keeping_impulse(CONTROLLER, BARRIER, s)
         post = apply_impulse(s, dv)
         assert apsides(post)[0] == pytest.approx(2.1, abs=1e-9)
         # cross-check the osculating apsis against the propagated extreme
@@ -74,9 +73,9 @@ class TestStationKeepingImpulse:
 
     def test_inner_band_targets_apoapsis(self):
         s = np.array([1.8, 0.0, 0.0, 0.0, 0.75, 0.0])
-        dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
+        dv = station_keeping_impulse(CONTROLLER, BARRIER, s)
         post = apply_impulse(s, dv)
-        # target radius 2R + 0.5 (r - 2R) = 1.9
+        # target radius 2 + 0.5 (r - 2) = 1.9
         assert apsides(post)[1] == pytest.approx(1.9, abs=1e-9)
         states = propagate_orbit(post, 25.0)
         radii = np.linalg.norm(states[:, :3], axis=1)
@@ -90,11 +89,11 @@ class TestStationKeepingImpulse:
         rng = np.random.default_rng(9)
         for _ in range(200):
             r = rng.uniform(1.62, 2.38)
-            v_t = np.sqrt(GRAVITY.mu / r) * rng.uniform(0.9, 1.1)
+            v_t = np.sqrt(1.0 / r) * rng.uniform(0.9, 1.1)
             s = np.array([r, 0.0, 0.0, rng.normal(0.0, 0.03), v_t, 0.0])
             if BARRIER.h(s) < 0.0:
                 continue
-            dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
+            dv = station_keeping_impulse(CONTROLLER, BARRIER, s)
             post = apply_impulse(s, dv)
             periapsis, apoapsis = apsides(post)
             rdot_post = float(post[:3] @ post[3:]) / np.linalg.norm(post[:3])
@@ -113,11 +112,11 @@ class TestStationKeepingImpulse:
         rng = np.random.default_rng(1)
         for _ in range(50):
             r = rng.uniform(1.65, 2.35)
-            v_c = np.sqrt(GRAVITY.mu / r)
+            v_c = np.sqrt(1.0 / r)
             s = oriented_state(rng, r, rng.normal(0.0, 0.03), v_c * rng.uniform(0.95, 1.05))
             if BARRIER.h(s) < 0.0:
                 continue
-            dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
+            dv = station_keeping_impulse(CONTROLLER, BARRIER, s)
             post = apply_impulse(s, dv)
             h_pre = np.cross(s[:3], s[3:])
             h_post = np.cross(post[:3], post[3:])
@@ -142,27 +141,27 @@ class TestStationKeepingImpulse:
             delta = r - 2.0
             # solve the radial rate putting the state exactly on the surface
             rdot = (BARRIER.gamma * h - 2.0 * abs(delta) * BARRIER.d_bar) / (2.0 * delta)
-            v_t = rng.uniform(0.8, 1.1) * np.sqrt(GRAVITY.mu / r)
+            v_t = rng.uniform(0.8, 1.1) * np.sqrt(1.0 / r)
             v2 = rdot**2 + v_t**2
-            if v2 >= 2.0 * GRAVITY.mu / r:  # not elliptic-capturable
+            if v2 >= 2.0 / r:  # not elliptic-capturable
                 continue
             s = oriented_state(rng, r, rdot, v_t)
             assert abs(barrier_condition_margin(BARRIER, orbital_flow, s)) < 1e-10
-            dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
+            dv = station_keeping_impulse(CONTROLLER, BARRIER, s)
             post = apply_impulse(s, dv)
-            check = verify_jump_conditions(BARRIER, GRAVITY, post, CONTROLLER.post_jump_margin)
+            check = verify_jump_conditions(BARRIER, post, CONTROLLER.post_jump_margin)
             assert check.ok, f"violation at r={r}: {check}"
             count += 1
 
     def test_outside_band_rejected(self):
         s = np.array([1.5, 0.0, 0.0, 0.0, 0.8, 0.0])
         with pytest.raises(ControllerInfeasibleError):
-            station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
+            station_keeping_impulse(CONTROLLER, BARRIER, s)
 
     def test_rectilinear_rejected(self):
         s = np.array([2.0, 0.0, 0.0, 0.2, 0.0, 0.0])
         with pytest.raises(ControllerInfeasibleError, match="orbital plane undefined") as err:
-            station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
+            station_keeping_impulse(CONTROLLER, BARRIER, s)
         assert err.value.state.tobytes() == s.tobytes()
 
     def test_impulse_magnitude_bounded(self):
@@ -170,22 +169,20 @@ class TestStationKeepingImpulse:
         rng = np.random.default_rng(3)
         for _ in range(100):
             r = rng.uniform(1.65, 2.35)
-            v_c = np.sqrt(GRAVITY.mu / r)
+            v_c = np.sqrt(1.0 / r)
             s = np.array([r, 0.0, 0.0, rng.normal(0, 0.05), v_c * rng.uniform(0.9, 1.1), 0.0])
             if BARRIER.h(s) < 0:
                 continue
-            dv = station_keeping_impulse(CONTROLLER, BARRIER, GRAVITY, s)
+            dv = station_keeping_impulse(CONTROLLER, BARRIER, s)
             assert np.linalg.norm(dv) < 2.0 * v_c
 
 
 class TestPlacedAnomaly:
     def test_band_from_spec_equals_literal_rule(self):
-        # the rule with the 2R / 0.4R literals it used before reading the spec
-        R = GRAVITY.R
-
+        # the rule with the 2.0 / 0.4 literals it used before reading the spec
         def literal(r):
-            frac = min(abs(r - 2.0 * R) / (0.4 * R), 1.0)
-            if r >= 2.0 * R:
+            frac = min(abs(r - 2.0) / 0.4, 1.0)
+            if r >= 2.0:
                 return -np.pi + frac * (np.pi / 2.0)
             return frac * (np.pi / 2.0)
 
@@ -197,19 +194,19 @@ class TestPlacedAnomaly:
 class TestVerifyJumpConditions:
     def test_mid_band_circular_ok(self):
         s = np.array([2.0, 0.0, 0.0, 0.0, np.sqrt(0.5), 0.0])
-        check = verify_jump_conditions(BARRIER, GRAVITY, s, 0.01)
+        check = verify_jump_conditions(BARRIER, s, 0.01)
         assert check.ok
         assert check.xi_value == pytest.approx(BARRIER.gamma * 0.16, abs=1e-12)
 
     def test_outside_band_violated(self):
         s = np.array([1.5, 0.0, 0.0, 0.0, 0.8, 0.0])
-        check = verify_jump_conditions(BARRIER, GRAVITY, s, 0.01)
+        check = verify_jump_conditions(BARRIER, s, 0.01)
         assert not check.ok
         assert check.h_value < 0.0
 
     def test_zero_margin_reduces_to_barrier_condition(self):
         s = np.array([2.0, 0.0, 0.0, 0.0, np.sqrt(0.5), 0.0])
-        check = verify_jump_conditions(BARRIER, GRAVITY, s, 0.0)
+        check = verify_jump_conditions(BARRIER, s, 0.0)
         assert check.ok == (check.h_value >= 0.0 and check.xi_value >= 0.0)
 
 
