@@ -1381,3 +1381,21 @@ class TestSeedFlag:
         assert main(argv) == EXIT_OK
         assert sorted(os.listdir(out)) == ["events.csv", "summary.json", "trajectory.csv"]
 
+
+
+class TestDefaultRadiusGrid:
+    """A satellite config without [tau] radius_grid samples the default grid."""
+
+    def test_default_grid_lies_inside_the_band(self, tmp_path):
+        text = read_bytes(os.path.join(CONFIGS, "greedy_satellite.ini")).decode()
+        text = "\n".join(line for line in text.splitlines() if not line.startswith("radius_grid"))
+        path = tmp_path / "default_grid.ini"
+        path.write_text(text)
+        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+        out = tmp_path / "s.csv"
+        argv = ["sample-tau", "--config", str(path), "--out", str(out), "--n", "1", "--max-wait", "5"]
+        assert main(argv) == EXIT_OK
+        radii = np.loadtxt(out, delimiter=",", skiprows=3, usecols=0)
+        grid = [1.625, 1.68, 1.76, 1.85, 1.93, 2.0, 2.07, 2.16, 2.25, 2.33, 2.375]
+        assert radii.tolist() == grid
+        assert np.all((radii > 1.6) & (radii < 2.4))

@@ -273,6 +273,8 @@ ADDED_RULES = [
     ({"tua.model_path": "tau_model.json"}, "unknown section [tua]"),
     # normalized units are constants, and their section is gone
     ({"gravity.mu": "1.0"}, "unknown section [gravity]"),
+    # an integer key is not truncated from a float
+    ({"scenario.seed": "1.5"}, "bad value for [scenario] seed: '1.5'"),
 ]
 for rows in REJECTED_BY_KIND.values():
     rows += ADDED_RULES
@@ -295,6 +297,9 @@ ACCEPTED_BY_KIND = {
     # sample-tau needs a satellite scenario: a planar one's grid is not checked
     "planar": [{"tau.radius_grid": "1.0, 2.0"}],
 }
+# the largest seed, 2**64 - 1; listed after each kind's own rows
+for rows in ACCEPTED_BY_KIND.values():
+    rows.append({"scenario.seed": "18446744073709551615"})
 TEXTS = {"satellite": GREEDY, "planar": PLANAR}
 
 
